@@ -282,8 +282,14 @@ impl VmFd {
     fn clean_uncharged_inner(&self, inner: &mut VmInner, entry: u64) {
         inner.mem.clear();
         let clock = inner.cpu.clock().clone();
+        // `Cpu::new` is the one definition of the reset state. The predecode
+        // cache is not part of it: it is host-side state of the shell, and
+        // `clear` just marked every page code-dirty, so whichever image this
+        // shell hosts next — the same tenant's or another's — has every
+        // retained block compared with its own bytes before it can run.
         let mut fresh = Cpu::new(clock, CpuConfig::default(), entry);
-        std::mem::swap(&mut inner.cpu, &mut fresh);
+        fresh.adopt_predecode(&mut inner.cpu);
+        inner.cpu = fresh;
     }
 
     /// Captures a snapshot of the VM's dirty state. Charges the memcpy of

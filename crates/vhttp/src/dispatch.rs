@@ -164,9 +164,9 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
         "visa_predecode_blocks",
         "counter",
         "Predecoded basic blocks, by event: built (decoded, fused, and \
-         cached), invalidated (dropped for stale bytes after a write to a \
-         cached page, a self-modifying store, a snapshot restore, or a \
-         cache flush)",
+         cached), invalidated (dropped for stale bytes found by a \
+         revalidation sweep, a self-modifying store, or the capacity \
+         bound; the cache survives snapshot restores and shell cleaning)",
         &[
             ("{event=\"built\"}".into(), guest.blocks_built),
             ("{event=\"invalidated\"}".into(), guest.blocks_invalidated),

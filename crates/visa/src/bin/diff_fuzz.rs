@@ -1,13 +1,19 @@
 //! Differential fuzzer: random guest programs through both interpreter
 //! engines, demanding byte- and cycle-identical behaviour.
 //!
-//! Usage: `diff_fuzz [--iters N] [--seed S] [--insts I]`
+//! Usage: `diff_fuzz [--iters N] [--seed S] [--insts I] [--lifecycle]`
 //!
 //! Each iteration generates one random program from the seeded corpus,
 //! assembles it, and runs it on the fast and reference engines with
 //! identical seeded I/O. Exits non-zero on the first divergence, printing
 //! the generating seed, the divergence report, and the source — everything
 //! needed to reproduce with `--iters 1 --seed <reported>`.
+//!
+//! With `--lifecycle` each iteration generates *two* programs and a random
+//! shell-lifecycle script over them (`diff::random_script`: snapshots, full
+//! and delta restores, host pokes into the code, cleans that hand the shell
+//! to the other image) and compares the engines after every step — the fast
+//! engine's block cache survives all of those.
 
 use vclock::rng::Rng;
 use visa::{assemble, corpus, diff};
@@ -35,22 +41,41 @@ fn main() {
     let iters = arg("--iters", 500);
     let seed = arg("--seed", 0xF0CC_ACC1A);
     let insts = arg("--insts", 80) as usize;
+    let lifecycle = std::env::args().any(|a| a == "--lifecycle");
 
     let mut divergences = 0u64;
     for i in 0..iters {
         // Derive one seed per case so any case reproduces standalone.
         let case_seed = seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = Rng::seeded(case_seed);
-        let src = corpus::random_source(&mut rng, insts);
-        let img = match assemble(&src) {
-            Ok(img) => img,
-            Err(e) => {
-                eprintln!("case {i} (seed {case_seed:#x}): generated source failed to assemble: {e}\n{src}");
-                std::process::exit(2);
+        let mut program = || {
+            let src = if lifecycle && rng.bool(0.5) {
+                corpus::random_source_paged(&mut rng, insts)
+            } else {
+                corpus::random_source(&mut rng, insts)
+            };
+            match assemble(&src) {
+                Ok(img) => (img, src),
+                Err(e) => {
+                    eprintln!("case {i} (seed {case_seed:#x}): generated source failed to assemble: {e}\n{src}");
+                    std::process::exit(2);
+                }
             }
         };
-        if let Err(report) = diff::compare(&img, MEM, 50_000, case_seed) {
-            eprintln!("case {i} (seed {case_seed:#x}) DIVERGED:\n{report}\nsource:\n{src}");
+        let (result, sources) = if lifecycle {
+            let ((a, src_a), (b, src_b)) = (program(), program());
+            let images = [a, b];
+            let steps = diff::random_script(&mut rng, &images);
+            (
+                diff::compare_script(&images, MEM, &steps, case_seed),
+                format!("{src_a}\nsecond image:\n{src_b}"),
+            )
+        } else {
+            let (img, src) = program();
+            (diff::compare(&img, MEM, 50_000, case_seed), src)
+        };
+        if let Err(report) = result {
+            eprintln!("case {i} (seed {case_seed:#x}) DIVERGED:\n{report}\nsource:\n{sources}");
             divergences += 1;
         }
     }
@@ -58,5 +83,10 @@ fn main() {
         eprintln!("{divergences}/{iters} cases diverged");
         std::process::exit(1);
     }
-    println!("diff_fuzz: {iters} cases, fast == reference on all (seed {seed:#x})");
+    let mode = if lifecycle {
+        "lifecycle scripts"
+    } else {
+        "cases"
+    };
+    println!("diff_fuzz: {iters} {mode}, fast == reference on all (seed {seed:#x})");
 }

@@ -4,11 +4,11 @@
 //!
 //! * [`random_inst`] — one instruction of any form with random operands,
 //!   for encode/decode round-trip property tests.
-//! * [`random_source`] — a whole assemblable program exercising the
-//!   instruction mix `vcc` emits plus the awkward cases (divide faults,
-//!   self-modifying stores, port I/O, wild indirect jumps, illegal system
-//!   instructions), for the fast-vs-reference differential harness and the
-//!   `diff_fuzz` binary. Programs are *allowed* to fault, loop forever, or
+//! * [`random_source`] / [`random_source_paged`] — a whole assemblable
+//!   program exercising the instruction mix `vcc` emits plus the awkward
+//!   cases (divide faults, self-modifying stores, port I/O, wild indirect
+//!   jumps, illegal system instructions), for the fast-vs-reference
+//!   differential harness and the `diff_fuzz` binary. Programs are *allowed* to fault, loop forever, or
 //!   scribble on themselves — the differential contract is that both
 //!   engines do exactly the same thing, not that the program is sensible.
 
@@ -216,6 +216,18 @@ fn random_line(rng: &mut Rng, i: usize, n: usize) -> String {
 /// values; the body is a labelled slot per instruction so branches can
 /// target any slot; the epilogue halts and reserves a data buffer.
 pub fn random_source(rng: &mut Rng, n: usize) -> String {
+    source(rng, n, "")
+}
+
+/// [`random_source`] with the data buffer on a 4 KiB page of its own. The
+/// program's own data stores then never re-dirty its code page, so whether a
+/// cached block is revalidated after a snapshot restore depends only on what
+/// the restore marked — the case the lifecycle scripts exist to pin.
+pub fn random_source_paged(rng: &mut Rng, n: usize) -> String {
+    source(rng, n, "  .align 4096\n")
+}
+
+fn source(rng: &mut Rng, n: usize, before_data: &str) -> String {
     use std::fmt::Write as _;
     let mut s = String::from(
         ".org 0x1000\n\
@@ -225,7 +237,7 @@ pub fn random_source(rng: &mut Rng, n: usize) -> String {
         let line = random_line(rng, i, n);
         let _ = writeln!(s, "L{i}:\n  {line}");
     }
-    let _ = writeln!(s, "L{n}:\n  hlt\ndata:\n  .space 256");
+    let _ = writeln!(s, "L{n}:\n  hlt\n{before_data}data:\n  .space 256");
     s
 }
 

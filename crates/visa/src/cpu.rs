@@ -13,8 +13,6 @@
 //! guest performs externally visible I/O (`in`/`out`/`hlt`), faults, or
 //! exhausts the caller's step budget.
 
-use std::collections::HashMap;
-
 use vclock::{costs, Clock, Cycles};
 
 use crate::inst::{
@@ -228,10 +226,8 @@ pub struct Cpu {
     config: CpuConfig,
     /// Milestones recorded by `mark` (id, timestamp).
     pub marks: Vec<(u8, Cycles)>,
-    /// 2 MiB-page TLB: virtual page number → physical frame base. Keyed
-    /// with the predecoder's multiply hasher — this map sits on every
-    /// long-mode memory access, where SipHash would dominate the walk.
-    tlb: HashMap<u64, u64, pred::FxBuild>,
+    /// 2 MiB-page TLB, probed on every long-mode access by both engines.
+    tlb: Tlb,
     /// Destination register of an in-flight `in` instruction.
     pub(crate) pending_in: Option<Reg>,
     pub(crate) first_inst_pending: bool,
@@ -239,6 +235,53 @@ pub struct Cpu {
     pub(crate) insts_retired: u64,
     engine: Engine,
     pub(crate) pred: pred::PredCache,
+}
+
+/// Entries in the [`Tlb`]; a power of two.
+const TLB_ENTRIES: usize = 64;
+
+/// A direct-mapped, tag-checked TLB over 2 MiB pages: entry `vpn % 64` holds
+/// `(vpn, physical frame base)`. Its size is fixed, so a guest that maps
+/// itself through a self-referential PML4 and strides across its whole
+/// address space costs the host 1 KiB, not a map that grows with every page
+/// it touches.
+///
+/// Replacement is the one policy both engines share (the TLB is architected
+/// state: a miss is a walk tick). A refill displaces whatever entry its slot
+/// held, *except* the entry translating the page the CPU is executing from:
+/// a data access that collides with it is translated but not cached, the way
+/// split instruction/data TLBs keep a data stream from evicting the running
+/// code's translation. That rule is what lets a predecoded block rely on its
+/// code page staying resident from its first instruction to its last.
+#[derive(Debug)]
+struct Tlb([(u64, u64); TLB_ENTRIES]);
+
+impl Tlb {
+    /// No 48-bit canonical address has this page number.
+    const INVALID: u64 = u64::MAX;
+
+    fn new() -> Tlb {
+        Tlb([(Tlb::INVALID, 0); TLB_ENTRIES])
+    }
+
+    fn clear(&mut self) {
+        *self = Tlb::new();
+    }
+
+    /// The physical frame base cached for `vpn`.
+    #[inline]
+    fn get(&self, vpn: u64) -> Option<u64> {
+        let (tag, frame) = self.0[vpn as usize % TLB_ENTRIES];
+        (tag == vpn).then_some(frame)
+    }
+
+    /// Caches `vpn → frame` unless that would displace `pinned_vpn`.
+    fn fill(&mut self, vpn: u64, frame: u64, pinned_vpn: u64) {
+        let slot = &mut self.0[vpn as usize % TLB_ENTRIES];
+        if slot.0 != pinned_vpn {
+            *slot = (vpn, frame);
+        }
+    }
 }
 
 const PAGE_2M_SHIFT: u64 = 21;
@@ -267,7 +310,7 @@ impl Cpu {
             clock,
             config,
             marks: Vec::new(),
-            tlb: HashMap::default(),
+            tlb: Tlb::new(),
             pending_in: None,
             first_inst_pending: false,
             ept_built: false,
@@ -364,9 +407,22 @@ impl Cpu {
         // A restored context was already warmed past its first instruction.
         self.first_inst_pending = false;
         self.ept_built = true;
-        // Restores can swap in arbitrary memory contents; drop every
-        // predecoded block rather than trusting the dirty-page snoop.
-        self.pred.flush();
+        // The predecode cache is deliberately left alone: whatever rewrote
+        // memory marked those pages code-dirty, so every retained block is
+        // compared byte for byte with the restored memory before it runs
+        // (the invariant at the top of `pred.rs`), and in long mode the
+        // cleared TLB sends the first fetch through the reference step.
+    }
+
+    /// Takes over `donor`'s predecoded blocks, leaving it this CPU's own.
+    /// For a hypervisor resetting a vCPU by building a fresh [`Cpu`]: the
+    /// cache is host-side derived state of the *shell*, not architected
+    /// state, and survives the reset like the shell's memory allocation
+    /// does. `donor` must have run against the same [`Memory`] this CPU
+    /// will — the cache's freshness protocol is that memory's code-dirty
+    /// bitmap.
+    pub fn adopt_predecode(&mut self, donor: &mut Cpu) {
+        std::mem::swap(&mut self.pred, &mut donor.pred);
     }
 
     /// Translates a virtual address for an access of `len` bytes.
@@ -419,14 +475,14 @@ impl Cpu {
     /// Returns the page's end (exclusive) virtual address when cacheable.
     pub(crate) fn long_identity_page_end(&self, vaddr: u64) -> Option<u64> {
         let vpn = vaddr >> PAGE_2M_SHIFT;
-        let &frame = self.tlb.get(&vpn)?;
+        let frame = self.tlb.get(vpn)?;
         (frame == vpn << PAGE_2M_SHIFT).then_some((vpn + 1) << PAGE_2M_SHIFT)
     }
 
     /// Walks the guest page tables for one address (long mode only).
     fn translate_page(&mut self, mem: &Memory, vaddr: u64) -> Result<u64, Fault> {
         let vpn = vaddr >> PAGE_2M_SHIFT;
-        if let Some(&frame) = self.tlb.get(&vpn) {
+        if let Some(frame) = self.tlb.get(vpn) {
             return Ok(frame | (vaddr & PAGE_2M_MASK));
         }
         // TLB miss: hardware walk reads three levels from guest memory.
@@ -456,7 +512,7 @@ impl Cpu {
             return Err(Fault::PageFault { vaddr });
         }
         let frame = pde & PDE_2M_ADDR_MASK;
-        self.tlb.insert(vpn, frame);
+        self.tlb.fill(vpn, frame, self.pc >> PAGE_2M_SHIFT);
         Ok(frame | (vaddr & PAGE_2M_MASK))
     }
 
@@ -467,20 +523,24 @@ impl Cpu {
             .map_err(|e| Fault::PhysOutOfBounds { paddr: e.paddr })
     }
 
+    /// Stores `v`; returns the physical address written (the predecoder's
+    /// self-modification check compares it with the running block's range).
     pub(crate) fn store(
         &mut self,
         mem: &mut Memory,
         vaddr: u64,
         w: Width,
         v: u64,
-    ) -> Result<(), Fault> {
+    ) -> Result<u64, Fault> {
         self.clock.tick(costs::GUEST_MEM);
         let paddr = self.translate(mem, vaddr, w.bytes())?;
         mem.write(paddr, w, v)
-            .map_err(|e| Fault::PhysOutOfBounds { paddr: e.paddr })
+            .map_err(|e| Fault::PhysOutOfBounds { paddr: e.paddr })?;
+        Ok(paddr)
     }
 
-    pub(crate) fn push(&mut self, mem: &mut Memory, v: u64) -> Result<(), Fault> {
+    /// Pushes `v`; returns the physical address written, like [`Cpu::store`].
+    pub(crate) fn push(&mut self, mem: &mut Memory, v: u64) -> Result<u64, Fault> {
         let sp = self.reg(Reg::SP).wrapping_sub(8);
         self.set_reg(Reg::SP, sp);
         self.store(mem, sp, Width::Q, v)
@@ -1321,6 +1381,100 @@ gdt: .dq 0
         m.mem.write_bytes(0x80_0006, &hlt).unwrap();
         assert_eq!(m.run(10_000).unwrap(), CpuExit::Hlt);
         assert_eq!(m.cpu.reg(Reg(9)), 0xABCD_1234);
+    }
+
+    #[test]
+    fn tlb_is_bounded_and_both_engines_agree_past_its_capacity() {
+        // 200 distinct 2 MiB pages, touched twice over, through a 64-entry
+        // TLB: PD entries 2.. alias the two frames that physically exist.
+        // Pages 64, 128 and 192 collide with the code's own slot (page 0)
+        // and must never displace it; the final store patches the running
+        // block through an alias of its own frame.
+        let extra = "
+  mov sp, 0x7000
+  mov r3, 2
+  mov r5, 0x3010
+remap:
+  mov r4, r3
+  and r4, 1
+  shl r4, 21
+  or r4, 0x83
+  store.q [r5], r4
+  add r5, 8
+  add r3, 1
+  cmp r3, 512
+  jl remap
+  mov r8, 0
+lap:
+  mov r3, 0
+touch:
+  mov r5, r3
+  shl r5, 21
+  load.q r6, [r5 + 0x100]
+  store.q [r5 + 0x6100], r3
+  push r3
+  pop r7
+  add r3, 1
+  cmp r3, 200
+  jl touch
+  add r8, 1
+  cmp r8, 2
+  jl lap
+  mov r9, 0
+  mov r5, patch
+  mov r6, 0x400000
+  add r5, r6
+  mov r6, 9
+  store.b [r5 + 2], r6
+patch:
+  add r9, 1
+";
+        let img = assemble(&long_mode_boot(extra)).unwrap();
+        let run = |engine: Engine| {
+            let mut m = Machine::new(Clock::new(), CpuConfig::default(), 4 << 20, img.entry);
+            m.load_image(&img);
+            m.cpu.set_engine(engine);
+            assert_eq!(m.run(100_000).unwrap(), CpuExit::Hlt, "{engine:?}");
+            m
+        };
+        let (fast, reference) = (run(Engine::Fast), run(Engine::Reference));
+        assert_eq!(fast.cpu.clock().now(), reference.cpu.clock().now());
+        assert_eq!(fast.cpu.save_state(), reference.cpu.save_state());
+        assert_eq!(fast.cpu.insts_retired(), reference.cpu.insts_retired());
+        assert_eq!(fast.mem, reference.mem);
+        assert_eq!(fast.cpu.reg(Reg(9)), 9, "aliased store patched the block");
+
+        // Host memory for the TLB is a constant, whatever the guest maps.
+        assert_eq!(std::mem::size_of::<Tlb>(), TLB_ENTRIES * 16);
+        let resident = |m: &Machine| m.cpu.tlb.0.iter().filter(|e| e.0 != Tlb::INVALID).count();
+        assert!(resident(&fast) > 32 && resident(&fast) <= TLB_ENTRIES);
+        // The running code's translation survived 3 × 2 colliding refills.
+        assert!(fast.cpu.long_identity_page_end(fast.cpu.pc).is_some());
+
+        // More pages than entries means lap two walks again, which an
+        // unbounded TLB would not. With 64 pages everything but page 0 (the
+        // code's, never missed) walks once, on lap one: 63 walks. With 200,
+        // every slot cycles through three or four pages, so each of the 196
+        // ordinary pages walks on both laps; the three that collide with the
+        // code's slot are never cached and walk for the store too; and the
+        // final patch finds page 2's translation evicted.
+        let walk = costs::GUEST_TLB_MISS_WALK + 3 * costs::GUEST_MEM;
+        let cycles = |pages: u64| {
+            let src = long_mode_boot(&extra.replace("cmp r3, 200", &format!("cmp r3, {pages}")));
+            let img = assemble(&src).unwrap();
+            let clock = Clock::new();
+            let mut m = Machine::new(clock.clone(), CpuConfig::default(), 4 << 20, img.entry);
+            m.load_image(&img);
+            m.run(100_000).unwrap();
+            clock.now().get()
+        };
+        // 32 → 64 pages adds 32 walks and 2 × 32 loop turns: calibrates a turn.
+        let turn = (cycles(64) - cycles(32) - 32 * walk) / 64;
+        let walks_200 = 2 * (196 + 3 * 2) + 1;
+        assert_eq!(
+            cycles(200) - cycles(64),
+            2 * 136 * turn + (walks_200 - 63) * walk
+        );
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub const PAGE_SIZE: u64 = 4096;
 ///   [`Memory::reset_dirty_pages`] and models hardware dirty logging: a
 ///   warm-shell re-arm copies back *exactly* these pages from the snapshot
 ///   instead of the full sparse image.
-#[derive(Clone)]
 pub struct Memory {
     bytes: Vec<u8>,
     dirty_low_end: u64,
@@ -77,10 +76,29 @@ pub struct Memory {
     /// [`Memory::reset_dirty_pages`].
     dirty_pages: Vec<u64>,
     /// A second, independently cleared page bitmap consumed by the
-    /// predecoded interpreter's block cache: set on every write (including
-    /// the bulk restore/clear paths, which fill it wholesale), cleared
-    /// page-by-page once the cache has revalidated the blocks on that page.
+    /// predecoded interpreter's block cache: set on every write (the bulk
+    /// clear/restore paths fill it wholesale, the delta re-arm marks exactly
+    /// the pages it copies back), cleared page-by-page once the cache has
+    /// revalidated the blocks on that page. A clear bit is a promise made to
+    /// *one* cache about *this* memory, so it never travels with a copy of
+    /// the bytes: see the `Clone` impl.
     code_dirty: Vec<u64>,
+}
+
+// A clone has never been seen by any block cache: handing it the original's
+// clean bits would let `machine.mem = other.clone()` present bytes a retained
+// cache has not revalidated as already checked. The copy starts all
+// code-dirty instead (equality ignores the bitmap, so `clone() == original`).
+impl Clone for Memory {
+    fn clone(&self) -> Memory {
+        Memory {
+            bytes: self.bytes.clone(),
+            dirty_low_end: self.dirty_low_end,
+            dirty_high_start: self.dirty_high_start,
+            dirty_pages: self.dirty_pages.clone(),
+            code_dirty: vec![!0; self.code_dirty.len()],
+        }
+    }
 }
 
 // `code_dirty` is cache-coherency bookkeeping, not architected state: the
@@ -188,9 +206,10 @@ impl Memory {
         }
     }
 
-    /// Marks every page as touched for the block cache. The bulk mutation
-    /// paths (clear, sparse/full restore) rewrite bytes without going
-    /// through `mark_dirty`, so they pessimize the whole bitmap instead.
+    /// Marks every page as touched for the block cache. The wholesale
+    /// mutation paths (clear, sparse restore) rewrite bytes without going
+    /// through `mark_dirty`, so they pessimize the whole bitmap instead; the
+    /// cost lands on the cache's per-page revalidation sweep.
     fn mark_all_code_dirty(&mut self) {
         self.code_dirty.fill(!0);
     }
@@ -365,8 +384,14 @@ impl Memory {
         // low region, implicit zeroes, and the high region — so rebuild it
         // with (at most) three bulk ops. This sits on the warm-hit fast
         // path: every delta re-arm runs it per dirty page.
+        //
+        // Only the pages rewritten here are marked for the block cache: a
+        // page outside `pages` keeps the bytes it had, so its code-dirty bit
+        // already says whether the cache has seen them. A warm re-arm that
+        // copies back stack and data pages therefore costs the cache nothing.
         let hi = high_start as usize;
         for &page in pages {
+            self.code_dirty[page as usize / 64] |= 1 << (page % 64);
             let start = (page * PAGE_SIZE) as usize;
             let end = (start + PAGE_SIZE as usize).min(self.bytes.len());
             let low_end = low.len().clamp(start, end);
@@ -382,7 +407,6 @@ impl Memory {
         self.dirty_low_end = low.len() as u64;
         self.dirty_high_start = high_start;
         self.reset_dirty_pages();
-        self.mark_all_code_dirty();
     }
 }
 
@@ -591,6 +615,45 @@ mod tests {
         b.write(0, Width::Q, 42).unwrap();
         a.clear_code_dirty_page(0);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_clone_is_equal_but_all_code_dirty() {
+        let mut a = Memory::new(4 * PAGE_SIZE as usize);
+        a.write(PAGE_SIZE, Width::Q, 42).unwrap();
+        for page in 0..4 {
+            a.clear_code_dirty_page(page);
+        }
+        let b = a.clone();
+        assert_eq!(a, b);
+        assert_eq!(a.dirty_page_indices(), b.dirty_page_indices());
+        // The original's clean bits were a promise to *its* cache only.
+        assert!((0..4).all(|page| b.code_page_dirty(page)));
+        assert!((0..4).all(|page| !a.code_page_dirty(page)));
+    }
+
+    #[test]
+    fn delta_rearm_marks_exactly_the_pages_it_copies_back() {
+        let mut m = Memory::new(8 * PAGE_SIZE as usize);
+        m.write_bytes(100, b"code").unwrap();
+        m.write(7 * PAGE_SIZE + 64, Width::Q, 0xFEED).unwrap();
+        let (low, hs, high) = m.snapshot_sparse();
+        m.reset_dirty_pages();
+        // The cache acknowledges everything written so far, then the guest
+        // dirties a data page and the stack page and is re-armed.
+        for page in 0..8 {
+            m.clear_code_dirty_page(page);
+        }
+        m.write(4 * PAGE_SIZE, Width::Q, 1).unwrap();
+        m.write(7 * PAGE_SIZE + 64, Width::Q, 2).unwrap();
+        m.clear_code_dirty_page(4);
+        let pages = m.dirty_page_indices();
+        m.restore_pages_sparse(&pages, &low, hs, &high);
+        let marked: Vec<u64> = (0..8).filter(|&p| m.code_page_dirty(p)).collect();
+        assert_eq!(marked, vec![4, 7], "only rewritten pages are marked");
+        // The wholesale paths still pessimise every page.
+        m.restore_sparse(&low, hs, &high);
+        assert!((0..8).all(|page| m.code_page_dirty(page)));
     }
 
     #[test]

@@ -22,11 +22,36 @@
 //!   tracking). Before a cached block runs, any dirty page it overlaps is
 //!   swept: every cached block on that page is revalidated by comparing its
 //!   captured source bytes against memory, stale blocks are dropped, and the
-//!   bit is cleared. A store *from inside* a running block into its own
-//!   range is detected precisely by address range and aborts the block after
-//!   the store completes. Mode transitions need no flush — blocks are keyed
-//!   by mode, and all mode-changing instructions execute on the reference
-//!   path. Snapshot restores drop the whole cache.
+//!   bit is cleared. Blocks are indexed by 4 KiB page, so a sweep visits one
+//!   page's blocks however large the cache. A store *from inside* a running
+//!   block into its own range is detected precisely by address range and
+//!   aborts the block after the store completes. Mode transitions need no
+//!   flush — blocks are keyed by mode, and all mode-changing instructions
+//!   execute on the reference path.
+//! * **Lifetime.** The cache belongs to the *shell*, not to the guest
+//!   context running on it. Nothing in the shell lifecycle flushes it:
+//!   [`Cpu::restore_state`](crate::cpu::Cpu::restore_state) leaves it alone,
+//!   a hypervisor's vCPU reset carries it into the fresh CPU
+//!   ([`Cpu::adopt_predecode`](crate::cpu::Cpu::adopt_predecode)), and the
+//!   memory paths underneath mark what they rewrite — `clear` and the sparse
+//!   restore every page, the delta re-arm exactly the pages it copies back.
+//!   A warm re-arm that rewrites stack and data pages therefore rebuilds and
+//!   revalidates nothing; a full restore costs one byte comparison per
+//!   retained block; a shell handed to a different image drops the previous
+//!   occupant's blocks page by page as the new code reaches them. The only
+//!   wholesale flush is the capacity bound, `MAX_CACHED_BLOCKS`.
+//!
+//! **The retention invariant.** *A cached block executes only after its
+//! captured source bytes have been compared equal to the current guest
+//! memory over its whole range since the last write to any page it overlaps;
+//! the cache is host-side derived state, never readable by a guest and never
+//! visible to the virtual clock.* That is the §5.2 argument for why keeping
+//! it across tenants is not a leak: what a block does is a function of the
+//! bytes the *current* guest has in memory, whoever's run first decoded
+//! them, and whether it was cached changes host time only. The code-dirty
+//! bitmap that carries the "since the last write" half is per-[`Memory`],
+//! so a cache must stay with the memory it was built against, and a cloned
+//! `Memory` starts all-dirty.
 //!
 //! **Cycle-identity contract.** The fast engine must be indistinguishable
 //! from the reference `step()` loop at every observation point: registers,
@@ -58,9 +83,11 @@ use crate::mem::{Memory, PAGE_SIZE};
 /// Longest straight-line run predecoded into one block.
 const MAX_BLOCK_INSTS: usize = 64;
 
-/// Cache capacity in blocks; the whole cache is flushed when exceeded
-/// (a simple bound — virtine images are small, this never triggers in
-/// practice).
+/// Cache capacity in blocks, and the only bound on it: the whole cache is
+/// flushed when a build would exceed it. One image is a few hundred blocks,
+/// but the cache now outlives its guest — a pooled shell that has hosted
+/// enough different images (stale blocks leave only when a sweep visits
+/// their page) does reach the bound, and then starts over cold.
 const MAX_CACHED_BLOCKS: usize = 4096;
 
 // ---------------------------------------------------------------------------
@@ -81,8 +108,8 @@ pub struct Counters {
     pub retired_ref: u64,
     /// Predecoded blocks built.
     pub blocks_built: u64,
-    /// Predecoded blocks invalidated (stale bytes, self-modifying code,
-    /// snapshot restores, cache flushes).
+    /// Predecoded blocks invalidated: stale bytes found by a revalidation
+    /// sweep, a self-modifying store, or the capacity bound.
     pub blocks_invalidated: u64,
     /// Superinstructions fused at block-build time.
     pub superinsts_fused: u64,
@@ -265,6 +292,12 @@ impl Block {
         (self.end - 1) / PAGE_SIZE
     }
 
+    /// Do the bytes this block was decoded from still sit in memory?
+    fn matches(&self, mem: &Memory) -> bool {
+        mem.slice(self.start, self.end - self.start)
+            .is_ok_and(|bytes| bytes == &self.src[..])
+    }
+
     /// Does a write of `len` bytes at `addr` land inside this block?
     fn hits(&self, addr: u64, len: u64) -> bool {
         addr < self.end && addr.saturating_add(len) > self.start
@@ -341,10 +374,23 @@ fn front_idx(pc: u64) -> usize {
     (((pc >> 1) ^ (pc >> 7)) as usize) & (FRONT_SLOTS - 1)
 }
 
-/// The per-CPU block cache.
+/// Key of a cached block: the mode it was decoded in and its first byte.
+type BlockKey = (Mode, u64);
+
+/// The block cache. It belongs to the *shell* — the CPU/memory pair a
+/// hypervisor pools and re-arms — not to one guest context: it survives
+/// [`Cpu::restore_state`] and is carried across a vCPU reset by
+/// [`Cpu::adopt_predecode`]. See the invariant in the module docs for why
+/// that is safe.
 #[derive(Debug)]
 pub(crate) struct PredCache {
-    blocks: HashMap<(Mode, u64), Rc<Block>, FxBuild>,
+    blocks: HashMap<BlockKey, Rc<Block>, FxBuild>,
+    /// Every cached block, listed under each 4 KiB page it overlaps (a block
+    /// that straddles a boundary appears under both); indexed by page
+    /// number and grown on demand, so never longer than guest memory has
+    /// pages. A sweep revalidates one page's list: its cost follows the
+    /// page, not the cache.
+    by_page: Vec<Vec<BlockKey>>,
     /// Direct-mapped front cache over `blocks`: most dispatches re-enter one
     /// of a handful of hot blocks, and a slot hit skips the map probe
     /// entirely. Cleared wholesale whenever any block is dropped, so a slot
@@ -356,6 +402,7 @@ impl Default for PredCache {
     fn default() -> PredCache {
         PredCache {
             blocks: HashMap::default(),
+            by_page: Vec::new(),
             front: std::array::from_fn(|_| None),
         }
     }
@@ -372,49 +419,78 @@ impl PredCache {
         self.front = std::array::from_fn(|_| None);
     }
 
-    /// Drops every cached block (snapshot restore, capacity bound).
-    pub(crate) fn flush(&mut self) {
+    /// Drops every cached block (the capacity bound).
+    fn flush(&mut self) {
         BLOCKS_INVALIDATED.fetch_add(self.blocks.len() as u64, Ordering::Relaxed);
         self.blocks.clear();
+        self.by_page.clear();
         self.clear_front();
+    }
+
+    /// Caches a freshly built block, evicting everything first when the
+    /// cache is full.
+    fn insert(&mut self, blk: Rc<Block>) {
+        if self.blocks.len() >= MAX_CACHED_BLOCKS {
+            self.flush();
+        }
+        let key = (blk.mode, blk.start);
+        for page in blk.page_lo() as usize..=blk.page_hi() as usize {
+            if page >= self.by_page.len() {
+                self.by_page.resize_with(page + 1, Vec::new);
+            }
+            self.by_page[page].push(key);
+        }
+        self.blocks.insert(key, blk);
+    }
+
+    /// Removes `blk` from the list of every page it overlaps.
+    fn unlink(by_page: &mut [Vec<BlockKey>], blk: &Block) {
+        let key = (blk.mode, blk.start);
+        for page in blk.page_lo()..=blk.page_hi() {
+            by_page[page as usize].retain(|k| *k != key);
+        }
     }
 
     /// Drops one block (self-modifying store into its own range).
     fn remove(&mut self, mode: Mode, start: u64) {
-        if self.blocks.remove(&(mode, start)).is_some() {
+        if let Some(blk) = self.blocks.remove(&(mode, start)) {
+            PredCache::unlink(&mut self.by_page, &blk);
             BLOCKS_INVALIDATED.fetch_add(1, Ordering::Relaxed);
             self.clear_front();
         }
     }
 
-    /// Revalidates cached blocks on any dirty page in `lo..=hi`: blocks
-    /// whose source bytes no longer match memory are dropped, then the
-    /// page's code-dirty bit is cleared.
+    /// Revalidates the cached blocks on each dirty page in `lo..=hi`: a
+    /// block whose captured source bytes no longer match memory over its
+    /// whole range is dropped, then the page's code-dirty bit is cleared.
+    /// Only that page's blocks are visited.
     fn sweep(&mut self, mem: &mut Memory, lo: u64, hi: u64) {
         for page in lo..=hi {
             if !mem.code_page_dirty(page) {
                 continue;
             }
-            // `retain` below may drop blocks; mirrored front slots must go
-            // with them (the dirty bit that guards them is about to clear).
-            self.clear_front();
-            let page_start = page * PAGE_SIZE;
-            let page_end = page_start + PAGE_SIZE;
-            let mut dropped = 0u64;
-            self.blocks.retain(|_, b| {
-                if b.end <= page_start || b.start >= page_end {
-                    return true;
+            if (page as usize) < self.by_page.len() {
+                // Taken out while it is rewritten, so that unlinking a stale
+                // straddler from its *other* page can borrow the index.
+                let mut keys = std::mem::take(&mut self.by_page[page as usize]);
+                let before = keys.len();
+                keys.retain(|key| {
+                    if self.blocks[key].matches(mem) {
+                        return true;
+                    }
+                    let stale = self.blocks.remove(key).expect("indexed block is cached");
+                    PredCache::unlink(&mut self.by_page, &stale);
+                    false
+                });
+                let dropped = before - keys.len();
+                self.by_page[page as usize] = keys;
+                if dropped > 0 {
+                    BLOCKS_INVALIDATED.fetch_add(dropped as u64, Ordering::Relaxed);
+                    // Mirrored front slots must go with the dropped blocks:
+                    // the dirty bit that guarded them is about to clear.
+                    self.clear_front();
                 }
-                let fresh = mem
-                    .slice(b.start, b.end - b.start)
-                    .map(|bytes| bytes == &b.src[..])
-                    .unwrap_or(false);
-                if !fresh {
-                    dropped += 1;
-                }
-                fresh
-            });
-            BLOCKS_INVALIDATED.fetch_add(dropped, Ordering::Relaxed);
+            }
             mem.clear_code_dirty_page(page);
         }
     }
@@ -742,22 +818,6 @@ fn div_mod(op: Alu, a: u64, b: u64, pc: u64) -> Result<u64, Fault> {
     Ok(v as u64)
 }
 
-/// Resolves the physical address of a write that just succeeded, for the
-/// self-modification check. Long-mode blocks cover identity-mapped pages, so
-/// their code spans are physical; a data write through a *non*-identity
-/// mapping must be compared physically too. The translate here is a
-/// guaranteed TLB hit (the store itself just walked the page), so it is
-/// tick-free and cannot fault.
-#[inline]
-fn written_paddr(cpu: &mut Cpu, mem: &Memory, vaddr: u64, len: u64, long: bool) -> u64 {
-    if long {
-        cpu.translate(mem, vaddr, len)
-            .expect("post-store translate is a TLB hit")
-    } else {
-        vaddr
-    }
-}
-
 /// Dispatches one predecoded instruction.
 ///
 /// Mirrors the reference `step()` exactly: `insts_retired` and `pc` advance
@@ -765,7 +825,6 @@ fn written_paddr(cpu: &mut Cpu, mem: &Memory, vaddr: u64, len: u64, long: bool) 
 /// that every fault- or `mark`-observable point sees the reference value.
 #[inline]
 fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<Flow, Fault> {
-    let long = blk.mode == Mode::Long64;
     if pi.cost != 0 {
         cpu.clock.tick(pi.cost);
     }
@@ -852,20 +911,18 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
         }
         PredOp::Call(target) => {
             retire1!();
-            cpu.push(mem, pi.next_pc)?;
-            let written = cpu.reg(Reg::SP);
+            let written = cpu.push(mem, pi.next_pc)?;
             cpu.pc = target;
-            if blk.hits(written_paddr(cpu, mem, written, 8, long), 8) {
+            if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
         PredOp::CallR(r) => {
             retire1!();
             let target = cpu.reg(r);
-            cpu.push(mem, pi.next_pc)?;
-            let written = cpu.reg(Reg::SP);
+            let written = cpu.push(mem, pi.next_pc)?;
             cpu.pc = target;
-            if blk.hits(written_paddr(cpu, mem, written, 8, long), 8) {
+            if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
@@ -875,9 +932,8 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
         }
         PredOp::Push(r) => {
             retire1!();
-            cpu.push(mem, cpu.reg(r))?;
-            let written = cpu.reg(Reg::SP);
-            if blk.hits(written_paddr(cpu, mem, written, 8, long), 8) {
+            let written = cpu.push(mem, cpu.reg(r))?;
+            if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
@@ -895,8 +951,8 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
         PredOp::Store(w, base, off, s) => {
             retire1!();
             let addr = cpu.reg(base).wrapping_add(off as i64 as u64);
-            cpu.store(mem, addr, w, cpu.reg(s))?;
-            if blk.hits(written_paddr(cpu, mem, addr, w.bytes(), long), w.bytes()) {
+            let written = cpu.store(mem, addr, w, cpu.reg(s))?;
+            if blk.hits(written, w.bytes()) {
                 return Ok(Flow::SelfModified);
             }
         }
@@ -932,42 +988,36 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
             // a 2-byte encoding) so a stack fault leaves reference state.
             cpu.insts_retired += 1;
             cpu.pc = pi.next_pc.wrapping_sub(2);
-            cpu.push(mem, cpu.reg(a))?;
-            let w1 = cpu.reg(Reg::SP);
+            let w1 = cpu.push(mem, cpu.reg(a))?;
             cpu.insts_retired += 1;
             cpu.pc = pi.next_pc;
             cpu.clock.tick(costs::GUEST_STACK);
-            cpu.push(mem, cpu.reg(b))?;
-            let w2 = cpu.reg(Reg::SP);
-            if blk.hits(written_paddr(cpu, mem, w1, 8, long), 8)
-                || blk.hits(written_paddr(cpu, mem, w2, 8, long), 8)
-            {
+            let w2 = cpu.push(mem, cpu.reg(b))?;
+            if blk.hits(w1, 8) || blk.hits(w2, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
         PredOp::PushMovRR(a, d, s) => {
             cpu.insts_retired += 1;
             cpu.pc = pi.next_pc.wrapping_sub(3); // mov r,r encodes in 3 bytes
-            cpu.push(mem, cpu.reg(a))?;
-            let written = cpu.reg(Reg::SP);
+            let written = cpu.push(mem, cpu.reg(a))?;
             cpu.insts_retired += 1;
             cpu.pc = pi.next_pc;
             cpu.clock.tick(costs::GUEST_ALU);
             cpu.set_reg(d, cpu.reg(s));
-            if blk.hits(written_paddr(cpu, mem, written, 8, long), 8) {
+            if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
         PredOp::PushAluRI { a, op, d, imm, mid } => {
             cpu.insts_retired += 1;
             cpu.pc = mid;
-            cpu.push(mem, cpu.reg(a))?;
-            let written = cpu.reg(Reg::SP);
+            let written = cpu.push(mem, cpu.reg(a))?;
             cpu.insts_retired += 1;
             cpu.pc = pi.next_pc;
             cpu.clock.tick(costs::GUEST_ALU);
             cpu.set_reg(d, alu_value(op, cpu.reg(d), imm));
-            if blk.hits(written_paddr(cpu, mem, written, 8, long), 8) {
+            if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
@@ -979,9 +1029,8 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
             cpu.insts_retired += 1;
             cpu.pc = pi.next_pc;
             cpu.clock.tick(costs::GUEST_STACK);
-            cpu.push(mem, cpu.reg(s))?;
-            let written = cpu.reg(Reg::SP);
-            if blk.hits(written_paddr(cpu, mem, written, 8, long), 8) {
+            let written = cpu.push(mem, cpu.reg(s))?;
+            if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
@@ -999,10 +1048,9 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
         PredOp::AluRICall(op, d, imm, target) => {
             retire2!();
             cpu.set_reg(d, alu_value(op, cpu.reg(d), imm));
-            cpu.push(mem, pi.next_pc)?;
-            let written = cpu.reg(Reg::SP);
+            let written = cpu.push(mem, pi.next_pc)?;
             cpu.pc = target;
-            if blk.hits(written_paddr(cpu, mem, written, 8, long), 8) {
+            if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
@@ -1042,14 +1090,13 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
         } => {
             cpu.insts_retired += 1;
             cpu.pc = mid;
-            cpu.push(mem, cpu.reg(a))?;
-            let written = cpu.reg(Reg::SP);
+            let written = cpu.push(mem, cpu.reg(a))?;
             cpu.insts_retired += 1;
             cpu.pc = pi.next_pc;
             let addr = cpu.reg(base).wrapping_add(off as i64 as u64);
             let v = cpu.load(mem, addr, w)?;
             cpu.set_reg(d, v);
-            if blk.hits(written_paddr(cpu, mem, written, 8, long), 8) {
+            if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
@@ -1096,11 +1143,8 @@ fn acquire(cpu: &mut Cpu, mem: &mut Memory) -> Option<Rc<Block>> {
     }
     let blk = build(cpu, mem)?;
     cpu.pred.sweep(mem, blk.page_lo(), blk.page_hi());
-    if cpu.pred.blocks.len() >= MAX_CACHED_BLOCKS {
-        cpu.pred.flush();
-    }
     let rc = Rc::new(blk);
-    cpu.pred.blocks.insert(key, rc.clone());
+    cpu.pred.insert(rc.clone());
     cpu.pred.front[slot] = Some(rc.clone());
     BLOCKS_BUILT.fetch_add(1, Ordering::Relaxed);
     Some(rc)

@@ -4,6 +4,7 @@
 use vclock::rng::Rng;
 use vclock::{Clock, Cycles};
 use visa::cpu::{CpuConfig, CpuExit, Engine, Machine};
+use visa::diff::Step;
 use visa::{assemble, corpus, diff};
 
 const MEM: usize = 1 << 20;
@@ -214,9 +215,10 @@ fn fast_engine_populates_block_and_fusion_counters() {
 }
 
 #[test]
-fn snapshot_restore_flushes_predecode_state() {
-    // Build blocks, snapshot, mutate code, restore: the fast engine must
-    // re-decode from the restored bytes, identically to the reference.
+fn snapshot_restore_redecodes_from_restored_bytes() {
+    // Build blocks, snapshot, mutate code, restore: the blocks survive the
+    // restore, and the fast engine must still execute the restored bytes,
+    // identically to the reference.
     let src = ".org 0x100\n mov sp, 0xF000\n mov r0, 0\n\
                loop:\n add r0, 7\n cmp r0, 70\n jne loop\n hlt\n";
     let img = assemble(src).expect("assemble");
@@ -251,4 +253,297 @@ fn marks_observe_identical_mid_run_clocks() {
     assert_eq!(fast.marks, reference.marks);
     assert_eq!(fast.clock, reference.clock);
     assert_ne!(fast.clock, Cycles(0));
+}
+
+// ---------------------------------------------------------------------------
+// Shell-lifecycle scripts: the block cache outlives every step below, so
+// each scenario is one way a block could outlive the bytes it was decoded
+// from. Both engines are compared after *every* step.
+
+/// Runs `steps` over the assembled `srcs` on both engines, demands
+/// identity at every observation point, and returns the fast engine's trace
+/// for scenario-specific checks.
+fn check_script(srcs: &[&str], steps: &[Step]) -> Vec<diff::Outcome> {
+    let images: Vec<_> = srcs
+        .iter()
+        .map(|src| assemble(src).expect("assemble"))
+        .collect();
+    if let Err(d) = diff::compare_script(&images, MEM, steps, 0xD1FF) {
+        panic!("{d}");
+    }
+    diff::run_script(Engine::Fast, &images, MEM, steps, 0xD1FF)
+}
+
+/// Counts to 20 in steps of `add r0, 1`, patches that immediate to 7 (a
+/// self-modifying store into a block that is cached and hot), counts on to
+/// 50 — overshooting to 55 — and halts.
+const SELF_PATCHING: &str = ".org 0x1000\n\
+     \x20 mov sp, 0xF000\n mov r5, body\n mov r6, 7\n mov r0, 0\n mov r7, 0\n\
+     body:\n\
+     \x20 add r0, 1\n\
+     \x20 cmp r7, 1\n je patched\n\
+     \x20 cmp r0, 20\n jl body\n\
+     \x20 mov r7, 1\n\
+     \x20 store.b [r5 + 2], r6\n\
+     patched:\n\
+     \x20 cmp r0, 50\n jl body\n\
+     \x20 hlt\n";
+
+#[test]
+fn restore_undoes_a_self_modifying_store_into_cached_code() {
+    let trace = check_script(
+        &[SELF_PATCHING],
+        &[
+            Step::Load(0),
+            Step::Run(12),
+            Step::Snapshot,
+            Step::Run(10_000),
+            Step::Restore(0),
+            Step::Run(10_000),
+            Step::RestoreDelta,
+            Step::Run(10_000),
+        ],
+    );
+    // Each re-armed run replays the first one exactly: same final state,
+    // same instruction count, same number of cycles.
+    let cycles = |i: usize| trace[i].clock - trace[i - 1].clock;
+    for rerun in [5, 7] {
+        assert_eq!(trace[rerun].state, trace[3].state);
+        assert_eq!(trace[rerun].mem, trace[3].mem);
+        assert_eq!(cycles(rerun), cycles(3));
+    }
+    assert_eq!(trace[3].state.regs[0], 55);
+}
+
+#[test]
+fn delta_rearm_with_and_without_a_code_page_in_the_dirty_set() {
+    // The loop's data and stack live on pages 3 and 15, its code on page 1.
+    let src = ".org 0x1000\n\
+         \x20 mov sp, 0xF000\n mov r12, 0x3000\n mov r0, 0\n\
+         loop:\n\
+         \x20 add r0, 5\n push r0\n store.q [r12 + 8], r0\n pop r1\n\
+         \x20 cmp r0, 100\n jl loop\n\
+         \x20 hlt\n";
+    let img = assemble(src).expect("assemble");
+    // The `add r0, 5` immediate: third instruction's third byte onward.
+    let add_imm = img.base
+        + img
+            .bytes
+            .windows(2)
+            .position(|w| w == [0, 5])
+            .map(|at| at as u64 + 1)
+            .expect("add r0, 5 encodes its register then its immediate");
+    let trace = check_script(
+        &[src],
+        &[
+            Step::Load(0),
+            Step::Run(3),
+            Step::Snapshot,
+            // Dirty set = data + stack pages only: nothing to revalidate.
+            Step::Run(10_000),
+            Step::RestoreDelta,
+            Step::Run(10_000),
+            // Dirty set includes the code page: the host rewrites the
+            // immediate, the guest runs the patched loop (caching it), and
+            // the delta re-arm must bring the original back.
+            Step::RestoreDelta,
+            Step::Poke(add_imm, vec![50]),
+            Step::Run(10_000),
+            Step::RestoreDelta,
+            Step::Run(10_000),
+        ],
+    );
+    let retired = |i: usize| trace[i].retired - trace[i - 1].retired;
+    assert_eq!(trace[3].state.regs[0], 100);
+    assert_eq!(trace[5].state, trace[3].state);
+    assert_eq!(trace[8].state.regs[0], 100, "patched loop: two steps of 50");
+    assert!(retired(8) < retired(5));
+    assert_eq!(trace[10].state, trace[3].state, "original loop is back");
+    assert_eq!(retired(10), retired(5));
+}
+
+#[test]
+fn a_block_straddling_a_4k_boundary_revalidates_when_only_its_second_page_is_restored() {
+    // `f` starts 12 bytes before 0x3000 and runs past it as one block.
+    let src = ".org 0x1000\n\
+         \x20 mov sp, 0xF000\n\
+         \x20 call f\n call f\n hlt\n\
+         \x20 .space 0x2FF4 - 0x1000 - 21\n\
+         f:\n\
+         \x20 mov r1, 1\n mov r2, 2\n mov r3, 3\n add r0, r3\n ret\n";
+    let img = assemble(src).expect("assemble");
+    let f = 0x2FF4u64;
+    assert_eq!(
+        img.bytes[(f - img.base) as usize..][..2],
+        assemble(".org 0\n mov r1, 1\n").unwrap().bytes[..2],
+        "f must sit where the test thinks it does"
+    );
+    // `mov r3, 3` is the third 10-byte instruction: wholly on page 3.
+    let r3_imm = f + 20 + 2;
+    assert!(f / 4096 == 2 && r3_imm / 4096 == 3);
+    let trace = check_script(
+        &[src],
+        &[
+            Step::Load(0),
+            Step::Run(1),
+            Step::Snapshot,
+            Step::Poke(r3_imm, vec![40]),
+            Step::Run(1_000),
+            // Pages 3 (the poke) and 15 (the stack) come back; page 2, where
+            // the block starts and under which it is keyed, is untouched.
+            Step::RestoreDelta,
+            Step::Run(1_000),
+        ],
+    );
+    assert_eq!(trace[4].state.regs[0], 80);
+    assert_eq!(trace[6].state.regs[0], 6);
+}
+
+/// Real mode → protected mode, calling one helper from both.
+const TWO_MODES: &str = ".org 0x1000\n\
+     .equ GDT, 0x200\n\
+     \x20 mov sp, 0xF000\n\
+     \x20 mov r0, 0\n\
+     \x20 call bump\n call bump\n\
+     \x20 lgdt GDT\n\
+     \x20 mov r1, cr0\n or r1, 1\n mov cr0, r1\n\
+     \x20 ljmp32 prot\n\
+     prot:\n\
+     \x20 call bump\n call bump\n call bump\n\
+     \x20 hlt\n\
+     bump:\n\
+     \x20 add r0, 7\n mark 4\n ret\n";
+
+#[test]
+fn restore_into_a_mode_the_cache_was_not_built_in() {
+    let trace = check_script(
+        &[TWO_MODES],
+        &[
+            Step::Load(0),
+            Step::Run(3),
+            Step::Snapshot, // Real mode, before any call.
+            Step::Run(1_000),
+            Step::Snapshot, // Protected mode, halted.
+            // Back to real mode with protected-mode blocks of `bump` cached…
+            Step::Restore(0),
+            Step::Run(6),
+            // …to protected mode with the real-mode ones…
+            Step::Restore(1),
+            Step::Run(10),
+            // …and once more all the way through.
+            Step::Restore(0),
+            Step::Run(1_000),
+        ],
+    );
+    assert_eq!(trace[3].state.mode, visa::Mode::Prot32);
+    assert_eq!(trace[5].state.mode, visa::Mode::Real16);
+    assert_eq!(trace[10].state, trace[3].state);
+    assert_eq!(trace[10].state.regs[0], 35);
+}
+
+/// The bring-up of `mode_bringup_is_engine_identical`, then a counted loop
+/// in long mode.
+const LONG_MODE_LOOP: &str = ".org 0x1000\n\
+     .equ GDT, 0x200\n\
+     .equ PT_BASE, 0x10000\n\
+     \x20 mov sp, 0xF000\n\
+     \x20 lgdt GDT\n\
+     \x20 mov r0, cr0\n or r0, 1\n mov cr0, r0\n\
+     \x20 ljmp32 prot\n\
+     prot:\n\
+     \x20 mov r1, PT_BASE\n mov r2, PT_BASE + 0x1000\n or r2, 1\n store.q [r1 + 0], r2\n\
+     \x20 mov r3, PT_BASE + 0x2000\n or r3, 1\n mov r4, PT_BASE + 0x1000\n store.q [r4 + 0], r3\n\
+     \x20 mov r5, 0x83\n mov r6, PT_BASE + 0x2000\n store.q [r6 + 0], r5\n\
+     \x20 mov r7, PT_BASE\n mov cr3, r7\n\
+     \x20 mov r8, cr4\n or r8, 0x20\n mov cr4, r8\n\
+     \x20 mov r9, 0x100\n wrmsr 0xC0000080, r9\n\
+     \x20 mov r10, cr0\n or r10, 0x80000000\n mov cr0, r10\n\
+     \x20 ljmp64 long\n\
+     long:\n\
+     \x20 mov r0, 0\n\
+     spin:\n\
+     \x20 add r0, 1\n push r0\n pop r1\n mark 5\n cmp r0, 40\n jl spin\n\
+     \x20 hlt\n";
+
+#[test]
+fn a_long_mode_restore_pays_the_walk_before_any_retained_block_runs() {
+    let trace = check_script(
+        &[LONG_MODE_LOOP],
+        &[
+            Step::Load(0),
+            Step::Run(60), // Through the bring-up and a few loop turns.
+            Step::Snapshot,
+            Step::Run(10_000), // The loop's blocks are cached and hot.
+            Step::Restore(0),
+            Step::Run(10_000),
+            Step::RestoreDelta,
+            Step::Run(10_000),
+        ],
+    );
+    assert_eq!(trace[2].state.mode, visa::Mode::Long64);
+    // A restore clears the TLB, so the re-armed run's first fetch must take
+    // the reference path and pay the page walk; with the loop's blocks
+    // retained, the fast engine is the only one that could skip it. Engine
+    // identity at every step (above) says it did not; and re-armed runs cost
+    // *more* than the run that continued with a warm TLB, by exactly the
+    // walks.
+    let cycles = |i: usize| (trace[i].clock - trace[i - 1].clock).get();
+    let walk = vclock::costs::GUEST_TLB_MISS_WALK + 3 * vclock::costs::GUEST_MEM;
+    assert_eq!(cycles(5), cycles(7));
+    assert_eq!(cycles(5), cycles(3) + walk, "one 2 MiB page: one walk");
+    assert_eq!(
+        trace[5].marks.len(),
+        trace[3].marks.len() * 2 - trace[1].marks.len()
+    );
+}
+
+#[test]
+fn hitting_the_block_capacity_mid_run_flushes_and_carries_on() {
+    // 4 500 one-instruction blocks chained by jumps, walked twice: the
+    // cache holds 4 096, so the bound trips in the middle of each lap, with
+    // the running block's `Rc` still live.
+    use std::fmt::Write as _;
+    let hops = 4_500;
+    let mut src = String::from(".org 0x1000\n mov sp, 0xF000\n mov r0, 0\nlap:\n add r0, 1\n");
+    for i in 0..hops {
+        let _ = writeln!(src, "  jmp H{i}\n  hlt\nH{i}:");
+    }
+    src.push_str("  cmp r0, 2\n jl lap\n hlt\n");
+    let before = visa::pred::counters().blocks_invalidated;
+    let trace = check_script(
+        &[&src],
+        &[
+            Step::Load(0),
+            Step::Run(3_000),
+            Step::Snapshot,
+            Step::Run(20_000),
+            Step::Restore(0),
+            Step::Run(20_000),
+        ],
+    );
+    assert_eq!(trace[3].state.regs[0], 2);
+    assert_eq!(trace[5].state, trace[3].state);
+    // Other tests in this process only ever add to the counter.
+    let flushed = visa::pred::counters().blocks_invalidated - before;
+    assert!(flushed >= 2 * 4096, "capacity flushes dropped {flushed}");
+}
+
+#[test]
+fn random_lifecycle_scripts_are_engine_identical() {
+    let mut rng = Rng::seeded(0x5EED_0003);
+    for case in 0..60 {
+        let program = |rng: &mut Rng| {
+            let src = if rng.bool(0.5) {
+                corpus::random_source_paged(rng, 60)
+            } else {
+                corpus::random_source(rng, 60)
+            };
+            assemble(&src).expect("assemble")
+        };
+        let images = [program(&mut rng), program(&mut rng)];
+        let steps = diff::random_script(&mut rng, &images);
+        if let Err(d) = diff::compare_script(&images, MEM, &steps, case) {
+            panic!("case {case}: {d}");
+        }
+    }
 }
