@@ -46,6 +46,14 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
     let plain = |v: u64| vec![(String::new(), v)];
 
     let s = d.stats();
+    let outcome = |o: &str| format!("{{outcome=\"{o}\"}}");
+    let mut requests = vec![
+        (outcome("submitted"), s.submitted),
+        (outcome("admitted"), s.admitted),
+        (outcome("served"), s.served),
+    ];
+    requests
+        .extend(ShedReason::ALL.map(|r| (outcome(&format!("shed_{}", r.label())), s.shed_by(r))));
     metric(
         "vsched_requests_total",
         "counter",
@@ -59,21 +67,7 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
          lifecycle: drain grace period expired or the shard failed), \
          shed_brownout (refused at the door by the overload brownout \
          controller's degradation ladder)",
-        &[
-            ("{outcome=\"submitted\"}".into(), s.submitted),
-            ("{outcome=\"admitted\"}".into(), s.admitted),
-            ("{outcome=\"served\"}".into(), s.served),
-            ("{outcome=\"shed_rate_limit\"}".into(), s.shed_rate_limit),
-            ("{outcome=\"shed_in_flight\"}".into(), s.shed_in_flight),
-            ("{outcome=\"shed_deadline\"}".into(), s.shed_deadline),
-            (
-                "{outcome=\"shed_deadline_unmeetable\"}".into(),
-                s.shed_deadline_unmeetable,
-            ),
-            ("{outcome=\"shed_byte_budget\"}".into(), s.shed_byte_budget),
-            ("{outcome=\"shed_evicted\"}".into(), s.shed_evicted),
-            ("{outcome=\"shed_brownout\"}".into(), s.shed_brownout),
-        ],
+        &requests,
     );
     metric(
         "vsched_retries_total",
@@ -599,6 +593,17 @@ pub struct DispatchedServer {
 const PORT: u16 = 80;
 const FILE_PATH: &str = "/www/index.html";
 
+/// Status line and content type of the host-side endpoints' answers.
+const OK: &str = "200 OK";
+const NDJSON: Option<&str> = Some("application/x-ndjson");
+
+/// The `key=value` pairs of a request target's query string (pairs
+/// without an `=` are skipped; no query yields nothing).
+fn query_pairs(target: &str) -> impl Iterator<Item = (&str, &str)> {
+    let query = target.split_once('?').map_or("", |(_, q)| q);
+    query.split('&').filter_map(|pair| pair.split_once('='))
+}
+
 impl DispatchedServer {
     /// Builds a server over `shards` dispatcher shards serving a
     /// `file_size`-byte static file, with event-driven blocked I/O.
@@ -692,15 +697,22 @@ impl DispatchedServer {
         prometheus_text(&self.dispatcher)
     }
 
-    /// Serves `GET /metrics` over the simulated network: opens a client
-    /// connection, issues the request, answers it host-side (the scrape
-    /// path never occupies a shard worker or a virtine — an operator's
-    /// monitoring must not compete with tenant traffic), and returns the
-    /// raw HTTP response bytes.
-    pub fn fetch_metrics(&mut self) -> Vec<u8> {
+    /// Serves one operator request host-side over the simulated network:
+    /// opens a client connection, issues `GET <target>`, accepts and reads
+    /// it on the server end, answers with what `respond` makes of the
+    /// *received* request target — `(status line, content type, body)` —
+    /// and returns the raw HTTP response bytes the client read back. The
+    /// path never occupies a shard worker or a virtine: an operator's
+    /// monitoring and controls must not compete with tenant traffic.
+    fn serve_host(
+        &mut self,
+        target: &str,
+        respond: impl FnOnce(&mut Self, &str) -> (&'static str, Option<&'static str>, String),
+    ) -> Vec<u8> {
         let client = self.kernel.net_connect(PORT).expect("connect");
+        let request = format!("GET {target} HTTP/1.0\r\n\r\n");
         self.kernel
-            .net_send(client, b"GET /metrics HTTP/1.0\r\n\r\n")
+            .net_send(client, request.as_bytes())
             .expect("send");
         let server = self
             .kernel
@@ -712,10 +724,16 @@ impl DispatchedServer {
             .net_recv(server, 512)
             .expect("recv")
             .expect("request bytes");
-        assert!(req.starts_with(b"GET /metrics"), "not a metrics scrape");
-        let body = self.metrics();
+        assert_eq!(req, request.as_bytes(), "the request crossed intact");
+        // Parse the target out of the request line, as a real handler
+        // would — the caller's string never short-circuits this.
+        let line = String::from_utf8_lossy(&req);
+        let received = line.split_whitespace().nth(1).unwrap_or("/");
+        let (status, content_type, body) = respond(self, received);
+        let content_type =
+            content_type.map_or_else(String::new, |t| format!("Content-Type: {t}\r\n"));
         let response = format!(
-            "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\n\r\n{body}",
+            "HTTP/1.0 {status}\r\n{content_type}Content-Length: {}\r\n\r\n{body}",
             body.len()
         );
         self.kernel
@@ -731,6 +749,14 @@ impl DispatchedServer {
         resp
     }
 
+    /// Serves `GET /metrics` host-side (see the scrape-charges-no-shard
+    /// contract of `serve_host`) and returns the raw HTTP response bytes.
+    pub fn fetch_metrics(&mut self) -> Vec<u8> {
+        self.serve_host("/metrics", |s, _| {
+            (OK, Some("text/plain; version=0.0.4"), s.metrics())
+        })
+    }
+
     /// Serves `GET /trace?tenant=<name>&limit=<n>` over the simulated
     /// network, host-side like [`DispatchedServer::fetch_metrics`]: the
     /// response body is one JSON object per line (newest invocation
@@ -739,53 +765,18 @@ impl DispatchedServer {
     /// tenants, omitting `limit` defaults to 100. Returns the raw HTTP
     /// response bytes; the body is empty when tracing is disabled.
     pub fn fetch_trace(&mut self, query: &str) -> Vec<u8> {
-        let client = self.kernel.net_connect(PORT).expect("connect");
-        let request = format!("GET /trace{query} HTTP/1.0\r\n\r\n");
-        self.kernel
-            .net_send(client, request.as_bytes())
-            .expect("send");
-        let server = self
-            .kernel
-            .net_accept(PORT)
-            .expect("accept")
-            .expect("pending connection");
-        let req = self
-            .kernel
-            .net_recv(server, 512)
-            .expect("recv")
-            .expect("request bytes");
-        assert!(req.starts_with(b"GET /trace"), "not a trace dump");
-        // Parse the query string out of the request line, as a real
-        // handler would — the caller's `query` never short-circuits this.
-        let line = String::from_utf8_lossy(&req);
-        let target = line.split_whitespace().nth(1).unwrap_or("/trace");
-        let mut tenant: Option<String> = None;
-        let mut limit = 100usize;
-        if let Some((_, qs)) = target.split_once('?') {
-            for pair in qs.split('&') {
-                match pair.split_once('=') {
-                    Some(("tenant", v)) => tenant = Some(v.to_string()),
-                    Some(("limit", v)) => limit = v.parse().unwrap_or(limit),
+        self.serve_host(&format!("/trace{query}"), |s, target| {
+            let mut tenant = None;
+            let mut limit = 100usize;
+            for pair in query_pairs(target) {
+                match pair {
+                    ("tenant", v) => tenant = Some(v),
+                    ("limit", v) => limit = v.parse().unwrap_or(limit),
                     _ => {}
                 }
             }
-        }
-        let body = self.dispatcher.trace_json_lines(tenant.as_deref(), limit);
-        let response = format!(
-            "HTTP/1.0 200 OK\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.kernel
-            .net_send(server, response.as_bytes())
-            .expect("send response");
-        let resp = self
-            .kernel
-            .net_recv(client, response.len() + 512)
-            .expect("recv")
-            .expect("response bytes");
-        self.kernel.net_close(client).ok();
-        self.kernel.net_close(server).ok();
-        resp
+            (OK, NDJSON, s.dispatcher.trace_json_lines(tenant, limit))
+        })
     }
 
     /// Serves `GET /admin/drain?shard=<i>&action=<a>` over the simulated
@@ -803,87 +794,47 @@ impl DispatchedServer {
     /// can tell "fix the query" from "wrong topology". Neither touches
     /// the dispatcher.
     pub fn fetch_admin_drain(&mut self, query: &str) -> Vec<u8> {
-        let client = self.kernel.net_connect(PORT).expect("connect");
-        let request = format!("GET /admin/drain{query} HTTP/1.0\r\n\r\n");
-        self.kernel
-            .net_send(client, request.as_bytes())
-            .expect("send");
-        let server = self
-            .kernel
-            .net_accept(PORT)
-            .expect("accept")
-            .expect("pending connection");
-        let req = self
-            .kernel
-            .net_recv(server, 512)
-            .expect("recv")
-            .expect("request bytes");
-        assert!(req.starts_with(b"GET /admin/drain"), "not a drain call");
-        let line = String::from_utf8_lossy(&req);
-        let target = line.split_whitespace().nth(1).unwrap_or("/admin/drain");
-        let mut shard: Option<usize> = None;
-        let mut action = "status";
-        let mut bad_query = false;
-        if let Some((_, qs)) = target.split_once('?') {
-            for pair in qs.split('&') {
-                match pair.split_once('=') {
-                    Some(("shard", v)) => match v.parse() {
+        self.serve_host(&format!("/admin/drain{query}"), |s, target| {
+            let mut shard: Option<usize> = None;
+            let mut action = "status";
+            let mut bad_query = false;
+            for pair in query_pairs(target) {
+                match pair {
+                    ("shard", v) => match v.parse() {
                         Ok(i) => shard = Some(i),
                         Err(_) => bad_query = true,
                     },
-                    Some(("action", v)) => action = v,
+                    ("action", v) => action = v,
                     _ => {}
                 }
             }
-        }
-        let shards = self.dispatcher.shard_states().len();
-        let valid_action = matches!(action, "status" | "drain" | "restore" | "fail");
-        let needs_shard = action != "status";
-        let malformed = bad_query || !valid_action || (needs_shard && shard.is_none());
-        let unknown_shard = shard.is_some_and(|i| i >= shards);
-        let response = if malformed {
-            "HTTP/1.0 400 Bad Request\r\nContent-Length: 0\r\n\r\n".to_string()
-        } else if unknown_shard {
-            let body = format!(
-                "{{\"error\":\"unknown shard\",\"shard\":{},\"shards\":{shards}}}\n",
-                shard.expect("checked above")
-            );
-            format!(
-                "HTTP/1.0 404 Not Found\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            )
-        } else {
+            let shards = s.dispatcher.shard_states().len();
+            let valid_action = matches!(action, "status" | "drain" | "restore" | "fail");
+            if bad_query || !valid_action || (action != "status" && shard.is_none()) {
+                return ("400 Bad Request", None, String::new());
+            }
+            if let Some(i) = shard.filter(|&i| i >= shards) {
+                let body =
+                    format!("{{\"error\":\"unknown shard\",\"shard\":{i},\"shards\":{shards}}}\n");
+                return ("404 Not Found", NDJSON, body);
+            }
             match (action, shard) {
                 ("drain", Some(i)) => {
-                    self.dispatcher.drain_shard(i);
+                    s.dispatcher.drain_shard(i);
                 }
-                ("restore", Some(i)) => self.dispatcher.restore_shard(i),
+                ("restore", Some(i)) => s.dispatcher.restore_shard(i),
                 ("fail", Some(i)) => {
-                    self.dispatcher.fail_shard(i);
+                    s.dispatcher.fail_shard(i);
                 }
                 _ => {}
             }
             let mut body = String::new();
-            for (i, state) in self.dispatcher.shard_states().into_iter().enumerate() {
+            for (i, state) in s.dispatcher.shard_states().into_iter().enumerate() {
                 use std::fmt::Write;
                 let _ = writeln!(body, "{{\"shard\":{i},\"state\":\"{}\"}}", state.label());
             }
-            format!(
-                "HTTP/1.0 200 OK\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            )
-        };
-        self.kernel
-            .net_send(server, response.as_bytes())
-            .expect("send response");
-        let resp = self
-            .kernel
-            .net_recv(client, response.len() + 512)
-            .expect("recv")
-            .expect("response bytes");
-        self.kernel.net_close(client).ok();
-        self.kernel.net_close(server).ok();
-        resp
+            (OK, NDJSON, body)
+        })
     }
 
     /// Serves `GET /admin/health` over the simulated network, host-side
@@ -895,81 +846,53 @@ impl DispatchedServer {
     /// the per-shard lines carry lifecycle state only and the summary
     /// says `"detector":"disabled"`.
     pub fn fetch_admin_health(&mut self) -> Vec<u8> {
-        let client = self.kernel.net_connect(PORT).expect("connect");
-        let request = "GET /admin/health HTTP/1.0\r\n\r\n";
-        self.kernel
-            .net_send(client, request.as_bytes())
-            .expect("send");
-        let server = self
-            .kernel
-            .net_accept(PORT)
-            .expect("accept")
-            .expect("pending connection");
-        let req = self
-            .kernel
-            .net_recv(server, 512)
-            .expect("recv")
-            .expect("request bytes");
-        assert!(req.starts_with(b"GET /admin/health"), "not a health call");
-        use std::fmt::Write;
-        let mut body = String::new();
-        let health = self.dispatcher.shard_health();
-        for (i, state) in self.dispatcher.shard_states().into_iter().enumerate() {
-            match &health {
-                Some(shards) => {
-                    let h = &shards[i];
+        self.serve_host("/admin/health", |s, _| {
+            use std::fmt::Write;
+            let mut body = String::new();
+            let health = s.dispatcher.shard_health();
+            for (i, state) in s.dispatcher.shard_states().into_iter().enumerate() {
+                match &health {
+                    Some(shards) => {
+                        let h = &shards[i];
+                        let _ = writeln!(
+                            body,
+                            "{{\"shard\":{i},\"state\":\"{}\",\"suspicion\":{},\
+                             \"breaker\":\"{}\",\"last_seen\":{}}}",
+                            state.label(),
+                            h.suspicion,
+                            h.breaker.label(),
+                            h.last_seen
+                        );
+                    }
+                    None => {
+                        let _ = writeln!(body, "{{\"shard\":{i},\"state\":\"{}\"}}", state.label());
+                    }
+                }
+            }
+            match s.dispatcher.health_stats() {
+                Some(h) => {
                     let _ = writeln!(
                         body,
-                        "{{\"shard\":{i},\"state\":\"{}\",\"suspicion\":{},\
-                         \"breaker\":\"{}\",\"last_seen\":{}}}",
-                        state.label(),
-                        h.suspicion,
-                        h.breaker.label(),
-                        h.last_seen
+                        "{{\"declared\":{},\"restored\":{},\"false_positives\":{},\
+                         \"probes\":{},\"probe_failures\":{},\"brownout_level\":{}}}",
+                        h.declared,
+                        h.restored,
+                        h.false_positives,
+                        h.probes,
+                        h.probe_failures,
+                        s.dispatcher.brownout_level()
                     );
                 }
                 None => {
-                    let _ = writeln!(body, "{{\"shard\":{i},\"state\":\"{}\"}}", state.label());
+                    let _ = writeln!(
+                        body,
+                        "{{\"detector\":\"disabled\",\"brownout_level\":{}}}",
+                        s.dispatcher.brownout_level()
+                    );
                 }
             }
-        }
-        match self.dispatcher.health_stats() {
-            Some(s) => {
-                let _ = writeln!(
-                    body,
-                    "{{\"declared\":{},\"restored\":{},\"false_positives\":{},\
-                     \"probes\":{},\"probe_failures\":{},\"brownout_level\":{}}}",
-                    s.declared,
-                    s.restored,
-                    s.false_positives,
-                    s.probes,
-                    s.probe_failures,
-                    self.dispatcher.brownout_level()
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    body,
-                    "{{\"detector\":\"disabled\",\"brownout_level\":{}}}",
-                    self.dispatcher.brownout_level()
-                );
-            }
-        }
-        let response = format!(
-            "HTTP/1.0 200 OK\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.kernel
-            .net_send(server, response.as_bytes())
-            .expect("send response");
-        let resp = self
-            .kernel
-            .net_recv(client, response.len() + 512)
-            .expect("recv")
-            .expect("response bytes");
-        self.kernel.net_close(client).ok();
-        self.kernel.net_close(server).ok();
-        resp
+            (OK, NDJSON, body)
+        })
     }
 
     /// Opens a connection as `tenant` at virtual time `arrival_s`, sends

@@ -10,7 +10,7 @@
 //! `vclock::costs::VSCHED_TRANSFER_CROSS_NODE` (the run's state leaves
 //! shared memory and crosses the simulated cluster network). Routing a
 //! fresh request from the edge and choosing the destination for a
-//! failover evacuation both go through [`PlacementEngine::evacuate`]
+//! failover evacuation both go through [`CostEngine::evacuate`]
 //! over node-level [`Candidate`] rows — the same lexicographic
 //! `(queue_depth, free_at, transfer_cost, index)` key that places work
 //! inside a node places it across nodes.
@@ -49,8 +49,8 @@ use vclock::Cycles;
 use crate::dispatcher::{Dispatcher, Placement};
 use crate::health::{HealthAction, HealthConfig, HealthDetector, HealthStats, ShardHealth};
 use crate::lifecycle::ShardState;
-use crate::placement::{Candidate, CostEngine, PlacementEngine, WarmPolicy};
-use crate::topology::{Hop, Topology};
+use crate::placement::{Candidate, CostEngine, WarmPolicy};
+use crate::topology::Hop;
 
 /// Seconds → virtual cycles, matching the dispatcher's own conversion.
 fn cyc(s: f64) -> u64 {
@@ -122,7 +122,7 @@ pub struct Cluster {
     detector: Option<HealthDetector>,
     health_config: Option<HealthConfig>,
     faults: Vec<NodeFault>,
-    engine: Box<dyn PlacementEngine>,
+    engine: CostEngine,
     now_s: f64,
     stats: ClusterStats,
 }
@@ -135,12 +135,7 @@ impl Cluster {
             detector: None,
             health_config: None,
             faults: Vec::new(),
-            engine: Box::new(CostEngine::new(
-                Placement::LeastLoaded,
-                Topology::flat(1),
-                1,
-                WarmPolicy::default(),
-            )),
+            engine: CostEngine::new(Placement::LeastLoaded, 1, WarmPolicy::default()),
             now_s: 0.0,
             stats: ClusterStats::default(),
         }
@@ -161,14 +156,7 @@ impl Cluster {
             hung_until_s: f64::NEG_INFINITY,
             routed: 0,
         });
-        let n = self.nodes.len();
-        self.engine = Box::new(CostEngine::new(
-            Placement::LeastLoaded,
-            Topology::flat(n),
-            1,
-            WarmPolicy::default(),
-        ));
-        n - 1
+        self.nodes.len() - 1
     }
 
     /// Number of nodes.

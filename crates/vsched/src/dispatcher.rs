@@ -1,23 +1,31 @@
 //! The dispatcher: admission, batched shard ticks, and event-driven
 //! suspension of runs blocked in `recv` — with every placement, steal,
-//! and migration *decision* delegated to the [`PlacementEngine`].
+//! and migration *decision* delegated to the placement [`CostEngine`].
+//!
+//! A request is one `Ticket` (see [`crate::shard`]) from admission to
+//! terminal outcome, and reaching a terminal outcome is one function,
+//! `Dispatcher::settle`: the only code that gives an in-flight slot back,
+//! counts a serve or a shed on every stats plane, feeds the SLO engine,
+//! closes the trace, and records the [`Completion`]. The conservation
+//! identity (`docs/reliability.md` states it) holds because `submit` is
+//! the only code that takes a slot, `settle` the only code that returns
+//! one, and [`crate::openreq`] lets exactly one copy of a logical request
+//! reach it.
 //!
 //! This file owns the mechanisms (queues, pools, transfers, accounting);
 //! the scoring that picks a shard at the four routing decision points
 //! lives in [`crate::placement`] (see its decision-point diagram) over
 //! the shard [`Topology`] of [`crate::topology`].
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
-use vclock::rng::Rng;
 use vclock::stats::Histogram;
 use vclock::{costs, Clock, Cycles};
 use vtrace::slo::{Severity, SloEngine};
 use vtrace::TraceCollector;
 use wasp::{
-    Invocation, Pool, PoolMode, PoolStats, RunOutcome, RunResult, ShellSource, VirtineId,
-    VirtineSpec, WaitTarget, Wasp, WaspError,
+    Breakdown, ExitKind, Invocation, Pool, PoolMode, PoolStats, RunOutcome, RunResult, ShellRun,
+    ShellSource, SuspendedRun, VirtineId, VirtineSpec, WaitTarget, Wasp, WaspError,
 };
 
 use crate::health::{
@@ -25,9 +33,10 @@ use crate::health::{
     ShardHealth,
 };
 use crate::lifecycle::{FaultKind, FaultPlan, LifecycleAction, ShardState};
-use crate::placement::{Candidate, CostEngine, PlacementEngine, WarmPolicy, WarmVerdict};
-use crate::shard::{align_up, Parked, Queued, Shard, ShardSnapshot};
-use crate::tenant::{HedgePolicy, ShedReason, TenantId, TenantProfile, TenantState, TenantStats};
+use crate::openreq::{hedge_delay, CopyFinish, CopyLoss, OpenTable, RetryCause, Timer};
+use crate::placement::{Candidate, CostEngine, WarmPolicy, WarmVerdict};
+use crate::shard::{align_up, Parked, Progress, Queued, Shard, ShardSnapshot, Ticket, Work};
+use crate::tenant::{ShedReason, TenantId, TenantProfile, TenantState, TenantStats};
 use crate::topology::{Hop, Topology};
 
 /// What a shard worker does when its virtine blocks in `recv` with no data
@@ -49,8 +58,7 @@ pub enum BlockMode {
 }
 
 /// Where an admitted request is queued. These are *configurations* of
-/// the [`CostEngine`] (match arms live there, not in the dispatcher);
-/// a fully custom policy plugs in through [`Dispatcher::set_engine`].
+/// the [`CostEngine`] (match arms live there, not in the dispatcher).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Placement {
     /// Least-loaded shard (queue depth, then worker timeline, then index):
@@ -86,10 +94,6 @@ pub struct DispatcherConfig {
     /// Shell-pool mode for every shard (§5.2; `CachedAsync` is the
     /// paper's best configuration).
     pub pool_mode: PoolMode,
-    /// Whether a dry shard may steal clean shells from siblings (and, as a
-    /// last resort before `KVM_CREATE_VM`, demote-and-steal a sibling's
-    /// warm shell).
-    pub steal: bool,
     /// Queue-placement policy.
     pub placement: Placement,
     /// Bound on warm shells resident per shard pool; zero disables warm
@@ -98,13 +102,6 @@ pub struct DispatcherConfig {
     /// Blocked-I/O policy: suspend and give the worker back (default) or
     /// spin-poll the socket on the worker.
     pub block: BlockMode,
-    /// Whether a woken parked run is re-admitted through placement (the
-    /// least-loaded shard, home on ties) instead of pinning to the shard
-    /// it blocked on. The suspended shell rides inside the run, so the
-    /// move is as isolation-safe as a shell steal — and a saturated home
-    /// shard cannot hold a runnable virtine hostage. Forced off under
-    /// [`BlockMode::SpinPoll`], where the blocking worker *is* the wait.
-    pub migrate_on_resume: bool,
     /// The socket/CCX grouping of the shards; `None` puts every shard in
     /// one CCX ([`Topology::flat`]), which reproduces the pre-topology
     /// dispatcher exactly (every cross-shard hop costs the historical
@@ -137,11 +134,9 @@ impl Default for DispatcherConfig {
             batch_size: 8,
             tick: Cycles::from_micros(50.0),
             pool_mode: PoolMode::CachedAsync,
-            steal: true,
             placement: Placement::LeastLoaded,
             warm_capacity: wasp::DEFAULT_WARM_CAPACITY,
             block: BlockMode::EventDriven,
-            migrate_on_resume: true,
             topology: None,
             warm_budget: None,
             warm_tenant_quota: None,
@@ -349,9 +344,9 @@ pub struct DispatcherStats {
     /// with its shard (`cause="shard_failed_parked"`).
     pub retries_parked: u64,
     /// Requests currently between losing their last live copy and their
-    /// retry's backoff release — the `retried_in_flight` term of the
-    /// extended conservation identity `admitted == served + shed +
-    /// retried_in_flight`.
+    /// retry's backoff release: they hold an in-flight slot with no copy
+    /// queued or parked (the bridge term of the conservation identity,
+    /// `docs/reliability.md`).
     pub retried_in_flight: u64,
     /// Hedges armed at submit (a fire instant was scheduled; most never
     /// fire because the primary finishes first).
@@ -368,15 +363,29 @@ pub struct DispatcherStats {
 }
 
 impl DispatcherStats {
+    /// The counter of one shed reason.
+    fn shed_counter(&mut self, reason: ShedReason) -> &mut u64 {
+        match reason {
+            ShedReason::RateLimited => &mut self.shed_rate_limit,
+            ShedReason::InFlightCap => &mut self.shed_in_flight,
+            ShedReason::DeadlineMissed => &mut self.shed_deadline,
+            ShedReason::DeadlineUnmeetable => &mut self.shed_deadline_unmeetable,
+            ShedReason::ByteBudget => &mut self.shed_byte_budget,
+            ShedReason::Evicted => &mut self.shed_evicted,
+            ShedReason::Brownout => &mut self.shed_brownout,
+        }
+    }
+
+    /// Sheds for one reason (the `shed_*` outcomes of the
+    /// `vsched_requests_total` series).
+    pub fn shed_by(&self, reason: ShedReason) -> u64 {
+        let mut copy = *self;
+        *copy.shed_counter(reason)
+    }
+
     /// Total sheds across every cause.
     pub fn shed(&self) -> u64 {
-        self.shed_rate_limit
-            + self.shed_in_flight
-            + self.shed_deadline
-            + self.shed_deadline_unmeetable
-            + self.shed_byte_budget
-            + self.shed_evicted
-            + self.shed_brownout
+        ShedReason::ALL.iter().map(|&r| self.shed_by(r)).sum()
     }
 
     /// Fraction of served requests that hit a warm shell (0 when nothing
@@ -410,89 +419,30 @@ impl FailCause {
     }
 }
 
-/// Which copy of a request a shard failure destroyed — the `cause` label
-/// of `vsched_retries_total`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RetryCause {
-    /// A fresh queued entry with no eligible evacuation sibling.
-    Queued,
-    /// A parked (suspended) run whose hardware state died with the shard.
-    Parked,
-}
-
-/// What became of a copy destroyed by a shard failure, deadline, or
-/// cancellation (see [`Dispatcher::lose_copy`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CopyLoss {
-    /// Another copy of the logical request is still live (or already won);
-    /// the caller must neither shed nor record anything terminal.
-    Suppressed,
-    /// An exactly-once retry was scheduled; the caller must not shed.
-    Retried,
-    /// This was the last copy and no retry applies: the caller's terminal
-    /// accounting (shed) proceeds as if retry/hedging did not exist.
-    Terminal,
-}
-
-/// What became of a copy that finished executing (see
-/// [`Dispatcher::finish_copy`]).
-enum CopyFinish {
-    /// First terminal outcome for the logical request: count it, recording
-    /// the completion under the logical sequence number.
-    Won { logical: u64 },
-    /// The race was already decided: suppress all accounting.
-    Loser,
-}
-
-/// Submit-time state retained for a request whose tenant opted into
-/// retries or hedging — everything needed to re-run it from scratch.
-/// Entries exist only while the request is unresolved, so the map stays
-/// proportional to in-flight work.
-struct OpenReq {
-    tenant: TenantId,
-    virtine: VirtineId,
-    /// Effective priority at admission (base plus boost).
-    priority: u8,
-    /// Absolute deadline in cycles (`u64::MAX` when none); re-submissions
-    /// keep the original deadline — a retry is the same promise, not a
-    /// fresh one.
-    deadline: u64,
-    /// Original arrival in cycles; latency spans every attempt.
-    arrival: u64,
-    /// Pristine marshalled arguments for a re-submission.
-    args: Vec<u8>,
-    /// Pristine invocation inputs ([`Invocation::respawn`] of the
-    /// original) — cloned again for each re-submission.
-    invocation: Invocation,
-    /// Attempts consumed so far (0 = only the first run).
-    attempt: u32,
-    /// Live copies: queued, parked, or executing (a pending retry is not
-    /// a live copy — it is counted by `pending_retry`).
-    copies: u32,
-    /// A terminal outcome (completion, kill, or shed) has been recorded;
-    /// every later copy event is suppressed.
-    done: bool,
-    /// A retry sits in the backoff heap awaiting release.
-    pending_retry: bool,
-}
-
-/// Metadata threaded from a request's first execution segment to its
-/// completion record (possibly across blocked segments).
-struct ServeMeta {
-    tenant: TenantId,
-    virtine: VirtineId,
-    /// Dispatcher sequence number, keying the invocation's open trace.
-    seq: u64,
-    /// Original arrival in cycles — latency spans any parked waits.
-    arrival: u64,
-    /// Worker-timeline position of the first segment's start.
-    first_start: u64,
-    /// Worker cycles consumed by earlier segments (zero when unblocked).
-    service_before: u64,
-    stolen: bool,
-    reused: bool,
-    /// Whether any resume migrated the run off its blocking shard.
-    migrated: bool,
+/// How a request leaves the system — the one argument of
+/// [`Dispatcher::settle`] that differs between its callers.
+enum Terminal {
+    /// Refused or dropped without a completion record. `evict` names the
+    /// lifecycle cause when `reason` is [`ShedReason::Evicted`].
+    Shed {
+        reason: ShedReason,
+        evict: Option<FailCause>,
+    },
+    /// Executed: ran to an exit (normal or not), or was killed while
+    /// parked at its tenant's `max_block` bound ([`ExitKind::Blocked`]).
+    Served {
+        /// The number `submit` returned — the copy's own unless a hedge
+        /// duplicate won the race.
+        logical: u64,
+        /// The shard that executed (or held) the run at the end.
+        shard: usize,
+        progress: Progress,
+        /// The run's cycle attribution and shell provenance.
+        breakdown: Breakdown,
+        exit: ExitKind,
+        /// The bytes the virtine returned (`return_data`).
+        result: Vec<u8>,
+    },
 }
 
 /// The sharded, multi-tenant virtine dispatcher.
@@ -522,7 +472,7 @@ pub struct Dispatcher {
     topology: Topology,
     /// The policy layer behind every routing decision (see
     /// `crate::placement`'s decision-point diagram).
-    engine: Box<dyn PlacementEngine>,
+    engine: CostEngine,
     /// Shared park-order counter threaded through every warm park, so
     /// LRU comparisons are meaningful *across* shard pools.
     warm_stamp: u64,
@@ -542,20 +492,15 @@ pub struct Dispatcher {
     /// Overload brownout controller; `None` until
     /// [`Dispatcher::set_brownout`].
     brownout: Option<BrownoutController>,
-    /// Submit-time state for requests whose tenant opted into retries or
-    /// hedging, keyed by logical sequence number.
-    open: HashMap<u64, OpenReq>,
-    /// Hedge copy sequence number → logical sequence number.
-    hedge_of: HashMap<u64, u64>,
-    /// Pending retry releases: `(release_at, logical_seq)`, min-first.
-    retry_heap: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Armed hedge fire instants: `(fire_at, logical_seq)`, min-first.
-    /// Entries are lazily invalidated — a fire for a finished request is
-    /// a no-op — so completion never searches the heap.
-    hedge_heap: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Deterministic jitter source for retry backoff (detector probes use
-    /// the detector's own stream, seeded from [`HealthConfig::seed`]).
-    retry_rng: Rng,
+    /// The exactly-once table: every copy of every request whose tenant
+    /// opted into retries or hedging, and their timers.
+    open: OpenTable,
+    /// Trace id of the next door shed. A request refused at the door never
+    /// gets a sequence number, so its one-span trace is keyed from a
+    /// space counting down from `u64::MAX` — disjoint from sequence
+    /// numbers, and untouched when tracing is off, so enabling tracing
+    /// never renumbers a request.
+    next_shed_trace: u64,
     /// Queue-wait distribution (arrival → first execution start).
     hist_queue_wait: Histogram,
     /// Service-time distribution (worker cycles, parked waits excluded).
@@ -593,12 +538,7 @@ impl Dispatcher {
             global_budget: config.warm_budget,
             tenant_quota: config.warm_tenant_quota,
         };
-        let engine = Box::new(CostEngine::new(
-            config.placement,
-            topology.clone(),
-            config.batch_size,
-            warm_policy,
-        ));
+        let engine = CostEngine::new(config.placement, config.batch_size, warm_policy);
         let shards = (0..config.shards)
             .map(|_| {
                 Shard::new(
@@ -627,24 +567,12 @@ impl Dispatcher {
             fault_plan: None,
             health: None,
             brownout: None,
-            open: HashMap::new(),
-            hedge_of: HashMap::new(),
-            retry_heap: BinaryHeap::new(),
-            hedge_heap: BinaryHeap::new(),
-            retry_rng: Rng::seeded(0x7E57_4E72),
+            open: OpenTable::new(),
+            next_shed_trace: u64::MAX,
             hist_queue_wait: Histogram::new(),
             hist_exec: Histogram::new(),
             hist_e2e: Histogram::new(),
         }
-    }
-
-    /// Replaces the placement engine — the policy layer behind admit,
-    /// steal, warm-capacity, and resume decisions — leaving every
-    /// mechanism (queues, pools, wipes, accounting) untouched. The
-    /// default is a [`CostEngine`] configured from the
-    /// [`DispatcherConfig`]'s placement, topology, and warm policy.
-    pub fn set_engine(&mut self, engine: Box<dyn PlacementEngine>) {
-        self.engine = engine;
     }
 
     /// Enables invocation tracing, retaining the most recent `capacity`
@@ -912,40 +840,40 @@ impl Dispatcher {
         clock.tick(costs::VSCHED_ADMISSION);
 
         self.stats.submitted += 1;
-        let (priority, retry_policy, hedge_policy) = {
-            let tenant = self
-                .tenants
-                .get_mut(req.tenant.0)
-                .expect("unknown tenant id");
-            tenant.stats.submitted += 1;
-            (
-                tenant.profile.priority.saturating_add(req.priority_boost),
-                tenant.profile.retry,
-                tenant.profile.hedge,
-            )
+        let tenant = self
+            .tenants
+            .get_mut(req.tenant.0)
+            .expect("unknown tenant id");
+        tenant.stats.submitted += 1;
+        let (retry_policy, hedge_policy) = (tenant.profile.retry, tenant.profile.hedge);
+        // The ticket the request travels under once admitted; a refusal
+        // at the door leaves the sequence counter where it was.
+        let ticket = Ticket {
+            tenant: req.tenant,
+            virtine: req.virtine,
+            seq: self.seq,
+            priority: tenant.profile.priority.saturating_add(req.priority_boost),
+            arrival,
+            deadline: req.deadline_s.map_or(u64::MAX, cyc),
         };
 
         // Brownout door: while the overload controller holds a
         // degradation level, requests below its priority floor are shed
         // before any budget (tokens, in-flight slots) is charged.
-        if self.brownout.as_ref().is_some_and(|b| b.sheds(priority)) {
-            self.tenants[req.tenant.0].stats.shed_brownout += 1;
-            self.stats.shed_brownout += 1;
-            self.note_shed(req.tenant, req.virtine, arrival, ShedReason::Brownout);
-            return Err(ShedReason::Brownout);
+        if self
+            .brownout
+            .as_ref()
+            .is_some_and(|b| b.sheds(ticket.priority))
+        {
+            return self.refuse(&ticket, ShedReason::Brownout);
         }
 
-        {
-            let tenant = &mut self.tenants[req.tenant.0];
-            // Cap before bucket: a request refused at the in-flight cap
-            // must not burn rate-limit tokens the tenant could use once a
-            // slot frees up.
-            if tenant.stats.in_flight >= tenant.profile.max_in_flight as u64 {
-                tenant.stats.shed_in_flight += 1;
-                self.stats.shed_in_flight += 1;
-                self.note_shed(req.tenant, req.virtine, arrival, ShedReason::InFlightCap);
-                return Err(ShedReason::InFlightCap);
-            }
+        // Cap before bucket: a request refused at the in-flight cap must
+        // not burn rate-limit tokens the tenant could use once a slot
+        // frees up.
+        let tenant = &self.tenants[req.tenant.0];
+        if tenant.stats.in_flight >= tenant.profile.max_in_flight as u64 {
+            return self.refuse(&ticket, ShedReason::InFlightCap);
         }
 
         // Deadline-aware admission (also before the bucket — a request we
@@ -955,23 +883,11 @@ impl Dispatcher {
         // if the deadline is already lost. Cheaper for everyone than
         // queueing a guaranteed miss.
         let shard = self.place(req.tenant, req.virtine);
-        if let Some(dl) = req.deadline_s {
-            let deadline = cyc(dl);
-            let s = &self.shards[shard];
-            let est_start = align_up(s.free_at.max(arrival), self.config.tick.get())
-                .saturating_add((s.queue.len() as u64).saturating_mul(self.avg_service));
-            if est_start > deadline {
-                let tenant = &mut self.tenants[req.tenant.0];
-                tenant.stats.shed_deadline_unmeetable += 1;
-                self.stats.shed_deadline_unmeetable += 1;
-                self.note_shed(
-                    req.tenant,
-                    req.virtine,
-                    arrival,
-                    ShedReason::DeadlineUnmeetable,
-                );
-                return Err(ShedReason::DeadlineUnmeetable);
-            }
+        let s = &self.shards[shard];
+        let est_start = align_up(s.free_at.max(arrival), self.config.tick.get())
+            .saturating_add((s.queue.len() as u64).saturating_mul(self.avg_service));
+        if est_start > ticket.deadline {
+            return self.refuse(&ticket, ShedReason::DeadlineUnmeetable);
         }
 
         // Request and byte buckets are checked jointly before either is
@@ -982,102 +898,181 @@ impl Dispatcher {
         let tenant = &mut self.tenants[req.tenant.0];
         let now = Cycles(arrival);
         if !tenant.bucket.can_admit(now, 1.0) {
-            tenant.stats.shed_rate_limit += 1;
-            self.stats.shed_rate_limit += 1;
-            self.note_shed(req.tenant, req.virtine, arrival, ShedReason::RateLimited);
-            return Err(ShedReason::RateLimited);
+            return self.refuse(&ticket, ShedReason::RateLimited);
         }
         if !tenant.byte_bucket.can_admit(now, bytes) {
-            tenant.stats.shed_byte_budget += 1;
-            self.stats.shed_byte_budget += 1;
-            self.note_shed(req.tenant, req.virtine, arrival, ShedReason::ByteBudget);
-            return Err(ShedReason::ByteBudget);
+            return self.refuse(&ticket, ShedReason::ByteBudget);
         }
         tenant.bucket.take(1.0);
         tenant.byte_bucket.take(bytes);
         tenant.stats.admitted += 1;
         tenant.stats.in_flight += 1;
         self.stats.admitted += 1;
-
-        let seq = self.seq;
         self.seq += 1;
-        let deadline = req.deadline_s.map_or(u64::MAX, cyc);
 
-        // Retry/hedge bookkeeping: keep a pristine copy of the inputs so
-        // the request can be re-run from scratch. Connection-bound
-        // invocations are excluded — replaying half a conversation on a
-        // live socket is not exactly-once — and tenants with neither
-        // policy pay nothing here.
+        // Retry/hedge bookkeeping. Connection-bound invocations are
+        // excluded — replaying half a conversation on a live socket is
+        // not exactly-once — and tenants with neither policy pay nothing
+        // here.
         if (retry_policy.is_some() || hedge_policy.is_some()) && req.invocation.conn.is_none() {
-            self.open.insert(
-                seq,
-                OpenReq {
-                    tenant: req.tenant,
-                    virtine: req.virtine,
-                    priority,
-                    deadline,
-                    arrival,
-                    args: req.args.clone(),
-                    invocation: req.invocation.respawn(),
-                    attempt: 0,
-                    copies: 1,
-                    done: false,
-                    pending_retry: false,
-                },
-            );
-            if let Some(policy) = hedge_policy {
-                let at = arrival.saturating_add(self.hedge_delay(req.tenant, policy));
-                self.hedge_heap.push(Reverse((at, seq)));
+            let hedge_at = hedge_policy.map(|policy| {
                 self.stats.hedges_armed += 1;
-            }
+                arrival.saturating_add(hedge_delay(&tenant.e2e, &self.hist_e2e, policy))
+            });
+            self.open
+                .track(ticket, &req.args, &req.invocation, hedge_at);
         }
 
-        clock.tick(costs::VSCHED_QUEUE_OP);
-        self.shards[shard].enqueue(
-            Queued {
-                front: false,
-                priority,
-                deadline,
-                seq,
-                tenant: req.tenant,
-                virtine: req.virtine,
-                args: req.args,
-                invocation: req.invocation,
-                arrival,
-                resume: None,
-            },
-            self.config.tick.get(),
-        );
+        self.enqueue_fresh(shard, ticket, req.args, req.invocation, 0);
+        let seq = ticket.seq;
         if self.trace.enabled() {
-            self.trace.begin(
-                seq,
-                req.tenant.0,
-                req.virtine.into_raw() as u64,
-                Cycles(arrival),
-            );
+            let virtine = req.virtine.into_raw() as u64;
+            self.trace
+                .begin(seq, req.tenant.0, virtine, Cycles(arrival));
             self.tspan(seq, "admit", format!("shard={shard}"), arrival, arrival);
         }
         Ok(seq)
     }
 
-    /// Observes a shed on the SLO plane and, when tracing, records a
-    /// one-span trace for the refused request (sheds never enter a
-    /// queue, so this is their entire timeline).
-    fn note_shed(&mut self, tenant: TenantId, virtine: VirtineId, at: u64, reason: ShedReason) {
-        if let Some(slo) = &mut self.slo {
-            slo.observe_shed(Cycles(at));
+    /// Refuses a request at the door.
+    fn refuse(&mut self, ticket: &Ticket, reason: ShedReason) -> Result<u64, ShedReason> {
+        let end = Terminal::Shed {
+            reason,
+            evict: None,
+        };
+        self.settle(ticket, ticket.arrival, end);
+        Err(reason)
+    }
+
+    /// Queues a fresh copy — a first submission, a released retry, or a
+    /// fired hedge — on `shard`, for a batch tick no earlier than
+    /// `not_before`.
+    fn enqueue_fresh(
+        &mut self,
+        shard: usize,
+        ticket: Ticket,
+        args: Vec<u8>,
+        invocation: Invocation,
+        not_before: u64,
+    ) {
+        self.wasp.clock().tick(costs::VSCHED_QUEUE_OP);
+        let q = Queued {
+            front: false,
+            ticket,
+            work: Work::Fresh { args, invocation },
+        };
+        self.shards[shard].enqueue_at(q, self.config.tick.get(), not_before);
+    }
+
+    /// The one way a request leaves the system. Gives back the in-flight
+    /// slot an admitted request held, counts the outcome on the tenant,
+    /// dispatcher, and (for a serve) shard stats planes, records the
+    /// latency histograms, feeds the SLO engine, closes the trace, and —
+    /// for a serve — records the [`Completion`]. `at` is the terminal
+    /// instant on the request's timeline.
+    ///
+    /// Callers own everything that differs by path: which copy of the
+    /// request gets here at all (`crate::openreq`), what happens to the
+    /// shell, and the spans describing how the request got this far.
+    fn settle(&mut self, ticket: &Ticket, at: u64, end: Terminal) {
+        let tstats = &mut self.tenants[ticket.tenant.0].stats;
+        // Door reasons refuse a request *before* it takes a slot.
+        if !matches!(end, Terminal::Shed { reason, .. } if reason.at_door()) {
+            tstats.in_flight -= 1;
         }
-        if self.trace.enabled() {
-            let id = self.seq;
-            self.seq += 1;
-            self.wasp.clock().tick(costs::VTRACE_SPAN);
-            self.trace.record_shed(
-                id,
-                tenant.0,
-                virtine.into_raw() as u64,
-                Cycles(at),
-                reason.label(),
-            );
+        match end {
+            Terminal::Shed { reason, evict } => {
+                *tstats.shed_counter(reason) += 1;
+                *self.stats.shed_counter(reason) += 1;
+                match evict {
+                    Some(FailCause::GraceExpired) => self.stats.evicted_grace += 1,
+                    Some(FailCause::ShardFailed) => self.stats.evicted_failed += 1,
+                    None => {}
+                }
+                if let Some(slo) = &mut self.slo {
+                    slo.observe_shed(Cycles(at));
+                }
+                if !self.trace.enabled() {
+                    return;
+                }
+                if !reason.at_door() {
+                    return self.tfinish(ticket.seq, &format!("shed:{}", reason.label()), at);
+                }
+                // Never queued, never numbered: a one-span trace is the
+                // refused request's entire timeline.
+                let id = self.next_shed_trace;
+                self.next_shed_trace -= 1;
+                self.wasp.clock().tick(costs::VTRACE_SPAN);
+                let virtine = ticket.virtine.into_raw() as u64;
+                self.trace
+                    .record_shed(id, ticket.tenant.0, virtine, Cycles(at), reason.label());
+            }
+            Terminal::Served {
+                logical,
+                shard,
+                progress,
+                breakdown: b,
+                exit,
+                result,
+            } => {
+                let exit_normal = exit.is_normal();
+                // A run killed while parked is an abnormal serve — it held
+                // its slot to the end — but it served nothing from its
+                // shell, warm or stolen.
+                let killed = exit == ExitKind::Blocked;
+                tstats.served += 1;
+                if !exit_normal {
+                    tstats.abnormal += 1;
+                }
+                if progress.stolen && !killed {
+                    tstats.stolen_serves += 1;
+                }
+                if b.warm_hit && !killed {
+                    // Counted from the outcome, not the acquire: a stale
+                    // warm shell (snapshot invalidated while parked) is
+                    // wiped by the runtime and serves a full restore,
+                    // which is not a hit.
+                    tstats.warm_serves += 1;
+                    self.stats.warm_hits += 1;
+                    self.shards[shard].stats.warm_hits += 1;
+                }
+                self.stats.served += 1;
+                self.stats.blocked_cycles += b.blocked.get();
+                self.shards[shard].stats.served += 1;
+                let e2e = at - ticket.arrival;
+                self.hist_queue_wait
+                    .record(progress.first_start - ticket.arrival);
+                self.hist_exec.record(progress.service_so_far);
+                self.hist_e2e.record(e2e);
+                self.tenants[ticket.tenant.0].e2e.record(e2e);
+                if let Some(slo) = &mut self.slo {
+                    slo.observe_served(Cycles(at), Cycles(e2e));
+                }
+                let how = match (killed, exit_normal) {
+                    (true, _) => "timeout",
+                    (false, true) => "completed",
+                    (false, false) => "abnormal",
+                };
+                self.tfinish(ticket.seq, how, at);
+                self.completions.push(Completion {
+                    tenant: ticket.tenant,
+                    virtine: ticket.virtine,
+                    seq: logical,
+                    shard,
+                    arrival: secs(ticket.arrival),
+                    start: secs(progress.first_start),
+                    finish: secs(at),
+                    service: secs(progress.service_so_far),
+                    reused_shell: b.reused_shell,
+                    stolen_shell: progress.stolen,
+                    warm_hit: b.warm_hit,
+                    exit_normal,
+                    resumes: b.resumes,
+                    migrated: progress.migrated,
+                    exec_cycles: b.total.get(),
+                    result,
+                });
+            }
         }
     }
 
@@ -1332,7 +1327,6 @@ impl Dispatcher {
         self.shards[shard].state = ShardState::Failed;
         self.shards[shard].drain_since = self.last_arrival;
         let now = self.last_arrival;
-        let tick = self.config.tick.get();
 
         // The pooled inventory is gone: these contexts lived on the
         // failed worker.
@@ -1347,106 +1341,121 @@ impl Dispatcher {
         // shard: they are evicted like parked runs.
         let drained: Vec<Queued> = std::mem::take(&mut self.shards[shard].queue).into_vec();
         self.shards[shard].next_wake = u64::MAX;
-        for mut q in drained {
-            if let Some(p) = q.resume.take() {
-                let seq = p.seq;
-                match self.evict_parked(shard, *p, now, FailCause::ShardFailed) {
-                    CopyLoss::Retried => {
-                        actions.push(LifecycleAction::RunRetried { seq, shard });
-                    }
-                    CopyLoss::Terminal => {
-                        actions.push(LifecycleAction::RunEvicted { seq, shard });
-                    }
-                    CopyLoss::Suppressed => {}
-                }
-                continue;
-            }
-            let logical = self.hedge_of.get(&q.seq).copied().unwrap_or(q.seq);
-            if self.open.get(&logical).is_some_and(|o| o.done) {
+        for q in drained {
+            let ticket = q.ticket;
+            let loss = if let Work::Resume(p) = q.work {
+                self.evict_parked(shard, p, now, FailCause::ShardFailed)
+            } else if self.open.is_moot(ticket.seq) {
                 // A hedge-race loser stranded on the failing shard: the
                 // logical request already finished elsewhere, so the
                 // entry just evaporates.
-                self.lose_copy(q.seq, now, None);
-                self.tfinish(q.seq, "hedge:canceled", now);
+                self.copy_lost(ticket.seq, now, None, None)
+            } else if let Some(dest) = self.evacuation_target(shard, now) {
+                actions.push(self.requeue(q, shard, dest, now));
                 continue;
-            }
-            let c = self.candidates(Some(shard), None, None, now);
-            match self.engine.evacuate(&c) {
-                Some(dest) => {
-                    self.wasp.clock().tick(costs::VSCHED_QUEUE_OP);
-                    let seq = q.seq;
-                    self.shards[dest].enqueue_at(q, tick, now);
+            } else {
+                let loss = self.copy_lost(ticket.seq, now, Some(RetryCause::Queued), None);
+                if loss == CopyLoss::Terminal {
                     if self.trace.enabled() {
-                        self.tspan(seq, "reconcile", format!("requeue shard={dest}"), now, now);
+                        self.tspan(ticket.seq, "queue_wait", String::new(), ticket.arrival, now);
+                        let cause = FailCause::ShardFailed.label().to_string();
+                        self.tspan(ticket.seq, "drain_evict", cause, now, now);
                     }
-                    actions.push(LifecycleAction::RunRequeued {
-                        seq,
-                        from: shard,
-                        to: dest,
-                    });
+                    let end = Terminal::Shed {
+                        reason: ShedReason::Evicted,
+                        evict: Some(FailCause::ShardFailed),
+                    };
+                    self.settle(&ticket, now, end);
                 }
-                None => {
-                    let seq = q.seq;
-                    let was_hedge_copy = self.hedge_of.contains_key(&seq);
-                    match self.lose_copy(seq, now, Some(RetryCause::Queued)) {
-                        CopyLoss::Suppressed => {
-                            self.tfinish(seq, "hedge:canceled", now);
-                            continue;
-                        }
-                        CopyLoss::Retried => {
-                            if was_hedge_copy {
-                                self.tfinish(seq, "hedge:canceled", now);
-                            }
-                            actions.push(LifecycleAction::RunRetried { seq, shard });
-                            continue;
-                        }
-                        CopyLoss::Terminal => {}
-                    }
-                    let tstats = &mut self.tenants[q.tenant.0].stats;
-                    tstats.shed_evicted += 1;
-                    tstats.in_flight -= 1;
-                    self.stats.shed_evicted += 1;
-                    self.stats.evicted_failed += 1;
-                    if let Some(slo) = &mut self.slo {
-                        slo.observe_shed(Cycles(now));
-                    }
-                    if self.trace.enabled() {
-                        self.tspan(seq, "queue_wait", String::new(), q.arrival, now);
-                        self.tspan(seq, "drain_evict", "shard_failed".to_string(), now, now);
-                    }
-                    self.tfinish(seq, "shed:evicted", now);
-                    actions.push(LifecycleAction::RunEvicted { seq, shard });
-                }
-            }
+                loss
+            };
+            actions.extend(eviction_action(loss, ticket.seq, shard));
         }
 
         // Parked runs: the suspension is lost with the worker.
         let mut tokens: Vec<u64> = self.shards[shard].blocked.keys().copied().collect();
         tokens.sort_unstable();
         for token in tokens {
-            let p = self.shards[shard]
-                .blocked
-                .remove(&token)
-                .expect("token enumerated from the blocked set");
-            self.parked_shard.remove(&token);
-            match p.target {
-                WaitTarget::Sock(sock) => self.wasp.kernel().net_clear_waiter(sock),
-                WaitTarget::ChanRecv(chan) | WaitTarget::ChanSend { chan, .. } => {
-                    self.wasp.kernel().chan_clear_waiter(chan, token);
-                }
-            }
-            let seq = p.seq;
-            match self.evict_parked(shard, p, now, FailCause::ShardFailed) {
-                CopyLoss::Retried => {
-                    actions.push(LifecycleAction::RunRetried { seq, shard });
-                }
-                CopyLoss::Terminal => {
-                    actions.push(LifecycleAction::RunEvicted { seq, shard });
-                }
-                CopyLoss::Suppressed => {}
-            }
+            let p = self.unpark(shard, token);
+            let seq = p.ticket.seq;
+            let loss = self.evict_parked(shard, p, now, FailCause::ShardFailed);
+            actions.extend(eviction_action(loss, seq, shard));
         }
         actions
+    }
+
+    /// Decision point 5 (lifecycle evacuation): asks the engine which
+    /// eligible sibling takes work, parked runs, or shells off `from`.
+    fn evacuation_target(&self, from: usize, now: u64) -> Option<usize> {
+        let c = self.candidates(Some(from), None, None, now);
+        self.engine.evacuate(&c)
+    }
+
+    /// Re-homes one queue entry from `from` to `dest` — the entry itself
+    /// moves, never a copy. A woken run carries its suspended shell, so
+    /// its move is a migration and pays the hop like any other.
+    fn requeue(&mut self, mut q: Queued, from: usize, dest: usize, now: u64) -> LifecycleAction {
+        self.wasp.clock().tick(costs::VSCHED_QUEUE_OP);
+        if let Work::Resume(p) = &mut q.work {
+            self.migrate(p, from, dest);
+        }
+        let seq = q.ticket.seq;
+        self.shards[dest].enqueue_at(q, self.config.tick.get(), now);
+        if self.trace.enabled() {
+            self.tspan(seq, "reconcile", format!("requeue shard={dest}"), now, now);
+        }
+        LifecycleAction::RunRequeued {
+            seq,
+            from,
+            to: dest,
+        }
+    }
+
+    /// Accounts a suspended run (and the shell inside it) crossing
+    /// shards: one explicit transfer cost, priced by the hop it crosses
+    /// exactly like a clean-shell steal, counted on both ends.
+    fn migrate(&mut self, p: &mut Parked, from: usize, to: usize) {
+        self.wasp
+            .clock()
+            .tick(self.topology.transfer_cost(from, to));
+        p.progress.migrated = true;
+        self.stats.migrations += 1;
+        self.shards[from].stats.migrated_out += 1;
+        self.shards[to].stats.migrated_in += 1;
+    }
+
+    /// Detaches the parked run registered under `token` from shard
+    /// `idx`'s blocked set, the wait-token index, and the host object it
+    /// waits on (so a later readiness event wakes nobody).
+    fn unpark(&mut self, idx: usize, token: u64) -> Parked {
+        let p = self.shards[idx]
+            .blocked
+            .remove(&token)
+            .expect("token names a parked run");
+        self.parked_shard.remove(&token);
+        match p.target {
+            WaitTarget::Sock(sock) => self.wasp.kernel().net_clear_waiter(sock),
+            WaitTarget::ChanRecv(chan) | WaitTarget::ChanSend { chan, .. } => {
+                self.wasp.kernel().chan_clear_waiter(chan, token);
+            }
+        }
+        p
+    }
+
+    /// When lifecycle evicts a run of `tenant` that parked at
+    /// `blocked_from` on draining shard `idx`: the tenant's grace period
+    /// (else the configured default) past the later of the drain start
+    /// and the park.
+    fn grace_deadline(&self, idx: usize, tenant: TenantId, blocked_from: u64) -> u64 {
+        let grace = self.tenants[tenant.0]
+            .profile
+            .drain_grace
+            .unwrap_or(self.config.drain_grace)
+            .get();
+        self.shards[idx]
+            .drain_since
+            .max(blocked_from)
+            .saturating_add(grace)
     }
 
     /// One pass of the lifecycle reconciliation loop: for every
@@ -1465,7 +1474,6 @@ impl Dispatcher {
             return actions;
         }
         let now = self.last_arrival;
-        let tick = self.config.tick.get();
         for i in 0..self.shards.len() {
             if self.shards[i].state != ShardState::Draining {
                 continue;
@@ -1476,31 +1484,11 @@ impl Dispatcher {
             // leaves the remainder in place: a draining shard still
             // executes its own backlog (degraded mode beats losing it).
             while !self.shards[i].queue.is_empty() {
-                let c = self.candidates(Some(i), None, None, now);
-                let Some(dest) = self.engine.evacuate(&c) else {
+                let Some(dest) = self.evacuation_target(i, now) else {
                     break;
                 };
-                let mut q = self.shards[i].queue.pop().expect("checked non-empty");
-                self.wasp.clock().tick(costs::VSCHED_QUEUE_OP);
-                if let Some(p) = q.resume.as_deref_mut() {
-                    // A woken run carries its suspended shell: the move
-                    // is a migration and pays the hop like any other.
-                    self.wasp.clock().tick(self.topology.transfer_cost(i, dest));
-                    p.migrated = true;
-                    self.stats.migrations += 1;
-                    self.shards[i].stats.migrated_out += 1;
-                    self.shards[dest].stats.migrated_in += 1;
-                }
-                let seq = q.seq;
-                self.shards[dest].enqueue_at(q, tick, now);
-                if self.trace.enabled() {
-                    self.tspan(seq, "reconcile", format!("requeue shard={dest}"), now, now);
-                }
-                actions.push(LifecycleAction::RunRequeued {
-                    seq,
-                    from: i,
-                    to: dest,
-                });
+                let q = self.shards[i].queue.pop().expect("checked non-empty");
+                actions.push(self.requeue(q, i, dest, now));
             }
             if self.shards[i].queue.is_empty() {
                 self.shards[i].next_wake = u64::MAX;
@@ -1517,54 +1505,38 @@ impl Dispatcher {
                 let dest = if self.config.block == BlockMode::SpinPoll {
                     None
                 } else {
-                    let c = self.candidates(Some(i), None, None, now);
-                    self.engine.evacuate(&c)
+                    self.evacuation_target(i, now)
                 };
-                match dest {
+                let mut p = self.shards[i]
+                    .blocked
+                    .remove(&token)
+                    .expect("token enumerated from the blocked set");
+                let seq = p.ticket.seq;
+                let home = match dest {
                     Some(dest) => {
-                        let mut p = self.shards[i]
-                            .blocked
-                            .remove(&token)
-                            .expect("token enumerated from the blocked set");
-                        self.wasp.clock().tick(self.topology.transfer_cost(i, dest));
-                        p.migrated = true;
+                        self.migrate(&mut p, i, dest);
                         p.evict_at = u64::MAX;
-                        self.stats.migrations += 1;
-                        self.shards[i].stats.migrated_out += 1;
-                        self.shards[dest].stats.migrated_in += 1;
                         if self.trace.enabled() {
-                            self.tspan(p.seq, "reconcile", format!("park shard={dest}"), now, now);
+                            self.tspan(seq, "reconcile", format!("park shard={dest}"), now, now);
                         }
                         actions.push(LifecycleAction::ParkMigrated {
-                            seq: p.seq,
+                            seq,
                             from: i,
                             to: dest,
                         });
                         self.parked_shard.insert(token, dest);
-                        self.shards[dest].blocked.insert(token, p);
+                        dest
                     }
                     None => {
-                        let drain_since = self.shards[i].drain_since;
-                        let p = self.shards[i]
-                            .blocked
-                            .get_mut(&token)
-                            .expect("token enumerated from the blocked set");
-                        let grace = self.tenants[p.tenant.0]
-                            .profile
-                            .drain_grace
-                            .unwrap_or(self.config.drain_grace)
-                            .get();
-                        let at = drain_since.max(p.blocked_from).saturating_add(grace);
+                        let at = self.grace_deadline(i, p.ticket.tenant, p.blocked_from);
                         if p.evict_at != at {
                             p.evict_at = at;
-                            actions.push(LifecycleAction::EvictionArmed {
-                                seq: p.seq,
-                                shard: i,
-                                at,
-                            });
+                            actions.push(LifecycleAction::EvictionArmed { seq, shard: i, at });
                         }
+                        i
                     }
-                }
+                };
+                self.shards[home].blocked.insert(token, p);
             }
 
             // Pooled shells: warm exports keep their (tenant, virtine)
@@ -1572,8 +1544,7 @@ impl Dispatcher {
             // budgets and quotas are unchanged by the move; clean shells
             // just change pools. Each transfer pays its hop.
             while self.shards[i].pool.warm_shells() > 0 {
-                let c = self.candidates(Some(i), None, None, now);
-                let Some(dest) = self.engine.evacuate(&c) else {
+                let Some(dest) = self.evacuation_target(i, now) else {
                     break;
                 };
                 let Some(export) = self.shards[i].pool.export_warm_lru() else {
@@ -1584,8 +1555,7 @@ impl Dispatcher {
                 actions.push(LifecycleAction::WarmMigrated { from: i, to: dest });
             }
             while self.shards[i].pool.idle_shells() > 0 {
-                let c = self.candidates(Some(i), None, None, now);
-                let Some(dest) = self.engine.evacuate(&c) else {
+                let Some(dest) = self.evacuation_target(i, now) else {
                     break;
                 };
                 let Some(vm) = self.shards[i].pool.take_idle_any() else {
@@ -1743,20 +1713,10 @@ impl Dispatcher {
                 .filter_map(|(i, s)| s.next_timeout().map(|(at, token)| (at, i, token)))
                 .min()
                 .filter(|&(at, _, _)| at < limit);
-            let next_retry = self
-                .retry_heap
-                .peek()
-                .map(|&Reverse((at, seq))| (at, seq))
-                .filter(|&(at, _)| at < limit);
-            let next_hedge = self
-                .hedge_heap
-                .peek()
-                .map(|&Reverse((at, seq))| (at, seq))
-                .filter(|&(at, _)| at < limit);
+            let next_timer = self.open.next_timer().filter(|&(at, _)| at < limit);
             let candidates = [
                 next_timeout.map(|(at, _, _)| (at, 0u8)),
-                next_retry.map(|(at, _)| (at, 1u8)),
-                next_hedge.map(|(at, _)| (at, 2u8)),
+                next_timer.map(|(at, timer)| (at, 1 + timer as u8)),
                 next_batch.map(|(wake, _)| (wake, 3u8)),
             ];
             let Some(&(_, rank)) = candidates.iter().flatten().min() else {
@@ -1765,21 +1725,16 @@ impl Dispatcher {
             match rank {
                 0 => {
                     let (at, tidx, token) = next_timeout.expect("rank 0 came from next_timeout");
-                    self.kill_blocked(tidx, token, at);
+                    let p = self.unpark(tidx, token);
+                    self.expire_parked(tidx, p, at);
                 }
-                1 => {
-                    let Reverse((at, seq)) =
-                        self.retry_heap.pop().expect("rank 1 came from retry_heap");
-                    self.release_retry(seq, at);
-                }
-                2 => {
-                    let Reverse((at, seq)) =
-                        self.hedge_heap.pop().expect("rank 2 came from hedge_heap");
-                    self.fire_hedge(seq, at);
-                }
-                _ => {
+                3 => {
                     let (_, idx) = next_batch.expect("rank 3 came from next_batch");
                     self.run_batch_and_deliver(idx);
+                }
+                _ => {
+                    let (_, timer) = next_timer.expect("ranks 1 and 2 came from next_timer");
+                    self.fire_timer(timer);
                 }
             }
         }
@@ -1811,53 +1766,48 @@ impl Dispatcher {
         let clock = self.wasp.clock();
 
         for _ in 0..self.config.batch_size {
-            let Some(mut q) = self.shards[idx].queue.pop() else {
+            let Some(q) = self.shards[idx].queue.pop() else {
                 break;
             };
             clock.tick(costs::VSCHED_QUEUE_OP);
-            let logical = self.hedge_of.get(&q.seq).copied().unwrap_or(q.seq);
-            if self.open.get(&logical).is_some_and(|o| o.done) {
+            let ticket = q.ticket;
+            if self.open.is_moot(ticket.seq) {
                 // A hedge-race loser whose sibling copy already reached
                 // the terminal outcome: it never executes. A woken
                 // suspension aborts; its shell survives (the worker is
                 // alive) and returns to the pool wiped.
-                if let Some(p) = q.resume.take() {
-                    let (outcome, vm) = self.wasp.abort_suspended(p.run);
+                if let Work::Resume(p) = q.work {
+                    let (outcome, vm) = self.wasp.abort_suspended(*p.run);
                     debug_assert!(outcome.warm_state.is_none());
                     self.shards[idx].pool.release(vm);
                 }
-                self.lose_copy(q.seq, free, None);
-                self.tfinish(q.seq, "hedge:canceled", free);
+                self.copy_lost(ticket.seq, free, None, None);
                 continue;
             }
-            if q.resume.is_none() && q.deadline < free {
+            if ticket.deadline < free {
                 // Too late to start: shed in-queue (the request's deadline
-                // passed while it waited). Woken blocked runs are exempt —
-                // they hold a live shell that must run to completion or be
-                // killed explicitly, never silently dropped.
-                if self.lose_copy(q.seq, free, None) != CopyLoss::Terminal {
-                    // Another copy still carries the request.
-                    self.tfinish(q.seq, "hedge:canceled", free);
-                    continue;
+                // passed while it waited). Woken blocked runs are exempt
+                // (their queue ticket carries no deadline) — they hold a
+                // live shell that must run to completion or be killed
+                // explicitly, never silently dropped.
+                if self.copy_lost(ticket.seq, free, None, None) == CopyLoss::Terminal {
+                    let reason = ShedReason::DeadlineMissed;
+                    if self.trace.enabled() {
+                        self.tspan(
+                            ticket.seq,
+                            "queue_wait",
+                            String::new(),
+                            ticket.arrival,
+                            free,
+                        );
+                        self.tspan(ticket.seq, "shed", reason.label().to_string(), free, free);
+                    }
+                    let end = Terminal::Shed {
+                        reason,
+                        evict: None,
+                    };
+                    self.settle(&ticket, free, end);
                 }
-                let t = &mut self.tenants[q.tenant.0].stats;
-                t.shed_deadline += 1;
-                t.in_flight -= 1;
-                self.stats.shed_deadline += 1;
-                if let Some(slo) = &mut self.slo {
-                    slo.observe_shed(Cycles(free));
-                }
-                if self.trace.enabled() {
-                    self.tspan(q.seq, "queue_wait", String::new(), q.arrival, free);
-                    self.tspan(
-                        q.seq,
-                        "shed",
-                        ShedReason::DeadlineMissed.label().to_string(),
-                        free,
-                        free,
-                    );
-                }
-                self.tfinish(q.seq, "shed:deadline", free);
                 continue;
             }
             free = self.execute(idx, q, free);
@@ -1882,12 +1832,14 @@ impl Dispatcher {
     /// blocks in `recv` parks instead of completing; a woken parked run
     /// resumes at the suspended hypercall instead of acquiring a shell.
     fn execute(&mut self, idx: usize, q: Queued, free: u64) -> u64 {
-        if let Some(parked) = q.resume {
-            return self.execute_resume(idx, *parked, free);
-        }
+        let (args, invocation) = match q.work {
+            Work::Resume(parked) => return self.execute_resume(idx, parked, free),
+            Work::Fresh { args, invocation } => (args, invocation),
+        };
+        let ticket = q.ticket;
         let mem_size = *self
             .mem_sizes
-            .get(&q.virtine)
+            .get(&ticket.virtine)
             .expect("virtine registered via Dispatcher::register");
         let clock = self.wasp.clock();
         // Service spans acquire → run → release: a pool miss's
@@ -1909,7 +1861,7 @@ impl Dispatcher {
         //   5. demote-and-steal a sibling's warm shell (full wipe, same
         //      victim-tenant rule);
         //   6. KVM_CREATE_VM.
-        let key = (q.tenant.0 as u64, q.virtine.into_raw());
+        let key = (ticket.tenant.0 as u64, ticket.virtine.into_raw());
         let mut stolen = false;
         let (vm, source) = if let Some((vm, snap)) =
             self.shards[idx]
@@ -1947,7 +1899,6 @@ impl Dispatcher {
                 .acquire(self.wasp.hypervisor(), mem_size);
             (vm, ShellSource::Created)
         };
-        let reused = source.is_reused();
         let acquire = (clock.now() - t0).get();
         let src = self.trace.enabled().then_some(match &source {
             ShellSource::Warm(_) => "warm",
@@ -1956,70 +1907,33 @@ impl Dispatcher {
             ShellSource::Created => "cold_create",
         });
 
-        let mask = self.tenants[q.tenant.0].profile.mask;
+        let run = ShellRun {
+            vm,
+            source,
+            id: ticket.virtine,
+            args: &args,
+            invocation,
+            narrow: self.tenants[ticket.tenant.0].profile.mask,
+            resumable: true,
+        };
         let run = self
             .wasp
-            .run_on_shell_resumable(
-                vm,
-                source,
-                q.virtine,
-                &q.args,
-                q.invocation,
-                mask,
-                &mut |_, _, _, _| None,
-            )
+            .run_on_shell(run, &mut |_, _, _, _| None)
             .expect("dispatch invariants uphold spec and shell size");
         let segment = (clock.now() - t0).get();
         if let Some(src) = src {
-            self.tspan(q.seq, "queue_wait", String::new(), q.arrival, free);
-            self.tspan(
-                q.seq,
-                "shell_acquire",
-                src.to_string(),
-                free,
-                free + acquire,
-            );
-            self.tspan(q.seq, "exec", String::new(), free + acquire, free + segment);
+            let seq = ticket.seq;
+            self.tspan(seq, "queue_wait", String::new(), ticket.arrival, free);
+            self.tspan(seq, "shell_acquire", src.to_string(), free, free + acquire);
+            self.tspan(seq, "exec", String::new(), free + acquire, free + segment);
         }
-        match run {
-            RunResult::Done(outcome, vm) => self.complete(
-                idx,
-                ServeMeta {
-                    tenant: q.tenant,
-                    virtine: q.virtine,
-                    seq: q.seq,
-                    arrival: q.arrival,
-                    first_start: free,
-                    service_before: 0,
-                    stolen,
-                    reused,
-                    migrated: false,
-                },
-                outcome,
-                vm,
-                free,
-                segment,
-            ),
-            RunResult::Blocked(s) => self.park_suspended(
-                idx,
-                Parked {
-                    target: s.wait().target(),
-                    run: s,
-                    tenant: q.tenant,
-                    virtine: q.virtine,
-                    seq: q.seq,
-                    priority: q.priority,
-                    arrival: q.arrival,
-                    first_start: free,
-                    service_so_far: segment,
-                    stolen,
-                    migrated: false,
-                    blocked_from: free + segment,
-                    timeout_at: 0,      // Filled in by park_suspended.
-                    evict_at: u64::MAX, // Likewise.
-                },
-            ),
-        }
+        let progress = Progress {
+            first_start: free,
+            service_so_far: segment,
+            stolen,
+            migrated: false,
+        };
+        self.segment_ended(idx, ticket, progress, run, free + segment)
     }
 
     /// Resumes a woken parked run on its shard; returns the new worker
@@ -2030,79 +1944,77 @@ impl Dispatcher {
         let t0 = clock.now();
         let run = self
             .wasp
-            .resume_on_shell(p.run, &mut |_, _, _, _| None)
+            .resume_on_shell(*p.run, &mut |_, _, _, _| None)
             .expect("suspended runs carry a registered virtine");
         let segment = (clock.now() - t0).get();
         if self.trace.enabled() {
-            self.tspan(p.seq, "exec", "resumed".to_string(), free, free + segment);
+            let detail = "resumed".to_string();
+            self.tspan(p.ticket.seq, "exec", detail, free, free + segment);
         }
+        let progress = Progress {
+            service_so_far: p.progress.service_so_far + segment,
+            ..p.progress
+        };
+        self.segment_ended(idx, p.ticket, progress, run, free + segment)
+    }
+
+    /// Routes a run whose execution segment ended at worker position `at`:
+    /// to its completion, or back to the parked set when it blocked —
+    /// possibly on a *different* object than last time (a pipeline stage
+    /// parks on its input channel, then on its output's backpressure).
+    fn segment_ended(
+        &mut self,
+        idx: usize,
+        ticket: Ticket,
+        progress: Progress,
+        run: RunResult,
+        at: u64,
+    ) -> u64 {
         match run {
-            RunResult::Done(outcome, vm) => self.complete(
-                idx,
-                ServeMeta {
-                    tenant: p.tenant,
-                    virtine: p.virtine,
-                    seq: p.seq,
-                    arrival: p.arrival,
-                    first_start: p.first_start,
-                    service_before: p.service_so_far,
-                    stolen: p.stolen,
-                    reused: outcome.breakdown.reused_shell,
-                    migrated: p.migrated,
-                },
-                outcome,
-                vm,
-                free,
-                segment,
-            ),
-            // Blocked again — possibly on a *different* object than last
-            // time (a pipeline stage parks on its input channel, then on
-            // its output's backpressure): re-read the wait target.
-            RunResult::Blocked(s) => self.park_suspended(
-                idx,
-                Parked {
-                    target: s.wait().target(),
-                    run: s,
-                    service_so_far: p.service_so_far + segment,
-                    blocked_from: free + segment,
-                    timeout_at: 0, // Filled in by park_suspended.
-                    ..p
-                },
-            ),
+            RunResult::Done(outcome, vm) => self.complete(idx, &ticket, progress, outcome, vm, at),
+            RunResult::Blocked(s) => self.park_suspended(idx, s, ticket, progress, at),
         }
     }
 
-    /// Parks a suspended run on shard `idx` and registers its wake-up.
-    /// Returns the worker's new timeline position (the block instant: the
-    /// worker is given back in event-driven mode; in spin-poll mode the
-    /// shard's `spinning` gate holds further batches until the wake).
-    fn park_suspended(&mut self, idx: usize, mut p: Parked) -> u64 {
+    /// Parks a run that suspended at worker position `blocked_from` on
+    /// shard `idx` and registers its wake-up. Returns the worker's new
+    /// timeline position (the block instant: the worker is given back in
+    /// event-driven mode; in spin-poll mode the shard's `spinning` gate
+    /// holds further batches until the wake).
+    fn park_suspended(
+        &mut self,
+        idx: usize,
+        run: SuspendedRun,
+        ticket: Ticket,
+        progress: Progress,
+        blocked_from: u64,
+    ) -> u64 {
         let token = self.next_token;
         self.next_token += 1;
-        p.timeout_at = match self.tenants[p.tenant.0].profile.max_block {
-            Some(max) => p.blocked_from.saturating_add(max.get()),
-            None => u64::MAX,
-        };
-        // Parking on a draining shard arms the grace clock immediately;
-        // the next reconcile pass may still migrate the run out (and
-        // disarm it) before the clock fires.
-        p.evict_at = if self.shards[idx].state == ShardState::Draining {
-            let grace = self.tenants[p.tenant.0]
-                .profile
-                .drain_grace
-                .unwrap_or(self.config.drain_grace)
-                .get();
-            self.shards[idx]
-                .drain_since
-                .max(p.blocked_from)
-                .saturating_add(grace)
-        } else {
-            u64::MAX
+        let target = run.wait().target();
+        let p = Parked {
+            run: Box::new(run),
+            ticket,
+            progress,
+            blocked_from,
+            timeout_at: match self.tenants[ticket.tenant.0].profile.max_block {
+                Some(max) => blocked_from.saturating_add(max.get()),
+                None => u64::MAX,
+            },
+            // Parking on a draining shard arms the grace clock
+            // immediately; the next reconcile pass may still migrate the
+            // run out (and disarm it) before the clock fires.
+            evict_at: if self.shards[idx].state == ShardState::Draining {
+                self.grace_deadline(idx, ticket.tenant, blocked_from)
+            } else {
+                u64::MAX
+            },
+            target,
         };
         // Registration is race-free: an object that became ready between
         // the block decision and this call wakes immediately.
         let kernel = self.wasp.kernel();
-        match p.target {
+        match target {
             WaitTarget::Sock(sock) => kernel
                 .net_register_waiter(sock, token)
                 .expect("a parked run's connection outlives the park"),
@@ -2113,9 +2025,7 @@ impl Dispatcher {
                 .chan_register_send_waiter(chan, token, len)
                 .expect("a parked run's channel outlives the park"),
         }
-        let blocked_from = p.blocked_from;
-        let tstats = &mut self.tenants[p.tenant.0].stats;
-        tstats.blocked += 1;
+        self.tenants[ticket.tenant.0].stats.blocked += 1;
         self.stats.blocked += 1;
         self.shards[idx].stats.blocked += 1;
         if self.config.block == BlockMode::SpinPoll {
@@ -2147,19 +2057,18 @@ impl Dispatcher {
             let Some(mut p) = self.shards[idx].blocked.remove(&token) else {
                 continue;
             };
+            let seq = p.ticket.seq;
             let wake = stamp.max(p.blocked_from);
-            let logical = self.hedge_of.get(&p.seq).copied().unwrap_or(p.seq);
-            if self.open.get(&logical).is_some_and(|o| o.done) {
+            if self.open.is_moot(seq) {
                 // A parked hedge-race loser: its sibling copy finished
                 // while it waited. Abort the suspension instead of
                 // resuming it — the wake's bytes stay with the winner's
                 // accounting.
                 self.settle_spin(idx, p.blocked_from, wake);
-                let (outcome, vm) = self.wasp.abort_suspended(p.run);
+                let (outcome, vm) = self.wasp.abort_suspended(*p.run);
                 debug_assert!(outcome.warm_state.is_none());
                 self.shards[idx].pool.release(vm);
-                self.lose_copy(p.seq, wake, None);
-                self.tfinish(p.seq, "hedge:canceled", wake);
+                self.copy_lost(seq, wake, None, None);
                 continue;
             }
             let bound = p.timeout_at.min(p.evict_at);
@@ -2170,11 +2079,7 @@ impl Dispatcher {
                 // the budget is a hard ceiling, not a race against late
                 // bytes. (A wake exactly at the bound still resumes,
                 // matching advance_to's strict `at < limit`.)
-                if p.evict_at < p.timeout_at {
-                    self.evict_parked(idx, p, bound, FailCause::GraceExpired);
-                } else {
-                    self.kill_parked(idx, p, bound);
-                }
+                self.expire_parked(idx, p, bound);
                 continue;
             }
             self.settle_spin(idx, p.blocked_from, wake);
@@ -2182,52 +2087,28 @@ impl Dispatcher {
             self.stats.resumed += 1;
             self.wasp.clock().tick(costs::VSCHED_QUEUE_OP);
             if self.trace.enabled() {
-                self.tspan(
-                    p.seq,
-                    "park",
-                    format!("{:?}", p.target),
-                    p.blocked_from,
-                    wake,
-                );
+                self.tspan(seq, "park", format!("{:?}", p.target), p.blocked_from, wake);
             }
             let dest = self.resume_shard(idx, wake);
             if dest != idx {
-                // The run (and the shell inside it) crosses shards: one
-                // explicit transfer cost, priced by the hop it crosses
-                // exactly like a clean-shell steal.
-                self.wasp
-                    .clock()
-                    .tick(self.topology.transfer_cost(idx, dest));
-                p.migrated = true;
-                self.stats.migrations += 1;
-                self.shards[idx].stats.migrated_out += 1;
-                self.shards[dest].stats.migrated_in += 1;
+                self.migrate(&mut p, idx, dest);
                 if self.trace.enabled() {
-                    self.tspan(
-                        p.seq,
-                        "migrate",
-                        format!("hop={:?}", self.topology.hop(idx, dest)),
-                        wake,
-                        wake,
-                    );
+                    let hop = format!("hop={:?}", self.topology.hop(idx, dest));
+                    self.tspan(seq, "migrate", hop, wake, wake);
                 }
             }
             if self.trace.enabled() {
-                self.tspan(p.seq, "resume", format!("shard={dest}"), wake, wake);
+                self.tspan(seq, "resume", format!("shard={dest}"), wake, wake);
             }
             let q = Queued {
                 front: true,
-                priority: p.priority,
                 // Exempt from in-queue deadline shedding: a woken run
                 // holds a live shell and must complete or be killed.
-                deadline: u64::MAX,
-                seq: p.seq,
-                tenant: p.tenant,
-                virtine: p.virtine,
-                args: Vec::new(),
-                invocation: Invocation::default(),
-                arrival: p.arrival,
-                resume: Some(Box::new(p)),
+                ticket: Ticket {
+                    deadline: u64::MAX,
+                    ..p.ticket
+                },
+                work: Work::Resume(p),
             };
             self.shards[dest].enqueue_at(q, tick, wake);
         }
@@ -2241,10 +2122,12 @@ impl Dispatcher {
     /// clamped to `wake`: a `free_at` in the past means "free now", not
     /// "freer than the other idle shard". A resume needs no shell acquire
     /// — the shell rides inside the suspension — so warm-list affinity is
-    /// irrelevant. Pinned home when migration is disabled or under
-    /// [`BlockMode::SpinPoll`] (the home worker *is* the wait there).
+    /// irrelevant, the move is as isolation-safe as a shell steal, and a
+    /// saturated home shard cannot hold a runnable virtine hostage.
+    /// Pinned home under [`BlockMode::SpinPoll`] (the home worker *is*
+    /// the wait there).
     fn resume_shard(&self, home: usize, wake: u64) -> usize {
-        if !self.config.migrate_on_resume || self.config.block == BlockMode::SpinPoll {
+        if self.config.block == BlockMode::SpinPoll {
             return home;
         }
         let c = self.candidates(Some(home), None, None, wake);
@@ -2265,22 +2148,11 @@ impl Dispatcher {
         }
     }
 
-    /// Kills or evicts the parked run registered under `token`: whichever
-    /// of its `max_block` bound and lifecycle grace clock expired first
-    /// fired at timeline position `at` with no wake in sight (ties go to
-    /// the `max_block` kill, preserving pre-lifecycle behavior exactly).
-    fn kill_blocked(&mut self, idx: usize, token: u64, at: u64) {
-        let p = self.shards[idx]
-            .blocked
-            .remove(&token)
-            .expect("timeout points at a parked run");
-        self.parked_shard.remove(&token);
-        match p.target {
-            WaitTarget::Sock(sock) => self.wasp.kernel().net_clear_waiter(sock),
-            WaitTarget::ChanRecv(chan) | WaitTarget::ChanSend { chan, .. } => {
-                self.wasp.kernel().chan_clear_waiter(chan, token);
-            }
-        }
+    /// Ends a detached parked run whose bound expired at `at`: evicted
+    /// when the lifecycle grace clock fired first, killed at the tenant's
+    /// `max_block` otherwise (ties go to the kill, preserving
+    /// pre-lifecycle behavior exactly).
+    fn expire_parked(&mut self, idx: usize, p: Parked, at: u64) {
         if p.evict_at < p.timeout_at {
             self.evict_parked(idx, p, at, FailCause::GraceExpired);
         } else {
@@ -2288,76 +2160,88 @@ impl Dispatcher {
         }
     }
 
+    /// Reports one copy of a request gone without finishing — destroyed
+    /// with its shard, shed at its deadline, evicted, or a hedge-race
+    /// loser surfacing — to the exactly-once table, and does the
+    /// bookkeeping every such site owes: the span of the retry the table
+    /// may have scheduled, the `park` span of a copy that was `parked`
+    /// (target, since when), and the end of the copy's own trace when no
+    /// shed will close it — a suppressed copy's always, a retried hedge
+    /// duplicate's too (the retry continues under the logical trace).
+    /// Only on [`CopyLoss::Terminal`] does the caller's shed proceed.
+    fn copy_lost(
+        &mut self,
+        seq: u64,
+        at: u64,
+        retry: Option<RetryCause>,
+        parked: Option<(WaitTarget, u64)>,
+    ) -> CopyLoss {
+        let loss = self
+            .open
+            .lose_copy(seq, at, retry, &mut self.tenants, &mut self.stats);
+        if self.trace.enabled() {
+            if let CopyLoss::Retried(r) = loss {
+                let detail = format!("attempt={} cause=shard_failed_{}", r.attempt, r.cause);
+                self.tspan(r.logical, "retry", detail, at, r.release_at);
+            }
+            if let Some((target, from)) = parked {
+                self.tspan(seq, "park", format!("{target:?}"), from, at);
+            }
+        }
+        match loss {
+            CopyLoss::Suppressed => self.tfinish(seq, "hedge:canceled", at),
+            // Only a hedge duplicate's number differs from its request's.
+            CopyLoss::Retried(r) if r.logical != seq => self.tfinish(seq, "hedge:canceled", at),
+            _ => {}
+        }
+        loss
+    }
+
     /// Hard-stops a parked run on behalf of shard lifecycle: the run is
     /// aborted, its shell wiped back into the (draining) shard's pool —
     /// or destroyed outright when the shard failed, taking the hardware
     /// context with it — and the request is shed with
     /// [`ShedReason::Evicted`]. Unlike [`Dispatcher::kill_parked`] this
-    /// is a *shed*, not an abnormal serve: no completion is recorded and
-    /// the conservation identity stays `submitted == served + shed`. The
+    /// is a *shed*, not an abnormal serve: no completion is recorded. The
     /// caller has already detached the run from the blocked set and
     /// wait-token index.
     fn evict_parked(&mut self, idx: usize, p: Parked, at: u64, cause: FailCause) -> CopyLoss {
         let at = at.max(p.blocked_from);
         self.settle_spin(idx, p.blocked_from, at);
-        let (outcome, vm) = self.wasp.abort_suspended(p.run);
+        let (outcome, vm) = self.wasp.abort_suspended(*p.run);
         debug_assert!(outcome.warm_state.is_none());
-        match cause {
-            // Draining: the worker is alive, the shell survives its run —
-            // the ordinary wiped release, then the next reconcile pass
-            // evacuates it like any other idle shell.
-            FailCause::GraceExpired => self.shards[idx].pool.release(vm),
-            // Failed: the context died with the shard.
-            FailCause::ShardFailed => self.shards[idx].pool.drop_shell(vm),
-        }
         // Shard failure is the retryable loss: the suspension died
         // through no fault of the request. A drain-grace expiry is a
         // policy decision against this very run — retrying it would
         // reverse the operator.
         let retry = match cause {
-            FailCause::ShardFailed => Some(RetryCause::Parked),
-            FailCause::GraceExpired => None,
+            // Draining: the worker is alive, the shell survives its run —
+            // the ordinary wiped release, then the next reconcile pass
+            // evacuates it like any other idle shell.
+            FailCause::GraceExpired => {
+                self.shards[idx].pool.release(vm);
+                None
+            }
+            // Failed: the context died with the shard.
+            FailCause::ShardFailed => {
+                self.shards[idx].pool.drop_shell(vm);
+                Some(RetryCause::Parked)
+            }
         };
-        let was_hedge_copy = self.hedge_of.contains_key(&p.seq);
-        match self.lose_copy(p.seq, at, retry) {
-            CopyLoss::Suppressed => {
-                if self.trace.enabled() {
-                    self.tspan(p.seq, "park", format!("{:?}", p.target), p.blocked_from, at);
-                }
-                self.tfinish(p.seq, "hedge:canceled", at);
-                return CopyLoss::Suppressed;
+        let seq = p.ticket.seq;
+        let loss = self.copy_lost(seq, at, retry, Some((p.target, p.blocked_from)));
+        if loss == CopyLoss::Terminal {
+            self.stats.blocked_cycles += outcome.breakdown.blocked.get();
+            if self.trace.enabled() {
+                self.tspan(seq, "drain_evict", cause.label().to_string(), at, at);
             }
-            CopyLoss::Retried => {
-                if self.trace.enabled() {
-                    self.tspan(p.seq, "park", format!("{:?}", p.target), p.blocked_from, at);
-                }
-                if was_hedge_copy {
-                    // The retry continues under the logical trace; this
-                    // duplicate's own trace closes here.
-                    self.tfinish(p.seq, "hedge:canceled", at);
-                }
-                return CopyLoss::Retried;
-            }
-            CopyLoss::Terminal => {}
+            let end = Terminal::Shed {
+                reason: ShedReason::Evicted,
+                evict: Some(cause),
+            };
+            self.settle(&p.ticket, at, end);
         }
-        let tstats = &mut self.tenants[p.tenant.0].stats;
-        tstats.shed_evicted += 1;
-        tstats.in_flight -= 1;
-        self.stats.shed_evicted += 1;
-        match cause {
-            FailCause::GraceExpired => self.stats.evicted_grace += 1,
-            FailCause::ShardFailed => self.stats.evicted_failed += 1,
-        }
-        self.stats.blocked_cycles += outcome.breakdown.blocked.get();
-        if let Some(slo) = &mut self.slo {
-            slo.observe_shed(Cycles(at));
-        }
-        if self.trace.enabled() {
-            self.tspan(p.seq, "park", format!("{:?}", p.target), p.blocked_from, at);
-            self.tspan(p.seq, "drain_evict", cause.label().to_string(), at, at);
-        }
-        self.tfinish(p.seq, "shed:evicted", at);
-        CopyLoss::Terminal
+        loss
     }
 
     /// Kills a parked run whose tenant `max_block` expired at timeline
@@ -2367,89 +2251,57 @@ impl Dispatcher {
     /// run from the blocked set and wait-token index.
     fn kill_parked(&mut self, idx: usize, p: Parked, at: u64) {
         self.settle_spin(idx, p.blocked_from, at);
-        let (outcome, vm) = self.wasp.abort_suspended(p.run);
+        let (outcome, vm) = self.wasp.abort_suspended(*p.run);
         debug_assert!(outcome.warm_state.is_none());
         // The shell still holds the killed invocation's state: the
         // ordinary wiped release (§5.2) erases it before any reuse.
         self.shards[idx].pool.release(vm);
-        let logical = match self.finish_copy(p.seq) {
-            CopyFinish::Won { logical } => logical,
-            CopyFinish::Loser => {
-                // The race was already decided elsewhere: suppress the
-                // kill's accounting entirely.
-                self.tfinish(p.seq, "hedge:canceled", at);
-                return;
-            }
+        let seq = p.ticket.seq;
+        let CopyFinish::Won { logical } = self.open.finish_copy(seq, &mut self.stats) else {
+            // The race was already decided elsewhere: suppress the
+            // kill's accounting entirely.
+            self.tfinish(seq, "hedge:canceled", at);
+            return;
         };
-        let tstats = &mut self.tenants[p.tenant.0].stats;
-        tstats.blocked_timeout += 1;
-        tstats.abnormal += 1;
-        tstats.served += 1;
-        tstats.in_flight -= 1;
+        self.tenants[p.ticket.tenant.0].stats.blocked_timeout += 1;
         self.stats.blocked_timeout += 1;
-        self.stats.served += 1;
-        self.stats.blocked_cycles += outcome.breakdown.blocked.get();
         self.shards[idx].stats.blocked_timeout += 1;
-        self.shards[idx].stats.served += 1;
-        let e2e = at - p.arrival;
-        self.hist_queue_wait.record(p.first_start - p.arrival);
-        self.hist_exec.record(p.service_so_far);
-        self.hist_e2e.record(e2e);
-        self.tenants[p.tenant.0].e2e.record(e2e);
-        if let Some(slo) = &mut self.slo {
-            slo.observe_served(Cycles(at), Cycles(e2e));
-        }
         if self.trace.enabled() {
-            self.tspan(p.seq, "park", format!("{:?}", p.target), p.blocked_from, at);
+            self.tspan(seq, "park", format!("{:?}", p.target), p.blocked_from, at);
         }
-        self.tfinish(p.seq, "timeout", at);
-        self.completions.push(Completion {
-            tenant: p.tenant,
-            virtine: p.virtine,
-            seq: logical,
+        let end = Terminal::Served {
+            logical,
             shard: idx,
-            arrival: secs(p.arrival),
-            start: secs(p.first_start),
-            finish: secs(at),
-            service: secs(p.service_so_far),
-            reused_shell: outcome.breakdown.reused_shell,
-            stolen_shell: p.stolen,
-            warm_hit: outcome.breakdown.warm_hit,
-            exit_normal: false,
-            resumes: outcome.breakdown.resumes,
-            migrated: p.migrated,
-            exec_cycles: outcome.breakdown.total.get(),
+            progress: p.progress,
+            breakdown: outcome.breakdown,
+            exit: outcome.exit,
             result: outcome.invocation.result,
-        });
+        };
+        self.settle(&p.ticket, at, end);
     }
 
-    /// Shared completion epilogue for fresh and resumed serves: releases
-    /// the shell (warm when permitted), updates the stats surfaces and the
-    /// admission cost estimate, and records the [`Completion`]. Returns
-    /// the worker's new timeline position.
-    #[allow(clippy::too_many_arguments)]
+    /// Completion epilogue for a run — fresh or resumed — whose last
+    /// segment ended at worker position `finish`: releases the shell (warm
+    /// when permitted), updates the admission cost estimate, and settles
+    /// the request as served. Returns the worker's new timeline position.
     fn complete(
         &mut self,
         idx: usize,
-        meta: ServeMeta,
+        ticket: &Ticket,
+        progress: Progress,
         outcome: RunOutcome,
         vm: kvmsim::VmFd,
-        free: u64,
-        segment: u64,
+        finish: u64,
     ) -> u64 {
-        let key = (meta.tenant.0 as u64, meta.virtine.into_raw());
-        let finish_at = free + segment;
-        let logical = match self.finish_copy(meta.seq) {
-            CopyFinish::Won { logical } => logical,
-            CopyFinish::Loser => {
-                // This copy lost the hedge race: the logical request was
-                // already served (or shed) by a sibling copy. Wipe the
-                // shell back into the pool and suppress every stat — one
-                // logical request, one terminal outcome.
-                self.shards[idx].pool.release(vm);
-                self.tfinish(meta.seq, "hedge:canceled", finish_at);
-                return finish_at;
-            }
+        let key = (ticket.tenant.0 as u64, ticket.virtine.into_raw());
+        let CopyFinish::Won { logical } = self.open.finish_copy(ticket.seq, &mut self.stats) else {
+            // This copy lost the hedge race: the logical request was
+            // already served (or shed) by a sibling copy. Wipe the
+            // shell back into the pool and suppress every stat — one
+            // logical request, one terminal outcome.
+            self.shards[idx].pool.release(vm);
+            self.tfinish(ticket.seq, "hedge:canceled", finish);
+            return finish;
         };
         // Release: park warm (state still derives from the spec's current
         // snapshot, dirty log intact) or wipe clean. Warm parks go
@@ -2499,364 +2351,59 @@ impl Dispatcher {
             }
             None => self.shards[idx].pool.release(vm),
         }
-        let warm_hit = outcome.breakdown.warm_hit;
-        let service = meta.service_before + segment;
-        let finish = free + segment;
 
+        let service = progress.service_so_far;
         self.avg_service = if self.avg_service == 0 {
             service
         } else {
             (7 * self.avg_service + service) / 8
         };
-
-        let tstats = &mut self.tenants[meta.tenant.0].stats;
-        tstats.served += 1;
-        tstats.in_flight -= 1;
-        if meta.stolen {
-            tstats.stolen_serves += 1;
-        }
-        if warm_hit {
-            // Counted from the outcome, not the acquire: a stale warm
-            // shell (snapshot invalidated while parked) is wiped by the
-            // runtime and serves a full restore, which is not a hit.
-            tstats.warm_serves += 1;
-            self.stats.warm_hits += 1;
-            self.shards[idx].stats.warm_hits += 1;
-        }
-        if !outcome.exit.is_normal() {
-            tstats.abnormal += 1;
-        }
-        self.stats.served += 1;
-        self.stats.blocked_cycles += outcome.breakdown.blocked.get();
-        self.shards[idx].stats.served += 1;
-        let e2e = finish - meta.arrival;
-        self.hist_queue_wait.record(meta.first_start - meta.arrival);
-        self.hist_exec.record(service);
-        self.hist_e2e.record(e2e);
-        self.tenants[meta.tenant.0].e2e.record(e2e);
-        if let Some(slo) = &mut self.slo {
-            slo.observe_served(Cycles(finish), Cycles(e2e));
-        }
         if self.trace.enabled() {
-            let detail = if warm_hit {
+            let detail = if outcome.breakdown.warm_hit {
                 format!("warm_delta={}", outcome.breakdown.delta_pages)
             } else {
                 String::new()
             };
-            self.tspan(meta.seq, "complete", detail, finish, finish);
+            self.tspan(ticket.seq, "complete", detail, finish, finish);
         }
-        self.tfinish(
-            meta.seq,
-            if outcome.exit.is_normal() {
-                "completed"
-            } else {
-                "abnormal"
-            },
-            finish,
-        );
-        self.completions.push(Completion {
-            tenant: meta.tenant,
-            virtine: meta.virtine,
-            seq: logical,
+        let end = Terminal::Served {
+            logical,
             shard: idx,
-            arrival: secs(meta.arrival),
-            start: secs(meta.first_start),
-            finish: secs(finish),
-            service: secs(service),
-            reused_shell: meta.reused,
-            stolen_shell: meta.stolen,
-            warm_hit,
-            exit_normal: outcome.exit.is_normal(),
-            resumes: outcome.breakdown.resumes,
-            migrated: meta.migrated,
-            exec_cycles: outcome.breakdown.total.get(),
+            progress,
+            breakdown: outcome.breakdown,
+            exit: outcome.exit,
             result: outcome.invocation.result,
-        });
+        };
+        self.settle(ticket, finish, end);
         finish
     }
 
-    /// Records the destruction of one copy of a request (shard failure,
-    /// deadline, or cancellation at `now`) against the open-request
-    /// tracker, and decides what the caller must do:
-    ///
-    /// - [`CopyLoss::Suppressed`]: the logical request is already done,
-    ///   or another copy is still live (or a retry is pending) — the
-    ///   caller records nothing terminal.
-    /// - [`CopyLoss::Retried`]: this was the last live copy and an
-    ///   exactly-once retry was scheduled (`retry` names the cause) —
-    ///   the caller records nothing terminal; the in-flight slot rides
-    ///   through the backoff as `retried_in_flight`.
-    /// - [`CopyLoss::Terminal`]: the caller's ordinary shed accounting
-    ///   proceeds. Untracked requests (no retry/hedge policy) always
-    ///   land here.
-    fn lose_copy(&mut self, copy_seq: u64, now: u64, retry: Option<RetryCause>) -> CopyLoss {
-        let logical = self.hedge_of.remove(&copy_seq).unwrap_or(copy_seq);
-        if !self.open.contains_key(&logical) {
-            return CopyLoss::Terminal;
-        }
-        {
-            let o = self.open.get_mut(&logical).expect("checked above");
-            o.copies = o.copies.saturating_sub(1);
-            if o.done {
-                // A loser of an already-decided race.
-                self.stats.hedges_canceled += 1;
-                let o = self.open.get(&logical).expect("still present");
-                if o.copies == 0 && !o.pending_retry {
-                    self.open.remove(&logical);
-                }
-                return CopyLoss::Suppressed;
-            }
-            if o.copies > 0 || o.pending_retry {
-                // A surviving copy (or a pending retry) still carries
-                // the request.
-                return CopyLoss::Suppressed;
-            }
-        }
-        if let Some(cause) = retry {
-            if self.try_schedule_retry(logical, now, cause) {
-                return CopyLoss::Retried;
-            }
-        }
-        // Last copy, no retry: the request's fate is the caller's shed.
-        self.open.remove(&logical);
-        CopyLoss::Terminal
-    }
-
-    /// Records a finished execution (completion or `max_block` kill) of
-    /// one copy against the open-request tracker. The first terminal
-    /// outcome wins and is recorded under the *logical* sequence number;
-    /// every later copy is a [`CopyFinish::Loser`] the caller must
-    /// suppress entirely.
-    fn finish_copy(&mut self, copy_seq: u64) -> CopyFinish {
-        let logical = self.hedge_of.remove(&copy_seq).unwrap_or(copy_seq);
-        let Some(o) = self.open.get_mut(&logical) else {
-            return CopyFinish::Won { logical };
-        };
-        o.copies = o.copies.saturating_sub(1);
-        if o.done {
-            self.stats.hedges_canceled += 1;
-            let o = self.open.get(&logical).expect("still present");
-            if o.copies == 0 && !o.pending_retry {
-                self.open.remove(&logical);
-            }
-            return CopyFinish::Loser;
-        }
-        o.done = true;
-        if copy_seq != logical {
-            self.stats.hedges_won += 1;
-        }
-        let o = self.open.get(&logical).expect("still present");
-        if o.copies == 0 && !o.pending_retry {
-            self.open.remove(&logical);
-        }
-        CopyFinish::Won { logical }
-    }
-
-    /// Attempts to schedule an exactly-once re-submission of `logical`
-    /// after it lost its last live copy to a shard failure at `now`.
-    /// Returns whether a retry was scheduled; refusals (no policy,
-    /// attempts exhausted, retry budget empty) leave the caller to shed.
-    /// The release instant is `now + backoff × 2^(attempt−1)`, jittered
-    /// by the dispatcher's deterministic stream so synchronized losses
-    /// do not re-converge into a thundering herd.
-    fn try_schedule_retry(&mut self, logical: u64, now: u64, cause: RetryCause) -> bool {
-        let (tenant, attempt) = {
-            let o = self.open.get(&logical).expect("caller verified the entry");
-            (o.tenant, o.attempt)
-        };
-        let Some(policy) = self.tenants[tenant.0].profile.retry else {
-            return false;
-        };
-        if attempt + 1 >= policy.max_attempts {
-            return false;
-        }
-        {
-            let bucket = self.tenants[tenant.0]
-                .retry_bucket
-                .as_mut()
-                .expect("a retry policy always builds a budget bucket");
-            if !bucket.can_admit(Cycles(now), 1.0) {
-                return false;
-            }
-            bucket.take(1.0);
-        }
-        let base = policy.backoff.get() as f64 * 2f64.powi(attempt as i32);
-        let factor = if policy.jitter_frac > 0.0 {
-            self.retry_rng
-                .range_f64(1.0 - policy.jitter_frac, 1.0 + policy.jitter_frac)
-        } else {
-            1.0
-        };
-        let at = now.saturating_add((base * factor) as u64);
-        {
-            let o = self
-                .open
-                .get_mut(&logical)
-                .expect("caller verified the entry");
-            o.attempt += 1;
-            o.pending_retry = true;
-        }
-        self.retry_heap.push(Reverse((at, logical)));
-        let tstats = &mut self.tenants[tenant.0].stats;
-        tstats.retries += 1;
-        tstats.retried_in_flight += 1;
-        self.stats.retried_in_flight += 1;
-        match cause {
-            RetryCause::Queued => self.stats.retries_queued += 1,
-            RetryCause::Parked => self.stats.retries_parked += 1,
-        }
-        if self.trace.enabled() {
-            self.tspan(
-                logical,
-                "retry",
-                format!(
-                    "attempt={} cause=shard_failed_{}",
-                    attempt + 1,
-                    match cause {
-                        RetryCause::Queued => "queued",
-                        RetryCause::Parked => "parked",
-                    }
-                ),
-                now,
-                at,
-            );
-        }
-        true
-    }
-
-    /// Releases a pending retry at its backoff instant: re-places the
-    /// request through ordinary admission placement and enqueues a fresh
-    /// copy rebuilt from the pristine submit-time inputs, under the
-    /// original sequence number, arrival, and deadline. A retry whose
-    /// request finished while it waited (a hedge copy won the race) is
-    /// silently dropped.
-    fn release_retry(&mut self, logical: u64, at: u64) {
-        let Some(o) = self.open.get_mut(&logical) else {
+    /// Fires the table's earliest `timer` — a retry's backoff release or
+    /// an armed hedge — and, when the request still wants the copy,
+    /// places it through ordinary admission placement and queues it.
+    fn fire_timer(&mut self, timer: Timer) {
+        let fired = self
+            .open
+            .fire(timer, &mut self.seq, &mut self.tenants, &mut self.stats);
+        let Some((at, respawn)) = fired else {
             return;
         };
-        if !o.pending_retry {
+        let (logical, ticket) = (respawn.logical, respawn.ticket);
+        let shard = self.place(ticket.tenant, ticket.virtine);
+        self.enqueue_fresh(shard, ticket, respawn.args, respawn.invocation, at);
+        if !self.trace.enabled() {
             return;
         }
-        o.pending_retry = false;
-        let tenant = o.tenant;
-        if o.done {
-            // Decided while the retry waited out its backoff.
-            let gone = o.copies == 0;
-            if gone {
-                self.open.remove(&logical);
-            }
-            self.tenants[tenant.0].stats.retried_in_flight -= 1;
-            self.stats.retried_in_flight -= 1;
-            return;
-        }
-        o.copies += 1;
-        let virtine = o.virtine;
-        let priority = o.priority;
-        let deadline = o.deadline;
-        let arrival = o.arrival;
-        let args = o.args.clone();
-        let invocation = o.invocation.respawn();
-        self.tenants[tenant.0].stats.retried_in_flight -= 1;
-        self.stats.retried_in_flight -= 1;
-        let shard = self.place(tenant, virtine);
-        self.wasp.clock().tick(costs::VSCHED_QUEUE_OP);
-        self.shards[shard].enqueue_at(
-            Queued {
-                front: false,
-                priority,
-                deadline,
-                seq: logical,
-                tenant,
-                virtine,
-                args,
-                invocation,
-                arrival,
-                resume: None,
-            },
-            self.config.tick.get(),
-            at,
-        );
-        if self.trace.enabled() {
+        let copy = ticket.seq;
+        if copy == logical {
             self.tspan(logical, "retry", format!("resubmit shard={shard}"), at, at);
-        }
-    }
-
-    /// Fires an armed hedge at `at`: enqueues a duplicate copy of the
-    /// still-unfinished request under a fresh sequence number, placed
-    /// through ordinary admission placement. First completion wins;
-    /// [`Dispatcher::finish_copy`] / [`Dispatcher::lose_copy`] suppress
-    /// the loser wherever it surfaces next. A hedge for a request that
-    /// already finished — or one waiting on a retry backoff — is a
-    /// no-op.
-    fn fire_hedge(&mut self, logical: u64, at: u64) {
-        let Some(o) = self.open.get_mut(&logical) else {
-            return;
-        };
-        if o.done || o.pending_retry || o.copies == 0 {
-            return;
-        }
-        o.copies += 1;
-        let tenant = o.tenant;
-        let virtine = o.virtine;
-        let priority = o.priority;
-        let deadline = o.deadline;
-        let arrival = o.arrival;
-        let args = o.args.clone();
-        let invocation = o.invocation.respawn();
-        let copy = self.seq;
-        self.seq += 1;
-        self.hedge_of.insert(copy, logical);
-        self.stats.hedges_fired += 1;
-        let shard = self.place(tenant, virtine);
-        self.wasp.clock().tick(costs::VSCHED_QUEUE_OP);
-        self.shards[shard].enqueue_at(
-            Queued {
-                front: false,
-                priority,
-                deadline,
-                seq: copy,
-                tenant,
-                virtine,
-                args,
-                invocation,
-                arrival,
-                resume: None,
-            },
-            self.config.tick.get(),
-            at,
-        );
-        if self.trace.enabled() {
-            self.trace
-                .begin(copy, tenant.0, virtine.into_raw() as u64, Cycles(at));
-            self.tspan(copy, "hedge", format!("of={logical} shard={shard}"), at, at);
-            self.tspan(
-                logical,
-                "hedge",
-                format!("copy={copy} shard={shard}"),
-                at,
-                at,
-            );
-        }
-    }
-
-    /// The hedge fire delay for one request: the observed tail
-    /// (`quantile × multiplier`) of the tenant's end-to-end latency
-    /// distribution — falling back to the global distribution, then to
-    /// the policy's floor while samples are scarce — but never below
-    /// [`HedgePolicy::min_delay`].
-    fn hedge_delay(&self, tenant: TenantId, policy: HedgePolicy) -> u64 {
-        let tenant_hist = &self.tenants[tenant.0].e2e;
-        let hist = if tenant_hist.count() >= policy.min_samples {
-            tenant_hist
         } else {
-            &self.hist_e2e
-        };
-        let mut delay = policy.min_delay.get();
-        if hist.count() >= policy.min_samples {
-            let tail = hist.quantile(policy.quantile) as f64 * policy.multiplier;
-            delay = delay.max(tail as u64);
+            let virtine = ticket.virtine.into_raw() as u64;
+            self.trace.begin(copy, ticket.tenant.0, virtine, Cycles(at));
+            self.tspan(copy, "hedge", format!("of={logical} shard={shard}"), at, at);
+            let detail = format!("copy={copy} shard={shard}");
+            self.tspan(logical, "hedge", detail, at, at);
         }
-        delay
     }
 
     /// Decision point 2 (acquire → clean steal): asks the engine for the
@@ -2864,9 +2411,6 @@ impl Dispatcher {
     /// richest within a hop class. Shells were wiped on release (§5.2),
     /// so the thief runs them directly — tenant data cannot cross shards.
     fn steal_from_sibling(&mut self, idx: usize, mem_size: usize) -> Option<(usize, kvmsim::VmFd)> {
-        if !self.config.steal {
-            return None;
-        }
         let c = self.candidates(Some(idx), None, Some(mem_size), 0);
         let donor = self.engine.steal_clean(&c)?;
         let vm = self.shards[donor].pool.take_idle(mem_size)?;
@@ -2887,9 +2431,6 @@ impl Dispatcher {
         thief_tenant: u64,
         mem_size: usize,
     ) -> Option<(usize, kvmsim::VmFd)> {
-        if !self.config.steal {
-            return None;
-        }
         let c = self.candidates(Some(idx), None, Some(mem_size), 0);
         let donor = self.engine.steal_warm(&c)?;
         let victim = self.shards[donor]
@@ -2899,6 +2440,15 @@ impl Dispatcher {
             .pool
             .take_warm_victim_of(victim, mem_size)?;
         Some((donor, vm))
+    }
+}
+
+/// What a lifecycle pass reports for a copy a shard failure destroyed.
+fn eviction_action(loss: CopyLoss, seq: u64, shard: usize) -> Option<LifecycleAction> {
+    match loss {
+        CopyLoss::Suppressed => None,
+        CopyLoss::Retried(_) => Some(LifecycleAction::RunRetried { seq, shard }),
+        CopyLoss::Terminal => Some(LifecycleAction::RunEvicted { seq, shard }),
     }
 }
 

@@ -34,8 +34,8 @@
 //!   (LRU eviction, cross-key fallback, or a last-resort steal) is always
 //!   a full wipe, so the §5.2 isolation guarantee is untouched — see the
 //!   `wasp::pool` lifecycle diagram.
-//! * **Topology-aware placement engine** ([`Topology`],
-//!   [`PlacementEngine`], [`CostEngine`]) — every shell-routing decision
+//! * **Topology-aware placement engine** ([`Topology`], [`CostEngine`])
+//!   — every shell-routing decision
 //!   (initial placement, the acquire chain's clean and warm steals,
 //!   resume-time migration, warm-capacity verdicts) is scored by one
 //!   policy layer over the shard→CCX→socket topology, through one
@@ -123,12 +123,15 @@
 //!   failures through the same `fail_shard` → reconcile → re-admit path
 //!   as the fault plan, and restores them via half-open circuit-breaker
 //!   probes. Work lost to a shard failure is re-submitted exactly once
-//!   under a per-tenant budgeted backoff (conservation extends to
-//!   `admitted == served + shed + retried_in_flight`), tail latency is
-//!   optionally hedged from the observed p99 with first-completion-wins
-//!   dedup, and a pager-driven brownout ladder sheds the lowest
+//!   under a per-tenant budgeted backoff, tail latency is optionally
+//!   hedged from the observed p99 with first-completion-wins dedup
+//!   ([`openreq`]), and a pager-driven brownout ladder sheds the lowest
 //!   priority tiers under overload. See `docs/reliability.md` and the
 //!   `fault_recovery` bench.
+//! * **One request record, one terminal outcome** ([`dispatcher`]) — a
+//!   request is one ticket from admission on, and one function settles
+//!   it, which is why the conservation identity (stated once, in
+//!   `docs/reliability.md`) holds on every path.
 //! * **Cluster-scale serving** ([`cluster`]) — N topology-described
 //!   dispatchers become *nodes* behind one routing surface. Node
 //!   selection and failover evacuation ride the same priced
@@ -162,6 +165,7 @@ pub mod cluster;
 pub mod dispatcher;
 pub mod health;
 pub mod lifecycle;
+pub mod openreq;
 pub mod placement;
 pub mod shard;
 pub mod tenant;
@@ -173,7 +177,7 @@ pub use dispatcher::{
 };
 pub use health::{BrownoutConfig, CircuitState, HealthConfig, HealthStats, ShardHealth};
 pub use lifecycle::{FaultEvent, FaultKind, FaultPlan, LifecycleAction, ShardState};
-pub use placement::{Candidate, CostEngine, PlacementEngine, WarmPolicy, WarmVerdict};
+pub use placement::{Candidate, CostEngine, WarmPolicy, WarmVerdict};
 pub use shard::{ShardSnapshot, ShardStats};
 pub use tenant::{
     HedgePolicy, RetryPolicy, ShedReason, TenantId, TenantProfile, TenantStats, TokenBucket,
@@ -389,25 +393,6 @@ mod tests {
         assert_eq!(d.shard_snapshots()[0].stats.stolen_out, 1);
         // The shell migrated: only one was ever created.
         assert_eq!(d.pool_stats().created, 1);
-    }
-
-    #[test]
-    fn stealing_can_be_disabled() {
-        let mut d = dispatcher(DispatcherConfig {
-            shards: 2,
-            steal: false,
-            placement: Placement::ByTenant,
-            ..DispatcherConfig::default()
-        });
-        let id = d.register(halt_spec("t")).unwrap();
-        let a = d.add_tenant(TenantProfile::new("a"));
-        let b = d.add_tenant(TenantProfile::new("b"));
-        d.submit(Request::new(a, id, 0.0)).unwrap();
-        d.run_to_idle();
-        d.submit(Request::new(b, id, 1.0)).unwrap();
-        d.run_to_idle();
-        assert_eq!(d.stats().stolen, 0);
-        assert_eq!(d.pool_stats().created, 2);
     }
 
     #[test]
@@ -1013,39 +998,6 @@ init:
             d.stats().served + d.stats().shed(),
             "conservation holds across the migration"
         );
-    }
-
-    #[test]
-    fn resume_migration_can_be_disabled() {
-        let mut d = dispatcher(DispatcherConfig {
-            shards: 2,
-            placement: Placement::ByTenant,
-            migrate_on_resume: false,
-            ..DispatcherConfig::default()
-        });
-        let consumer = d.register(chan_recv_spec("c")).unwrap();
-        let filler = d.register(halt_spec("f")).unwrap();
-        let a = d.add_tenant(TenantProfile::new("a").with_mask(HypercallMask::ALLOW_ALL));
-        let chan = d.wasp().kernel().chan_open(64);
-        d.submit(
-            Request::new(a, consumer, 0.0)
-                .with_invocation(Invocation::default().with_chans(vec![chan])),
-        )
-        .unwrap();
-        d.run_until(0.001);
-        for _ in 0..16 {
-            d.submit(Request::new(a, filler, 0.002)).unwrap();
-        }
-        d.wasp().kernel().chan_send(chan, b"go").unwrap();
-        d.run_until(0.0021);
-        d.run_to_idle();
-        let c = d
-            .completions()
-            .iter()
-            .find(|c| c.virtine == consumer)
-            .unwrap();
-        assert!(!c.migrated && c.shard == 0, "pinned to the blocking shard");
-        assert_eq!(d.stats().migrations, 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The dispatcher makes exactly four routing decisions on the hot path.
 //! Before this layer they lived as inline scoring scattered through
-//! `dispatcher.rs`; now each is a question put to a [`PlacementEngine`]
+//! `dispatcher.rs`; now each is a question put to the [`CostEngine`]
 //! over a slice of [`Candidate`]s, and the dispatcher only executes the
 //! answer (pops, steals, transfers, charges the per-hop cost):
 //!
@@ -55,7 +55,7 @@
 //! The fixed per-pool LRU bound of the warm cache is the binding
 //! constraint the `warm_placement` bench exposed. [`WarmPolicy`] replaces
 //! it with a **global cross-shard budget** plus **per-tenant quotas**:
-//! on every warm release the engine is asked ([`PlacementEngine::warm_release`])
+//! on every warm release the engine is asked ([`CostEngine::warm_release`])
 //! whether the shell may park and what must be demoted first — the
 //! tenant's own least-recently-parked warm shell when the tenant is at
 //! quota (a churning tenant evicts *itself*, never a neighbor), or the
@@ -63,14 +63,13 @@
 //! bench shows this beating fixed per-pool capacity on hit rate under a
 //! cache-hostile tenant mix.
 //!
-//! [`CostEngine`] is the one concrete engine: [`Placement`] variants are
-//! its *configurations*, not dispatcher match arms. Custom engines plug
-//! in through [`crate::Dispatcher::set_engine`].
+//! [`CostEngine`] is the one engine: [`Placement`] variants are its
+//! *configurations*, not dispatcher match arms.
 
 use std::cmp::Reverse;
 
 use crate::dispatcher::Placement;
-use crate::topology::{Hop, Topology};
+use crate::topology::Hop;
 
 /// One shard as seen by a placement decision. Candidate slices are always
 /// indexed by shard: `candidates[i].shard == i` for every decision point,
@@ -147,91 +146,18 @@ impl WarmPolicy {
     }
 }
 
-/// The policy layer behind the dispatcher's four routing decisions.
+/// The policy layer behind the dispatcher's routing decisions: one cost
+/// model over the shard topology, configured by the [`Placement`] policy
+/// the dispatcher was built with.
 ///
-/// Implementations are pure scoring: they never touch pools or queues,
-/// only rank the [`Candidate`]s the dispatcher hands them. The dispatcher
-/// executes whatever they pick (and charges the transfer cost of the
+/// The engine is pure scoring: it never touches pools or queues, only
+/// ranks the [`Candidate`]s the dispatcher hands it. The dispatcher
+/// executes whatever it picks (and charges the transfer cost of the
 /// chosen hop), so an engine bug can cost microseconds but never violate
 /// wipe-on-steal isolation — the mechanism stays in the dispatcher.
-pub trait PlacementEngine: std::fmt::Debug {
-    /// Decision 1 (admit): the shard a fresh request queues on.
-    /// `tenant` is the submitting tenant's index (home-pinning policies
-    /// hash it); `candidates[i].warm_shells` counts warm shells for the
-    /// request's key on shard `i` (zero when the engine declared the
-    /// probe unnecessary via [`PlacementEngine::admit_reads_warm`]).
-    fn admit(&self, tenant: usize, candidates: &[Candidate]) -> usize;
-
-    /// Whether [`PlacementEngine::admit`] reads the warm column. When
-    /// `false`, the dispatcher skips the per-pool `has_warm` probe on
-    /// the admission hot path (the column is filled with zeros).
-    /// Defaults to `true` so custom engines always see real data.
-    fn admit_reads_warm(&self) -> bool {
-        true
-    }
-
-    /// Decision 2 (acquire → steal): the sibling that donates a *clean*
-    /// shell to a dry shard, or `None` to fall through to the next
-    /// acquire step. Candidates include the thief itself ([`Hop::Local`]);
-    /// engines must never pick it or a shard with no idle shells.
-    fn steal_clean(&self, candidates: &[Candidate]) -> Option<usize>;
-
-    /// Decision 3 (acquire → last resort): the sibling whose warm shell
-    /// is demoted-and-stolen, or `None` to mint a fresh VM instead.
-    /// `candidates[i].warm_shells` counts victim-eligible warm shells.
-    fn steal_warm(&self, candidates: &[Candidate]) -> Option<usize>;
-
-    /// Decision 4 (resume-migrate): the shard a woken parked run resumes
-    /// on. The blocking shard is the anchor ([`Hop::Local`]); picking any
-    /// other shard migrates the suspended run and pays the hop's
-    /// transfer cost.
-    fn resume(&self, candidates: &[Candidate]) -> usize;
-
-    /// The capacity side of a warm release: given the releasing tenant's
-    /// resident warm count and the global resident count (both across
-    /// all shards, *excluding* the shell being released), may the shell
-    /// park warm, and what must be demoted first?
-    fn warm_release(&self, tenant_resident: usize, global_resident: usize) -> WarmVerdict;
-
-    /// Whether [`PlacementEngine::warm_release`] actually inspects the
-    /// residency counts. When `false`, the dispatcher skips the
-    /// cross-shard accounting walk and parks unconditionally (the
-    /// per-pool LRU bound still applies). Defaults to `true` so custom
-    /// engines are always consulted.
-    fn warm_policy_active(&self) -> bool {
-        true
-    }
-
-    /// Replaces the warm-capacity policy at runtime — the operator
-    /// control surface behind [`crate::Dispatcher::set_warm_budget`]
-    /// (e.g. slashing the budget mid-run to inject a degradation the
-    /// SLO engine must notice). Engines that do not enforce a warm
-    /// policy may ignore it; the default does nothing.
-    fn set_warm_policy(&mut self, _policy: WarmPolicy) {}
-
-    /// Decision 5 (lifecycle evacuation): the eligible sibling that
-    /// receives a draining shard's queued work, parked runs, or pooled
-    /// shells. The draining shard is the anchor ([`Hop::Local`]), so the
-    /// default ranks eligible non-local shards by the shared cost key —
-    /// the evacuation pays the same priced hops as a steal in the other
-    /// direction. `None` means nowhere to go: the reconciler leaves the
-    /// work in place (degraded mode) and arms grace clocks on parked
-    /// runs.
-    fn evacuate(&self, candidates: &[Candidate]) -> Option<usize> {
-        candidates
-            .iter()
-            .filter(|c| c.eligible && c.hop != Hop::Local)
-            .min_by_key(|c| (c.queue_depth, c.free_at, c.transfer_cost, c.shard))
-            .map(|c| c.shard)
-    }
-}
-
-/// The default engine: one cost model over the shard topology,
-/// configured by the [`Placement`] policy the dispatcher was built with.
 #[derive(Debug, Clone)]
 pub struct CostEngine {
     policy: Placement,
-    topology: Topology,
     /// The snapshot-aware skew guard: a warm shard may trail the
     /// least-loaded alternative by at most one batch of queue depth.
     batch_size: usize,
@@ -239,24 +165,14 @@ pub struct CostEngine {
 }
 
 impl CostEngine {
-    /// Builds the engine for a dispatcher configuration.
-    pub fn new(
-        policy: Placement,
-        topology: Topology,
-        batch_size: usize,
-        warm: WarmPolicy,
-    ) -> CostEngine {
+    /// Builds the engine for a dispatcher configuration. Distances reach
+    /// it priced, in each [`Candidate`]'s `hop` and `transfer_cost`.
+    pub fn new(policy: Placement, batch_size: usize, warm: WarmPolicy) -> CostEngine {
         CostEngine {
             policy,
-            topology,
             batch_size,
             warm,
         }
-    }
-
-    /// The topology the engine prices hops against.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// The shared lexicographic cost key: queueing, then availability,
@@ -292,10 +208,13 @@ impl CostEngine {
             .map(|c| c.shard)
             .expect("at least one shard")
     }
-}
 
-impl PlacementEngine for CostEngine {
-    fn admit(&self, tenant: usize, candidates: &[Candidate]) -> usize {
+    /// Decision 1 (admit): the shard a fresh request queues on.
+    /// `tenant` is the submitting tenant's index (home-pinning hashes
+    /// it); `candidates[i].warm_shells` counts warm shells for the
+    /// request's key on shard `i` (zero unless
+    /// [`CostEngine::admit_reads_warm`]).
+    pub fn admit(&self, tenant: usize, candidates: &[Candidate]) -> usize {
         match self.policy {
             Placement::ByTenant => {
                 // Home-pinning holds only while the home is eligible; a
@@ -326,15 +245,33 @@ impl PlacementEngine for CostEngine {
         }
     }
 
-    fn steal_clean(&self, candidates: &[Candidate]) -> Option<usize> {
+    /// Whether [`CostEngine::admit`] reads the warm column. When `false`,
+    /// the dispatcher skips the per-pool `has_warm` probe on the admission
+    /// hot path (the column is filled with zeros).
+    pub fn admit_reads_warm(&self) -> bool {
+        matches!(self.policy, Placement::SnapshotAware)
+    }
+
+    /// Decision 2 (acquire → steal): the sibling that donates a *clean*
+    /// shell to a dry shard, or `None` to fall through to the next
+    /// acquire step. Candidates include the thief itself ([`Hop::Local`]),
+    /// which is never picked, nor is a shard with no idle shells.
+    pub fn steal_clean(&self, candidates: &[Candidate]) -> Option<usize> {
         Self::donor(candidates, |c| c.idle_shells)
     }
 
-    fn steal_warm(&self, candidates: &[Candidate]) -> Option<usize> {
+    /// Decision 3 (acquire → last resort): the sibling whose warm shell
+    /// is demoted-and-stolen, or `None` to mint a fresh VM instead.
+    /// `candidates[i].warm_shells` counts victim-eligible warm shells.
+    pub fn steal_warm(&self, candidates: &[Candidate]) -> Option<usize> {
         Self::donor(candidates, |c| c.warm_shells)
     }
 
-    fn resume(&self, candidates: &[Candidate]) -> usize {
+    /// Decision 4 (resume-migrate): the shard a woken parked run resumes
+    /// on. The blocking shard is the anchor ([`Hop::Local`]); picking any
+    /// other shard migrates the suspended run and pays the hop's
+    /// transfer cost.
+    pub fn resume(&self, candidates: &[Candidate]) -> usize {
         // The home shard is Hop::Local with transfer cost 0, so an idle
         // home never loses to an equally idle sibling, and among equally
         // loaded siblings the nearest wins — migration only happens when
@@ -344,19 +281,43 @@ impl PlacementEngine for CostEngine {
         Self::least_eligible(candidates)
     }
 
-    fn admit_reads_warm(&self) -> bool {
-        matches!(self.policy, Placement::SnapshotAware)
+    /// Decision 5 (lifecycle evacuation): the eligible sibling that
+    /// receives a draining shard's queued work, parked runs, or pooled
+    /// shells. The draining shard is the anchor ([`Hop::Local`]), so
+    /// eligible non-local shards rank by the shared cost key — the
+    /// evacuation pays the same priced hops as a steal in the other
+    /// direction. `None` means nowhere to go: the reconciler leaves the
+    /// work in place (degraded mode) and arms grace clocks on parked
+    /// runs.
+    pub fn evacuate(&self, candidates: &[Candidate]) -> Option<usize> {
+        candidates
+            .iter()
+            .filter(|c| c.eligible && c.hop != Hop::Local)
+            .min_by_key(|c| Self::cost(c))
+            .map(|c| c.shard)
     }
 
-    fn warm_policy_active(&self) -> bool {
+    /// Whether [`CostEngine::warm_release`] actually inspects the
+    /// residency counts. When `false`, the dispatcher skips the
+    /// cross-shard accounting walk and parks unconditionally (the
+    /// per-pool LRU bound still applies).
+    pub fn warm_policy_active(&self) -> bool {
         self.warm.is_active()
     }
 
-    fn set_warm_policy(&mut self, policy: WarmPolicy) {
+    /// Replaces the warm-capacity policy at runtime — the operator
+    /// control surface behind [`crate::Dispatcher::set_warm_budget`]
+    /// (e.g. slashing the budget mid-run to inject a degradation the
+    /// SLO engine must notice).
+    pub fn set_warm_policy(&mut self, policy: WarmPolicy) {
         self.warm = policy;
     }
 
-    fn warm_release(&self, tenant_resident: usize, global_resident: usize) -> WarmVerdict {
+    /// The capacity side of a warm release: given the releasing tenant's
+    /// resident warm count and the global resident count (both across
+    /// all shards, *excluding* the shell being released), may the shell
+    /// park warm, and what must be demoted first?
+    pub fn warm_release(&self, tenant_resident: usize, global_resident: usize) -> WarmVerdict {
         if self.warm.tenant_quota == Some(0) || self.warm.global_budget == Some(0) {
             return WarmVerdict::Demote;
         }
@@ -379,6 +340,7 @@ impl PlacementEngine for CostEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Topology;
 
     /// A candidate row with everything idle and the hop priced from `t`.
     fn cand(t: &Topology, anchor: usize, shard: usize) -> Candidate {
@@ -394,8 +356,8 @@ mod tests {
         }
     }
 
-    fn engine(policy: Placement, t: &Topology) -> CostEngine {
-        CostEngine::new(policy, t.clone(), 8, WarmPolicy::default())
+    fn engine(policy: Placement) -> CostEngine {
+        CostEngine::new(policy, 8, WarmPolicy::default())
     }
 
     #[test]
@@ -404,7 +366,7 @@ mod tests {
         // holds one idle shell: the CCX sibling (shard 1) must win over
         // same-socket (2, 3) and cross-socket (4..8) donors.
         let t = Topology::grouped(2, 2, 2);
-        let e = engine(Placement::LeastLoaded, &t);
+        let e = engine(Placement::LeastLoaded);
         let c: Vec<Candidate> = (0..8)
             .map(|i| Candidate {
                 idle_shells: usize::from(i != 0),
@@ -431,7 +393,7 @@ mod tests {
     #[test]
     fn within_a_hop_class_the_richest_donor_wins() {
         let t = Topology::grouped(2, 1, 4);
-        let e = engine(Placement::LeastLoaded, &t);
+        let e = engine(Placement::LeastLoaded);
         let mut c: Vec<Candidate> = (0..8).map(|i| cand(&t, 0, i)).collect();
         c[2].idle_shells = 1;
         c[3].idle_shells = 5;
@@ -442,7 +404,7 @@ mod tests {
     #[test]
     fn warm_steal_uses_the_same_distance_first_ordering() {
         let t = Topology::grouped(2, 2, 2);
-        let e = engine(Placement::LeastLoaded, &t);
+        let e = engine(Placement::LeastLoaded);
         let mut c: Vec<Candidate> = (0..8).map(|i| cand(&t, 0, i)).collect();
         c[5].warm_shells = 4; // Cross-socket hoard...
         c[3].warm_shells = 1; // ...loses to one same-socket victim.
@@ -452,7 +414,7 @@ mod tests {
     #[test]
     fn resume_prefers_home_then_near_siblings_on_ties() {
         let t = Topology::grouped(2, 2, 2);
-        let e = engine(Placement::LeastLoaded, &t);
+        let e = engine(Placement::LeastLoaded);
         // All idle: the home shard (anchor 2) wins every tie.
         let c: Vec<Candidate> = (0..8).map(|i| cand(&t, 2, i)).collect();
         assert_eq!(e.resume(&c), 2);
@@ -475,7 +437,7 @@ mod tests {
         // Flat: distance never discriminates, so the richest donor wins
         // (the historical rule) and resume ties break home-then-index.
         let t = Topology::flat(4);
-        let e = engine(Placement::LeastLoaded, &t);
+        let e = engine(Placement::LeastLoaded);
         let mut c: Vec<Candidate> = (0..4).map(|i| cand(&t, 0, i)).collect();
         c[1].idle_shells = 1;
         c[3].idle_shells = 4;
@@ -487,7 +449,7 @@ mod tests {
     #[test]
     fn ineligible_shards_are_never_placement_targets() {
         let t = Topology::grouped(2, 2, 2);
-        let e = engine(Placement::LeastLoaded, &t);
+        let e = engine(Placement::LeastLoaded);
         // Shard 1 is the obvious winner on every axis but is draining.
         let mut c: Vec<Candidate> = (0..8)
             .map(|i| Candidate {
@@ -503,12 +465,12 @@ mod tests {
         assert_ne!(e.steal_warm(&c), Some(1));
         assert_ne!(e.resume(&c), 1);
         // ByTenant home-pinning yields to the drain and comes back.
-        let by_tenant = engine(Placement::ByTenant, &t);
+        let by_tenant = engine(Placement::ByTenant);
         assert_ne!(by_tenant.admit(1, &c), 1, "draining home is abandoned");
         c[1].eligible = true;
         assert_eq!(by_tenant.admit(1, &c), 1, "restored home is re-pinned");
         // SnapshotAware ignores warm shells stranded on a draining shard.
-        let snap = engine(Placement::SnapshotAware, &t);
+        let snap = engine(Placement::SnapshotAware);
         let mut w: Vec<Candidate> = (0..8).map(|i| cand(&t, 0, i)).collect();
         w[1].warm_shells = 3;
         assert_eq!(snap.admit(0, &w), 1, "warm shard wins while active");
@@ -526,7 +488,7 @@ mod tests {
     #[test]
     fn evacuate_picks_the_cheapest_eligible_sibling() {
         let t = Topology::grouped(2, 2, 2);
-        let e = engine(Placement::LeastLoaded, &t);
+        let e = engine(Placement::LeastLoaded);
         // Anchor (draining shard) is 0; its CCX sibling 1 is also down.
         let mut c: Vec<Candidate> = (0..8).map(|i| cand(&t, 0, i)).collect();
         c[0].eligible = false;
@@ -550,18 +512,16 @@ mod tests {
 
     #[test]
     fn warm_release_enforces_quota_then_budget() {
-        let t = Topology::flat(2);
         let park_free = WarmVerdict::Park {
             evict_tenant_lru: false,
             evict_global_lru: false,
         };
         // No policy: always park, never evict (the per-pool LRU rules).
-        let e = CostEngine::new(Placement::LeastLoaded, t.clone(), 8, WarmPolicy::default());
+        let e = CostEngine::new(Placement::LeastLoaded, 8, WarmPolicy::default());
         assert_eq!(e.warm_release(100, 100), park_free);
 
         let e = CostEngine::new(
             Placement::LeastLoaded,
-            t.clone(),
             8,
             WarmPolicy {
                 global_budget: Some(8),
@@ -590,7 +550,6 @@ mod tests {
         // Zero quota or budget: warm caching is off for this release.
         let z = CostEngine::new(
             Placement::LeastLoaded,
-            t,
             8,
             WarmPolicy {
                 global_budget: Some(0),

@@ -28,21 +28,32 @@ use wasp::{Invocation, Pool, SuspendedRun, VirtineId, WaitTarget};
 use crate::lifecycle::ShardState;
 use crate::tenant::TenantId;
 
-/// A run suspended in a blocking wait, parked on the shard that was
-/// executing it. On wake it is re-admitted through *placement* — the
-/// least-loaded shard, which may not be the one it blocked on — so a
-/// saturated home shard cannot hold a runnable virtine hostage (the
-/// resume-time migration half of the cross-virtine-channel work).
-#[derive(Debug)]
-pub(crate) struct Parked {
-    /// The suspended virtine: shell, invocation, and segment accounting.
-    pub run: SuspendedRun,
+/// One copy of an admitted request, from admission to terminal outcome.
+/// Filled in once — at `submit`, or when a retry or hedge respawns the
+/// request from its pristine inputs — and carried, never re-typed,
+/// through the run queue, the parked set, and the open-request table to
+/// `Dispatcher::settle`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ticket {
     pub tenant: TenantId,
     pub virtine: VirtineId,
+    /// This copy's sequence number: the queue's FIFO tie-break and the key
+    /// of its open trace. A retry runs under the logical request's own
+    /// number; a hedge duplicate gets a fresh one (see `crate::openreq`).
     pub seq: u64,
+    /// Effective priority: tenant base plus per-request boost.
     pub priority: u8,
-    /// Original arrival (cycles); end-to-end latency spans the park.
+    /// Original arrival (cycles); end-to-end latency spans every attempt
+    /// and every park.
     pub arrival: u64,
+    /// Absolute deadline in cycles; `u64::MAX` when none.
+    pub deadline: u64,
+}
+
+/// What a run has consumed so far, threaded from its first execution
+/// segment (possibly across parks and migrations) to its completion.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Progress {
     /// Worker-timeline position of the first execution segment's start.
     pub first_start: u64,
     /// Worker cycles consumed by the segments executed so far.
@@ -51,6 +62,21 @@ pub(crate) struct Parked {
     pub stolen: bool,
     /// Whether any resume of this run migrated it off its blocking shard.
     pub migrated: bool,
+}
+
+/// A run suspended in a blocking wait, parked on the shard that was
+/// executing it. On wake it is re-admitted through *placement* — the
+/// least-loaded shard, which may not be the one it blocked on — so a
+/// saturated home shard cannot hold a runnable virtine hostage (the
+/// resume-time migration half of the cross-virtine-channel work).
+#[derive(Debug)]
+pub(crate) struct Parked {
+    /// The suspended virtine: shell, invocation, and segment accounting.
+    /// Boxed once per park, so the parked set and a woken run's queue
+    /// entry move a pointer, not the suspension.
+    pub run: Box<SuspendedRun>,
+    pub ticket: Ticket,
+    pub progress: Progress,
     /// Worker-timeline position when the run parked.
     pub blocked_from: u64,
     /// Timeline position at which the tenant's `max_block` kills the run;
@@ -66,32 +92,31 @@ pub(crate) struct Parked {
     pub target: WaitTarget,
 }
 
+/// What a queue entry executes when its batch tick pops it.
+#[derive(Debug)]
+pub(crate) enum Work {
+    /// Acquire a shell and start from the marshalled inputs.
+    Fresh {
+        args: Vec<u8>,
+        invocation: Invocation,
+    },
+    /// Resume a woken blocked run at its suspended hypercall.
+    Resume(Parked),
+}
+
 /// A queued, admitted request waiting for its shard's next batch tick.
 #[derive(Debug)]
 pub(crate) struct Queued {
     /// Woken blocked runs re-queue at the front: they hold a live shell
     /// and already-delivered bytes, so they outrank every priority class.
     pub front: bool,
-    /// Effective priority: tenant base plus per-request boost.
-    pub priority: u8,
-    /// Absolute deadline in cycles; `u64::MAX` when none.
-    pub deadline: u64,
-    /// Global submission sequence number (FIFO tie-break).
-    pub seq: u64,
-    pub tenant: TenantId,
-    pub virtine: VirtineId,
-    pub args: Vec<u8>,
-    pub invocation: Invocation,
-    /// Arrival timestamp in cycles.
-    pub arrival: u64,
-    /// A woken blocked run to resume instead of acquiring a shell and
-    /// starting fresh.
-    pub resume: Option<Box<Parked>>,
+    pub ticket: Ticket,
+    pub work: Work,
 }
 
 impl PartialEq for Queued {
     fn eq(&self, other: &Queued) -> bool {
-        self.seq == other.seq
+        self.ticket.seq == other.ticket.seq
     }
 }
 
@@ -101,11 +126,12 @@ impl Ord for Queued {
     /// Max-heap order: woken blocked runs first, then higher priority,
     /// then earlier deadline, then submission order.
     fn cmp(&self, other: &Queued) -> Ordering {
+        let (a, b) = (&self.ticket, &other.ticket);
         self.front
             .cmp(&other.front)
-            .then(self.priority.cmp(&other.priority))
-            .then(other.deadline.cmp(&self.deadline))
-            .then(other.seq.cmp(&self.seq))
+            .then(a.priority.cmp(&b.priority))
+            .then(b.deadline.cmp(&a.deadline))
+            .then(b.seq.cmp(&a.seq))
     }
 }
 
@@ -197,14 +223,11 @@ impl Shard {
         }
     }
 
-    pub(crate) fn enqueue(&mut self, q: Queued, tick: u64) {
-        self.enqueue_at(q, tick, 0);
-    }
-
-    /// Enqueues with an explicit lower bound on the batch tick — used by
-    /// wake delivery, where the original arrival predates the wake.
+    /// Enqueues with an explicit lower bound on the batch tick — wake
+    /// delivery, retries, and hedges all predate it with their original
+    /// arrival; a first submission passes zero.
     pub(crate) fn enqueue_at(&mut self, q: Queued, tick: u64, not_before: u64) {
-        let wake = align_up(self.free_at.max(q.arrival).max(not_before), tick);
+        let wake = align_up(self.free_at.max(q.ticket.arrival).max(not_before), tick);
         self.next_wake = self.next_wake.min(wake);
         self.queue.push(q);
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
@@ -270,15 +293,18 @@ mod tests {
     fn q(priority: u8, deadline: u64, seq: u64) -> Queued {
         Queued {
             front: false,
-            priority,
-            deadline,
-            seq,
-            tenant: TenantId(0),
-            virtine: VirtineId::from_raw(0),
-            args: Vec::new(),
-            invocation: Invocation::default(),
-            arrival: 0,
-            resume: None,
+            ticket: Ticket {
+                tenant: TenantId(0),
+                virtine: VirtineId::from_raw(0),
+                seq,
+                priority,
+                arrival: 0,
+                deadline,
+            },
+            work: Work::Fresh {
+                args: Vec::new(),
+                invocation: Invocation::default(),
+            },
         }
     }
 
@@ -290,7 +316,9 @@ mod tests {
         h.push(q(2, 500, 3));
         h.push(q(1, 100, 4));
         h.push(q(0, u64::MAX, 0));
-        let order: Vec<u64> = std::iter::from_fn(|| h.pop()).map(|x| x.seq).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| h.pop())
+            .map(|x| x.ticket.seq)
+            .collect();
         // Priority 2 first (deadline 500 beats none), then priority 1,
         // then priority 0 in submission order.
         assert_eq!(order, vec![3, 2, 4, 0, 1]);
@@ -303,7 +331,9 @@ mod tests {
         let mut woken = q(0, u64::MAX, 1);
         woken.front = true;
         h.push(woken);
-        let order: Vec<u64> = std::iter::from_fn(|| h.pop()).map(|x| x.seq).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| h.pop())
+            .map(|x| x.ticket.seq)
+            .collect();
         assert_eq!(order, vec![1, 0], "front-of-queue beats priority 9");
     }
 

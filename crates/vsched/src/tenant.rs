@@ -69,6 +69,25 @@ pub enum ShedReason {
 }
 
 impl ShedReason {
+    /// Every reason, in the order the stats surfaces list them.
+    pub const ALL: [ShedReason; 7] = [
+        ShedReason::RateLimited,
+        ShedReason::InFlightCap,
+        ShedReason::DeadlineMissed,
+        ShedReason::DeadlineUnmeetable,
+        ShedReason::ByteBudget,
+        ShedReason::Evicted,
+        ShedReason::Brownout,
+    ];
+
+    /// Whether the request was refused by `submit` itself — before it was
+    /// admitted, so it never held an in-flight slot, a sequence number, or
+    /// a queue entry. The other reasons shed an *admitted* request and
+    /// must give its in-flight slot back.
+    pub fn at_door(self) -> bool {
+        !matches!(self, ShedReason::DeadlineMissed | ShedReason::Evicted)
+    }
+
     /// Stable snake_case label for this reason, matching the `outcome`
     /// label values of the `vsched_requests_total` Prometheus series
     /// (minus their `shed_` prefix namespacing) and the trace dump's
@@ -429,22 +448,30 @@ pub struct TenantStats {
     /// the first, summed over all logical requests).
     pub retries: u64,
     /// Logical requests currently waiting out a retry backoff: admitted,
-    /// not served, not shed — the third leg of the conservation identity
-    /// `admitted == served + shed() + retried_in_flight`. Zero whenever
-    /// the dispatcher is idle.
+    /// not served, not shed, still counted in `in_flight` but with no
+    /// live copy (the bridge term of the conservation identity,
+    /// `docs/reliability.md`). Zero whenever the dispatcher is idle.
     pub retried_in_flight: u64,
 }
 
 impl TenantStats {
+    /// The counter of one shed reason.
+    pub(crate) fn shed_counter(&mut self, reason: ShedReason) -> &mut u64 {
+        match reason {
+            ShedReason::RateLimited => &mut self.shed_rate_limit,
+            ShedReason::InFlightCap => &mut self.shed_in_flight,
+            ShedReason::DeadlineMissed => &mut self.shed_deadline,
+            ShedReason::DeadlineUnmeetable => &mut self.shed_deadline_unmeetable,
+            ShedReason::ByteBudget => &mut self.shed_byte_budget,
+            ShedReason::Evicted => &mut self.shed_evicted,
+            ShedReason::Brownout => &mut self.shed_brownout,
+        }
+    }
+
     /// Total sheds across every cause.
     pub fn shed(&self) -> u64 {
-        self.shed_rate_limit
-            + self.shed_in_flight
-            + self.shed_deadline
-            + self.shed_deadline_unmeetable
-            + self.shed_byte_budget
-            + self.shed_evicted
-            + self.shed_brownout
+        let mut copy = *self;
+        ShedReason::ALL.map(|r| *copy.shed_counter(r)).iter().sum()
     }
 }
 

@@ -426,12 +426,10 @@ fn channel_close_wakes_the_whole_storm_in_front_of_queued_work() {
     for case in 0..10 {
         let storm = rng.below(12) + 3;
         let shards = rng.below(3) + 1;
-        let migrate = rng.bool(0.5);
         let mut d = Dispatcher::new(
             Wasp::new_kvm_default(),
             DispatcherConfig {
                 shards,
-                migrate_on_resume: migrate,
                 ..DispatcherConfig::default()
             },
         );
@@ -1201,11 +1199,56 @@ fn lifecycle_churn_cases(seed: u64, cases: usize) {
 /// the lifecycle churn above, kills here MAY take the last active
 /// shard — evacuation then has no destination and the work is lost to
 /// the failure, which is exactly the loss the retry path exists to
-/// absorb. Runs under the [`CHURN_SEEDS`] matrix.
+/// absorb. After *every* step — not only at quiesce — the ledger balances
+/// (see `conservation_holds`). Runs under the [`CHURN_SEEDS`] matrix.
 #[test]
 fn retry_and_hedge_interleavings_never_lose_or_double_run() {
     for &seed in CHURN_SEEDS {
         retry_churn_cases(seed, 2);
+    }
+}
+
+/// The conservation identity, at any instant: every admitted request is
+/// served, shed after admission, or still holds its in-flight slot —
+/// queued, parked, or (the `retried_in_flight` subset) waiting out a retry
+/// backoff with no live copy — on the dispatcher plane and on every
+/// tenant's. `admitted` is the test's own per-tenant count of `Ok`
+/// submits, so the stats cannot balance by agreeing with each other.
+fn conservation_holds(d: &Dispatcher, tenants: &[vsched::TenantId], admitted: &[u64], case: &str) {
+    let g = d.stats();
+    let (mut in_flight, mut retried) = (0, 0);
+    for (&id, &admitted) in tenants.iter().zip(admitted) {
+        let t = d.tenant_stats(id);
+        assert_eq!(t.admitted, admitted, "case {case}: tenant admitted");
+        assert_eq!(
+            t.admitted,
+            t.served + t.shed_deadline + t.shed_evicted + t.in_flight,
+            "case {case}: tenant {} conservation",
+            id.index()
+        );
+        assert!(t.retried_in_flight <= t.in_flight, "case {case}");
+        in_flight += t.in_flight;
+        retried += t.retried_in_flight;
+    }
+    assert_eq!(g.admitted, admitted.iter().sum::<u64>(), "case {case}");
+    assert_eq!(g.retried_in_flight, retried, "case {case}: bridge term");
+    assert_eq!(g.served, d.completions().len() as u64, "case {case}");
+    // Unresolved admitted requests are exactly the held slots.
+    assert_eq!(
+        g.admitted - g.served - g.shed_deadline - g.shed_evicted,
+        in_flight,
+        "case {case}: conservation"
+    );
+    let live: usize = d
+        .shard_snapshots()
+        .iter()
+        .map(|s| s.queue_depth + s.parked)
+        .sum();
+    if live == 0 {
+        // Nothing queued or parked: only backoffs still hold slots —
+        // `admitted == served + shed_deadline + shed_evicted +
+        // retried_in_flight`, the form the docs state.
+        assert_eq!(in_flight, retried, "case {case}: slots with no copy");
     }
 }
 
@@ -1276,20 +1319,20 @@ fn retry_churn_cases(seed: u64, cases: usize) {
             .collect();
 
         let mut t = 0.0;
+        let mut admitted = vec![0u64; tenants.len()];
         let ops = rng.below(50) + 30;
         for _ in 0..ops {
             t += rng.range_f64(0.0, 0.002);
             match rng.below(8) {
                 0..=4 => {
-                    let tenant = tenants[rng.below(tenants.len())];
-                    if rng.bool(0.2) {
-                        let _ =
-                            d.submit(Request::new(tenant, consumer, t).with_invocation(
-                                wasp::Invocation::default().with_chans(vec![chan]),
-                            ));
+                    let who = rng.below(tenants.len());
+                    let req = if rng.bool(0.2) {
+                        Request::new(tenants[who], consumer, t)
+                            .with_invocation(wasp::Invocation::default().with_chans(vec![chan]))
                     } else {
-                        let _ = d.submit(Request::new(tenant, worker, t));
-                    }
+                        Request::new(tenants[who], worker, t)
+                    };
+                    admitted[who] += u64::from(d.submit(req).is_ok());
                 }
                 5 => {
                     d.fail_shard(rng.below(shards));
@@ -1297,18 +1340,9 @@ fn retry_churn_cases(seed: u64, cases: usize) {
                 6 => {
                     d.restore_shard(rng.below(shards));
                 }
-                _ => {
-                    d.run_until(t);
-                    // Mid-stream the two planes must already agree on
-                    // how much lost work is waiting out its backoff.
-                    let g = d.stats();
-                    let per: u64 = tenants
-                        .iter()
-                        .map(|&id| d.tenant_stats(id).retried_in_flight)
-                        .sum();
-                    assert_eq!(g.retried_in_flight, per, "case {case}: bridge term");
-                }
+                _ => d.run_until(t),
             }
+            conservation_holds(&d, &tenants, &admitted, &case);
         }
 
         // Quiesce: bring every shard back, wake the parked consumers via
@@ -1319,6 +1353,7 @@ fn retry_churn_cases(seed: u64, cases: usize) {
         d.wasp().kernel().chan_close(chan).unwrap();
         d.run_to_idle();
         assert_eq!(d.parked(), 0, "case {case}: runs left parked");
+        conservation_holds(&d, &tenants, &admitted, &case);
 
         // Zero lost: the ledger balances with the bridge term drained.
         let g = d.stats();
@@ -1360,6 +1395,118 @@ fn retry_churn_cases(seed: u64, cases: usize) {
             assert_eq!(s.retried_in_flight, 0, "case {case}");
         }
     }
+}
+
+/// Tracing observes a run; it must never change one. The same seeded mix
+/// of serves, door sheds (in-flight cap, rate limit, unmeetable deadline),
+/// in-queue deadline sheds, parks, and hedged requests yields identical
+/// `submit` results, identical completion streams (every field), and
+/// identical stats with tracing on and off — in particular a door shed's
+/// one-span trace must not consume a request sequence number. The one
+/// stat left out is `blocked_cycles`: parked time is read off the shared
+/// clock, which tracing's own calibrated span cost advances. Runs under
+/// the [`CHURN_SEEDS`] matrix.
+#[test]
+fn tracing_never_renumbers_or_retimes_a_run() {
+    for &seed in CHURN_SEEDS {
+        let plain = traced_or_not(seed, false);
+        let traced = traced_or_not(seed, true);
+        let first_shed = plain.0.iter().position(|r| r.is_err());
+        let first_shed = first_shed.expect("the mix must shed at the door");
+        assert!(plain.0[first_shed..].iter().any(|r| r.is_ok()));
+        assert_eq!(plain.0, traced.0, "seed {seed:#x}: submit results");
+        assert_eq!(plain.1, traced.1, "seed {seed:#x}: completions");
+        assert_eq!(plain.2, traced.2, "seed {seed:#x}: stats");
+    }
+}
+
+/// One seeded submit/shed/serve mix; returns every `submit` result, the
+/// completion stream rendered field by field, and the final stats.
+fn traced_or_not(
+    seed: u64,
+    trace: bool,
+) -> (
+    Vec<Result<u64, vsched::ShedReason>>,
+    Vec<String>,
+    vsched::DispatcherStats,
+) {
+    let mut rng = Rng::seeded(seed);
+    let mut d = Dispatcher::new(
+        Wasp::new_kvm_default(),
+        DispatcherConfig {
+            shards: rng.below(3) + 1,
+            ..DispatcherConfig::default()
+        },
+    );
+    if trace {
+        d.enable_tracing(64);
+    }
+    let img = visa::assemble(".org 0x8000\n mov r0, 3\n hlt\n").unwrap();
+    let chan_img = visa::assemble(
+        "
+.org 0x8000
+  mov r0, 13           ; chan_recv
+  mov r1, 0
+  mov r2, 0x4000
+  mov r3, 64
+  mov r4, 0
+  out 0x1, r0
+  hlt
+",
+    )
+    .unwrap();
+    let worker = d
+        .register(VirtineSpec::new("w", img, MEM).with_snapshot(false))
+        .unwrap();
+    let consumer = d
+        .register(
+            VirtineSpec::new("c", chan_img, MEM)
+                .with_policy(HypercallMask::allowing(&[wasp::nr::CHAN_RECV]))
+                .with_snapshot(false),
+        )
+        .unwrap();
+    let chan = d.wasp().kernel().chan_open(256);
+    let tenants = [
+        d.add_tenant(TenantProfile::new("capped").with_max_in_flight(1)),
+        d.add_tenant(TenantProfile::new("limited").with_rate(2_000.0, 2.0)),
+        d.add_tenant(
+            TenantProfile::new("hedged")
+                .with_mask(HypercallMask::ALLOW_ALL)
+                .with_hedge(HedgePolicy::new().with_min_delay(0.0002)),
+        ),
+    ];
+
+    // A burst at t = 0 overruns the in-flight cap before anything ran.
+    let mut results: Vec<_> = (0..4)
+        .map(|_| d.submit(Request::new(tenants[0], worker, 0.0)))
+        .collect();
+    let mut t = 0.0;
+    for _ in 0..rng.below(40) + 40 {
+        t += rng.range_f64(0.0, 0.0004);
+        let tenant = tenants[rng.below(tenants.len())];
+        let mut req = Request::new(tenant, worker, t);
+        match rng.below(6) {
+            0 => req = req.with_deadline(t + rng.range_f64(0.0, 0.0001)),
+            1 if tenant == tenants[2] => {
+                req = Request::new(tenant, consumer, t)
+                    .with_invocation(wasp::Invocation::default().with_chans(vec![chan]));
+            }
+            2 => {
+                let _ = d.wasp().kernel().chan_send(chan, b"wake");
+            }
+            3 => d.run_until(t),
+            _ => {}
+        }
+        results.push(d.submit(req));
+    }
+    d.wasp().kernel().chan_close(chan).unwrap();
+    d.run_to_idle();
+    let completions = d.completions().iter().map(|c| format!("{c:?}")).collect();
+    let stats = vsched::DispatcherStats {
+        blocked_cycles: 0,
+        ..d.stats()
+    };
+    (results, completions, stats)
 }
 
 /// Work conservation under an arbitrary tenant mix: submitted =

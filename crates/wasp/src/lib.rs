@@ -47,7 +47,7 @@ pub use hypercall::{
 pub use native::{NativeExit, NativeOutcome, NativeRunner};
 pub use pool::{Pool, PoolMode, PoolStats, WarmExport, DEFAULT_WARM_CAPACITY};
 pub use runtime::{
-    Breakdown, ExitKind, RunOutcome, RunResult, ShellSource, SuspendedRun, VirtineId, VirtineSpec,
-    VirtineWarmStats, Wasp, WaspConfig, WaspError, WaspStats, ARGS_ADDR, LOAD_ADDR,
+    Breakdown, ExitKind, RunOutcome, RunResult, ShellRun, ShellSource, SuspendedRun, VirtineId,
+    VirtineSpec, VirtineWarmStats, Wasp, WaspConfig, WaspError, WaspStats, ARGS_ADDR, LOAD_ADDR,
     NO_SNAPSHOT_ENV,
 };

@@ -46,37 +46,41 @@
 //!
 //! Runs are *resumable*: a blocking hypercall that cannot complete (today a
 //! `recv` on an open-but-empty connection) is an **exit, not a busy-wait**.
-//! [`Wasp::run_on_shell_resumable`] returns [`RunResult::Blocked`] carrying
-//! a [`SuspendedRun`] — shell (vCPU registers + guest memory), invocation
-//! state, and segmented accounting — and the caller's event loop decides
-//! when the wait is over:
+//! [`Wasp::run_on_shell`] with [`ShellRun::resumable`] set returns
+//! [`RunResult::Blocked`] carrying a [`SuspendedRun`] — the live run
+//! (shell with its vCPU registers and guest memory, invocation state,
+//! segmented accounting) plus what it waits on — and the caller's event
+//! loop decides when the wait is over:
 //!
 //! ```text
-//!        HcOutcome::Block                    wait satisfied
-//! run ────────────────────► SuspendedRun ────────────────────► resume
-//!  ▲                         (parked:          (resume_on_shell re-enters
-//!  │                          unstealable,      the guest at the faulting
-//!  │   RunResult::Done        undemotable)      hypercall with the bytes)
-//!  └────────────────────────────┐ │
-//!                               │ │ timeout / kill (abort_suspended)
-//!                               ▼ ▼
-//!                        ExitKind::Blocked → wiped release (§5.2)
+//!  run_on_shell(ShellRun)                       wait satisfied
+//!   install ─► exec_segment ──Block──► SuspendedRun ───────────► resume_on_shell
+//!                 ▲    │              (parked: unstealable,      (delivers the bytes,
+//!                 │    │ Exit          undemotable)               re-enters the guest at
+//!                 │    ▼                    │                     the faulting hypercall)
+//!                 │  finish_run             │ timeout / kill            │
+//!                 │    │                    ▼ (abort_suspended)         │
+//!                 │    ▼             ExitKind::Blocked                  │
+//!                 │  RunResult::Done  → wiped release (§5.2)            │
+//!                 └─────────────────────────────────────────────────────┘
 //! ```
 //!
-//! While parked the shell is owned by the `SuspendedRun`, structurally
+//! One private record (`Live`) carries the run from install to outcome:
+//! a segment borrows it, a suspension owns it, and `finish_run` consumes
+//! it. While parked the shell is owned by the `SuspendedRun`, structurally
 //! outside every pool: no steal, demotion, or re-arm path can observe it.
 //! Accounting is segmented so a blocked-then-resumed run charges exactly
 //! the guest cycles an unblocked run does ([`Breakdown::blocked`] absorbs
 //! the parked wall-time; `exec`/`total` never include it, and the delivery
 //! at resume is the one charged syscall the blocking `recv` is). Callers
-//! without an event loop ([`Wasp::run`], [`Wasp::run_on_shell`]) see
+//! without an event loop ([`Wasp::run`], or `resumable: false`) see
 //! blocking calls degraded to their non-blocking form
 //! ([`crate::hypercall::WOULD_BLOCK`]).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hostsim::HostKernel;
+use hostsim::{HostKernel, IoClass};
 use kvmsim::{Hypervisor, VmExit, VmFd, VmSnapshot};
 use vclock::{Clock, Cycles};
 use visa::asm::Image;
@@ -319,9 +323,9 @@ impl RunOutcome {
     }
 }
 
-/// How a resumable run left the shell: finished (outcome plus the dirty
-/// shell, exactly like [`Wasp::run_on_shell`]), or suspended at a blocking
-/// hypercall with the shell parked inside the [`SuspendedRun`].
+/// How a run left the shell: finished (outcome plus the dirty shell), or —
+/// only when [`ShellRun::resumable`] — suspended at a blocking hypercall
+/// with the shell parked inside the [`SuspendedRun`].
 #[derive(Debug)]
 pub enum RunResult {
     /// The invocation completed; route the shell through a pool.
@@ -345,17 +349,55 @@ pub enum RunResult {
 /// never to `exec`/`total`.
 #[derive(Debug)]
 pub struct SuspendedRun {
+    live: Live,
+    wait: WaitReason,
+    blocked_at: Cycles,
+}
+
+/// A run between install and outcome: everything an execution segment
+/// reads or advances. A segment borrows it, a [`SuspendedRun`] owns it
+/// across a park, and `Wasp::finish_run` turns it into the [`RunOutcome`].
+#[derive(Debug)]
+struct Live {
     vm: VmFd,
     id: VirtineId,
+    /// The spec's policy intersected with the caller's narrowing mask.
     policy: HypercallMask,
     snapshot_enabled: bool,
     invocation: Invocation,
-    wait: WaitReason,
     hypercalls: u64,
+    /// Marks drained from the vCPU at earlier suspensions.
     marks: Vec<(u8, Cycles)>,
+    /// The snapshot the shell's state provably derives from, if any.
     armed: Option<Rc<VmSnapshot>>,
     breakdown: Breakdown,
-    blocked_at: Cycles,
+}
+
+/// One invocation on a caller-provided shell: the input of
+/// [`Wasp::run_on_shell`].
+#[derive(Debug)]
+pub struct ShellRun<'a> {
+    /// The shell to run on; must be sized for the spec
+    /// ([`WaspError::ShellSizeMismatch`] otherwise).
+    pub vm: VmFd,
+    /// Where `vm` came from, so the install step can pick the cheapest
+    /// sound re-arm mechanism.
+    pub source: ShellSource,
+    /// The registered virtine to run.
+    pub id: VirtineId,
+    /// Marshalled arguments, written at [`ARGS_ADDR`].
+    pub args: &'a [u8],
+    /// Invocation state (payload, bound connection, ...).
+    pub invocation: Invocation,
+    /// Intersected with the spec's [`HypercallMask`]: a tenant profile can
+    /// only further restrict what the spec permits. Pass
+    /// [`HypercallMask::ALLOW_ALL`] for spec-policy-only behavior.
+    pub narrow: HypercallMask,
+    /// Whether a blocking hypercall that cannot complete (see
+    /// [`HcOutcome::Block`]) suspends the run ([`RunResult::Blocked`] — the
+    /// contract of event-driven dispatch) instead of being degraded to its
+    /// non-blocking form ([`crate::hypercall::WOULD_BLOCK`] in `r0`).
+    pub resumable: bool,
 }
 
 impl SuspendedRun {
@@ -366,7 +408,7 @@ impl SuspendedRun {
 
     /// The virtine being run.
     pub fn virtine(&self) -> VirtineId {
-        self.id
+        self.live.id
     }
 
     /// When the run (last) blocked, on the shared virtual clock.
@@ -377,7 +419,7 @@ impl SuspendedRun {
     /// Accounting accumulated so far (`exec` covers the segments already
     /// executed; `blocked` the waits already completed).
     pub fn breakdown(&self) -> &Breakdown {
-        &self.breakdown
+        &self.live.breakdown
     }
 }
 
@@ -657,15 +699,18 @@ impl Wasp {
         let t_acquired = clock.now();
 
         // 2.–4. Execute on the acquired shell.
-        let (mut outcome, vm) = self.run_on_shell(
+        let run = ShellRun {
             vm,
             source,
             id,
             args,
             invocation,
-            HypercallMask::ALLOW_ALL,
-            handler,
-        )?;
+            narrow: HypercallMask::ALLOW_ALL,
+            resumable: false,
+        };
+        let RunResult::Done(mut outcome, vm) = self.run_on_shell(run, handler)? else {
+            unreachable!("non-resumable runs never suspend");
+        };
 
         // 5. Recycle the shell: park it warm when the run left it in
         // snapshot-derived state, wipe it otherwise.
@@ -693,10 +738,6 @@ impl Wasp {
     /// shard's pool the shell is parked in (and whether warm or clean —
     /// see [`RunOutcome::warm_state`]).
     ///
-    /// `narrow` is intersected with the spec's [`HypercallMask`]: a tenant
-    /// profile can only further restrict what the spec permits. Pass
-    /// [`HypercallMask::ALLOW_ALL`] for spec-policy-only behavior.
-    ///
     /// The returned shell is *dirty* — the caller must route it through a
     /// [`Pool`] (whose release wipes it, §5.2, or parks it warm when
     /// `warm_state` permits) before any reuse.
@@ -704,67 +745,24 @@ impl Wasp {
     /// The `breakdown.acquire`/`release` fields of the outcome are zero;
     /// they belong to whoever manages the shell's lifecycle.
     ///
-    /// This entry point is *non-resumable*: a blocking hypercall that
-    /// cannot complete (see [`HcOutcome::Block`]) is degraded to its
-    /// non-blocking form and the guest receives
-    /// [`crate::hypercall::WOULD_BLOCK`]. Callers with an event loop use
-    /// [`Wasp::run_on_shell_resumable`] instead, which suspends the run.
-    #[allow(clippy::too_many_arguments)]
+    /// With [`ShellRun::resumable`] a blocking hypercall that cannot
+    /// complete returns [`RunResult::Blocked`] — the run exits the shard
+    /// worker instead of busy-waiting, until [`Wasp::resume_on_shell`]
+    /// re-enters the guest at the faulting hypercall. Without it the result
+    /// is always [`RunResult::Done`].
     pub fn run_on_shell(
         &self,
-        vm: VmFd,
-        source: ShellSource,
-        id: VirtineId,
-        args: &[u8],
-        invocation: Invocation,
-        narrow: HypercallMask,
-        handler: CustomHandler<'_>,
-    ) -> Result<(RunOutcome, VmFd), WaspError> {
-        match self.run_shell_inner(vm, source, id, args, invocation, narrow, false, handler)? {
-            RunResult::Done(outcome, vm) => Ok((outcome, vm)),
-            RunResult::Blocked(_) => unreachable!("non-resumable runs never suspend"),
-        }
-    }
-
-    /// [`Wasp::run_on_shell`] with the run-loop contract of event-driven
-    /// dispatch: a blocking hypercall that cannot complete returns
-    /// [`RunResult::Blocked`] — the run exits the shard worker instead of
-    /// busy-waiting, carrying shell, invocation, and accounting in a
-    /// [`SuspendedRun`] until [`Wasp::resume_on_shell`] re-enters the guest
-    /// at the faulting hypercall.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_on_shell_resumable(
-        &self,
-        vm: VmFd,
-        source: ShellSource,
-        id: VirtineId,
-        args: &[u8],
-        invocation: Invocation,
-        narrow: HypercallMask,
+        run: ShellRun<'_>,
         handler: CustomHandler<'_>,
     ) -> Result<RunResult, WaspError> {
-        self.run_shell_inner(vm, source, id, args, invocation, narrow, true, handler)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_shell_inner(
-        &self,
-        vm: VmFd,
-        source: ShellSource,
-        id: VirtineId,
-        args: &[u8],
-        mut invocation: Invocation,
-        narrow: HypercallMask,
-        resumable: bool,
-        handler: CustomHandler<'_>,
-    ) -> Result<RunResult, WaspError> {
+        let (vm, id) = (run.vm, run.id);
         let (image, mem_size, policy, snapshot_enabled, snap) = {
             let specs = self.specs.borrow();
             let entry = specs.get(id.0).ok_or(WaspError::NoSuchVirtine)?;
             (
                 Rc::clone(&entry.spec.image),
                 entry.spec.mem_size,
-                entry.spec.policy.intersect(narrow),
+                entry.spec.policy.intersect(run.narrow),
                 entry.spec.snapshot,
                 entry.snapshot.clone(),
             )
@@ -778,7 +776,7 @@ impl Wasp {
         self.stats.borrow_mut().invocations += 1;
         let clock = self.kernel.clock().clone();
         let t_acquired = clock.now();
-        let reused = source.is_reused();
+        let reused = run.source.is_reused();
 
         // 2. Install the execution state: warm delta re-arm when the shell
         // already holds the spec's current snapshot, else full sparse
@@ -786,7 +784,7 @@ impl Wasp {
         let mut armed: Option<Rc<VmSnapshot>> = None;
         let mut warm_hit = false;
         let mut delta_pages = 0u64;
-        let restored = match source {
+        let restored = match run.source {
             ShellSource::Warm(shell_snap)
                 if snapshot_enabled
                     && snap
@@ -832,73 +830,38 @@ impl Wasp {
             }
         };
         // 3. Marshal arguments into the address space (charged as a copy).
-        if !args.is_empty() {
-            self.kernel.memcpy(args.len());
-            vm.write_guest(ARGS_ADDR, args)
+        if !run.args.is_empty() {
+            self.kernel.memcpy(run.args.len());
+            vm.write_guest(ARGS_ADDR, run.args)
                 .expect("argument region must be inside guest memory");
         }
         let t_image = clock.now();
 
         // 4. Run, interposing on hypercalls, until the guest finishes or —
         // in resumable mode — parks at a blocking hypercall.
-        let mut hypercalls = 0u64;
-        let end = self.exec_segment(
-            &vm,
+        let mut live = Live {
+            vm,
             id,
             policy,
             snapshot_enabled,
-            resumable,
-            &mut invocation,
-            &mut hypercalls,
-            &mut armed,
-            handler,
-        );
-        let t_exec = clock.now();
-        let breakdown = Breakdown {
-            acquire: Cycles::ZERO,
-            image: t_image - t_acquired,
-            exec: t_exec - t_image,
-            release: Cycles::ZERO,
-            total: t_exec - t_acquired,
-            reused_shell: reused,
-            restored_snapshot: restored,
-            warm_hit,
-            delta_pages,
-            blocked: Cycles::ZERO,
-            resumes: 0,
+            invocation: run.invocation,
+            hypercalls: 0,
+            marks: Vec::new(),
+            armed,
+            breakdown: Breakdown {
+                image: t_image - t_acquired,
+                reused_shell: reused,
+                restored_snapshot: restored,
+                warm_hit,
+                delta_pages,
+                ..Breakdown::default()
+            },
         };
-        match end {
-            SegmentEnd::Block(wait) => {
-                let marks = vm.vcpu().take_marks();
-                Ok(RunResult::Blocked(SuspendedRun {
-                    vm,
-                    id,
-                    policy,
-                    snapshot_enabled,
-                    invocation,
-                    wait,
-                    hypercalls,
-                    marks,
-                    armed,
-                    breakdown,
-                    blocked_at: t_exec,
-                }))
-            }
-            SegmentEnd::Exit(exit) => {
-                let (outcome, vm) = self.finish_run(
-                    vm,
-                    id,
-                    snapshot_enabled,
-                    exit,
-                    invocation,
-                    Vec::new(),
-                    hypercalls,
-                    armed,
-                    breakdown,
-                );
-                Ok(RunResult::Done(outcome, vm))
-            }
-        }
+        let end = self.exec_segment(&mut live, run.resumable, handler);
+        let t_exec = clock.now();
+        live.breakdown.exec = t_exec - t_image;
+        live.breakdown.total = t_exec - t_acquired;
+        Ok(self.end_segment(live, end, t_exec))
     }
 
     /// Re-enters a [`SuspendedRun`] whose wait condition should now hold:
@@ -910,22 +873,9 @@ impl Wasp {
     /// re-parks and [`RunResult::Blocked`] is returned again.
     pub fn resume_on_shell(
         &self,
-        s: SuspendedRun,
+        mut s: SuspendedRun,
         handler: CustomHandler<'_>,
     ) -> Result<RunResult, WaspError> {
-        let SuspendedRun {
-            vm,
-            id,
-            policy,
-            snapshot_enabled,
-            mut invocation,
-            wait,
-            mut hypercalls,
-            mut marks,
-            mut armed,
-            mut breakdown,
-            blocked_at,
-        } = s;
         let clock = self.kernel.clock().clone();
         let t_resume = clock.now();
 
@@ -933,7 +883,7 @@ impl Wasp {
         // still-blocked probe is the same free kernel-internal poll the
         // block decision used. Channels wake *every* parked waiter, so a
         // run can lose the race for the message it was woken for.
-        let still_blocked = match &wait {
+        let still_blocked = match &s.wait {
             WaitReason::RecvReady { sock, .. } => matches!(
                 self.kernel.net_poll(*sock),
                 Ok(hostsim::SockReady::WouldBlock)
@@ -948,117 +898,58 @@ impl Wasp {
                 matches!(self.kernel.chan_send_fits(*chan, *len), Ok(false))
             }
         };
+        s.live.breakdown.blocked += t_resume - s.blocked_at;
         if still_blocked {
-            breakdown.blocked += t_resume - blocked_at;
-            return Ok(RunResult::Blocked(SuspendedRun {
-                vm,
-                id,
-                policy,
-                snapshot_enabled,
-                invocation,
-                wait,
-                hypercalls,
-                marks,
-                armed,
-                breakdown,
-                blocked_at: t_resume,
-            }));
+            s.blocked_at = t_resume;
+            return Ok(RunResult::Blocked(s));
         }
-        breakdown.blocked += t_resume - blocked_at;
-        breakdown.resumes += 1;
+        let mut live = s.live;
+        live.breakdown.resumes += 1;
         self.stats.borrow_mut().resumes += 1;
 
         // Deliver the awaited condition, completing the parked hypercall —
-        // the one charged syscall the blocking call is.
-        let vcpu = vm.vcpu();
-        let mut delivery_fault = None;
-        match wait {
+        // the one charged syscall the blocking call is. Both receive kinds
+        // deliver alike: the bytes land in the parked buffer and `r0` gets
+        // the count (0 when the peer drained and closed while we were
+        // parked — EOF), or the error's guest encoding.
+        let vm = &live.vm;
+        let deliver = |buf: u64, got: Result<Option<Vec<u8>>, IoClass>| match got {
+            // A hostile buffer pointer surfaces exactly as it would have
+            // on the unblocked data path: the guest faults.
+            Ok(Some(data)) => vm.write_guest(buf, &data).map(|()| data.len() as u64),
+            Ok(None) => Ok(0),
+            Err(class) => Ok(hypercall::guest_ret(class)),
+        };
+        let delivered = match s.wait {
             WaitReason::RecvReady { sock, buf, max_len } => {
-                match self.kernel.net_recv(sock, max_len) {
-                    Ok(Some(data)) => match vm.write_guest(buf, &data) {
-                        Ok(()) => vcpu.set_reg(Reg(0), data.len() as u64),
-                        // A hostile buffer pointer surfaces exactly as it
-                        // would have on the unblocked data path: the guest
-                        // faults.
-                        Err(fault) => delivery_fault = Some(fault),
-                    },
-                    // Drained and the peer is gone while we were parked.
-                    Ok(None) => vcpu.set_reg(Reg(0), 0),
-                    Err(e) => vcpu.set_reg(Reg(0), hypercall::guest_ret(e.class())),
-                }
+                let got = self.kernel.net_recv(sock, max_len);
+                deliver(buf, got.map_err(|e| e.class()))
             }
             WaitReason::ChanReady { chan, buf, max_len } => {
-                match self.kernel.chan_recv(chan, max_len) {
-                    Ok(Some(data)) => match vm.write_guest(buf, &data) {
-                        Ok(()) => vcpu.set_reg(Reg(0), data.len() as u64),
-                        Err(fault) => delivery_fault = Some(fault),
-                    },
-                    // Drained and closed while we were parked: EOF.
-                    Ok(None) => vcpu.set_reg(Reg(0), 0),
-                    Err(e) => vcpu.set_reg(Reg(0), hypercall::guest_ret(e.class())),
-                }
+                let got = self.kernel.chan_recv(chan, max_len);
+                deliver(buf, got.map_err(|e| e.class()))
             }
             WaitReason::ChanSendReady { chan, buf, len } => {
-                match vm.read_guest(buf, len) {
-                    Ok(data) => match self.kernel.chan_send(chan, &data) {
-                        Ok(()) => vcpu.set_reg(Reg(0), len as u64),
+                vm.read_guest(buf, len)
+                    .map(|data| match self.kernel.chan_send(chan, &data) {
+                        Ok(()) => len as u64,
                         // Closed while parked: the send fails cleanly.
-                        Err(e) => vcpu.set_reg(Reg(0), hypercall::guest_ret(e.class())),
-                    },
-                    Err(fault) => delivery_fault = Some(fault),
-                }
+                        Err(e) => hypercall::guest_ret(e.class()),
+                    })
             }
-        }
+        };
 
-        let end = match delivery_fault {
-            Some(fault) => SegmentEnd::Exit(ExitKind::Faulted(fault)),
-            None => self.exec_segment(
-                &vm,
-                id,
-                policy,
-                snapshot_enabled,
-                true,
-                &mut invocation,
-                &mut hypercalls,
-                &mut armed,
-                handler,
-            ),
+        let end = match delivered {
+            Ok(r0) => {
+                vm.vcpu().set_reg(Reg(0), r0);
+                self.exec_segment(&mut live, true, handler)
+            }
+            Err(fault) => SegmentEnd::Exit(ExitKind::Faulted(fault)),
         };
         let t_end = clock.now();
-        breakdown.exec += t_end - t_resume;
-        breakdown.total = breakdown.image + breakdown.exec;
-        match end {
-            SegmentEnd::Block(wait) => {
-                marks.extend(vm.vcpu().take_marks());
-                Ok(RunResult::Blocked(SuspendedRun {
-                    vm,
-                    id,
-                    policy,
-                    snapshot_enabled,
-                    invocation,
-                    wait,
-                    hypercalls,
-                    marks,
-                    armed,
-                    breakdown,
-                    blocked_at: t_end,
-                }))
-            }
-            SegmentEnd::Exit(exit) => {
-                let (outcome, vm) = self.finish_run(
-                    vm,
-                    id,
-                    snapshot_enabled,
-                    exit,
-                    invocation,
-                    marks,
-                    hypercalls,
-                    armed,
-                    breakdown,
-                );
-                Ok(RunResult::Done(outcome, vm))
-            }
-        }
+        live.breakdown.exec += t_end - t_resume;
+        live.breakdown.total = live.breakdown.image + live.breakdown.exec;
+        Ok(self.end_segment(live, end, t_end))
     }
 
     /// Kills a [`SuspendedRun`] without resuming it (e.g. a scheduler's
@@ -1066,54 +957,23 @@ impl Wasp {
     /// never warm-parkable — and the shell, which still holds the dead
     /// invocation's state and **must** take a wiped release before reuse.
     pub fn abort_suspended(&self, s: SuspendedRun) -> (RunOutcome, VmFd) {
-        let SuspendedRun {
-            vm,
-            invocation,
-            mut marks,
-            hypercalls,
-            mut breakdown,
-            blocked_at,
-            ..
-        } = s;
-        let clock = self.kernel.clock().clone();
-        breakdown.blocked += clock.now() - blocked_at;
-        breakdown.total = breakdown.image + breakdown.exec;
-        self.release_guest_chans(&invocation);
-        let vcpu = vm.vcpu();
-        marks.extend(vcpu.take_marks());
-        let ret = vcpu.reg(Reg(0));
-        (
-            RunOutcome {
-                exit: ExitKind::Blocked,
-                ret,
-                invocation,
-                marks,
-                hypercalls,
-                breakdown,
-                warm_state: None,
-            },
-            vm,
-        )
+        let mut live = s.live;
+        live.breakdown.blocked += self.kernel.clock().now() - s.blocked_at;
+        live.breakdown.total = live.breakdown.image + live.breakdown.exec;
+        self.finish_run(live, ExitKind::Blocked)
     }
 
     /// One guest-execution segment: runs until the guest finishes or, in
     /// resumable mode, hits a blocking hypercall. Non-resumable callers
     /// see blocking calls degraded to their non-blocking form
     /// ([`crate::hypercall::WOULD_BLOCK`] in `r0`).
-    #[allow(clippy::too_many_arguments)]
     fn exec_segment(
         &self,
-        vm: &VmFd,
-        id: VirtineId,
-        policy: HypercallMask,
-        snapshot_enabled: bool,
+        live: &mut Live,
         resumable: bool,
-        invocation: &mut Invocation,
-        hypercalls: &mut u64,
-        armed: &mut Option<Rc<VmSnapshot>>,
         handler: CustomHandler<'_>,
     ) -> SegmentEnd {
-        let vcpu = vm.vcpu();
+        let vcpu = live.vm.vcpu();
         loop {
             match vcpu.run(self.config.step_budget) {
                 Err(fault) => return SegmentEnd::Exit(ExitKind::Faulted(fault)),
@@ -1123,10 +983,10 @@ impl Wasp {
                     return SegmentEnd::Exit(ExitKind::Killed("unexpected port read"))
                 }
                 Ok(VmExit::IoOut { port, value }) if port == HYPERCALL_PORT => {
-                    *hypercalls += 1;
+                    live.hypercalls += 1;
                     self.stats.borrow_mut().hypercalls += 1;
                     let n = value;
-                    if !policy.allows(n) {
+                    if !live.policy.allows(n) {
                         self.stats.borrow_mut().denials += 1;
                         return SegmentEnd::Exit(ExitKind::Denied { nr: n });
                     }
@@ -1137,7 +997,8 @@ impl Wasp {
                         vcpu.reg(Reg(4)),
                         vcpu.reg(Reg(5)),
                     ];
-                    let mut mem = VmMem(vm);
+                    let mut mem = VmMem(&live.vm);
+                    let invocation = &mut live.invocation;
                     let outcome = match handler(n, hc_args, &mut mem, invocation) {
                         Some(custom) => Ok(custom),
                         None => {
@@ -1168,16 +1029,16 @@ impl Wasp {
                             // Resume value is fixed *before* the snapshot so
                             // restored invocations observe the same state.
                             vcpu.set_reg(Reg(0), 0);
-                            if snapshot_enabled {
+                            if live.snapshot_enabled {
                                 let mut specs = self.specs.borrow_mut();
-                                let entry = &mut specs[id.0];
+                                let entry = &mut specs[live.id.0];
                                 if entry.snapshot.is_none() {
-                                    let taken = Rc::new(vm.snapshot());
+                                    let taken = Rc::new(live.vm.snapshot());
                                     entry.snapshot = Some(Rc::clone(&taken));
                                     // The capture reset the dirty log, so
                                     // from here the shell's state is this
                                     // snapshot plus the log: warm-parkable.
-                                    *armed = Some(taken);
+                                    live.armed = Some(taken);
                                     self.stats.borrow_mut().snapshots_taken += 1;
                                 }
                             }
@@ -1202,21 +1063,39 @@ impl Wasp {
         }
     }
 
-    /// Epilogue shared by first-segment and resumed completions: decides
+    /// What a finished segment turns the run into: a suspension parked at
+    /// `at`, or the final outcome.
+    fn end_segment(&self, mut live: Live, end: SegmentEnd, at: Cycles) -> RunResult {
+        match end {
+            SegmentEnd::Block(wait) => {
+                live.marks.extend(live.vm.vcpu().take_marks());
+                RunResult::Blocked(SuspendedRun {
+                    live,
+                    wait,
+                    blocked_at: at,
+                })
+            }
+            SegmentEnd::Exit(exit) => {
+                let (outcome, vm) = self.finish_run(live, exit);
+                RunResult::Done(outcome, vm)
+            }
+        }
+    }
+
+    /// Epilogue shared by first-segment, resumed, and aborted runs: decides
     /// warm-parkability and assembles the [`RunOutcome`].
-    #[allow(clippy::too_many_arguments)]
-    fn finish_run(
-        &self,
-        vm: VmFd,
-        id: VirtineId,
-        snapshot_enabled: bool,
-        exit: ExitKind,
-        invocation: Invocation,
-        mut marks: Vec<(u8, Cycles)>,
-        hypercalls: u64,
-        armed: Option<Rc<VmSnapshot>>,
-        breakdown: Breakdown,
-    ) -> (RunOutcome, VmFd) {
+    fn finish_run(&self, live: Live, exit: ExitKind) -> (RunOutcome, VmFd) {
+        let Live {
+            vm,
+            id,
+            snapshot_enabled,
+            invocation,
+            hypercalls,
+            mut marks,
+            armed,
+            breakdown,
+            ..
+        } = live;
         let vcpu = vm.vcpu();
         let ret = vcpu.reg(Reg(0));
         marks.extend(vcpu.take_marks());
@@ -1225,8 +1104,8 @@ impl Wasp {
         // The shell may park warm only when its state provably derives
         // from the spec's *current* snapshot (compared by Rc identity — a
         // concurrent invalidate/re-register voids the token) and the run
-        // ended by normal means; abnormal exits take the wiped release out
-        // of caution and hygiene.
+        // ended by normal means; abnormal exits (an aborted suspension
+        // among them) take the wiped release out of caution and hygiene.
         let warm_state = if snapshot_enabled && exit.is_normal() {
             let current = self
                 .specs
@@ -1294,6 +1173,20 @@ mod tests {
     }
 
     const MEM: usize = 64 * 1024;
+
+    /// Starts `id` resumably on a freshly created shell, spec policy only.
+    fn start_resumable(w: &Wasp, id: VirtineId, invocation: Invocation) -> RunResult {
+        let run = ShellRun {
+            vm: w.hypervisor().create_vm(MEM, LOAD_ADDR),
+            source: ShellSource::Created,
+            id,
+            args: &[],
+            invocation,
+            narrow: HypercallMask::ALLOW_ALL,
+            resumable: true,
+        };
+        w.run_on_shell(run, &mut |_, _, _, _| None).unwrap()
+    }
 
     fn image(src: &str) -> Image {
         visa::assemble(src).expect("assemble")
@@ -1785,18 +1678,7 @@ init:
         let (client, server) = conn_pair(&w, 80);
         let id = recv_spec(&w);
         w.kernel().net_send(client, b"ping").unwrap();
-        let vm = w.hypervisor().create_vm(MEM, LOAD_ADDR);
-        let RunResult::Done(out_a, _) = w
-            .run_on_shell_resumable(
-                vm,
-                ShellSource::Created,
-                id,
-                &[],
-                Invocation::with_conn(server),
-                HypercallMask::ALLOW_ALL,
-                &mut |_, _, _, _| None,
-            )
-            .unwrap()
+        let RunResult::Done(out_a, _) = start_resumable(&w, id, Invocation::with_conn(server))
         else {
             panic!("pre-sent data must not block");
         };
@@ -1809,19 +1691,7 @@ init:
         let w = wasp(PoolMode::CachedAsync);
         let (client, server) = conn_pair(&w, 80);
         let id = recv_spec(&w);
-        let vm = w.hypervisor().create_vm(MEM, LOAD_ADDR);
-        let RunResult::Blocked(s) = w
-            .run_on_shell_resumable(
-                vm,
-                ShellSource::Created,
-                id,
-                &[],
-                Invocation::with_conn(server),
-                HypercallMask::ALLOW_ALL,
-                &mut |_, _, _, _| None,
-            )
-            .unwrap()
-        else {
+        let RunResult::Blocked(s) = start_resumable(&w, id, Invocation::with_conn(server)) else {
             panic!("empty socket must block");
         };
         assert_eq!(w.stats().blocks, 1);
@@ -1881,18 +1751,8 @@ init:
         let chan = w.kernel().chan_open(256);
         let id = chan_recv_spec(&w);
         w.kernel().chan_send(chan, b"ping").unwrap();
-        let vm = w.hypervisor().create_vm(MEM, LOAD_ADDR);
-        let RunResult::Done(out_a, _) = w
-            .run_on_shell_resumable(
-                vm,
-                ShellSource::Created,
-                id,
-                &[],
-                Invocation::default().with_chans(vec![chan]),
-                HypercallMask::ALLOW_ALL,
-                &mut |_, _, _, _| None,
-            )
-            .unwrap()
+        let RunResult::Done(out_a, _) =
+            start_resumable(&w, id, Invocation::default().with_chans(vec![chan]))
         else {
             panic!("pre-sent message must not block");
         };
@@ -1903,18 +1763,8 @@ init:
         let w = wasp(PoolMode::CachedAsync);
         let chan = w.kernel().chan_open(256);
         let id = chan_recv_spec(&w);
-        let vm = w.hypervisor().create_vm(MEM, LOAD_ADDR);
-        let RunResult::Blocked(s) = w
-            .run_on_shell_resumable(
-                vm,
-                ShellSource::Created,
-                id,
-                &[],
-                Invocation::default().with_chans(vec![chan]),
-                HypercallMask::ALLOW_ALL,
-                &mut |_, _, _, _| None,
-            )
-            .unwrap()
+        let RunResult::Blocked(s) =
+            start_resumable(&w, id, Invocation::default().with_chans(vec![chan]))
         else {
             panic!("empty channel must block");
         };
@@ -2015,18 +1865,8 @@ init:
                     .with_snapshot(false),
             )
             .unwrap();
-        let vm = w.hypervisor().create_vm(MEM, LOAD_ADDR);
-        let RunResult::Blocked(s) = w
-            .run_on_shell_resumable(
-                vm,
-                ShellSource::Created,
-                id,
-                &[],
-                Invocation::default().with_chans(vec![chan]),
-                HypercallMask::ALLOW_ALL,
-                &mut |_, _, _, _| None,
-            )
-            .unwrap()
+        let RunResult::Blocked(s) =
+            start_resumable(&w, id, Invocation::default().with_chans(vec![chan]))
         else {
             panic!("full channel must block the sender");
         };
@@ -2042,6 +1882,119 @@ init:
         assert_eq!(out.exit, ExitKind::Halted(8), "send completed at resume");
         let msg = w.kernel().chan_recv(chan, 64).unwrap().unwrap();
         assert_eq!(&msg[..4], b"AAAA", "the queued bytes landed");
+    }
+
+    /// One run parked on all three wait kinds in turn — socket `recv`,
+    /// `chan_recv`, then `chan_send` backpressure — carries its marks,
+    /// hypercall count, and segmented accounting across every park as one
+    /// value: the totals equal the sum of the segments, and the guest is
+    /// charged exactly what the never-blocked run is.
+    #[test]
+    fn a_run_parked_on_three_wait_kinds_sums_its_segments() {
+        let img = image(
+            "
+.org 0x8000
+  mark 1
+  mov r0, 7            ; recv (blocking) into 0x4000
+  mov r1, 0x4000
+  mov r2, 64
+  mov r3, 0
+  out 0x1, r0
+  mark 2
+  mov r0, 13           ; chan_recv handle 0 (blocking) into 0x4100
+  mov r1, 0
+  mov r2, 0x4100
+  mov r3, 64
+  mov r4, 0
+  out 0x1, r0
+  mark 3
+  mov r0, 12           ; chan_send handle 1 (blocking): the 4 recv'd bytes
+  mov r1, 1
+  mov r2, 0x4000
+  mov r3, 4
+  mov r4, 0
+  out 0x1, r0
+  mark 4
+  hlt
+",
+        );
+        let setup = || {
+            let w = wasp(PoolMode::CachedAsync);
+            let (client, server) = conn_pair(&w, 80);
+            let (input, output) = (w.kernel().chan_open(64), w.kernel().chan_open(8));
+            let policy = HypercallMask::allowing(&[nr::RECV, nr::CHAN_RECV, nr::CHAN_SEND]);
+            let spec = VirtineSpec::new("three_waits", img.clone(), MEM).with_policy(policy);
+            let id = w.register(spec.with_snapshot(false)).unwrap();
+            let invocation = Invocation::with_conn(server).with_chans(vec![input, output]);
+            (w, id, invocation, client, input, output)
+        };
+        let mark_ids = |out: &RunOutcome| out.marks.iter().map(|m| m.0).collect::<Vec<_>>();
+
+        // Run A: every wait is already satisfied — no park.
+        let (w, id, invocation, client, input, _) = setup();
+        w.kernel().net_send(client, b"ping").unwrap();
+        w.kernel().chan_send(input, b"go").unwrap();
+        let RunResult::Done(out_a, _) = start_resumable(&w, id, invocation) else {
+            panic!("satisfied waits must not block");
+        };
+        assert_eq!(out_a.exit, ExitKind::Halted(4));
+        assert_eq!((out_a.hypercalls, out_a.breakdown.resumes), (3, 0));
+        assert_eq!(mark_ids(&out_a), [1, 2, 3, 4]);
+
+        // Run B: nothing is ready, and the output channel is full.
+        let (w, id, invocation, client, input, output) = setup();
+        w.kernel().chan_send(output, b"xxxxxx").unwrap();
+        let clock = w.clock();
+        let shell = ShellRun {
+            vm: w.hypervisor().create_vm(MEM, LOAD_ADDR),
+            source: ShellSource::Created,
+            id,
+            args: &[],
+            invocation,
+            narrow: HypercallMask::ALLOW_ALL,
+            resumable: true,
+        };
+        let t0 = clock.now();
+        let mut run = w.run_on_shell(shell, &mut |_, _, _, _| None).unwrap();
+        // Time inside `run_on_shell`/`resume_on_shell`, and parked outside.
+        let (mut inside, mut parked) = (clock.now() - t0, Cycles::ZERO);
+        for kind in 0..3 {
+            let RunResult::Blocked(s) = run else {
+                panic!("wait {kind} must park");
+            };
+            assert_eq!(s.breakdown().resumes, kind);
+            assert_eq!(s.breakdown().blocked, parked);
+            assert_eq!(s.breakdown().total, inside, "segments so far");
+            // Unrelated platform work passes, then the wait is satisfied.
+            clock.tick(1_000_000 * (u64::from(kind) + 1));
+            match s.wait() {
+                WaitReason::RecvReady { .. } => w.kernel().net_send(client, b"ping").unwrap(),
+                WaitReason::ChanReady { .. } => w.kernel().chan_send(input, b"go").unwrap(),
+                WaitReason::ChanSendReady { .. } => {
+                    w.kernel().chan_recv(output, 64).unwrap().unwrap();
+                }
+            }
+            let before = clock.now();
+            parked += before - s.blocked_at();
+            run = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap();
+            inside += clock.now() - before;
+        }
+        let RunResult::Done(out_b, _) = run else {
+            panic!("the third resume must run to completion");
+        };
+        assert_eq!(out_b.exit, ExitKind::Halted(4));
+        assert_eq!(w.kernel().chan_recv(output, 64).unwrap().unwrap(), b"ping");
+
+        // The totals are the sums of the segments...
+        assert_eq!(out_b.breakdown.resumes, 3);
+        assert_eq!(out_b.breakdown.blocked, parked);
+        assert_eq!(out_b.breakdown.total, inside);
+        assert_eq!(out_b.breakdown.image + out_b.breakdown.exec, inside);
+        assert_eq!(mark_ids(&out_b), [1, 2, 3, 4], "marks survive every park");
+        // ...and the guest pays exactly what the unblocked run pays.
+        assert_eq!(out_b.breakdown.image, out_a.breakdown.image);
+        assert_eq!(out_b.breakdown.exec, out_a.breakdown.exec);
+        assert_eq!(out_b.hypercalls, out_a.hypercalls);
     }
 
     #[test]
@@ -2068,18 +2021,8 @@ init:
                     .with_snapshot(false),
             )
             .unwrap();
-        let vm = w.hypervisor().create_vm(MEM, LOAD_ADDR);
-        let RunResult::Blocked(s) = w
-            .run_on_shell_resumable(
-                vm,
-                ShellSource::Created,
-                id,
-                &[],
-                Invocation::default().with_chans(vec![chan]),
-                HypercallMask::ALLOW_ALL,
-                &mut |_, _, _, _| None,
-            )
-            .unwrap()
+        let RunResult::Blocked(s) =
+            start_resumable(&w, id, Invocation::default().with_chans(vec![chan]))
         else {
             panic!("must block");
         };
@@ -2096,19 +2039,7 @@ init:
         let w = wasp(PoolMode::CachedAsync);
         let (client, server) = conn_pair(&w, 80);
         let id = recv_spec(&w);
-        let vm = w.hypervisor().create_vm(MEM, LOAD_ADDR);
-        let RunResult::Blocked(s) = w
-            .run_on_shell_resumable(
-                vm,
-                ShellSource::Created,
-                id,
-                &[],
-                Invocation::with_conn(server),
-                HypercallMask::ALLOW_ALL,
-                &mut |_, _, _, _| None,
-            )
-            .unwrap()
-        else {
+        let RunResult::Blocked(s) = start_resumable(&w, id, Invocation::with_conn(server)) else {
             panic!("must block");
         };
         let exec_before = s.breakdown().exec;
@@ -2130,19 +2061,7 @@ init:
         let w = wasp(PoolMode::CachedAsync);
         let (client, server) = conn_pair(&w, 80);
         let id = recv_spec(&w);
-        let vm = w.hypervisor().create_vm(MEM, LOAD_ADDR);
-        let RunResult::Blocked(s) = w
-            .run_on_shell_resumable(
-                vm,
-                ShellSource::Created,
-                id,
-                &[],
-                Invocation::with_conn(server),
-                HypercallMask::ALLOW_ALL,
-                &mut |_, _, _, _| None,
-            )
-            .unwrap()
-        else {
+        let RunResult::Blocked(s) = start_resumable(&w, id, Invocation::with_conn(server)) else {
             panic!("must block");
         };
         w.kernel().net_close(client).unwrap();
@@ -2157,19 +2076,7 @@ init:
         let w = wasp(PoolMode::CachedAsync);
         let (_client, server) = conn_pair(&w, 80);
         let id = recv_spec(&w);
-        let vm = w.hypervisor().create_vm(MEM, LOAD_ADDR);
-        let RunResult::Blocked(s) = w
-            .run_on_shell_resumable(
-                vm,
-                ShellSource::Created,
-                id,
-                &[],
-                Invocation::with_conn(server),
-                HypercallMask::ALLOW_ALL,
-                &mut |_, _, _, _| None,
-            )
-            .unwrap()
-        else {
+        let RunResult::Blocked(s) = start_resumable(&w, id, Invocation::with_conn(server)) else {
             panic!("must block");
         };
         assert!(matches!(

@@ -27,7 +27,8 @@ use virtines::vcc;
 use virtines::vclock::Clock;
 use virtines::visa::{self, Reg};
 use virtines::wasp::{
-    HypercallMask, Invocation, RunOutcome, ShellSource, VirtineId, Wasp, WaspConfig,
+    HypercallMask, Invocation, RunOutcome, RunResult, ShellRun, ShellSource, VirtineId, Wasp,
+    WaspConfig,
 };
 
 /// `visa::pred::counters()` is process-wide: the tests take turns so that a
@@ -80,16 +81,19 @@ fn runtime() -> (Wasp, VirtineId, VirtineId, usize) {
 }
 
 fn run_on(wasp: &Wasp, vm: VmFd, id: VirtineId, n: i64) -> (RunOutcome, VmFd) {
-    wasp.run_on_shell(
+    let run = ShellRun {
         vm,
-        ShellSource::Clean,
+        source: ShellSource::Clean,
         id,
-        &vcc::marshal_args(&[n]),
-        Invocation::default(),
-        HypercallMask::ALLOW_ALL,
-        &mut |_, _, _, _| None,
-    )
-    .expect("run")
+        args: &vcc::marshal_args(&[n]),
+        invocation: Invocation::default(),
+        narrow: HypercallMask::ALLOW_ALL,
+        resumable: false,
+    };
+    match wasp.run_on_shell(run, &mut |_, _, _, _| None).expect("run") {
+        RunResult::Done(outcome, vm) => (outcome, vm),
+        RunResult::Blocked(_) => unreachable!("non-resumable runs never suspend"),
+    }
 }
 
 #[test]
