@@ -381,15 +381,31 @@ fn main() {
     // -- interp_speed ---------------------------------------------------------
     let base = load_baseline("interp_speed");
     let cur = load("BENCH_interp_speed.json");
-    for (i, kernel) in ["fib", "http"].iter().enumerate() {
+    // Every kernel the bench ran, matched to its baseline row by name: a
+    // kernel added to the bench is gated from the PR that commits its row.
+    let kernels = |j: &Json| {
+        j.get("kernels")
+            .map(Json::items)
+            .unwrap_or_default()
+            .to_vec()
+    };
+    for row in kernels(&cur) {
+        let kernel = row
+            .get("kernel")
+            .and_then(Json::as_str)
+            .expect("kernel name");
+        let base_row = kernels(&base)
+            .into_iter()
+            .find(|b| b.get("kernel").and_then(Json::as_str) == Some(kernel))
+            .unwrap_or_else(|| panic!("interp_speed baseline has no `{kernel}` row"));
         // Retired instructions and virtual cycles are the deterministic
         // guest-side observables: any drift means the interpreter's
         // semantics or cost model changed, not the host machine.
         for field in ["insts", "virt_cycles"] {
             gate.exact(
                 &format!("interp_speed: {kernel} {field}"),
-                num(&base, &format!("kernels.{i}.{field}"), "baseline"),
-                num(&cur, &format!("kernels.{i}.{field}"), "current"),
+                num(&base_row, field, "baseline"),
+                num(&row, field, "current"),
             );
         }
         // The cycle-identity contract: fast and reference engines agree on
@@ -397,14 +413,16 @@ fn main() {
         gate.exact(
             &format!("interp_speed: {kernel} engines byte- and cycle-identical"),
             1.0,
-            num(&cur, &format!("kernels.{i}.cycle_identical"), "current"),
+            num(&row, "cycle_identical", "current"),
         );
         // Host wall-clock is nondeterministic, so the speedup is gated as a
-        // floor against the PR's >=2x claim, not against the baseline.
+        // floor, not against the baseline's own reading: the row's
+        // `min_speedup`, set by hand when the row is committed.
+        let floor = num(&base_row, "min_speedup", "baseline");
         gate.at_least(
-            &format!("interp_speed: {kernel} fast-over-reference speedup >= 2x"),
-            2.0,
-            num(&cur, &format!("kernels.{i}.speedup"), "current"),
+            &format!("interp_speed: {kernel} fast-over-reference speedup >= {floor}x"),
+            floor,
+            num(&row, "speedup", "current"),
         );
     }
 

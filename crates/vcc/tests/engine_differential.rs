@@ -112,3 +112,56 @@ virtine_config(chans) int pipe_echo(int n) {
 "#;
     diff_all(src, &[42]);
 }
+
+#[test]
+fn every_budget_inside_compiled_code_stops_and_resumes_identically() {
+    // Compiler output is where the fused pairs are dense (`mov`+`pop`
+    // operand shuffles, `push`+`load`, `cmp`+`jcc`, `pop`+`alu`). A step
+    // budget that runs out anywhere in it — the tail runs on the reference
+    // path — must stop both engines on the same instruction, and resuming
+    // must end the same way.
+    use visa::diff::Step;
+    let src = "
+int sq(int x) { return x * x + 1; }
+virtine int dense(int n) {
+    int buf[8];
+    for (int j = 0; j < 8; j = j + 1) buf[j] = j;
+    int acc = 0;
+    for (int i = 0; i < n; i = i + 1) {
+        buf[i % 8] = sq(i) + acc;
+        acc = acc + buf[(i + 3) % 8] % 7;
+    }
+    return acc;
+}
+";
+    let unit = compile(src).expect("compile");
+    let v = &unit.virtines[0];
+    let images = [v.image.clone()];
+    let args = Step::Poke(wasp::ARGS_ADDR, marshal_args(&[40]));
+    let run = |budgets: &[u64]| {
+        let mut steps = vec![Step::Load(0), args.clone()];
+        steps.extend(budgets.iter().map(|&b| Step::Run(b)));
+        if let Err(report) = diff::compare_script(&images, v.mem_size, &steps, 0xC0DE) {
+            panic!("budgets {budgets:?}:\n{report}");
+        }
+        diff::run_script(visa::Engine::Fast, &images, v.mem_size, &steps, 0xC0DE)
+            .pop()
+            .expect("one outcome per step")
+    };
+    let whole = run(&[5_000_000]);
+    let (mut buf, mut acc) = ([0, 1, 2, 3, 4, 5, 6, 7], 0);
+    for i in 0..40 {
+        buf[i % 8] = (i * i + 1) as i64 + acc;
+        acc += buf[(i + 3) % 8] % 7;
+    }
+    assert_eq!(whole.state.regs[0], acc as u64);
+    // Half way: past the boot (under 3 000 instructions) and well inside
+    // the loop (a hundred instructions a turn).
+    let inside = whole.retired / 2;
+    assert!(inside > 3_000);
+    for k in 1..=300 {
+        let resumed = run(&[inside + k, 5_000_000]);
+        assert_eq!(resumed.state, whole.state, "budget {k}");
+        assert_eq!(resumed.retired, whole.retired, "budget {k}");
+    }
+}

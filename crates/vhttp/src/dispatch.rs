@@ -167,10 +167,23 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
         ],
     );
     metric(
+        "visa_predecode_dispatch_total",
+        "counter",
+        "Predecoded block entries served by the front cache, the block map \
+         or a fresh build, and instructions single-stepped on the reference \
+         path instead (uncacheable code, the tail of a step budget)",
+        &[
+            ("{path=\"front\"}".into(), guest.dispatch_front),
+            ("{path=\"map\"}".into(), guest.dispatch_map),
+            ("{path=\"built\"}".into(), guest.dispatch_built),
+            ("{path=\"reference\"}".into(), guest.dispatch_reference),
+        ],
+    );
+    metric(
         "visa_superinsts_fused_total",
         "counter",
-        "Superinstructions fused at predecode time (cmp+jcc, \
-         mov-ri+alu-rr, and push-pair prologue patterns)",
+        "Superinstructions fused at predecode time (the six two-instruction \
+         patterns listed in docs/interpreter.md#superinstructions)",
         &plain(guest.superinsts_fused),
     );
     let topo = d.topology();

@@ -19,7 +19,7 @@ use crate::inst::{
     Alu, Cond, CrReg, DecodeError, Inst, JmpMode, Reg, Width, CR0_PE, CR0_PG, CR4_PAE, EFER_LME,
     MSR_EFER,
 };
-use crate::mem::Memory;
+use crate::mem::{Memory, PhysAccessError};
 use crate::pred;
 
 /// Which interpreter executes guest code in [`Cpu::run`].
@@ -293,6 +293,11 @@ const PDE_2M_ADDR_MASK: u64 = 0x000F_FFFF_FFE0_0000;
 const REAL_MODE_LIMIT: u64 = 1 << 20;
 const CANONICAL_LIMIT: u64 = 1 << 48;
 
+/// The guest fault for an access beyond guest-physical memory.
+fn phys_fault(e: PhysAccessError) -> Fault {
+    Fault::PhysOutOfBounds { paddr: e.paddr }
+}
+
 impl Cpu {
     /// Creates a CPU in the reset state: real mode, zeroed registers,
     /// `pc = entry`.
@@ -316,7 +321,7 @@ impl Cpu {
             ept_built: false,
             insts_retired: 0,
             engine: Engine::from_env(),
-            pred: pred::PredCache::new(),
+            pred: pred::PredCache::default(),
         }
     }
 
@@ -426,46 +431,57 @@ impl Cpu {
     }
 
     /// Translates a virtual address for an access of `len` bytes.
+    ///
+    /// The hit path — a flat mode inside its limit, or a long-mode access
+    /// whose one 2 MiB page is in the TLB — is a compare or two and inlines
+    /// into the caller; walks, page-straddling accesses and faults are out
+    /// of line.
+    #[inline(always)]
     pub(crate) fn translate(&mut self, mem: &Memory, vaddr: u64, len: u64) -> Result<u64, Fault> {
-        match self.mode {
-            Mode::Real16 => {
-                if vaddr.saturating_add(len) > REAL_MODE_LIMIT {
-                    return Err(Fault::AddressBeyondMode {
-                        vaddr,
-                        mode: self.mode,
-                    });
-                }
-                Ok(vaddr)
-            }
-            Mode::Prot32 => {
-                if vaddr.saturating_add(len) > u32::MAX as u64 + 1 {
-                    return Err(Fault::AddressBeyondMode {
-                        vaddr,
-                        mode: self.mode,
-                    });
-                }
-                Ok(vaddr)
-            }
+        let limit = match self.mode {
+            Mode::Real16 => REAL_MODE_LIMIT,
+            Mode::Prot32 => u32::MAX as u64 + 1,
             Mode::Long64 => {
-                if vaddr >= CANONICAL_LIMIT {
-                    return Err(Fault::AddressBeyondMode {
-                        vaddr,
-                        mode: self.mode,
-                    });
+                let last_byte = vaddr.wrapping_add(len.saturating_sub(1));
+                if vaddr < CANONICAL_LIMIT && last_byte >> PAGE_2M_SHIFT == vaddr >> PAGE_2M_SHIFT {
+                    if let Some(frame) = self.tlb.get(vaddr >> PAGE_2M_SHIFT) {
+                        return Ok(frame | (vaddr & PAGE_2M_MASK));
+                    }
                 }
-                // A 2 MiB page never straddles for accesses ≤ 8 bytes unless
-                // the access itself crosses the page boundary; handle the
-                // crossing case by translating both pages.
-                let first = self.translate_page(mem, vaddr)?;
-                let last_byte = vaddr + len.saturating_sub(1);
-                if last_byte >> PAGE_2M_SHIFT != vaddr >> PAGE_2M_SHIFT {
-                    // Ensure the second page is mapped too; identity mapping
-                    // makes the result contiguous.
-                    self.translate_page(mem, last_byte)?;
-                }
-                Ok(first)
+                return self.translate_long(mem, vaddr, len);
             }
+        };
+        if vaddr.saturating_add(len) > limit {
+            return Err(self.beyond_mode(vaddr));
         }
+        Ok(vaddr)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn beyond_mode(&self, vaddr: u64) -> Fault {
+        Fault::AddressBeyondMode {
+            vaddr,
+            mode: self.mode,
+        }
+    }
+
+    /// Long-mode translation off the hit path: a non-canonical address, a
+    /// TLB miss, or an access that crosses into a second 2 MiB page.
+    #[cold]
+    #[inline(never)]
+    fn translate_long(&mut self, mem: &Memory, vaddr: u64, len: u64) -> Result<u64, Fault> {
+        if vaddr >= CANONICAL_LIMIT {
+            return Err(self.beyond_mode(vaddr));
+        }
+        let first = self.translate_page(mem, vaddr)?;
+        let last_byte = vaddr + len.saturating_sub(1);
+        if last_byte >> PAGE_2M_SHIFT != vaddr >> PAGE_2M_SHIFT {
+            // Ensure the second page is mapped too; identity mapping makes
+            // the result contiguous.
+            self.translate_page(mem, last_byte)?;
+        }
+        Ok(first)
     }
 
     /// In long mode: whether `vaddr`'s 2 MiB page is both already in the
@@ -492,10 +508,8 @@ impl Cpu {
         let pdpt_idx = (vaddr >> 30) & 0x1FF;
         let pd_idx = (vaddr >> 21) & 0x1FF;
 
-        let read_entry = |addr: u64| -> Result<u64, Fault> {
-            mem.read_u64(addr)
-                .map_err(|e| Fault::PhysOutOfBounds { paddr: e.paddr })
-        };
+        let read_entry =
+            |addr: u64| -> Result<u64, Fault> { mem.read_u64(addr).map_err(phys_fault) };
 
         let pml4e = read_entry((self.cr3 & PTE_ADDR_MASK) + pml4_idx * 8)?;
         if pml4e & PTE_PRESENT == 0 {
@@ -516,15 +530,16 @@ impl Cpu {
         Ok(frame | (vaddr & PAGE_2M_MASK))
     }
 
+    #[inline(always)]
     pub(crate) fn load(&mut self, mem: &Memory, vaddr: u64, w: Width) -> Result<u64, Fault> {
         self.clock.tick(costs::GUEST_MEM);
         let paddr = self.translate(mem, vaddr, w.bytes())?;
-        mem.read(paddr, w)
-            .map_err(|e| Fault::PhysOutOfBounds { paddr: e.paddr })
+        mem.read(paddr, w).map_err(phys_fault)
     }
 
     /// Stores `v`; returns the physical address written (the predecoder's
     /// self-modification check compares it with the running block's range).
+    #[inline(always)]
     pub(crate) fn store(
         &mut self,
         mem: &mut Memory,
@@ -534,18 +549,19 @@ impl Cpu {
     ) -> Result<u64, Fault> {
         self.clock.tick(costs::GUEST_MEM);
         let paddr = self.translate(mem, vaddr, w.bytes())?;
-        mem.write(paddr, w, v)
-            .map_err(|e| Fault::PhysOutOfBounds { paddr: e.paddr })?;
+        mem.write(paddr, w, v).map_err(phys_fault)?;
         Ok(paddr)
     }
 
     /// Pushes `v`; returns the physical address written, like [`Cpu::store`].
+    #[inline(always)]
     pub(crate) fn push(&mut self, mem: &mut Memory, v: u64) -> Result<u64, Fault> {
         let sp = self.reg(Reg::SP).wrapping_sub(8);
         self.set_reg(Reg::SP, sp);
         self.store(mem, sp, Width::Q, v)
     }
 
+    #[inline(always)]
     pub(crate) fn pop(&mut self, mem: &Memory) -> Result<u64, Fault> {
         let sp = self.reg(Reg::SP);
         let v = self.load(mem, sp, Width::Q)?;
@@ -720,11 +736,8 @@ impl Cpu {
     /// straddling bytes from both physical pages; the pages need not be
     /// physically contiguous.
     pub(crate) fn fetch_decode(&mut self, mem: &Memory, pc: u64) -> Result<(Inst, u64), Fault> {
-        const MAX_INST_LEN: usize = 10;
         let fetch_paddr = self.translate(mem, pc, 1)?;
-        let window = mem
-            .tail(fetch_paddr)
-            .map_err(|e| Fault::PhysOutOfBounds { paddr: e.paddr })?;
+        let window = mem.tail(fetch_paddr).map_err(phys_fault)?;
         // Bytes the guest may fetch from `pc` before hitting a virtual
         // boundary (mode limit or long-mode page end).
         let visible = match self.mode {
@@ -748,13 +761,11 @@ impl Cpu {
                         // reassemble the split encoding.
                         let next_vpage = (pc | PAGE_2M_MASK) + 1;
                         let next_paddr = self.translate_page(mem, next_vpage)?;
-                        let rest = mem
-                            .tail(next_paddr)
-                            .map_err(|e| Fault::PhysOutOfBounds { paddr: e.paddr })?;
-                        let mut buf = [0u8; MAX_INST_LEN];
-                        let head = win.len().min(MAX_INST_LEN);
+                        let rest = mem.tail(next_paddr).map_err(phys_fault)?;
+                        let mut buf = [0u8; Inst::MAX_LEN];
+                        let head = win.len().min(Inst::MAX_LEN);
                         buf[..head].copy_from_slice(&win[..head]);
-                        let tail_len = rest.len().min(MAX_INST_LEN - head);
+                        let tail_len = rest.len().min(Inst::MAX_LEN - head);
                         buf[head..head + tail_len].copy_from_slice(&rest[..tail_len]);
                         Inst::decode(&buf[..head + tail_len])
                             .map_err(|cause| Fault::Decode { pc, cause })

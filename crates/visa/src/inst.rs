@@ -511,6 +511,11 @@ impl Inst {
         }
     }
 
+    /// Longest encoding [`Inst::decode`] consumes (an opcode, a register and
+    /// a 64-bit immediate): a fetch window this long always holds a whole
+    /// instruction.
+    pub(crate) const MAX_LEN: usize = 10;
+
     /// Decodes one instruction from the start of `bytes`.
     ///
     /// Returns the instruction and its encoded length.
@@ -761,10 +766,10 @@ mod tests {
         assert_eq!(len, inst.len());
     }
 
-    #[test]
-    fn all_instruction_forms_round_trip() {
+    /// One instance of every instruction form, widest operands included.
+    fn every_form() -> Vec<Inst> {
         let r = |n| Reg(n);
-        let insts = [
+        vec![
             Inst::Nop,
             Inst::Hlt,
             Inst::Ret,
@@ -796,10 +801,24 @@ mod tests {
             Inst::Wrmsr(MSR_EFER, r(4)),
             Inst::Ljmp(JmpMode::Long64, 0x9000),
             Inst::Mark(250),
-        ];
-        for inst in insts {
+        ]
+    }
+
+    #[test]
+    fn all_instruction_forms_round_trip() {
+        for inst in every_form() {
             round_trip(inst);
         }
+    }
+
+    #[test]
+    fn max_len_is_the_longest_encoding() {
+        let longest = every_form().into_iter().map(|inst| {
+            let mut buf = Vec::new();
+            inst.encode(&mut buf);
+            buf.len()
+        });
+        assert_eq!(longest.max(), Some(Inst::MAX_LEN));
     }
 
     #[test]

@@ -214,15 +214,16 @@ impl Memory {
         self.code_dirty.fill(!0);
     }
 
-    fn mark_dirty(&mut self, start: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let end = start + len;
-        for page in start / PAGE_SIZE..=(end - 1) / PAGE_SIZE {
-            self.dirty_pages[page as usize / 64] |= 1 << (page % 64);
-            self.code_dirty[page as usize / 64] |= 1 << (page % 64);
-        }
+    /// Sets `page`'s bit in both bitmaps.
+    #[inline(always)]
+    fn mark_page(&mut self, page: u64) {
+        self.dirty_pages[page as usize / 64] |= 1 << (page % 64);
+        self.code_dirty[page as usize / 64] |= 1 << (page % 64);
+    }
+
+    /// Grows the dirty extent over the written bytes `start..end`.
+    #[inline(always)]
+    fn extend_dirty(&mut self, start: u64, end: u64) {
         let mid = (self.bytes.len() as u64) / 2;
         if end <= mid {
             // Entirely in the lower half: extend the low region upward.
@@ -235,41 +236,97 @@ impl Memory {
         }
     }
 
+    /// Records a write of any length. Off the per-instruction path: a guest
+    /// store marks its one page inline in [`Memory::write`] and only comes
+    /// here when it straddles two.
+    #[cold]
+    #[inline(never)]
+    fn mark_dirty(&mut self, start: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
+        let end = start + len;
+        for page in start / PAGE_SIZE..=(end - 1) / PAGE_SIZE {
+            self.mark_page(page);
+        }
+        self.extend_dirty(start, end);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn out_of_bounds(&self, paddr: u64, len: u64) -> PhysAccessError {
+        PhysAccessError {
+            paddr,
+            len,
+            mem_size: self.bytes.len() as u64,
+        }
+    }
+
+    #[inline]
     fn check(&self, paddr: u64, len: u64) -> Result<usize, PhysAccessError> {
-        let end = paddr.checked_add(len);
-        match end {
+        match paddr.checked_add(len) {
             Some(end) if end <= self.bytes.len() as u64 => Ok(paddr as usize),
-            _ => Err(PhysAccessError {
-                paddr,
-                len,
-                mem_size: self.bytes.len() as u64,
-            }),
+            _ => Err(self.out_of_bounds(paddr, len)),
         }
     }
 
     /// Reads a zero-extended value of the given width.
+    #[inline(always)]
     pub fn read(&self, paddr: u64, width: Width) -> Result<u64, PhysAccessError> {
+        // With eight bytes in range — everywhere but the last seven bytes of
+        // memory — any width is one bounds check, one unaligned load and a
+        // mask, with no branch on the width.
+        match usize::try_from(paddr)
+            .ok()
+            .and_then(|off| self.bytes.get(off..)?.first_chunk::<8>())
+        {
+            Some(q) => Ok(u64::from_le_bytes(*q) & (u64::MAX >> (64 - 8 * width.bytes()))),
+            None => self.read_near_end(paddr, width),
+        }
+    }
+
+    /// [`Memory::read`] within eight bytes of the end of memory, or past it.
+    #[cold]
+    #[inline(never)]
+    fn read_near_end(&self, paddr: u64, width: Width) -> Result<u64, PhysAccessError> {
+        let n = width.bytes() as usize;
         let off = self.check(paddr, width.bytes())?;
-        let v = match width {
-            Width::B => self.bytes[off] as u64,
-            Width::W => {
-                u16::from_le_bytes(self.bytes[off..off + 2].try_into().expect("len")) as u64
-            }
-            Width::D => {
-                u32::from_le_bytes(self.bytes[off..off + 4].try_into().expect("len")) as u64
-            }
-            Width::Q => u64::from_le_bytes(self.bytes[off..off + 8].try_into().expect("len")),
-        };
-        Ok(v)
+        let mut le = [0; 8];
+        le[..n].copy_from_slice(&self.bytes[off..off + n]);
+        Ok(u64::from_le_bytes(le))
+    }
+
+    /// Stores the low `N` bytes of `value`; `None` when out of range.
+    #[inline(always)]
+    fn put<const N: usize>(&mut self, paddr: u64, value: u64) -> Option<()> {
+        let off = usize::try_from(paddr).ok()?;
+        let dst = self.bytes.get_mut(off..)?.first_chunk_mut::<N>()?;
+        dst.copy_from_slice(&value.to_le_bytes()[..N]);
+        Some(())
     }
 
     /// Writes the low `width` bytes of `value`.
+    #[inline(always)]
     pub fn write(&mut self, paddr: u64, width: Width, value: u64) -> Result<(), PhysAccessError> {
-        let off = self.check(paddr, width.bytes())?;
-        let le = value.to_le_bytes();
-        let n = width.bytes() as usize;
-        self.bytes[off..off + n].copy_from_slice(&le[..n]);
-        self.mark_dirty(paddr, width.bytes());
+        let stored = match width {
+            Width::B => self.put::<1>(paddr, value),
+            Width::W => self.put::<2>(paddr, value),
+            Width::D => self.put::<4>(paddr, value),
+            Width::Q => self.put::<8>(paddr, value),
+        };
+        let len = width.bytes();
+        if stored.is_none() {
+            return Err(self.out_of_bounds(paddr, len));
+        }
+        // One page, as all but a straddling store is: two bit-ORs and the
+        // extent, no loop.
+        let page = paddr / PAGE_SIZE;
+        if (paddr + len - 1) / PAGE_SIZE == page {
+            self.mark_page(page);
+            self.extend_dirty(paddr, paddr + len);
+        } else {
+            self.mark_dirty(paddr, len);
+        }
         Ok(())
     }
 

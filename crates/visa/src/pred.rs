@@ -1,10 +1,11 @@
 //! The predecoded basic-block interpreter — the fast engine behind
 //! [`Cpu::run`](crate::cpu::Cpu::run).
 //!
-//! ROADMAP item 3 asks for the guest interpreter to be restructured the way
-//! lightweight-VM interpreters are: split decode from execute, dispatch on a
-//! dense opcode class, and charge virtual time from a per-class cost table
-//! instead of re-deriving it per step. This module does exactly that:
+//! The reference interpreter fetches, decodes and dispatches every
+//! instruction every time it runs. This engine splits decode from execute
+//! the way lightweight-VM interpreters do, dispatches on a dense lowered
+//! opcode, and charges virtual time from a per-class cost table instead of
+//! re-deriving it per step:
 //!
 //! * **Predecode.** Straight-line runs of guest code are lazily decoded once
 //!   into a cached [`Vec<PredInst>`] (a *block*), keyed by `(mode, start
@@ -12,11 +13,19 @@
 //!   build time, immediates are unpacked, and the per-instruction base cycle
 //!   cost is pre-summed from [`vclock::costs::GUEST_CLASS_BASE`] — execution
 //!   never touches [`Inst::decode`](crate::inst::Inst::decode) again.
-//! * **Superinstructions.** The 2-instruction patterns `vcc::codegen`
-//!   actually emits are fused at build time: `cmp`+`jcc` (every compiled
-//!   `if`/`while`), `mov ri`+`alu rr` (constant operands), and the
-//!   `push`/`push` · `push`/`mov` prologue pairs. A fused pair dispatches
-//!   once but retires two instructions.
+//! * **Superinstructions.** Six 2-instruction patterns are fused at build
+//!   time — the ones that measured a win in `interp_speed`
+//!   (`docs/interpreter.md#superinstructions`): `cmp r,imm`+`jcc` (every
+//!   compiled `if`/`while`), `mov r,r`+`pop` and `push`+`load` (`vcc`'s
+//!   operand shuffles), `pop`+`push`, `pop`+`alu r,r` and `alu r,imm`+`call`.
+//!   A fused pair dispatches once but retires two instructions.
+//! * **Host-side shape.** One dispatch site (`run_fast`'s block loop, with
+//!   `exec` inlined into it); guest loads and stores whose hit path is a
+//!   mode or TLB compare, a bounds check and one unaligned access, inlined
+//!   into the `exec` arm from the definitions in `cpu.rs`/`mem.rs` that the
+//!   reference engine shares; blocks owned by an arena and lent to the loop
+//!   as `&Block`. A step budget that ends inside a block finishes on the
+//!   reference path.
 //! * **Invalidation.** [`Memory`] keeps a code-dirty
 //!   page bitmap (set on every write, never cleared by the data-dirty
 //!   tracking). Before a cached block runs, any dirty page it overlaps is
@@ -71,7 +80,7 @@
 //! every `vcc`-compiled program.
 
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use vclock::costs;
@@ -98,6 +107,10 @@ static RETIRED_REF: AtomicU64 = AtomicU64::new(0);
 static BLOCKS_BUILT: AtomicU64 = AtomicU64::new(0);
 static BLOCKS_INVALIDATED: AtomicU64 = AtomicU64::new(0);
 static SUPERINSTS_FUSED: AtomicU64 = AtomicU64::new(0);
+static DISPATCH_FRONT: AtomicU64 = AtomicU64::new(0);
+static DISPATCH_MAP: AtomicU64 = AtomicU64::new(0);
+static DISPATCH_BUILT: AtomicU64 = AtomicU64::new(0);
+static DISPATCH_REFERENCE: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide guest-execution counters (monotonic, all engines).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,6 +126,16 @@ pub struct Counters {
     pub blocks_invalidated: u64,
     /// Superinstructions fused at block-build time.
     pub superinsts_fused: u64,
+    /// Block entries of the fast engine served by the front cache.
+    pub dispatch_front: u64,
+    /// Block entries served by the block map (a front miss, or a front hit
+    /// on a written page that then revalidated).
+    pub dispatch_map: u64,
+    /// Block entries that built the block first.
+    pub dispatch_built: u64,
+    /// Instructions the fast engine single-stepped on the reference path
+    /// instead: uncacheable code and the tail of a step budget.
+    pub dispatch_reference: u64,
 }
 
 /// Snapshot of the process-wide guest-execution counters.
@@ -123,6 +146,10 @@ pub fn counters() -> Counters {
         blocks_built: BLOCKS_BUILT.load(Ordering::Relaxed),
         blocks_invalidated: BLOCKS_INVALIDATED.load(Ordering::Relaxed),
         superinsts_fused: SUPERINSTS_FUSED.load(Ordering::Relaxed),
+        dispatch_front: DISPATCH_FRONT.load(Ordering::Relaxed),
+        dispatch_map: DISPATCH_MAP.load(Ordering::Relaxed),
+        dispatch_built: DISPATCH_BUILT.load(Ordering::Relaxed),
+        dispatch_reference: DISPATCH_REFERENCE.load(Ordering::Relaxed),
     }
 }
 
@@ -166,25 +193,8 @@ enum PredOp {
     Load(Width, Reg, Reg, i32),
     Store(Width, Reg, i32, Reg),
     Mark(u8),
-    /// Fused `cmp a, b` + `jcc cond, target`.
-    CmpRRJcc(Reg, Reg, Cond, u64),
     /// Fused `cmp a, imm` + `jcc cond, target`.
     CmpRIJcc(Reg, u64, Cond, u64),
-    /// Fused `mov d1, imm` + `d2 op= s2` (op never div/mod — those fault).
-    MovRIAluRR(Reg, u64, Alu, Reg, Reg),
-    /// Fused `push a` + `push b` (argument set-up).
-    PushPush(Reg, Reg),
-    /// Fused `push a` + `mov d, s` (the `push fp; mov fp, sp` prologue).
-    PushMovRR(Reg, Reg, Reg),
-    /// Fused `push a` + `d op= imm` (caller-save then adjust, op always
-    /// plain-ALU class). `mid` is the second instruction's address.
-    PushAluRI {
-        a: Reg,
-        op: Alu,
-        d: Reg,
-        imm: u64,
-        mid: u64,
-    },
     /// Fused `pop d` + `push s` (restore one value, save another). `mid` is
     /// the second instruction's address.
     PopPush {
@@ -204,19 +214,9 @@ enum PredOp {
     /// Fused `d op= imm` + `call target` (adjust an argument, then call;
     /// op never div/mod — those fault).
     AluRICall(Alu, Reg, u64, u64),
-    /// Fused `mov d, s` + `ret` (move a result into place and return).
-    MovRRRet(Reg, Reg),
     /// Fused `mov d, s` + `pop pd` (`vcc`'s binary-operator operand
     /// shuffle: `mov r10, r0` + `pop r0`).
     MovRRPop(Reg, Reg, Reg),
-    /// Fused `pop r` + `ret` (function epilogue). `mid` is the `ret`'s
-    /// address.
-    PopRet {
-        r: Reg,
-        mid: u64,
-    },
-    /// Fused `cmp a, b` + `mov d, imm` (comparison materialisation).
-    CmpRRMovRI(Reg, Reg, Reg, u64),
     /// Fused `push a` + `load` (save one operand, fetch the next). `mid` is
     /// the load's address.
     PushLoad {
@@ -243,29 +243,6 @@ struct PredInst {
     next_pc: u64,
 }
 
-impl PredInst {
-    /// Instructions this dispatch retires (2 for superinstructions).
-    fn retires(&self) -> u64 {
-        match self.op {
-            PredOp::CmpRRJcc(..)
-            | PredOp::CmpRIJcc(..)
-            | PredOp::MovRIAluRR(..)
-            | PredOp::PushPush(..)
-            | PredOp::PushMovRR(..)
-            | PredOp::PushAluRI { .. }
-            | PredOp::PopPush { .. }
-            | PredOp::PopAluRR { .. }
-            | PredOp::AluRICall(..)
-            | PredOp::MovRRRet(..)
-            | PredOp::MovRRPop(..)
-            | PredOp::PopRet { .. }
-            | PredOp::CmpRRMovRI(..)
-            | PredOp::PushLoad { .. } => 2,
-            _ => 1,
-        }
-    }
-}
-
 /// A predecoded straight-line run of guest code.
 #[derive(Debug)]
 struct Block {
@@ -278,8 +255,9 @@ struct Block {
     /// on the block's pages.
     src: Vec<u8>,
     insts: Vec<PredInst>,
-    /// Instructions the whole block retires (fused pairs count 2) — lets
-    /// the run loop hoist the step-budget check out of the dispatch loop.
+    /// Instructions the whole block retires (a fused pair retires two) —
+    /// lets the run loop hoist the step-budget check out of the dispatch
+    /// loop.
     retire_total: u64,
 }
 
@@ -290,6 +268,13 @@ impl Block {
 
     fn page_hi(&self) -> u64 {
         (self.end - 1) / PAGE_SIZE
+    }
+
+    /// Has no write landed on any page this block overlaps since the cache
+    /// last swept it?
+    #[inline]
+    fn pages_clean(&self, mem: &Memory) -> bool {
+        !(self.page_lo()..=self.page_hi()).any(|page| mem.code_page_dirty(page))
     }
 
     /// Do the bytes this block was decoded from still sit in memory?
@@ -304,21 +289,14 @@ impl Block {
     }
 }
 
-/// A multiply-rotate hasher (fxhash-style) for the block map. One lookup
-/// happens per *block dispatch*, where SipHash's keyed mixing costs more
-/// than the dispatch itself; the keys are trusted guest pcs, so a
-/// non-DoS-resistant hash is fine.
+/// A multiply-rotate hasher (fxhash-style) for the block map, whose keys
+/// are a mode discriminant and a `u64`. One lookup happens per front-cache
+/// miss, where SipHash's keyed mixing costs more than the dispatch itself;
+/// the keys are trusted guest pcs, so a non-DoS-resistant hash is fine.
 #[derive(Default)]
 pub(crate) struct FxHasher(u64);
 
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
+impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.0
@@ -327,54 +305,37 @@ impl std::hash::Hasher for FxHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.add(b as u64);
+            self.write_u64(b as u64);
         }
     }
 
     #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
-    }
-
-    #[inline]
     fn write_u64(&mut self, v: u64) {
-        self.add(v);
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
     }
 
+    /// The derived `Hash` of [`Mode`] writes its discriminant through here.
     #[inline]
     fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
+        self.write_u64(v as u64);
     }
 }
 
-/// [`BuildHasher`](std::hash::BuildHasher) for [`FxHasher`].
-#[derive(Debug, Default, Clone)]
-pub(crate) struct FxBuild;
+/// Entries in the direct-mapped front cache over the block map.
+const FRONT_ENTRIES: usize = 256;
 
-impl std::hash::BuildHasher for FxBuild {
-    type Hasher = FxHasher;
+/// An empty front entry. A guest *can* put its pc at `u64::MAX`, so the slot
+/// is what makes it match nothing: the arena never grows that far.
+const NO_FRONT: (u64, u32) = (u64::MAX, u32::MAX);
 
-    #[inline]
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher::default()
-    }
-}
-
-/// Slots in the direct-mapped front cache over the block map.
-const FRONT_SLOTS: usize = 64;
-
-/// Front-cache slot for a block starting at `pc`.
+/// Front-cache index for a block starting at `pc`.
 #[inline]
 fn front_idx(pc: u64) -> usize {
-    (((pc >> 1) ^ (pc >> 7)) as usize) & (FRONT_SLOTS - 1)
+    (((pc >> 1) ^ (pc >> 7)) as usize) & (FRONT_ENTRIES - 1)
 }
 
 /// Key of a cached block: the mode it was decoded in and its first byte.
+/// Exact over all 64 bits of pc — `jmp r` and `ret` can load any value.
 type BlockKey = (Mode, u64);
 
 /// The block cache. It belongs to the *shell* — the CPU/memory pair a
@@ -382,82 +343,96 @@ type BlockKey = (Mode, u64);
 /// [`Cpu::restore_state`] and is carried across a vCPU reset by
 /// [`Cpu::adopt_predecode`]. See the invariant in the module docs for why
 /// that is safe.
-#[derive(Debug)]
+///
+/// Blocks live in an arena and are named by slot index; the run loop
+/// borrows `&Block` from the arena while the cache is detached from its
+/// [`Cpu`] (see [`run_fast`]), so dispatching a block touches no reference
+/// count. An empty cache owns no heap memory: a hypervisor builds a fresh
+/// `Cpu` on every vCPU reset just to swap the old cache into it.
+#[derive(Debug, Default)]
 pub(crate) struct PredCache {
-    blocks: HashMap<BlockKey, Rc<Block>, FxBuild>,
-    /// Every cached block, listed under each 4 KiB page it overlaps (a block
-    /// that straddles a boundary appears under both); indexed by page
-    /// number and grown on demand, so never longer than guest memory has
-    /// pages. A sweep revalidates one page's list: its cost follows the
+    map: HashMap<BlockKey, u32, BuildHasherDefault<FxHasher>>,
+    /// The arena. A `None` slot is on `free`.
+    slots: Vec<Option<Block>>,
+    free: Vec<u32>,
+    /// Every cached block's slot, listed under each 4 KiB page it overlaps
+    /// (a block that straddles a boundary appears under both); indexed by
+    /// page number and grown on demand, so never longer than guest memory
+    /// has pages. A sweep revalidates one page's list: its cost follows the
     /// page, not the cache.
-    by_page: Vec<Vec<BlockKey>>,
-    /// Direct-mapped front cache over `blocks`: most dispatches re-enter one
-    /// of a handful of hot blocks, and a slot hit skips the map probe
-    /// entirely. Cleared wholesale whenever any block is dropped, so a slot
-    /// can never outlive the map entry it mirrors.
-    front: [Option<Rc<Block>>; FRONT_SLOTS],
-}
-
-impl Default for PredCache {
-    fn default() -> PredCache {
-        PredCache {
-            blocks: HashMap::default(),
-            by_page: Vec::new(),
-            front: std::array::from_fn(|_| None),
-        }
-    }
+    by_page: Vec<Vec<u32>>,
+    /// Direct-mapped `(start pc, slot)` pairs over `map`: most dispatches
+    /// re-enter one of a handful of hot blocks, and a hit skips the map
+    /// probe entirely. Allocated by the first block cached, and reset
+    /// wholesale whenever any block leaves the cache — that is what keeps a
+    /// recycled slot from being reached through a stale pair.
+    front: Vec<(u64, u32)>,
 }
 
 impl PredCache {
-    /// An empty cache.
-    pub(crate) fn new() -> PredCache {
-        PredCache::default()
+    fn block(&self, slot: u32) -> &Block {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("a mapped, indexed or front slot holds a block")
     }
 
-    /// Empties the front cache — required before any block leaves `blocks`.
+    /// Empties the front cache — required whenever a block leaves `slots`.
     fn clear_front(&mut self) {
-        self.front = std::array::from_fn(|_| None);
+        self.front.fill(NO_FRONT);
     }
 
     /// Drops every cached block (the capacity bound).
     fn flush(&mut self) {
-        BLOCKS_INVALIDATED.fetch_add(self.blocks.len() as u64, Ordering::Relaxed);
-        self.blocks.clear();
+        BLOCKS_INVALIDATED.fetch_add(self.map.len() as u64, Ordering::Relaxed);
+        self.map.clear();
+        self.slots.clear();
+        self.free.clear();
         self.by_page.clear();
         self.clear_front();
     }
 
     /// Caches a freshly built block, evicting everything first when the
-    /// cache is full.
-    fn insert(&mut self, blk: Rc<Block>) {
-        if self.blocks.len() >= MAX_CACHED_BLOCKS {
+    /// cache is full, and returns its slot.
+    fn insert(&mut self, blk: Block) -> u32 {
+        if self.map.len() >= MAX_CACHED_BLOCKS {
             self.flush();
         }
-        let key = (blk.mode, blk.start);
+        if self.front.is_empty() {
+            self.front = vec![NO_FRONT; FRONT_ENTRIES];
+        }
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() as u32 - 1
+        });
         for page in blk.page_lo() as usize..=blk.page_hi() as usize {
             if page >= self.by_page.len() {
                 self.by_page.resize_with(page + 1, Vec::new);
             }
-            self.by_page[page].push(key);
+            self.by_page[page].push(slot);
         }
-        self.blocks.insert(key, blk);
+        self.map.insert((blk.mode, blk.start), slot);
+        self.slots[slot as usize] = Some(blk);
+        slot
     }
 
-    /// Removes `blk` from the list of every page it overlaps.
-    fn unlink(by_page: &mut [Vec<BlockKey>], blk: &Block) {
-        let key = (blk.mode, blk.start);
+    /// Takes the block in `slot` out of the arena, the map and every page
+    /// list, and frees the slot. The caller clears the front.
+    fn evict(&mut self, slot: u32) {
+        let blk = self.slots[slot as usize]
+            .take()
+            .expect("an evicted slot holds a block");
+        self.free.push(slot);
+        self.map.remove(&(blk.mode, blk.start));
         for page in blk.page_lo()..=blk.page_hi() {
-            by_page[page as usize].retain(|k| *k != key);
+            self.by_page[page as usize].retain(|s| *s != slot);
         }
     }
 
     /// Drops one block (self-modifying store into its own range).
-    fn remove(&mut self, mode: Mode, start: u64) {
-        if let Some(blk) = self.blocks.remove(&(mode, start)) {
-            PredCache::unlink(&mut self.by_page, &blk);
-            BLOCKS_INVALIDATED.fetch_add(1, Ordering::Relaxed);
-            self.clear_front();
-        }
+    fn remove(&mut self, slot: u32) {
+        self.evict(slot);
+        BLOCKS_INVALIDATED.fetch_add(1, Ordering::Relaxed);
+        self.clear_front();
     }
 
     /// Revalidates the cached blocks on each dirty page in `lo..=hi`: a
@@ -470,38 +445,94 @@ impl PredCache {
                 continue;
             }
             if (page as usize) < self.by_page.len() {
-                // Taken out while it is rewritten, so that unlinking a stale
-                // straddler from its *other* page can borrow the index.
-                let mut keys = std::mem::take(&mut self.by_page[page as usize]);
-                let before = keys.len();
-                keys.retain(|key| {
-                    if self.blocks[key].matches(mem) {
-                        return true;
+                // Taken out while it is rewritten, so that evicting a stale
+                // straddler can edit its *other* page's list.
+                let mut on_page = std::mem::take(&mut self.by_page[page as usize]);
+                let before = on_page.len();
+                on_page.retain(|&slot| {
+                    let fresh = self.block(slot).matches(mem);
+                    if !fresh {
+                        self.evict(slot);
                     }
-                    let stale = self.blocks.remove(key).expect("indexed block is cached");
-                    PredCache::unlink(&mut self.by_page, &stale);
-                    false
+                    fresh
                 });
-                let dropped = before - keys.len();
-                self.by_page[page as usize] = keys;
+                let dropped = before - on_page.len();
+                self.by_page[page as usize] = on_page;
                 if dropped > 0 {
                     BLOCKS_INVALIDATED.fetch_add(dropped as u64, Ordering::Relaxed);
-                    // Mirrored front slots must go with the dropped blocks:
-                    // the dirty bit that guarded them is about to clear.
+                    // The dirty bit that kept the front from reaching the
+                    // dropped blocks is about to clear.
                     self.clear_front();
                 }
             }
             mem.clear_code_dirty_page(page);
         }
     }
+
+    /// Returns the slot of the block to execute at `cpu.pc`, building and
+    /// caching it if needed; `None` when the instruction there must run on
+    /// the reference path.
+    #[inline]
+    fn acquire(&mut self, cpu: &mut Cpu, mem: &mut Memory, n: &mut Dispatches) -> Option<u32> {
+        // Long-mode blocks are only valid on TLB-resident identity-mapped
+        // code pages (see `build`). Checking the *live* TLB here — not just
+        // at build time — also covers CR3 switches: a CR3 write clears the
+        // TLB, so stale blocks from a previous address space can never run.
+        // The reference step this falls back to pays the walk tick
+        // faithfully and refills the TLB.
+        if cpu.mode == Mode::Long64 && cpu.long_identity_page_end(cpu.pc).is_none() {
+            return None;
+        }
+        // Hottest path: the front pair names this exact block and no write
+        // has landed on its pages since the last sweep — known-fresh with no
+        // map probe and no revalidation.
+        let pc = cpu.pc;
+        let at = front_idx(pc);
+        if let Some(&(start, slot)) = self.front.get(at) {
+            if start == pc {
+                if let Some(Some(blk)) = self.slots.get(slot as usize) {
+                    if blk.start == pc && blk.mode == cpu.mode && blk.pages_clean(mem) {
+                        n.front += 1;
+                        return Some(slot);
+                    }
+                }
+            }
+        }
+        self.acquire_miss(cpu, mem, n)
+    }
+
+    /// [`PredCache::acquire`] past the front cache: the map probe, the
+    /// revalidation sweep and the block build, kept out of the run loop's
+    /// body.
+    #[inline(never)]
+    fn acquire_miss(&mut self, cpu: &mut Cpu, mem: &mut Memory, n: &mut Dispatches) -> Option<u32> {
+        let pc = cpu.pc;
+        let at = front_idx(pc);
+        let key = (cpu.mode, pc);
+        if let Some(&slot) = self.map.get(&key) {
+            let blk = self.block(slot);
+            if !blk.pages_clean(mem) {
+                let (lo, hi) = (blk.page_lo(), blk.page_hi());
+                self.sweep(mem, lo, hi);
+            }
+            if let Some(&slot) = self.map.get(&key) {
+                self.front[at] = (pc, slot);
+                n.map += 1;
+                return Some(slot);
+            }
+        }
+        let blk = build(cpu, mem)?;
+        self.sweep(mem, blk.page_lo(), blk.page_hi());
+        let slot = self.insert(blk);
+        self.front[at] = (pc, slot);
+        BLOCKS_BUILT.fetch_add(1, Ordering::Relaxed);
+        n.built += 1;
+        Some(slot)
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Block construction.
-
-/// Longest single instruction encoding — the long-mode block builder stops
-/// this far short of a 2 MiB page boundary so its probe never crosses one.
-const MAX_INST_LEN: u64 = 10;
 
 /// Decodes the straight-line run starting at `cpu.pc` and lowers it,
 /// fusing superinstruction patterns. Returns `None` when not even the first
@@ -524,9 +555,10 @@ fn build(cpu: &mut Cpu, mem: &Memory) -> Option<Block> {
     let mut raw: Vec<(Inst, u64, u64)> = Vec::new();
     let mut pc = start;
     while raw.len() < MAX_BLOCK_INSTS {
-        if page_end - pc < MAX_INST_LEN {
-            // Too close to the long-mode page boundary: a probe here could
-            // straddle into the next page and charge its TLB walk early.
+        if page_end - pc < Inst::MAX_LEN as u64 {
+            // Within one encoding of the long-mode page boundary: a probe
+            // here could straddle into the next page and charge its TLB walk
+            // early.
             break;
         }
         // fetch_decode never ticks the clock in real/protected mode (and is
@@ -553,14 +585,14 @@ fn build(cpu: &mut Cpu, mem: &Memory) -> Option<Block> {
     let end = pc;
     let src = mem.slice(start, end - start).ok()?.to_vec();
     let insts = lower(&raw);
-    let retire_total = insts.iter().map(PredInst::retires).sum();
     Some(Block {
         mode,
         start,
         end,
         src,
         insts,
-        retire_total,
+        // Fused or not, every decoded instruction retires once.
+        retire_total: raw.len() as u64,
     })
 }
 
@@ -591,61 +623,19 @@ fn lower(raw: &[(Inst, u64, u64)]) -> Vec<PredInst> {
         if let Some(&(next, npc, nlen)) = raw.get(i + 1) {
             let n_next = npc.wrapping_add(nlen);
             let fused = match (inst, next) {
-                (Inst::CmpRR(a, b), Inst::Jcc(c, rel)) => Some(PredInst {
-                    op: PredOp::CmpRRJcc(a, b, c, abs_target(n_next, rel)),
+                (Inst::CmpRI(a, imm), Inst::Jcc(c, rel)) => Some(PredInst {
+                    op: PredOp::CmpRIJcc(a, imm, c, abs_target(n_next, rel)),
                     // cmp's ALU tick + jcc's BRANCH tick; nothing can
                     // observe the clock between them.
                     cost: costs::GUEST_ALU + costs::GUEST_BRANCH,
                     pc,
                     next_pc: n_next,
                 }),
-                (Inst::CmpRI(a, imm), Inst::Jcc(c, rel)) => Some(PredInst {
-                    op: PredOp::CmpRIJcc(a, imm, c, abs_target(n_next, rel)),
-                    cost: costs::GUEST_ALU + costs::GUEST_BRANCH,
-                    pc,
-                    next_pc: n_next,
-                }),
-                (Inst::MovRI(d, imm), Inst::AluRR(op, d2, s2))
-                    if !matches!(op, Alu::Div | Alu::Mod) =>
-                {
-                    Some(PredInst {
-                        op: PredOp::MovRIAluRR(d, imm, op, d2, s2),
-                        cost: costs::GUEST_ALU + class_cost(&next),
-                        pc,
-                        next_pc: n_next,
-                    })
-                }
-                (Inst::Push(a), Inst::Push(b)) => Some(PredInst {
-                    op: PredOp::PushPush(a, b),
-                    // Only the first push's STACK tick: its store can fault,
-                    // so the second push's ticks stay behind it.
-                    cost: costs::GUEST_STACK,
-                    pc,
-                    next_pc: n_next,
-                }),
-                (Inst::Push(a), Inst::MovRR(d, s)) => Some(PredInst {
-                    op: PredOp::PushMovRR(a, d, s),
-                    cost: costs::GUEST_STACK,
-                    pc,
-                    next_pc: n_next,
-                }),
-                // The Push/Pop-first pairs below carry only the first half's
-                // STACK tick in `cost`: the stack op can fault, so the second
-                // half's tick stays behind it (dispatched in the exec arm).
-                // The second halves are restricted to plain-ALU-class ops so
-                // that deferred tick is the constant `GUEST_ALU`.
-                (Inst::Push(a), Inst::AluRI(op, d, imm)) if plain_alu(op) => Some(PredInst {
-                    op: PredOp::PushAluRI {
-                        a,
-                        op,
-                        d,
-                        imm,
-                        mid: npc,
-                    },
-                    cost: costs::GUEST_STACK,
-                    pc,
-                    next_pc: n_next,
-                }),
+                // The Pop-first pairs carry only the pop's STACK tick in
+                // `cost`: the pop can fault, so the second half's tick stays
+                // behind it (dispatched in the exec arm). An ALU second half
+                // is restricted to plain-ALU-class ops so that deferred tick
+                // is the constant `GUEST_ALU`.
                 (Inst::Pop(d), Inst::Push(s)) => Some(PredInst {
                     op: PredOp::PopPush { d, s, mid: npc },
                     cost: costs::GUEST_STACK,
@@ -676,29 +666,11 @@ fn lower(raw: &[(Inst, u64, u64)]) -> Vec<PredInst> {
                         next_pc: n_next,
                     })
                 }
-                (Inst::MovRR(d, s), Inst::Ret) => Some(PredInst {
-                    op: PredOp::MovRRRet(d, s),
-                    cost: costs::GUEST_ALU + costs::GUEST_CALLRET,
-                    pc,
-                    next_pc: n_next,
-                }),
                 (Inst::MovRR(d, s), Inst::Pop(pd)) => Some(PredInst {
                     op: PredOp::MovRRPop(d, s, pd),
                     // The mov cannot fault: both base ticks merge up front,
                     // ahead of the pop's (faultable, internally ticked) load.
                     cost: costs::GUEST_ALU + costs::GUEST_STACK,
-                    pc,
-                    next_pc: n_next,
-                }),
-                (Inst::Pop(r), Inst::Ret) => Some(PredInst {
-                    op: PredOp::PopRet { r, mid: npc },
-                    cost: costs::GUEST_STACK,
-                    pc,
-                    next_pc: n_next,
-                }),
-                (Inst::CmpRR(a, b), Inst::MovRI(d, imm)) => Some(PredInst {
-                    op: PredOp::CmpRRMovRI(a, b, d, imm),
-                    cost: costs::GUEST_ALU + costs::GUEST_ALU,
                     pc,
                     next_pc: n_next,
                 }),
@@ -712,7 +684,8 @@ fn lower(raw: &[(Inst, u64, u64)]) -> Vec<PredInst> {
                         mid: npc,
                     },
                     // The load's class base is zero (`cpu.load` ticks MEM
-                    // itself), so only the push's STACK tick rides up front.
+                    // itself), so only the push's STACK tick rides up front;
+                    // the push can fault, so the exec arm retires per half.
                     cost: costs::GUEST_STACK,
                     pc,
                     next_pc: n_next,
@@ -823,7 +796,9 @@ fn div_mod(op: Alu, a: u64, b: u64, pc: u64) -> Result<u64, Fault> {
 /// Mirrors the reference `step()` exactly: `insts_retired` and `pc` advance
 /// *before* the body (so fault states match), and the clock is ticked such
 /// that every fault- or `mark`-observable point sees the reference value.
-#[inline]
+/// It has one caller and must be part of it: out of line, every guest
+/// instruction pays a call, a stack frame and a `Result` through memory.
+#[inline(always)]
 fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<Flow, Fault> {
     if pi.cost != 0 {
         cpu.clock.tick(pi.cost);
@@ -961,64 +936,12 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
             let now = cpu.clock.now();
             cpu.marks.push((id, now));
         }
-        PredOp::CmpRRJcc(a, b, c, target) => {
-            retire2!();
-            cpu.set_cmp_flags(cpu.reg(a), cpu.reg(b));
-            if cpu.cond_holds(c) {
-                cpu.clock.tick(costs::GUEST_BRANCH_TAKEN);
-                cpu.pc = target;
-            }
-        }
         PredOp::CmpRIJcc(a, imm, c, target) => {
             retire2!();
             cpu.set_cmp_flags(cpu.reg(a), imm);
             if cpu.cond_holds(c) {
                 cpu.clock.tick(costs::GUEST_BRANCH_TAKEN);
                 cpu.pc = target;
-            }
-        }
-        PredOp::MovRIAluRR(d1, imm, op, d2, s2) => {
-            retire2!();
-            cpu.set_reg(d1, imm);
-            let v = alu_value(op, cpu.reg(d2), cpu.reg(s2));
-            cpu.set_reg(d2, v);
-        }
-        PredOp::PushPush(a, b) => {
-            // First push: retire and advance pc past it (the second push is
-            // a 2-byte encoding) so a stack fault leaves reference state.
-            cpu.insts_retired += 1;
-            cpu.pc = pi.next_pc.wrapping_sub(2);
-            let w1 = cpu.push(mem, cpu.reg(a))?;
-            cpu.insts_retired += 1;
-            cpu.pc = pi.next_pc;
-            cpu.clock.tick(costs::GUEST_STACK);
-            let w2 = cpu.push(mem, cpu.reg(b))?;
-            if blk.hits(w1, 8) || blk.hits(w2, 8) {
-                return Ok(Flow::SelfModified);
-            }
-        }
-        PredOp::PushMovRR(a, d, s) => {
-            cpu.insts_retired += 1;
-            cpu.pc = pi.next_pc.wrapping_sub(3); // mov r,r encodes in 3 bytes
-            let written = cpu.push(mem, cpu.reg(a))?;
-            cpu.insts_retired += 1;
-            cpu.pc = pi.next_pc;
-            cpu.clock.tick(costs::GUEST_ALU);
-            cpu.set_reg(d, cpu.reg(s));
-            if blk.hits(written, 8) {
-                return Ok(Flow::SelfModified);
-            }
-        }
-        PredOp::PushAluRI { a, op, d, imm, mid } => {
-            cpu.insts_retired += 1;
-            cpu.pc = mid;
-            let written = cpu.push(mem, cpu.reg(a))?;
-            cpu.insts_retired += 1;
-            cpu.pc = pi.next_pc;
-            cpu.clock.tick(costs::GUEST_ALU);
-            cpu.set_reg(d, alu_value(op, cpu.reg(d), imm));
-            if blk.hits(written, 8) {
-                return Ok(Flow::SelfModified);
             }
         }
         PredOp::PopPush { d, s, mid } => {
@@ -1054,31 +977,11 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
                 return Ok(Flow::SelfModified);
             }
         }
-        PredOp::MovRRRet(d, s) => {
-            retire2!();
-            cpu.set_reg(d, cpu.reg(s));
-            cpu.pc = cpu.pop(mem)?;
-        }
         PredOp::MovRRPop(d, s, pd) => {
             retire2!();
             cpu.set_reg(d, cpu.reg(s));
             let v = cpu.pop(mem)?;
             cpu.set_reg(pd, v);
-        }
-        PredOp::PopRet { r, mid } => {
-            cpu.insts_retired += 1;
-            cpu.pc = mid;
-            let v = cpu.pop(mem)?;
-            cpu.set_reg(r, v);
-            cpu.insts_retired += 1;
-            cpu.pc = pi.next_pc;
-            cpu.clock.tick(costs::GUEST_CALLRET);
-            cpu.pc = cpu.pop(mem)?;
-        }
-        PredOp::CmpRRMovRI(a, b, d, imm) => {
-            retire2!();
-            cpu.set_cmp_flags(cpu.reg(a), cpu.reg(b));
-            cpu.set_reg(d, imm);
         }
         PredOp::PushLoad {
             a,
@@ -1104,58 +1007,53 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
     Ok(Flow::Next)
 }
 
-/// Returns the block to execute at `cpu.pc`, building and caching it if
-/// needed; `None` when the instruction there must run on the reference path.
-fn acquire(cpu: &mut Cpu, mem: &mut Memory) -> Option<Rc<Block>> {
-    // Long-mode blocks are only valid on TLB-resident identity-mapped code
-    // pages (see `build`). Checking the *live* TLB here — not just at build
-    // time — also covers CR3 switches: a CR3 write clears the TLB, so stale
-    // blocks from a previous address space can never run. The reference step
-    // this falls back to pays the walk tick faithfully and refills the TLB.
-    if cpu.mode == Mode::Long64 && cpu.long_identity_page_end(cpu.pc).is_none() {
-        return None;
-    }
-    // Hottest path: the direct-mapped front slot holds this exact block and
-    // no write has landed on its pages since the last sweep — known-fresh
-    // with no map probe and no revalidation.
-    let slot = front_idx(cpu.pc);
-    if let Some(blk) = &cpu.pred.front[slot] {
-        if blk.start == cpu.pc
-            && blk.mode == cpu.mode
-            && !(blk.page_lo()..=blk.page_hi()).any(|page| mem.code_page_dirty(page))
-        {
-            return Some(blk.clone());
-        }
-    }
-    let key = (cpu.mode, cpu.pc);
-    if let Some(blk) = cpu.pred.blocks.get(&key) {
-        let (lo, hi) = (blk.page_lo(), blk.page_hi());
-        if !(lo..=hi).any(|page| mem.code_page_dirty(page)) {
-            let blk = blk.clone();
-            cpu.pred.front[slot] = Some(blk.clone());
-            return Some(blk);
-        }
-        cpu.pred.sweep(mem, lo, hi);
-        if let Some(blk) = cpu.pred.blocks.get(&key).cloned() {
-            cpu.pred.front[slot] = Some(blk.clone());
-            return Some(blk);
-        }
-    }
-    let blk = build(cpu, mem)?;
-    cpu.pred.sweep(mem, blk.page_lo(), blk.page_hi());
-    let rc = Rc::new(blk);
-    cpu.pred.insert(rc.clone());
-    cpu.pred.front[slot] = Some(rc.clone());
-    BLOCKS_BUILT.fetch_add(1, Ordering::Relaxed);
-    Some(rc)
+/// Block entries of one [`run_fast`] call by how each was served, summed in
+/// locals and credited to the process-wide counters once per run.
+#[derive(Default)]
+struct Dispatches {
+    front: u64,
+    map: u64,
+    built: u64,
+    reference: u64,
 }
 
 /// The fast engine's run loop. Semantically identical to
 /// [`Cpu::run_ref`](crate::cpu::Cpu::run_ref) — the differential harness
 /// holds it to that, bit for bit and cycle for cycle.
+///
+/// The block cache is detached from the CPU for the duration of the run, so
+/// the loop can hold `&Block` out of the arena next to `&mut Cpu`, and
+/// re-attached on every way out — exit, step limit or fault.
 pub(crate) fn run_fast(cpu: &mut Cpu, mem: &mut Memory, max_steps: u64) -> Result<CpuExit, Fault> {
-    let mut steps: u64 = 0;
-    'outer: while steps < max_steps {
+    let mut cache = std::mem::take(&mut cpu.pred);
+    let mut n = Dispatches::default();
+    let result = run_blocks(cpu, mem, &mut cache, &mut n, max_steps);
+    cpu.pred = cache;
+    for (counter, by) in [
+        (&DISPATCH_FRONT, n.front),
+        (&DISPATCH_MAP, n.map),
+        (&DISPATCH_BUILT, n.built),
+        (&DISPATCH_REFERENCE, n.reference),
+    ] {
+        if by != 0 {
+            counter.fetch_add(by, Ordering::Relaxed);
+        }
+    }
+    result
+}
+
+#[inline(never)]
+fn run_blocks(
+    cpu: &mut Cpu,
+    mem: &mut Memory,
+    cache: &mut PredCache,
+    n: &mut Dispatches,
+    max_steps: u64,
+) -> Result<CpuExit, Fault> {
+    // Every path below retires through `cpu.insts_retired`, so the budget is
+    // a bound on that counter.
+    let limit = cpu.insts_retired.saturating_add(max_steps);
+    while cpu.insts_retired < limit {
         if cpu.first_inst_pending {
             cpu.first_inst_pending = false;
             cpu.clock.tick(costs::GUEST_FIRST_INSTRUCTION);
@@ -1163,57 +1061,111 @@ pub(crate) fn run_fast(cpu: &mut Cpu, mem: &mut Memory, max_steps: u64) -> Resul
         // Anything `acquire`/`build` refuses (decode faults, reference-only
         // classes, long-mode pages outside the cacheable set) single-steps
         // on the reference path.
-        let Some(blk) = acquire(cpu, mem) else {
-            match cpu.step(mem)? {
-                Some(exit) => return Ok(exit),
-                None => {
-                    steps += 1;
-                    continue;
-                }
+        let Some(slot) = cache.acquire(cpu, mem, n) else {
+            n.reference += 1;
+            if let Some(exit) = cpu.step(mem)? {
+                return Ok(exit);
             }
-        };
-        if steps + blk.retire_total <= max_steps {
-            // The whole block fits in the remaining budget: dispatch with no
-            // per-instruction budget checks (the overwhelmingly common case).
-            for (i, pi) in blk.insts.iter().enumerate() {
-                match exec(cpu, mem, pi, &blk)? {
-                    Flow::Next => {}
-                    Flow::SelfModified => {
-                        steps += blk.insts[..=i].iter().map(PredInst::retires).sum::<u64>();
-                        cpu.pred.remove(blk.mode, blk.start);
-                        continue 'outer;
-                    }
-                }
-            }
-            steps += blk.retire_total;
             continue;
+        };
+        let blk = cache.block(slot);
+        let budget = limit - cpu.insts_retired;
+        if blk.retire_total > budget {
+            // Less than one block of budget left: the reference path lands
+            // the step limit on the exact instruction boundary, fused pairs
+            // included. At most `MAX_BLOCK_INSTS - 1` steps per run, and only
+            // when the caller's watchdog is about to fire.
+            let before = cpu.insts_retired;
+            let tail = cpu.run_ref(mem, budget);
+            n.reference += cpu.insts_retired - before;
+            return tail;
         }
+        // The whole block fits in the remaining budget: the one dispatch
+        // site, with no per-instruction budget checks.
+        let mut self_modified = false;
         for pi in blk.insts.iter() {
-            let retires = pi.retires();
-            if steps + retires > max_steps {
-                if steps >= max_steps {
-                    continue 'outer;
-                }
-                // One instruction of budget left but the next dispatch is a
-                // fused pair: finish on the reference path so the step limit
-                // lands on the same instruction boundary.
-                match cpu.step(mem)? {
-                    Some(exit) => return Ok(exit),
-                    None => {
-                        steps += 1;
-                        continue 'outer;
-                    }
-                }
+            if let Flow::SelfModified = exec(cpu, mem, pi, blk)? {
+                self_modified = true;
+                break;
             }
-            match exec(cpu, mem, pi, &blk)? {
-                Flow::Next => steps += retires,
-                Flow::SelfModified => {
-                    steps += retires;
-                    cpu.pred.remove(blk.mode, blk.start);
-                    continue 'outer;
-                }
-            }
+        }
+        if self_modified {
+            cache.remove(slot);
         }
     }
     Ok(CpuExit::StepLimit)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::asm::assemble;
+    use crate::cpu::{CpuConfig, Machine};
+    use vclock::Clock;
+
+    fn fast_machine(src: &str) -> Machine {
+        let img = assemble(src).expect("assemble");
+        let mut m = Machine::new(Clock::new(), CpuConfig::default(), 1 << 20, img.entry);
+        m.load_image(&img);
+        m.cpu.set_engine(Engine::Fast);
+        m
+    }
+
+    #[test]
+    fn a_fresh_cache_owns_no_heap_memory() {
+        let cache = PredCache::default();
+        assert_eq!(cache.map.capacity(), 0);
+        assert_eq!(cache.slots.capacity(), 0);
+        assert_eq!(cache.free.capacity(), 0);
+        assert_eq!(cache.by_page.capacity(), 0);
+        assert_eq!(cache.front.capacity(), 0);
+    }
+
+    #[test]
+    fn the_cache_is_back_on_the_cpu_after_every_kind_of_exit() {
+        // Five turns of a loop, an `out`, then a divide by zero.
+        let src = ".org 0x1000\n mov sp, 0xF000\n mov r0, 0\n\
+                   loop:\n add r0, 1\n cmp r0, 5\n jl loop\n\
+                   \x20 out 2, r0\n mov r1, 0\n div r0, r1\n hlt\n";
+        let mut m = fast_machine(src);
+        let entry = m.cpu.save_state();
+        let three_exits = |m: &mut Machine| {
+            assert_eq!(m.run(3), Ok(CpuExit::StepLimit));
+            let after_limit = m.cpu.pred.map.len();
+            assert!(matches!(m.run(1_000), Ok(CpuExit::IoOut { .. })));
+            let after_out = m.cpu.pred.map.len();
+            assert!(matches!(m.run(1_000), Err(Fault::DivideByZero { .. })));
+            [after_limit, after_out, m.cpu.pred.map.len()]
+        };
+        let first = three_exits(&mut m);
+        assert!(first[0] > 0, "lost on the way out of a step limit");
+        assert!(first[1] > first[0], "lost on the way out of an `out`");
+        assert!(first[2] > first[1], "lost on the way out of a fault");
+        // Same code again: every block is already there, in the same slots.
+        let slots = m.cpu.pred.slots.len();
+        m.cpu.restore_state(&entry);
+        assert_eq!(three_exits(&mut m), [first[2]; 3]);
+        assert_eq!(m.cpu.pred.slots.len(), slots);
+        assert!(m.cpu.pred.free.is_empty());
+    }
+
+    #[test]
+    fn a_capacity_flush_mid_run_leaves_the_refilled_cache_on_the_cpu() {
+        // More one-instruction blocks than the cache holds, chained by
+        // jumps: the bound trips while the cache is detached from the CPU.
+        use std::fmt::Write as _;
+        let hops = MAX_CACHED_BLOCKS + 400;
+        let mut src = String::from(".org 0x1000\n mov sp, 0xF000\n");
+        for i in 0..hops {
+            let _ = writeln!(src, "  jmp H{i}\n  hlt\nH{i}:");
+        }
+        src.push_str("  hlt\n");
+        let mut m = fast_machine(&src);
+        assert_eq!(m.run(1_000_000), Ok(CpuExit::Hlt));
+        let cache = &m.cpu.pred;
+        // The prologue's block and one per hop but the last, which is only
+        // the `hlt`; the flush emptied the cache once, on the way.
+        assert_eq!(cache.map.len(), hops - MAX_CACHED_BLOCKS);
+        assert_eq!(cache.slots.iter().flatten().count(), cache.map.len());
+    }
 }

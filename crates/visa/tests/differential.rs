@@ -255,6 +255,105 @@ fn marks_observe_identical_mid_run_clocks() {
     assert_ne!(fast.clock, Cycles(0));
 }
 
+#[test]
+fn a_recycled_arena_slot_is_never_reached_through_its_old_pc() {
+    // Every turn of `body`: the block at `body` patches its own `add`
+    // immediate and is dropped; the block built next — from the instruction
+    // after the store — takes over its arena slot; the `jl` then re-enters
+    // `body`, whose bytes have changed. A front-cache pair left behind by
+    // the drop would run the new block's instructions at the old one's pc,
+    // skipping the `add` and the store.
+    let src = ".org 0x1000\n\
+         \x20 mov sp, 0xF000\n mov r5, body\n mov r6, 9\n mov r0, 0\n mov r7, 0\n\
+         \x20 jmp body\n\
+         body:\n\
+         \x20 add r0, 1\n\
+         \x20 store.b [r5 + 2], r6\n\
+         \x20 add r7, 1\n\
+         \x20 cmp r7, 3\n jl body\n\
+         \x20 hlt\n";
+    check(src, 10_000);
+    let img = assemble(src).expect("assemble");
+    let fast = diff::run_one(Engine::Fast, &img, MEM, 10_000, 1);
+    assert_eq!(fast.state.regs[0], 1 + 9 + 9);
+}
+
+#[test]
+fn a_pc_above_the_mode_limit_never_reaches_a_cached_block() {
+    // `jmp r` loads all 64 bits into pc. Each target below is out of the
+    // mode's range — the reference faults fetching from it — but names a
+    // cached block under a lookup that looks at fewer bits than that: the
+    // first is `body` with a bit set above any address a block can have,
+    // the second is the value an empty front-cache entry holds.
+    let prot32 = ".org 0x1000\n\
+         .equ GDT, 0x200\n\
+         \x20 mov sp, 0xF000\n\
+         \x20 lgdt GDT\n\
+         \x20 mov r1, cr0\n or r1, 1\n mov cr0, r1\n\
+         \x20 ljmp32 prot\n\
+         prot:\n\
+         \x20 call body\n call body\n\
+         \x20 mov r1, body + 0x100000000000000\n jmp r1\n\
+         body:\n\
+         \x20 add r0, 7\n ret\n";
+    let real16 = ".org 0x1000\n\
+         \x20 mov sp, 0xF000\n\
+         \x20 call body\n call body\n\
+         \x20 mov r1, -1\n jmp r1\n\
+         body:\n\
+         \x20 add r0, 7\n ret\n";
+    for (src, mode) in [(prot32, visa::Mode::Prot32), (real16, visa::Mode::Real16)] {
+        check(src, 1_000);
+        let fast = diff::run_one(Engine::Fast, &assemble(src).unwrap(), MEM, 1_000, 1);
+        assert_eq!(fast.state.regs[0], 14);
+        let [diff::Event::Fault(visa::Fault::AddressBeyondMode { vaddr, mode: m })] =
+            fast.events[..]
+        else {
+            panic!("{:?}", fast.events);
+        };
+        assert!(vaddr >> 56 != 0 && m == mode);
+    }
+}
+
+/// The Figure 3/9 recursive kernel: call/ret, stack traffic and a fused
+/// pair of every shape hand-written code produces.
+const FIB: &str = ".org 0x8000\n\
+     \x20 mov sp, 0x8000\n mov r1, 10\n call fib\n hlt\n\
+     fib:\n\
+     \x20 cmp r1, 2\n jl .base\n\
+     \x20 push r1\n sub r1, 1\n call fib\n\
+     \x20 pop r1\n push r0\n sub r1, 2\n call fib\n\
+     \x20 pop r2\n add r0, r2\n ret\n\
+     .base:\n\
+     \x20 mov r0, r1\n ret\n";
+
+#[test]
+fn every_budget_stops_and_resumes_identically() {
+    // The tail of a step budget runs on the reference path: whatever `k`
+    // is — the middle of a block, either half of a fused pair — both
+    // engines stop on the same instruction, and resuming ends the same way.
+    let images = [assemble(FIB).expect("assemble")];
+    let run = |steps: &[Step]| {
+        if let Err(d) = diff::compare_script(&images, 64 * 1024, steps, 0xD1FF) {
+            panic!("{d}");
+        }
+        diff::run_script(Engine::Fast, &images, 64 * 1024, steps, 0xD1FF)
+    };
+    let whole = run(&[Step::Load(0), Step::Run(100_000)]).pop().unwrap();
+    assert_eq!(whole.state.regs[0], 55);
+    for k in 1..=300 {
+        let trace = run(&[Step::Load(0), Step::Run(k), Step::Run(100_000)]);
+        assert_eq!(trace[1].retired, k);
+        assert_eq!(trace[1].events, [diff::Event::StepLimit]);
+        assert_eq!(trace[2].state, whole.state, "budget {k}");
+        assert_eq!(trace[2].retired, whole.retired, "budget {k}");
+        // Entering the guest a second time charges the first instruction's
+        // pipeline fill again, and nothing else.
+        let reentry = Cycles(vclock::costs::GUEST_FIRST_INSTRUCTION);
+        assert_eq!(trace[2].clock, whole.clock + reentry, "budget {k}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Shell-lifecycle scripts: the block cache outlives every step below, so
 // each scenario is one way a block could outlive the bytes it was decoded
@@ -500,8 +599,8 @@ fn a_long_mode_restore_pays_the_walk_before_any_retained_block_runs() {
 #[test]
 fn hitting_the_block_capacity_mid_run_flushes_and_carries_on() {
     // 4 500 one-instruction blocks chained by jumps, walked twice: the
-    // cache holds 4 096, so the bound trips in the middle of each lap, with
-    // the running block's `Rc` still live.
+    // cache holds 4 096, so the bound trips in the middle of each lap, while
+    // the run loop has the cache detached from the CPU.
     use std::fmt::Write as _;
     let hops = 4_500;
     let mut src = String::from(".org 0x1000\n mov sp, 0xF000\n mov r0, 0\nlap:\n add r0, 1\n");
