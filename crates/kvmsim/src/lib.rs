@@ -14,6 +14,25 @@
 //! * the first guest instruction after entry pays the pipeline-fill cost of
 //!   Table 1.
 //!
+//! ## What a shell-lifecycle step charges, and what it does
+//!
+//! The charge and the host work are two ledgers (`visa::mem` module docs).
+//! The *charge* is by dirty extent, as the paper's figures are: `clean`
+//! memsets [`visa::mem::Memory::dirty_bytes`], `snapshot` and `restore`
+//! memcpy [`VmSnapshot::copied_bytes`], `restore_delta` one page per entry
+//! of the dirty log. The *work* is by page:
+//!
+//! | step | physically |
+//! |---|---|
+//! | [`VmFd::clean`] / [`VmFd::clean_async`] | zeroes the pages that may hold a non-zero byte — afterwards none does — and resets the vCPU, keeping the shell's block cache |
+//! | [`VmFd::snapshot`] | copies the two extents out and notes which pages they have content on |
+//! | [`VmFd::restore`] | wipes as `clean` does, then copies exactly the pages the snapshot has content on |
+//! | [`VmFd::restore_delta`] | copies exactly the pages in the dirty log |
+//! | dropping the last handle | wipes as `clean` does and parks the guest-memory buffer on the thread's spare list |
+//! | [`Hypervisor::create_vm`] | takes a parked buffer of the size — already zero — or allocates; always a new vCPU with a cold block cache |
+//!
+//! `visa::mem::counters()` counts the pages and buffers.
+//!
 //! Both a KVM flavor (Linux) and a Hyper-V flavor (Windows,
 //! `WHvRunVirtualProcessor`) are provided; the paper reports their
 //! performance is similar, and the Hyper-V flavor differs only by a small
@@ -26,7 +45,7 @@ use hostsim::HostKernel;
 use vclock::costs;
 use visa::asm::Image;
 use visa::cpu::{Cpu, CpuConfig, CpuExit, CpuState, Fault};
-use visa::mem::Memory;
+use visa::mem::{Memory, SparseImage};
 use visa::Reg;
 
 /// Hypervisor flavor (the paper's Wasp runs on both, Figure 5).
@@ -184,25 +203,18 @@ impl std::fmt::Debug for VmFd {
 pub struct VmSnapshot {
     /// Architected CPU state at the snapshot point.
     pub cpu: CpuState,
-    /// Bytes of the low dirty region (starting at guest address 0).
-    pub low: Vec<u8>,
-    /// Guest address where the high dirty region (stack) begins.
-    pub high_start: u64,
-    /// Bytes of the high dirty region (running to the end of memory).
-    pub high: Vec<u8>,
-    /// Guest memory size the snapshot was taken from.
-    pub mem_size: usize,
+    image: SparseImage,
 }
 
 impl VmSnapshot {
-    /// Bytes a restore must copy.
+    /// Bytes a restore is charged for copying (the captured extents).
     pub fn copied_bytes(&self) -> usize {
-        self.low.len() + self.high.len()
+        self.image.copied_bytes()
     }
 
     /// Guest memory size the snapshot targets.
     pub fn mem_size(&self) -> usize {
-        self.mem_size
+        self.image.mem_size()
     }
 }
 
@@ -260,8 +272,8 @@ impl VmFd {
     /// Zeroes the guest memory the virtine dirtied and resets the vCPU to
     /// the reset state at `entry` — the shell-cleaning step that
     /// "prevent\[s\] information leakage" (§5.2). Charges memset bandwidth
-    /// for the dirty bytes (EPT dirty tracking tells the hypervisor which
-    /// pages were touched).
+    /// for the dirty extents; zeroes the pages the virtine touched (EPT dirty
+    /// tracking tells the hypervisor which those are).
     pub fn clean(&self, entry: u64) {
         let mut inner = self.inner.borrow_mut();
         let dirty = inner.mem.dirty_bytes() as usize;
@@ -284,9 +296,10 @@ impl VmFd {
         let clock = inner.cpu.clock().clone();
         // `Cpu::new` is the one definition of the reset state. The predecode
         // cache is not part of it: it is host-side state of the shell, and
-        // `clear` just marked every page code-dirty, so whichever image this
-        // shell hosts next — the same tenant's or another's — has every
-        // retained block compared with its own bytes before it can run.
+        // `clear` just marked every page it zeroed code-dirty (as the next
+        // load will every page it writes), so whichever image this shell
+        // hosts next — the same tenant's or another's — has every retained
+        // block compared with its own bytes before it can run.
         let mut fresh = Cpu::new(clock, CpuConfig::default(), entry);
         fresh.adopt_predecode(&mut inner.cpu);
         inner.cpu = fresh;
@@ -300,40 +313,32 @@ impl VmFd {
     /// what [`VmFd::restore_delta`] re-arms.
     pub fn snapshot(&self) -> VmSnapshot {
         let mut inner = self.inner.borrow_mut();
-        let (low, high_start, high) = inner.mem.snapshot_sparse();
-        inner.kernel.memcpy(low.len() + high.len());
+        let image = inner.mem.snapshot_sparse();
+        inner.kernel.memcpy(image.copied_bytes());
         inner.mem.reset_dirty_pages();
         VmSnapshot {
             cpu: inner.cpu.save_state(),
-            low,
-            high_start,
-            high,
-            mem_size: inner.mem.size(),
+            image,
         }
     }
 
     /// Restores a snapshot. Charges the memcpy of the snapshot bytes — the
     /// dominant per-invocation cost Figure 12 measures against image size —
-    /// plus a wipe of any residual dirty state in the shell.
+    /// plus a wipe of any residual dirty state in the shell. Physically:
+    /// wipes the pages the shell touched, copies the pages the snapshot has
+    /// content on.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot's memory size differs from this VM's.
     pub fn restore(&self, snap: &VmSnapshot) {
         let mut inner = self.inner.borrow_mut();
-        assert_eq!(
-            snap.mem_size,
-            inner.mem.size(),
-            "snapshot/VM memory size mismatch"
-        );
         if !inner.mem.is_clean() {
             let dirty = inner.mem.dirty_bytes() as usize;
             inner.kernel.memset(dirty);
         }
         inner.kernel.memcpy(snap.copied_bytes());
-        inner
-            .mem
-            .restore_sparse(&snap.low, snap.high_start, &snap.high);
+        inner.mem.restore_sparse(&snap.image);
         inner.cpu.restore_state(&snap.cpu);
     }
 
@@ -359,20 +364,11 @@ impl VmFd {
     /// Panics if the snapshot's memory size differs from this VM's.
     pub fn restore_delta(&self, snap: &VmSnapshot) -> usize {
         let mut inner = self.inner.borrow_mut();
-        assert_eq!(
-            snap.mem_size,
-            inner.mem.size(),
-            "snapshot/VM memory size mismatch"
-        );
-        let pages = inner.mem.dirty_page_indices();
-        inner
-            .kernel
-            .memcpy(pages.len() * visa::mem::PAGE_SIZE as usize);
-        inner
-            .mem
-            .restore_pages_sparse(&pages, &snap.low, snap.high_start, &snap.high);
+        let pages = inner.mem.dirty_page_count();
+        inner.kernel.memcpy(pages * visa::mem::PAGE_SIZE as usize);
+        inner.mem.restore_pages_sparse(&snap.image);
         inner.cpu.restore_state(&snap.cpu);
-        pages.len()
+        pages
     }
 }
 

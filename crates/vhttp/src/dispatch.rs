@@ -186,6 +186,29 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
          patterns listed in docs/interpreter.md#superinstructions)",
         &plain(guest.superinsts_fused),
     );
+    let mem = visa::mem::counters();
+    metric(
+        "visa_mem_pages_total",
+        "counter",
+        "Guest-memory pages (4 KiB) physically rewritten on this thread: wiped \
+         (zeroed by a clean, a restore onto a dirty shell or a VM's drop), \
+         restored (copied by a full restore), rearmed (by a delta re-arm)",
+        &[
+            ("{op=\"wiped\"}".into(), mem.pages_wiped),
+            ("{op=\"restored\"}".into(), mem.pages_restored),
+            ("{op=\"rearmed\"}".into(), mem.pages_rearmed),
+        ],
+    );
+    metric(
+        "visa_mem_buffers_total",
+        "counter",
+        "Guest-memory buffers behind created VMs on this thread: allocated, or \
+         recycled (the wiped buffer of a destroyed VM, off the spare list)",
+        &[
+            ("{event=\"allocated\"}".into(), mem.buffers_allocated),
+            ("{event=\"recycled\"}".into(), mem.buffers_recycled),
+        ],
+    );
     let topo = d.topology();
     metric(
         "vsched_topology",
@@ -1148,6 +1171,7 @@ mod tests {
 
         let stats = server.dispatcher().stats();
         assert!(stats.warm_hits > 0, "handler snapshots; repeats must hit");
+        let mem = visa::mem::counters();
         let expect = [
             format!(
                 "vsched_requests_total{{outcome=\"served\"}} {}",
@@ -1188,7 +1212,17 @@ mod tests {
             ),
             "# TYPE vsched_shard_warm_shells gauge".to_string(),
             "vsched_shard_queue_depth{shard=\"1\"} 0".to_string(),
+            // Per-thread counters: nothing else moves them under this test.
+            format!(
+                "visa_mem_pages_total{{op=\"rearmed\"}} {}",
+                mem.pages_rearmed
+            ),
+            format!(
+                "visa_mem_buffers_total{{event=\"allocated\"}} {}",
+                mem.buffers_allocated
+            ),
         ];
+        assert!(mem.pages_rearmed >= stats.warm_hits);
         for line in &expect {
             assert!(
                 body.lines().any(|l| l == line),

@@ -468,7 +468,7 @@ accept:
         let node_seq = match self
             .cluster
             .node_mut(node)
-            .submit(Request::new(tenant, virtine, arrival_s).with_args(full_args.clone()))
+            .submit(Request::new(tenant, virtine, arrival_s).with_args(full_args))
         {
             Ok(seq) => seq,
             Err(reason) => {

@@ -24,6 +24,7 @@ use vclock::{Clock, Cycles};
 
 use crate::asm::Image;
 use crate::cpu::{Cpu, CpuConfig, CpuExit, CpuState, Engine, Fault, Machine};
+use crate::mem::{Memory, SparseImage};
 
 /// One externally visible event from a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -260,14 +261,17 @@ pub enum Step {
     Clean(u64),
     /// A host write into guest memory (`VmFd::write_guest`).
     Poke(u64, Vec<u8>),
+    /// Destroy the VM and create another of the same size with its reset
+    /// vector at `entry` (`Hypervisor::create_vm` after a drop): a new vCPU
+    /// with a cold block cache, on guest memory rebuilt from the buffer the
+    /// dropped one parked on the spare list.
+    Recreate(u64),
 }
 
 /// A captured snapshot: CPU state plus the sparse memory image.
 struct Snap {
     cpu: CpuState,
-    low: Vec<u8>,
-    high_start: u64,
-    high: Vec<u8>,
+    image: SparseImage,
 }
 
 /// Runs `steps` on one machine and returns what was observable after each.
@@ -290,28 +294,24 @@ pub fn run_script(
             Step::Load(n) => m.load_image(&images[*n]),
             Step::Run(budget) => events = shell.drive(*budget),
             Step::Snapshot => {
-                let (low, high_start, high) = m.mem.snapshot_sparse();
+                let image = m.mem.snapshot_sparse();
                 m.mem.reset_dirty_pages();
                 armed = Some(snaps.len());
                 snaps.push(Snap {
                     cpu: m.cpu.save_state(),
-                    low,
-                    high_start,
-                    high,
+                    image,
                 });
             }
             Step::Restore(n) => {
                 if let Some(snap) = snaps.get(*n) {
-                    m.mem.restore_sparse(&snap.low, snap.high_start, &snap.high);
+                    m.mem.restore_sparse(&snap.image);
                     m.cpu.restore_state(&snap.cpu);
                     armed = Some(*n);
                 }
             }
             Step::RestoreDelta => {
                 if let Some(snap) = armed.map(|n| &snaps[n]) {
-                    let pages = m.mem.dirty_page_indices();
-                    m.mem
-                        .restore_pages_sparse(&pages, &snap.low, snap.high_start, &snap.high);
+                    m.mem.restore_pages_sparse(&snap.image);
                     m.cpu.restore_state(&snap.cpu);
                 }
             }
@@ -326,6 +326,14 @@ pub fn run_script(
             Step::Poke(addr, bytes) => {
                 // Out-of-range pokes are refused on both engines alike.
                 let _ = m.mem.write_bytes(*addr, bytes);
+            }
+            Step::Recreate(entry) => {
+                let clock = m.cpu.clock().clone();
+                // Dropped first, so the new memory takes the parked buffer.
+                m.mem = Memory::new(0);
+                *m = Machine::new(clock, CpuConfig::default(), mem_size, *entry);
+                m.cpu.set_engine(shell.engine);
+                armed = None;
             }
         }
         trace.push(shell.observe(events));
@@ -361,7 +369,8 @@ pub fn compare_script(
 /// that may stop anywhere: a plain full or delta restore; a host poke into
 /// the code just re-armed (random bytes, or the other image's bytes at that
 /// offset), which the next move's restore must undo; a later re-snapshot;
-/// a clean that hands the shell to another image.
+/// a clean — or a destroy and re-create, on recycled guest memory — that
+/// hands the shell to another image.
 pub fn random_script(rng: &mut Rng, images: &[Image]) -> Vec<Step> {
     // Log-uniform budgets: most runs stop mid-program, a few reach its end.
     let run = |rng: &mut Rng| {
@@ -407,7 +416,11 @@ pub fn random_script(rng: &mut Rng, images: &[Image]) -> Vec<Step> {
             }
             _ => {
                 let n = rng.below(images.len());
-                steps.push(Step::Clean(images[n].entry));
+                steps.push(if rng.bool(0.5) {
+                    Step::Clean(images[n].entry)
+                } else {
+                    Step::Recreate(images[n].entry)
+                });
                 steps.push(Step::Load(n));
                 steps.push(run(rng));
                 steps.push(Step::Snapshot);

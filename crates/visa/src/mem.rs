@@ -4,8 +4,42 @@
 //! have its own set of private data which must be disjoint from any other
 //! virtine's set" (§3.3). Accesses beyond the configured size model an
 //! EPT violation: the nested page tables simply have no mapping to hand out.
+//!
+//! # Two ledgers
+//!
+//! What a wipe, a snapshot or a restore *costs the guest's timeline* and what
+//! it *makes the host do* are tracked separately, and neither is derived from
+//! the other:
+//!
+//! * the **extents** (`dirty_low_end` / `dirty_high_start`, [`DirtyExtent`])
+//!   are the virtual cost model: every `memset`/`memcpy` charge, a sparse
+//!   image's `low`/`high` regions, [`Memory::dirty_bytes`] and
+//!   [`Memory::is_clean`] are computed from them and from nothing else;
+//! * the **page sets** are what the host actually touches: [`Memory::clear`]
+//!   zeroes exactly the pages that may hold a non-zero byte, a full restore
+//!   copies exactly the pages its [`SparseImage`] has content on, and a delta
+//!   re-arm exactly the pages in the dirty log.
+//!
+//! Three page bitmaps (one bit per [`PAGE_SIZE`] page) carry the page sets:
+//!
+//! | bitmap | set by | cleared by | read by |
+//! |---|---|---|---|
+//! | `dirty_pages` — the dirty log | every write (`mark_page`) | [`Memory::reset_dirty_pages`], which first folds it into `touched`; `clear` | the delta re-arm, [`Memory::dirty_page_indices`] |
+//! | `touched` — may hold a non-zero byte | `reset_dirty_pages` (from the log), the sparse restores (the pages they copy) | `clear` | `clear`, [`Memory::snapshot_sparse`] |
+//! | `code_dirty` — changed under the block cache | every write, and `clear` / the restores for exactly the pages they rewrite | [`Memory::clear_code_dirty_page`], page by page | the predecode cache's revalidation sweep |
+//!
+//! **The invariant the wipe rests on:** *every non-zero byte lies on a page
+//! whose bit is set in `touched | dirty_pages`.* `touched` is deliberately
+//! not written on the store path (a guest store is `put` + two bit-ORs + the
+//! extent); it is derived at the points where the log is walked anyway.
+//! A page outside that union is zero, so `clear` skips it, and since it was
+//! zero before and is zero after, no block cached from it needs revalidating.
+//! Debug builds re-check the invariant by scanning the whole buffer after
+//! every wipe, full restore and buffer reuse.
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::ops::Range;
 
 use crate::inst::Width;
 
@@ -34,10 +68,10 @@ impl std::error::Error for PhysAccessError {}
 
 /// The written ("dirty") extent of a memory, tracked as two regions around
 /// the midpoint: low allocations (image, heap) grow upward from 0, the
-/// stack grows downward from the top. Snapshots and shell cleaning charge
-/// for — and operate on — exactly these regions, which is how Wasp keeps
-/// snapshot cost proportional to *image* size (§6.2, Figure 12) rather than
-/// guest-memory size.
+/// stack grows downward from the top. Snapshots and shell cleaning *charge*
+/// for exactly these regions, which is how Wasp keeps snapshot cost
+/// proportional to *image* size (§6.2, Figure 12) rather than guest-memory
+/// size; what the host copies and zeroes is the page sets (module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirtyExtent {
     /// End (exclusive) of the dirtied low region starting at 0.
@@ -57,31 +91,113 @@ impl DirtyExtent {
 /// real dirty logging — `KVM_GET_DIRTY_LOG` — reports at).
 pub const PAGE_SIZE: u64 = 4096;
 
-/// Flat guest-physical memory of a single virtual context.
+/// This thread's guest-memory lifecycle counters (monotonic). Per thread,
+/// not per process: a [`Memory`], the spare list it is recycled through and
+/// the dispatcher that scrapes these all live on one thread, and a test
+/// reads exact deltas without racing its neighbours.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Pages zeroed by [`Memory::clear`].
+    pub pages_wiped: u64,
+    /// Pages copied by full restores ([`Memory::restore_sparse`]).
+    pub pages_restored: u64,
+    /// Pages copied by delta re-arms ([`Memory::restore_pages_sparse`]).
+    pub pages_rearmed: u64,
+    /// Guest-memory buffers obtained from the allocator.
+    pub buffers_allocated: u64,
+    /// Guest-memory buffers reused from the spare list instead.
+    pub buffers_recycled: u64,
+}
+
+/// Bytes of wiped guest-memory buffers one thread keeps for reuse — the only
+/// bound on the spare list, and so the most memory it can pin: 4 MiB, eight
+/// of `vcc`'s 512 KiB shells. The oldest spares make room for a new one; a
+/// buffer larger than the bound, or smaller than a page, is never parked.
+const SPARE_BYTES: usize = 4 << 20;
+
+thread_local! {
+    static COUNTERS: Cell<Counters> = Cell::default();
+    /// Buffers of dropped memories, **every one already wiped**: the scrub
+    /// happens when a buffer is parked, never when it is reused, so whatever
+    /// dropped it — a killed dirty shell, an abandoned suspended run — the
+    /// next [`Memory::new`] starts all-zero by construction.
+    static SPARES: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Snapshot of this thread's [`Counters`].
+pub fn counters() -> Counters {
+    COUNTERS.get()
+}
+
+/// Updates this thread's counters. (The cell has no destructor, so `Drop`
+/// may get here during thread teardown.)
+fn count(update: impl FnOnce(&mut Counters)) {
+    let mut c = COUNTERS.get();
+    update(&mut c);
+    COUNTERS.set(c);
+}
+
+/// Whether `bytes` holds no non-zero byte (page-wise `memcmp`, so the debug
+/// audits stay cheap in unoptimised builds).
+fn all_zero(bytes: &[u8]) -> bool {
+    bytes.chunks(4096).all(|c| *c == [0; 4096][..c.len()])
+}
+
+/// Page indices of the bits set in word `w` of a page bitmap, ascending.
+fn pages_in(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let page = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            page
+        })
+    })
+}
+
+/// The dirty regions of a memory — Wasp's image-proportional snapshot
+/// representation (§5.2) — plus the set of pages they have content on.
 ///
-/// Two dirty-tracking structures coexist, serving different consumers:
-///
-/// * the coarse **extent** pair (`dirty_low_end`/`dirty_high_start`) tracks
-///   everything written since the last [`Memory::clear`] and drives wipe
-///   and sparse-snapshot costs;
-/// * the exact **page bitmap** tracks pages written since the last
-///   [`Memory::reset_dirty_pages`] and models hardware dirty logging: a
-///   warm-shell re-arm copies back *exactly* these pages from the snapshot
-///   instead of the full sparse image.
+/// `low`/`high` are the *extents* at capture, so [`SparseImage::copied_bytes`]
+/// is what the virtual clock charges; `pages` is the memory's
+/// `touched | dirty_pages` at capture, a superset of the pages holding a
+/// non-zero byte, and is what a full restore actually copies.
+#[derive(Debug, Clone)]
+pub struct SparseImage {
+    low: Vec<u8>,
+    high_start: u64,
+    high: Vec<u8>,
+    pages: Vec<u64>,
+    mem_size: usize,
+}
+
+impl SparseImage {
+    /// Bytes of the captured extents: what a restore is charged for.
+    pub fn copied_bytes(&self) -> usize {
+        self.low.len() + self.high.len()
+    }
+
+    /// Size of the memory the image was captured from.
+    pub fn mem_size(&self) -> usize {
+        self.mem_size
+    }
+}
+
+/// Flat guest-physical memory of a single virtual context. The module docs
+/// describe its dirty-tracking structures and who reads which.
 pub struct Memory {
     bytes: Vec<u8>,
     dirty_low_end: u64,
     dirty_high_start: u64,
-    /// One bit per [`PAGE_SIZE`] page, set on write, cleared by
+    /// The dirty log: set on write, cleared by
     /// [`Memory::reset_dirty_pages`].
     dirty_pages: Vec<u64>,
-    /// A second, independently cleared page bitmap consumed by the
-    /// predecoded interpreter's block cache: set on every write (the bulk
-    /// clear/restore paths fill it wholesale, the delta re-arm marks exactly
-    /// the pages it copies back), cleared page-by-page once the cache has
-    /// revalidated the blocks on that page. A clear bit is a promise made to
-    /// *one* cache about *this* memory, so it never travels with a copy of
-    /// the bytes: see the `Clone` impl.
+    /// Pages that may hold a non-zero byte and are no longer in the log.
+    touched: Vec<u64>,
+    /// Consumed by the predecoded interpreter's block cache: set on every
+    /// write and for every page a wipe or restore rewrites, cleared
+    /// page-by-page once the cache has revalidated the blocks on that page.
+    /// A clear bit is a promise made to *one* cache about *this* memory, so
+    /// it never travels with a copy of the bytes: see the `Clone` impl.
     code_dirty: Vec<u64>,
 }
 
@@ -96,14 +212,16 @@ impl Clone for Memory {
             dirty_low_end: self.dirty_low_end,
             dirty_high_start: self.dirty_high_start,
             dirty_pages: self.dirty_pages.clone(),
+            touched: self.touched.clone(),
             code_dirty: vec![!0; self.code_dirty.len()],
         }
     }
 }
 
-// `code_dirty` is cache-coherency bookkeeping, not architected state: the
-// fast and reference interpreters drain it differently while leaving the
-// bytes identical, so equality deliberately ignores it.
+// `code_dirty` is cache-coherency bookkeeping and `touched` is derived from
+// the log, neither is architected state: the fast and reference interpreters
+// drain the first differently while leaving the bytes identical, so equality
+// deliberately ignores both.
 impl PartialEq for Memory {
     fn eq(&self, other: &Memory) -> bool {
         self.bytes == other.bytes
@@ -121,16 +239,52 @@ impl fmt::Debug for Memory {
     }
 }
 
+// A dropped memory's buffer is wiped and parked for the next `Memory::new`
+// of its size on this thread (see `SPARES`).
+impl Drop for Memory {
+    fn drop(&mut self) {
+        if !(PAGE_SIZE as usize..=SPARE_BYTES).contains(&self.bytes.len()) {
+            return;
+        }
+        self.clear();
+        let buf = std::mem::take(&mut self.bytes);
+        // `try_with`: a memory dropped during thread teardown is just freed.
+        let _ = SPARES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            let mut held: usize = spares.iter().map(Vec::len).sum();
+            while held + buf.len() > SPARE_BYTES {
+                held -= spares.remove(0).len();
+            }
+            spares.push(buf);
+        });
+    }
+}
+
 impl Memory {
-    /// Allocates `size` bytes of zeroed guest memory.
+    /// `size` bytes of zeroed guest memory: a wiped spare buffer of exactly
+    /// that size when this thread has one, a fresh allocation otherwise.
     pub fn new(size: usize) -> Memory {
-        let pages = (size as u64).div_ceil(PAGE_SIZE) as usize;
+        let spare = SPARES.with(|spares| {
+            let mut spares = spares.borrow_mut();
+            let i = spares.iter().rposition(|b| b.len() == size)?;
+            Some(spares.remove(i))
+        });
+        count(|c| match spare {
+            Some(_) => c.buffers_recycled += 1,
+            None => c.buffers_allocated += 1,
+        });
+        debug_assert!(
+            spare.as_deref().is_none_or(all_zero),
+            "a spare buffer was parked unwiped"
+        );
+        let words = (size as u64).div_ceil(PAGE_SIZE).div_ceil(64) as usize;
         Memory {
-            bytes: vec![0; size],
+            bytes: spare.unwrap_or_else(|| vec![0; size]),
             dirty_low_end: 0,
             dirty_high_start: size as u64,
-            dirty_pages: vec![0; pages.div_ceil(64)],
-            code_dirty: vec![0; pages.div_ceil(64)],
+            dirty_pages: vec![0; words],
+            touched: vec![0; words],
+            code_dirty: vec![0; words],
         }
     }
 
@@ -160,16 +314,11 @@ impl Memory {
     /// Indices of pages written since the last
     /// [`Memory::reset_dirty_pages`], in ascending order.
     pub fn dirty_page_indices(&self) -> Vec<u64> {
-        let mut pages = Vec::new();
-        for (w, &bits) in self.dirty_pages.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as u64;
-                pages.push(w as u64 * 64 + b);
-                bits &= bits - 1;
-            }
-        }
-        pages
+        let words = self.dirty_pages.iter().enumerate();
+        words
+            .flat_map(|(w, &bits)| pages_in(w, bits))
+            .map(|page| page as u64)
+            .collect()
     }
 
     /// Number of pages written since the last
@@ -184,9 +333,12 @@ impl Memory {
     /// Clears the dirty-page bitmap without touching memory contents: the
     /// `KVM_CLEAR_DIRTY_LOG` step a hypervisor performs at the points where
     /// memory provably equals a reference state (snapshot capture, full or
-    /// delta restore).
+    /// delta restore). The logged pages stay `touched`: they left the log,
+    /// not the set of pages a wipe must visit.
     pub fn reset_dirty_pages(&mut self) {
-        self.dirty_pages.fill(0);
+        for (touched, log) in self.touched.iter_mut().zip(&mut self.dirty_pages) {
+            *touched |= std::mem::take(log);
+        }
     }
 
     /// Whether `page` has been written since the block cache last cleared
@@ -206,15 +358,7 @@ impl Memory {
         }
     }
 
-    /// Marks every page as touched for the block cache. The wholesale
-    /// mutation paths (clear, sparse restore) rewrite bytes without going
-    /// through `mark_dirty`, so they pessimize the whole bitmap instead; the
-    /// cost lands on the cache's per-page revalidation sweep.
-    fn mark_all_code_dirty(&mut self) {
-        self.code_dirty.fill(!0);
-    }
-
-    /// Sets `page`'s bit in both bitmaps.
+    /// Sets `page`'s bit in the dirty log and the code-dirty bitmap.
     #[inline(always)]
     fn mark_page(&mut self, page: u64) {
         self.dirty_pages[page as usize / 64] |= 1 << (page % 64);
@@ -357,18 +501,34 @@ impl Memory {
         Ok(())
     }
 
-    /// Zeroes the dirty regions (virtine shell cleaning, §5.2: "we can clear
-    /// its context, preventing information leakage"). Only dirtied bytes are
-    /// touched, so the wipe cost tracks what the virtine actually used.
+    /// Byte range of `page`, clamped to the end of memory (sizes need not be
+    /// a page multiple).
+    fn page_range(&self, page: usize) -> Range<usize> {
+        let start = page * PAGE_SIZE as usize;
+        start..(start + PAGE_SIZE as usize).min(self.bytes.len())
+    }
+
+    /// Zeroes the memory (virtine shell cleaning, §5.2: "we can clear its
+    /// context, preventing information leakage"). The wipe is eager and
+    /// physical — afterwards no byte is non-zero — but only the pages that
+    /// may hold one (`touched | dirty_pages`) are visited, and exactly those
+    /// are marked for the block cache.
     pub fn clear(&mut self) {
-        let lo = self.dirty_low_end as usize;
-        let hi = self.dirty_high_start as usize;
-        self.bytes[..lo].fill(0);
-        self.bytes[hi..].fill(0);
+        let mut wiped = 0;
+        for w in 0..self.touched.len() {
+            let word =
+                std::mem::take(&mut self.touched[w]) | std::mem::take(&mut self.dirty_pages[w]);
+            self.code_dirty[w] |= word;
+            wiped += u64::from(word.count_ones());
+            for page in pages_in(w, word) {
+                let range = self.page_range(page);
+                self.bytes[range].fill(0);
+            }
+        }
         self.dirty_low_end = 0;
         self.dirty_high_start = self.bytes.len() as u64;
-        self.reset_dirty_pages();
-        self.mark_all_code_dirty();
+        count(|c| c.pages_wiped += wiped);
+        debug_assert!(all_zero(&self.bytes), "clear left a non-zero byte");
     }
 
     /// Whole memory as a slice (snapshots).
@@ -391,85 +551,108 @@ impl Memory {
         self.mark_dirty(0, snapshot.len() as u64);
     }
 
-    /// Captures the dirty regions: `(low bytes, high_start, high bytes)`.
-    /// Together with [`Memory::restore_sparse`] this is Wasp's
-    /// image-proportional snapshot representation.
-    pub fn snapshot_sparse(&self) -> (Vec<u8>, u64, Vec<u8>) {
-        let lo = self.dirty_low_end as usize;
-        let hi = self.dirty_high_start as usize;
-        (
-            self.bytes[..lo].to_vec(),
-            self.dirty_high_start,
-            self.bytes[hi..].to_vec(),
-        )
-    }
-
-    /// Restores a sparse snapshot. The regions between the extents are
-    /// zeroed if anything was written there since the last [`Memory::clear`],
-    /// so a restore is total regardless of the shell's prior contents.
-    /// Afterwards memory provably equals the snapshot, so the dirty-page
-    /// bitmap is reset.
-    pub fn restore_sparse(&mut self, low: &[u8], high_start: u64, high: &[u8]) {
-        if !self.is_clean() {
-            self.clear();
+    /// Captures the dirty regions and the set of pages that may hold a
+    /// non-zero byte. Callers that go on to [`Memory::reset_dirty_pages`]
+    /// (a snapshot capture does) must do so *after* this call: the page set
+    /// is read from the bitmaps, never scanned for.
+    pub fn snapshot_sparse(&self) -> SparseImage {
+        let pages = self.touched.iter().zip(&self.dirty_pages);
+        SparseImage {
+            low: self.bytes[..self.dirty_low_end as usize].to_vec(),
+            high_start: self.dirty_high_start,
+            high: self.bytes[self.dirty_high_start as usize..].to_vec(),
+            pages: pages.map(|(t, d)| t | d).collect(),
+            mem_size: self.bytes.len(),
         }
-        self.bytes[..low.len()].copy_from_slice(low);
-        let hi = high_start as usize;
-        self.bytes[hi..hi + high.len()].copy_from_slice(high);
-        self.dirty_low_end = low.len() as u64;
-        self.dirty_high_start = high_start;
-        self.reset_dirty_pages();
-        self.mark_all_code_dirty();
     }
 
-    /// Delta re-arm: restores `pages` (indices into [`PAGE_SIZE`] pages) to
-    /// the contents a sparse snapshot holds for them — bytes from the low
-    /// region, the high region, or implicit zeroes in between. When `pages`
-    /// covers every page that diverged from the snapshot (the dirty-page
-    /// bitmap guarantees this: every write since the restore/capture point
-    /// set its page bit), memory afterwards provably equals the snapshot,
-    /// so the dirty extents are set to the snapshot's and the bitmap is
-    /// reset.
-    pub fn restore_pages_sparse(
-        &mut self,
-        pages: &[u64],
-        low: &[u8],
-        high_start: u64,
-        high: &[u8],
-    ) {
+    /// Makes every page in the bitmap `pages` equal `image` — bytes from the
+    /// low region, the high region, or implicit zeroes in between — and
+    /// adopts the image's extents. Returns the number of pages written.
+    ///
+    /// Only the pages rewritten here are marked for the block cache: any
+    /// other page keeps the bytes it had, so its code-dirty bit already says
+    /// whether the cache has seen them.
+    fn copy_pages(&mut self, pages: &[u64], image: &SparseImage) -> u64 {
+        assert_eq!(
+            image.mem_size,
+            self.bytes.len(),
+            "snapshot/memory size mismatch"
+        );
         // Each page overlaps at most three contiguous source ranges — the
         // low region, implicit zeroes, and the high region — so rebuild it
         // with (at most) three bulk ops. This sits on the warm-hit fast
         // path: every delta re-arm runs it per dirty page.
-        //
-        // Only the pages rewritten here are marked for the block cache: a
-        // page outside `pages` keeps the bytes it had, so its code-dirty bit
-        // already says whether the cache has seen them. A warm re-arm that
-        // copies back stack and data pages therefore costs the cache nothing.
-        let hi = high_start as usize;
-        for &page in pages {
-            self.code_dirty[page as usize / 64] |= 1 << (page % 64);
-            let start = (page * PAGE_SIZE) as usize;
-            let end = (start + PAGE_SIZE as usize).min(self.bytes.len());
-            let low_end = low.len().clamp(start, end);
-            let zero_end = hi.clamp(low_end, end);
-            if low_end > start {
-                self.bytes[start..low_end].copy_from_slice(&low[start..low_end]);
-            }
-            self.bytes[low_end..zero_end].fill(0);
-            if end > zero_end {
-                self.bytes[zero_end..end].copy_from_slice(&high[zero_end - hi..end - hi]);
+        let (low, high, hi) = (&image.low, &image.high, image.high_start as usize);
+        let mut copied = 0;
+        for (w, &word) in pages.iter().enumerate() {
+            self.touched[w] |= word;
+            self.code_dirty[w] |= word;
+            copied += u64::from(word.count_ones());
+            for page in pages_in(w, word) {
+                let Range { start, end } = self.page_range(page);
+                let low_end = low.len().clamp(start, end);
+                let zero_end = hi.clamp(low_end, end);
+                if low_end > start {
+                    self.bytes[start..low_end].copy_from_slice(&low[start..low_end]);
+                }
+                self.bytes[low_end..zero_end].fill(0);
+                if end > zero_end {
+                    self.bytes[zero_end..end].copy_from_slice(&high[zero_end - hi..end - hi]);
+                }
             }
         }
         self.dirty_low_end = low.len() as u64;
-        self.dirty_high_start = high_start;
+        self.dirty_high_start = image.high_start;
+        copied
+    }
+
+    /// Full restore: wipes whatever the shell held, then copies the pages
+    /// the image has content on, so the result is total regardless of the
+    /// shell's prior contents. Afterwards memory provably equals the image,
+    /// so the dirty log is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image was captured from a memory of another size.
+    pub fn restore_sparse(&mut self, image: &SparseImage) {
+        self.clear();
+        let copied = self.copy_pages(&image.pages, image);
+        count(|c| c.pages_restored += copied);
+        // (The extents overlap when a write straddled the midpoint.)
+        let (lo, hi) = (image.low.len(), image.high_start as usize);
+        debug_assert!(
+            self.bytes[..lo] == image.low[..]
+                && self.bytes.get(lo..hi).is_none_or(all_zero)
+                && self.bytes[hi..] == image.high[..],
+            "page-exact restore differs from the extent copy"
+        );
+    }
+
+    /// Delta re-arm: restores the pages in the dirty log to the contents
+    /// `image` holds for them. When the log
+    /// covers every page that diverged from the image (the discipline
+    /// guarantees this: it was reset at a point where memory equalled the
+    /// image, and every write since set its page bit), memory afterwards
+    /// provably equals the image, so its extents are adopted and the log is
+    /// reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image was captured from a memory of another size.
+    pub fn restore_pages_sparse(&mut self, image: &SparseImage) {
+        let log = std::mem::take(&mut self.dirty_pages);
+        let copied = self.copy_pages(&log, image);
+        self.dirty_pages = log;
         self.reset_dirty_pages();
+        count(|c| c.pages_rearmed += copied);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vclock::rng::Rng;
 
     #[test]
     fn new_memory_is_zeroed() {
@@ -609,9 +792,9 @@ mod tests {
         m.clear();
         assert_eq!(m.dirty_page_count(), 0);
         m.write(0, Width::Q, 7).unwrap();
-        let (low, hs, high) = m.snapshot_sparse();
+        let image = m.snapshot_sparse();
         m.write(PAGE_SIZE, Width::Q, 9).unwrap();
-        m.restore_sparse(&low, hs, &high);
+        m.restore_sparse(&image);
         assert_eq!(m.dirty_page_count(), 0);
     }
 
@@ -623,19 +806,18 @@ mod tests {
         m.write_bytes(100, b"snapshot-low").unwrap();
         m.write_bytes(PAGE_SIZE + 7, b"more-low").unwrap();
         m.write(7 * PAGE_SIZE + 64, Width::Q, 0xFEED).unwrap();
-        let (low, hs, high) = m.snapshot_sparse();
+        let image = m.snapshot_sparse();
         m.reset_dirty_pages();
 
         // Diverge: overwrite snapshot data and dirty a middle page.
         m.write_bytes(100, b"garbagegarba").unwrap();
         m.write(4 * PAGE_SIZE + 8, Width::Q, 0xBAD).unwrap();
         m.write(7 * PAGE_SIZE + 64, Width::Q, 0xBAD).unwrap();
-        let pages = m.dirty_page_indices();
-        assert_eq!(pages, vec![0, 4, 7]);
+        assert_eq!(m.dirty_page_indices(), vec![0, 4, 7]);
 
         let mut reference = Memory::new(size);
-        reference.restore_sparse(&low, hs, &high);
-        m.restore_pages_sparse(&pages, &low, hs, &high);
+        reference.restore_sparse(&image);
+        m.restore_pages_sparse(&image);
         assert_eq!(m.as_slice(), reference.as_slice(), "delta != full restore");
         assert_eq!(m.dirty_extent(), reference.dirty_extent());
         assert_eq!(m.dirty_page_count(), 0);
@@ -655,10 +837,14 @@ mod tests {
         m.write(0, Width::B, 1).unwrap();
         m.reset_dirty_pages();
         assert!(m.code_page_dirty(0));
-        // Bulk ops pessimize every page.
-        m.clear_code_dirty_page(0);
+        // A wipe marks exactly the pages it zeroes — 0 and 2 were written,
+        // in or out of the log — and no page that was zero and stays zero.
+        for page in 0..8 {
+            m.clear_code_dirty_page(page);
+        }
         m.clear();
-        assert!(m.code_page_dirty(0) && m.code_page_dirty(7));
+        let marked: Vec<u64> = (0..8).filter(|&p| m.code_page_dirty(p)).collect();
+        assert_eq!(marked, vec![0, 2], "only wiped pages are marked");
         // Out-of-range pages read clean and clear without panicking.
         assert!(!m.code_page_dirty(1 << 40));
         m.clear_code_dirty_page(1 << 40);
@@ -694,7 +880,7 @@ mod tests {
         let mut m = Memory::new(8 * PAGE_SIZE as usize);
         m.write_bytes(100, b"code").unwrap();
         m.write(7 * PAGE_SIZE + 64, Width::Q, 0xFEED).unwrap();
-        let (low, hs, high) = m.snapshot_sparse();
+        let image = m.snapshot_sparse();
         m.reset_dirty_pages();
         // The cache acknowledges everything written so far, then the guest
         // dirties a data page and the stack page and is re-armed.
@@ -704,13 +890,24 @@ mod tests {
         m.write(4 * PAGE_SIZE, Width::Q, 1).unwrap();
         m.write(7 * PAGE_SIZE + 64, Width::Q, 2).unwrap();
         m.clear_code_dirty_page(4);
-        let pages = m.dirty_page_indices();
-        m.restore_pages_sparse(&pages, &low, hs, &high);
-        let marked: Vec<u64> = (0..8).filter(|&p| m.code_page_dirty(p)).collect();
-        assert_eq!(marked, vec![4, 7], "only rewritten pages are marked");
-        // The wholesale paths still pessimise every page.
-        m.restore_sparse(&low, hs, &high);
-        assert!((0..8).all(|page| m.code_page_dirty(page)));
+        m.restore_pages_sparse(&image);
+        let marked = |m: &Memory| {
+            (0..8)
+                .filter(|&p| m.code_page_dirty(p))
+                .collect::<Vec<u64>>()
+        };
+        assert_eq!(marked(&m), vec![4, 7], "only rewritten pages are marked");
+        // A full restore is as exact: the guest dirties a data page, the
+        // restore wipes it, the image's two pages and page 4 (zeroed by the
+        // re-arm above, but still in the set a wipe visits) and copies the
+        // image's two back; the four pages never written stay unmarked.
+        for page in 0..8 {
+            m.clear_code_dirty_page(page);
+        }
+        m.write(5 * PAGE_SIZE, Width::Q, 3).unwrap();
+        m.clear_code_dirty_page(5);
+        m.restore_sparse(&image);
+        assert_eq!(marked(&m), vec![0, 4, 5, 7], "wiped or copied pages only");
     }
 
     #[test]
@@ -718,18 +915,264 @@ mod tests {
         let mut m = Memory::new(512);
         m.write_bytes(0, b"image bytes here").unwrap();
         m.write(500, Width::Q, 0xAA).unwrap();
-        let (low, hs, high) = m.snapshot_sparse();
-        assert_eq!(low.len(), 16);
-        assert_eq!(hs, 500);
-        assert_eq!(high.len(), 12);
+        let image = m.snapshot_sparse();
+        assert_eq!(image.low.len(), 16);
+        assert_eq!(image.high_start, 500);
+        assert_eq!(image.high.len(), 12);
+        assert_eq!(image.copied_bytes(), 28);
 
         // Dirty the shell differently, then restore.
         let mut shell = Memory::new(512);
         shell.write_bytes(100, b"garbage").unwrap();
-        shell.restore_sparse(&low, hs, &high);
+        shell.restore_sparse(&image);
         assert_eq!(shell.slice(0, 16).unwrap(), b"image bytes here");
         assert_eq!(shell.read(500, Width::Q).unwrap(), 0xAA);
         // The middle garbage was wiped by the restore.
         assert_eq!(shell.slice(100, 7).unwrap(), &[0; 7]);
+    }
+    #[test]
+    fn a_memory_dropped_during_thread_teardown_is_just_freed() {
+        // A memory owned by a thread-local outlives the spare list when the
+        // list's destructor runs first (and precedes it when it runs last):
+        // either way the drop must wipe, find nowhere to park, and return.
+        thread_local! {
+            static HOLDER: RefCell<Vec<Memory>> = const { RefCell::new(Vec::new()) };
+        }
+        for holder_registers_first in [true, false] {
+            let thread = std::thread::spawn(move || {
+                if holder_registers_first {
+                    HOLDER.with(|h| h.borrow_mut().clear());
+                }
+                // Park one buffer, so the spare list exists on this thread.
+                drop(Memory::new(2 * PAGE_SIZE as usize));
+                let mut m = Memory::new(2 * PAGE_SIZE as usize);
+                m.write(PAGE_SIZE, Width::Q, 7).unwrap();
+                HOLDER.with(|h| h.borrow_mut().push(m));
+            });
+            thread.join().expect("teardown must not panic");
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // The page-exact memory against a naive model.
+
+    /// Guest memory the way the extent-only implementation kept it: a plain
+    /// byte vector, the two extents, the dirty log — and nothing page-exact.
+    /// Wipes and restores are whole-extent operations.
+    struct Model {
+        bytes: Vec<u8>,
+        low_end: usize,
+        high_start: usize,
+        log: std::collections::BTreeSet<u64>,
+    }
+
+    /// What the model keeps of a snapshot: every byte, and the extents.
+    struct ModelImage {
+        bytes: Vec<u8>,
+        low_end: usize,
+        high_start: usize,
+    }
+
+    impl Model {
+        fn new(size: usize) -> Model {
+            Model {
+                bytes: vec![0; size],
+                low_end: 0,
+                high_start: size,
+                log: Default::default(),
+            }
+        }
+
+        fn mark(&mut self, start: usize, len: usize) {
+            if len == 0 {
+                return;
+            }
+            let end = start + len;
+            self.log
+                .extend(start as u64 / PAGE_SIZE..=(end as u64 - 1) / PAGE_SIZE);
+            if end <= self.bytes.len() / 2 {
+                self.low_end = self.low_end.max(end);
+            } else {
+                self.high_start = self.high_start.min(start);
+            }
+        }
+
+        fn write(&mut self, addr: u64, data: &[u8]) -> bool {
+            let fits = addr
+                .checked_add(data.len() as u64)
+                .is_some_and(|end| end <= self.bytes.len() as u64);
+            if fits {
+                self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+                self.mark(addr as usize, data.len());
+            }
+            fits
+        }
+
+        fn clear(&mut self) {
+            *self = Model::new(self.bytes.len());
+        }
+
+        fn snapshot(&self) -> ModelImage {
+            ModelImage {
+                bytes: self.bytes.clone(),
+                low_end: self.low_end,
+                high_start: self.high_start,
+            }
+        }
+
+        /// The byte `image` holds at `i`: inside an extent its copy, between
+        /// them an implicit zero.
+        fn image_byte(image: &ModelImage, i: usize) -> u8 {
+            if i < image.low_end || i >= image.high_start {
+                image.bytes[i]
+            } else {
+                0
+            }
+        }
+
+        /// Makes `pages` equal `image` — all of them for a full restore, the
+        /// dirty log for a delta — and adopts its extents.
+        fn restore(&mut self, image: &ModelImage, pages: impl IntoIterator<Item = u64>) {
+            let size = self.bytes.len();
+            for page in pages {
+                let start = (page * PAGE_SIZE) as usize;
+                for i in start..(start + PAGE_SIZE as usize).min(size) {
+                    self.bytes[i] = Model::image_byte(image, i);
+                }
+            }
+            self.low_end = image.low_end;
+            self.high_start = image.high_start;
+            self.log.clear();
+        }
+    }
+
+    /// Every observable of `real` equals the model's, and every non-zero
+    /// byte lies on a page in `touched | dirty_pages`.
+    fn assert_matches(real: &Memory, model: &Model, what: &str) {
+        assert!(real.as_slice() == &model.bytes[..], "{what}: bytes");
+        let size = model.bytes.len() as u64;
+        let extent = DirtyExtent {
+            low_end: model.low_end as u64,
+            high_start: model.high_start as u64,
+        };
+        assert_eq!(real.dirty_extent(), extent, "{what}: extent");
+        assert_eq!(
+            real.dirty_bytes(),
+            extent.bytes(size),
+            "{what}: dirty bytes"
+        );
+        let clean = model.low_end == 0 && model.high_start as u64 == size;
+        assert_eq!(real.is_clean(), clean, "{what}: is_clean");
+        let log: Vec<u64> = model.log.iter().copied().collect();
+        assert_eq!(real.dirty_page_indices(), log, "{what}: dirty log");
+        for (page, bytes) in real.as_slice().chunks(PAGE_SIZE as usize).enumerate() {
+            let known = (real.touched[page / 64] | real.dirty_pages[page / 64]) >> (page % 64) & 1;
+            assert!(
+                known == 1 || all_zero(bytes),
+                "{what}: page {page} holds a byte the wipe would miss"
+            );
+        }
+    }
+
+    /// An address that stresses the interesting places: anywhere, the last
+    /// seven bytes (and just past them), a page boundary, the midpoint.
+    fn arb_addr(rng: &mut Rng, size: u64) -> u64 {
+        let near = |rng: &mut Rng, at: u64| (at + rng.range_u64(0, 16)).saturating_sub(8);
+        match rng.below(8) {
+            0 => size - rng.range_u64(0, 9).min(size),
+            1 => near(rng, size / 2),
+            2 | 3 => {
+                let boundary = rng.range_u64(0, size.div_ceil(PAGE_SIZE) + 1) * PAGE_SIZE;
+                near(rng, boundary)
+            }
+            _ => rng.range_u64(0, size),
+        }
+    }
+
+    #[test]
+    fn random_lifecycles_match_the_naive_model() {
+        let mut rng = Rng::seeded(0x9a6e);
+        for size in [8, 64, 512, 4096, 64 * 1024 + 100, 512 * 1024] {
+            for script in 0..12 {
+                let mut real = Memory::new(size);
+                let mut model = Model::new(size);
+                let mut snaps: Vec<(SparseImage, ModelImage)> = Vec::new();
+                // The snapshot the dirty log is relative to, if any: a delta
+                // re-arm is only meaningful (then and now) against that one.
+                let mut armed: Option<usize> = None;
+                for step in 0..60 {
+                    let what = format!("size {size} script {script} step {step}");
+                    match rng.below(16) {
+                        0..=5 => {
+                            let width = [Width::B, Width::W, Width::D, Width::Q][rng.below(4)];
+                            let (addr, value) = (arb_addr(&mut rng, size as u64), rng.next_u64());
+                            let data = &value.to_le_bytes()[..width.bytes() as usize];
+                            let ok = real.write(addr, width, value).is_ok();
+                            assert_eq!(ok, model.write(addr, data), "{what}: write bounds");
+                        }
+                        6..=7 => {
+                            let len = rng.below(3 * PAGE_SIZE as usize);
+                            let data = rng.bytes(len);
+                            let addr = arb_addr(&mut rng, size as u64);
+                            let ok = real.write_bytes(addr, &data).is_ok();
+                            assert_eq!(ok, model.write(addr, &data), "{what}: bounds");
+                        }
+                        8 => {
+                            real.clear();
+                            model.clear();
+                            armed = None;
+                        }
+                        9..=10 => {
+                            snaps.push((real.snapshot_sparse(), model.snapshot()));
+                            // With or without the log reset a capture does.
+                            if rng.bool(0.7) {
+                                real.reset_dirty_pages();
+                                model.log.clear();
+                                armed = Some(snaps.len() - 1);
+                            }
+                        }
+                        11 if !snaps.is_empty() => {
+                            let n = rng.below(snaps.len());
+                            real.restore_sparse(&snaps[n].0);
+                            model.restore(&snaps[n].1, 0..(size as u64).div_ceil(PAGE_SIZE));
+                            armed = Some(n);
+                        }
+                        12 => {
+                            if let Some(n) = armed {
+                                let pages = real.dirty_page_indices();
+                                real.restore_pages_sparse(&snaps[n].0);
+                                model.restore(&snaps[n].1, pages);
+                            }
+                        }
+                        13 => {
+                            let all = rng.bytes(size);
+                            real.restore_from(&all);
+                            model.bytes.copy_from_slice(&all);
+                            model.mark(0, size);
+                            armed = None;
+                        }
+                        14 => {
+                            // The original is dropped: wiped and parked.
+                            let copy = real.clone();
+                            assert!(copy == real, "{what}: clone");
+                            real = copy;
+                        }
+                        _ => {
+                            // Drop and re-create: the same buffer comes back
+                            // from the spare list, and it is zero.
+                            let before = counters();
+                            drop(real);
+                            real = Memory::new(size);
+                            model.clear();
+                            armed = None;
+                            let parkable = (PAGE_SIZE as usize..=SPARE_BYTES).contains(&size);
+                            let delta = counters().buffers_recycled - before.buffers_recycled;
+                            assert_eq!(delta, u64::from(parkable), "{what}: recycled");
+                        }
+                    }
+                    assert_matches(&real, &model, &what);
+                }
+            }
+        }
     }
 }

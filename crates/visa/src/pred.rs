@@ -42,11 +42,13 @@
 //!   [`Cpu::restore_state`](crate::cpu::Cpu::restore_state) leaves it alone,
 //!   a hypervisor's vCPU reset carries it into the fresh CPU
 //!   ([`Cpu::adopt_predecode`](crate::cpu::Cpu::adopt_predecode)), and the
-//!   memory paths underneath mark what they rewrite — `clear` and the sparse
-//!   restore every page, the delta re-arm exactly the pages it copies back.
-//!   A warm re-arm that rewrites stack and data pages therefore rebuilds and
-//!   revalidates nothing; a full restore costs one byte comparison per
-//!   retained block; a shell handed to a different image drops the previous
+//!   memory paths underneath mark exactly the pages they rewrite — `clear`
+//!   the pages it zeroes, the sparse restore and the delta re-arm the pages
+//!   they copy back (a page that was zero and stays zero has not changed
+//!   under any block). A warm re-arm that rewrites stack and data pages
+//!   therefore rebuilds and revalidates nothing; a full restore costs one
+//!   byte comparison per retained block on the pages it rewrote; a shell
+//!   handed to a different image drops the previous
 //!   occupant's blocks page by page as the new code reaches them. The only
 //!   wholesale flush is the capacity bound, `MAX_CACHED_BLOCKS`.
 //!

@@ -498,6 +498,46 @@ fn a_block_straddling_a_4k_boundary_revalidates_when_only_its_second_page_is_res
     assert_eq!(trace[6].state.regs[0], 6);
 }
 
+#[test]
+fn a_clean_revalidates_blocks_on_a_wiped_page_the_next_load_does_not_rewrite() {
+    // The image is a trampoline on page 1 into a routine the host pokes onto
+    // page 5, where no image load reaches. After the clean, page 5 is zeroes
+    // again and the reloaded trampoline jumps into them; the routine's block,
+    // cached and hot from the first run, may only be found stale if the wipe
+    // marked the page it zeroed — the load will not do it for it.
+    let src = ".org 0x1000\n mov sp, 0xF000\n mov r0, 0\n mov r1, 0x5000\n jmp r1\n";
+    let routine = assemble(".org 0x5000\n add r0, 7\n add r0, 7\n hlt\n").unwrap();
+    let trace = check_script(
+        &[src],
+        &[
+            Step::Load(0),
+            Step::Poke(0x5000, routine.bytes.clone()),
+            Step::Run(100),
+            Step::Clean(0x1000),
+            Step::Load(0),
+            Step::Run(100),
+            // The same through a destroyed and re-created VM — a cold cache
+            // on recycled guest memory: the routine runs where it is poked
+            // again, and is gone, with its page, after the next re-create.
+            Step::Recreate(0x1000),
+            Step::Load(0),
+            Step::Poke(0x5000, routine.bytes),
+            Step::Run(100),
+            Step::Recreate(0x1000),
+            Step::Load(0),
+            Step::Run(100),
+        ],
+    );
+    for ran in [2, 9] {
+        assert_eq!(trace[ran].state.regs[0], 14);
+        assert_eq!(trace[ran].events, [diff::Event::Hlt]);
+    }
+    for rerun in [5, 12] {
+        assert_ne!(trace[rerun].state.regs[0], 14, "ran the wiped routine");
+        assert!(trace[rerun].mem[0x5000..0x6000].iter().all(|&b| b == 0));
+    }
+}
+
 /// Real mode → protected mode, calling one helper from both.
 const TWO_MODES: &str = ".org 0x1000\n\
      .equ GDT, 0x200\n\

@@ -1059,6 +1059,52 @@ init:
     }
 
     #[test]
+    fn a_shared_snapshot_never_carries_another_tenants_args() {
+        // Two tenants share one snapshotted spec, so they share its snapshot
+        // (§5.2). Whoever runs first captures it — with its own arguments in
+        // guest memory at that instant. The function returns the 16 bytes of
+        // its args window: the second tenant passes 8 and must get zeroes,
+        // not the first tenant's tail, for the other 8.
+        let mut d = dispatcher(DispatcherConfig {
+            shards: 1,
+            ..DispatcherConfig::default()
+        });
+        let img = visa::assemble(
+            "
+.org 0x8000
+  mov r0, 8            ; snapshot()
+  out 0x1, r0
+  mov r0, 10           ; return_data(args window)
+  mov r1, 0
+  mov r2, 16
+  out 0x1, r0
+  hlt
+",
+        )
+        .unwrap();
+        let spec = VirtineSpec::new("shared", img, MEM)
+            .with_policy(HypercallMask::allowing(&[wasp::nr::RETURN_DATA]));
+        let shared = d.register(spec).unwrap();
+        let mask = HypercallMask::ALLOW_ALL;
+        let first = d.add_tenant(TenantProfile::new("first").with_mask(mask));
+        let second = d.add_tenant(TenantProfile::new("second").with_mask(mask));
+        d.submit(Request::new(first, shared, 0.0).with_args(vec![0xA1; 16]))
+            .unwrap();
+        d.run_to_idle();
+        assert_eq!(d.completions()[0].result, vec![0xA1; 16], "its own args");
+        for (at, args) in [(0.001, vec![0xB2; 8]), (0.002, Vec::new())] {
+            let mut expected = args.clone();
+            expected.resize(16, 0);
+            d.submit(Request::new(second, shared, at).with_args(args))
+                .unwrap();
+            d.run_to_idle();
+            let c = d.completions().last().unwrap();
+            assert!(c.exit_normal && c.tenant == second);
+            assert_eq!(c.result, expected, "the first tenant's args leaked");
+        }
+    }
+
+    #[test]
     fn guest_to_guest_send_wakes_a_parked_run_within_one_drain() {
         // Virtine A parks in a blocking recv; virtine B's handler vsends
         // to A's socket from *inside* a batch. The wake produced mid-drain

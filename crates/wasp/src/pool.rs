@@ -43,6 +43,22 @@
 //!                                cross-key / steal: full wipe)
 //! ```
 //!
+//! What the edges physically do (the virtual clock charges them by dirty
+//! *extent*; `kvmsim` crate docs, `visa::mem` module docs):
+//!
+//! * **release / demote** (`VmFd::clean`, `clean_async`): zeroes the pages
+//!   the run touched, eagerly — a shell on the clean list holds no non-zero
+//!   byte, under either cleaning mode;
+//! * **acquire → install**: a full restore wipes (a no-op on a clean shell)
+//!   and copies the pages the snapshot has content on; a warm re-arm copies
+//!   the pages in the dirty log;
+//! * **drop** (`PoolMode::Disabled` release, [`Pool::drop_shell`],
+//!   [`Pool::drop_all_shells`], an abandoned `SuspendedRun`): the shell is
+//!   destroyed *dirty* as far as the pool is concerned — the wipe happens in
+//!   the drop itself, before the guest-memory buffer is parked for reuse;
+//! * **create** (`KVM_CREATE_VM`): takes such a parked, already-zero buffer
+//!   when the thread has one of the size, and always a new vCPU.
+//!
 //! The **blocked/suspended** state is the event-driven I/O path: a virtine
 //! parked in a blocking `recv` keeps its shell *inside* the
 //! [`crate::SuspendedRun`], so none of the pool's acquire/steal/demote

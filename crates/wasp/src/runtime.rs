@@ -364,6 +364,8 @@ struct Live {
     /// The spec's policy intersected with the caller's narrowing mask.
     policy: HypercallMask,
     snapshot_enabled: bool,
+    /// Length of the window at [`ARGS_ADDR`] the host wrote for this caller.
+    args_len: usize,
     invocation: Invocation,
     hypercalls: u64,
     /// Marks drained from the vCPU at earlier suspensions.
@@ -371,6 +373,25 @@ struct Live {
     /// The snapshot the shell's state provably derives from, if any.
     armed: Option<Rc<VmSnapshot>>,
     breakdown: Breakdown,
+}
+
+impl Live {
+    /// Captures the spec's snapshot *without this caller's arguments*: the
+    /// snapshot serves every later caller of the spec, other tenants
+    /// included. The window the host wrote is zeroed for the capture
+    /// (host-side, uncharged) and its bytes put back through `write_guest`,
+    /// so the page enters the dirty log and a delta re-arm of this shell
+    /// still equals a full restore.
+    fn capture_snapshot(&self) -> VmSnapshot {
+        let in_range = "the args window is inside guest memory";
+        let window = self.vm.read_guest(ARGS_ADDR, self.args_len);
+        let window = window.expect(in_range);
+        let zeroes = vec![0; window.len()];
+        self.vm.write_guest(ARGS_ADDR, &zeroes).expect(in_range);
+        let snap = self.vm.snapshot();
+        self.vm.write_guest(ARGS_ADDR, &window).expect(in_range);
+        snap
+    }
 }
 
 /// One invocation on a caller-provided shell: the input of
@@ -844,6 +865,7 @@ impl Wasp {
             id,
             policy,
             snapshot_enabled,
+            args_len: run.args.len(),
             invocation: run.invocation,
             hypercalls: 0,
             marks: Vec::new(),
@@ -1033,7 +1055,7 @@ impl Wasp {
                                 let mut specs = self.specs.borrow_mut();
                                 let entry = &mut specs[live.id.0];
                                 if entry.snapshot.is_none() {
-                                    let taken = Rc::new(live.vm.snapshot());
+                                    let taken = Rc::new(live.capture_snapshot());
                                     entry.snapshot = Some(Rc::clone(&taken));
                                     // The capture reset the dirty log, so
                                     // from here the shell's state is this
@@ -1365,9 +1387,10 @@ init:
         assert_eq!(out2.exit, ExitKind::Halted(7002), "re-arm must be exact");
         assert!(out2.breakdown.warm_hit && out2.breakdown.restored_snapshot);
         assert!(out2.breakdown.reused_shell);
-        // Run 1's args write predates its snapshot, so the first re-arm
-        // can even be empty; run 3 must copy back exactly the pages run 2
-        // dirtied after its re-arm (the args page).
+        // Run 1's args were put back after its snapshot was captured
+        // without them, so the first re-arm copies the args page too; run 3
+        // must copy back exactly the pages run 2 dirtied after its re-arm
+        // (the args page).
         assert!(
             out2.breakdown.delta_pages <= 4,
             "delta of {} pages",
@@ -1383,11 +1406,14 @@ init:
             "delta of {} pages",
             out3.breakdown.delta_pages
         );
+        // The one-page re-arm costs more than loading this fixture's
+        // 60-byte image did; what it buys is the init loop it skips.
+        let start = |b: &Breakdown| b.image + b.exec;
         assert!(
-            out2.breakdown.image < out1.breakdown.image,
-            "delta image {} !< cold image {}",
-            out2.breakdown.image,
-            out1.breakdown.image
+            start(&out2.breakdown) < start(&out1.breakdown),
+            "warm start {} !< cold start {}",
+            start(&out2.breakdown),
+            start(&out1.breakdown)
         );
         let stats = w.stats();
         assert_eq!(stats.warm_hits, 2);
@@ -1398,6 +1424,79 @@ init:
         let vw = w.virtine_warm_stats(id).unwrap();
         assert_eq!((vw.warm_hits, vw.cold_boots), (2, 1));
         assert_eq!(vw.warm_ready, 3, "all runs left the shell parkable");
+    }
+
+    /// `snapshot(); return *(u64*)8` — reads the second argument word.
+    fn second_arg_image() -> Image {
+        image(".org 0x8000\n mov r0, 8\n out 0x1, r0\n mov r1, 8\n load.q r0, [r1]\n hlt\n")
+    }
+
+    #[test]
+    fn a_snapshot_never_carries_the_capturing_callers_args() {
+        // §5.2: the snapshot is shared by every later caller of the spec.
+        // The capturing caller passes two words; later callers pass one, or
+        // none, and must read zero where the first caller's second word was
+        // — through the full restore and through the warm re-arm alike.
+        let mut first_args = 1u64.to_le_bytes().to_vec();
+        first_args.extend(0xDEAD_BEEFu64.to_le_bytes());
+        for warm_capacity in [0, crate::pool::DEFAULT_WARM_CAPACITY] {
+            let w = Wasp::new(
+                Hypervisor::kvm(HostKernel::new(Clock::new(), None)),
+                WaspConfig {
+                    warm_capacity,
+                    ..WaspConfig::default()
+                },
+            );
+            let id = w
+                .register(VirtineSpec::new("leak", second_arg_image(), MEM))
+                .unwrap();
+            let first = w.run(id, &first_args, Invocation::default()).unwrap();
+            assert_eq!(first.exit, ExitKind::Halted(0xDEAD_BEEF), "its own args");
+            for args in [&2u64.to_le_bytes()[..], &[]] {
+                let later = w.run(id, args, Invocation::default()).unwrap();
+                assert!(later.breakdown.restored_snapshot);
+                assert_eq!(later.breakdown.warm_hit, warm_capacity > 0);
+                assert_eq!(
+                    later.exit,
+                    ExitKind::Halted(0),
+                    "read the first caller's args"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_capturing_shell_rearms_to_exactly_the_snapshot() {
+        // The capturing run's args went back into memory after the capture,
+        // so its shell differs from the snapshot on the args page; that page
+        // must be in the dirty log, or a delta re-arm would keep the args.
+        let w = wasp(PoolMode::CachedAsync);
+        let id = w
+            .register(VirtineSpec::new("rearm", second_arg_image(), MEM))
+            .unwrap();
+        let run = ShellRun {
+            vm: w.hypervisor().create_vm(MEM, LOAD_ADDR),
+            source: ShellSource::Created,
+            id,
+            args: &[0xAA; 16],
+            invocation: Invocation::default(),
+            narrow: HypercallMask::ALLOW_ALL,
+            resumable: false,
+        };
+        let RunResult::Done(out, vm) = w.run_on_shell(run, &mut |_, _, _, _| None).unwrap() else {
+            unreachable!("non-resumable runs never suspend")
+        };
+        let snap = out.warm_state.expect("parkable");
+        assert_eq!(vm.read_guest(ARGS_ADDR, 16).unwrap(), [0xAA; 16]);
+        assert!(vm.dirty_log().contains(&0));
+        vm.restore_delta(&snap);
+        let full = w.hypervisor().create_vm(MEM, LOAD_ADDR);
+        full.restore(&snap);
+        assert_eq!(
+            vm.read_guest(0, MEM).unwrap(),
+            full.read_guest(0, MEM).unwrap()
+        );
+        assert_eq!(full.read_guest(ARGS_ADDR, 16).unwrap(), [0; 16]);
     }
 
     #[test]

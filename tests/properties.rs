@@ -151,14 +151,14 @@ fn sparse_snapshot_total_restore() {
             m.write(addr, Width::Q, rng.next_u64()).expect("write");
         }
         let full = m.as_slice().to_vec();
-        let (low, hs, high) = m.snapshot_sparse();
+        let image = m.snapshot_sparse();
 
         let mut shell = Memory::new(2048);
         for _ in 0..rng.below(24) {
             let addr = rng.range_u64(0, 2000).min(2048 - 8);
             shell.write(addr, Width::Q, rng.next_u64()).expect("write");
         }
-        shell.restore_sparse(&low, hs, &high);
+        shell.restore_sparse(&image);
         assert_eq!(shell.as_slice(), full.as_slice(), "case {case}");
     }
 }
