@@ -14,12 +14,12 @@
 //! The channel layer mirrors [`crate::net`]'s poll contract so the same
 //! event-driven block/park/resume machinery drives both:
 //!
-//! * the **receive side** is [`ChanRecvReady::Readable`] when a message is
-//!   queued, [`ChanRecvReady::WouldBlock`] when empty but open, and
-//!   [`ChanRecvReady::Eof`] when empty and closed;
-//! * the **send side** is [`ChanSendReady::Writable`] while the queue has
-//!   byte capacity left, [`ChanSendReady::Full`] when a send would overrun
-//!   the bound (backpressure), and [`ChanSendReady::Closed`] after close.
+//! * the **receive side** is [`RecvReady::Readable`] when a message is
+//!   queued, [`RecvReady::WouldBlock`] when empty but open, and
+//!   [`RecvReady::Eof`] when empty and closed;
+//! * the **send side** is probed per message ([`ChanTable::send_fits`]):
+//!   a send is admitted while it fits under the byte bound, blocks when
+//!   it would overrun it (backpressure), and is refused after close.
 //!
 //! Waiter tokens are edge-triggered and one-shot, exactly as in `net` —
 //! but unlike a socket, a channel may have **many** waiters per side
@@ -31,6 +31,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
+
+use crate::RecvReady;
 
 /// A channel handle. Host-global: the dispatcher binds the same id into
 /// the producer's and the consumer's invocation to wire a pipeline stage.
@@ -49,7 +51,7 @@ pub enum ChanError {
     /// torn-down channel).
     Closed(ChanId),
     /// The send would overrun the byte bound; retry after a recv drains
-    /// capacity (or park on [`ChanSendReady::Full`]).
+    /// capacity (or park until [`ChanTable::send_fits`] holds).
     Full(ChanId),
 }
 
@@ -64,28 +66,6 @@ impl fmt::Display for ChanError {
 }
 
 impl std::error::Error for ChanError {}
-
-/// What a non-destructive probe of a channel's receive side says.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChanRecvReady {
-    /// At least one message is queued; a `recv` returns data.
-    Readable,
-    /// Empty but open: a `recv` would block.
-    WouldBlock,
-    /// Empty and closed: a `recv` returns EOF.
-    Eof,
-}
-
-/// What a probe of a channel's send side says.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChanSendReady {
-    /// Capacity remains; a send of up to the remaining bytes succeeds.
-    Writable,
-    /// The queue is at its byte bound: a send would block (backpressure).
-    Full,
-    /// The channel was closed; sends fail permanently.
-    Closed,
-}
 
 #[derive(Debug)]
 struct Channel {
@@ -104,23 +84,13 @@ struct Channel {
 }
 
 impl Channel {
-    fn recv_ready(&self) -> ChanRecvReady {
+    fn recv_ready(&self) -> RecvReady {
         if !self.queue.is_empty() {
-            ChanRecvReady::Readable
+            RecvReady::Readable
         } else if self.closed {
-            ChanRecvReady::Eof
+            RecvReady::Eof
         } else {
-            ChanRecvReady::WouldBlock
-        }
-    }
-
-    fn send_ready(&self) -> ChanSendReady {
-        if self.closed {
-            ChanSendReady::Closed
-        } else if self.queued_bytes >= self.capacity {
-            ChanSendReady::Full
-        } else {
-            ChanSendReady::Writable
+            RecvReady::WouldBlock
         }
     }
 }
@@ -231,19 +201,11 @@ impl ChanTable {
     }
 
     /// Probes the receive side without consuming anything.
-    pub fn poll_recv(&self, id: ChanId) -> Result<ChanRecvReady, ChanError> {
+    pub fn poll_recv(&self, id: ChanId) -> Result<RecvReady, ChanError> {
         if self.reaped(id) {
-            return Ok(ChanRecvReady::Eof);
+            return Ok(RecvReady::Eof);
         }
         Ok(self.chan(id)?.recv_ready())
-    }
-
-    /// Probes the send side.
-    pub fn poll_send(&self, id: ChanId) -> Result<ChanSendReady, ChanError> {
-        if self.reaped(id) {
-            return Ok(ChanSendReady::Closed);
-        }
-        Ok(self.chan(id)?.send_ready())
     }
 
     /// Whether a send of `len` bytes would be admitted right now — the
@@ -275,7 +237,7 @@ impl ChanTable {
             return Ok(());
         }
         let ch = self.chan_mut(id)?;
-        if ch.recv_ready() == ChanRecvReady::WouldBlock {
+        if ch.recv_ready() == RecvReady::WouldBlock {
             ch.recv_waiters.push(token);
         } else {
             self.woken.push(token);
@@ -380,10 +342,10 @@ mod tests {
         let mut t = table();
         let c = t.open(8);
         t.send(c, b"12345678").unwrap();
-        assert_eq!(t.poll_send(c).unwrap(), ChanSendReady::Full);
+        assert_eq!(t.send_fits(c, 1), Ok(false), "at the byte bound");
         assert_eq!(t.recv(c, 4).unwrap().unwrap(), b"1234");
         // The whole 8 bytes were released, not just the 4 delivered.
-        assert_eq!(t.poll_send(c).unwrap(), ChanSendReady::Writable);
+        assert_eq!(t.send_fits(c, 1), Ok(true));
         t.send(c, b"12345678").unwrap();
     }
 
@@ -394,7 +356,7 @@ mod tests {
         t.send(c, b"123456").unwrap();
         assert_eq!(t.send(c, b"789"), Err(ChanError::Full(c)));
         assert_eq!(t.send(c, b"78"), Ok(()));
-        assert_eq!(t.poll_send(c).unwrap(), ChanSendReady::Full);
+        assert_eq!(t.send_fits(c, 1), Ok(false), "at the byte bound");
     }
 
     #[test]
@@ -413,13 +375,13 @@ mod tests {
     fn poll_recv_distinguishes_data_wouldblock_and_eof() {
         let mut t = table();
         let c = t.open(64);
-        assert_eq!(t.poll_recv(c).unwrap(), ChanRecvReady::WouldBlock);
+        assert_eq!(t.poll_recv(c).unwrap(), RecvReady::WouldBlock);
         t.send(c, b"x").unwrap();
-        assert_eq!(t.poll_recv(c).unwrap(), ChanRecvReady::Readable);
+        assert_eq!(t.poll_recv(c).unwrap(), RecvReady::Readable);
         t.recv(c, 8).unwrap().unwrap();
-        assert_eq!(t.poll_recv(c).unwrap(), ChanRecvReady::WouldBlock);
+        assert_eq!(t.poll_recv(c).unwrap(), RecvReady::WouldBlock);
         t.close(c).unwrap();
-        assert_eq!(t.poll_recv(c).unwrap(), ChanRecvReady::Eof);
+        assert_eq!(t.poll_recv(c).unwrap(), RecvReady::Eof);
     }
 
     #[test]
@@ -485,7 +447,7 @@ mod tests {
         assert_eq!(t.send(c, b"y"), Err(ChanError::Closed(c)));
         // Queued data drains, then EOF.
         assert_eq!(t.recv(c, 8).unwrap().unwrap(), b"xx");
-        assert_eq!(t.poll_recv(c).unwrap(), ChanRecvReady::Eof);
+        assert_eq!(t.poll_recv(c).unwrap(), RecvReady::Eof);
         assert_eq!(t.close(c), Err(ChanError::Closed(c)), "double close");
     }
 
@@ -499,7 +461,7 @@ mod tests {
         assert!(t.take_woken().is_empty());
         t.close(c).unwrap();
         assert_eq!(t.take_woken(), (0..10).collect::<Vec<u64>>());
-        assert_eq!(t.poll_recv(c).unwrap(), ChanRecvReady::Eof);
+        assert_eq!(t.poll_recv(c).unwrap(), RecvReady::Eof);
     }
 
     #[test]
@@ -542,9 +504,8 @@ mod tests {
         assert_eq!(t.recv(c, 64).unwrap().unwrap(), b"tail");
         assert_eq!(t.len(), 0, "drained closed channel is reaped");
         // Every observable behavior of a drained closed channel holds.
-        assert_eq!(t.poll_recv(c).unwrap(), ChanRecvReady::Eof);
+        assert_eq!(t.poll_recv(c).unwrap(), RecvReady::Eof);
         assert_eq!(t.recv(c, 8).unwrap(), None, "EOF, not an error");
-        assert_eq!(t.poll_send(c).unwrap(), ChanSendReady::Closed);
         assert_eq!(t.send(c, b"x"), Err(ChanError::Closed(c)));
         assert_eq!(t.send_fits(c, 1), Err(ChanError::Closed(c)));
         assert_eq!(t.close(c), Err(ChanError::Closed(c)));

@@ -22,9 +22,45 @@ use std::rc::Rc;
 use vclock::noise::NoiseModel;
 use vclock::{costs, Clock, Cycles};
 
-pub use chan::{ChanError, ChanId, ChanRecvReady, ChanSendReady};
+pub use chan::{ChanError, ChanId};
 pub use fs::{Fd, FileStat, FsError};
-pub use net::{NetError, SockId, SockReady};
+pub use net::{NetError, SockId};
+
+/// What a non-destructive probe of a receive side — a socket's or a
+/// channel's — says.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecvReady {
+    /// At least one message is queued; a `recv` returns data.
+    Readable,
+    /// Nothing queued but the other side is still open: a `recv` would
+    /// block.
+    WouldBlock,
+    /// Nothing queued and the other side closed: a `recv` returns EOF.
+    Eof,
+}
+
+/// A wait: the host object a blocked run waits on, and the state change
+/// that ends the wait. This crate owns the objects, so it owns the
+/// definition; [`HostKernel::wait_pending`], [`HostKernel::wait_register`],
+/// [`HostKernel::wait_clear`] and [`HostKernel::take_woken`] are everything
+/// a runtime or scheduler above needs to park a run on one and wake it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WaitTarget {
+    /// A socket becoming readable (data or EOF).
+    Sock(SockId),
+    /// A channel's receive side becoming readable (data or EOF).
+    ChanRecv(ChanId),
+    /// A channel admitting a send of `len` bytes (or closing). The
+    /// pending length rides along because the wake condition is
+    /// message-specific: a partially-full queue blocks a big send while
+    /// admitting a small one.
+    ChanSend {
+        /// The channel the sender is parked on.
+        chan: ChanId,
+        /// The parked message's length.
+        len: usize,
+    },
+}
 
 /// A provider-independent classification of host I/O failures, shared by
 /// the [`fs`], [`net`], and [`chan`] layers. Wasp maps every hypercall
@@ -315,34 +351,6 @@ impl HostKernel {
         self.inner.net.borrow_mut().close(sock)
     }
 
-    // -- Readiness machinery for event-driven blocked I/O. -----------------
-    //
-    // These are kernel-internal bookkeeping, not guest-visible system
-    // calls: a blocking `recv` is *one* syscall that parks in the kernel
-    // and completes when data arrives, so registration, probing, and wake
-    // delivery charge nothing. The data-delivery `net_recv` at wake time
-    // carries the full syscall + copy cost, exactly once.
-
-    /// Probes a socket's receive side without consuming data or cycles.
-    pub fn net_poll(&self, sock: SockId) -> Result<SockReady, NetError> {
-        self.inner.net.borrow().poll(sock)
-    }
-
-    /// Registers a one-shot waiter woken when `sock` becomes readable.
-    pub fn net_register_waiter(&self, sock: SockId, token: u64) -> Result<(), NetError> {
-        self.inner.net.borrow_mut().register_waiter(sock, token)
-    }
-
-    /// Drops any waiter registered on `sock`.
-    pub fn net_clear_waiter(&self, sock: SockId) {
-        self.inner.net.borrow_mut().clear_waiter(sock);
-    }
-
-    /// Drains the waiter tokens whose sockets became readable.
-    pub fn net_take_woken(&self) -> Vec<u64> {
-        self.inner.net.borrow_mut().take_woken()
-    }
-
     // -- Cross-virtine channels (host-mediated pipeline plumbing). ---------
     //
     // Channels live entirely in the host: guests reach them only through
@@ -370,7 +378,7 @@ impl HostKernel {
     }
 
     /// Pops one message from a channel (`None` would block *or* is EOF —
-    /// use [`HostKernel::chan_poll_recv`]), waking parked senders when
+    /// use [`HostKernel::wait_pending`]), waking parked senders when
     /// capacity frees up.
     pub fn chan_recv(&self, id: ChanId, max_len: usize) -> Result<Option<Vec<u8>>, ChanError> {
         self.syscall_overhead();
@@ -387,50 +395,69 @@ impl HostKernel {
         self.inner.chan.borrow_mut().close(id)
     }
 
-    /// Probes a channel's receive side without consuming data or cycles.
-    pub fn chan_poll_recv(&self, id: ChanId) -> Result<ChanRecvReady, ChanError> {
-        self.inner.chan.borrow().poll_recv(id)
+    // -- Waits: readiness machinery for event-driven blocked I/O. ----------
+    //
+    // Kernel-internal bookkeeping, not guest-visible system calls: a
+    // blocking `recv` (or `chan_recv` / `chan_send`) is *one* syscall that
+    // parks in the kernel and completes when its condition holds, so
+    // probing, registration, and wake delivery charge nothing. The
+    // data-moving call at wake time carries the full syscall + copy cost,
+    // exactly once. The per-object rules (one waiter per socket, many per
+    // channel, the send-fits predicate) live in [`net`] and [`chan`].
+
+    /// Free probe: would a run waiting on `target` still block? `Ok(false)`
+    /// when the awaited operation would complete now — with data, with a
+    /// clean EOF, or (a send to a closed channel aside, which is an error)
+    /// with the message admitted.
+    pub fn wait_pending(&self, target: WaitTarget) -> Result<bool, IoClass> {
+        let (net, chans) = (self.inner.net.borrow(), self.inner.chan.borrow());
+        let blocks = |ready| ready == RecvReady::WouldBlock;
+        match target {
+            WaitTarget::Sock(sock) => net.poll(sock).map(blocks).map_err(|e| e.class()),
+            WaitTarget::ChanRecv(chan) => chans.poll_recv(chan).map(blocks).map_err(|e| e.class()),
+            WaitTarget::ChanSend { chan, len } => {
+                let fits = chans.send_fits(chan, len);
+                fits.map(|fits| !fits).map_err(|e| e.class())
+            }
+        }
     }
 
-    /// Probes a channel's send side without consuming cycles.
-    pub fn chan_poll_send(&self, id: ChanId) -> Result<ChanSendReady, ChanError> {
-        self.inner.chan.borrow().poll_send(id)
+    /// Registers one-shot `token`, woken when the wait on `target` ends. A
+    /// wait that has already ended wakes the token immediately, so
+    /// registration never loses a wake that raced the block decision.
+    pub fn wait_register(&self, target: WaitTarget, token: u64) -> Result<(), IoClass> {
+        let mut net = self.inner.net.borrow_mut();
+        let mut chans = self.inner.chan.borrow_mut();
+        match target {
+            WaitTarget::Sock(sock) => net.register_waiter(sock, token).map_err(|e| e.class()),
+            WaitTarget::ChanRecv(chan) => {
+                let done = chans.register_recv_waiter(chan, token);
+                done.map_err(|e| e.class())
+            }
+            WaitTarget::ChanSend { chan, len } => {
+                let done = chans.register_send_waiter(chan, token, len);
+                done.map_err(|e| e.class())
+            }
+        }
     }
 
-    /// Free probe: would a send of `len` bytes be admitted right now?
-    /// `Err(Closed)` when the channel no longer accepts sends at all.
-    pub fn chan_send_fits(&self, id: ChanId, len: usize) -> Result<bool, ChanError> {
-        self.inner.chan.borrow().send_fits(id, len)
+    /// Drops `token`'s registration on `target` (the parked run was woken,
+    /// moved, or killed): a later readiness event wakes nobody.
+    pub fn wait_clear(&self, target: WaitTarget, token: u64) {
+        match target {
+            WaitTarget::Sock(sock) => self.inner.net.borrow_mut().clear_waiter(sock),
+            WaitTarget::ChanRecv(chan) | WaitTarget::ChanSend { chan, .. } => {
+                self.inner.chan.borrow_mut().clear_waiter(chan, token);
+            }
+        }
     }
 
-    /// Registers a one-shot waiter woken when `id` becomes readable. Any
-    /// number of waiters may park on one channel.
-    pub fn chan_register_recv_waiter(&self, id: ChanId, token: u64) -> Result<(), ChanError> {
-        self.inner.chan.borrow_mut().register_recv_waiter(id, token)
-    }
-
-    /// Registers a one-shot waiter woken when a send of `len` bytes to
-    /// `id` would be admitted (or the channel closes).
-    pub fn chan_register_send_waiter(
-        &self,
-        id: ChanId,
-        token: u64,
-        len: usize,
-    ) -> Result<(), ChanError> {
-        self.inner
-            .chan
-            .borrow_mut()
-            .register_send_waiter(id, token, len)
-    }
-
-    /// Drops `token` from both waiter lists of `id`.
-    pub fn chan_clear_waiter(&self, id: ChanId, token: u64) {
-        self.inner.chan.borrow_mut().clear_waiter(id, token);
-    }
-
-    /// Drains the channel waiter tokens whose wait conditions became true.
-    pub fn chan_take_woken(&self) -> Vec<u64> {
-        self.inner.chan.borrow_mut().take_woken()
+    /// Drains the tokens whose waits ended since the last call: socket
+    /// tokens first, then channel tokens, each in wake order.
+    pub fn take_woken(&self) -> Vec<u64> {
+        let mut woken = self.inner.net.borrow_mut().take_woken();
+        woken.extend(self.inner.chan.borrow_mut().take_woken());
+        woken
     }
 }
 
@@ -564,7 +591,7 @@ mod tests {
         assert!(k.chan_recv(c, 8192).unwrap().is_none(), "drained");
 
         k.chan_close(c).unwrap();
-        assert_eq!(k.chan_poll_recv(c).unwrap(), ChanRecvReady::Eof);
+        assert_eq!(k.wait_pending(WaitTarget::ChanRecv(c)), Ok(false), "EOF");
         assert_eq!(k.chan_send(c, b"x"), Err(ChanError::Closed(c)));
     }
 

@@ -20,6 +20,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
+use crate::RecvReady;
+
 /// A socket handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SockId(pub u64);
@@ -60,17 +62,6 @@ impl fmt::Display for NetError {
 }
 
 impl std::error::Error for NetError {}
-
-/// What a non-destructive readiness probe of a socket's receive side says.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SockReady {
-    /// At least one message is queued; a `recv` returns data.
-    Readable,
-    /// No data queued but the peer is still open: a `recv` would block.
-    WouldBlock,
-    /// No data queued and the peer closed: a `recv` returns EOF.
-    Eof,
-}
 
 #[derive(Debug, Default)]
 struct Endpoint {
@@ -189,14 +180,14 @@ impl LoopbackNet {
     }
 
     /// Probes the receive side without consuming anything.
-    pub fn poll(&self, sock: SockId) -> Result<SockReady, NetError> {
+    pub fn poll(&self, sock: SockId) -> Result<RecvReady, NetError> {
         let ep = self.sockets.get(&sock).ok_or_else(|| self.missing(sock))?;
         Ok(if !ep.rx.is_empty() {
-            SockReady::Readable
+            RecvReady::Readable
         } else if ep.peer.is_some() {
-            SockReady::WouldBlock
+            RecvReady::WouldBlock
         } else {
-            SockReady::Eof
+            RecvReady::Eof
         })
     }
 
@@ -207,7 +198,7 @@ impl LoopbackNet {
     /// a second registration is refused ([`NetError::WaiterBusy`]) rather
     /// than silently orphaning the first.
     pub fn register_waiter(&mut self, sock: SockId, token: u64) -> Result<(), NetError> {
-        let ready = self.poll(sock)? != SockReady::WouldBlock;
+        let ready = self.poll(sock)? != RecvReady::WouldBlock;
         let ep = self
             .sockets
             .get_mut(&sock)
@@ -318,13 +309,13 @@ mod tests {
         n.listen(5).unwrap();
         let c = n.connect(5).unwrap();
         let s = n.accept(5).unwrap().unwrap();
-        assert_eq!(n.poll(s).unwrap(), SockReady::WouldBlock);
+        assert_eq!(n.poll(s).unwrap(), RecvReady::WouldBlock);
         n.send(c, b"x").unwrap();
-        assert_eq!(n.poll(s).unwrap(), SockReady::Readable);
+        assert_eq!(n.poll(s).unwrap(), RecvReady::Readable);
         n.recv(s, 8).unwrap().unwrap();
-        assert_eq!(n.poll(s).unwrap(), SockReady::WouldBlock);
+        assert_eq!(n.poll(s).unwrap(), RecvReady::WouldBlock);
         n.close(c).unwrap();
-        assert_eq!(n.poll(s).unwrap(), SockReady::Eof);
+        assert_eq!(n.poll(s).unwrap(), RecvReady::Eof);
         assert!(n.poll(c).is_err(), "closed socket has no readiness");
     }
 
@@ -368,7 +359,7 @@ mod tests {
         n.register_waiter(s, 9).unwrap();
         n.close(c).unwrap();
         assert_eq!(n.take_woken(), vec![9]);
-        assert_eq!(n.poll(s).unwrap(), SockReady::Eof);
+        assert_eq!(n.poll(s).unwrap(), RecvReady::Eof);
     }
 
     #[test]

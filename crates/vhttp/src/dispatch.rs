@@ -20,6 +20,7 @@ use vsched::{
 };
 use wasp::{Invocation, VirtineSpec, Wasp, WaspConfig};
 
+use crate::expo::{escape_label, Exposition};
 use crate::response_status;
 use crate::server::{compile_handler, handler_policy};
 
@@ -34,15 +35,7 @@ pub fn http_tenant(name: impl Into<String>) -> TenantProfile {
 /// of the snapshot-aware fast path), aggregated pool counters, per-shard
 /// gauges, and per-tenant counters labelled by tenant name.
 pub fn prometheus_text(d: &Dispatcher) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let mut metric = |name: &str, kind: &str, help: &str, series: &[(String, u64)]| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        for (labels, value) in series {
-            let _ = writeln!(out, "{name}{labels} {value}");
-        }
-    };
+    let mut out = Exposition::default();
     let plain = |v: u64| vec![(String::new(), v)];
 
     let s = d.stats();
@@ -54,7 +47,7 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
     ];
     requests
         .extend(ShedReason::ALL.map(|r| (outcome(&format!("shed_{}", r.label())), s.shed_by(r))));
-    metric(
+    out.metric(
         "vsched_requests_total",
         "counter",
         "Requests by outcome: submitted (offered at the door), admitted \
@@ -69,7 +62,7 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
          controller's degradation ladder)",
         &requests,
     );
-    metric(
+    out.metric(
         "vsched_retries_total",
         "counter",
         "Exactly-once re-submissions of work lost to a shard failure, by \
@@ -81,14 +74,14 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
             ("{cause=\"shard_failed_parked\"}".into(), s.retries_parked),
         ],
     );
-    metric(
+    out.metric(
         "vsched_retried_in_flight",
         "gauge",
         "Requests currently waiting out a retry backoff (admitted, not \
          yet re-enqueued; the bridge term in the conservation identity)",
         &plain(s.retried_in_flight),
     );
-    metric(
+    out.metric(
         "vsched_hedges_total",
         "counter",
         "Tail-latency hedging events: armed (a hedge delay was scheduled \
@@ -102,7 +95,7 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
             ("{outcome=\"canceled\"}".into(), s.hedges_canceled),
         ],
     );
-    metric(
+    out.metric(
         "vsched_evictions_total",
         "counter",
         "Parked runs hard-stopped by shard lifecycle, by cause: \
@@ -114,25 +107,25 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
             ("{reason=\"shard_failed\"}".into(), s.evicted_failed),
         ],
     );
-    metric(
+    out.metric(
         "vsched_warm_hits_total",
         "counter",
         "Requests served by a warm-shell delta re-arm",
         &plain(s.warm_hits),
     );
-    metric(
+    out.metric(
         "vsched_warm_demotions_total",
         "counter",
         "Warm shells demoted (wiped) on the acquire path",
         &plain(s.warm_demotions),
     );
-    metric(
+    out.metric(
         "vsched_steals_total",
         "counter",
         "Shells stolen between shards",
         &plain(s.stolen),
     );
-    metric(
+    out.metric(
         "vsched_steal_transfers_total",
         "counter",
         "Shells stolen between shards, by topology distance class",
@@ -143,7 +136,7 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
         ],
     );
     let guest = visa::pred::counters();
-    metric(
+    out.metric(
         "visa_insts_retired_total",
         "counter",
         "Guest instructions retired process-wide, by interpreter engine: \
@@ -154,7 +147,7 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
             ("{engine=\"ref\"}".into(), guest.retired_ref),
         ],
     );
-    metric(
+    out.metric(
         "visa_predecode_blocks",
         "counter",
         "Predecoded basic blocks, by event: built (decoded, fused, and \
@@ -166,7 +159,7 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
             ("{event=\"invalidated\"}".into(), guest.blocks_invalidated),
         ],
     );
-    metric(
+    out.metric(
         "visa_predecode_dispatch_total",
         "counter",
         "Predecoded block entries served by the front cache, the block map \
@@ -179,7 +172,7 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
             ("{path=\"reference\"}".into(), guest.dispatch_reference),
         ],
     );
-    metric(
+    out.metric(
         "visa_superinsts_fused_total",
         "counter",
         "Superinstructions fused at predecode time (the six two-instruction \
@@ -187,7 +180,7 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
         &plain(guest.superinsts_fused),
     );
     let mem = visa::mem::counters();
-    metric(
+    out.metric(
         "visa_mem_pages_total",
         "counter",
         "Guest-memory pages (4 KiB) physically rewritten on this thread: wiped \
@@ -199,7 +192,7 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
             ("{op=\"rearmed\"}".into(), mem.pages_rearmed),
         ],
     );
-    metric(
+    out.metric(
         "visa_mem_buffers_total",
         "counter",
         "Guest-memory buffers behind created VMs on this thread: allocated, or \
@@ -210,7 +203,7 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
         ],
     );
     let topo = d.topology();
-    metric(
+    out.metric(
         "vsched_topology",
         "gauge",
         "Shard topology dimensions (sockets, CCXs, shards)",
@@ -220,56 +213,56 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
             ("{level=\"shards\"}".into(), topo.shards() as u64),
         ],
     );
-    metric(
+    out.metric(
         "vsched_warm_resident",
         "gauge",
         "Warm shells resident across all shard pools",
         &plain(d.warm_resident() as u64),
     );
-    metric(
+    out.metric(
         "vsched_batches_total",
         "counter",
         "Shard batch ticks executed",
         &plain(s.batches),
     );
-    metric(
+    out.metric(
         "vsched_blocked_total",
         "counter",
         "Runs suspended at a blocking recv",
         &plain(s.blocked),
     );
-    metric(
+    out.metric(
         "vsched_blocked_cycles_total",
         "counter",
         "Virtual cycles completed runs spent parked at a blocking recv \
          (the Breakdown.blocked share of served work)",
         &plain(s.blocked_cycles),
     );
-    metric(
+    out.metric(
         "vsched_resumed_total",
         "counter",
         "Parked runs re-queued by a socket wake",
         &plain(s.resumed),
     );
-    metric(
+    out.metric(
         "vsched_blocked_timeout_total",
         "counter",
         "Parked runs killed at their tenant max_block bound",
         &plain(s.blocked_timeout),
     );
-    metric(
+    out.metric(
         "vsched_migrations_total",
         "counter",
         "Woken parked runs re-admitted on a different shard (resume-time migration)",
         &plain(s.migrations),
     );
-    metric(
+    out.metric(
         "vsched_busy_wait_cycles_total",
         "counter",
         "Worker cycles burned waiting on blocked I/O (zero when event-driven)",
         &plain(s.busy_wait_cycles),
     );
-    metric(
+    out.metric(
         "vsched_parked",
         "gauge",
         "Blocked runs currently parked across all shards",
@@ -277,7 +270,7 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
     );
 
     let p = d.pool_stats();
-    metric(
+    out.metric(
         "wasp_pool_shells_total",
         "counter",
         "Shell lifecycle events across all shard pools",
@@ -300,80 +293,72 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
             .map(|(i, s)| (format!("{{shard=\"{i}\"}}"), f(s)))
             .collect()
     };
-    metric(
+    out.metric(
         "vsched_shard_state",
         "gauge",
         "Lifecycle state per shard: 0 = active, 1 = draining, \
          2 = drained, 3 = failed",
         &per_shard(&|s| s.state.gauge()),
     );
-    metric(
+    out.metric(
         "vsched_shard_queue_depth",
         "gauge",
         "Requests waiting per shard",
         &per_shard(&|s| s.queue_depth as u64),
     );
-    metric(
+    out.metric(
         "vsched_shard_idle_shells",
         "gauge",
         "Clean shells parked per shard",
         &per_shard(&|s| s.idle_shells as u64),
     );
-    metric(
+    out.metric(
         "vsched_shard_warm_shells",
         "gauge",
         "Warm shells parked per shard",
         &per_shard(&|s| s.warm_shells as u64),
     );
-    metric(
+    out.metric(
         "vsched_shard_served_total",
         "counter",
         "Requests served per shard",
         &per_shard(&|s| s.stats.served),
     );
-    metric(
+    out.metric(
         "vsched_shard_warm_hits_total",
         "counter",
         "Warm hits per shard",
         &per_shard(&|s| s.stats.warm_hits),
     );
-    metric(
+    out.metric(
         "vsched_shard_parked",
         "gauge",
         "Blocked runs parked per shard",
         &per_shard(&|s| s.parked as u64),
     );
-    metric(
+    out.metric(
         "vsched_shard_migrated_in_total",
         "counter",
         "Woken runs this shard received via resume-time migration",
         &per_shard(&|s| s.stats.migrated_in),
     );
-    metric(
+    out.metric(
         "vsched_shard_migrated_out_total",
         "counter",
         "Woken runs that left this shard via resume-time migration",
         &per_shard(&|s| s.stats.migrated_out),
     );
-    metric(
+    out.metric(
         "vsched_shard_busy_wait_cycles_total",
         "counter",
         "Worker cycles burned on blocked waits per shard",
         &per_shard(&|s| s.stats.busy_wait_cycles),
     );
 
-    // Tenant names are operator-supplied free text; escape them per the
-    // exposition format (backslash, quote, newline) so one odd name cannot
-    // make the whole scrape unparseable.
-    let escape = |name: &str| {
-        name.replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', "\\n")
-    };
     let tenants: Vec<(String, vsched::TenantStats)> = d
         .tenant_ids()
         .into_iter()
-        .map(|id| (escape(d.tenant_name(id)), d.tenant_stats(id)))
+        .map(|id| (escape_label(d.tenant_name(id)), d.tenant_stats(id)))
         .collect();
     let per_tenant = |f: &dyn Fn(&vsched::TenantStats) -> u64| -> Vec<(String, u64)> {
         tenants
@@ -381,39 +366,37 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
             .map(|(name, t)| (format!("{{tenant=\"{name}\"}}"), f(t)))
             .collect()
     };
-    metric(
+    out.metric(
         "vsched_tenant_served_total",
         "counter",
         "Requests served per tenant",
         &per_tenant(&|t| t.served),
     );
-    metric(
+    out.metric(
         "vsched_tenant_shed_total",
         "counter",
         "Requests shed per tenant",
         &per_tenant(&|t| t.shed()),
     );
-    metric(
+    out.metric(
         "vsched_tenant_warm_serves_total",
         "counter",
         "Warm-hit serves per tenant",
         &per_tenant(&|t| t.warm_serves),
     );
-    metric(
+    out.metric(
         "vsched_tenant_in_flight",
         "gauge",
         "Requests queued or running per tenant",
         &per_tenant(&|t| t.in_flight),
     );
 
-    histogram_family(
-        &mut out,
+    out.histogram(
         "vsched_queue_wait_cycles",
         "Virtual cycles from admission to first execution, across all served requests",
         &[(String::new(), d.queue_wait_hist())],
     );
-    histogram_family(
-        &mut out,
+    out.histogram(
         "vsched_exec_cycles",
         "Virtual cycles of virtine execution (guest segments, excluding parked waits)",
         &[(String::new(), d.exec_hist())],
@@ -423,13 +406,12 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
         .into_iter()
         .map(|id| {
             (
-                format!("tenant=\"{}\",", escape(d.tenant_name(id))),
+                format!("tenant=\"{}\",", escape_label(d.tenant_name(id))),
                 d.tenant_e2e_hist(id),
             )
         })
         .collect();
-    histogram_family(
-        &mut out,
+    out.histogram(
         "vsched_e2e_cycles",
         "End-to-end virtual cycles from arrival to completion, per tenant",
         &e2e_series,
@@ -437,28 +419,26 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
 
     if let Some(slo) = d.slo() {
         let reports = slo.report();
-        gauge_family_f64(
-            &mut out,
-            "vslo_error_budget_remaining",
+        out.metric("vslo_error_budget_remaining", "gauge",
             "Fraction of the slow-window error budget unspent (1 - slow burn; negative when overspent)",
             &reports
                 .iter()
                 .map(|r| {
                     (
-                        format!("{{slo=\"{}\"}}", escape(&r.name)),
+                        format!("{{slo=\"{}\"}}", escape_label(&r.name)),
                         r.budget_remaining,
                     )
                 })
                 .collect::<Vec<_>>(),
         );
-        gauge_family_f64(
-            &mut out,
+        out.metric(
             "vslo_burn_rate",
+            "gauge",
             "Error-budget burn rate (bad fraction over the window / allowed bad fraction)",
             &reports
                 .iter()
                 .flat_map(|r| {
-                    let slo = escape(&r.name);
+                    let slo = escape_label(&r.name);
                     [
                         (format!("{{slo=\"{slo}\",window=\"fast\"}}"), r.burn_fast),
                         (format!("{{slo=\"{slo}\",window=\"slow\"}}"), r.burn_slow),
@@ -466,14 +446,14 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
                 })
                 .collect::<Vec<_>>(),
         );
-        gauge_family_f64(
-            &mut out,
+        out.metric(
             "vslo_alert",
+            "gauge",
             "1 while the multiwindow burn-rate alert at this severity is firing, else 0",
             &reports
                 .iter()
                 .flat_map(|r| {
-                    let slo = escape(&r.name);
+                    let slo = escape_label(&r.name);
                     ["ticket", "page"].map(|sev| {
                         let active = r.severity.is_some_and(|s| s.to_string() == sev);
                         (
@@ -487,9 +467,9 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
     }
 
     if let Some(health) = d.shard_health() {
-        gauge_family_f64(
-            &mut out,
+        out.metric(
             "vsched_suspicion",
+            "gauge",
             "Failure-detector suspicion per shard (heartbeat silence over \
              the expected interval; 0 while heartbeats arrive, declared \
              failed at the configured threshold)",
@@ -500,52 +480,14 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
                 .collect::<Vec<_>>(),
         );
     }
-    gauge_family_f64(
-        &mut out,
+    out.metric(
         "vsched_brownout_level",
+        "gauge",
         "Overload brownout degradation ladder level (0 = no degradation; \
          each level sheds priorities below its floor at the door)",
         &[(String::new(), d.brownout_level() as f64)],
     );
-    out
-}
-
-/// Appends one histogram family in the exposition format: cumulative
-/// `_bucket` series at power-of-two `le` edges (exact counts — every
-/// power of two is an inclusive upper bucket edge of the underlying
-/// [`Histogram`], so these are not interpolated), terminated by
-/// `le="+Inf"`, plus `_sum` and `_count`. Each entry in `series` pairs
-/// an inner label prefix (`tenant="a",` — note the trailing comma — or
-/// empty for an unlabelled family) with its histogram.
-fn histogram_family(out: &mut String, name: &str, help: &str, series: &[(String, &Histogram)]) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    for (inner, h) in series {
-        for (bound, cum) in h.power_of_two_buckets() {
-            let _ = writeln!(out, "{name}_bucket{{{inner}le=\"{bound}\"}} {cum}");
-        }
-        let _ = writeln!(out, "{name}_bucket{{{inner}le=\"+Inf\"}} {}", h.count());
-        let plain = inner.trim_end_matches(',');
-        let braces = if plain.is_empty() {
-            String::new()
-        } else {
-            format!("{{{plain}}}")
-        };
-        let _ = writeln!(out, "{name}_sum{braces} {}", h.sum());
-        let _ = writeln!(out, "{name}_count{braces} {}", h.count());
-    }
-}
-
-/// Appends one float-valued gauge family ([`prometheus_text`]'s `metric`
-/// closure is integer-only; burn rates and budget fractions need floats).
-fn gauge_family_f64(out: &mut String, name: &str, help: &str, series: &[(String, f64)]) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    for (labels, value) in series {
-        let _ = writeln!(out, "{name}{labels} {value}");
-    }
+    out.finish()
 }
 
 /// One client's view of a submitted request.

@@ -226,7 +226,21 @@ pub struct Ingress {
     index: HashMap<(usize, u64), usize>,
     stats: IngressStats,
     trace: TraceCollector,
+    /// Trace id of the next edge shed. A connection shed at the edge
+    /// never gets an edge sequence number, so its trace is keyed from a
+    /// space counting down from `u64::MAX` — disjoint from sequence
+    /// numbers, exactly as `Dispatcher` keys its door sheds.
+    next_shed_trace: u64,
     now_s: f64,
+}
+
+/// What the edge knows of a connection once its attribution parsed —
+/// the head of its trace, whichever id the trace ends up under.
+struct Accepted {
+    tenant: usize,
+    client: u64,
+    virtine: u64,
+    at: Cycles,
 }
 
 struct EdgeTenant {
@@ -312,6 +326,7 @@ accept:
             index: HashMap::new(),
             stats: IngressStats::default(),
             trace: TraceCollector::disabled(),
+            next_shed_trace: u64::MAX,
             now_s: 0.0,
         }
     }
@@ -391,6 +406,49 @@ accept:
         })
     }
 
+    /// Records one edge span — when tracing is on. `detail` is only
+    /// called then, so the disabled path never formats a detail string.
+    fn tspan(
+        &mut self,
+        id: u64,
+        label: &'static str,
+        detail: impl FnOnce() -> String,
+        start: Cycles,
+        end: Cycles,
+    ) {
+        if self.trace.enabled() {
+            self.trace.span(id, label, detail(), start, end);
+        }
+    }
+
+    /// Closes an edge trace with its terminal outcome, likewise: pass a
+    /// literal or `format_args!`, rendered only when tracing is on.
+    fn tfinish(&mut self, id: u64, outcome: impl std::fmt::Display, at: Cycles) {
+        if self.trace.enabled() {
+            self.trace.finish(id, &outcome.to_string(), at);
+        }
+    }
+
+    /// Opens connection `conn`'s edge trace under `id` with its accept
+    /// span.
+    fn trace_accept(&mut self, id: u64, conn: &Accepted) {
+        self.trace.begin(id, conn.tenant, conn.virtine, conn.at);
+        let client = || format!("client={}", conn.client);
+        self.tspan(id, "ingress_accept", client, conn.at, conn.at);
+    }
+
+    /// Traces a connection shed at the edge, under an id of its own (see
+    /// `next_shed_trace`): the edge sequence number it was never given
+    /// stays free for the next accepted connection's trace.
+    fn trace_shed(&mut self, conn: &Accepted, outcome: impl std::fmt::Display) {
+        if self.trace.enabled() {
+            let id = self.next_shed_trace;
+            self.next_shed_trace -= 1;
+            self.trace_accept(id, conn);
+            self.tfinish(id, outcome, conn.at);
+        }
+    }
+
     fn ring_doorbell(&mut self, line: &[u8], at_s: f64) {
         let before = self.edge.stats().resumed;
         self.kernel.net_send(self.doorbell, line).expect("doorbell");
@@ -433,33 +491,24 @@ accept:
         };
         debug_assert_eq!((t_idx, parsed_client), (tenant.index(), client));
 
-        if self.trace.enabled() {
-            self.trace
-                .begin(edge_seq, t_idx, virtine.into_raw() as u64, now);
-            self.trace.span(
-                edge_seq,
-                "ingress_accept",
-                format!("client={client}"),
-                now,
-                now,
-            );
-        }
+        let conn = Accepted {
+            tenant: t_idx,
+            client,
+            virtine: virtine.into_raw() as u64,
+            at: now,
+        };
 
         let edge_tenant = &mut self.tenants[t_idx];
         assert_eq!(edge_tenant.id, tenant, "unknown tenant");
         if !edge_tenant.bucket.admit(now) {
             self.stats.shed_edge_rate += 1;
-            if self.trace.enabled() {
-                self.trace.finish(edge_seq, "shed:edge_rate", now);
-            }
+            self.trace_shed(&conn, "shed:edge_rate");
             return Err(IngressShed::EdgeRate);
         }
 
         let Some(node) = self.cluster.route(arrival_s) else {
             self.stats.shed_no_node += 1;
-            if self.trace.enabled() {
-                self.trace.finish(edge_seq, "shed:no_healthy_node", now);
-            }
+            self.trace_shed(&conn, "shed:no_healthy_node");
             return Err(IngressShed::NoHealthyNode);
         };
 
@@ -473,23 +522,16 @@ accept:
             Ok(seq) => seq,
             Err(reason) => {
                 self.stats.shed_node += 1;
-                if self.trace.enabled() {
-                    self.trace
-                        .finish(edge_seq, &format!("shed:node:{reason:?}"), now);
-                }
+                self.trace_shed(&conn, format_args!("shed:node:{reason:?}"));
                 return Err(IngressShed::Node(reason));
             }
         };
 
-        if self.trace.enabled() {
-            self.trace.span(
-                edge_seq,
-                "ingress_route",
-                format!("node={node} node_seq={node_seq}"),
-                now,
-                now,
-            );
-        }
+        // Accepted: only now does the connection own its edge sequence
+        // number, and its trace the id.
+        self.trace_accept(edge_seq, &conn);
+        let route = || format!("node={node} node_seq={node_seq}");
+        self.tspan(edge_seq, "ingress_route", route, now, now);
         self.stats.accepted += 1;
         self.index.insert((node, node_seq), self.reqs.len());
         self.reqs.push(EdgeReq {
@@ -522,6 +564,7 @@ accept:
                 }
                 req.resolved = true;
                 self.stats.completed += 1;
+                let attempts = req.attempts;
                 req.completion = Some(EdgeCompletion {
                     edge_seq: idx as u64,
                     tenant: req.tenant,
@@ -533,17 +576,10 @@ accept:
                     attempts: req.attempts,
                     evacuated: req.attempts > 1,
                 });
-                if self.trace.enabled() {
-                    self.trace.span(
-                        idx as u64,
-                        "ingress_complete",
-                        format!("node={node} attempts={}", req.attempts),
-                        Cycles::from_micros(c.finish * 1e6),
-                        Cycles::from_micros(c.finish * 1e6),
-                    );
-                    self.trace
-                        .finish(idx as u64, "ok", Cycles::from_micros(c.finish * 1e6));
-                }
+                let (id, at) = (idx as u64, Cycles::from_micros(c.finish * 1e6));
+                let detail = || format!("node={node} attempts={attempts}");
+                self.tspan(id, "ingress_complete", detail, at, at);
+                self.tfinish(id, "ok", at);
             }
         }
     }
@@ -563,17 +599,12 @@ accept:
             .map(|(i, _)| i)
             .collect();
         let mut moved = 0;
+        let now = Cycles::from_micros(t_s * 1e6);
         for idx in pending {
             let Some(dst) = self.cluster.evacuation_target(failed, t_s) else {
                 self.reqs[idx].resolved = true;
                 self.stats.shed_no_node += 1;
-                if self.trace.enabled() {
-                    self.trace.finish(
-                        idx as u64,
-                        "shed:no_healthy_node",
-                        Cycles::from_micros(t_s * 1e6),
-                    );
-                }
+                self.tfinish(idx as u64, "shed:no_healthy_node", now);
                 continue;
             };
             let req = &self.reqs[idx];
@@ -589,26 +620,14 @@ accept:
                     req.attempts += 1;
                     moved += 1;
                     self.stats.redispatched += 1;
-                    if self.trace.enabled() {
-                        self.trace.span(
-                            idx as u64,
-                            "ingress_evacuate",
-                            format!("from={failed} to={dst}"),
-                            Cycles::from_micros(t_s * 1e6),
-                            Cycles::from_micros((t_s + transfer_s) * 1e6),
-                        );
-                    }
+                    let landed = Cycles::from_micros((t_s + transfer_s) * 1e6);
+                    let hop = || format!("from={failed} to={dst}");
+                    self.tspan(idx as u64, "ingress_evacuate", hop, now, landed);
                 }
                 Err(reason) => {
                     self.reqs[idx].resolved = true;
                     self.stats.shed_node += 1;
-                    if self.trace.enabled() {
-                        self.trace.finish(
-                            idx as u64,
-                            &format!("shed:node:{reason:?}"),
-                            Cycles::from_micros(t_s * 1e6),
-                        );
-                    }
+                    self.tfinish(idx as u64, format_args!("shed:node:{reason:?}"), now);
                 }
             }
         }
@@ -682,29 +701,21 @@ accept:
     /// [`prometheus_text`](crate::dispatch::prometheus_text) surface;
     /// this is the layer above it.
     pub fn metrics(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let mut metric = |name: &str, kind: &str, help: &str, series: &[(String, u64)]| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            for (labels, value) in series {
-                let _ = writeln!(out, "{name}{labels} {value}");
-            }
-        };
+        let mut out = crate::expo::Exposition::default();
         let s = self.stats;
-        metric(
+        out.metric(
             "vsched_ingress_offered_total",
             "counter",
             "Connections offered to the edge",
             &[(String::new(), s.offered)],
         );
-        metric(
+        out.metric(
             "vsched_ingress_accepted_total",
             "counter",
             "Connections that passed edge admission and were routed",
             &[(String::new(), s.accepted)],
         );
-        metric(
+        out.metric(
             "vsched_ingress_edge_shed_total",
             "counter",
             "Connections shed at the edge, by cause",
@@ -718,31 +729,31 @@ accept:
                 (r#"{reason="node"}"#.to_string(), s.shed_node),
             ],
         );
-        metric(
+        out.metric(
             "vsched_ingress_redispatched_total",
             "counter",
             "Failover re-dispatches to a surviving node",
             &[(String::new(), s.redispatched)],
         );
-        metric(
+        out.metric(
             "vsched_ingress_completed_total",
             "counter",
             "Terminal completions delivered to the edge",
             &[(String::new(), s.completed)],
         );
-        metric(
+        out.metric(
             "vsched_ingress_duplicates_total",
             "counter",
             "Completions for an already-resolved request (must be 0)",
             &[(String::new(), s.duplicates)],
         );
-        metric(
+        out.metric(
             "vsched_ingress_acceptor_wakes_total",
             "counter",
             "Doorbell rings that woke the parked acceptor virtine",
             &[(String::new(), s.acceptor_wakes)],
         );
-        metric(
+        out.metric(
             "vsched_ingress_transfer_cycles_total",
             "counter",
             "Virtual cycles charged to cross-node transfers",
@@ -751,7 +762,7 @@ accept:
         let routed: Vec<(String, u64)> = (0..self.cluster.len())
             .map(|i| (format!("{{node=\"{i}\"}}"), self.cluster.routed_to(i)))
             .collect();
-        metric(
+        out.metric(
             "vsched_ingress_routed_total",
             "counter",
             "Connections routed per backend node",
@@ -765,7 +776,7 @@ accept:
                 )
             })
             .collect();
-        metric(
+        out.metric(
             "vsched_ingress_node_state",
             "gauge",
             "Lifecycle state per node: 0 = active, 1 = draining, \
@@ -783,14 +794,14 @@ accept:
                     )
                 })
                 .collect();
-            metric(
+            out.metric(
                 "vsched_ingress_suspicion",
                 "gauge",
                 "Node suspicion score in millis (silence / heartbeat interval x 1000)",
                 &suspicion,
             );
         }
-        out
+        out.finish()
     }
 }
 
@@ -961,6 +972,40 @@ spin:
         assert!(m.contains("vsched_ingress_routed_total{node=\"0\"}"));
         assert!(m.contains("vsched_ingress_node_state{node=\"1\"} 0"));
         assert!(m.contains("vsched_ingress_duplicates_total 0"));
+    }
+
+    #[test]
+    fn edge_shed_traces_never_share_an_id_with_an_accepted_connection() {
+        let (mut ing, _, v) = ingress(1);
+        ing.enable_tracing(16);
+        // A one-token edge bucket that refills every 10 ms.
+        let tight = ing.add_tenant(TenantProfile::new("tight"), 100.0, 1.0);
+        // Shed (no routable node), accept, shed (bucket empty), accept.
+        ing.cluster_mut().drain_node(0);
+        let refused = ing.offer(tight, 0, v, b"", 0.001);
+        assert_eq!(refused, Err(IngressShed::NoHealthyNode));
+        ing.cluster_mut().restore_node(0);
+        let first = ing.offer(tight, 1, v, b"", 0.020).unwrap();
+        let refused = ing.offer(tight, 2, v, b"", 0.021);
+        assert_eq!(refused, Err(IngressShed::EdgeRate));
+        let second = ing.offer(tight, 3, v, b"", 0.040).unwrap();
+        ing.advance(0.1);
+
+        let traces: Vec<_> = ing.trace.finished().collect();
+        assert_eq!(traces.len(), 4, "every offer left one finished trace");
+        let mut ids: Vec<u64> = traces.iter().map(|t| t.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 4, "two trees under one id: {traces:#?}");
+        // An accepted connection's trace is keyed by its edge sequence
+        // number; a shed one never had a number to be keyed by.
+        let served = traces.iter().filter(|t| t.outcome == "ok");
+        assert_eq!(served.map(|t| t.id).collect::<Vec<_>>(), [first, second]);
+        let shed = traces.iter().filter(|t| t.outcome.starts_with("shed:"));
+        assert!(shed.clone().count() == 2 && shed.clone().all(|t| t.id > second));
+        assert!(shed
+            .flat_map(|t| &t.spans)
+            .all(|s| s.label == "ingress_accept"));
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 pub mod dispatch;
 pub mod echo;
+mod expo;
 pub mod ingress;
 pub mod pipeline;
 pub mod server;

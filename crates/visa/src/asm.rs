@@ -349,7 +349,7 @@ pub fn assemble(src: &str) -> Result<Image, AsmError> {
             }
             _ => {
                 let operands = parse_operands(rest, line_no, &current_global)?;
-                let size = inst_size(&head, &operands, line_no)?;
+                let size = encode_inst(&head, &operands, 0, &|_| Ok(0), line_no)?.len();
                 stmts.push((
                     cursor,
                     Stmt::Inst {
@@ -384,7 +384,8 @@ pub fn assemble(src: &str) -> Result<Image, AsmError> {
                 mnemonic,
                 operands,
             } => {
-                let inst = encode_inst(mnemonic, operands, *addr, &syms, *line)?;
+                let resolve = |e: &Expr| eval_or_err(e, &syms, *line);
+                let inst = encode_inst(mnemonic, operands, *addr, &resolve, *line)?;
                 let mut buf = Vec::with_capacity(10);
                 inst.encode(&mut buf);
                 bytes[off..off + buf.len()].copy_from_slice(&buf);
@@ -837,62 +838,22 @@ fn width_suffix(m: &str) -> Option<(&str, Width)> {
     }
 }
 
-/// Size of an instruction given its mnemonic and parsed operands. Must agree
-/// with [`Inst::len`]; sizes do not depend on symbol values so pass 1 can lay
-/// out addresses before resolution.
-fn inst_size(m: &str, ops: &[Operand], line: usize) -> Result<u64, AsmError> {
-    let size = match m {
-        "nop" | "hlt" | "ret" => 1,
-        "mov" => match ops {
-            [Operand::Reg(_), Operand::Reg(_)] => 3,
-            [Operand::Reg(_), Operand::Expr(_)] => 10,
-            [Operand::Cr(_), Operand::Reg(_)] => 3,
-            [Operand::Reg(_), Operand::Cr(_)] => 3,
-            _ => return err(line, "bad mov operands"),
-        },
-        _ if alu_mnemonic(m).is_some() => match ops {
-            [Operand::Reg(_), Operand::Reg(_)] => 3,
-            [Operand::Reg(_), Operand::Expr(_)] => 10,
-            _ => return err(line, format!("bad {m} operands")),
-        },
-        "neg" | "not" | "push" | "pop" => 2,
-        "cmp" => match ops {
-            [Operand::Reg(_), Operand::Reg(_)] => 3,
-            [Operand::Reg(_), Operand::Expr(_)] => 10,
-            _ => return err(line, "bad cmp operands"),
-        },
-        "jmp" => match ops {
-            [Operand::Reg(_)] => 2,
-            [Operand::Expr(_)] => 5,
-            _ => return err(line, "bad jmp operand"),
-        },
-        _ if cond_mnemonic(m).is_some() => 6,
-        "call" => match ops {
-            [Operand::Reg(_)] => 2,
-            [Operand::Expr(_)] => 5,
-            _ => return err(line, "bad call operand"),
-        },
-        _ if width_suffix(m).is_some() => 7,
-        "in" | "out" => 4,
-        "lgdt" => 9,
-        "wrmsr" => 6,
-        "ljmp16" | "ljmp32" | "ljmp64" => 10,
-        "mark" => 2,
-        other => return err(line, format!("unknown mnemonic `{other}`")),
-    };
-    Ok(size)
-}
-
+/// Selects and builds the instruction `m ops` names at `addr`, evaluating
+/// operand expressions through `resolve`. An instruction's size depends on
+/// its mnemonic and operand *kinds* only — never on a symbol's value or on
+/// `addr` — so pass 1 lays out addresses by encoding against a resolver
+/// that yields 0 for every expression (at `addr` 0, where no branch is out
+/// of range) and taking [`Inst::len`]; pass 2 encodes for real.
 fn encode_inst(
     m: &str,
     ops: &[Operand],
     addr: u64,
-    syms: &HashMap<String, i64>,
+    resolve: &dyn Fn(&Expr) -> Result<i64, AsmError>,
     line: usize,
 ) -> Result<Inst, AsmError> {
-    let imm = |e: &Expr| -> Result<u64, AsmError> { Ok(eval_or_err(e, syms, line)? as u64) };
+    let imm = |e: &Expr| -> Result<u64, AsmError> { Ok(resolve(e)? as u64) };
     let rel = |e: &Expr, next: u64| -> Result<i32, AsmError> {
-        let target = eval_or_err(e, syms, line)? as u64;
+        let target = resolve(e)? as u64;
         let delta = target.wrapping_sub(next) as i64;
         i32::try_from(delta).map_err(|_| AsmError {
             line,
@@ -900,7 +861,7 @@ fn encode_inst(
         })
     };
 
-    let inst = match m {
+    Ok(match m {
         "nop" => Inst::Nop,
         "hlt" => Inst::Hlt,
         "ret" => Inst::Ret,
@@ -961,7 +922,7 @@ fn encode_inst(
             let (stem, w) = width_suffix(m).expect("checked");
             match (stem, ops) {
                 ("load", [Operand::Reg(d), Operand::Mem(b, off)]) => {
-                    let o = eval_or_err(off, syms, line)?;
+                    let o = resolve(off)?;
                     let o = i32::try_from(o).map_err(|_| AsmError {
                         line,
                         msg: "memory offset out of i32 range".into(),
@@ -969,7 +930,7 @@ fn encode_inst(
                     Inst::Load(w, *d, *b, o)
                 }
                 ("store", [Operand::Mem(b, off), Operand::Reg(s)]) => {
-                    let o = eval_or_err(off, syms, line)?;
+                    let o = resolve(off)?;
                     let o = i32::try_from(o).map_err(|_| AsmError {
                         line,
                         msg: "memory offset out of i32 range".into(),
@@ -1017,14 +978,7 @@ fn encode_inst(
             _ => return err(line, "bad mark operand"),
         },
         other => return err(line, format!("unknown mnemonic `{other}`")),
-    };
-
-    debug_assert_eq!(
-        inst.len(),
-        inst_size(m, ops, line)?,
-        "pass-1 size disagrees with encoding for {m}"
-    );
-    Ok(inst)
+    })
 }
 
 #[cfg(test)]

@@ -46,10 +46,11 @@
 
 use vclock::Cycles;
 
-use crate::dispatcher::{Dispatcher, Placement};
+use crate::dispatcher::Dispatcher;
 use crate::health::{HealthAction, HealthConfig, HealthDetector, HealthStats, ShardHealth};
 use crate::lifecycle::ShardState;
 use crate::placement::{Candidate, CostEngine, WarmPolicy};
+use crate::request::Placement;
 use crate::topology::Hop;
 
 /// Seconds → virtual cycles, matching the dispatcher's own conversion.
@@ -470,7 +471,7 @@ impl Default for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatcher::{DispatcherConfig, Request};
+    use crate::request::{DispatcherConfig, Request};
     use crate::tenant::TenantProfile;
     use vclock::costs;
     use wasp::{VirtineSpec, Wasp};

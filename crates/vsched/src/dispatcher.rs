@@ -1,6 +1,6 @@
-//! The dispatcher: admission, batched shard ticks, and event-driven
-//! suspension of runs blocked in `recv` — with every placement, steal,
-//! and migration *decision* delegated to the placement [`CostEngine`].
+//! The dispatcher: construction, admission, the batch loop, execution
+//! and completion, and the steals — with every placement, steal, and
+//! migration *decision* delegated to the placement [`CostEngine`].
 //!
 //! A request is one `Ticket` (see [`crate::shard`]) from admission to
 //! terminal outcome, and reaching a terminal outcome is one function,
@@ -15,435 +15,34 @@
 //! This file owns the mechanisms (queues, pools, transfers, accounting);
 //! the scoring that picks a shard at the four routing decision points
 //! lives in [`crate::placement`] (see its decision-point diagram) over
-//! the shard [`Topology`] of [`crate::topology`].
+//! the shard [`Topology`] of [`crate::topology`]. Two further
+//! `impl Dispatcher` blocks live next door: `crate::parking` (a blocked
+//! run's park, wake, resume placement, expiry, kill and eviction) and
+//! the actuator in [`crate::lifecycle`] (drain / fail / restore, the
+//! reconciler, fault-plan stepping, detector evaluation). The types a
+//! caller configures, offers and gets back are [`crate::request`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use vclock::stats::Histogram;
 use vclock::{costs, Clock, Cycles};
-use vtrace::slo::{Severity, SloEngine};
+use vtrace::slo::SloEngine;
 use vtrace::TraceCollector;
 use wasp::{
-    Breakdown, ExitKind, Invocation, Pool, PoolMode, PoolStats, RunOutcome, RunResult, ShellRun,
-    ShellSource, SuspendedRun, VirtineId, VirtineSpec, WaitTarget, Wasp, WaspError,
+    ExitKind, Invocation, Pool, PoolStats, RunOutcome, RunResult, ShellRun, ShellSource, VirtineId,
+    VirtineSpec, WaitTarget, Wasp, WaspError,
 };
 
 use crate::health::{
-    BrownoutConfig, BrownoutController, HealthAction, HealthConfig, HealthDetector, HealthStats,
-    ShardHealth,
+    BrownoutConfig, BrownoutController, HealthConfig, HealthDetector, HealthStats, ShardHealth,
 };
-use crate::lifecycle::{FaultKind, FaultPlan, LifecycleAction, ShardState};
+use crate::lifecycle::FaultPlan;
 use crate::openreq::{hedge_delay, CopyFinish, CopyLoss, OpenTable, RetryCause, Timer};
 use crate::placement::{Candidate, CostEngine, WarmPolicy, WarmVerdict};
+use crate::request::{Completion, DispatcherConfig, DispatcherStats, FailCause, Request, Terminal};
 use crate::shard::{align_up, Parked, Progress, Queued, Shard, ShardSnapshot, Ticket, Work};
 use crate::tenant::{ShedReason, TenantId, TenantProfile, TenantState, TenantStats};
 use crate::topology::{Hop, Topology};
-
-/// What a shard worker does when its virtine blocks in `recv` with no data
-/// queued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BlockMode {
-    /// Event-driven dispatch: the run suspends (`wasp::SuspendedRun`),
-    /// parks in the shard's blocked set — skipped by batch ticks, shell
-    /// unstealable and undemotable because it rides inside the suspension
-    /// — and gives the worker back. A socket wake re-queues it at the
-    /// *front* of the run queue.
-    #[default]
-    EventDriven,
-    /// The pre-suspension baseline: the worker spin-polls the socket until
-    /// data arrives. The whole wait lands on the worker timeline (and in
-    /// `busy_wait_cycles`), so one slow client occupies a shard. Kept as
-    /// the measurable baseline for the `blocked_io` bench.
-    SpinPoll,
-}
-
-/// Where an admitted request is queued. These are *configurations* of
-/// the [`CostEngine`] (match arms live there, not in the dispatcher).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// Least-loaded shard (queue depth, then worker timeline, then index):
-    /// spreads independent requests for throughput.
-    #[default]
-    LeastLoaded,
-    /// `tenant index mod shards`: pins each tenant to one home shard, so a
-    /// tenant's requests share warm state and its queue pressure stays
-    /// local.
-    ByTenant,
-    /// Snapshot-aware: route to the shard whose pool already parks a warm
-    /// shell for this request's `(tenant, virtine)` — turning placement
-    /// into a cache-hit decision, since the warm shard serves the request
-    /// with a dirty-page delta re-arm instead of a full sparse restore.
-    /// Falls back to least-loaded when no shard is warm for the key, or
-    /// when the warm shard's queue has fallen `batch_size` behind the
-    /// least-loaded one (a warm hit saves microseconds; it must not buy
-    /// them with milliseconds of queueing skew).
-    SnapshotAware,
-}
-
-/// Dispatcher configuration.
-#[derive(Debug, Clone)]
-pub struct DispatcherConfig {
-    /// Number of shards (per-worker pools + queues). Throughput scales
-    /// with shards until the offered load is covered.
-    pub shards: usize,
-    /// Maximum requests a shard executes per batch tick.
-    pub batch_size: usize,
-    /// Batch tick period in virtual time. Requests admitted mid-tick wait
-    /// for the boundary; larger ticks trade latency for batching.
-    pub tick: Cycles,
-    /// Shell-pool mode for every shard (§5.2; `CachedAsync` is the
-    /// paper's best configuration).
-    pub pool_mode: PoolMode,
-    /// Queue-placement policy.
-    pub placement: Placement,
-    /// Bound on warm shells resident per shard pool; zero disables warm
-    /// caching (the pre-warm-cache dispatcher behavior).
-    pub warm_capacity: usize,
-    /// Blocked-I/O policy: suspend and give the worker back (default) or
-    /// spin-poll the socket on the worker.
-    pub block: BlockMode,
-    /// The socket/CCX grouping of the shards; `None` puts every shard in
-    /// one CCX ([`Topology::flat`]), which reproduces the pre-topology
-    /// dispatcher exactly (every cross-shard hop costs the historical
-    /// flat transfer). A grouped topology makes steals and resume-time
-    /// migrations prefer near siblings and pay per-hop transfer costs.
-    pub topology: Option<Topology>,
-    /// Global cross-shard bound on resident warm shells. `None` leaves
-    /// warm sizing to the fixed per-pool LRU bound (`warm_capacity`);
-    /// `Some(b)` lets any one shard hold up to the whole budget (pools
-    /// are opened to `b`) while the engine keeps the cross-shard total at
-    /// `b` by demoting the globally least-recently-parked shell.
-    pub warm_budget: Option<usize>,
-    /// Cross-shard bound on warm shells per *tenant*: at quota, a
-    /// tenant's next warm park demotes its own least-recently-parked
-    /// shell — a churning tenant evicts itself, never a neighbor.
-    pub warm_tenant_quota: Option<usize>,
-    /// Default grace period for parked runs stranded on a *draining*
-    /// shard (no eligible sibling to migrate to, or a spin-poll wait
-    /// that pins its worker): past it the run is hard-stopped and shed
-    /// with [`ShedReason::Evicted`]. Measured from the later of the
-    /// drain start and the park; overridden per tenant by
-    /// [`TenantProfile::drain_grace`].
-    pub drain_grace: Cycles,
-}
-
-impl Default for DispatcherConfig {
-    fn default() -> DispatcherConfig {
-        DispatcherConfig {
-            shards: 4,
-            batch_size: 8,
-            tick: Cycles::from_micros(50.0),
-            pool_mode: PoolMode::CachedAsync,
-            placement: Placement::LeastLoaded,
-            warm_capacity: wasp::DEFAULT_WARM_CAPACITY,
-            block: BlockMode::EventDriven,
-            topology: None,
-            warm_budget: None,
-            warm_tenant_quota: None,
-            drain_grace: Cycles::from_micros(500.0),
-        }
-    }
-}
-
-/// One request offered to the dispatcher.
-#[derive(Debug)]
-pub struct Request {
-    /// Submitting tenant.
-    pub tenant: TenantId,
-    /// Registered virtine to run.
-    pub virtine: VirtineId,
-    /// Marshalled arguments (written at guest address 0, §6.1).
-    pub args: Vec<u8>,
-    /// Invocation state (payload, bound connection, ...).
-    pub invocation: Invocation,
-    /// Arrival time in virtual seconds; must be non-decreasing across
-    /// `submit` calls.
-    pub arrival_s: f64,
-    /// Added to the tenant's base priority for this request.
-    pub priority_boost: u8,
-    /// Optional absolute deadline (virtual seconds): requests still queued
-    /// past it are shed, not run.
-    pub deadline_s: Option<f64>,
-}
-
-impl Request {
-    /// A plain request: no payload, no boost, no deadline.
-    pub fn new(tenant: TenantId, virtine: VirtineId, arrival_s: f64) -> Request {
-        Request {
-            tenant,
-            virtine,
-            args: Vec::new(),
-            invocation: Invocation::default(),
-            arrival_s,
-            priority_boost: 0,
-            deadline_s: None,
-        }
-    }
-
-    /// Attaches an invocation (builder style).
-    pub fn with_invocation(mut self, invocation: Invocation) -> Request {
-        self.invocation = invocation;
-        self
-    }
-
-    /// Attaches marshalled arguments (builder style).
-    pub fn with_args(mut self, args: Vec<u8>) -> Request {
-        self.args = args;
-        self
-    }
-
-    /// Sets a deadline (builder style).
-    pub fn with_deadline(mut self, deadline_s: f64) -> Request {
-        self.deadline_s = Some(deadline_s);
-        self
-    }
-
-    /// Boosts priority (builder style).
-    pub fn with_boost(mut self, boost: u8) -> Request {
-        self.priority_boost = boost;
-        self
-    }
-}
-
-/// One executed request.
-#[derive(Debug, Clone)]
-pub struct Completion {
-    /// Submitting tenant.
-    pub tenant: TenantId,
-    /// Virtine that ran.
-    pub virtine: VirtineId,
-    /// The *logical* request's sequence number (the value `submit`
-    /// returned). Exactly one completion carries each admitted sequence
-    /// number, whatever path served it — a retry re-submission or the
-    /// winner of a hedge race reports the original's number, and losing
-    /// hedge copies are suppressed — so a duplicate here means the
-    /// exactly-once machinery double-ran a request.
-    pub seq: u64,
-    /// Shard that executed the request.
-    pub shard: usize,
-    /// Arrival time (virtual seconds).
-    pub arrival: f64,
-    /// Execution start on the shard's worker timeline.
-    pub start: f64,
-    /// Completion time.
-    pub finish: f64,
-    /// Pure service time (start → finish).
-    pub service: f64,
-    /// Whether the shell came from a pool (clean, warm, or stolen) rather
-    /// than a fresh `KVM_CREATE_VM`.
-    pub reused_shell: bool,
-    /// Whether the shell was stolen from a sibling shard.
-    pub stolen_shell: bool,
-    /// Whether the request was served by a warm shell re-armed with its
-    /// dirty-page delta (the snapshot-aware fast path).
-    pub warm_hit: bool,
-    /// Whether the virtine ended by normal means (`hlt`/`exit`).
-    pub exit_normal: bool,
-    /// Times the request blocked in a wait (`recv` or a channel end) and
-    /// was resumed before completing (zero for a request that never
-    /// waited).
-    pub resumes: u32,
-    /// Whether any resume migrated the run off the shard it blocked on
-    /// (the completion's `shard` is then the landing shard).
-    pub migrated: bool,
-    /// Guest cycles the run charged (`Breakdown::total`: image + exec,
-    /// parked time excluded) — the figure the byte-identical-cycles
-    /// acceptance compares across parked/unparked and migrated/pinned
-    /// executions of the same virtine.
-    pub exec_cycles: u64,
-    /// Result bytes the virtine returned (`return_data`).
-    pub result: Vec<u8>,
-}
-
-impl Completion {
-    /// End-to-end latency: queueing plus service.
-    pub fn latency(&self) -> f64 {
-        self.finish - self.arrival
-    }
-}
-
-/// Aggregate dispatcher statistics, surfaced like `wasp::PoolStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DispatcherStats {
-    /// Requests offered across all tenants.
-    pub submitted: u64,
-    /// Requests admitted.
-    pub admitted: u64,
-    /// Requests executed.
-    pub served: u64,
-    /// Requests shed at the token bucket.
-    pub shed_rate_limit: u64,
-    /// Requests shed at the in-flight cap.
-    pub shed_in_flight: u64,
-    /// Requests shed in-queue at their deadline.
-    pub shed_deadline: u64,
-    /// Requests shed at admission: the target shard's backlog already made
-    /// the deadline unmeetable.
-    pub shed_deadline_unmeetable: u64,
-    /// Requests shed because the payload exceeded the tenant's byte
-    /// budget.
-    pub shed_byte_budget: u64,
-    /// Admitted runs hard-stopped by shard lifecycle
-    /// ([`ShedReason::Evicted`]): the sum of the two cause counters
-    /// below, kept separately so `shed()` stays a sum of disjoint
-    /// reasons.
-    pub shed_evicted: u64,
-    /// Evictions caused by a drain grace expiry
-    /// ([`TenantProfile::drain_grace`]).
-    pub evicted_grace: u64,
-    /// Evictions caused by shard failure (fault injection or operator
-    /// [`Dispatcher::fail_shard`]).
-    pub evicted_failed: u64,
-    /// Shells stolen between shards.
-    pub stolen: u64,
-    /// Steals whose donor shared the thief's CCX (one L3 away — the hop
-    /// a topology-aware policy resolves first).
-    pub stolen_same_ccx: u64,
-    /// Steals whose donor sat on the thief's socket but a different CCX.
-    pub stolen_cross_ccx: u64,
-    /// Steals that crossed the socket interconnect — the last resort
-    /// before `KVM_CREATE_VM`.
-    pub stolen_cross_socket: u64,
-    /// Batch ticks executed.
-    pub batches: u64,
-    /// Runs suspended at a blocking `recv` (block events; one request can
-    /// block several times).
-    pub blocked: u64,
-    /// Parked runs re-queued by a socket wake.
-    pub resumed: u64,
-    /// Parked runs killed at their tenant's `max_block` bound.
-    pub blocked_timeout: u64,
-    /// Woken parked runs re-admitted on a different shard than the one
-    /// they blocked on (resume-time migration).
-    pub migrations: u64,
-    /// Worker cycles burned waiting on blocked I/O. Event-driven dispatch
-    /// keeps this at zero; the spin-poll baseline charges every parked
-    /// wait here.
-    pub busy_wait_cycles: u64,
-    /// Requests served by a warm-shell delta re-arm.
-    pub warm_hits: u64,
-    /// Warm shells demoted (wiped to clean) on the acquire path — locally
-    /// for a different key, or stolen from a sibling. Pool-internal LRU
-    /// evictions are counted in [`wasp::PoolStats::warm_demoted`] instead.
-    pub warm_demotions: u64,
-    /// Virtual cycles served requests spent parked in waits
-    /// (`Breakdown::blocked`, summed over completions and kills). The
-    /// event-driven counterpart of `busy_wait_cycles`: time the request
-    /// waited while the worker was *free* — exported as
-    /// `vsched_blocked_cycles_total`.
-    pub blocked_cycles: u64,
-    /// Requests shed at the door by the overload brownout controller
-    /// ([`ShedReason::Brownout`]): their priority sat below the active
-    /// degradation level's floor.
-    pub shed_brownout: u64,
-    /// Retries scheduled for requests that lost their *queued* copy to a
-    /// shard failure (exported as `vsched_retries_total{cause=
-    /// "shard_failed_queued"}`).
-    pub retries_queued: u64,
-    /// Retries scheduled for requests whose *parked* (suspended) run died
-    /// with its shard (`cause="shard_failed_parked"`).
-    pub retries_parked: u64,
-    /// Requests currently between losing their last live copy and their
-    /// retry's backoff release: they hold an in-flight slot with no copy
-    /// queued or parked (the bridge term of the conservation identity,
-    /// `docs/reliability.md`).
-    pub retried_in_flight: u64,
-    /// Hedges armed at submit (a fire instant was scheduled; most never
-    /// fire because the primary finishes first).
-    pub hedges_armed: u64,
-    /// Hedge duplicates actually enqueued (`vsched_hedges_total{outcome=
-    /// "fired"}`).
-    pub hedges_fired: u64,
-    /// Hedge races won by the *duplicate* (`outcome="won"`).
-    pub hedges_won: u64,
-    /// Copies suppressed after the race was decided — popped, parked, or
-    /// completing after a sibling copy already reached the terminal
-    /// outcome (`outcome="canceled"`).
-    pub hedges_canceled: u64,
-}
-
-impl DispatcherStats {
-    /// The counter of one shed reason.
-    fn shed_counter(&mut self, reason: ShedReason) -> &mut u64 {
-        match reason {
-            ShedReason::RateLimited => &mut self.shed_rate_limit,
-            ShedReason::InFlightCap => &mut self.shed_in_flight,
-            ShedReason::DeadlineMissed => &mut self.shed_deadline,
-            ShedReason::DeadlineUnmeetable => &mut self.shed_deadline_unmeetable,
-            ShedReason::ByteBudget => &mut self.shed_byte_budget,
-            ShedReason::Evicted => &mut self.shed_evicted,
-            ShedReason::Brownout => &mut self.shed_brownout,
-        }
-    }
-
-    /// Sheds for one reason (the `shed_*` outcomes of the
-    /// `vsched_requests_total` series).
-    pub fn shed_by(&self, reason: ShedReason) -> u64 {
-        let mut copy = *self;
-        *copy.shed_counter(reason)
-    }
-
-    /// Total sheds across every cause.
-    pub fn shed(&self) -> u64 {
-        ShedReason::ALL.iter().map(|&r| self.shed_by(r)).sum()
-    }
-
-    /// Fraction of served requests that hit a warm shell (0 when nothing
-    /// was served).
-    pub fn warm_hit_rate(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            self.warm_hits as f64 / self.served as f64
-        }
-    }
-}
-
-/// Why a parked run is being evicted (the `reason` label of the
-/// `vsched_evictions_total` series and the `drain_evict` span detail).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailCause {
-    /// Its drain grace expired while it sat unmigratable on a draining
-    /// shard.
-    GraceExpired,
-    /// The shard it was parked on failed; the suspension died with it.
-    ShardFailed,
-}
-
-impl FailCause {
-    fn label(self) -> &'static str {
-        match self {
-            FailCause::GraceExpired => "grace_expired",
-            FailCause::ShardFailed => "shard_failed",
-        }
-    }
-}
-
-/// How a request leaves the system — the one argument of
-/// [`Dispatcher::settle`] that differs between its callers.
-enum Terminal {
-    /// Refused or dropped without a completion record. `evict` names the
-    /// lifecycle cause when `reason` is [`ShedReason::Evicted`].
-    Shed {
-        reason: ShedReason,
-        evict: Option<FailCause>,
-    },
-    /// Executed: ran to an exit (normal or not), or was killed while
-    /// parked at its tenant's `max_block` bound ([`ExitKind::Blocked`]).
-    Served {
-        /// The number `submit` returned — the copy's own unless a hedge
-        /// duplicate won the race.
-        logical: u64,
-        /// The shard that executed (or held) the run at the end.
-        shard: usize,
-        progress: Progress,
-        /// The run's cycle attribution and shell provenance.
-        breakdown: Breakdown,
-        exit: ExitKind,
-        /// The bytes the virtine returned (`return_data`).
-        result: Vec<u8>,
-    },
-}
 
 /// The sharded, multi-tenant virtine dispatcher.
 ///
@@ -452,27 +51,28 @@ enum Terminal {
 /// so the dispatcher can segregate shells by guest-memory size exactly as
 /// the internal pool does.
 pub struct Dispatcher {
-    wasp: Wasp,
-    config: DispatcherConfig,
-    shards: Vec<Shard>,
-    tenants: Vec<TenantState>,
+    pub(crate) wasp: Wasp,
+    pub(crate) config: DispatcherConfig,
+    pub(crate) shards: Vec<Shard>,
+    pub(crate) tenants: Vec<TenantState>,
     mem_sizes: HashMap<VirtineId, usize>,
     seq: u64,
-    last_arrival: u64,
+    pub(crate) last_arrival: u64,
     completions: Vec<Completion>,
-    stats: DispatcherStats,
+    pub(crate) stats: DispatcherStats,
     /// Next wait token handed to `hostsim`'s readiness machinery.
-    next_token: u64,
-    /// Wait token → shard index of the parked run it wakes.
-    parked_shard: HashMap<u64, usize>,
+    pub(crate) next_token: u64,
+    /// Every parked run, keyed (and so visited in order) by its wait
+    /// token; each knows the shard it is parked on. See `crate::parking`.
+    pub(crate) parked: BTreeMap<u64, Box<Parked>>,
     /// EMA of recent per-request worker cost (cycles), feeding the
     /// deadline-unmeetable admission estimate. Zero until the first serve.
     avg_service: u64,
     /// The socket/CCX grouping the engine prices hops against.
-    topology: Topology,
+    pub(crate) topology: Topology,
     /// The policy layer behind every routing decision (see
     /// `crate::placement`'s decision-point diagram).
-    engine: CostEngine,
+    pub(crate) engine: CostEngine,
     /// Shared park-order counter threaded through every warm park, so
     /// LRU comparisons are meaningful *across* shard pools.
     warm_stamp: u64,
@@ -481,20 +81,20 @@ pub struct Dispatcher {
     trace: TraceCollector,
     /// Declared objectives evaluated at every terminal event
     /// (completion, kill, shed); `None` until [`Dispatcher::set_slo`].
-    slo: Option<SloEngine>,
+    pub(crate) slo: Option<SloEngine>,
     /// Scheduled deterministic faults, applied as virtual time advances
     /// past each event's instant; `None` until
     /// [`Dispatcher::set_fault_plan`].
-    fault_plan: Option<FaultPlan>,
+    pub(crate) fault_plan: Option<FaultPlan>,
     /// Heartbeat-driven failure detector; `None` (zero overhead, bit-
     /// identical runs) until [`Dispatcher::set_health`].
-    health: Option<HealthDetector>,
+    pub(crate) health: Option<HealthDetector>,
     /// Overload brownout controller; `None` until
     /// [`Dispatcher::set_brownout`].
-    brownout: Option<BrownoutController>,
+    pub(crate) brownout: Option<BrownoutController>,
     /// The exactly-once table: every copy of every request whose tenant
     /// opted into retries or hedging, and their timers.
-    open: OpenTable,
+    pub(crate) open: OpenTable,
     /// Trace id of the next door shed. A request refused at the door never
     /// gets a sequence number, so its one-span trace is keyed from a
     /// space counting down from `u64::MAX` — disjoint from sequence
@@ -557,7 +157,7 @@ impl Dispatcher {
             completions: Vec::new(),
             stats: DispatcherStats::default(),
             next_token: 0,
-            parked_shard: HashMap::new(),
+            parked: BTreeMap::new(),
             avg_service: 0,
             topology,
             engine,
@@ -925,12 +525,10 @@ impl Dispatcher {
 
         self.enqueue_fresh(shard, ticket, req.args, req.invocation, 0);
         let seq = ticket.seq;
-        if self.trace.enabled() {
-            let virtine = req.virtine.into_raw() as u64;
-            self.trace
-                .begin(seq, req.tenant.0, virtine, Cycles(arrival));
-            self.tspan(seq, "admit", format!("shard={shard}"), arrival, arrival);
-        }
+        let virtine = req.virtine.into_raw() as u64;
+        self.trace
+            .begin(seq, req.tenant.0, virtine, Cycles(arrival));
+        self.tspan(seq, "admit", || format!("shard={shard}"), arrival, arrival);
         Ok(seq)
     }
 
@@ -974,7 +572,7 @@ impl Dispatcher {
     /// Callers own everything that differs by path: which copy of the
     /// request gets here at all (`crate::openreq`), what happens to the
     /// shell, and the spans describing how the request got this far.
-    fn settle(&mut self, ticket: &Ticket, at: u64, end: Terminal) {
+    pub(crate) fn settle(&mut self, ticket: &Ticket, at: u64, end: Terminal) {
         let tstats = &mut self.tenants[ticket.tenant.0].stats;
         // Door reasons refuse a request *before* it takes a slot.
         if !matches!(end, Terminal::Shed { reason, .. } if reason.at_door()) {
@@ -1076,17 +674,26 @@ impl Dispatcher {
         }
     }
 
-    /// Records one trace span, charging its calibrated cost. Callers
-    /// gate on `self.trace.enabled()` so the disabled path never
-    /// formats a detail string.
-    fn tspan(&mut self, id: u64, label: &'static str, detail: String, start: u64, end: u64) {
-        self.wasp.clock().tick(costs::VTRACE_SPAN);
-        self.trace
-            .span(id, label, detail, Cycles(start), Cycles(end));
+    /// Records one trace span, charging its calibrated cost — when
+    /// tracing is on. `detail` is only called then, so the disabled path
+    /// never formats a detail string.
+    pub(crate) fn tspan(
+        &mut self,
+        id: u64,
+        label: &'static str,
+        detail: impl FnOnce() -> String,
+        start: u64,
+        end: u64,
+    ) {
+        if self.trace.enabled() {
+            self.wasp.clock().tick(costs::VTRACE_SPAN);
+            self.trace
+                .span(id, label, detail(), Cycles(start), Cycles(end));
+        }
     }
 
     /// Closes a request's trace with its terminal outcome.
-    fn tfinish(&mut self, id: u64, outcome: &str, at: u64) {
+    pub(crate) fn tfinish(&mut self, id: u64, outcome: &str, at: u64) {
         if self.trace.enabled() {
             self.wasp.clock().tick(costs::VTRACE_SPAN);
             self.trace.finish(id, outcome, Cycles(at));
@@ -1117,7 +724,7 @@ impl Dispatcher {
 
     /// Blocked runs currently parked across all shards.
     pub fn parked(&self) -> usize {
-        self.parked_shard.len()
+        self.parked.len()
     }
 
     /// Completions so far, in execution order.
@@ -1158,7 +765,12 @@ impl Dispatcher {
 
     /// Read-only per-shard views (queue depth, idle shells, counters).
     pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        self.shards.iter().map(Shard::snapshot).collect()
+        let mut parked = vec![0; self.shards.len()];
+        for p in self.parked.values() {
+            parked[p.shard] += 1;
+        }
+        let views = self.shards.iter().zip(parked);
+        views.map(|(s, parked)| s.snapshot(parked)).collect()
     }
 
     /// Shell-pool statistics summed across shards. Shard-local reuse
@@ -1168,14 +780,7 @@ impl Dispatcher {
     pub fn pool_stats(&self) -> PoolStats {
         let mut total = PoolStats::default();
         for s in &self.shards {
-            let p = s.pool.stats();
-            total.created += p.created;
-            total.reused += p.reused;
-            total.released += p.released;
-            total.warm_acquired += p.warm_acquired;
-            total.warm_parked += p.warm_parked;
-            total.warm_demoted += p.warm_demoted;
-            total.dropped += p.dropped;
+            total += s.pool.stats();
         }
         total
     }
@@ -1187,7 +792,7 @@ impl Dispatcher {
     /// `mem_size` fills the steal-supply columns (idle shells, and —
     /// when no key is given — victim-eligible warm shells); `clamp`
     /// floors worker timelines at the decision instant.
-    fn candidates(
+    pub(crate) fn candidates(
         &self,
         anchor: Option<usize>,
         key: Option<(u64, usize)>,
@@ -1246,441 +851,6 @@ impl Dispatcher {
         }
     }
 
-    /// Installs a deterministic fault plan: each event fires as virtual
-    /// time advances past its instant, through the same detector →
-    /// reconcile → re-admit path as an operator-initiated drain or fail.
-    /// Replaces any previous plan.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = Some(plan);
-    }
-
-    /// Lifecycle state of one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shard index out of range.
-    pub fn shard_state(&self, shard: usize) -> ShardState {
-        self.shards[shard].state
-    }
-
-    /// Lifecycle states of every shard, in index order — the
-    /// `vsched_shard_state` Prometheus gauge family.
-    pub fn shard_states(&self) -> Vec<ShardState> {
-        self.shards.iter().map(|s| s.state).collect()
-    }
-
-    /// Marks a shard draining and runs one reconcile pass. New
-    /// placements stop immediately (the shard leaves the eligible set);
-    /// the returned actions show what the pass moved, armed, or
-    /// converged. Idempotent: draining an already-draining or drained
-    /// shard just re-runs the reconciler.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shard index out of range.
-    pub fn drain_shard(&mut self, shard: usize) -> Vec<LifecycleAction> {
-        if self.shards[shard].state == ShardState::Active {
-            self.shards[shard].state = ShardState::Draining;
-            self.shards[shard].drain_since = self.last_arrival;
-        }
-        self.reconcile()
-    }
-
-    /// Restores a draining, drained, or failed shard to `Active`: it
-    /// rejoins the eligible set (placement, steal donation, migration
-    /// target) at the next decision, and any armed grace clocks on runs
-    /// still parked there are disarmed. Symmetric with
-    /// [`Dispatcher::drain_shard`]; a no-op on an already-active shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shard index out of range.
-    pub fn restore_shard(&mut self, shard: usize) {
-        let s = &mut self.shards[shard];
-        if s.state == ShardState::Active {
-            return;
-        }
-        s.state = ShardState::Active;
-        s.drain_since = 0;
-        for p in s.blocked.values_mut() {
-            p.evict_at = u64::MAX;
-        }
-    }
-
-    /// Fails a shard outright (fault injection or operator action): its
-    /// pooled shells are destroyed, parked runs are evicted — their
-    /// suspended hardware state died with the shard — and queued
-    /// requests are re-admitted on an eligible sibling exactly once
-    /// (shed with [`ShedReason::Evicted`] only when no sibling is
-    /// eligible). The shard stays `Failed` (and empty) until
-    /// [`Dispatcher::restore_shard`]. Idempotent: failing a failed
-    /// shard does nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shard index out of range.
-    pub fn fail_shard(&mut self, shard: usize) -> Vec<LifecycleAction> {
-        let mut actions = Vec::new();
-        if self.shards[shard].state == ShardState::Failed {
-            return actions;
-        }
-        self.shards[shard].state = ShardState::Failed;
-        self.shards[shard].drain_since = self.last_arrival;
-        let now = self.last_arrival;
-
-        // The pooled inventory is gone: these contexts lived on the
-        // failed worker.
-        let count = self.shards[shard].pool.drop_all_shells();
-        if count > 0 {
-            actions.push(LifecycleAction::ShellsDropped { shard, count });
-        }
-
-        // Queued fresh requests move to an eligible sibling (exactly
-        // once — the entry itself is re-homed, never copied). Woken runs
-        // waiting in the queue hold suspended state that died with the
-        // shard: they are evicted like parked runs.
-        let drained: Vec<Queued> = std::mem::take(&mut self.shards[shard].queue).into_vec();
-        self.shards[shard].next_wake = u64::MAX;
-        for q in drained {
-            let ticket = q.ticket;
-            let loss = if let Work::Resume(p) = q.work {
-                self.evict_parked(shard, p, now, FailCause::ShardFailed)
-            } else if self.open.is_moot(ticket.seq) {
-                // A hedge-race loser stranded on the failing shard: the
-                // logical request already finished elsewhere, so the
-                // entry just evaporates.
-                self.copy_lost(ticket.seq, now, None, None)
-            } else if let Some(dest) = self.evacuation_target(shard, now) {
-                actions.push(self.requeue(q, shard, dest, now));
-                continue;
-            } else {
-                let loss = self.copy_lost(ticket.seq, now, Some(RetryCause::Queued), None);
-                if loss == CopyLoss::Terminal {
-                    if self.trace.enabled() {
-                        self.tspan(ticket.seq, "queue_wait", String::new(), ticket.arrival, now);
-                        let cause = FailCause::ShardFailed.label().to_string();
-                        self.tspan(ticket.seq, "drain_evict", cause, now, now);
-                    }
-                    let end = Terminal::Shed {
-                        reason: ShedReason::Evicted,
-                        evict: Some(FailCause::ShardFailed),
-                    };
-                    self.settle(&ticket, now, end);
-                }
-                loss
-            };
-            actions.extend(eviction_action(loss, ticket.seq, shard));
-        }
-
-        // Parked runs: the suspension is lost with the worker.
-        let mut tokens: Vec<u64> = self.shards[shard].blocked.keys().copied().collect();
-        tokens.sort_unstable();
-        for token in tokens {
-            let p = self.unpark(shard, token);
-            let seq = p.ticket.seq;
-            let loss = self.evict_parked(shard, p, now, FailCause::ShardFailed);
-            actions.extend(eviction_action(loss, seq, shard));
-        }
-        actions
-    }
-
-    /// Decision point 5 (lifecycle evacuation): asks the engine which
-    /// eligible sibling takes work, parked runs, or shells off `from`.
-    fn evacuation_target(&self, from: usize, now: u64) -> Option<usize> {
-        let c = self.candidates(Some(from), None, None, now);
-        self.engine.evacuate(&c)
-    }
-
-    /// Re-homes one queue entry from `from` to `dest` — the entry itself
-    /// moves, never a copy. A woken run carries its suspended shell, so
-    /// its move is a migration and pays the hop like any other.
-    fn requeue(&mut self, mut q: Queued, from: usize, dest: usize, now: u64) -> LifecycleAction {
-        self.wasp.clock().tick(costs::VSCHED_QUEUE_OP);
-        if let Work::Resume(p) = &mut q.work {
-            self.migrate(p, from, dest);
-        }
-        let seq = q.ticket.seq;
-        self.shards[dest].enqueue_at(q, self.config.tick.get(), now);
-        if self.trace.enabled() {
-            self.tspan(seq, "reconcile", format!("requeue shard={dest}"), now, now);
-        }
-        LifecycleAction::RunRequeued {
-            seq,
-            from,
-            to: dest,
-        }
-    }
-
-    /// Accounts a suspended run (and the shell inside it) crossing
-    /// shards: one explicit transfer cost, priced by the hop it crosses
-    /// exactly like a clean-shell steal, counted on both ends.
-    fn migrate(&mut self, p: &mut Parked, from: usize, to: usize) {
-        self.wasp
-            .clock()
-            .tick(self.topology.transfer_cost(from, to));
-        p.progress.migrated = true;
-        self.stats.migrations += 1;
-        self.shards[from].stats.migrated_out += 1;
-        self.shards[to].stats.migrated_in += 1;
-    }
-
-    /// Detaches the parked run registered under `token` from shard
-    /// `idx`'s blocked set, the wait-token index, and the host object it
-    /// waits on (so a later readiness event wakes nobody).
-    fn unpark(&mut self, idx: usize, token: u64) -> Parked {
-        let p = self.shards[idx]
-            .blocked
-            .remove(&token)
-            .expect("token names a parked run");
-        self.parked_shard.remove(&token);
-        match p.target {
-            WaitTarget::Sock(sock) => self.wasp.kernel().net_clear_waiter(sock),
-            WaitTarget::ChanRecv(chan) | WaitTarget::ChanSend { chan, .. } => {
-                self.wasp.kernel().chan_clear_waiter(chan, token);
-            }
-        }
-        p
-    }
-
-    /// When lifecycle evicts a run of `tenant` that parked at
-    /// `blocked_from` on draining shard `idx`: the tenant's grace period
-    /// (else the configured default) past the later of the drain start
-    /// and the park.
-    fn grace_deadline(&self, idx: usize, tenant: TenantId, blocked_from: u64) -> u64 {
-        let grace = self.tenants[tenant.0]
-            .profile
-            .drain_grace
-            .unwrap_or(self.config.drain_grace)
-            .get();
-        self.shards[idx]
-            .drain_since
-            .max(blocked_from)
-            .saturating_add(grace)
-    }
-
-    /// One pass of the lifecycle reconciliation loop: for every
-    /// *draining* shard, moves queued work, migratable parked runs, and
-    /// pooled shells (warm then clean) to eligible siblings through the
-    /// engine's evacuation decision — priced hops, quota-respecting —
-    /// arms per-tenant grace clocks on parked runs that cannot move, and
-    /// advances fully-evacuated shards to `Drained`. Returns everything
-    /// it did; **idempotent** — a second pass over unchanged state
-    /// returns an empty list. Runs automatically as virtual time
-    /// advances while any shard is non-active, so operators need not
-    /// poll.
-    pub fn reconcile(&mut self) -> Vec<LifecycleAction> {
-        let mut actions = Vec::new();
-        if self.shards.iter().all(|s| s.state.is_active()) {
-            return actions;
-        }
-        let now = self.last_arrival;
-        for i in 0..self.shards.len() {
-            if self.shards[i].state != ShardState::Draining {
-                continue;
-            }
-
-            // Queued work re-homes one entry at a time, each to the
-            // currently cheapest eligible sibling. No eligible sibling
-            // leaves the remainder in place: a draining shard still
-            // executes its own backlog (degraded mode beats losing it).
-            while !self.shards[i].queue.is_empty() {
-                let Some(dest) = self.evacuation_target(i, now) else {
-                    break;
-                };
-                let q = self.shards[i].queue.pop().expect("checked non-empty");
-                actions.push(self.requeue(q, i, dest, now));
-            }
-            if self.shards[i].queue.is_empty() {
-                self.shards[i].next_wake = u64::MAX;
-            }
-
-            // Parked runs migrate whole — suspension, shell, and
-            // token-keyed wait registration (no re-registration needed).
-            // Spin-poll parks pin their worker and cannot move; they (and
-            // parks with no eligible destination) get a grace clock
-            // instead, armed once and re-reported only if it changes.
-            let mut tokens: Vec<u64> = self.shards[i].blocked.keys().copied().collect();
-            tokens.sort_unstable();
-            for token in tokens {
-                let dest = if self.config.block == BlockMode::SpinPoll {
-                    None
-                } else {
-                    self.evacuation_target(i, now)
-                };
-                let mut p = self.shards[i]
-                    .blocked
-                    .remove(&token)
-                    .expect("token enumerated from the blocked set");
-                let seq = p.ticket.seq;
-                let home = match dest {
-                    Some(dest) => {
-                        self.migrate(&mut p, i, dest);
-                        p.evict_at = u64::MAX;
-                        if self.trace.enabled() {
-                            self.tspan(seq, "reconcile", format!("park shard={dest}"), now, now);
-                        }
-                        actions.push(LifecycleAction::ParkMigrated {
-                            seq,
-                            from: i,
-                            to: dest,
-                        });
-                        self.parked_shard.insert(token, dest);
-                        dest
-                    }
-                    None => {
-                        let at = self.grace_deadline(i, p.ticket.tenant, p.blocked_from);
-                        if p.evict_at != at {
-                            p.evict_at = at;
-                            actions.push(LifecycleAction::EvictionArmed { seq, shard: i, at });
-                        }
-                        i
-                    }
-                };
-                self.shards[home].blocked.insert(token, p);
-            }
-
-            // Pooled shells: warm exports keep their (tenant, virtine)
-            // key, snapshot identity, and LRU stamp, so cross-shard
-            // budgets and quotas are unchanged by the move; clean shells
-            // just change pools. Each transfer pays its hop.
-            while self.shards[i].pool.warm_shells() > 0 {
-                let Some(dest) = self.evacuation_target(i, now) else {
-                    break;
-                };
-                let Some(export) = self.shards[i].pool.export_warm_lru() else {
-                    break;
-                };
-                self.wasp.clock().tick(self.topology.transfer_cost(i, dest));
-                self.shards[dest].pool.import_warm(export);
-                actions.push(LifecycleAction::WarmMigrated { from: i, to: dest });
-            }
-            while self.shards[i].pool.idle_shells() > 0 {
-                let Some(dest) = self.evacuation_target(i, now) else {
-                    break;
-                };
-                let Some(vm) = self.shards[i].pool.take_idle_any() else {
-                    break;
-                };
-                self.wasp.clock().tick(self.topology.transfer_cost(i, dest));
-                self.shards[dest].pool.adopt_idle(vm);
-                actions.push(LifecycleAction::CleanMigrated { from: i, to: dest });
-            }
-
-            // Converged: nothing queued, parked, or pooled.
-            if self.shards[i].queue.is_empty()
-                && self.shards[i].blocked.is_empty()
-                && self.shards[i].pool.warm_shells() == 0
-                && self.shards[i].pool.idle_shells() == 0
-            {
-                self.shards[i].state = ShardState::Drained;
-                actions.push(LifecycleAction::Drained { shard: i });
-            }
-        }
-        actions
-    }
-
-    /// Advances to `limit` like [`Dispatcher::advance_to`], firing any
-    /// fault-plan events whose instant falls inside the window and
-    /// running the reconciler while any shard is non-active. With no
-    /// plan and every shard active this is exactly `advance_to` — the
-    /// hot path pays one boolean check.
-    fn advance_with_faults(&mut self, limit: u64) {
-        self.reliability_eval();
-        loop {
-            if self.shards.iter().any(|s| !s.state.is_active()) {
-                self.reconcile();
-            }
-            let due_at = self
-                .fault_plan
-                .as_ref()
-                .and_then(FaultPlan::next_at)
-                .filter(|&at_s| cyc(at_s) <= limit);
-            let Some(at_s) = due_at else {
-                break;
-            };
-            self.advance_to(cyc(at_s));
-            let due = self
-                .fault_plan
-                .as_mut()
-                .expect("plan present: next_at returned an instant")
-                .take_due(at_s);
-            for event in due {
-                match event.kind {
-                    FaultKind::KillShard(shard) => {
-                        self.fail_shard(shard);
-                    }
-                    FaultKind::KillShell(shard) => {
-                        self.shards[shard].pool.drop_idle();
-                    }
-                    FaultKind::HangShard(shard) => {
-                        self.shards[shard].hung = true;
-                    }
-                    FaultKind::UnhangShard(shard) => {
-                        let tick = self.config.tick.get();
-                        let now = cyc(at_s);
-                        let s = &mut self.shards[shard];
-                        s.hung = false;
-                        // The wedged window is lost time, not deferred
-                        // time: the worker's timeline resumes *now*, so
-                        // backlogged work completes after the hang — it
-                        // does not retroactively fill the gap.
-                        s.free_at = s.free_at.max(now);
-                        if !s.queue.is_empty() {
-                            s.next_wake = align_up(s.free_at, tick);
-                        }
-                    }
-                }
-            }
-        }
-        self.advance_to(limit);
-    }
-
-    /// Evaluates the failure detector and the brownout controller at the
-    /// dispatcher's arrival horizon. Detector declarations drive the
-    /// existing `fail_shard` → reconcile → re-admit path; restorations go
-    /// through [`Dispatcher::restore_shard`]. Free when neither is
-    /// installed.
-    fn reliability_eval(&mut self) {
-        if self.health.is_none() && self.brownout.is_none() {
-            return;
-        }
-        let now = self.last_arrival;
-        if self.health.is_some() {
-            // A hung shard is the detector's whole reason to exist: it
-            // stays `Active` (placement keeps feeding it), so only the
-            // missing heartbeats give it away. `alive` is ground truth
-            // for the false-positive tripwire only — the detector's
-            // decisions never read it.
-            let alive: Vec<bool> = self.shards.iter().map(|s| !s.hung).collect();
-            let monitored: Vec<bool> = self.shards.iter().map(|s| s.state.is_active()).collect();
-            let actions = self
-                .health
-                .as_mut()
-                .expect("checked above")
-                .poll(now, &alive, &monitored);
-            for action in actions {
-                match action {
-                    HealthAction::Declare(shard) => {
-                        self.fail_shard(shard);
-                    }
-                    HealthAction::Restore(shard) => self.restore_shard(shard),
-                }
-            }
-        }
-        if let Some(b) = &mut self.brownout {
-            let paging = match &mut self.slo {
-                Some(slo) => {
-                    slo.tick(Cycles(now));
-                    slo.report()
-                        .iter()
-                        .any(|r| r.severity == Some(Severity::Page))
-                }
-                None => false,
-            };
-            b.evaluate(now, paging);
-        }
-    }
-
     /// Runs shard batches, block timeouts, retry releases, and hedge
     /// fires scheduled strictly before `limit`, earliest event first.
     /// Shards whose worker is spin-polling a blocked socket
@@ -1695,7 +865,7 @@ impl Dispatcher {
     /// release, then hedge fire, then batch — preserving the historical
     /// timeout-beats-batch tie and letting released work join a batch
     /// starting at the same instant.
-    fn advance_to(&mut self, limit: u64) {
+    pub(crate) fn advance_to(&mut self, limit: u64) {
         loop {
             let next_batch = self
                 .shards
@@ -1705,12 +875,13 @@ impl Dispatcher {
                 .map(|(i, s)| (s.next_wake, i))
                 .min()
                 .filter(|&(wake, _)| wake < limit);
+            // The earliest `max_block` expiry or lifecycle eviction among
+            // the parked runs; ties go to the lower shard, then token.
             let next_timeout = self
-                .shards
+                .parked
                 .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.hung)
-                .filter_map(|(i, s)| s.next_timeout().map(|(at, token)| (at, i, token)))
+                .filter(|(_, p)| !self.shards[p.shard].hung)
+                .map(|(&token, p)| (p.timeout_at.min(p.evict_at), p.shard, token))
                 .min()
                 .filter(|&(at, _, _)| at < limit);
             let next_timer = self.open.next_timer().filter(|&(at, _)| at < limit);
@@ -1724,9 +895,9 @@ impl Dispatcher {
             };
             match rank {
                 0 => {
-                    let (at, tidx, token) = next_timeout.expect("rank 0 came from next_timeout");
-                    let p = self.unpark(tidx, token);
-                    self.expire_parked(tidx, p, at);
+                    let (at, _, token) = next_timeout.expect("rank 0 came from next_timeout");
+                    let p = self.unpark(token);
+                    self.expire_parked(p, at);
                 }
                 3 => {
                     let (_, idx) = next_batch.expect("rank 3 came from next_batch");
@@ -1777,7 +948,7 @@ impl Dispatcher {
                 // suspension aborts; its shell survives (the worker is
                 // alive) and returns to the pool wiped.
                 if let Work::Resume(p) = q.work {
-                    let (outcome, vm) = self.wasp.abort_suspended(*p.run);
+                    let (outcome, vm) = self.wasp.abort_suspended(p.run);
                     debug_assert!(outcome.warm_state.is_none());
                     self.shards[idx].pool.release(vm);
                 }
@@ -1792,16 +963,9 @@ impl Dispatcher {
                 // explicitly, never silently dropped.
                 if self.copy_lost(ticket.seq, free, None, None) == CopyLoss::Terminal {
                     let reason = ShedReason::DeadlineMissed;
-                    if self.trace.enabled() {
-                        self.tspan(
-                            ticket.seq,
-                            "queue_wait",
-                            String::new(),
-                            ticket.arrival,
-                            free,
-                        );
-                        self.tspan(ticket.seq, "shed", reason.label().to_string(), free, free);
-                    }
+                    self.tspan(ticket.seq, "queue_wait", String::new, ticket.arrival, free);
+                    let why = || reason.label().to_string();
+                    self.tspan(ticket.seq, "shed", why, free, free);
                     let end = Terminal::Shed {
                         reason,
                         evict: None,
@@ -1900,12 +1064,12 @@ impl Dispatcher {
             (vm, ShellSource::Created)
         };
         let acquire = (clock.now() - t0).get();
-        let src = self.trace.enabled().then_some(match &source {
+        let src = match &source {
             ShellSource::Warm(_) => "warm",
             ShellSource::Clean if stolen => "stolen_clean",
             ShellSource::Clean => "clean",
             ShellSource::Created => "cold_create",
-        });
+        };
 
         let run = ShellRun {
             vm,
@@ -1921,12 +1085,11 @@ impl Dispatcher {
             .run_on_shell(run, &mut |_, _, _, _| None)
             .expect("dispatch invariants uphold spec and shell size");
         let segment = (clock.now() - t0).get();
-        if let Some(src) = src {
-            let seq = ticket.seq;
-            self.tspan(seq, "queue_wait", String::new(), ticket.arrival, free);
-            self.tspan(seq, "shell_acquire", src.to_string(), free, free + acquire);
-            self.tspan(seq, "exec", String::new(), free + acquire, free + segment);
-        }
+        let seq = ticket.seq;
+        self.tspan(seq, "queue_wait", String::new, ticket.arrival, free);
+        let shell = || src.to_string();
+        self.tspan(seq, "shell_acquire", shell, free, free + acquire);
+        self.tspan(seq, "exec", String::new, free + acquire, free + segment);
         let progress = Progress {
             first_start: free,
             service_so_far: segment,
@@ -1939,18 +1102,16 @@ impl Dispatcher {
     /// Resumes a woken parked run on its shard; returns the new worker
     /// timeline position. The run either completes or blocks again (its
     /// next `recv` found the socket empty) and re-parks.
-    fn execute_resume(&mut self, idx: usize, p: Parked, free: u64) -> u64 {
+    fn execute_resume(&mut self, idx: usize, p: Box<Parked>, free: u64) -> u64 {
         let clock = self.wasp.clock();
         let t0 = clock.now();
         let run = self
             .wasp
-            .resume_on_shell(*p.run, &mut |_, _, _, _| None)
+            .resume_on_shell(p.run, &mut |_, _, _, _| None)
             .expect("suspended runs carry a registered virtine");
         let segment = (clock.now() - t0).get();
-        if self.trace.enabled() {
-            let detail = "resumed".to_string();
-            self.tspan(p.ticket.seq, "exec", detail, free, free + segment);
-        }
+        let detail = || "resumed".to_string();
+        self.tspan(p.ticket.seq, "exec", detail, free, free + segment);
         let progress = Progress {
             service_so_far: p.progress.service_so_far + segment,
             ..p.progress
@@ -1976,190 +1137,6 @@ impl Dispatcher {
         }
     }
 
-    /// Parks a run that suspended at worker position `blocked_from` on
-    /// shard `idx` and registers its wake-up. Returns the worker's new
-    /// timeline position (the block instant: the worker is given back in
-    /// event-driven mode; in spin-poll mode the shard's `spinning` gate
-    /// holds further batches until the wake).
-    fn park_suspended(
-        &mut self,
-        idx: usize,
-        run: SuspendedRun,
-        ticket: Ticket,
-        progress: Progress,
-        blocked_from: u64,
-    ) -> u64 {
-        let token = self.next_token;
-        self.next_token += 1;
-        let target = run.wait().target();
-        let p = Parked {
-            run: Box::new(run),
-            ticket,
-            progress,
-            blocked_from,
-            timeout_at: match self.tenants[ticket.tenant.0].profile.max_block {
-                Some(max) => blocked_from.saturating_add(max.get()),
-                None => u64::MAX,
-            },
-            // Parking on a draining shard arms the grace clock
-            // immediately; the next reconcile pass may still migrate the
-            // run out (and disarm it) before the clock fires.
-            evict_at: if self.shards[idx].state == ShardState::Draining {
-                self.grace_deadline(idx, ticket.tenant, blocked_from)
-            } else {
-                u64::MAX
-            },
-            target,
-        };
-        // Registration is race-free: an object that became ready between
-        // the block decision and this call wakes immediately.
-        let kernel = self.wasp.kernel();
-        match target {
-            WaitTarget::Sock(sock) => kernel
-                .net_register_waiter(sock, token)
-                .expect("a parked run's connection outlives the park"),
-            WaitTarget::ChanRecv(chan) => kernel
-                .chan_register_recv_waiter(chan, token)
-                .expect("a parked run's channel outlives the park"),
-            WaitTarget::ChanSend { chan, len } => kernel
-                .chan_register_send_waiter(chan, token, len)
-                .expect("a parked run's channel outlives the park"),
-        }
-        self.tenants[ticket.tenant.0].stats.blocked += 1;
-        self.stats.blocked += 1;
-        self.shards[idx].stats.blocked += 1;
-        if self.config.block == BlockMode::SpinPoll {
-            self.shards[idx].spinning += 1;
-        }
-        self.shards[idx].blocked.insert(token, p);
-        self.parked_shard.insert(token, idx);
-        blocked_from
-    }
-
-    /// Moves every parked run whose wait object became ready back to the
-    /// *front* of a run queue, stamped no earlier than `stamp`. The queue
-    /// is chosen by *placement* ([`Dispatcher::resume_shard`]): under
-    /// skewed load a wake re-admits the run on the least-loaded shard
-    /// instead of pinning it to the (possibly saturated) shard it blocked
-    /// on — the suspended shell rides inside the run, so the move is as
-    /// isolation-safe as a shell steal, and completion accounting follows
-    /// the landing shard.
-    fn deliver_wakeups(&mut self, stamp: u64) {
-        let tick = self.config.tick.get();
-        let kernel = self.wasp.kernel();
-        let mut woken = kernel.net_take_woken();
-        woken.extend(kernel.chan_take_woken());
-        for token in woken {
-            let Some(idx) = self.parked_shard.remove(&token) else {
-                // The run was killed after the wake was queued.
-                continue;
-            };
-            let Some(mut p) = self.shards[idx].blocked.remove(&token) else {
-                continue;
-            };
-            let seq = p.ticket.seq;
-            let wake = stamp.max(p.blocked_from);
-            if self.open.is_moot(seq) {
-                // A parked hedge-race loser: its sibling copy finished
-                // while it waited. Abort the suspension instead of
-                // resuming it — the wake's bytes stay with the winner's
-                // accounting.
-                self.settle_spin(idx, p.blocked_from, wake);
-                let (outcome, vm) = self.wasp.abort_suspended(*p.run);
-                debug_assert!(outcome.warm_state.is_none());
-                self.shards[idx].pool.release(vm);
-                self.copy_lost(seq, wake, None, None);
-                continue;
-            }
-            let bound = p.timeout_at.min(p.evict_at);
-            if wake > bound {
-                // The data arrived, but only after the tenant's max_block
-                // bound (or the lifecycle grace clock) had already
-                // expired: the kill fires at the bound, not the wake —
-                // the budget is a hard ceiling, not a race against late
-                // bytes. (A wake exactly at the bound still resumes,
-                // matching advance_to's strict `at < limit`.)
-                self.expire_parked(idx, p, bound);
-                continue;
-            }
-            self.settle_spin(idx, p.blocked_from, wake);
-            self.shards[idx].stats.resumed += 1;
-            self.stats.resumed += 1;
-            self.wasp.clock().tick(costs::VSCHED_QUEUE_OP);
-            if self.trace.enabled() {
-                self.tspan(seq, "park", format!("{:?}", p.target), p.blocked_from, wake);
-            }
-            let dest = self.resume_shard(idx, wake);
-            if dest != idx {
-                self.migrate(&mut p, idx, dest);
-                if self.trace.enabled() {
-                    let hop = format!("hop={:?}", self.topology.hop(idx, dest));
-                    self.tspan(seq, "migrate", hop, wake, wake);
-                }
-            }
-            if self.trace.enabled() {
-                self.tspan(seq, "resume", format!("shard={dest}"), wake, wake);
-            }
-            let q = Queued {
-                front: true,
-                // Exempt from in-queue deadline shedding: a woken run
-                // holds a live shell and must complete or be killed.
-                ticket: Ticket {
-                    deadline: u64::MAX,
-                    ..p.ticket
-                },
-                work: Work::Resume(p),
-            };
-            self.shards[dest].enqueue_at(q, tick, wake);
-        }
-    }
-
-    /// Decision point 4 (resume-migrate): asks the engine which shard a
-    /// woken parked run resumes on, anchored at the blocking shard — an
-    /// idle home never loses a tie, and among equally loaded siblings the
-    /// nearest wins, so migration only happens when it buys an earlier
-    /// start, and then over the shortest hop. Worker timelines are
-    /// clamped to `wake`: a `free_at` in the past means "free now", not
-    /// "freer than the other idle shard". A resume needs no shell acquire
-    /// — the shell rides inside the suspension — so warm-list affinity is
-    /// irrelevant, the move is as isolation-safe as a shell steal, and a
-    /// saturated home shard cannot hold a runnable virtine hostage.
-    /// Pinned home under [`BlockMode::SpinPoll`] (the home worker *is*
-    /// the wait there).
-    fn resume_shard(&self, home: usize, wake: u64) -> usize {
-        if self.config.block == BlockMode::SpinPoll {
-            return home;
-        }
-        let c = self.candidates(Some(home), None, None, wake);
-        self.engine.resume(&c)
-    }
-
-    /// Under [`BlockMode::SpinPoll`], closes out a parked run's spin
-    /// window `[from, to]`: the worker was busy-polling the whole wait, so
-    /// it lands on the worker timeline and in `busy_wait_cycles`. A no-op
-    /// in event-driven mode.
-    fn settle_spin(&mut self, idx: usize, from: u64, to: u64) {
-        if self.config.block == BlockMode::SpinPoll {
-            let spin = to - from;
-            self.shards[idx].spinning -= 1;
-            self.shards[idx].stats.busy_wait_cycles += spin;
-            self.stats.busy_wait_cycles += spin;
-            self.shards[idx].free_at = self.shards[idx].free_at.max(to);
-        }
-    }
-
-    /// Ends a detached parked run whose bound expired at `at`: evicted
-    /// when the lifecycle grace clock fired first, killed at the tenant's
-    /// `max_block` otherwise (ties go to the kill, preserving
-    /// pre-lifecycle behavior exactly).
-    fn expire_parked(&mut self, idx: usize, p: Parked, at: u64) {
-        if p.evict_at < p.timeout_at {
-            self.evict_parked(idx, p, at, FailCause::GraceExpired);
-        } else {
-            self.kill_parked(idx, p, at);
-        }
-    }
-
     /// Reports one copy of a request gone without finishing — destroyed
     /// with its shard, shed at its deadline, evicted, or a hedge-race
     /// loser surfacing — to the exactly-once table, and does the
@@ -2169,7 +1146,7 @@ impl Dispatcher {
     /// shed will close it — a suppressed copy's always, a retried hedge
     /// duplicate's too (the retry continues under the logical trace).
     /// Only on [`CopyLoss::Terminal`] does the caller's shed proceed.
-    fn copy_lost(
+    pub(crate) fn copy_lost(
         &mut self,
         seq: u64,
         at: u64,
@@ -2179,14 +1156,12 @@ impl Dispatcher {
         let loss = self
             .open
             .lose_copy(seq, at, retry, &mut self.tenants, &mut self.stats);
-        if self.trace.enabled() {
-            if let CopyLoss::Retried(r) = loss {
-                let detail = format!("attempt={} cause=shard_failed_{}", r.attempt, r.cause);
-                self.tspan(r.logical, "retry", detail, at, r.release_at);
-            }
-            if let Some((target, from)) = parked {
-                self.tspan(seq, "park", format!("{target:?}"), from, at);
-            }
+        if let CopyLoss::Retried(r) = loss {
+            let detail = || format!("attempt={} cause=shard_failed_{}", r.attempt, r.cause);
+            self.tspan(r.logical, "retry", detail, at, r.release_at);
+        }
+        if let Some((target, from)) = parked {
+            self.tspan(seq, "park", || format!("{target:?}"), from, at);
         }
         match loss {
             CopyLoss::Suppressed => self.tfinish(seq, "hedge:canceled", at),
@@ -2195,89 +1170,6 @@ impl Dispatcher {
             _ => {}
         }
         loss
-    }
-
-    /// Hard-stops a parked run on behalf of shard lifecycle: the run is
-    /// aborted, its shell wiped back into the (draining) shard's pool —
-    /// or destroyed outright when the shard failed, taking the hardware
-    /// context with it — and the request is shed with
-    /// [`ShedReason::Evicted`]. Unlike [`Dispatcher::kill_parked`] this
-    /// is a *shed*, not an abnormal serve: no completion is recorded. The
-    /// caller has already detached the run from the blocked set and
-    /// wait-token index.
-    fn evict_parked(&mut self, idx: usize, p: Parked, at: u64, cause: FailCause) -> CopyLoss {
-        let at = at.max(p.blocked_from);
-        self.settle_spin(idx, p.blocked_from, at);
-        let (outcome, vm) = self.wasp.abort_suspended(*p.run);
-        debug_assert!(outcome.warm_state.is_none());
-        // Shard failure is the retryable loss: the suspension died
-        // through no fault of the request. A drain-grace expiry is a
-        // policy decision against this very run — retrying it would
-        // reverse the operator.
-        let retry = match cause {
-            // Draining: the worker is alive, the shell survives its run —
-            // the ordinary wiped release, then the next reconcile pass
-            // evacuates it like any other idle shell.
-            FailCause::GraceExpired => {
-                self.shards[idx].pool.release(vm);
-                None
-            }
-            // Failed: the context died with the shard.
-            FailCause::ShardFailed => {
-                self.shards[idx].pool.drop_shell(vm);
-                Some(RetryCause::Parked)
-            }
-        };
-        let seq = p.ticket.seq;
-        let loss = self.copy_lost(seq, at, retry, Some((p.target, p.blocked_from)));
-        if loss == CopyLoss::Terminal {
-            self.stats.blocked_cycles += outcome.breakdown.blocked.get();
-            if self.trace.enabled() {
-                self.tspan(seq, "drain_evict", cause.label().to_string(), at, at);
-            }
-            let end = Terminal::Shed {
-                reason: ShedReason::Evicted,
-                evict: Some(cause),
-            };
-            self.settle(&p.ticket, at, end);
-        }
-        loss
-    }
-
-    /// Kills a parked run whose tenant `max_block` expired at timeline
-    /// position `at`: the shell is wiped back into the shard pool, the
-    /// tenant's in-flight slot is released, and the completion surfaces as
-    /// abnormal (`ExitKind::Blocked`). The caller has already detached the
-    /// run from the blocked set and wait-token index.
-    fn kill_parked(&mut self, idx: usize, p: Parked, at: u64) {
-        self.settle_spin(idx, p.blocked_from, at);
-        let (outcome, vm) = self.wasp.abort_suspended(*p.run);
-        debug_assert!(outcome.warm_state.is_none());
-        // The shell still holds the killed invocation's state: the
-        // ordinary wiped release (§5.2) erases it before any reuse.
-        self.shards[idx].pool.release(vm);
-        let seq = p.ticket.seq;
-        let CopyFinish::Won { logical } = self.open.finish_copy(seq, &mut self.stats) else {
-            // The race was already decided elsewhere: suppress the
-            // kill's accounting entirely.
-            self.tfinish(seq, "hedge:canceled", at);
-            return;
-        };
-        self.tenants[p.ticket.tenant.0].stats.blocked_timeout += 1;
-        self.stats.blocked_timeout += 1;
-        self.shards[idx].stats.blocked_timeout += 1;
-        if self.trace.enabled() {
-            self.tspan(seq, "park", format!("{:?}", p.target), p.blocked_from, at);
-        }
-        let end = Terminal::Served {
-            logical,
-            shard: idx,
-            progress: p.progress,
-            breakdown: outcome.breakdown,
-            exit: outcome.exit,
-            result: outcome.invocation.result,
-        };
-        self.settle(&p.ticket, at, end);
     }
 
     /// Completion epilogue for a run — fresh or resumed — whose last
@@ -2358,14 +1250,11 @@ impl Dispatcher {
         } else {
             (7 * self.avg_service + service) / 8
         };
-        if self.trace.enabled() {
-            let detail = if outcome.breakdown.warm_hit {
-                format!("warm_delta={}", outcome.breakdown.delta_pages)
-            } else {
-                String::new()
-            };
-            self.tspan(ticket.seq, "complete", detail, finish, finish);
-        }
+        let detail = || match outcome.breakdown.warm_hit {
+            true => format!("warm_delta={}", outcome.breakdown.delta_pages),
+            false => String::new(),
+        };
+        self.tspan(ticket.seq, "complete", detail, finish, finish);
         let end = Terminal::Served {
             logical,
             shard: idx,
@@ -2391,17 +1280,16 @@ impl Dispatcher {
         let (logical, ticket) = (respawn.logical, respawn.ticket);
         let shard = self.place(ticket.tenant, ticket.virtine);
         self.enqueue_fresh(shard, ticket, respawn.args, respawn.invocation, at);
-        if !self.trace.enabled() {
-            return;
-        }
         let copy = ticket.seq;
         if copy == logical {
-            self.tspan(logical, "retry", format!("resubmit shard={shard}"), at, at);
+            let detail = || format!("resubmit shard={shard}");
+            self.tspan(logical, "retry", detail, at, at);
         } else {
             let virtine = ticket.virtine.into_raw() as u64;
             self.trace.begin(copy, ticket.tenant.0, virtine, Cycles(at));
-            self.tspan(copy, "hedge", format!("of={logical} shard={shard}"), at, at);
-            let detail = format!("copy={copy} shard={shard}");
+            let origin = || format!("of={logical} shard={shard}");
+            self.tspan(copy, "hedge", origin, at, at);
+            let detail = || format!("copy={copy} shard={shard}");
             self.tspan(logical, "hedge", detail, at, at);
         }
     }
@@ -2443,17 +1331,8 @@ impl Dispatcher {
     }
 }
 
-/// What a lifecycle pass reports for a copy a shard failure destroyed.
-fn eviction_action(loss: CopyLoss, seq: u64, shard: usize) -> Option<LifecycleAction> {
-    match loss {
-        CopyLoss::Suppressed => None,
-        CopyLoss::Retried(_) => Some(LifecycleAction::RunRetried { seq, shard }),
-        CopyLoss::Terminal => Some(LifecycleAction::RunEvicted { seq, shard }),
-    }
-}
-
 /// Virtual seconds → cycles.
-fn cyc(s: f64) -> u64 {
+pub(crate) fn cyc(s: f64) -> u64 {
     Cycles::from_micros(s * 1e6).get()
 }
 

@@ -63,8 +63,8 @@
 //!   Everything is driven by the `vclock` virtual clock, so a full
 //!   platform run is deterministic and benchmarkable bit-for-bit — the
 //!   property the reproduction depends on everywhere else.
-//! * **Event-driven blocked I/O** ([`BlockMode`], the per-shard parked
-//!   sets) — generalizes §6.3's blocking `recv` from a busy-wait into an
+//! * **Event-driven blocked I/O** ([`BlockMode`], the dispatcher's
+//!   parked map) — generalizes §6.3's blocking `recv` from a busy-wait into an
 //!   exit. A virtine that blocks suspends (`wasp::SuspendedRun` — shell,
 //!   invocation, and segmented accounting ride together, outside every
 //!   pool, so a parked shell is structurally unstealable and
@@ -166,18 +166,19 @@ pub mod dispatcher;
 pub mod health;
 pub mod lifecycle;
 pub mod openreq;
+mod parking;
 pub mod placement;
+pub mod request;
 pub mod shard;
 pub mod tenant;
 pub mod topology;
 
 pub use cluster::{Cluster, ClusterAction, ClusterStats};
-pub use dispatcher::{
-    BlockMode, Completion, Dispatcher, DispatcherConfig, DispatcherStats, Placement, Request,
-};
+pub use dispatcher::Dispatcher;
 pub use health::{BrownoutConfig, CircuitState, HealthConfig, HealthStats, ShardHealth};
 pub use lifecycle::{FaultEvent, FaultKind, FaultPlan, LifecycleAction, ShardState};
 pub use placement::{Candidate, CostEngine, WarmPolicy, WarmVerdict};
+pub use request::{BlockMode, Completion, DispatcherConfig, DispatcherStats, Placement, Request};
 pub use shard::{ShardSnapshot, ShardStats};
 pub use tenant::{
     HedgePolicy, RetryPolicy, ShedReason, TenantId, TenantProfile, TenantStats, TokenBucket,

@@ -43,6 +43,15 @@
 //! re-admit path as an operator-initiated drain.
 
 use vclock::rng::Rng;
+use vclock::{costs, Cycles};
+use vtrace::slo::Severity;
+
+use crate::dispatcher::{cyc, Dispatcher};
+use crate::health::HealthAction;
+use crate::openreq::{CopyLoss, RetryCause};
+use crate::request::{BlockMode, FailCause, Terminal};
+use crate::shard::{align_up, Queued, Work};
+use crate::tenant::{ShedReason, TenantId};
 
 /// Desired/actual lifecycle state of one shard.
 ///
@@ -282,6 +291,413 @@ impl FaultPlan {
     /// Remaining scheduled events.
     pub fn pending(&self) -> usize {
         self.events.len()
+    }
+}
+
+impl Dispatcher {
+    /// Installs a deterministic fault plan: each event fires as virtual
+    /// time advances past its instant, through the same detector →
+    /// reconcile → re-admit path as an operator-initiated drain or fail.
+    /// Replaces any previous plan.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.fault_plan = Some(plan);
+    }
+
+    /// Lifecycle state of one shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shard index out of range.
+    pub fn shard_state(&self, shard: usize) -> ShardState {
+        self.shards[shard].state
+    }
+
+    /// Lifecycle states of every shard, in index order — the
+    /// `vsched_shard_state` Prometheus gauge family.
+    pub fn shard_states(&self) -> Vec<ShardState> {
+        self.shards.iter().map(|s| s.state).collect()
+    }
+
+    /// Marks a shard draining and runs one reconcile pass. New
+    /// placements stop immediately (the shard leaves the eligible set);
+    /// the returned actions show what the pass moved, armed, or
+    /// converged. Idempotent: draining an already-draining or drained
+    /// shard just re-runs the reconciler.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shard index out of range.
+    pub fn drain_shard(&mut self, shard: usize) -> Vec<LifecycleAction> {
+        if self.shards[shard].state == ShardState::Active {
+            self.shards[shard].state = ShardState::Draining;
+            self.shards[shard].drain_since = self.last_arrival;
+        }
+        self.reconcile()
+    }
+
+    /// Restores a draining, drained, or failed shard to `Active`: it
+    /// rejoins the eligible set (placement, steal donation, migration
+    /// target) at the next decision, and any armed grace clocks on runs
+    /// still parked there are disarmed. Symmetric with
+    /// [`Dispatcher::drain_shard`]; a no-op on an already-active shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shard index out of range.
+    pub fn restore_shard(&mut self, shard: usize) {
+        let s = &mut self.shards[shard];
+        if s.state == ShardState::Active {
+            return;
+        }
+        s.state = ShardState::Active;
+        s.drain_since = 0;
+        for p in self.parked.values_mut().filter(|p| p.shard == shard) {
+            p.evict_at = u64::MAX;
+        }
+    }
+
+    /// Fails a shard outright (fault injection or operator action): its
+    /// pooled shells are destroyed, parked runs are evicted — their
+    /// suspended hardware state died with the shard — and queued
+    /// requests are re-admitted on an eligible sibling exactly once
+    /// (shed with [`ShedReason::Evicted`] only when no sibling is
+    /// eligible). The shard stays `Failed` (and empty) until
+    /// [`Dispatcher::restore_shard`]. Idempotent: failing a failed
+    /// shard does nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shard index out of range.
+    pub fn fail_shard(&mut self, shard: usize) -> Vec<LifecycleAction> {
+        let mut actions = Vec::new();
+        if self.shards[shard].state == ShardState::Failed {
+            return actions;
+        }
+        self.shards[shard].state = ShardState::Failed;
+        self.shards[shard].drain_since = self.last_arrival;
+        let now = self.last_arrival;
+
+        // The pooled inventory is gone: these contexts lived on the
+        // failed worker.
+        let count = self.shards[shard].pool.drop_all_shells();
+        if count > 0 {
+            actions.push(LifecycleAction::ShellsDropped { shard, count });
+        }
+
+        // Queued fresh requests move to an eligible sibling (exactly
+        // once — the entry itself is re-homed, never copied). Woken runs
+        // waiting in the queue hold suspended state that died with the
+        // shard: they are evicted like parked runs.
+        let drained: Vec<Queued> = std::mem::take(&mut self.shards[shard].queue).into_vec();
+        self.shards[shard].next_wake = u64::MAX;
+        for q in drained {
+            let ticket = q.ticket;
+            let loss = if let Work::Resume(p) = q.work {
+                debug_assert_eq!(p.shard, shard, "a woken run queues where it is homed");
+                self.evict_parked(p, now, FailCause::ShardFailed)
+            } else if self.open.is_moot(ticket.seq) {
+                // A hedge-race loser stranded on the failing shard: the
+                // logical request already finished elsewhere, so the
+                // entry just evaporates.
+                self.copy_lost(ticket.seq, now, None, None)
+            } else if let Some(dest) = self.evacuation_target(shard, now) {
+                actions.push(self.requeue(q, shard, dest, now));
+                continue;
+            } else {
+                let loss = self.copy_lost(ticket.seq, now, Some(RetryCause::Queued), None);
+                if loss == CopyLoss::Terminal {
+                    self.tspan(ticket.seq, "queue_wait", String::new, ticket.arrival, now);
+                    let cause = || FailCause::ShardFailed.label().to_string();
+                    self.tspan(ticket.seq, "drain_evict", cause, now, now);
+                    let end = Terminal::Shed {
+                        reason: ShedReason::Evicted,
+                        evict: Some(FailCause::ShardFailed),
+                    };
+                    self.settle(&ticket, now, end);
+                }
+                loss
+            };
+            actions.extend(eviction_action(loss, ticket.seq, shard));
+        }
+
+        // Parked runs: the suspension is lost with the worker.
+        for token in self.parked_on(shard) {
+            let p = self.unpark(token);
+            let seq = p.ticket.seq;
+            let loss = self.evict_parked(p, now, FailCause::ShardFailed);
+            actions.extend(eviction_action(loss, seq, shard));
+        }
+        actions
+    }
+
+    /// Decision point 5 (lifecycle evacuation): asks the engine which
+    /// eligible sibling takes work, parked runs, or shells off `from`.
+    fn evacuation_target(&self, from: usize, now: u64) -> Option<usize> {
+        let c = self.candidates(Some(from), None, None, now);
+        self.engine.evacuate(&c)
+    }
+
+    /// Re-homes one queue entry from `from` to `dest` — the entry itself
+    /// moves, never a copy. A woken run carries its suspended shell, so
+    /// its move is a migration and pays the hop like any other.
+    fn requeue(&mut self, mut q: Queued, from: usize, dest: usize, now: u64) -> LifecycleAction {
+        self.wasp.clock().tick(costs::VSCHED_QUEUE_OP);
+        if let Work::Resume(p) = &mut q.work {
+            self.migrate(p, from, dest);
+        }
+        let seq = q.ticket.seq;
+        self.shards[dest].enqueue_at(q, self.config.tick.get(), now);
+        self.tspan(
+            seq,
+            "reconcile",
+            || format!("requeue shard={dest}"),
+            now,
+            now,
+        );
+        LifecycleAction::RunRequeued {
+            seq,
+            from,
+            to: dest,
+        }
+    }
+
+    /// When lifecycle evicts a run of `tenant` that parked at
+    /// `blocked_from` on draining shard `idx`: the tenant's grace period
+    /// (else the configured default) past the later of the drain start
+    /// and the park.
+    pub(crate) fn grace_deadline(&self, idx: usize, tenant: TenantId, blocked_from: u64) -> u64 {
+        let grace = self.tenants[tenant.0]
+            .profile
+            .drain_grace
+            .unwrap_or(self.config.drain_grace)
+            .get();
+        self.shards[idx]
+            .drain_since
+            .max(blocked_from)
+            .saturating_add(grace)
+    }
+
+    /// One pass of the lifecycle reconciliation loop: for every
+    /// *draining* shard, moves queued work, migratable parked runs, and
+    /// pooled shells (warm then clean) to eligible siblings through the
+    /// engine's evacuation decision — priced hops, quota-respecting —
+    /// arms per-tenant grace clocks on parked runs that cannot move, and
+    /// advances fully-evacuated shards to `Drained`. Returns everything
+    /// it did; **idempotent** — a second pass over unchanged state
+    /// returns an empty list. Runs automatically as virtual time
+    /// advances while any shard is non-active, so operators need not
+    /// poll.
+    pub fn reconcile(&mut self) -> Vec<LifecycleAction> {
+        let mut actions = Vec::new();
+        if self.shards.iter().all(|s| s.state.is_active()) {
+            return actions;
+        }
+        let now = self.last_arrival;
+        for i in 0..self.shards.len() {
+            if self.shards[i].state != ShardState::Draining {
+                continue;
+            }
+
+            // Queued work re-homes one entry at a time, each to the
+            // currently cheapest eligible sibling. No eligible sibling
+            // leaves the remainder in place: a draining shard still
+            // executes its own backlog (degraded mode beats losing it).
+            while !self.shards[i].queue.is_empty() {
+                let Some(dest) = self.evacuation_target(i, now) else {
+                    break;
+                };
+                let q = self.shards[i].queue.pop().expect("checked non-empty");
+                actions.push(self.requeue(q, i, dest, now));
+            }
+            if self.shards[i].queue.is_empty() {
+                self.shards[i].next_wake = u64::MAX;
+            }
+
+            // Parked runs migrate whole — suspension, shell, and
+            // token-keyed wait registration (no re-registration needed).
+            // Spin-poll parks pin their worker and cannot move; they (and
+            // parks with no eligible destination) get a grace clock
+            // instead, armed once and re-reported only if it changes.
+            for token in self.parked_on(i) {
+                let dest = if self.config.block == BlockMode::SpinPoll {
+                    None
+                } else {
+                    self.evacuation_target(i, now)
+                };
+                let p = self.parked.remove(&token);
+                let mut p = p.expect("token enumerated from the parked map");
+                let seq = p.ticket.seq;
+                match dest {
+                    Some(dest) => {
+                        self.migrate(&mut p, i, dest);
+                        p.evict_at = u64::MAX;
+                        self.tspan(seq, "reconcile", || format!("park shard={dest}"), now, now);
+                        actions.push(LifecycleAction::ParkMigrated {
+                            seq,
+                            from: i,
+                            to: dest,
+                        });
+                    }
+                    None => {
+                        let at = self.grace_deadline(i, p.ticket.tenant, p.blocked_from);
+                        if p.evict_at != at {
+                            p.evict_at = at;
+                            actions.push(LifecycleAction::EvictionArmed { seq, shard: i, at });
+                        }
+                    }
+                }
+                self.parked.insert(token, p);
+            }
+
+            // Pooled shells: warm exports keep their (tenant, virtine)
+            // key, snapshot identity, and LRU stamp, so cross-shard
+            // budgets and quotas are unchanged by the move; clean shells
+            // just change pools. Each transfer pays its hop.
+            while self.shards[i].pool.warm_shells() > 0 {
+                let Some(dest) = self.evacuation_target(i, now) else {
+                    break;
+                };
+                let Some(export) = self.shards[i].pool.export_warm_lru() else {
+                    break;
+                };
+                self.wasp.clock().tick(self.topology.transfer_cost(i, dest));
+                self.shards[dest].pool.import_warm(export);
+                actions.push(LifecycleAction::WarmMigrated { from: i, to: dest });
+            }
+            while self.shards[i].pool.idle_shells() > 0 {
+                let Some(dest) = self.evacuation_target(i, now) else {
+                    break;
+                };
+                let Some(vm) = self.shards[i].pool.take_idle_any() else {
+                    break;
+                };
+                self.wasp.clock().tick(self.topology.transfer_cost(i, dest));
+                self.shards[dest].pool.adopt_idle(vm);
+                actions.push(LifecycleAction::CleanMigrated { from: i, to: dest });
+            }
+
+            // Converged: nothing queued, parked, or pooled.
+            if self.shards[i].queue.is_empty()
+                && self.parked.values().all(|p| p.shard != i)
+                && self.shards[i].pool.warm_shells() == 0
+                && self.shards[i].pool.idle_shells() == 0
+            {
+                self.shards[i].state = ShardState::Drained;
+                actions.push(LifecycleAction::Drained { shard: i });
+            }
+        }
+        actions
+    }
+
+    /// Advances to `limit` like [`Dispatcher::advance_to`], firing any
+    /// fault-plan events whose instant falls inside the window and
+    /// running the reconciler while any shard is non-active. With no
+    /// plan and every shard active this is exactly `advance_to` — the
+    /// hot path pays one boolean check.
+    pub(crate) fn advance_with_faults(&mut self, limit: u64) {
+        self.reliability_eval();
+        loop {
+            if self.shards.iter().any(|s| !s.state.is_active()) {
+                self.reconcile();
+            }
+            let due_at = self
+                .fault_plan
+                .as_ref()
+                .and_then(FaultPlan::next_at)
+                .filter(|&at_s| cyc(at_s) <= limit);
+            let Some(at_s) = due_at else {
+                break;
+            };
+            self.advance_to(cyc(at_s));
+            let due = self
+                .fault_plan
+                .as_mut()
+                .expect("plan present: next_at returned an instant")
+                .take_due(at_s);
+            for event in due {
+                match event.kind {
+                    FaultKind::KillShard(shard) => {
+                        self.fail_shard(shard);
+                    }
+                    FaultKind::KillShell(shard) => {
+                        self.shards[shard].pool.drop_idle();
+                    }
+                    FaultKind::HangShard(shard) => {
+                        self.shards[shard].hung = true;
+                    }
+                    FaultKind::UnhangShard(shard) => {
+                        let tick = self.config.tick.get();
+                        let now = cyc(at_s);
+                        let s = &mut self.shards[shard];
+                        s.hung = false;
+                        // The wedged window is lost time, not deferred
+                        // time: the worker's timeline resumes *now*, so
+                        // backlogged work completes after the hang — it
+                        // does not retroactively fill the gap.
+                        s.free_at = s.free_at.max(now);
+                        if !s.queue.is_empty() {
+                            s.next_wake = align_up(s.free_at, tick);
+                        }
+                    }
+                }
+            }
+        }
+        self.advance_to(limit);
+    }
+
+    /// Evaluates the failure detector and the brownout controller at the
+    /// dispatcher's arrival horizon. Detector declarations drive the
+    /// existing `fail_shard` → reconcile → re-admit path; restorations go
+    /// through [`Dispatcher::restore_shard`]. Free when neither is
+    /// installed.
+    fn reliability_eval(&mut self) {
+        if self.health.is_none() && self.brownout.is_none() {
+            return;
+        }
+        let now = self.last_arrival;
+        if self.health.is_some() {
+            // A hung shard is the detector's whole reason to exist: it
+            // stays `Active` (placement keeps feeding it), so only the
+            // missing heartbeats give it away. `alive` is ground truth
+            // for the false-positive tripwire only — the detector's
+            // decisions never read it.
+            let alive: Vec<bool> = self.shards.iter().map(|s| !s.hung).collect();
+            let monitored: Vec<bool> = self.shards.iter().map(|s| s.state.is_active()).collect();
+            let actions = self
+                .health
+                .as_mut()
+                .expect("checked above")
+                .poll(now, &alive, &monitored);
+            for action in actions {
+                match action {
+                    HealthAction::Declare(shard) => {
+                        self.fail_shard(shard);
+                    }
+                    HealthAction::Restore(shard) => self.restore_shard(shard),
+                }
+            }
+        }
+        if let Some(b) = &mut self.brownout {
+            let paging = match &mut self.slo {
+                Some(slo) => {
+                    slo.tick(Cycles(now));
+                    slo.report()
+                        .iter()
+                        .any(|r| r.severity == Some(Severity::Page))
+                }
+                None => false,
+            };
+            b.evaluate(now, paging);
+        }
+    }
+}
+
+/// What a lifecycle pass reports for a copy a shard failure destroyed.
+fn eviction_action(loss: CopyLoss, seq: u64, shard: usize) -> Option<LifecycleAction> {
+    match loss {
+        CopyLoss::Suppressed => None,
+        CopyLoss::Retried(_) => Some(LifecycleAction::RunRetried { seq, shard }),
+        CopyLoss::Terminal => Some(LifecycleAction::RunEvicted { seq, shard }),
     }
 }
 

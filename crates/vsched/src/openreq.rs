@@ -25,7 +25,7 @@ use vclock::stats::Histogram;
 use vclock::Cycles;
 use wasp::Invocation;
 
-use crate::dispatcher::DispatcherStats;
+use crate::request::DispatcherStats;
 use crate::shard::Ticket;
 use crate::tenant::{HedgePolicy, TenantState};
 

@@ -68,7 +68,7 @@
 
 use std::cmp::Reverse;
 
-use crate::dispatcher::Placement;
+use crate::request::Placement;
 use crate::topology::Hop;
 
 /// One shard as seen by a placement decision. Candidate slices are always

@@ -1,5 +1,5 @@
 //! Per-worker shards: a private shell pool plus a priority/deadline run
-//! queue and a parked set of blocked runs.
+//! queue — and the records (`Ticket`, `Parked`) a request travels as.
 //!
 //! §5.2's single shell pool amortizes `KVM_CREATE_VM`; at platform scale a
 //! single pool becomes the serialization point every worker contends on.
@@ -12,18 +12,18 @@
 //! and `crate::topology`), with the per-hop transfer cost charged by
 //! `dispatcher`.
 //!
-//! A run that blocks in `recv` (or a channel end) parks in the shard's
-//! parked set: batch ticks skip it, its shell rides inside the
-//! `wasp::SuspendedRun` (outside the pool — unstealable, undemotable),
-//! and a wake re-queues it at the *front* of a run queue — chosen by
-//! placement, not pinned to this shard — so the delivered bytes are
-//! consumed before any newly admitted work.
+//! A run that blocks in `recv` (or a channel end) leaves the shard for
+//! the dispatcher's parked map (`crate::parking`): batch ticks never see
+//! it, its shell rides inside the `wasp::SuspendedRun` (outside the pool
+//! — unstealable, undemotable), and a wake re-queues it at the *front* of
+//! a run queue — chosen by placement, not pinned to this shard — so the
+//! delivered bytes are consumed before any newly admitted work.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use vclock::Cycles;
-use wasp::{Invocation, Pool, SuspendedRun, VirtineId, WaitTarget};
+use wasp::{Invocation, Pool, SuspendedRun, VirtineId};
 
 use crate::lifecycle::ShardState;
 use crate::tenant::TenantId;
@@ -71,10 +71,14 @@ pub(crate) struct Progress {
 /// resume-time migration half of the cross-virtine-channel work).
 #[derive(Debug)]
 pub(crate) struct Parked {
+    /// The shard the run is parked on (and, once woken, queued on): whose
+    /// lifecycle state, hang, and spin gate apply to it. A migration is
+    /// an assignment here; the wait registration is keyed by token alone.
+    pub shard: usize,
     /// The suspended virtine: shell, invocation, and segment accounting.
-    /// Boxed once per park, so the parked set and a woken run's queue
-    /// entry move a pointer, not the suspension.
-    pub run: Box<SuspendedRun>,
+    /// The whole record is boxed once per park, so the parked map and a
+    /// woken run's queue entry move a pointer, not the suspension.
+    pub run: SuspendedRun,
     pub ticket: Ticket,
     pub progress: Progress,
     /// Worker-timeline position when the run parked.
@@ -87,13 +91,13 @@ pub(crate) struct Parked {
     /// or while the run can still be migrated out. Armed by the
     /// reconciler (drain grace) and disarmed when the shard is restored.
     pub evict_at: u64,
-    /// The host object (socket or channel end) whose readiness wakes the
-    /// run.
-    pub target: WaitTarget,
 }
 
-/// What a queue entry executes when its batch tick pops it.
+/// What a queue entry executes when its batch tick pops it. `Fresh` is
+/// the common case and stays inline: boxing it to even out the variants
+/// would cost every request an allocation.
 #[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum Work {
     /// Acquire a shell and start from the marshalled inputs.
     Fresh {
@@ -101,7 +105,7 @@ pub(crate) enum Work {
         invocation: Invocation,
     },
     /// Resume a woken blocked run at its suspended hypercall.
-    Resume(Parked),
+    Resume(Box<Parked>),
 }
 
 /// A queued, admitted request waiting for its shard's next batch tick.
@@ -165,23 +169,18 @@ pub struct ShardStats {
     /// Worker cycles burned waiting on blocked I/O (spin-poll dispatch
     /// charges the whole park here; event-driven dispatch charges none).
     pub busy_wait_cycles: u64,
-    /// Woken runs this shard received from another shard's blocked set
+    /// Woken runs this shard received that had parked on another shard
     /// (resume-time migration, inbound).
     pub migrated_in: u64,
-    /// Woken runs that left this shard's blocked set for another shard
+    /// Woken runs that had parked on this shard and left for another
     /// (resume-time migration, outbound).
     pub migrated_out: u64,
 }
 
-/// One dispatcher shard: pool, run queue, parked blocked runs, and a
-/// worker timeline.
+/// One dispatcher shard: pool, run queue, and a worker timeline.
 pub(crate) struct Shard {
     pub pool: Pool,
     pub queue: BinaryHeap<Queued>,
-    /// Blocked runs parked on this shard, keyed by their wait token.
-    /// Batch ticks skip these; a socket wake moves them back to the run
-    /// queue's front. Their shells live inside the `SuspendedRun`s.
-    pub blocked: HashMap<u64, Parked>,
     /// Number of parked runs the worker is *spin-polling* on (spin-poll
     /// dispatch only): while nonzero the worker is occupied and runs no
     /// batches.
@@ -212,7 +211,6 @@ impl Shard {
         Shard {
             pool,
             queue: BinaryHeap::new(),
-            blocked: HashMap::new(),
             spinning: 0,
             free_at: 0,
             next_wake: u64::MAX,
@@ -231,16 +229,6 @@ impl Shard {
         self.next_wake = self.next_wake.min(wake);
         self.queue.push(q);
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
-    }
-
-    /// The earliest `max_block` expiry or lifecycle eviction instant
-    /// among this shard's parked runs.
-    pub(crate) fn next_timeout(&self) -> Option<(u64, u64)> {
-        self.blocked
-            .iter()
-            .map(|(&token, p)| (p.timeout_at.min(p.evict_at), token))
-            .filter(|&(at, _)| at != u64::MAX)
-            .min()
     }
 }
 
@@ -272,10 +260,12 @@ pub struct ShardSnapshot {
 }
 
 impl Shard {
-    pub(crate) fn snapshot(&self) -> ShardSnapshot {
+    /// This shard's view; `parked` is counted by the dispatcher, which
+    /// holds the parked runs of every shard in one map.
+    pub(crate) fn snapshot(&self, parked: usize) -> ShardSnapshot {
         ShardSnapshot {
             queue_depth: self.queue.len(),
-            parked: self.blocked.len(),
+            parked,
             idle_shells: self.pool.idle_shells(),
             warm_shells: self.pool.warm_shells(),
             free_at_s: Cycles(self.free_at).as_secs(),

@@ -28,11 +28,11 @@
 //!                             │ ▲                              │
 //!            chan_recv        │ │ recv frees capacity          │ full:
 //!            (data queued)    │ │ (wakes parked senders)       ▼
-//!   consumer ◄────────────────┘ └──────────────── blocked in ChanSendReady
+//!   consumer ◄────────────────┘ └──────────────── WaitReason on ChanSend
 //!      │                                          (backpressure park)
-//!      │ empty: blocked in ChanReady
+//!      │ empty: WaitReason on ChanRecv
 //!      ▼            (park; send/close wakes *every* parked waiter)
-//!   ChanReady park ── wake ──► resume at the faulting hypercall
+//!   parked run ──── wake ────► resume at the faulting hypercall
 //!                             │
 //!                  chan_close ▼
 //!   open ────────────────► closed: sends refused, queued data drains,
@@ -45,7 +45,8 @@
 
 use std::collections::HashMap;
 
-use hostsim::{ChanId, Fd, HostKernel, IoClass, SockId, SockReady};
+pub use hostsim::WaitTarget;
+use hostsim::{ChanId, Fd, HostKernel, IoClass, SockId};
 use visa::cpu::Fault;
 
 /// The I/O port virtines issue hypercalls on.
@@ -299,80 +300,26 @@ pub trait GuestMem {
     fn write_guest(&mut self, addr: u64, data: &[u8]) -> Result<(), Fault>;
 }
 
-/// Why a virtine cannot make progress: the condition a blocked run waits
-/// on, carried by [`HcOutcome::Block`] and held by a suspended run until
-/// the scheduler observes the condition and resumes it.
+/// Why a virtine cannot make progress: the parked hypercall a blocked run
+/// completes once its wait ends, carried by [`HcOutcome::Block`] and held
+/// by a suspended run until the scheduler sees the wake and resumes it.
+///
+/// `hostsim` owns the half that names the host object and says when the
+/// wait is over ([`WaitTarget`]); this is the guest half — where the
+/// completion reads or writes guest memory. A receive (`recv`, `read(0)`,
+/// `chan_recv`) delivers up to `len` bytes at `buf` with the count in
+/// `r0`; a `chan_send` queues the `len` bytes at `buf`. Either way the
+/// completion is the one charged syscall the blocking call is, performed
+/// exactly where the hypercall faulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitReason {
-    /// A blocking `recv`/`read` found the connection open but empty. The
-    /// run resumes when `sock` becomes readable; the pending bytes are
-    /// then delivered at `buf` (up to `max_len`) with the count in `r0` —
-    /// completing the original hypercall exactly where it faulted.
-    RecvReady {
-        /// The host socket the guest is parked on.
-        sock: SockId,
-        /// Guest address the delivery writes to.
-        buf: u64,
-        /// Guest-supplied bound on the delivery.
-        max_len: usize,
-    },
-    /// A blocking `chan_recv` found the channel open but empty. The run
-    /// resumes when a message (or close → EOF) arrives; delivery mirrors
-    /// [`WaitReason::RecvReady`].
-    ChanReady {
-        /// The channel the guest is parked on.
-        chan: ChanId,
-        /// Guest address the delivery writes to.
-        buf: u64,
-        /// Guest-supplied bound on the delivery.
-        max_len: usize,
-    },
-    /// A blocking `chan_send` found the channel at its byte bound
-    /// (backpressure). The run resumes when capacity frees up (or the
-    /// channel closes → the send fails with `-1`); the resume performs the
-    /// queued send — the one charged syscall — with the count in `r0`.
-    ChanSendReady {
-        /// The channel the guest is parked on.
-        chan: ChanId,
-        /// Guest address of the pending message.
-        buf: u64,
-        /// Pending message length.
-        len: usize,
-    },
-}
-
-/// The host object whose state change ends a wait — what a scheduler
-/// registers its wake token against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitTarget {
-    /// A socket becoming readable.
-    Sock(SockId),
-    /// A channel's receive side becoming readable (data or EOF).
-    ChanRecv(ChanId),
-    /// A channel admitting a send of `len` bytes (or closing). The
-    /// pending length rides along because the wake condition is
-    /// message-specific: a partially-full queue blocks a big send while
-    /// admitting a small one.
-    ChanSend {
-        /// The channel the sender is parked on.
-        chan: ChanId,
-        /// The parked message's length.
-        len: usize,
-    },
-}
-
-impl WaitReason {
+pub struct WaitReason {
     /// The host object whose readiness ends the wait.
-    pub fn target(&self) -> WaitTarget {
-        match self {
-            WaitReason::RecvReady { sock, .. } => WaitTarget::Sock(*sock),
-            WaitReason::ChanReady { chan, .. } => WaitTarget::ChanRecv(*chan),
-            WaitReason::ChanSendReady { chan, len, .. } => WaitTarget::ChanSend {
-                chan: *chan,
-                len: *len,
-            },
-        }
-    }
+    pub target: WaitTarget,
+    /// Guest address the completion writes to (receive) or reads (send).
+    pub buf: u64,
+    /// Guest-supplied bound on the delivery, or the pending message's
+    /// length.
+    pub len: usize,
 }
 
 /// What the runtime should do after a handled hypercall.
@@ -443,17 +390,18 @@ pub fn handle_canned(
             }
         }
         nr::READ => {
-            let (fd, buf, max_len) = (args[0], args[1], args[2] as usize);
+            let (fd, buf, len) = (args[0], args[1], args[2] as usize);
             if let (0, Some(conn)) = (fd, inv.conn) {
                 // Reading "fd 0" with a bound connection is a socket recv.
                 // Always blocking: `read` has no flags argument (and the
                 // register that would carry one holds caller garbage).
-                return recv_into(mem, kernel, conn, buf, max_len, false);
+                let target = WaitTarget::Sock(conn);
+                return complete_or_wait(mem, kernel, WaitReason { target, buf, len }, false);
             }
             let Some(&host_fd) = inv.open_fds.get(&fd) else {
                 return Ok(HcOutcome::Resume(GUEST_ERR));
             };
-            match kernel.sys_read(host_fd, max_len) {
+            match kernel.sys_read(host_fd, len) {
                 Ok(data) => {
                     mem.write_guest(buf, &data)?;
                     Ok(HcOutcome::Resume(data.len() as u64))
@@ -516,12 +464,13 @@ pub fn handle_canned(
             }
         }
         nr::RECV => {
-            let (buf, max_len) = (args[0], args[1] as usize);
+            let (buf, len) = (args[0], args[1] as usize);
             let nonblock = args[2] & RECV_NONBLOCK != 0;
             let Some(conn) = inv.conn else {
                 return Ok(HcOutcome::Resume(GUEST_ERR));
             };
-            recv_into(mem, kernel, conn, buf, max_len, nonblock)
+            let target = WaitTarget::Sock(conn);
+            complete_or_wait(mem, kernel, WaitReason { target, buf, len }, nonblock)
         }
         nr::SNAPSHOT => {
             inv.snapshot_requests += 1;
@@ -575,15 +524,17 @@ pub fn handle_canned(
             let Some(chan) = inv.chan_at(h) else {
                 return Ok(HcOutcome::Resume(GUEST_ERR));
             };
-            chan_send_into(mem, kernel, chan, buf, len, nonblock)
+            let target = WaitTarget::ChanSend { chan, len };
+            complete_or_wait(mem, kernel, WaitReason { target, buf, len }, nonblock)
         }
         nr::CHAN_RECV => {
-            let (h, buf, max_len) = (args[0], args[1], args[2] as usize);
+            let (h, buf, len) = (args[0], args[1], args[2] as usize);
             let nonblock = args[3] & CHAN_NONBLOCK != 0;
             let Some(chan) = inv.chan_at(h) else {
                 return Ok(HcOutcome::Resume(GUEST_ERR));
             };
-            chan_recv_into(mem, kernel, chan, buf, max_len, nonblock)
+            let target = WaitTarget::ChanRecv(chan);
+            complete_or_wait(mem, kernel, WaitReason { target, buf, len }, nonblock)
         }
         nr::CHAN_CLOSE => {
             let Some(chan) = inv.chan_at(args[0]) else {
@@ -598,128 +549,65 @@ pub fn handle_canned(
     }
 }
 
-/// The `chan_recv` counterpart of [`recv_into`] — the same three-way
-/// contract (data / block-or-[`WOULD_BLOCK`] / clean `0` EOF), with the
-/// free empty-but-open probe and the one charged syscall at delivery.
-pub(crate) fn chan_recv_into(
+/// The blocking-I/O contract, written once for `recv`, `read(0)`,
+/// `chan_recv` and `chan_send` (all outcomes guest-distinguishable):
+///
+/// * the wait is over → [`complete`] the call: deliver the queued bytes
+///   (or the clean `0` of end-of-stream), or queue the message;
+/// * it would block → [`HcOutcome::Block`] carrying `wait` (blocking) or
+///   the [`WOULD_BLOCK`] sentinel (non-blocking);
+/// * the object is gone or refuses → the error's guest encoding.
+///
+/// The would-it-block probe is an uncharged kernel-internal poll: a
+/// blocking call is *one* syscall whose cost is paid when it completes
+/// (here, or by the resume step for a suspended run), so a
+/// blocked-then-resumed run charges exactly the cycles an unblocked one
+/// does.
+fn complete_or_wait(
     mem: &mut dyn GuestMem,
     kernel: &HostKernel,
-    chan: ChanId,
-    buf: u64,
-    max_len: usize,
+    wait: WaitReason,
     nonblock: bool,
 ) -> Result<HcOutcome, Fault> {
-    use hostsim::ChanRecvReady;
-    match kernel.chan_poll_recv(chan) {
-        Ok(ChanRecvReady::WouldBlock) => {
-            if nonblock {
-                // The probe-and-fail is still a syscall round trip.
-                kernel.syscall_overhead();
-                Ok(HcOutcome::Resume(WOULD_BLOCK))
-            } else {
-                Ok(HcOutcome::Block(WaitReason::ChanReady {
-                    chan,
-                    buf,
-                    max_len,
-                }))
-            }
+    match kernel.wait_pending(wait.target) {
+        Ok(true) if nonblock => {
+            // The probe-and-fail is still a syscall round trip.
+            kernel.syscall_overhead();
+            Ok(HcOutcome::Resume(WOULD_BLOCK))
         }
-        Ok(ChanRecvReady::Readable | ChanRecvReady::Eof) => {
-            match kernel.chan_recv(chan, max_len) {
-                Ok(Some(data)) => {
-                    mem.write_guest(buf, &data)?;
-                    Ok(HcOutcome::Resume(data.len() as u64))
-                }
-                // Drained and closed: end-of-stream.
-                Ok(None) => Ok(HcOutcome::Resume(0)),
-                Err(e) => Ok(HcOutcome::Resume(guest_ret(e.class()))),
-            }
-        }
-        Err(e) => Ok(HcOutcome::Resume(guest_ret(e.class()))),
+        Ok(true) => Ok(HcOutcome::Block(wait)),
+        Ok(false) => complete(mem, kernel, wait).map(HcOutcome::Resume),
+        Err(class) => Ok(HcOutcome::Resume(guest_ret(class))),
     }
 }
 
-/// The send half of the channel contract: queue the message when it fits
-/// (one charged syscall), park on [`WaitReason::ChanSendReady`] under
-/// backpressure (or hand back [`WOULD_BLOCK`] non-blocking), and fail
-/// with `-1` on a closed channel. The does-it-fit probe is free, exactly
-/// like the recv-side readiness probe.
-pub(crate) fn chan_send_into(
+/// Completes the hypercall `wait` describes now that its wait is over —
+/// the one charged syscall — and returns the guest's `r0`: the byte count
+/// (0 at end-of-stream: the other side drained and closed), or the
+/// error's guest encoding (a channel closed under a parked sender fails
+/// the send cleanly). A hostile `buf` faults here, on the blocked and the
+/// unblocked path alike, before a send touches the channel.
+pub(crate) fn complete(
     mem: &mut dyn GuestMem,
     kernel: &HostKernel,
-    chan: ChanId,
-    buf: u64,
-    len: usize,
-    nonblock: bool,
-) -> Result<HcOutcome, Fault> {
-    match kernel.chan_send_fits(chan, len) {
-        Ok(true) => {
-            let data = mem.read_guest(buf, len)?;
-            match kernel.chan_send(chan, &data) {
-                Ok(()) => Ok(HcOutcome::Resume(len as u64)),
-                Err(e) => Ok(HcOutcome::Resume(guest_ret(e.class()))),
-            }
+    wait: WaitReason,
+) -> Result<u64, Fault> {
+    let got = match wait.target {
+        WaitTarget::Sock(sock) => kernel.net_recv(sock, wait.len).map_err(|e| e.class()),
+        WaitTarget::ChanRecv(chan) => kernel.chan_recv(chan, wait.len).map_err(|e| e.class()),
+        WaitTarget::ChanSend { chan, len } => {
+            let data = mem.read_guest(wait.buf, len)?;
+            let sent = kernel.chan_send(chan, &data);
+            return Ok(sent.map_or_else(|e| guest_ret(e.class()), |()| len as u64));
         }
-        Ok(false) => {
-            if nonblock {
-                kernel.syscall_overhead();
-                Ok(HcOutcome::Resume(WOULD_BLOCK))
-            } else {
-                Ok(HcOutcome::Block(WaitReason::ChanSendReady {
-                    chan,
-                    buf,
-                    len,
-                }))
-            }
+    };
+    match got {
+        Ok(Some(data)) => {
+            mem.write_guest(wait.buf, &data)?;
+            Ok(data.len() as u64)
         }
-        Err(e) => Ok(HcOutcome::Resume(guest_ret(e.class()))),
-    }
-}
-
-/// The three-way `recv` contract (all guest-distinguishable):
-///
-/// * data queued → deliver it, return the length;
-/// * open but empty → [`HcOutcome::Block`] (blocking) or the
-///   [`WOULD_BLOCK`] sentinel (non-blocking);
-/// * peer closed and drained → a clean `0` EOF.
-///
-/// The empty-but-open probe is an uncharged kernel-internal poll: a
-/// blocking recv is *one* syscall whose cost is paid when the data is
-/// delivered (here on the data path, or by the resume step for a suspended
-/// run), so a blocked-then-resumed run charges exactly the cycles an
-/// unblocked one does.
-fn recv_into(
-    mem: &mut dyn GuestMem,
-    kernel: &HostKernel,
-    conn: SockId,
-    buf: u64,
-    max_len: usize,
-    nonblock: bool,
-) -> Result<HcOutcome, Fault> {
-    match kernel.net_poll(conn) {
-        Ok(SockReady::WouldBlock) => {
-            if nonblock {
-                // The probe-and-fail is still a syscall round trip.
-                kernel.syscall_overhead();
-                Ok(HcOutcome::Resume(WOULD_BLOCK))
-            } else {
-                Ok(HcOutcome::Block(WaitReason::RecvReady {
-                    sock: conn,
-                    buf,
-                    max_len,
-                }))
-            }
-        }
-        Ok(SockReady::Readable | SockReady::Eof) => match kernel.net_recv(conn, max_len) {
-            Ok(Some(data)) => {
-                mem.write_guest(buf, &data)?;
-                Ok(HcOutcome::Resume(data.len() as u64))
-            }
-            // Drained and the peer is gone: end-of-stream.
-            Ok(None) => Ok(HcOutcome::Resume(0)),
-            Err(_) => Ok(HcOutcome::Resume(GUEST_ERR)),
-        },
-        Err(_) => Ok(HcOutcome::Resume(GUEST_ERR)),
+        Ok(None) => Ok(0),
+        Err(class) => Ok(guest_ret(class)),
     }
 }
 
@@ -867,10 +755,10 @@ mod tests {
         let out = handle_canned(nr::RECV, [0, 64, 0, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert_eq!(
             out,
-            HcOutcome::Block(WaitReason::RecvReady {
-                sock: server,
+            HcOutcome::Block(WaitReason {
+                target: WaitTarget::Sock(server),
                 buf: 0,
-                max_len: 64
+                len: 64
             })
         );
 
@@ -962,10 +850,10 @@ mod tests {
         let out = handle_canned(nr::CHAN_RECV, [0, 128, 32, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert_eq!(
             out,
-            HcOutcome::Block(WaitReason::ChanReady {
-                chan,
+            HcOutcome::Block(WaitReason {
+                target: WaitTarget::ChanRecv(chan),
                 buf: 128,
-                max_len: 32
+                len: 32
             })
         );
         // Non-blocking: the WOULD_BLOCK sentinel.
@@ -1012,8 +900,8 @@ mod tests {
         let out = handle_canned(nr::CHAN_SEND, [0, 0, 3, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert_eq!(
             out,
-            HcOutcome::Block(WaitReason::ChanSendReady {
-                chan,
+            HcOutcome::Block(WaitReason {
+                target: WaitTarget::ChanSend { chan, len: 3 },
                 buf: 0,
                 len: 3
             })
@@ -1056,35 +944,239 @@ mod tests {
 
     #[test]
     fn wait_targets_name_the_object_that_ends_the_wait() {
-        let sock = SockId(3);
-        let chan = ChanId(9);
+        // The scheduler's `park` span detail is the target's `Debug`
+        // output: these three strings are part of the trace format.
+        let (sock, chan) = (SockId(3), ChanId(9));
+        let shown = |target: WaitTarget| format!("{target:?}");
+        assert_eq!(shown(WaitTarget::Sock(sock)), "Sock(SockId(3))");
+        assert_eq!(shown(WaitTarget::ChanRecv(chan)), "ChanRecv(ChanId(9))");
         assert_eq!(
-            WaitReason::RecvReady {
-                sock,
-                buf: 0,
-                max_len: 1
-            }
-            .target(),
-            WaitTarget::Sock(sock)
+            shown(WaitTarget::ChanSend { chan, len: 1 }),
+            "ChanSend { chan: ChanId(9), len: 1 }"
         );
-        assert_eq!(
-            WaitReason::ChanReady {
+    }
+
+    /// The four blocking hypercall forms, and the one fixture they are
+    /// all driven on: a connection bound as fd 0 and a 128-byte channel
+    /// bound at handle 0.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        Recv,
+        Read0,
+        ChanRecv,
+        ChanSend,
+    }
+
+    struct Fixture {
+        k: HostKernel,
+        m: Buf,
+        inv: Invocation,
+        client: SockId,
+        server: SockId,
+        chan: ChanId,
+    }
+
+    const MSG: [u8; 100] = [0x5A; 100];
+    const BUF: u64 = 512;
+
+    impl Fixture {
+        /// A fixture on which `kind`'s call would block.
+        fn blocked(kind: Kind) -> Fixture {
+            let (k, mut m, _) = setup();
+            k.net_listen(80).unwrap();
+            let client = k.net_connect(80).unwrap();
+            let server = k.net_accept(80).unwrap().unwrap();
+            let chan = k.chan_open(128);
+            if kind == Kind::ChanSend {
+                // 100 of 128 bytes used: a second 100-byte message waits.
+                k.chan_send(chan, &MSG).unwrap();
+                m.write_guest(BUF, &MSG).unwrap();
+            }
+            let inv = Invocation::with_conn(server).with_chans(vec![chan]);
+            Fixture {
+                k,
+                m,
+                inv,
+                client,
+                server,
                 chan,
-                buf: 0,
-                max_len: 1
             }
-            .target(),
-            WaitTarget::ChanRecv(chan)
-        );
-        assert_eq!(
-            WaitReason::ChanSendReady {
-                chan,
-                buf: 0,
-                len: 1
+        }
+
+        /// Ends the wait the way `state` says, from outside the guest.
+        fn end_wait(&self, kind: Kind, state: &str) {
+            let k = &self.k;
+            match (state, kind) {
+                ("ready", Kind::Recv | Kind::Read0) => k.net_send(self.client, &MSG).unwrap(),
+                ("ready", Kind::ChanRecv) => k.chan_send(self.chan, &MSG).unwrap(),
+                ("ready", Kind::ChanSend) => drop(k.chan_recv(self.chan, 128).unwrap().unwrap()),
+                ("closed", Kind::Recv | Kind::Read0) => k.net_close(self.client).unwrap(),
+                ("closed", Kind::ChanRecv) => k.chan_close(self.chan).unwrap(),
+                ("closed", Kind::ChanSend) => {
+                    k.chan_close(self.chan).unwrap();
+                }
+                // The guest's own end goes away under it.
+                ("gone", Kind::Recv | Kind::Read0) => k.net_close(self.server).unwrap(),
+                _ => unreachable!("{state} for {kind:?}"),
             }
-            .target(),
-            WaitTarget::ChanSend { chan, len: 1 }
-        );
+        }
+
+        fn target(&self, kind: Kind) -> WaitTarget {
+            match kind {
+                Kind::Recv | Kind::Read0 => WaitTarget::Sock(self.server),
+                Kind::ChanRecv => WaitTarget::ChanRecv(self.chan),
+                Kind::ChanSend => WaitTarget::ChanSend {
+                    chan: self.chan,
+                    len: MSG.len(),
+                },
+            }
+        }
+
+        /// Issues `kind`'s hypercall at `buf`; returns the outcome and
+        /// the cycles the call charged.
+        fn call(
+            &mut self,
+            kind: Kind,
+            buf: u64,
+            nonblock: bool,
+        ) -> (Result<HcOutcome, Fault>, u64) {
+            let (flag, len) = (u64::from(nonblock), MSG.len() as u64);
+            let (n, args) = match kind {
+                Kind::Recv => (nr::RECV, [buf, len, flag, 0, 0]),
+                Kind::Read0 => (nr::READ, [0, buf, len, 0, 0]),
+                Kind::ChanRecv => (nr::CHAN_RECV, [0, buf, len, flag, 0]),
+                Kind::ChanSend => (nr::CHAN_SEND, [0, buf, len, flag, 0]),
+            };
+            let t0 = self.k.now();
+            let out = handle_canned(n, args, &mut self.m, &self.k, &mut self.inv);
+            (out, (self.k.now() - t0).get())
+        }
+
+        /// What `Wasp::resume_on_shell` does with a parked `wait`: `None`
+        /// while it is still pending (a free probe), else the completion
+        /// and the cycles it charged.
+        fn resume(&mut self, wait: WaitReason) -> Option<(Result<u64, Fault>, u64)> {
+            let t0 = self.k.now();
+            let pending = self.k.wait_pending(wait.target) == Ok(true);
+            let done = (!pending).then(|| complete(&mut self.m, &self.k, wait));
+            done.map(|r0| (r0, (self.k.now() - t0).get()))
+        }
+    }
+
+    #[test]
+    fn every_wait_kind_takes_the_one_path_through_all_four_states() {
+        use vclock::costs;
+        // The per-kind charges: one syscall round trip, plus — when bytes
+        // move — the socket stack or channel queue op and the copy.
+        const SYS: u64 = 2 * costs::HOST_RING_TRANSITION + costs::HOST_SYSCALL_BASE;
+        let copy = MSG.len() as u64 * costs::HOST_COPY_PER_BYTE_X1000 / 1_000;
+        let moved = |kind| match kind {
+            Kind::Recv | Kind::Read0 => SYS + costs::HOST_NET_STACK + copy,
+            Kind::ChanRecv | Kind::ChanSend => SYS + costs::HOST_CHAN_OP + copy,
+        };
+        let n = MSG.len() as u64;
+
+        for kind in [Kind::Recv, Kind::Read0, Kind::ChanRecv, Kind::ChanSend] {
+            // Would block. Blocking: parks on the expected target, free.
+            let mut f = Fixture::blocked(kind);
+            let wait = WaitReason {
+                target: f.target(kind),
+                buf: BUF,
+                len: MSG.len(),
+            };
+            assert_eq!(f.call(kind, BUF, false), (Ok(HcOutcome::Block(wait)), 0));
+            // Non-blocking (`read` has no such form): the sentinel, and
+            // the probe-and-fail is one syscall round trip.
+            if kind != Kind::Read0 {
+                let would_block = Ok(HcOutcome::Resume(WOULD_BLOCK));
+                assert_eq!(f.call(kind, BUF, true), (would_block, SYS), "{kind:?}");
+            }
+            // A spurious resume re-parks without charging anything.
+            assert_eq!(f.resume(wait), None, "{kind:?}");
+
+            // Ready: the same r0 and the same charge whether the call
+            // found it ready or a resume completes it after a park.
+            let mut unblocked = Fixture::blocked(kind);
+            unblocked.end_wait(kind, "ready");
+            let at_block = unblocked.call(kind, BUF, false);
+            assert_eq!(
+                at_block,
+                (Ok(HcOutcome::Resume(n)), moved(kind)),
+                "{kind:?}"
+            );
+            f.end_wait(kind, "ready");
+            assert_eq!(f.resume(wait), Some((Ok(n), moved(kind))), "{kind:?}");
+            let landed = match kind {
+                Kind::ChanSend => f.k.chan_recv(f.chan, 128).unwrap().unwrap(),
+                _ => f.m.read_guest(BUF, MSG.len()).unwrap(),
+            };
+            assert_eq!(landed, MSG, "{kind:?}");
+
+            // EOF / closed. A receive sees the clean 0 for one syscall on
+            // both paths. A send to a closed channel is refused: free
+            // when the probe already says so, one failed syscall when the
+            // channel closed under the parked sender.
+            let (r0, at_block_cost) = match kind {
+                Kind::ChanSend => (GUEST_ERR, 0),
+                _ => (0, SYS),
+            };
+            let mut closed = Fixture::blocked(kind);
+            closed.end_wait(kind, "closed");
+            let got = closed.call(kind, BUF, false);
+            assert_eq!(got, (Ok(HcOutcome::Resume(r0)), at_block_cost), "{kind:?}");
+            let mut parked = Fixture::blocked(kind);
+            parked.end_wait(kind, "closed");
+            assert_eq!(parked.resume(wait_of(&parked, kind)), Some((Ok(r0), SYS)));
+
+            // Bad handle: -1, free at the call (the probe refuses it);
+            // one failed syscall when a resume finds the object gone.
+            let mut bad = Fixture::blocked(kind);
+            bad.inv.conn = Some(SockId(999));
+            bad.inv.chans = vec![ChanId(999)];
+            let got = bad.call(kind, BUF, false);
+            assert_eq!(got, (Ok(HcOutcome::Resume(GUEST_ERR)), 0), "{kind:?}");
+            let mut gone = Fixture::blocked(kind);
+            let mut wait = wait_of(&gone, kind);
+            match kind {
+                Kind::Recv | Kind::Read0 => gone.end_wait(kind, "gone"),
+                Kind::ChanRecv => wait.target = WaitTarget::ChanRecv(ChanId(999)),
+                Kind::ChanSend => {
+                    wait.target = WaitTarget::ChanSend {
+                        chan: ChanId(999),
+                        len: MSG.len(),
+                    }
+                }
+            }
+            assert_eq!(gone.resume(wait), Some((Ok(GUEST_ERR), SYS)), "{kind:?}");
+
+            // A hostile buffer faults identically on both paths — and a
+            // send faults before it touches the channel.
+            const HOSTILE: u64 = 0xFFFF_0000;
+            let mut direct = Fixture::blocked(kind);
+            direct.end_wait(kind, "ready");
+            let (fault, _) = direct.call(kind, HOSTILE, false);
+            let fault = fault.expect_err("hostile buf must fault");
+            let mut parked = Fixture::blocked(kind);
+            let (out, _) = parked.call(kind, HOSTILE, false);
+            let Ok(HcOutcome::Block(wait)) = out else {
+                panic!("{kind:?}: parks first, faults at the completion: {out:?}");
+            };
+            parked.end_wait(kind, "ready");
+            let (resumed, _) = parked.resume(wait).expect("the wait is over");
+            assert_eq!(resumed, Err(fault), "{kind:?}");
+            if kind == Kind::ChanSend {
+                let empty = WaitTarget::ChanRecv(parked.chan);
+                assert_eq!(parked.k.wait_pending(empty), Ok(true), "nothing was queued");
+            }
+        }
+
+        fn wait_of(f: &Fixture, kind: Kind) -> WaitReason {
+            WaitReason {
+                target: f.target(kind),
+                buf: BUF,
+                len: MSG.len(),
+            }
+        }
     }
 
     #[test]

@@ -123,6 +123,19 @@ pub struct PoolStats {
     pub dropped: u64,
 }
 
+impl std::ops::AddAssign for PoolStats {
+    /// Field-wise sum (a dispatcher totals its shard pools this way).
+    fn add_assign(&mut self, o: PoolStats) {
+        self.created += o.created;
+        self.reused += o.reused;
+        self.released += o.released;
+        self.warm_acquired += o.warm_acquired;
+        self.warm_parked += o.warm_parked;
+        self.warm_demoted += o.warm_demoted;
+        self.dropped += o.dropped;
+    }
+}
+
 /// A warm shell: parked still holding the state a snapshotted run left
 /// behind, re-armable only for the exact key that parked it.
 #[derive(Debug)]
@@ -150,21 +163,10 @@ struct WarmShell {
 /// stays keyed to the same `(tenant, virtine)` on the destination pool,
 /// so the §5.2 isolation argument is unchanged (only the exact key that
 /// parked it may ever re-arm it, wherever it is resident). The stamp
-/// rides along so cross-pool LRU ordering survives the move.
+/// rides along so cross-pool LRU ordering survives the move. Opaque: it
+/// is the pool's own record, handed over as it is.
 #[derive(Debug)]
-pub struct WarmExport {
-    /// Opaque tenant tag the shell is keyed to.
-    pub tenant: u64,
-    /// `VirtineId::into_raw` of the keyed virtine.
-    pub virtine: usize,
-    /// The shell, still holding the parked run's state.
-    pub vm: VmFd,
-    /// The snapshot the state derives from (identity-compared on
-    /// re-acquire).
-    pub snap: Rc<VmSnapshot>,
-    /// The original park-order stamp.
-    pub stamp: u64,
-}
+pub struct WarmExport(WarmShell);
 
 /// The pool itself. Shells are segregated by guest-memory size: a shell's
 /// hardware context is sized when created, so only same-sized requests can
@@ -281,19 +283,20 @@ impl Pool {
     /// whether a shell was demoted. This is the enforcement half of the
     /// cross-shard warm budget/quota policy.
     pub fn demote_oldest_warm(&mut self, tenant: Option<u64>) -> bool {
-        let Some(i) = self
-            .warm
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| tenant.is_none_or(|t| w.tenant == t))
-            .min_by_key(|(_, w)| w.stamp)
-            .map(|(i, _)| i)
-        else {
+        let of_tenant = |w: &WarmShell| tenant.is_none_or(|t| w.tenant == t);
+        let Some(victim) = self.take_oldest_warm(of_tenant) else {
             return false;
         };
-        let victim = self.warm.remove(i);
         self.demote(victim.vm);
         true
+    }
+
+    /// Removes the least-recently-parked warm shell matching `pred` —
+    /// every warm exit but the keyed re-acquire picks its shell this way.
+    fn take_oldest_warm(&mut self, pred: impl Fn(&WarmShell) -> bool) -> Option<WarmShell> {
+        let matching = self.warm.iter().enumerate().filter(|(_, w)| pred(w));
+        let (i, _) = matching.min_by_key(|(_, w)| w.stamp)?;
+        Some(self.warm.remove(i))
     }
 
     /// Acquires a shell with `mem_size` bytes of guest memory, reusing a
@@ -386,44 +389,36 @@ impl Pool {
         snap: Rc<VmSnapshot>,
         stamp: u64,
     ) {
-        if self.mode == PoolMode::Disabled {
-            return; // Dropped, like any other release under Disabled.
-        }
-        if self.warm_capacity == 0 {
-            self.release(vm);
-            return;
-        }
-        self.stats.released += 1;
-        self.stats.warm_parked += 1;
-        self.warm.push(WarmShell {
+        let shell = WarmShell {
             tenant,
             virtine,
             vm,
             snap,
             stamp,
-        });
-        if self.warm.len() > self.warm_capacity {
-            self.demote_oldest_warm(None);
+        };
+        if self.park_warm(shell) {
+            self.stats.released += 1;
+            self.stats.warm_parked += 1;
         }
     }
 
-    /// Demotes the least-recently-parked warm shell of `mem_size` bytes:
-    /// full synchronous wipe (charged to the caller — this sits on the
-    /// acquire path, where a request found no warm hit and no clean shell),
-    /// then hands the now-clean shell over. Mirrors [`Pool::take_idle`]:
-    /// the caller accounts for the reuse.
-    pub fn take_warm_victim(&mut self, mem_size: usize) -> Option<VmFd> {
-        let i = self
-            .warm
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.vm.mem_size() == mem_size)
-            .min_by_key(|(_, w)| w.stamp)
-            .map(|(i, _)| i)?;
-        let victim = self.warm.remove(i);
-        victim.vm.clean(self.entry);
-        self.stats.warm_demoted += 1;
-        Some(victim.vm)
+    /// Puts `shell` at the back of the warm list, demoting the pool's
+    /// oldest warm shell when that overruns the bound. Returns whether it
+    /// parked warm: under [`PoolMode::Disabled`] it is dropped like any
+    /// other release, and at zero capacity it takes the wiped release.
+    fn park_warm(&mut self, shell: WarmShell) -> bool {
+        if self.mode == PoolMode::Disabled {
+            return false;
+        }
+        if self.warm_capacity == 0 {
+            self.release(shell.vm);
+            return false;
+        }
+        self.warm.push(shell);
+        if self.warm.len() > self.warm_capacity {
+            self.demote_oldest_warm(None);
+        }
+        true
     }
 
     /// Picks the tenant whose warm shell should be sacrificed when a
@@ -456,18 +451,16 @@ impl Pool {
             .map(|(tenant, _)| tenant)
     }
 
-    /// [`Pool::take_warm_victim`] restricted to one tenant's warm shells
-    /// — the demote-steal path pairs it with [`Pool::warm_victim_tenant`]
-    /// so victim selection respects tenant fairness.
+    /// Demotes `tenant`'s least-recently-parked warm shell of `mem_size`
+    /// bytes: full synchronous wipe (charged to the caller — this sits on
+    /// the acquire path, where a request found no warm hit and no clean
+    /// shell), then hands the now-clean shell over. Mirrors
+    /// [`Pool::take_idle`]: the caller accounts for the reuse. The
+    /// demote-steal path pairs it with [`Pool::warm_victim_tenant`] so
+    /// victim selection respects tenant fairness.
     pub fn take_warm_victim_of(&mut self, tenant: u64, mem_size: usize) -> Option<VmFd> {
-        let i = self
-            .warm
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.tenant == tenant && w.vm.mem_size() == mem_size)
-            .min_by_key(|(_, w)| w.stamp)
-            .map(|(i, _)| i)?;
-        let victim = self.warm.remove(i);
+        let victim =
+            self.take_oldest_warm(|w| w.tenant == tenant && w.vm.mem_size() == mem_size)?;
         victim.vm.clean(self.entry);
         self.stats.warm_demoted += 1;
         Some(victim.vm)
@@ -531,20 +524,7 @@ impl Pool {
     /// `(tenant, virtine)` key across the move, so no state ever becomes
     /// reachable by a different key.
     pub fn export_warm_lru(&mut self) -> Option<WarmExport> {
-        let i = self
-            .warm
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| w.stamp)
-            .map(|(i, _)| i)?;
-        let w = self.warm.remove(i);
-        Some(WarmExport {
-            tenant: w.tenant,
-            virtine: w.virtine,
-            vm: w.vm,
-            snap: w.snap,
-            stamp: w.stamp,
-        })
+        self.take_oldest_warm(|_| true).map(WarmExport)
     }
 
     /// Adopts a warm shell exported from a sibling pool, preserving its
@@ -553,23 +533,7 @@ impl Pool {
     /// [`PoolMode::Disabled`] or zero capacity the import degrades to a
     /// wiped release, like any warm park would.
     pub fn import_warm(&mut self, e: WarmExport) {
-        if self.mode == PoolMode::Disabled {
-            return; // Dropped, like any release under Disabled.
-        }
-        if self.warm_capacity == 0 {
-            self.release(e.vm);
-            return;
-        }
-        self.warm.push(WarmShell {
-            tenant: e.tenant,
-            virtine: e.virtine,
-            vm: e.vm,
-            snap: e.snap,
-            stamp: e.stamp,
-        });
-        if self.warm.len() > self.warm_capacity {
-            self.demote_oldest_warm(None);
-        }
+        self.park_warm(e.0);
     }
 
     /// Destroys one clean shell (smallest guest-memory size first) —
@@ -789,9 +753,16 @@ mod tests {
         let (clock, hv) = hv();
         let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY);
         warm_fixture(&hv, &mut pool);
-        assert!(pool.take_warm_victim(2 * MEM).is_none(), "size segregated");
+        assert!(
+            pool.take_warm_victim_of(7, 2 * MEM).is_none(),
+            "size segregated"
+        );
+        assert!(
+            pool.take_warm_victim_of(8, MEM).is_none(),
+            "tenant segregated"
+        );
         let t0 = clock.now();
-        let vm = pool.take_warm_victim(MEM).expect("victim");
+        let vm = pool.take_warm_victim_of(7, MEM).expect("victim");
         assert!(
             (clock.now() - t0).get() > 0,
             "demotion on the acquire path charges the wipe"
@@ -891,8 +862,8 @@ mod tests {
         // LRU export: the entry leaves intact — key, snapshot identity,
         // and stamp all survive the move.
         let e = src.export_warm_lru().expect("one warm shell parked");
-        assert_eq!((e.tenant, e.virtine), (7, 3));
-        assert!(std::rc::Rc::ptr_eq(&e.snap, &snap));
+        assert_eq!((e.0.tenant, e.0.virtine), (7, 3));
+        assert!(std::rc::Rc::ptr_eq(&e.0.snap, &snap));
         assert_eq!(src.warm_shells(), 0);
         dst.import_warm(e);
         assert!(dst.has_warm(7, 3));

@@ -80,7 +80,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hostsim::{HostKernel, IoClass};
+use hostsim::HostKernel;
 use kvmsim::{Hypervisor, VmExit, VmFd, VmSnapshot};
 use vclock::{Clock, Cycles};
 use visa::asm::Image;
@@ -901,25 +901,13 @@ impl Wasp {
         let clock = self.kernel.clock().clone();
         let t_resume = clock.now();
 
-        // Spurious wake-ups re-park without charging anything: every
-        // still-blocked probe is the same free kernel-internal poll the
+        // Spurious wake-ups re-park without charging anything: the
+        // still-pending probe is the same free kernel-internal poll the
         // block decision used. Channels wake *every* parked waiter, so a
-        // run can lose the race for the message it was woken for.
-        let still_blocked = match &s.wait {
-            WaitReason::RecvReady { sock, .. } => matches!(
-                self.kernel.net_poll(*sock),
-                Ok(hostsim::SockReady::WouldBlock)
-            ),
-            WaitReason::ChanReady { chan, .. } => matches!(
-                self.kernel.chan_poll_recv(*chan),
-                Ok(hostsim::ChanRecvReady::WouldBlock)
-            ),
-            // A closed channel is *not* still blocked: the wait ends with
-            // the send failing, not with an eternal park.
-            WaitReason::ChanSendReady { chan, len, .. } => {
-                matches!(self.kernel.chan_send_fits(*chan, *len), Ok(false))
-            }
-        };
+        // run can lose the race for the message it was woken for. A wait
+        // whose object failed meanwhile is over: the completion below
+        // reports the failure.
+        let still_blocked = self.kernel.wait_pending(s.wait.target) == Ok(true);
         s.live.breakdown.blocked += t_resume - s.blocked_at;
         if still_blocked {
             s.blocked_at = t_resume;
@@ -929,37 +917,10 @@ impl Wasp {
         live.breakdown.resumes += 1;
         self.stats.borrow_mut().resumes += 1;
 
-        // Deliver the awaited condition, completing the parked hypercall —
-        // the one charged syscall the blocking call is. Both receive kinds
-        // deliver alike: the bytes land in the parked buffer and `r0` gets
-        // the count (0 when the peer drained and closed while we were
-        // parked — EOF), or the error's guest encoding.
+        // Complete the parked hypercall — the one charged syscall the
+        // blocking call is — exactly as the unblocked path would have.
         let vm = &live.vm;
-        let deliver = |buf: u64, got: Result<Option<Vec<u8>>, IoClass>| match got {
-            // A hostile buffer pointer surfaces exactly as it would have
-            // on the unblocked data path: the guest faults.
-            Ok(Some(data)) => vm.write_guest(buf, &data).map(|()| data.len() as u64),
-            Ok(None) => Ok(0),
-            Err(class) => Ok(hypercall::guest_ret(class)),
-        };
-        let delivered = match s.wait {
-            WaitReason::RecvReady { sock, buf, max_len } => {
-                let got = self.kernel.net_recv(sock, max_len);
-                deliver(buf, got.map_err(|e| e.class()))
-            }
-            WaitReason::ChanReady { chan, buf, max_len } => {
-                let got = self.kernel.chan_recv(chan, max_len);
-                deliver(buf, got.map_err(|e| e.class()))
-            }
-            WaitReason::ChanSendReady { chan, buf, len } => {
-                vm.read_guest(buf, len)
-                    .map(|data| match self.kernel.chan_send(chan, &data) {
-                        Ok(()) => len as u64,
-                        // Closed while parked: the send fails cleanly.
-                        Err(e) => hypercall::guest_ret(e.class()),
-                    })
-            }
-        };
+        let delivered = hypercall::complete(&mut VmMem(vm), &self.kernel, s.wait);
 
         let end = match delivered {
             Ok(r0) => {
@@ -1036,10 +997,10 @@ impl Wasp {
                         Ok(HcOutcome::Kill(reason)) => {
                             return SegmentEnd::Exit(ExitKind::Killed(reason))
                         }
-                        Ok(HcOutcome::Block(reason)) => {
+                        Ok(HcOutcome::Block(wait)) => {
                             if resumable {
                                 self.stats.borrow_mut().blocks += 1;
-                                return SegmentEnd::Block(reason);
+                                return SegmentEnd::Block(wait);
                             }
                             // No event loop above us: degrade to the
                             // non-blocking form. The probe-and-fail is a
@@ -1179,7 +1140,7 @@ impl Wasp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hypercall::nr;
+    use crate::hypercall::{nr, WaitTarget};
     use vclock::costs;
 
     fn wasp(mode: PoolMode) -> Wasp {
@@ -1867,10 +1828,7 @@ init:
         else {
             panic!("empty channel must block");
         };
-        assert!(matches!(
-            s.wait(),
-            crate::hypercall::WaitReason::ChanReady { .. }
-        ));
+        assert_eq!(s.wait().target, WaitTarget::ChanRecv(chan));
         // A spurious resume (still empty) re-parks without charging.
         let RunResult::Blocked(s) = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap() else {
             panic!("still empty: must re-park");
@@ -1969,10 +1927,7 @@ init:
         else {
             panic!("full channel must block the sender");
         };
-        assert!(matches!(
-            s.wait(),
-            crate::hypercall::WaitReason::ChanSendReady { .. }
-        ));
+        assert!(matches!(s.wait().target, WaitTarget::ChanSend { .. }));
         // Draining the queue frees capacity; the resume performs the send.
         w.kernel().chan_recv(chan, 64).unwrap().unwrap();
         let RunResult::Done(out, _) = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap() else {
@@ -2066,10 +2021,10 @@ init:
             assert_eq!(s.breakdown().total, inside, "segments so far");
             // Unrelated platform work passes, then the wait is satisfied.
             clock.tick(1_000_000 * (u64::from(kind) + 1));
-            match s.wait() {
-                WaitReason::RecvReady { .. } => w.kernel().net_send(client, b"ping").unwrap(),
-                WaitReason::ChanReady { .. } => w.kernel().chan_send(input, b"go").unwrap(),
-                WaitReason::ChanSendReady { .. } => {
+            match s.wait().target {
+                WaitTarget::Sock(_) => w.kernel().net_send(client, b"ping").unwrap(),
+                WaitTarget::ChanRecv(_) => w.kernel().chan_send(input, b"go").unwrap(),
+                WaitTarget::ChanSend { .. } => {
                     w.kernel().chan_recv(output, 64).unwrap().unwrap();
                 }
             }
@@ -2178,10 +2133,7 @@ init:
         let RunResult::Blocked(s) = start_resumable(&w, id, Invocation::with_conn(server)) else {
             panic!("must block");
         };
-        assert!(matches!(
-            s.wait(),
-            crate::hypercall::WaitReason::RecvReady { .. }
-        ));
+        assert_eq!(s.wait().target, WaitTarget::Sock(server));
         let (out, vm) = w.abort_suspended(s);
         assert_eq!(out.exit, ExitKind::Blocked);
         assert!(!out.exit.is_normal());

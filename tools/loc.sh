@@ -7,7 +7,9 @@
 #   tools/loc.sh           print the per-crate table and the total
 #   tools/loc.sh --check   also fail when the total exceeds
 #                          tools/loc_budget.txt (a PR that needs more
-#                          lines raises the budget in its own diff)
+#                          lines raises the budget in its own diff), or
+#                          when any one file has more than 1000 such
+#                          lines (no file should need a table of contents)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -37,4 +39,15 @@ if [ "${1:-}" = "--check" ]; then
         exit 1
     fi
     echo "loc check ok ($total <= $budget)"
+    ceiling=1000
+    big=$(for f in $(find crates/*/src -name '*.rs' | sort); do
+        n=$(echo "$f" | count)
+        [ "$n" -le "$ceiling" ] || printf '  %s: %d\n' "$f" "$n"
+    done)
+    if [ -n "$big" ]; then
+        echo "loc check FAILED: files over $ceiling non-test lines:"
+        echo "$big"
+        exit 1
+    fi
+    echo "loc check ok (no file over $ceiling)"
 fi
