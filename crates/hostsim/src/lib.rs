@@ -351,6 +351,12 @@ impl HostKernel {
         self.inner.net.borrow_mut().close(sock)
     }
 
+    /// Socket endpoints currently open in the loopback network (free
+    /// bookkeeping, like `now`: a leak check, not a syscall).
+    pub fn net_open_sockets(&self) -> usize {
+        self.inner.net.borrow().open_sockets()
+    }
+
     // -- Cross-virtine channels (host-mediated pipeline plumbing). ---------
     //
     // Channels live entirely in the host: guests reach them only through

@@ -222,6 +222,12 @@ impl LoopbackNet {
         }
     }
 
+    /// Endpoints currently open, either side of a connection counting
+    /// one: what the network is holding queues for.
+    pub fn open_sockets(&self) -> usize {
+        self.sockets.len()
+    }
+
     /// Drains the tokens whose sockets became readable since the last call.
     pub fn take_woken(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.woken)

@@ -9,7 +9,7 @@
 //! path contention-free, and stealing keeps shards busy under skew.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 use hostsim::HostKernel;
 use kvmsim::Hypervisor;
@@ -490,16 +490,15 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
     out.finish()
 }
 
-/// One client's view of a submitted request.
+/// Both ends of an admitted connection whose response is still to come.
 #[derive(Debug)]
 struct PendingConn {
     client: hostsim::SockId,
     server: hostsim::SockId,
-    tenant: TenantId,
 }
 
 /// Outcome of a dispatched server run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DispatchedRun {
     /// Responses received and verified (status 200, full body).
     pub served: u64,
@@ -555,13 +554,30 @@ impl Ord for ScheduledSend {
 /// `recv` outruns the client's chunks parks (event-driven dispatch) and
 /// resumes per chunk — slow clients exercise the blocked-I/O path
 /// end-to-end instead of being buffered host-side.
+///
+/// Responses are read at completion: every `offer*`, `run_until` and
+/// `finish` ends by reading and checking the response of each request that
+/// completed during the call and closing both sockets, so the host holds a
+/// connection's endpoints and its unread response only while the request
+/// is in flight — not until [`DispatchedServer::finish`]. Those host-side
+/// `recv`/`close` calls tick the shared clock like any other syscall, so
+/// *when* they land moves with the drain; no request's timeline reads that
+/// clock (per-request figures are segment deltas), and the one stat that
+/// does, [`vsched::DispatcherStats::blocked_cycles`], is documented as such.
 pub struct DispatchedServer {
     kernel: HostKernel,
     dispatcher: Dispatcher,
     virtine: wasp::VirtineId,
-    tenants: Vec<TenantId>,
-    pending: Vec<PendingConn>,
-    shed: Vec<u64>,
+    /// Open connections by the sequence number `submit` returned.
+    pending: HashMap<u64, PendingConn>,
+    /// Completions whose response has been read, counted from the
+    /// dispatcher's first: a cursor that survives a caller draining
+    /// `dispatcher_mut().take_completions()` between pumps.
+    reaped: u64,
+    /// The outcome so far; `finish` closes it.
+    run: DispatchedRun,
+    first_arrival: f64,
+    last_finish: f64,
     file_size: usize,
     request_line: Vec<u8>,
     sends: BinaryHeap<Reverse<ScheduledSend>>,
@@ -640,9 +656,11 @@ impl DispatchedServer {
             kernel,
             dispatcher,
             virtine,
-            tenants: Vec::new(),
-            pending: Vec::new(),
-            shed: Vec::new(),
+            pending: HashMap::new(),
+            reaped: 0,
+            run: DispatchedRun::default(),
+            first_arrival: f64::MAX,
+            last_finish: 0.0,
             file_size,
             request_line: format!("GET {FILE_PATH} HTTP/1.0\r\n\r\n").into_bytes(),
             sends: BinaryHeap::new(),
@@ -652,10 +670,10 @@ impl DispatchedServer {
 
     /// Registers a tenant (client class).
     pub fn add_tenant(&mut self, profile: TenantProfile) -> TenantId {
-        let id = self.dispatcher.add_tenant(profile);
-        self.tenants.push(id);
-        self.shed.push(0);
-        id
+        self.run.shed_by_tenant.push(0);
+        self.run.served_by_tenant.push(0);
+        self.run.latencies_by_tenant.push(Vec::new());
+        self.dispatcher.add_tenant(profile)
     }
 
     /// The dispatcher underneath.
@@ -922,8 +940,9 @@ impl DispatchedServer {
 
         let req = Request::new(tenant, self.virtine, arrival_s)
             .with_invocation(Invocation::with_conn(server));
-        match self.dispatcher.submit(req) {
-            Ok(_) => {
+        let admitted = self.dispatcher.submit(req);
+        match admitted {
+            Ok(seq) => {
                 for (i, part) in parts.into_iter().enumerate().skip(1) {
                     self.send_seq += 1;
                     self.sends.push(Reverse(ScheduledSend {
@@ -933,20 +952,17 @@ impl DispatchedServer {
                         bytes: part,
                     }));
                 }
-                self.pending.push(PendingConn {
-                    client,
-                    server,
-                    tenant,
-                });
-                Ok(())
+                self.pending.insert(seq, PendingConn { client, server });
             }
-            Err(reason) => {
+            Err(_) => {
                 self.kernel.net_close(client).ok();
                 self.kernel.net_close(server).ok();
-                self.shed[tenant.index()] += 1;
-                Err(reason)
+                self.run.shed_by_tenant[tenant.index()] += 1;
             }
         }
+        // `submit` ran every batch due before this arrival.
+        self.reap();
+        admitted.map(|_| ())
     }
 
     /// Advances the server to virtual time `t_s`: delivers due chunks and
@@ -955,6 +971,7 @@ impl DispatchedServer {
     pub fn run_until(&mut self, t_s: f64) {
         self.pump_until(t_s);
         self.dispatcher.run_until(t_s);
+        self.reap();
     }
 
     /// Delivers every scheduled chunk due at or before `t_s`, advancing
@@ -969,61 +986,59 @@ impl DispatchedServer {
         }
     }
 
-    /// Drains the dispatcher, reads every pending response, and verifies
-    /// each served request produced a correct 200.
-    pub fn finish(mut self) -> DispatchedRun {
-        self.pump_until(f64::INFINITY);
-        self.dispatcher.run_to_idle();
-        let completions = self.dispatcher.take_completions();
-        assert_eq!(
-            completions.len(),
-            self.pending.len(),
-            "every admitted connection must complete"
-        );
-
-        let mut served_by_tenant = vec![0u64; self.tenants.len()];
-        for c in &completions {
+    /// Reads and verifies the response of every request that completed
+    /// since the last call, closes its connection, and folds the
+    /// completion into the run's outcome.
+    fn reap(&mut self) {
+        let done = self.dispatcher.completions();
+        // `served` counts every completion ever recorded; `done` is the
+        // tail of them no caller has taken yet.
+        let served = self.dispatcher.stats().served;
+        let taken = served - done.len() as u64;
+        for c in &done[self.reaped.saturating_sub(taken) as usize..] {
             assert!(c.exit_normal, "handler failed");
-            served_by_tenant[c.tenant.index()] += 1;
-        }
-        for p in &self.pending {
+            let conn = self
+                .pending
+                .remove(&c.seq)
+                .expect("completion of an open connection");
             let resp = self
                 .kernel
-                .net_recv(p.client, self.file_size + 512)
+                .net_recv(conn.client, self.file_size + 512)
                 .expect("recv")
                 .expect("response");
             assert_eq!(
                 response_status(&resp),
                 Some(200),
                 "tenant {} got a bad response",
-                p.tenant.index()
+                c.tenant.index()
             );
-            self.kernel.net_close(p.client).ok();
-            self.kernel.net_close(p.server).ok();
+            self.kernel.net_close(conn.client).ok();
+            self.kernel.net_close(conn.server).ok();
+            self.run.served += 1;
+            self.run.served_by_tenant[c.tenant.index()] += 1;
+            self.run.latencies.push(c.latency());
+            self.run.latencies_by_tenant[c.tenant.index()].push(c.latency());
+            self.first_arrival = self.first_arrival.min(c.arrival);
+            self.last_finish = self.last_finish.max(c.finish);
         }
+        self.reaped = served;
+    }
 
-        let latencies: Vec<f64> = completions
-            .iter()
-            .map(vsched::Completion::latency)
-            .collect();
-        let mut latencies_by_tenant = vec![Vec::new(); self.tenants.len()];
-        for c in &completions {
-            latencies_by_tenant[c.tenant.index()].push(c.latency());
-        }
-        let first_arrival = completions
-            .iter()
-            .map(|c| c.arrival)
-            .fold(f64::MAX, f64::min);
-        let last_finish = completions.iter().map(|c| c.finish).fold(0.0, f64::max);
-        let span = (last_finish - first_arrival).max(f64::EPSILON);
+    /// Drains the dispatcher, reads the responses still outstanding, and
+    /// verifies each admitted request produced a correct 200.
+    pub fn finish(mut self) -> DispatchedRun {
+        self.pump_until(f64::INFINITY);
+        self.dispatcher.run_to_idle();
+        self.reap();
+        assert!(
+            self.pending.is_empty() && self.run.served == self.dispatcher.stats().admitted,
+            "every admitted connection must complete"
+        );
+        let span = (self.last_finish - self.first_arrival).max(f64::EPSILON);
         DispatchedRun {
-            served: completions.len() as u64,
-            shed_by_tenant: self.shed,
-            served_by_tenant,
-            latencies,
-            latencies_by_tenant,
-            throughput_rps: completions.len() as f64 / span,
+            throughput_rps: self.run.served as f64 / span,
             stats: self.dispatcher.stats(),
+            ..self.run
         }
     }
 }
@@ -1203,6 +1218,45 @@ mod tests {
         let fast_p99 = stats::percentile(&run.latencies_by_tenant[fast.index()], 99.0);
         assert!(slow_p50 >= 0.019, "slow p50 {slow_p50} spans the trickle");
         assert!(fast_p99 < 0.005, "fast p99 {fast_p99} rides free");
+    }
+
+    #[test]
+    fn responses_are_read_as_they_land_so_open_sockets_track_work_in_flight() {
+        const N: u64 = 2_000;
+        let mut server = DispatchedServer::new(2, 512);
+        let slow = server.add_tenant(http_tenant("slow"));
+        let fast = server.add_tenant(http_tenant("fast"));
+        let (mut taken, mut open_hw) = (0, 0);
+        for i in 0..N {
+            let at = i as f64 * 0.000_2;
+            if i % 50 == 0 {
+                server.offer_trickled(slow, at, 4, 0.004).unwrap();
+            } else {
+                server.offer(fast, at).unwrap();
+            }
+            // Two endpoints per connection still in flight, and nothing
+            // else: a served connection's sockets are gone from the kernel.
+            let s = server.dispatcher.stats();
+            let open = server.kernel.net_open_sockets() as u64;
+            assert!(open <= 2 * (s.admitted - s.served), "{open} open: {s:?}");
+            open_hw = open_hw.max(open);
+            // A caller draining the dispatcher between pumps must not move
+            // the server's place in the completion stream.
+            if i % 300 == 299 {
+                taken += server.dispatcher_mut().take_completions().len() as u64;
+            }
+        }
+        assert!(open_hw < N / 10, "open sockets peaked at {open_hw}");
+        assert!(taken > N / 2, "the mid-run drains took {taken}");
+        server.run_until(N as f64 * 0.000_2 + 0.01);
+        assert_eq!(server.kernel.net_open_sockets(), 0);
+        taken += server.dispatcher.completions().len() as u64;
+        // Every response was read and checked exactly once: a skipped one
+        // fails `finish`, a double read finds its connection already gone.
+        let run = server.finish();
+        assert_eq!((run.served, taken), (N, N));
+        assert_eq!(run.served_by_tenant, vec![N / 50, N - N / 50]);
+        assert_eq!(run.latencies.len() as u64, N);
     }
 
     #[test]

@@ -30,23 +30,29 @@
 //!   node, every node one `CrossNode` hop from the edge — and a node
 //!   the detector suspects ([`Cluster::routable`] false) stops
 //!   receiving new work while it is fenced and evacuated.
-//! * **Exactly-once failover.** The edge keeps each request's pristine
-//!   inputs (per-request `EdgeReq` records) and the `(node, node seq)` it
-//!   was routed to. When the detector declares a node, the cluster
-//!   fences it (every shard failed — queued copies shed, nothing
-//!   stranded can run later), and the ingress re-dispatches the node's
-//!   unresolved requests to [`Cluster::evacuation_target`], charging
-//!   each one `VSCHED_TRANSFER_CROSS_NODE` cycles of cross-node
-//!   latency. A first-terminal-outcome-wins record per request makes
-//!   double completion structurally countable (and the `ingress_fanout`
-//!   bench gates it at zero).
+//! * **Exactly-once failover.** While a request can still be
+//!   re-dispatched the edge keeps its pristine inputs (a live `EdgeReq`
+//!   record) and the `(node, node seq)` it is currently routed to. When
+//!   the detector declares a node, the cluster fences it (every shard
+//!   failed — queued copies shed, nothing stranded can run later), and
+//!   the ingress re-dispatches the node's live requests to
+//!   [`Cluster::evacuation_target`], charging each one
+//!   `VSCHED_TRANSFER_CROSS_NODE` cycles of cross-node latency. The
+//!   first terminal outcome retires the record and its key, so a second
+//!   completion finds nothing to attribute itself to and is counted
+//!   (the `ingress_fanout` bench gates that count at zero).
+//! * **O(in-flight) state.** What the edge holds per request — record,
+//!   index key, pristine args — is dropped at that first terminal
+//!   outcome, and finished [`EdgeCompletion`]s stream out through
+//!   [`Ingress::take_completions`]: a caller that drains holds memory
+//!   for the work in flight, not for the run's history.
 //!
 //! The whole tier runs on the virtual clock: routing, suspicion,
 //! fencing, evacuation, and replay are deterministic bit-for-bit. See
 //! `docs/cluster.md` for the routing rules and the handover sequence
 //! diagram.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use hostsim::{HostKernel, SockId};
 use kvmsim::Hypervisor;
@@ -65,6 +71,17 @@ const ACCEPTOR_MEM: usize = 64 * 1024;
 /// Virtual slack given to the edge dispatcher after a doorbell ring so
 /// the acceptor's wake lands on a batch tick (edge ticks are 50 µs).
 const ACCEPT_SLACK_S: f64 = 0.000_2;
+
+/// Completions the outbox has room for before it first grows: 32 MiB of
+/// *address space*, not memory. A block this large is mapped directly by
+/// the system allocator — pages the run never writes are never resident,
+/// and growing it remaps instead of copy-and-free — so a caller that
+/// never drains (a bench collecting the whole run) pays for its
+/// completions and nothing else. Left to double inside the heap, the
+/// outbox strands its freed 1 + 2 + … + 16 MiB predecessors between
+/// longer-lived blocks: 77 MiB peak RSS against 57 on `vperf`'s 300 k
+/// request `cluster_fanout`.
+const OUTBOX_RESERVE: usize = 1 << 19;
 
 /// Builds the PROXY-style attribution line a connection carries as its
 /// first bytes: `PROXY VSIM <tenant index> <client id>\r\n`.
@@ -107,18 +124,6 @@ pub enum IngressShed {
     Node(ShedReason),
 }
 
-impl IngressShed {
-    /// Stable label for stats surfaces.
-    pub fn label(self) -> &'static str {
-        match self {
-            IngressShed::EdgeRate => "edge_rate",
-            IngressShed::BadAttribution => "bad_attribution",
-            IngressShed::NoHealthyNode => "no_healthy_node",
-            IngressShed::Node(_) => "node",
-        }
-    }
-}
-
 /// Edge counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngressStats {
@@ -140,8 +145,9 @@ pub struct IngressStats {
     pub redispatched: u64,
     /// Terminal completions delivered to the edge.
     pub completed: u64,
-    /// Completions that arrived for an already-resolved request — the
-    /// exactly-once tripwire; the bench gates it at zero.
+    /// Node completions no live request answers for — a second terminal
+    /// outcome, or work the edge never routed: the exactly-once
+    /// tripwire; the bench gates it at zero.
     pub duplicates: u64,
     /// Times the parked acceptor virtine was woken by a doorbell ring.
     pub acceptor_wakes: u64,
@@ -155,7 +161,9 @@ impl IngressStats {
 }
 
 /// The pristine record the edge keeps per accepted connection — enough
-/// to re-run the request from scratch on another node.
+/// to re-run the request from scratch on another node. It lives until
+/// the request's first terminal outcome (a node completion, or a shed
+/// during failover) and is dropped there, args and all.
 #[derive(Debug)]
 struct EdgeReq {
     tenant: TenantId,
@@ -163,13 +171,11 @@ struct EdgeReq {
     virtine: VirtineId,
     args: Vec<u8>,
     arrival: f64,
-    /// Node currently responsible and the seq its dispatcher assigned.
+    /// Node currently responsible and the seq its dispatcher assigned —
+    /// this record's one key in `Ingress::index`.
     node: usize,
+    node_seq: u64,
     attempts: u32,
-    /// Terminal: a completion was recorded or the request was shed
-    /// during failover.
-    resolved: bool,
-    completion: Option<EdgeCompletion>,
 }
 
 /// A terminal completion as the edge saw it.
@@ -198,7 +204,8 @@ pub struct EdgeCompletion {
 /// The settled outcome of an ingress run ([`Ingress::finish`]).
 #[derive(Debug)]
 pub struct IngressRun {
-    /// Terminal completions in edge-arrival order.
+    /// Terminal completions in edge-arrival order — those
+    /// [`Ingress::take_completions`] had not already handed out.
     pub completions: Vec<EdgeCompletion>,
     /// Accepted requests that ended with neither a completion nor a
     /// shed — must be zero.
@@ -221,9 +228,16 @@ pub struct Ingress {
     doorbell: SockId,
     cluster: Cluster,
     tenants: Vec<EdgeTenant>,
-    reqs: Vec<EdgeReq>,
-    /// `(node, node seq) → edge seq` for completion attribution.
-    index: HashMap<(usize, u64), usize>,
+    /// Live requests by edge sequence number; failover re-submits in
+    /// this (arrival) order.
+    reqs: BTreeMap<u64, EdgeReq>,
+    /// `(node, node seq) → edge seq` for completion attribution: one key
+    /// per live record, naming where it is routed now.
+    index: HashMap<(usize, u64), u64>,
+    /// The next accepted connection's edge sequence number.
+    next_seq: u64,
+    /// Terminal completions not yet handed to the caller.
+    outbox: Vec<EdgeCompletion>,
     stats: IngressStats,
     trace: TraceCollector,
     /// Trace id of the next edge shed. A connection shed at the edge
@@ -322,8 +336,10 @@ accept:
             doorbell,
             cluster,
             tenants: Vec::new(),
-            reqs: Vec::new(),
+            reqs: BTreeMap::new(),
             index: HashMap::new(),
+            next_seq: 0,
+            outbox: Vec::with_capacity(OUTBOX_RESERVE),
             stats: IngressStats::default(),
             trace: TraceCollector::disabled(),
             next_shed_trace: u64::MAX,
@@ -395,6 +411,22 @@ accept:
     /// Edge counters.
     pub fn stats(&self) -> IngressStats {
         self.stats
+    }
+
+    /// Accepted requests that have not reached a terminal outcome — the
+    /// records the edge is holding right now (the
+    /// `vsched_ingress_live_requests` gauge).
+    pub fn live_requests(&self) -> usize {
+        self.reqs.len()
+    }
+
+    /// Removes and returns the terminal completions recorded since the
+    /// last call, in the order they landed — the same contract as
+    /// [`Dispatcher::take_completions`]. A long-lived caller drains here
+    /// and holds O(in-flight) state; whatever is never taken comes back
+    /// from [`Ingress::finish`].
+    pub fn take_completions(&mut self) -> Vec<EdgeCompletion> {
+        std::mem::take(&mut self.outbox)
     }
 
     /// Finished edge traces as JSON lines, newest first.
@@ -477,7 +509,7 @@ accept:
     ) -> Result<u64, IngressShed> {
         self.stats.offered += 1;
         self.advance(arrival_s.max(self.now_s));
-        let edge_seq = self.reqs.len() as u64;
+        let edge_seq = self.next_seq;
         let now = Cycles::from_micros(arrival_s * 1e6);
 
         // The connection's first bytes carry the attribution; the
@@ -533,101 +565,106 @@ accept:
         let route = || format!("node={node} node_seq={node_seq}");
         self.tspan(edge_seq, "ingress_route", route, now, now);
         self.stats.accepted += 1;
-        self.index.insert((node, node_seq), self.reqs.len());
-        self.reqs.push(EdgeReq {
+        self.next_seq += 1;
+        self.index.insert((node, node_seq), edge_seq);
+        let req = EdgeReq {
             tenant,
             client,
             virtine,
             args: args.to_vec(),
             arrival: arrival_s,
             node,
+            node_seq,
             attempts: 1,
-            resolved: false,
-            completion: None,
-        });
+        };
+        self.reqs.insert(edge_seq, req);
         Ok(edge_seq)
     }
 
-    /// Drains terminal completions from every node into the edge
-    /// records. First terminal outcome wins; anything after it counts
-    /// as a duplicate (the exactly-once tripwire).
+    /// Drains terminal completions from every node. A completion retires
+    /// the live record its `(node, node seq)` names — first terminal
+    /// outcome wins — and goes to the outbox; one that names no live
+    /// record is a second outcome for a request already retired (or work
+    /// the edge never routed) and trips the exactly-once tripwire.
     fn collect_completions(&mut self) {
         for node in 0..self.cluster.len() {
             for c in self.cluster.node_mut(node).take_completions() {
-                let Some(&idx) = self.index.get(&(node, c.seq)) else {
-                    continue;
-                };
-                let req = &mut self.reqs[idx];
-                if req.resolved {
+                let Some(edge_seq) = self.index.remove(&(node, c.seq)) else {
                     self.stats.duplicates += 1;
                     continue;
-                }
-                req.resolved = true;
+                };
+                let req = self
+                    .reqs
+                    .remove(&edge_seq)
+                    .expect("a key names a live record");
                 self.stats.completed += 1;
                 let attempts = req.attempts;
-                req.completion = Some(EdgeCompletion {
-                    edge_seq: idx as u64,
+                self.outbox.push(EdgeCompletion {
+                    edge_seq,
                     tenant: req.tenant,
                     client: req.client,
                     node,
                     arrival: req.arrival,
                     finish: c.finish,
                     service: c.service,
-                    attempts: req.attempts,
-                    evacuated: req.attempts > 1,
+                    attempts,
+                    evacuated: attempts > 1,
                 });
-                let (id, at) = (idx as u64, Cycles::from_micros(c.finish * 1e6));
+                let at = Cycles::from_micros(c.finish * 1e6);
                 let detail = || format!("node={node} attempts={attempts}");
-                self.tspan(id, "ingress_complete", detail, at, at);
-                self.tfinish(id, "ok", at);
+                self.tspan(edge_seq, "ingress_complete", detail, at, at);
+                self.tfinish(edge_seq, "ok", at);
             }
         }
     }
 
-    /// Re-dispatches every unresolved request routed to a declared
-    /// node. The node was fenced before this runs (all shards failed),
-    /// so no copy of this work can still execute there — re-running the
-    /// pristine inputs elsewhere cannot double-run. Each re-dispatch
-    /// pays the cross-node transfer as arrival latency.
+    /// Retires live request `edge_seq`, shed during failover: record and
+    /// key go, and its trace closes with `outcome`.
+    fn shed_live(&mut self, edge_seq: u64, outcome: impl std::fmt::Display, at: Cycles) {
+        let req = self.reqs.remove(&edge_seq).expect("live record");
+        self.index.remove(&(req.node, req.node_seq));
+        self.tfinish(edge_seq, outcome, at);
+    }
+
+    /// Re-dispatches every live request routed to a declared node, in
+    /// edge-arrival order. The node was fenced before this runs (all
+    /// shards failed), so no copy of this work can still execute there —
+    /// re-running the pristine inputs elsewhere cannot double-run. Each
+    /// re-dispatch pays the cross-node transfer as arrival latency, and
+    /// its new `(node, node seq)` replaces the superseded key.
     fn redispatch_from(&mut self, failed: usize, t_s: f64) {
         let transfer_s = Cycles(costs::VSCHED_TRANSFER_CROSS_NODE).as_secs();
-        let pending: Vec<usize> = self
-            .reqs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.resolved && r.node == failed)
-            .map(|(i, _)| i)
-            .collect();
+        let live = self.reqs.iter().filter(|(_, r)| r.node == failed);
+        let pending: Vec<u64> = live.map(|(&seq, _)| seq).collect();
         let mut moved = 0;
         let now = Cycles::from_micros(t_s * 1e6);
-        for idx in pending {
+        for edge_seq in pending {
             let Some(dst) = self.cluster.evacuation_target(failed, t_s) else {
-                self.reqs[idx].resolved = true;
                 self.stats.shed_no_node += 1;
-                self.tfinish(idx as u64, "shed:no_healthy_node", now);
+                self.shed_live(edge_seq, "shed:no_healthy_node", now);
                 continue;
             };
-            let req = &self.reqs[idx];
+            let req = &self.reqs[&edge_seq];
             let mut full_args = encode_proxy(req.tenant.index(), req.client);
             full_args.extend_from_slice(&req.args);
             let resubmit =
                 Request::new(req.tenant, req.virtine, t_s + transfer_s).with_args(full_args);
             match self.cluster.node_mut(dst).submit(resubmit) {
                 Ok(node_seq) => {
-                    self.index.insert((dst, node_seq), idx);
-                    let req = &mut self.reqs[idx];
-                    req.node = dst;
+                    let req = self.reqs.get_mut(&edge_seq).expect("live record");
+                    self.index.remove(&(failed, req.node_seq));
+                    self.index.insert((dst, node_seq), edge_seq);
+                    (req.node, req.node_seq) = (dst, node_seq);
                     req.attempts += 1;
                     moved += 1;
                     self.stats.redispatched += 1;
                     let landed = Cycles::from_micros((t_s + transfer_s) * 1e6);
                     let hop = || format!("from={failed} to={dst}");
-                    self.tspan(idx as u64, "ingress_evacuate", hop, now, landed);
+                    self.tspan(edge_seq, "ingress_evacuate", hop, now, landed);
                 }
                 Err(reason) => {
-                    self.reqs[idx].resolved = true;
                     self.stats.shed_node += 1;
-                    self.tfinish(idx as u64, format_args!("shed:node:{reason:?}"), now);
+                    self.shed_live(edge_seq, format_args!("shed:node:{reason:?}"), now);
                 }
             }
         }
@@ -658,7 +695,9 @@ accept:
 
     /// Shuts the tier down: the doorbell gets the zero pill (the
     /// acceptor falls out of its loop and halts), every node settles,
-    /// and the edge records reconcile. Panics if the acceptor did not
+    /// and the edge records reconcile: the run carries every completion
+    /// [`Ingress::take_completions`] has not already handed out, and a
+    /// record still live is a lost request. Panics if the acceptor did not
     /// exit normally — a parked or killed acceptor means the front door
     /// machinery is broken.
     pub fn finish(mut self) -> IngressRun {
@@ -679,16 +718,11 @@ accept:
         self.cluster.settle();
         self.collect_completions();
 
-        let mut completions: Vec<EdgeCompletion> = self
-            .reqs
-            .iter()
-            .filter_map(|r| r.completion.clone())
-            .collect();
-        completions.sort_by_key(|c| c.edge_seq);
-        let lost = self.reqs.iter().filter(|r| !r.resolved).count() as u64;
+        let mut completions = self.outbox;
+        completions.sort_unstable_by_key(|c| c.edge_seq);
         IngressRun {
             completions,
-            lost,
+            lost: self.reqs.len() as u64,
             stats: self.stats,
             health: self.cluster.health_stats(),
             acceptor,
@@ -744,8 +778,14 @@ accept:
         out.metric(
             "vsched_ingress_duplicates_total",
             "counter",
-            "Completions for an already-resolved request (must be 0)",
+            "Node completions no live request answers for (must be 0)",
             &[(String::new(), s.duplicates)],
+        );
+        out.metric(
+            "vsched_ingress_live_requests",
+            "gauge",
+            "Accepted requests not yet terminal: the records the edge holds",
+            &[(String::new(), self.live_requests())],
         );
         out.metric(
             "vsched_ingress_acceptor_wakes_total",
@@ -950,6 +990,13 @@ spin:
         assert!(declared, "detector never declared the hung node");
         assert!(!ing.cluster().routable(0));
         assert!(ing.stats().redispatched >= 1, "replay path never fired");
+        // Once the replayed work has completed on its new node nothing is
+        // left at the edge: no record, and neither the superseded key
+        // nor the one that replaced it.
+        ing.advance(0.1);
+        assert_eq!(ing.stats().completed, 4);
+        assert!(ing.reqs.is_empty(), "live records: {:?}", ing.reqs);
+        assert!(ing.index.is_empty(), "stale keys: {:?}", ing.index);
         let run = ing.finish();
         assert_eq!(run.lost, 0, "fenced work must be replayed, not lost");
         assert_eq!(run.stats.duplicates, 0, "replay must not double-run");
@@ -962,11 +1009,75 @@ spin:
     }
 
     #[test]
+    fn a_completion_no_live_request_answers_for_trips_the_tripwire() {
+        let (mut ing, t, v) = ingress(2);
+        ing.offer(t, 0, v, b"", 0.001).unwrap();
+        // Work the edge never routed, straight onto a backend node: its
+        // completion names no live record, exactly as a second completion
+        // of an already-retired request would.
+        let stray = Request::new(t, v, 0.001);
+        ing.cluster_mut().node_mut(1).submit(stray).unwrap();
+        ing.advance(0.05);
+        assert_eq!(ing.stats().duplicates, 1);
+        assert_eq!(ing.stats().completed, 1);
+        assert!(ing.metrics().contains("vsched_ingress_duplicates_total 1"));
+        let run = ing.finish();
+        assert_eq!((run.completions.len(), run.lost), (1, 0));
+    }
+
+    /// Drives `n` offers at a fixed virtual rate with one node hang early
+    /// in the run, draining `take_completions` every 256 offers. Returns
+    /// the high-water marks of live records and index keys, every
+    /// completion's edge seq (taken, then returned), and the run.
+    fn drained_run(n: u64) -> (usize, usize, Vec<u64>, IngressRun) {
+        let (mut ing, t, v) = ingress(3);
+        ing.set_health(HealthConfig::new().with_seed(0xB0B));
+        ing.cluster_mut().hang_node_at(0.004, 1, 0.010);
+        let (mut live_hw, mut index_hw, mut seqs) = (0, 0, Vec::new());
+        for i in 0..n {
+            ing.offer(t, i, v, b"payload", 0.001 + i as f64 * 4e-6)
+                .unwrap();
+            live_hw = live_hw.max(ing.reqs.len());
+            index_hw = index_hw.max(ing.index.len());
+            assert_eq!(ing.live_requests(), ing.index.len(), "one key per record");
+            if i % 256 == 255 {
+                seqs.extend(ing.take_completions().iter().map(|c| c.edge_seq));
+            }
+        }
+        let run = ing.finish();
+        seqs.extend(run.completions.iter().map(|c| c.edge_seq));
+        (live_hw, index_hw, seqs, run)
+    }
+
+    #[test]
+    fn edge_state_is_bounded_by_work_in_flight_not_by_history() {
+        let (live_small, index_small, ..) = drained_run(2_000);
+        let (live, index, mut seqs, run) = drained_run(20_000);
+        // Ten times the history, the same footprint: the hang episode
+        // sets the high-water mark and nothing accumulates after it.
+        assert_eq!((live, index), (live_small, index_small));
+        assert!(run.stats.redispatched >= 1, "the hang never bit");
+        assert!(
+            run.completions.len() < 256,
+            "finish returns the undrained tail"
+        );
+        // Taken plus returned is every request, exactly once.
+        seqs.sort_unstable();
+        assert!(
+            seqs.iter().copied().eq(0..20_000),
+            "a completion went missing"
+        );
+        assert_eq!((run.lost, run.stats.duplicates), (0, 0));
+    }
+
+    #[test]
     fn metrics_surface_ingress_series() {
         let (mut ing, t, v) = ingress(2);
         ing.offer(t, 7, v, b"", 0.001).unwrap();
+        assert!(ing.metrics().contains("vsched_ingress_live_requests 1"));
         ing.advance(0.01);
         let m = ing.metrics();
+        assert!(m.contains("vsched_ingress_live_requests 0"));
         assert!(m.contains("vsched_ingress_offered_total 1"));
         assert!(m.contains("vsched_ingress_accepted_total 1"));
         assert!(m.contains("vsched_ingress_routed_total{node=\"0\"}"));

@@ -44,19 +44,12 @@
 //! inputs instead (see `vhttp::ingress`); `docs/cluster.md` shows the
 //! full handover sequence.
 
-use vclock::Cycles;
-
-use crate::dispatcher::Dispatcher;
+use crate::dispatcher::{cyc, Dispatcher};
 use crate::health::{HealthAction, HealthConfig, HealthDetector, HealthStats, ShardHealth};
 use crate::lifecycle::ShardState;
 use crate::placement::{Candidate, CostEngine, WarmPolicy};
 use crate::request::Placement;
 use crate::topology::Hop;
-
-/// Seconds → virtual cycles, matching the dispatcher's own conversion.
-fn cyc(s: f64) -> u64 {
-    Cycles::from_micros(s * 1e6).get()
-}
 
 /// One backend node: a topology-described dispatcher plus the cluster's
 /// view of its lifecycle and scheduled faults.
@@ -65,7 +58,8 @@ struct Node {
     /// Node-scale lifecycle state (the shard state machine, lifted).
     state: ShardState,
     /// The node is unreachable (partitioned or wedged) until this
-    /// virtual instant: it is not advanced and emits no heartbeats.
+    /// virtual instant: it is not advanced, emits no heartbeats, and
+    /// would not answer a probe.
     /// `NEG_INFINITY` = healthy, `INFINITY` = killed for good.
     hung_until_s: f64,
     /// Requests the cluster routed here.
@@ -126,6 +120,10 @@ pub struct Cluster {
     engine: CostEngine,
     now_s: f64,
     stats: ClusterStats,
+    /// Per-node inputs to the detector's poll, refilled in place each
+    /// step: would the node answer a probe, and is it `Active`.
+    alive: Vec<bool>,
+    monitored: Vec<bool>,
 }
 
 impl Cluster {
@@ -139,6 +137,8 @@ impl Cluster {
             engine: CostEngine::new(Placement::LeastLoaded, 1, WarmPolicy::default()),
             now_s: 0.0,
             stats: ClusterStats::default(),
+            alive: Vec::new(),
+            monitored: Vec::new(),
         }
     }
 
@@ -157,6 +157,8 @@ impl Cluster {
             hung_until_s: f64::NEG_INFINITY,
             routed: 0,
         });
+        self.alive.push(true);
+        self.monitored.push(true);
         self.nodes.len() - 1
     }
 
@@ -198,11 +200,6 @@ impl Cluster {
     /// Node `i`'s lifecycle state.
     pub fn node_state(&self, i: usize) -> ShardState {
         self.nodes[i].state
-    }
-
-    /// Every node's lifecycle state, by index.
-    pub fn node_states(&self) -> Vec<ShardState> {
-        self.nodes.iter().map(|n| n.state).collect()
     }
 
     /// Whether the edge may route new work to node `i`: lifecycle
@@ -283,16 +280,7 @@ impl Cluster {
             .iter()
             .enumerate()
             .map(|(i, n)| {
-                let snaps = n.d.shard_snapshots();
-                let queue_depth: usize = snaps.iter().map(|s| s.queue_depth).sum();
-                let idle_shells: usize = snaps.iter().map(|s| s.idle_shells).sum();
-                let warm_shells: usize = snaps.iter().map(|s| s.warm_shells).sum();
-                let free_at = snaps
-                    .iter()
-                    .map(|s| cyc(s.free_at_s))
-                    .min()
-                    .unwrap_or(0)
-                    .max(now);
+                let load = n.d.load();
                 let hop = if anchor == Some(i) {
                     Hop::Local
                 } else {
@@ -300,10 +288,10 @@ impl Cluster {
                 };
                 Candidate {
                     shard: i,
-                    queue_depth,
-                    free_at,
-                    idle_shells,
-                    warm_shells,
+                    queue_depth: load.queue_depth,
+                    free_at: load.free_at.max(now),
+                    idle_shells: load.idle_shells,
+                    warm_shells: load.warm_shells,
                     hop,
                     transfer_cost: hop.transfer_cost(),
                     eligible: self.routable(i),
@@ -361,17 +349,6 @@ impl Cluster {
             .map(|h| (0..self.nodes.len()).map(|i| h.shard_health(i)).collect())
     }
 
-    /// The cluster's virtual-time cursor (the latest `advance_to`).
-    pub fn now_s(&self) -> f64 {
-        self.now_s
-    }
-
-    /// Whether node `i` would answer a probe at `t_s` (not hung, not
-    /// killed).
-    fn node_alive(&self, i: usize, t_s: f64) -> bool {
-        t_s >= self.nodes[i].hung_until_s
-    }
-
     /// Advances every node in lockstep virtual time to `t_s`, applying
     /// due faults, feeding node heartbeats, polling the detector, and
     /// converging draining nodes. Returns every lifecycle action taken.
@@ -404,7 +381,7 @@ impl Cluster {
             }
 
             for i in 0..self.nodes.len() {
-                if self.node_alive(i, ts) {
+                if ts >= self.nodes[i].hung_until_s {
                     self.nodes[i].d.run_until(ts);
                     if let Some(h) = &mut self.detector {
                         h.heartbeat(i, cyc(ts));
@@ -412,17 +389,12 @@ impl Cluster {
                 }
             }
 
-            if self.detector.is_some() {
-                let alive: Vec<bool> = (0..self.nodes.len())
-                    .map(|i| self.node_alive(i, ts))
-                    .collect();
-                let monitored: Vec<bool> = self.nodes.iter().map(|n| n.state.is_active()).collect();
-                let polled =
-                    self.detector
-                        .as_mut()
-                        .expect("checked")
-                        .poll(cyc(ts), &alive, &monitored);
-                for a in polled {
+            if let Some(h) = &mut self.detector {
+                for (i, n) in self.nodes.iter().enumerate() {
+                    self.alive[i] = ts >= n.hung_until_s;
+                    self.monitored[i] = n.state.is_active();
+                }
+                for a in h.poll(cyc(ts), &self.alive, &self.monitored) {
                     match a {
                         HealthAction::Declare(i) => {
                             self.fail_node(i);
@@ -438,9 +410,8 @@ impl Cluster {
 
             for i in 0..self.nodes.len() {
                 if self.nodes[i].state == ShardState::Draining {
-                    let snaps = self.nodes[i].d.shard_snapshots();
-                    let empty = snaps.iter().all(|s| s.queue_depth == 0 && s.parked == 0);
-                    if empty {
+                    let load = self.nodes[i].d.load();
+                    if load.queue_depth == 0 && load.parked == 0 {
                         self.nodes[i].state = ShardState::Drained;
                         actions.push(ClusterAction::NodeDrained { node: i });
                     }
@@ -455,7 +426,7 @@ impl Cluster {
     /// scheduled hang must already have lifted).
     pub fn settle(&mut self) {
         for i in 0..self.nodes.len() {
-            if self.node_alive(i, self.now_s) {
+            if self.now_s >= self.nodes[i].hung_until_s {
                 self.nodes[i].d.run_to_idle();
             }
         }

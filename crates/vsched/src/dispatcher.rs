@@ -44,6 +44,22 @@ use crate::shard::{align_up, Parked, Progress, Queued, Shard, ShardSnapshot, Tic
 use crate::tenant::{ShedReason, TenantId, TenantProfile, TenantState, TenantStats};
 use crate::topology::{Hop, Topology};
 
+/// A dispatcher's load at a glance ([`Dispatcher::load`]): the node-level
+/// sums a tier above scores and drains by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DispatcherLoad {
+    /// Requests waiting across every shard's run queue.
+    pub queue_depth: usize,
+    /// Clean shells parked across the shard pools.
+    pub idle_shells: usize,
+    /// Warm shells parked across the shard pools.
+    pub warm_shells: usize,
+    /// Earliest instant (cycles) at which any shard's worker frees up.
+    pub free_at: u64,
+    /// Blocked runs currently parked.
+    pub parked: usize,
+}
+
 /// The sharded, multi-tenant virtine dispatcher.
 ///
 /// See the crate docs for the paper mapping. Construction wraps an owned
@@ -727,7 +743,11 @@ impl Dispatcher {
         self.parked.len()
     }
 
-    /// Completions so far, in execution order.
+    /// Completions so far, in execution order — those no caller has taken
+    /// yet. Every serve records exactly one, so `stats().served` minus
+    /// this slice's length is how many [`Dispatcher::take_completions`]
+    /// has already handed out (`vhttp`'s server keeps its place in the
+    /// stream by that).
     pub fn completions(&self) -> &[Completion] {
         &self.completions
     }
@@ -771,6 +791,20 @@ impl Dispatcher {
         }
         let views = self.shards.iter().zip(parked);
         views.map(|(s, parked)| s.snapshot(parked)).collect()
+    }
+
+    /// The whole dispatcher's load, summed over its shards without
+    /// allocating — what [`crate::Cluster`] reads per routing decision
+    /// and per drain check.
+    pub fn load(&self) -> DispatcherLoad {
+        let shards = self.shards.iter();
+        DispatcherLoad {
+            queue_depth: shards.clone().map(|s| s.queue.len()).sum(),
+            idle_shells: shards.clone().map(|s| s.pool.idle_shells()).sum(),
+            warm_shells: shards.clone().map(|s| s.pool.warm_shells()).sum(),
+            free_at: shards.map(|s| s.free_at).min().unwrap_or(0),
+            parked: self.parked.len(),
+        }
     }
 
     /// Shell-pool statistics summed across shards. Shard-local reuse

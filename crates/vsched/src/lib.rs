@@ -174,7 +174,7 @@ pub mod tenant;
 pub mod topology;
 
 pub use cluster::{Cluster, ClusterAction, ClusterStats};
-pub use dispatcher::Dispatcher;
+pub use dispatcher::{Dispatcher, DispatcherLoad};
 pub use health::{BrownoutConfig, CircuitState, HealthConfig, HealthStats, ShardHealth};
 pub use lifecycle::{FaultEvent, FaultKind, FaultPlan, LifecycleAction, ShardState};
 pub use placement::{Candidate, CostEngine, WarmPolicy, WarmVerdict};
