@@ -28,11 +28,6 @@ pub fn trials(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Converts per-trial cycle samples into floats.
-pub fn cycles_f64(samples: &[Cycles]) -> Vec<f64> {
-    samples.iter().map(|c| c.get() as f64).collect()
-}
-
 /// Prints a header for a figure/table reproduction.
 pub fn header(title: &str, claim: &str) {
     println!("# {title}");

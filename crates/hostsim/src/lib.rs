@@ -239,14 +239,6 @@ impl HostKernel {
         (bytes as u64 * costs::HOST_COPY_PER_BYTE_X1000) / 1_000
     }
 
-    /// Samples (and charges) a host-scheduling outlier; returns the extra
-    /// cycles so harnesses can flag the sample.
-    pub fn scheduling_event(&self) -> u64 {
-        let extra = self.inner.noise.borrow_mut().scheduling_outlier();
-        self.charge(extra);
-        extra
-    }
-
     // -- SGX comparison points (Figure 8). --------------------------------
 
     /// Creates an SGX enclave ("SGX Create", Figure 8).

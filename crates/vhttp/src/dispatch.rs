@@ -141,7 +141,7 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
         "counter",
         "Guest instructions retired process-wide, by interpreter engine: \
          fast (the predecoded basic-block engine, the default), ref (the \
-         reference single-step oracle, selected by VISA_REF_INTERP=1)",
+         reference single-step oracle, selected by Cpu::set_engine)",
         &[
             ("{engine=\"fast\"}".into(), guest.retired_fast),
             ("{engine=\"ref\"}".into(), guest.retired_ref),

@@ -28,7 +28,7 @@
 //!   routed by [`Cluster::route`] — node-level [`vsched::Candidate`]
 //!   rows under the same lexicographic key that places work inside a
 //!   node, every node one `CrossNode` hop from the edge — and a node
-//!   the detector suspects ([`Cluster::routable`] false) stops
+//!   the detector declares ([`Cluster::routable`] false) stops
 //!   receiving new work while it is fenced and evacuated.
 //! * **Exactly-once failover.** While a request can still be
 //!   re-dispatched the edge keeps its pristine inputs (a live `EdgeReq`
@@ -117,8 +117,7 @@ pub enum IngressShed {
     /// The attribution header did not parse; the connection cannot be
     /// charged to anyone, so it is refused.
     BadAttribution,
-    /// No routable node (every node drained, failed, or held open by
-    /// the detector).
+    /// No routable node (every node draining, drained, or failed).
     NoHealthyNode,
     /// A backend node's own admission shed it (its [`ShedReason`]).
     Node(ShedReason),

@@ -25,27 +25,14 @@ use crate::pred;
 /// Which interpreter executes guest code in [`Cpu::run`].
 ///
 /// The predecoded engine is the default; the reference engine is the
-/// original fetch→decode→execute loop kept as the differential oracle.
-/// Setting `VISA_REF_INTERP=1` in the environment flips every new CPU to
-/// the reference engine (the escape hatch for bisecting fast-path bugs).
+/// original fetch→decode→execute loop kept as the differential oracle,
+/// selected per CPU with [`Cpu::set_engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Predecoded basic-block interpreter ([`crate::pred`]).
     Fast,
     /// The original single-step loop (the differential oracle).
     Reference,
-}
-
-impl Engine {
-    /// The process-wide default: [`Engine::Fast`] unless `VISA_REF_INTERP=1`.
-    pub fn from_env() -> Engine {
-        use std::sync::OnceLock;
-        static DEFAULT: OnceLock<Engine> = OnceLock::new();
-        *DEFAULT.get_or_init(|| match std::env::var("VISA_REF_INTERP") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => Engine::Reference,
-            _ => Engine::Fast,
-        })
-    }
 }
 
 /// Processor execution mode (§4.2 "the three classic operating modes").
@@ -320,7 +307,7 @@ impl Cpu {
             first_inst_pending: false,
             ept_built: false,
             insts_retired: 0,
-            engine: Engine::from_env(),
+            engine: Engine::Fast,
             pred: pred::PredCache::default(),
         }
     }
@@ -336,7 +323,7 @@ impl Cpu {
     }
 
     /// Overrides the interpreter engine (benchmarks and the differential
-    /// harness; production paths inherit the [`Engine::from_env`] default).
+    /// harness; every CPU starts on [`Engine::Fast`]).
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;
     }

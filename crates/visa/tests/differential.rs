@@ -184,12 +184,11 @@ fn mode_bringup_is_engine_identical() {
 
 #[test]
 fn fast_engine_is_default_and_env_overridable() {
-    // The env var is latched per process on first use; here we only check
-    // the programmatic default resolution path.
+    // The default is fixed; `Cpu::set_engine` is the one override.
     let img = assemble(".org 0x100\n mov r0, 1\n hlt\n").expect("assemble");
     let mut m = Machine::new(Clock::new(), CpuConfig::default(), MEM, img.entry);
     m.load_image(&img);
-    assert_eq!(m.cpu.engine(), Engine::from_env());
+    assert_eq!(m.cpu.engine(), Engine::Fast);
     assert_eq!(m.run(10).unwrap(), CpuExit::Hlt);
 }
 

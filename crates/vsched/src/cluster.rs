@@ -15,26 +15,19 @@
 //! `(queue_depth, free_at, transfer_cost, index)` key that places work
 //! inside a node places it across nodes.
 //!
-//! **Lifecycle, lifted.** Nodes reuse the shard state machine
-//! ([`ShardState`]): an operator drains a node (`Active → Draining`,
-//! the edge stops routing to it, in-flight work completes, `Drained`
-//! once empty), restores it, or fails it outright. Failing a node
-//! *fences* it — every shard inside is failed, so no stranded copy can
-//! run later and double-count against the edge's exactly-once
-//! accounting (the cluster-scale analogue of wiping a stolen shell).
-//!
-//! **Health, lifted.** The PR 8 heartbeat/suspicion detector
-//! ([`HealthDetector`]) is index-generic, so the cluster runs a second
-//! instance with *nodes* as the monitored population: every advance
-//! step an alive node heartbeats, a partitioned/hung node goes silent,
-//! probes confirm the silence, and crossing the threshold declares the
-//! node — which fences it and tells the edge to re-dispatch its
-//! unresolved work cross-node. Half-open probes restore the node once
-//! it answers again. Determinism is preserved end to end: node faults
-//! are scheduled at virtual instants ([`Cluster::hang_node_at`] /
-//! [`Cluster::kill_node_at`]), and the detector's only randomness is
-//! its seeded probe jitter, so a whole partition → declare → evacuate →
-//! restore arc replays bit-for-bit.
+//! **Lifecycle and health, lifted.** A node is a shard one tier up: the
+//! cluster keeps its nodes in the member set a dispatcher keeps its
+//! shards in — [`ShardState`], hangs, fault plan, [`crate::health`]
+//! detector — whose rules `docs/lifecycle.md#two-tiers-one-member-set`
+//! states once. What stays here is what a transition does to a node:
+//! failing one *fences* it — every shard inside is failed, so no
+//! stranded copy can run later and double-count against the edge's
+//! exactly-once accounting — a draining node becomes `Drained` once its
+//! [`Dispatcher::load`] is empty, and a hung node is not advanced, so it
+//! emits no heartbeats. Node faults are scheduled at virtual instants
+//! ([`Cluster::hang_node_at`] / [`Cluster::kill_node_at`]) and the
+//! detector's only randomness is its seeded probe jitter, so a whole
+//! partition → declare → evacuate → restore arc replays bit-for-bit.
 //!
 //! What does *not* cross nodes: suspended (parked) runs and
 //! connection-bound invocations. A suspension's hardware state lives in
@@ -45,34 +38,17 @@
 //! full handover sequence.
 
 use crate::dispatcher::{cyc, Dispatcher};
-use crate::health::{HealthAction, HealthConfig, HealthDetector, HealthStats, ShardHealth};
-use crate::lifecycle::ShardState;
+use crate::health::{HealthAction, HealthConfig, HealthStats, ShardHealth};
+use crate::lifecycle::{MemberSet, ShardState};
 use crate::placement::{Candidate, CostEngine, WarmPolicy};
 use crate::request::Placement;
 use crate::topology::Hop;
 
-/// One backend node: a topology-described dispatcher plus the cluster's
-/// view of its lifecycle and scheduled faults.
+/// One backend node: a topology-described dispatcher and the requests
+/// the cluster routed to it.
 struct Node {
     d: Dispatcher,
-    /// Node-scale lifecycle state (the shard state machine, lifted).
-    state: ShardState,
-    /// The node is unreachable (partitioned or wedged) until this
-    /// virtual instant: it is not advanced, emits no heartbeats, and
-    /// would not answer a probe.
-    /// `NEG_INFINITY` = healthy, `INFINITY` = killed for good.
-    hung_until_s: f64,
-    /// Requests the cluster routed here.
     routed: u64,
-}
-
-/// A scheduled node fault, applied as virtual time advances past
-/// `at_s`. `duration_s == None` kills the node permanently.
-struct NodeFault {
-    at_s: f64,
-    node: usize,
-    duration_s: Option<f64>,
-    applied: bool,
 }
 
 /// What [`Cluster::advance_to`] did, for logs and bench assertions.
@@ -114,16 +90,12 @@ pub struct ClusterStats {
 /// `Candidate`-priced node selection.
 pub struct Cluster {
     nodes: Vec<Node>,
-    detector: Option<HealthDetector>,
-    health_config: Option<HealthConfig>,
-    faults: Vec<NodeFault>,
+    /// The nodes as the lifecycle sees them: state, hangs, the fault
+    /// plan and the node-level detector.
+    members: MemberSet,
     engine: CostEngine,
     now_s: f64,
     stats: ClusterStats,
-    /// Per-node inputs to the detector's poll, refilled in place each
-    /// step: would the node answer a probe, and is it `Active`.
-    alive: Vec<bool>,
-    monitored: Vec<bool>,
 }
 
 impl Cluster {
@@ -131,14 +103,10 @@ impl Cluster {
     pub fn new() -> Cluster {
         Cluster {
             nodes: Vec::new(),
-            detector: None,
-            health_config: None,
-            faults: Vec::new(),
+            members: MemberSet::default(),
             engine: CostEngine::new(Placement::LeastLoaded, 1, WarmPolicy::default()),
             now_s: 0.0,
             stats: ClusterStats::default(),
-            alive: Vec::new(),
-            monitored: Vec::new(),
         }
     }
 
@@ -147,19 +115,9 @@ impl Cluster {
     /// node in the same order so ids agree cluster-wide — the ingress
     /// asserts this.
     pub fn add_node(&mut self, d: Dispatcher) -> usize {
-        assert!(
-            self.detector.is_none(),
-            "add every node before installing the health detector"
-        );
-        self.nodes.push(Node {
-            d,
-            state: ShardState::Active,
-            hung_until_s: f64::NEG_INFINITY,
-            routed: 0,
-        });
-        self.alive.push(true);
-        self.monitored.push(true);
-        self.nodes.len() - 1
+        let i = self.members.push();
+        self.nodes.push(Node { d, routed: 0 });
+        i
     }
 
     /// Number of nodes.
@@ -193,37 +151,38 @@ impl Cluster {
     /// Panics on an empty cluster.
     pub fn set_health(&mut self, config: HealthConfig) {
         assert!(!self.nodes.is_empty(), "install health after adding nodes");
-        self.detector = Some(HealthDetector::new(config, self.nodes.len()));
-        self.health_config = Some(config);
+        self.members.set_health(config);
     }
 
     /// Node `i`'s lifecycle state.
     pub fn node_state(&self, i: usize) -> ShardState {
-        self.nodes[i].state
+        self.members.state(i)
     }
 
     /// Whether the edge may route new work to node `i`: lifecycle
-    /// `Active` and not held open by the detector's breaker.
+    /// `Active`, the one eligibility rule of both tiers (a declared node
+    /// stays `Failed` until the detector or an operator restores it).
     pub fn routable(&self, i: usize) -> bool {
-        self.nodes[i].state.is_active() && !self.detector.as_ref().is_some_and(|h| h.holds_open(i))
+        self.members.state(i).is_active()
     }
 
     /// Marks node `i` draining: the edge stops routing to it, in-flight
     /// work completes in place, and [`Cluster::advance_to`] converges it
     /// to `Drained` once empty.
     pub fn drain_node(&mut self, i: usize) {
-        if self.nodes[i].state.is_active() {
-            self.nodes[i].state = ShardState::Draining;
-        }
+        self.members.drain(i, cyc(self.now_s));
     }
 
-    /// Returns node `i` to `Active` (routable again).
+    /// Returns node `i` to `Active` (routable again), restoring the
+    /// shards a fence failed. A no-op on an `Active` node.
     pub fn restore_node(&mut self, i: usize) {
-        self.nodes[i].state = ShardState::Active;
-        let shards = self.nodes[i].d.config().shards;
-        for s in 0..shards {
-            if self.nodes[i].d.shard_state(s) == ShardState::Failed {
-                self.nodes[i].d.restore_shard(s);
+        if !self.members.restore(i) {
+            return;
+        }
+        let d = &mut self.nodes[i].d;
+        for s in 0..d.config().shards {
+            if d.shard_state(s) == ShardState::Failed {
+                d.restore_shard(s);
             }
         }
     }
@@ -233,13 +192,12 @@ impl Cluster {
     /// later — the edge then re-dispatches from pristine inputs.
     /// Idempotent.
     pub fn fail_node(&mut self, i: usize) {
-        if self.nodes[i].state == ShardState::Failed {
+        if !self.members.fail(i, cyc(self.now_s)) {
             return;
         }
-        self.nodes[i].state = ShardState::Failed;
-        let shards = self.nodes[i].d.config().shards;
-        for s in 0..shards {
-            self.nodes[i].d.fail_shard(s);
+        let d = &mut self.nodes[i].d;
+        for s in 0..d.config().shards {
+            d.fail_shard(s);
         }
     }
 
@@ -249,23 +207,14 @@ impl Cluster {
     /// call — declares the failure.
     pub fn hang_node_at(&mut self, at_s: f64, node: usize, duration_s: f64) {
         assert!(node < self.nodes.len(), "unknown node");
-        self.faults.push(NodeFault {
-            at_s,
-            node,
-            duration_s: Some(duration_s),
-            applied: false,
-        });
+        self.members.plan.hang(at_s, node, Some(duration_s));
     }
 
-    /// Schedules a permanent node death at virtual second `at_s`.
+    /// Schedules a permanent node death at virtual second `at_s`: a hang
+    /// that never lifts.
     pub fn kill_node_at(&mut self, at_s: f64, node: usize) {
         assert!(node < self.nodes.len(), "unknown node");
-        self.faults.push(NodeFault {
-            at_s,
-            node,
-            duration_s: None,
-            applied: false,
-        });
+        self.members.plan.hang(at_s, node, None);
     }
 
     /// Node-level [`Candidate`] rows at virtual second `now_s`, index-
@@ -338,20 +287,19 @@ impl Cluster {
 
     /// Node-level detector counters, when a detector is installed.
     pub fn health_stats(&self) -> Option<HealthStats> {
-        self.detector.as_ref().map(HealthDetector::stats)
+        self.members.health_stats()
     }
 
     /// Per-node detector view (suspicion, breaker, last heartbeat),
     /// index-aligned with the node list.
     pub fn node_health(&self) -> Option<Vec<ShardHealth>> {
-        self.detector
-            .as_ref()
-            .map(|h| (0..self.nodes.len()).map(|i| h.shard_health(i)).collect())
+        self.members.health_view()
     }
 
     /// Advances every node in lockstep virtual time to `t_s`, applying
     /// due faults, feeding node heartbeats, polling the detector, and
-    /// converging draining nodes. Returns every lifecycle action taken.
+    /// converging draining nodes. Returns every lifecycle action taken;
+    /// a second call at an instant already reached returns none.
     ///
     /// Alive nodes advance and heartbeat once per step (half the
     /// detector's heartbeat interval, so silence is observed promptly);
@@ -363,56 +311,42 @@ impl Cluster {
         if t_s <= self.now_s {
             return actions;
         }
-        let step_s = match &self.health_config {
-            Some(c) => (c.heartbeat_interval.as_secs() / 2.0).max(1e-6),
+        let step_s = match self.members.heartbeat_interval() {
+            Some(hb) => (hb.as_secs() / 2.0).max(1e-6),
             None => t_s - self.now_s,
         };
         let mut ts = self.now_s;
         while ts < t_s {
             ts = (ts + step_s).min(t_s);
+            // Node faults are hangs; the member set keeps their count.
+            while self.members.pop_due(ts).is_some() {}
 
-            for f in &mut self.faults {
-                if !f.applied && f.at_s <= ts {
-                    f.applied = true;
-                    let until = f.duration_s.map_or(f64::INFINITY, |d| f.at_s + d);
-                    let n = &mut self.nodes[f.node];
-                    n.hung_until_s = n.hung_until_s.max(until);
-                }
-            }
-
+            let now = cyc(ts);
             for i in 0..self.nodes.len() {
-                if ts >= self.nodes[i].hung_until_s {
+                if !self.members.is_hung(i) {
                     self.nodes[i].d.run_until(ts);
-                    if let Some(h) = &mut self.detector {
-                        h.heartbeat(i, cyc(ts));
-                    }
+                    self.members.heartbeat(i, now);
                 }
             }
 
-            if let Some(h) = &mut self.detector {
-                for (i, n) in self.nodes.iter().enumerate() {
-                    self.alive[i] = ts >= n.hung_until_s;
-                    self.monitored[i] = n.state.is_active();
-                }
-                for a in h.poll(cyc(ts), &self.alive, &self.monitored) {
-                    match a {
-                        HealthAction::Declare(i) => {
-                            self.fail_node(i);
-                            actions.push(ClusterAction::NodeDeclared { node: i });
-                        }
-                        HealthAction::Restore(i) => {
-                            self.restore_node(i);
-                            actions.push(ClusterAction::NodeRestored { node: i });
-                        }
+            for a in self.members.poll(now) {
+                match a {
+                    HealthAction::Declare(i) => {
+                        self.fail_node(i);
+                        actions.push(ClusterAction::NodeDeclared { node: i });
+                    }
+                    HealthAction::Restore(i) => {
+                        self.restore_node(i);
+                        actions.push(ClusterAction::NodeRestored { node: i });
                     }
                 }
             }
 
             for i in 0..self.nodes.len() {
-                if self.nodes[i].state == ShardState::Draining {
+                if self.members.state(i) == ShardState::Draining {
                     let load = self.nodes[i].d.load();
                     if load.queue_depth == 0 && load.parked == 0 {
-                        self.nodes[i].state = ShardState::Drained;
+                        self.members.drained(i);
                         actions.push(ClusterAction::NodeDrained { node: i });
                     }
                 }
@@ -426,7 +360,7 @@ impl Cluster {
     /// scheduled hang must already have lifted).
     pub fn settle(&mut self) {
         for i in 0..self.nodes.len() {
-            if self.now_s >= self.nodes[i].hung_until_s {
+            if !self.members.is_hung(i) {
                 self.nodes[i].d.run_to_idle();
             }
         }
@@ -442,6 +376,7 @@ impl Default for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::{FaultPlan, LifecycleAction};
     use crate::request::{DispatcherConfig, Request};
     use crate::tenant::TenantProfile;
     use vclock::costs;
@@ -567,6 +502,74 @@ mod tests {
             (log, c.health_stats().unwrap().probes)
         };
         assert_eq!(run(0xC1), run(0xC1));
+    }
+
+    #[test]
+    fn a_node_walks_the_same_state_sequence_as_a_shard() {
+        // Drain, converge, restore; then a 10 ms hang from 2 ms that the
+        // detector declares and probes back. The node tier first.
+        let (mut c, _, _) = two_node_cluster();
+        c.set_health(HealthConfig::new().with_seed(0xC3));
+        c.hang_node_at(0.002, 0, 0.010);
+        let mut nodes = Vec::new();
+        c.drain_node(0);
+        assert_eq!(c.node_state(0), ShardState::Draining, "until the next step");
+        c.advance_to(0.001);
+        nodes.push(c.node_state(0));
+        c.restore_node(0);
+        nodes.push(c.node_state(0));
+        c.advance_to(0.010);
+        nodes.push(c.node_state(0));
+        c.advance_to(0.030);
+        nodes.push(c.node_state(0));
+        assert!(c.advance_to(0.030).is_empty(), "an instant already reached");
+        assert!(c.advance_to(0.020).is_empty(), "an instant in the past");
+
+        // The shard tier, same script: the detector polls as the
+        // dispatcher advances, so walk it in 100 µs steps.
+        let mut d = node();
+        d.set_health(HealthConfig::new().with_seed(0xC3));
+        d.set_fault_plan(FaultPlan::new().hang_shard(0.002, 0, 0.010));
+        let walk = |d: &mut Dispatcher, from: f64, to: f64| {
+            let steps = ((to - from) / 0.0001).round() as u32;
+            for k in 1..=steps {
+                d.run_until(from + f64::from(k) * 0.0001);
+            }
+        };
+        let mut shards = Vec::new();
+        // A drain reconciles at once: an empty shard converges before
+        // the call returns.
+        let drained = d.drain_shard(0);
+        assert_eq!(drained, [LifecycleAction::Drained { shard: 0 }]);
+        walk(&mut d, 0.0, 0.001);
+        shards.push(d.shard_state(0));
+        d.restore_shard(0);
+        shards.push(d.shard_state(0));
+        walk(&mut d, 0.001, 0.010);
+        shards.push(d.shard_state(0));
+        walk(&mut d, 0.010, 0.030);
+        shards.push(d.shard_state(0));
+
+        use ShardState::{Active, Drained, Failed};
+        assert_eq!(nodes, [Drained, Active, Failed, Active]);
+        assert_eq!(nodes, shards, "one state machine, two tiers");
+        assert_eq!(c.health_stats().unwrap().declared, 1);
+        assert_eq!(d.health_stats().unwrap().declared, 1);
+    }
+
+    #[test]
+    fn an_operator_restore_of_a_declared_node_routes_at_once() {
+        let (mut c, _, _) = two_node_cluster();
+        c.set_health(HealthConfig::new().with_seed(0xC4));
+        c.hang_node_at(0.001, 1, 0.010);
+        let actions = c.advance_to(0.008);
+        assert!(actions.contains(&ClusterAction::NodeDeclared { node: 1 }));
+        assert!(!c.routable(1));
+        // Eligibility is the state alone: no detector poll has run since
+        // the restore, and the node is routable anyway.
+        c.restore_node(1);
+        assert!(c.routable(1));
+        assert!(c.candidates(None, 0.008).iter().all(|r| r.eligible));
     }
 
     #[test]

@@ -33,10 +33,8 @@ use wasp::{
     VirtineSpec, WaitTarget, Wasp, WaspError,
 };
 
-use crate::health::{
-    BrownoutConfig, BrownoutController, HealthConfig, HealthDetector, HealthStats, ShardHealth,
-};
-use crate::lifecycle::FaultPlan;
+use crate::health::{BrownoutConfig, BrownoutController, HealthConfig, HealthStats, ShardHealth};
+use crate::lifecycle::MemberSet;
 use crate::openreq::{hedge_delay, CopyFinish, CopyLoss, OpenTable, RetryCause, Timer};
 use crate::placement::{Candidate, CostEngine, WarmPolicy, WarmVerdict};
 use crate::request::{Completion, DispatcherConfig, DispatcherStats, FailCause, Request, Terminal};
@@ -98,13 +96,11 @@ pub struct Dispatcher {
     /// Declared objectives evaluated at every terminal event
     /// (completion, kill, shed); `None` until [`Dispatcher::set_slo`].
     pub(crate) slo: Option<SloEngine>,
-    /// Scheduled deterministic faults, applied as virtual time advances
-    /// past each event's instant; `None` until
-    /// [`Dispatcher::set_fault_plan`].
-    pub(crate) fault_plan: Option<FaultPlan>,
-    /// Heartbeat-driven failure detector; `None` (zero overhead, bit-
-    /// identical runs) until [`Dispatcher::set_health`].
-    pub(crate) health: Option<HealthDetector>,
+    /// The shards as the lifecycle sees them: state, hangs, the fault
+    /// plan ([`Dispatcher::set_fault_plan`]) and the failure detector
+    /// ([`Dispatcher::set_health`]; absent — zero overhead, bit-identical
+    /// runs — until installed).
+    pub(crate) members: MemberSet,
     /// Overload brownout controller; `None` until
     /// [`Dispatcher::set_brownout`].
     pub(crate) brownout: Option<BrownoutController>,
@@ -162,6 +158,7 @@ impl Dispatcher {
                 )
             })
             .collect();
+        let members = MemberSet::new(config.shards);
         Dispatcher {
             wasp,
             config,
@@ -180,8 +177,7 @@ impl Dispatcher {
             warm_stamp: 0,
             trace: TraceCollector::disabled(),
             slo: None,
-            fault_plan: None,
-            health: None,
+            members,
             brownout: None,
             open: OpenTable::new(),
             next_shed_trace: u64::MAX,
@@ -258,12 +254,12 @@ impl Dispatcher {
     /// half-open probes. Without this call the detector does not exist —
     /// no state, no cycles, bit-identical runs.
     pub fn set_health(&mut self, config: HealthConfig) {
-        self.health = Some(HealthDetector::new(config, self.config.shards));
+        self.members.set_health(config);
     }
 
     /// The failure detector's counters, if one is installed.
     pub fn health_stats(&self) -> Option<HealthStats> {
-        self.health.as_ref().map(HealthDetector::stats)
+        self.members.health_stats()
     }
 
     /// Per-shard detector state (suspicion, breaker, last heartbeat), in
@@ -271,9 +267,7 @@ impl Dispatcher {
     /// `vsched_suspicion` gauge family. `None` when no detector is
     /// installed.
     pub fn shard_health(&self) -> Option<Vec<ShardHealth>> {
-        self.health
-            .as_ref()
-            .map(|h| (0..self.config.shards).map(|i| h.shard_health(i)).collect())
+        self.members.health_view()
     }
 
     /// Installs the overload brownout controller (see
@@ -767,11 +761,6 @@ impl Dispatcher {
         self.tenants[id.0].stats
     }
 
-    /// Number of registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Handles of every registered tenant, in registration order (stats
     /// surfaces iterate these).
     pub fn tenant_ids(&self) -> Vec<TenantId> {
@@ -789,8 +778,10 @@ impl Dispatcher {
         for p in self.parked.values() {
             parked[p.shard] += 1;
         }
-        let views = self.shards.iter().zip(parked);
-        views.map(|(s, parked)| s.snapshot(parked)).collect()
+        let views = self.shards.iter().zip(parked).zip(self.members.states());
+        views
+            .map(|((s, parked), &state)| s.snapshot(parked, state))
+            .collect()
     }
 
     /// The whole dispatcher's load, summed over its shards without
@@ -850,7 +841,7 @@ impl Dispatcher {
                     },
                     hop,
                     transfer_cost: hop.transfer_cost(),
-                    eligible: s.state.is_active(),
+                    eligible: self.members.state(i).is_active(),
                 }
             })
             .collect()
@@ -905,7 +896,9 @@ impl Dispatcher {
                 .shards
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| !s.queue.is_empty() && s.spinning == 0 && !s.hung)
+                .filter(|&(i, s)| {
+                    !s.queue.is_empty() && s.spinning == 0 && !self.members.is_hung(i)
+                })
                 .map(|(i, s)| (s.next_wake, i))
                 .min()
                 .filter(|&(wake, _)| wake < limit);
@@ -914,7 +907,7 @@ impl Dispatcher {
             let next_timeout = self
                 .parked
                 .iter()
-                .filter(|(_, p)| !self.shards[p.shard].hung)
+                .filter(|(_, p)| !self.members.is_hung(p.shard))
                 .map(|(&token, p)| (p.timeout_at.min(p.evict_at), p.shard, token))
                 .min()
                 .filter(|&(at, _, _)| at < limit);
@@ -965,9 +958,7 @@ impl Dispatcher {
         // A batch tick is the worker's proof of life: the detector's
         // suspicion for this shard resets here, and *only* here — a hung
         // worker runs no batches, so its silence accrues.
-        if let Some(h) = &mut self.health {
-            h.heartbeat(idx, t_batch);
-        }
+        self.members.heartbeat(idx, t_batch);
         let clock = self.wasp.clock();
 
         for _ in 0..self.config.batch_size {

@@ -246,19 +246,29 @@ impl HealthDetector {
         ((self.config.probe_interval.get() as f64) * scale) as u64
     }
 
-    /// Advances the detector to virtual instant `now`. `alive[i]` is
+    /// The knobs this detector runs with.
+    pub(crate) fn config(&self) -> &HealthConfig {
+        &self.config
+    }
+
+    /// Advances the detector to virtual instant `now`. `alive(i)` is
     /// whether shard `i`'s worker would answer a probe (a hung worker
-    /// would not); `monitored[i]` is whether the shard is `Active` —
+    /// would not); `monitored(i)` is whether the shard is `Active` —
     /// shards an *operator* drained or failed are not the detector's to
     /// judge. Returns the lifecycle actions the dispatcher must apply.
-    pub fn poll(&mut self, now: u64, alive: &[bool], monitored: &[bool]) -> Vec<HealthAction> {
+    pub fn poll(
+        &mut self,
+        now: u64,
+        alive: impl Fn(usize) -> bool,
+        monitored: impl Fn(usize) -> bool,
+    ) -> Vec<HealthAction> {
         let mut actions = Vec::new();
         let interval = self.config.heartbeat_interval.get().max(1);
         for i in 0..self.shards.len() {
             let breaker = self.shards[i].breaker;
             match breaker {
                 CircuitState::Closed => {
-                    if !monitored[i] {
+                    if !monitored(i) {
                         // Operator-managed shard: hold the clock so a
                         // later restore starts from a clean slate.
                         let m = &mut self.shards[i];
@@ -278,7 +288,7 @@ impl HealthDetector {
                     let next = now + self.jittered_interval();
                     let m = &mut self.shards[i];
                     m.next_probe_at = next;
-                    if alive[i] {
+                    if alive(i) {
                         // Idle but answering: healthy, never suspected.
                         m.last_seen = now;
                         m.suspicion = 0.0;
@@ -295,14 +305,14 @@ impl HealthDetector {
                         // answering shard impossible; the counter is the
                         // tripwire guarding that invariant (the bench
                         // gates it at exactly zero).
-                        if alive[i] {
+                        if alive(i) {
                             self.stats.false_positives += 1;
                         }
                         actions.push(HealthAction::Declare(i));
                     }
                 }
                 CircuitState::Open | CircuitState::HalfOpen => {
-                    if monitored[i] {
+                    if monitored(i) {
                         // An operator restored the shard out from under
                         // the breaker: accept their judgement.
                         let m = &mut self.shards[i];
@@ -320,7 +330,7 @@ impl HealthDetector {
                     let restore_after = self.config.probes_to_restore;
                     let m = &mut self.shards[i];
                     m.next_probe_at = next;
-                    if alive[i] {
+                    if alive(i) {
                         m.streak += 1;
                         m.breaker = CircuitState::HalfOpen;
                         if m.streak >= restore_after {
@@ -340,12 +350,6 @@ impl HealthDetector {
             }
         }
         actions
-    }
-
-    /// Whether the detector (not an operator) declared shard `shard`
-    /// failed and has not yet restored it.
-    pub fn holds_open(&self, shard: usize) -> bool {
-        self.shards[shard].breaker != CircuitState::Closed
     }
 
     /// Per-shard view for `/admin/health` and the `vsched_suspicion`
@@ -495,6 +499,11 @@ mod tests {
         Cycles::from_micros(us).get()
     }
 
+    /// Polls with per-shard liveness and monitoring given as slices.
+    fn poll(d: &mut HealthDetector, now: u64, alive: &[bool], on: &[bool]) -> Vec<HealthAction> {
+        d.poll(now, |i| alive[i], |i| on[i])
+    }
+
     fn detector() -> HealthDetector {
         // 100 µs heartbeat interval, threshold 3, 50 µs probes, 2 to
         // restore, no jitter so instants are easy to reason about.
@@ -515,7 +524,7 @@ mod tests {
         let alive = [true, true];
         let active = [true, true];
         for step in 1..=100u64 {
-            let actions = d.poll(step * cyc(100.0), &alive, &active);
+            let actions = poll(&mut d, step * cyc(100.0), &alive, &active);
             assert!(actions.is_empty(), "a probed, answering shard is healthy");
         }
         assert_eq!(d.stats().declared, 0);
@@ -536,7 +545,7 @@ mod tests {
         for step in 3..=20u64 {
             let now = step * cyc(50.0);
             d.heartbeat(1, now);
-            for a in d.poll(now, &alive, &active) {
+            for a in poll(&mut d, now, &alive, &active) {
                 assert_eq!(a, HealthAction::Declare(0));
                 declared_at = Some(now);
             }
@@ -549,7 +558,6 @@ mod tests {
         assert_eq!(declared_at, Some(cyc(400.0)));
         assert_eq!(d.stats().declared, 1);
         assert_eq!(d.stats().false_positives, 0);
-        assert!(d.holds_open(0));
         assert_eq!(d.shard_health(0).breaker, CircuitState::Open);
         assert_eq!(d.shard_health(1).breaker, CircuitState::Closed);
         assert!(d.shard_health(0).suspicion >= 3.0);
@@ -562,27 +570,26 @@ mod tests {
         // Wedge shard 0 and let the detector declare it.
         let mut now = cyc(500.0);
         assert_eq!(
-            d.poll(now, &[false, true], &active),
+            poll(&mut d, now, &[false, true], &active),
             vec![HealthAction::Declare(0)]
         );
         // Declared: the shard is no longer Active. Probes fail while it
         // stays wedged.
         now += cyc(50.0);
-        assert!(d.poll(now, &[false, true], &[false, true]).is_empty());
+        assert!(poll(&mut d, now, &[false, true], &[false, true]).is_empty());
         assert_eq!(d.shard_health(0).breaker, CircuitState::Open);
         // It recovers: two consecutive successes (probes_to_restore = 2)
         // walk Open → HalfOpen → Closed.
         now += cyc(50.0);
-        assert!(d.poll(now, &[true, true], &[false, true]).is_empty());
+        assert!(poll(&mut d, now, &[true, true], &[false, true]).is_empty());
         assert_eq!(d.shard_health(0).breaker, CircuitState::HalfOpen);
         now += cyc(50.0);
         assert_eq!(
-            d.poll(now, &[true, true], &[false, true]),
+            poll(&mut d, now, &[true, true], &[false, true]),
             vec![HealthAction::Restore(0)]
         );
         assert_eq!(d.shard_health(0).breaker, CircuitState::Closed);
         assert_eq!(d.stats().restored, 1);
-        assert!(!d.holds_open(0));
     }
 
     #[test]
@@ -590,25 +597,25 @@ mod tests {
         let mut d = detector();
         let mut now = cyc(500.0);
         assert_eq!(
-            d.poll(now, &[false, true], &[true, true]),
+            poll(&mut d, now, &[false, true], &[true, true]),
             vec![HealthAction::Declare(0)]
         );
         // Success, then a relapse, then two successes: only the final
         // streak restores.
         now += cyc(50.0);
-        assert!(d.poll(now, &[true, true], &[false, true]).is_empty());
+        assert!(poll(&mut d, now, &[true, true], &[false, true]).is_empty());
         now += cyc(50.0);
-        assert!(d.poll(now, &[false, true], &[false, true]).is_empty());
+        assert!(poll(&mut d, now, &[false, true], &[false, true]).is_empty());
         assert_eq!(
             d.shard_health(0).breaker,
             CircuitState::Open,
             "relapse re-opens"
         );
         now += cyc(50.0);
-        assert!(d.poll(now, &[true, true], &[false, true]).is_empty());
+        assert!(poll(&mut d, now, &[true, true], &[false, true]).is_empty());
         now += cyc(50.0);
         assert_eq!(
-            d.poll(now, &[true, true], &[false, true]),
+            poll(&mut d, now, &[true, true], &[false, true]),
             vec![HealthAction::Restore(0)]
         );
     }
@@ -619,7 +626,7 @@ mod tests {
         // Shard 0 is operator-drained (not monitored) and silent: the
         // detector must hold its clock, not suspect it.
         for step in 1..=50u64 {
-            let actions = d.poll(step * cyc(100.0), &[false, true], &[false, true]);
+            let actions = poll(&mut d, step * cyc(100.0), &[false, true], &[false, true]);
             assert!(actions.is_empty());
         }
         assert_eq!(d.stats().declared, 0);
@@ -640,8 +647,9 @@ mod tests {
                 // Shard 1 wedges for a window, then recovers.
                 let hung = (40..=120).contains(&step);
                 let alive = [true, !hung, true];
-                let monitored = [true, !d.holds_open(1), true];
-                for a in d.poll(now, &alive, &monitored) {
+                let closed = d.shard_health(1).breaker == CircuitState::Closed;
+                let monitored = [true, closed, true];
+                for a in poll(&mut d, now, &alive, &monitored) {
                     log.push((step, a));
                 }
             }

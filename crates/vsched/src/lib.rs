@@ -118,7 +118,7 @@
 //!   brownout** ([`health`], [`Dispatcher::set_health`] /
 //!   [`Dispatcher::set_brownout`], [`RetryPolicy`] / [`HedgePolicy`]) —
 //!   a heartbeat/suspicion failure detector in virtual time turns *gray*
-//!   failures ([`FaultKind::HangShard`]: the worker wedges but the shard
+//!   failures ([`FaultKind::Hang`]: the worker wedges but the shard
 //!   stays `Active` and placement keeps feeding it) into declared
 //!   failures through the same `fail_shard` → reconcile → re-admit path
 //!   as the fault plan, and restores them via half-open circuit-breaker
@@ -1892,6 +1892,27 @@ init:
             .unwrap()
             .iter()
             .all(|sh| sh.breaker == CircuitState::Closed));
+    }
+
+    #[test]
+    fn overlapping_hangs_wedge_a_shard_until_the_last_one_lifts() {
+        let mut d = dispatcher(DispatcherConfig {
+            shards: 1,
+            ..DispatcherConfig::default()
+        });
+        let id = d.register(halt_spec("t")).unwrap();
+        let tenant = d.add_tenant(TenantProfile::new("t"));
+        // A 10 ms hang from 1 ms, and a 2 ms one nested inside it: the
+        // nested hang's recovery at 4 ms must not un-wedge the shard.
+        d.set_fault_plan(
+            FaultPlan::new()
+                .hang_shard(0.001, 0, 0.010)
+                .hang_shard(0.002, 0, 0.002),
+        );
+        d.submit(Request::new(tenant, id, 0.005)).unwrap();
+        d.run_to_idle();
+        let c = &d.completions()[0];
+        assert!(c.finish > 0.011, "finished at {} inside the hang", c.finish);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! The paper's economics — virtines cheap enough to create and destroy
 //! that isolation costs almost nothing (§5.2) — extend to *operations*:
 //! shells and runs must be cheap to move **off** a shard that is being
-//! restarted, reconfigured, or has failed. This module gives each shard a
-//! desired state:
+//! restarted, reconfigured, or has failed. This module gives each shard
+//! (and, one tier up, each node of a [`crate::Cluster`] — both tiers keep
+//! their members in one `MemberSet`, see
+//! `docs/lifecycle.md#two-tiers-one-member-set`) a desired state:
 //!
 //! ```text
 //!              drain_shard                converged
@@ -37,17 +39,16 @@
 //!   actions, so an operator (or a control loop) can call it on every
 //!   tick without thrashing.
 //!
-//! [`FaultPlan`] injects failures at chosen virtual instants, seeded
-//! through `vclock::rng` so a whole kill-and-recover scenario replays
-//! bit-for-bit: shard failure exercises the same detector → reconcile →
-//! re-admit path as an operator-initiated drain.
+//! [`FaultPlan`] injects failures at chosen virtual instants, so a whole
+//! kill-and-recover scenario replays bit-for-bit: shard failure
+//! exercises the same detector → reconcile → re-admit path as an
+//! operator-initiated drain.
 
-use vclock::rng::Rng;
 use vclock::{costs, Cycles};
 use vtrace::slo::Severity;
 
 use crate::dispatcher::{cyc, Dispatcher};
-use crate::health::HealthAction;
+use crate::health::{HealthAction, HealthConfig, HealthDetector, HealthStats, ShardHealth};
 use crate::openreq::{CopyLoss, RetryCause};
 use crate::request::{BlockMode, FailCause, Terminal};
 use crate::shard::{align_up, Queued, Work};
@@ -148,7 +149,10 @@ pub enum LifecycleAction {
     Drained { shard: usize },
 }
 
-/// What a [`FaultEvent`] does when it fires.
+/// What a [`FaultEvent`] does when it fires. `Hang` and `Unhang` name a
+/// member of the tier whose plan holds them — a shard in a dispatcher's
+/// plan, a node in a cluster's ([`crate::Cluster::hang_node_at`]); the
+/// kills are shard-tier only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The whole shard fails: pooled shells dropped, parked runs evicted,
@@ -157,17 +161,17 @@ pub enum FaultKind {
     /// One idle shell on the shard is destroyed (the cheapest clean one),
     /// modelling a single context loss the pool absorbs by re-creating.
     KillShell(usize),
-    /// The shard *wedges* without dying: it stops running batches and
-    /// firing parked-run timeouts, but stays `Active` and keeps being
-    /// scored by placement — a gray failure. Nothing in the lifecycle
-    /// machinery reacts to a hang; only the health detector
-    /// ([`crate::HealthConfig`]) can notice the missed heartbeats and
-    /// declare the shard failed.
-    HangShard(usize),
-    /// The wedged shard recovers: batches and timeouts resume. If the
-    /// detector declared it failed in the meantime, its half-open probes
-    /// start succeeding again and eventually restore it.
-    UnhangShard(usize),
+    /// The member *wedges* without dying: it makes no progress (a shard
+    /// runs no batches and fires no parked-run timeouts; a node is not
+    /// advanced) but stays `Active` and keeps being scored — a gray
+    /// failure. Nothing in the lifecycle machinery reacts to a hang; only
+    /// the health detector ([`crate::HealthConfig`]) can notice the
+    /// missed heartbeats and declare the member failed.
+    Hang(usize),
+    /// One hang on the member lifts; it recovers once no hang is left
+    /// open. If the detector declared it failed in the meantime, its
+    /// half-open probes start succeeding again and eventually restore it.
+    Unhang(usize),
 }
 
 /// One scheduled fault at a virtual instant.
@@ -180,14 +184,13 @@ pub struct FaultEvent {
 }
 
 /// A deterministic schedule of injected faults, applied by the dispatcher
-/// as virtual time advances past each event's instant.
+/// (or the cluster) as virtual time advances past each event's instant.
 ///
-/// Determinism is the point: a plan built with [`FaultPlan::random`] from
-/// a seed replays the identical kill sequence on every run, so a
-/// fault-recovery bench or property test is exactly reproducible. Events
-/// fire in time order (ties in insertion order); the same detector →
-/// reconcile → re-admit path runs whether the fault came from a plan or
-/// an operator call.
+/// Determinism is the point: a plan replays the identical fault sequence
+/// on every run, so a fault-recovery bench or property test is exactly
+/// reproducible. Events fire in time order (ties in insertion order);
+/// the same detector → reconcile → re-admit path runs whether the fault
+/// came from a plan or an operator call.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Remaining events, sorted by time (stable on ties).
@@ -225,45 +228,24 @@ impl FaultPlan {
     /// worker — a straggler the lifecycle machinery alone never notices,
     /// which is exactly what the health detector exists to catch.
     pub fn hang_shard(mut self, at_s: f64, shard: usize, duration_s: f64) -> FaultPlan {
-        assert!(
-            duration_s.is_finite() && duration_s >= 0.0,
-            "hang duration must be finite"
-        );
-        self.push(FaultEvent {
-            at_s,
-            kind: FaultKind::HangShard(shard),
-        });
-        self.push(FaultEvent {
-            at_s: at_s + duration_s,
-            kind: FaultKind::UnhangShard(shard),
-        });
+        self.hang(at_s, shard, Some(duration_s));
         self
     }
 
-    /// A seeded random plan: `count` faults spread uniformly over
-    /// `(0, horizon_s)`, each killing a random shard (with probability
-    /// `shard_kill_p`) or one of its shells. Same seed, same plan.
-    pub fn random(
-        seed: u64,
-        shards: usize,
-        count: usize,
-        horizon_s: f64,
-        shard_kill_p: f64,
-    ) -> FaultPlan {
-        assert!(shards > 0, "a fault plan needs at least one shard");
-        let mut rng = Rng::seeded(seed);
-        let mut plan = FaultPlan::new();
-        for _ in 0..count {
-            let at_s = rng.range_f64(0.0, horizon_s);
-            let shard = rng.below(shards);
-            let kind = if rng.bool(shard_kill_p) {
-                FaultKind::KillShard(shard)
-            } else {
-                FaultKind::KillShell(shard)
-            };
-            plan.push(FaultEvent { at_s, kind });
+    /// Schedules a hang of `member` at `at_s` that lifts `duration_s`
+    /// later — or never, for `None` (a node kill).
+    pub(crate) fn hang(&mut self, at_s: f64, member: usize, duration_s: Option<f64>) {
+        self.push(FaultEvent {
+            at_s,
+            kind: FaultKind::Hang(member),
+        });
+        if let Some(d) = duration_s {
+            assert!(d.is_finite() && d >= 0.0, "hang duration must be finite");
+            self.push(FaultEvent {
+                at_s: at_s + d,
+                kind: FaultKind::Unhang(member),
+            });
         }
-        plan
     }
 
     fn push(&mut self, e: FaultEvent) {
@@ -282,10 +264,12 @@ impl FaultPlan {
         self.events.first().map(|e| e.at_s)
     }
 
-    /// Pops every event due at or before `now_s`, in order.
-    pub fn take_due(&mut self, now_s: f64) -> Vec<FaultEvent> {
-        let n = self.events.partition_point(|e| e.at_s <= now_s);
-        self.events.drain(..n).collect()
+    /// Pops the next event due at or before `now_s`.
+    pub(crate) fn pop_due(&mut self, now_s: f64) -> Option<FaultEvent> {
+        if self.next_at()? > now_s {
+            return None;
+        }
+        Some(self.events.remove(0))
     }
 
     /// Remaining scheduled events.
@@ -294,13 +278,169 @@ impl FaultPlan {
     }
 }
 
+/// One tier's members as the lifecycle sees them — the shards of a
+/// [`Dispatcher`] or the nodes of a [`crate::Cluster`]: each member's
+/// [`ShardState`] and the instant it left `Active`, its open-hang count,
+/// the tier's [`FaultPlan`], and its optional [`HealthDetector`]. The
+/// transition guards, hang stepping and the detector poll are written
+/// here once; what a transition *does* to a shard or a node stays with
+/// its tier.
+#[derive(Debug, Default)]
+pub(crate) struct MemberSet {
+    state: Vec<ShardState>,
+    /// When each member last left `Active` (cycles): a draining shard's
+    /// grace periods are measured from the later of this and the park.
+    left_active: Vec<u64>,
+    /// Open hangs per member; a member is wedged while its count is
+    /// nonzero, so overlapping hangs hold it until the last one lifts.
+    hangs: Vec<u32>,
+    /// The tier's fault schedule; step it with [`MemberSet::pop_due`].
+    pub(crate) plan: FaultPlan,
+    health: Option<HealthDetector>,
+}
+
+impl MemberSet {
+    /// `n` members, all `Active` and unhung.
+    pub(crate) fn new(n: usize) -> MemberSet {
+        let mut m = MemberSet::default();
+        for _ in 0..n {
+            m.push();
+        }
+        m
+    }
+
+    /// Adds an `Active`, unhung member and returns its index.
+    pub(crate) fn push(&mut self) -> usize {
+        assert!(
+            self.health.is_none(),
+            "add every member before installing the health detector"
+        );
+        self.state.push(ShardState::Active);
+        self.left_active.push(0);
+        self.hangs.push(0);
+        self.state.len() - 1
+    }
+
+    pub(crate) fn state(&self, i: usize) -> ShardState {
+        self.state[i]
+    }
+
+    pub(crate) fn states(&self) -> &[ShardState] {
+        &self.state
+    }
+
+    pub(crate) fn all_active(&self) -> bool {
+        self.state.iter().all(|s| s.is_active())
+    }
+
+    pub(crate) fn left_active(&self, i: usize) -> u64 {
+        self.left_active[i]
+    }
+
+    pub(crate) fn is_hung(&self, i: usize) -> bool {
+        self.hangs[i] > 0
+    }
+
+    /// `Active → Draining` at `now`; any other state is left alone.
+    /// Returns whether the member moved.
+    pub(crate) fn drain(&mut self, i: usize, now: u64) -> bool {
+        if !self.state[i].is_active() {
+            return false;
+        }
+        self.state[i] = ShardState::Draining;
+        self.left_active[i] = now;
+        true
+    }
+
+    /// `Draining → Drained`, once the tier has emptied the member.
+    pub(crate) fn drained(&mut self, i: usize) {
+        debug_assert_eq!(self.state[i], ShardState::Draining);
+        self.state[i] = ShardState::Drained;
+    }
+
+    /// Any state but `Failed` → `Failed` at `now` (idempotent). Returns
+    /// whether the member moved.
+    pub(crate) fn fail(&mut self, i: usize, now: u64) -> bool {
+        match self.state[i] {
+            ShardState::Failed => return false,
+            ShardState::Active => self.left_active[i] = now,
+            ShardState::Draining | ShardState::Drained => {}
+        }
+        self.state[i] = ShardState::Failed;
+        true
+    }
+
+    /// Any state but `Active` → `Active` (a no-op on `Active`). Returns
+    /// whether the member moved.
+    pub(crate) fn restore(&mut self, i: usize) -> bool {
+        if self.state[i].is_active() {
+            return false;
+        }
+        self.state[i] = ShardState::Active;
+        self.left_active[i] = 0;
+        true
+    }
+
+    /// Pops the next fault due at or before `now_s` and applies a hang or
+    /// unhang to the member's open-hang count; the tier applies the rest.
+    pub(crate) fn pop_due(&mut self, now_s: f64) -> Option<FaultKind> {
+        let kind = self.plan.pop_due(now_s)?.kind;
+        match kind {
+            FaultKind::Hang(i) => self.hangs[i] += 1,
+            FaultKind::Unhang(i) => self.hangs[i] -= 1,
+            FaultKind::KillShard(_) | FaultKind::KillShell(_) => {}
+        }
+        Some(kind)
+    }
+
+    /// Installs the failure detector, one monitor slot per member.
+    pub(crate) fn set_health(&mut self, config: HealthConfig) {
+        self.health = Some(HealthDetector::new(config, self.state.len()));
+    }
+
+    pub(crate) fn heartbeat_interval(&self) -> Option<Cycles> {
+        self.health.as_ref().map(|h| h.config().heartbeat_interval)
+    }
+
+    /// A liveness signal from member `i` at `at` (free without a
+    /// detector).
+    pub(crate) fn heartbeat(&mut self, i: usize, at: u64) {
+        if let Some(h) = &mut self.health {
+            h.heartbeat(i, at);
+        }
+    }
+
+    /// Polls the detector at `now`, reading liveness (no open hang) and
+    /// monitoring (`Active`) in place. A hung member stays `Active`, so
+    /// only its missing heartbeats give it away; liveness is ground truth
+    /// for probes and the false-positive tripwire. The tier applies the
+    /// returned actions.
+    pub(crate) fn poll(&mut self, now: u64) -> Vec<HealthAction> {
+        let (state, hangs) = (&self.state, &self.hangs);
+        match &mut self.health {
+            Some(h) => h.poll(now, |i| hangs[i] == 0, |i| state[i].is_active()),
+            None => Vec::new(),
+        }
+    }
+
+    pub(crate) fn health_stats(&self) -> Option<HealthStats> {
+        self.health.as_ref().map(HealthDetector::stats)
+    }
+
+    /// Per-member detector view, index-aligned with the members.
+    pub(crate) fn health_view(&self) -> Option<Vec<ShardHealth>> {
+        let h = self.health.as_ref()?;
+        Some((0..self.state.len()).map(|i| h.shard_health(i)).collect())
+    }
+}
+
 impl Dispatcher {
     /// Installs a deterministic fault plan: each event fires as virtual
     /// time advances past its instant, through the same detector →
     /// reconcile → re-admit path as an operator-initiated drain or fail.
-    /// Replaces any previous plan.
+    /// Replaces any previous plan; a hang already open stays open.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = Some(plan);
+        self.members.plan = plan;
     }
 
     /// Lifecycle state of one shard.
@@ -309,13 +449,13 @@ impl Dispatcher {
     ///
     /// Panics on a shard index out of range.
     pub fn shard_state(&self, shard: usize) -> ShardState {
-        self.shards[shard].state
+        self.members.state(shard)
     }
 
     /// Lifecycle states of every shard, in index order — the
     /// `vsched_shard_state` Prometheus gauge family.
     pub fn shard_states(&self) -> Vec<ShardState> {
-        self.shards.iter().map(|s| s.state).collect()
+        self.members.states().to_vec()
     }
 
     /// Marks a shard draining and runs one reconcile pass. New
@@ -328,10 +468,7 @@ impl Dispatcher {
     ///
     /// Panics on a shard index out of range.
     pub fn drain_shard(&mut self, shard: usize) -> Vec<LifecycleAction> {
-        if self.shards[shard].state == ShardState::Active {
-            self.shards[shard].state = ShardState::Draining;
-            self.shards[shard].drain_since = self.last_arrival;
-        }
+        self.members.drain(shard, self.last_arrival);
         self.reconcile()
     }
 
@@ -345,12 +482,9 @@ impl Dispatcher {
     ///
     /// Panics on a shard index out of range.
     pub fn restore_shard(&mut self, shard: usize) {
-        let s = &mut self.shards[shard];
-        if s.state == ShardState::Active {
+        if !self.members.restore(shard) {
             return;
         }
-        s.state = ShardState::Active;
-        s.drain_since = 0;
         for p in self.parked.values_mut().filter(|p| p.shard == shard) {
             p.evict_at = u64::MAX;
         }
@@ -370,12 +504,10 @@ impl Dispatcher {
     /// Panics on a shard index out of range.
     pub fn fail_shard(&mut self, shard: usize) -> Vec<LifecycleAction> {
         let mut actions = Vec::new();
-        if self.shards[shard].state == ShardState::Failed {
+        let now = self.last_arrival;
+        if !self.members.fail(shard, now) {
             return actions;
         }
-        self.shards[shard].state = ShardState::Failed;
-        self.shards[shard].drain_since = self.last_arrival;
-        let now = self.last_arrival;
 
         // The pooled inventory is gone: these contexts lived on the
         // failed worker.
@@ -471,10 +603,8 @@ impl Dispatcher {
             .drain_grace
             .unwrap_or(self.config.drain_grace)
             .get();
-        self.shards[idx]
-            .drain_since
-            .max(blocked_from)
-            .saturating_add(grace)
+        let since = self.members.left_active(idx);
+        since.max(blocked_from).saturating_add(grace)
     }
 
     /// One pass of the lifecycle reconciliation loop: for every
@@ -489,12 +619,12 @@ impl Dispatcher {
     /// poll.
     pub fn reconcile(&mut self) -> Vec<LifecycleAction> {
         let mut actions = Vec::new();
-        if self.shards.iter().all(|s| s.state.is_active()) {
+        if self.members.all_active() {
             return actions;
         }
         let now = self.last_arrival;
         for i in 0..self.shards.len() {
-            if self.shards[i].state != ShardState::Draining {
+            if self.members.state(i) != ShardState::Draining {
                 continue;
             }
 
@@ -582,7 +712,7 @@ impl Dispatcher {
                 && self.shards[i].pool.warm_shells() == 0
                 && self.shards[i].pool.idle_shells() == 0
             {
-                self.shards[i].state = ShardState::Drained;
+                self.members.drained(i);
                 actions.push(LifecycleAction::Drained { shard: i });
             }
         }
@@ -597,48 +727,35 @@ impl Dispatcher {
     pub(crate) fn advance_with_faults(&mut self, limit: u64) {
         self.reliability_eval();
         loop {
-            if self.shards.iter().any(|s| !s.state.is_active()) {
+            if !self.members.all_active() {
                 self.reconcile();
             }
-            let due_at = self
-                .fault_plan
-                .as_ref()
-                .and_then(FaultPlan::next_at)
-                .filter(|&at_s| cyc(at_s) <= limit);
-            let Some(at_s) = due_at else {
+            let due_at = self.members.plan.next_at();
+            let Some(at_s) = due_at.filter(|&at_s| cyc(at_s) <= limit) else {
                 break;
             };
             self.advance_to(cyc(at_s));
-            let due = self
-                .fault_plan
-                .as_mut()
-                .expect("plan present: next_at returned an instant")
-                .take_due(at_s);
-            for event in due {
-                match event.kind {
+            while let Some(kind) = self.members.pop_due(at_s) {
+                match kind {
                     FaultKind::KillShard(shard) => {
                         self.fail_shard(shard);
                     }
                     FaultKind::KillShell(shard) => {
                         self.shards[shard].pool.drop_idle();
                     }
-                    FaultKind::HangShard(shard) => {
-                        self.shards[shard].hung = true;
-                    }
-                    FaultKind::UnhangShard(shard) => {
-                        let tick = self.config.tick.get();
-                        let now = cyc(at_s);
-                        let s = &mut self.shards[shard];
-                        s.hung = false;
+                    FaultKind::Unhang(shard) if !self.members.is_hung(shard) => {
                         // The wedged window is lost time, not deferred
                         // time: the worker's timeline resumes *now*, so
                         // backlogged work completes after the hang — it
                         // does not retroactively fill the gap.
-                        s.free_at = s.free_at.max(now);
+                        let tick = self.config.tick.get();
+                        let s = &mut self.shards[shard];
+                        s.free_at = s.free_at.max(cyc(at_s));
                         if !s.queue.is_empty() {
                             s.next_wake = align_up(s.free_at, tick);
                         }
                     }
+                    FaultKind::Hang(_) | FaultKind::Unhang(_) => {}
                 }
             }
         }
@@ -651,30 +768,13 @@ impl Dispatcher {
     /// through [`Dispatcher::restore_shard`]. Free when neither is
     /// installed.
     fn reliability_eval(&mut self) {
-        if self.health.is_none() && self.brownout.is_none() {
-            return;
-        }
         let now = self.last_arrival;
-        if self.health.is_some() {
-            // A hung shard is the detector's whole reason to exist: it
-            // stays `Active` (placement keeps feeding it), so only the
-            // missing heartbeats give it away. `alive` is ground truth
-            // for the false-positive tripwire only — the detector's
-            // decisions never read it.
-            let alive: Vec<bool> = self.shards.iter().map(|s| !s.hung).collect();
-            let monitored: Vec<bool> = self.shards.iter().map(|s| s.state.is_active()).collect();
-            let actions = self
-                .health
-                .as_mut()
-                .expect("checked above")
-                .poll(now, &alive, &monitored);
-            for action in actions {
-                match action {
-                    HealthAction::Declare(shard) => {
-                        self.fail_shard(shard);
-                    }
-                    HealthAction::Restore(shard) => self.restore_shard(shard),
+        for action in self.members.poll(now) {
+            match action {
+                HealthAction::Declare(shard) => {
+                    self.fail_shard(shard);
                 }
+                HealthAction::Restore(shard) => self.restore_shard(shard),
             }
         }
         if let Some(b) = &mut self.brownout {
@@ -722,6 +822,11 @@ mod tests {
         assert_eq!(ShardState::Drained.to_string(), "drained");
     }
 
+    /// Every event due at `now_s`, in firing order.
+    fn due(plan: &mut FaultPlan, now_s: f64) -> Vec<FaultEvent> {
+        std::iter::from_fn(|| plan.pop_due(now_s)).collect()
+    }
+
     #[test]
     fn plan_fires_in_time_order_with_stable_ties() {
         let mut plan = FaultPlan::new()
@@ -729,9 +834,11 @@ mod tests {
             .kill_shell(0.2, 0)
             .kill_shard(0.5, 2);
         assert_eq!(plan.next_at(), Some(0.2));
-        let due = plan.take_due(0.5);
         assert_eq!(
-            due.iter().map(|e| e.kind).collect::<Vec<_>>(),
+            due(&mut plan, 0.5)
+                .iter()
+                .map(|e| e.kind)
+                .collect::<Vec<_>>(),
             [
                 FaultKind::KillShell(0),
                 FaultKind::KillShard(1),
@@ -740,7 +847,7 @@ mod tests {
             "time order, insertion order on the 0.5 tie"
         );
         assert_eq!(plan.pending(), 0);
-        assert!(plan.take_due(9.0).is_empty());
+        assert!(due(&mut plan, 9.0).is_empty());
     }
 
     #[test]
@@ -748,25 +855,78 @@ mod tests {
         let mut plan = FaultPlan::new().hang_shard(0.3, 2, 0.2);
         assert_eq!(plan.pending(), 2);
         assert_eq!(plan.next_at(), Some(0.3));
-        let due = plan.take_due(1.0);
+        let due = due(&mut plan, 1.0);
         assert_eq!(
             due.iter().map(|e| e.kind).collect::<Vec<_>>(),
-            [FaultKind::HangShard(2), FaultKind::UnhangShard(2)],
+            [FaultKind::Hang(2), FaultKind::Unhang(2)],
             "hang first, recovery duration_s later"
         );
         assert_eq!(due[1].at_s, 0.5);
     }
 
     #[test]
-    fn random_plan_replays_bit_for_bit_from_the_seed() {
-        let a = FaultPlan::random(42, 4, 16, 1.0, 0.3);
-        let b = FaultPlan::random(42, 4, 16, 1.0, 0.3);
-        assert_eq!(a.events, b.events, "same seed, same plan");
-        assert_eq!(a.pending(), 16);
-        for w in a.events.windows(2) {
-            assert!(w[0].at_s <= w[1].at_s, "sorted by instant");
+    fn every_state_answers_drain_fail_and_restore_from_one_table() {
+        use ShardState::{Active, Drained, Draining, Failed};
+        // (from, drain, fail, restore): each op's next state and whether
+        // the member set reported a transition.
+        let table = [
+            (Active, (Draining, true), (Failed, true), (Active, false)),
+            (Draining, (Draining, false), (Failed, true), (Active, true)),
+            (Drained, (Drained, false), (Failed, true), (Active, true)),
+            (Failed, (Failed, false), (Failed, false), (Active, true)),
+        ];
+        // A member set with one member in `from`.
+        let at = |from: ShardState| {
+            let mut m = MemberSet::new(1);
+            match from {
+                Active => {}
+                Draining => assert!(m.drain(0, 7)),
+                Drained => {
+                    assert!(m.drain(0, 7));
+                    m.drained(0);
+                }
+                Failed => assert!(m.fail(0, 7)),
+            }
+            assert_eq!(m.state(0), from);
+            m
+        };
+        for (from, drain, fail, restore) in table {
+            let mut m = at(from);
+            let moved = m.drain(0, 9);
+            assert_eq!((m.state(0), moved), drain, "drain from {from}");
+            let mut m = at(from);
+            let moved = m.fail(0, 9);
+            assert_eq!((m.state(0), moved), fail, "fail from {from}");
+            let mut m = at(from);
+            let moved = m.restore(0);
+            assert_eq!((m.state(0), moved), restore, "restore from {from}");
         }
-        let c = FaultPlan::random(43, 4, 16, 1.0, 0.3);
-        assert_ne!(a.events, c.events, "different seed, different plan");
+        // Leaving `Active` stamps the instant; a later transition out of
+        // a non-Active state keeps it.
+        let mut m = at(Draining);
+        assert!(m.fail(0, 9));
+        assert_eq!(m.left_active(0), 7);
+    }
+
+    #[test]
+    fn overlapping_hangs_hold_a_member_until_the_last_one_lifts() {
+        let mut m = MemberSet::new(1);
+        m.plan = FaultPlan::new()
+            .hang_shard(0.001, 0, 0.010)
+            .hang_shard(0.002, 0, 0.002);
+        let hung_after = |m: &mut MemberSet, t: f64| {
+            while m.pop_due(t).is_some() {}
+            m.is_hung(0)
+        };
+        assert!(!hung_after(&mut m, 0.0005));
+        assert!(hung_after(&mut m, 0.003));
+        assert!(
+            hung_after(&mut m, 0.005),
+            "the first unhang is not the last"
+        );
+        assert!(!hung_after(&mut m, 0.011));
+        // A hang with no recovery (a node kill) never lifts.
+        m.plan.hang(0.02, 0, None);
+        assert!(hung_after(&mut m, 1e9));
     }
 }

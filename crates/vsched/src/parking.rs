@@ -84,7 +84,7 @@ impl Dispatcher {
             // Parking on a draining shard arms the grace clock
             // immediately; the next reconcile pass may still migrate the
             // run out (and disarm it) before the clock fires.
-            evict_at: if self.shards[idx].state == ShardState::Draining {
+            evict_at: if self.members.state(idx) == ShardState::Draining {
                 self.grace_deadline(idx, ticket.tenant, blocked_from)
             } else {
                 u64::MAX

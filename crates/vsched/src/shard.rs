@@ -190,19 +190,6 @@ pub(crate) struct Shard {
     /// The next batch tick at which this shard will run, `u64::MAX` when
     /// its queue is empty.
     pub next_wake: u64,
-    /// Lifecycle desired/actual state (see `crate::lifecycle`). Placement
-    /// only scores `Active` shards; the reconciler empties the rest.
-    pub state: ShardState,
-    /// Timeline position at which the current drain began; meaningful
-    /// only while `state` is `Draining` (grace periods are measured from
-    /// the later of this and the park).
-    pub drain_since: u64,
-    /// Gray failure: the worker is wedged — it runs no batches and fires
-    /// no parked-run timeouts — but the shard stays `Active` and keeps
-    /// being scored by placement. Only [`crate::FaultKind::HangShard`]
-    /// sets this, only `UnhangShard` clears it, and only the health
-    /// detector can turn the hang into a declared failure.
-    pub hung: bool,
     pub stats: ShardStats,
 }
 
@@ -214,9 +201,6 @@ impl Shard {
             spinning: 0,
             free_at: 0,
             next_wake: u64::MAX,
-            state: ShardState::Active,
-            drain_since: 0,
-            hung: false,
             stats: ShardStats::default(),
         }
     }
@@ -260,16 +244,17 @@ pub struct ShardSnapshot {
 }
 
 impl Shard {
-    /// This shard's view; `parked` is counted by the dispatcher, which
-    /// holds the parked runs of every shard in one map.
-    pub(crate) fn snapshot(&self, parked: usize) -> ShardSnapshot {
+    /// This shard's view; `parked` and `state` come from the dispatcher,
+    /// which holds the parked runs of every shard in one map and the
+    /// lifecycle states in its member set.
+    pub(crate) fn snapshot(&self, parked: usize, state: ShardState) -> ShardSnapshot {
         ShardSnapshot {
             queue_depth: self.queue.len(),
             parked,
             idle_shells: self.pool.idle_shells(),
             warm_shells: self.pool.warm_shells(),
             free_at_s: Cycles(self.free_at).as_secs(),
-            state: self.state,
+            state,
             stats: self.stats,
             pool: self.pool.stats(),
         }

@@ -144,16 +144,6 @@ impl Topology {
         self.ccxs
     }
 
-    /// The socket shard `i` lives on.
-    pub fn socket_of(&self, i: usize) -> usize {
-        self.socket[i]
-    }
-
-    /// The (global) CCX shard `i` lives in.
-    pub fn ccx_of(&self, i: usize) -> usize {
-        self.ccx[i]
-    }
-
     /// Distance class between shards `a` and `b`.
     pub fn hop(&self, a: usize, b: usize) -> Hop {
         if a == b {

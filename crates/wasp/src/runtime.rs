@@ -652,14 +652,6 @@ impl Wasp {
         }
     }
 
-    /// The spec's current snapshot, if one has been captured.
-    pub fn current_snapshot(&self, id: VirtineId) -> Option<Rc<VmSnapshot>> {
-        self.specs
-            .borrow()
-            .get(id.0)
-            .and_then(|e| e.snapshot.clone())
-    }
-
     /// Per-virtine warm-path statistics.
     pub fn virtine_warm_stats(&self, id: VirtineId) -> Option<VirtineWarmStats> {
         self.specs.borrow().get(id.0).map(|e| e.warm)

@@ -5,9 +5,10 @@
 #    docs/*.md must point at a file that exists, and a `#fragment` must
 #    match a heading in the target file (GitHub slug rules: lowercase,
 #    punctuation stripped, spaces to dashes).
-# 2. Metric-catalog check: every `vsched_*` / `vslo_*` metric name
-#    exported from code must appear in docs/observability.md, either
-#    verbatim or covered by a documented `_*` wildcard row.
+# 2. Metric-catalog check: every `vsched_*` / `vslo_*` / `visa_*` /
+#    `wasp_*` metric name exported from library code (crates/*/src) must
+#    appear in docs/observability.md, either verbatim or covered by a
+#    documented `_*` wildcard row.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -52,11 +53,12 @@ if [ ! -f "$catalog" ]; then
     echo "MISSING: $catalog"
     exit 1
 fi
-# Metric names exported from code: string literals starting vsched_/vslo_/visa_.
-exported=$(grep -rhoE '"(vsched|vslo|visa)_[a-z0-9_]+' crates --include='*.rs' |
+# Metric names exported from code: string literals starting with a metric
+# prefix. Bench harnesses (crates/*/benches) name benchmarks, not metrics.
+exported=$(grep -rhoE '"(vsched|vslo|visa|wasp)_[a-z0-9_]+' crates/*/src --include='*.rs' |
     tr -d '"' | sort -u)
 # Documented wildcard prefixes (rows like `vsched_shard_*`).
-wildcards=$(grep -oE '(vsched|vslo|visa)_[a-z0-9_]+_\*' "$catalog" | sed 's/\*$//' | sort -u)
+wildcards=$(grep -oE '(vsched|vslo|visa|wasp)_[a-z0-9_]+_\*' "$catalog" | sed 's/\*$//' | sort -u)
 for m in $exported; do
     if grep -q "$m" "$catalog"; then
         continue
