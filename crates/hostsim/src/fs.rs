@@ -123,7 +123,8 @@ impl InMemFs {
         if start >= f.data.len() {
             return Err(FsError::Eof(fd));
         }
-        let end = (start + len).min(f.data.len());
+        // `len` is guest-chosen: a request past the end reads the rest.
+        let end = start.saturating_add(len).min(f.data.len());
         f.cursor = end;
         Ok(f.data[start..end].to_vec())
     }
@@ -168,6 +169,16 @@ mod tests {
         // §6.3 handler issues read(fd, size) verbatim, and a zero-byte
         // file must yield an empty success.
         assert_eq!(fs.read(fd, 0).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn a_read_of_any_length_past_the_cursor_returns_the_rest() {
+        let mut fs = InMemFs::default();
+        fs.add_file("/a", vec![1, 2, 3, 4, 5]);
+        let fd = fs.open("/a").unwrap();
+        assert_eq!(fs.read(fd, 1).unwrap(), vec![1]);
+        assert_eq!(fs.read(fd, usize::MAX).unwrap(), vec![2, 3, 4, 5]);
+        assert_eq!(fs.read(fd, usize::MAX), Err(FsError::Eof(fd)));
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! | [`VmFd::snapshot`] | copies the two extents out and notes which pages they have content on |
 //! | [`VmFd::restore`] | wipes as `clean` does, then copies exactly the pages the snapshot has content on |
 //! | [`VmFd::restore_delta`] | copies exactly the pages in the dirty log |
-//! | dropping the last handle | wipes as `clean` does and parks the guest-memory buffer on the thread's spare list |
-//! | [`Hypervisor::create_vm`] | takes a parked buffer of the size — already zero — or allocates; always a new vCPU with a cold block cache |
+//! | dropping the last handle | wipes as `clean` does and retires the VM to the thread's spare list: its guest-memory buffer and its vCPU's block cache, which stays with that memory |
+//! | [`Hypervisor::create_vm`] | charges the full from-scratch cost, builds a new vCPU in the reset state, and takes a retired shell of the size — already zero, its block cache adopted as `clean` adopts it — or allocates |
 //!
 //! `visa::mem::counters()` counts the pages and buffers.
 //!
@@ -144,7 +144,8 @@ impl Hypervisor {
     ///
     /// This is the expensive, from-scratch path of §5.2: "we pay a higher
     /// cost to construct a virtine due to the host kernel's internal
-    /// allocation of the VM state (VMCS on Intel/VMCB on AMD)".
+    /// allocation of the VM state (VMCS on Intel/VMCB on AMD)". It charges
+    /// that cost whatever host state the simulator reuses underneath.
     pub fn create_vm(&self, mem_size: usize, entry: u64) -> VmFd {
         // KVM_CREATE_VM.
         self.ioctl_round_trip_entry();
@@ -164,11 +165,15 @@ impl Hypervisor {
         self.kernel.clock().tick(costs::KVM_CREATE_VCPU);
         self.ioctl_round_trip_exit();
 
-        let cpu = Cpu::new(self.kernel.clock().clone(), CpuConfig::default(), entry);
+        // The vCPU is reset exactly as from scratch; the host state a
+        // retired shell of the size kept — a wiped buffer, and the block
+        // cache the wipe's code-dirty marks vouch for — is reused under it.
+        let mut cpu = Cpu::new(self.kernel.clock().clone(), CpuConfig::default(), entry);
+        let mem = Memory::revive(mem_size, &mut cpu);
         VmFd {
             inner: Rc::new(RefCell::new(VmInner {
                 cpu,
-                mem: Memory::new(mem_size),
+                mem,
                 kernel: self.kernel.clone(),
                 flavor: self.flavor,
             })),
@@ -181,6 +186,14 @@ struct VmInner {
     mem: Memory,
     kernel: HostKernel,
     flavor: Flavor,
+}
+
+// The last handle is gone: the VM retires as a wiped shell that keeps its
+// vCPU's block cache for the next `create_vm` of its size.
+impl Drop for VmInner {
+    fn drop(&mut self) {
+        self.mem.retire(&mut self.cpu);
+    }
 }
 
 /// A virtual machine handle (the per-context "device file" of §5.1).

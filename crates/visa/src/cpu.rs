@@ -412,7 +412,8 @@ impl Cpu {
     /// state, and survives the reset like the shell's memory allocation
     /// does. `donor` must have run against the same [`Memory`] this CPU
     /// will — the cache's freshness protocol is that memory's code-dirty
-    /// bitmap.
+    /// bitmap. (Across a VM's teardown, [`Memory::retire`] and
+    /// [`Memory::revive`] carry the cache with its memory instead.)
     pub fn adopt_predecode(&mut self, donor: &mut Cpu) {
         std::mem::swap(&mut self.pred, &mut donor.pred);
     }

@@ -13,11 +13,12 @@
 //!
 //! [`compare_script`] does the same for a *shell lifecycle*: one machine is
 //! loaded, run, snapshotted, restored in full or by dirty-page delta, poked
-//! by the host, cleaned and handed another image — the steps `kvmsim` and
-//! `wasp` put a pooled shell through — and the two engines are compared
-//! after every [`Step`]. The fast engine's block cache survives all of those
-//! steps (see the retention invariant in [`pred`](crate::pred)), so this is
-//! where a block that outlived the bytes it was decoded from would show.
+//! by the host, cleaned or destroyed and re-created, and handed another
+//! image — the steps `kvmsim` and `wasp` put a shell through — and the two
+//! engines are compared after every [`Step`]. The fast engine's block cache
+//! survives all of those steps (see the retention invariant in
+//! [`pred`](crate::pred)), so this is where a block that outlived the bytes
+//! it was decoded from would show.
 
 use vclock::rng::Rng;
 use vclock::{Clock, Cycles};
@@ -262,9 +263,9 @@ pub enum Step {
     /// A host write into guest memory (`VmFd::write_guest`).
     Poke(u64, Vec<u8>),
     /// Destroy the VM and create another of the same size with its reset
-    /// vector at `entry` (`Hypervisor::create_vm` after a drop): a new vCPU
-    /// with a cold block cache, on guest memory rebuilt from the buffer the
-    /// dropped one parked on the spare list.
+    /// vector at `entry` (`Hypervisor::create_vm` after a drop): the machine
+    /// retires as a wiped shell with its block cache, and a new vCPU revives
+    /// it, cache and all.
     Recreate(u64),
 }
 
@@ -328,11 +329,11 @@ pub fn run_script(
                 let _ = m.mem.write_bytes(*addr, bytes);
             }
             Step::Recreate(entry) => {
-                let clock = m.cpu.clock().clone();
-                // Dropped first, so the new memory takes the parked buffer.
-                m.mem = Memory::new(0);
-                *m = Machine::new(clock, CpuConfig::default(), mem_size, *entry);
-                m.cpu.set_engine(shell.engine);
+                m.mem.retire(&mut m.cpu);
+                let mut cpu = Cpu::new(m.cpu.clock().clone(), CpuConfig::default(), *entry);
+                cpu.set_engine(shell.engine);
+                m.mem = Memory::revive(mem_size, &mut cpu);
+                m.cpu = cpu;
                 armed = None;
             }
         }
@@ -369,8 +370,8 @@ pub fn compare_script(
 /// that may stop anywhere: a plain full or delta restore; a host poke into
 /// the code just re-armed (random bytes, or the other image's bytes at that
 /// offset), which the next move's restore must undo; a later re-snapshot;
-/// a clean — or a destroy and re-create, on recycled guest memory — that
-/// hands the shell to another image.
+/// a clean — or a destroy and re-create, which revives the retired shell and
+/// its block cache — that hands the shell to another image.
 pub fn random_script(rng: &mut Rng, images: &[Image]) -> Vec<Step> {
     // Log-uniform budgets: most runs stop mid-program, a few reach its end.
     let run = |rng: &mut Rng| {

@@ -36,12 +36,26 @@
 //! zero before and is zero after, no block cached from it needs revalidating.
 //! Debug builds re-check the invariant by scanning the whole buffer after
 //! every wipe, full restore and buffer reuse.
+//!
+//! # Retired shells
+//!
+//! A memory that goes away is wiped and parked on this thread's spare list,
+//! and the next memory of its size starts from it. Dropped, it parks as a
+//! bare buffer; [`Memory::retire`]d together with the vCPU that last ran on
+//! it, it also keeps that vCPU's block cache *and its own `code_dirty`
+//! bitmap* — the wipe has just marked every page it zeroed, so the pair is
+//! exactly what a cleaned pooled shell holds. [`Memory::revive`] hands such a
+//! shell, cache and all, to a fresh vCPU; [`Memory::new`] takes the buffer
+//! and leaves any cache behind. A cache is never adopted by a memory other
+//! than the one whose bits vouch for it.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::Range;
 
+use crate::cpu::Cpu;
 use crate::inst::Width;
+use crate::pred::PredCache;
 
 /// An out-of-bounds guest-physical access (the simulated EPT violation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,18 +124,27 @@ pub struct Counters {
 }
 
 /// Bytes of wiped guest-memory buffers one thread keeps for reuse — the only
-/// bound on the spare list, and so the most memory it can pin: 4 MiB, eight
-/// of `vcc`'s 512 KiB shells. The oldest spares make room for a new one; a
+/// bound on the spare list, and so the most guest memory it can pin: 4 MiB,
+/// eight of `vcc`'s 512 KiB shells (the block caches retired shells carry
+/// ride along uncounted). The oldest spares make room for a new one; a
 /// buffer larger than the bound, or smaller than a page, is never parked.
 const SPARE_BYTES: usize = 4 << 20;
 
+/// A retired shell on the spare list: a wiped buffer and, when it was
+/// [`Memory::retire`]d, the `code_dirty` bitmap and the block cache that
+/// bitmap vouches for — the two never travel apart.
+struct Spare {
+    bytes: Vec<u8>,
+    cache: Option<(Vec<u64>, PredCache)>,
+}
+
 thread_local! {
     static COUNTERS: Cell<Counters> = Cell::default();
-    /// Buffers of dropped memories, **every one already wiped**: the scrub
-    /// happens when a buffer is parked, never when it is reused, so whatever
-    /// dropped it — a killed dirty shell, an abandoned suspended run — the
-    /// next [`Memory::new`] starts all-zero by construction.
-    static SPARES: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+    /// Retired shells, **every one already wiped**: the scrub happens when a
+    /// shell is parked, never when it is reused, so whatever gave it up — a
+    /// killed dirty shell, an abandoned suspended run — the next memory of
+    /// its size starts all-zero by construction.
+    static SPARES: RefCell<Vec<Spare>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Snapshot of this thread's [`Counters`].
@@ -239,24 +262,10 @@ impl fmt::Debug for Memory {
     }
 }
 
-// A dropped memory's buffer is wiped and parked for the next `Memory::new`
-// of its size on this thread (see `SPARES`).
+// A dropped memory parks its wiped buffer, without a cache (see `SPARES`).
 impl Drop for Memory {
     fn drop(&mut self) {
-        if !(PAGE_SIZE as usize..=SPARE_BYTES).contains(&self.bytes.len()) {
-            return;
-        }
-        self.clear();
-        let buf = std::mem::take(&mut self.bytes);
-        // `try_with`: a memory dropped during thread teardown is just freed.
-        let _ = SPARES.try_with(|spares| {
-            let mut spares = spares.borrow_mut();
-            let mut held: usize = spares.iter().map(Vec::len).sum();
-            while held + buf.len() > SPARE_BYTES {
-                held -= spares.remove(0).len();
-            }
-            spares.push(buf);
-        });
+        self.park(None);
     }
 }
 
@@ -264,9 +273,62 @@ impl Memory {
     /// `size` bytes of zeroed guest memory: a wiped spare buffer of exactly
     /// that size when this thread has one, a fresh allocation otherwise.
     pub fn new(size: usize) -> Memory {
+        Memory::reuse(size, None)
+    }
+
+    /// `size` bytes of zeroed guest memory for `cpu`, a vCPU fresh from
+    /// [`Cpu::new`]: a retired shell of that size — preferring one that
+    /// carries a block cache, which replaces `cpu`'s — or whatever
+    /// [`Memory::new`] would return, and `cpu`'s cache emptied. The cache
+    /// comes with the `code_dirty` bits of the memory it was built against,
+    /// which the wipe at [`Memory::retire`] set for every page it zeroed, so
+    /// it is exactly a cleaned pooled shell's cache (the retention invariant
+    /// in `pred.rs`).
+    pub fn revive(size: usize, cpu: &mut Cpu) -> Memory {
+        Memory::reuse(size, Some(cpu))
+    }
+
+    /// Retires this memory together with `cpu`, the vCPU that last ran on
+    /// it: wiped, it parks on this thread's spare list with `cpu`'s block
+    /// cache for [`Memory::revive`]. Leaves this memory empty (size 0) and
+    /// `cpu` with an empty cache — for a hypervisor tearing a VM down.
+    pub fn retire(&mut self, cpu: &mut Cpu) {
+        self.park(Some(std::mem::take(&mut cpu.pred)));
+    }
+
+    /// Wipes this memory and parks its buffer — with `cache` and the
+    /// `code_dirty` bits that vouch for it, if given — evicting the oldest
+    /// spares past [`SPARE_BYTES`]. A size the list never holds is left
+    /// alone, to be freed.
+    fn park(&mut self, cache: Option<PredCache>) {
+        if !(PAGE_SIZE as usize..=SPARE_BYTES).contains(&self.bytes.len()) {
+            return;
+        }
+        self.clear();
+        let spare = Spare {
+            bytes: std::mem::take(&mut self.bytes),
+            cache: cache.map(|c| (std::mem::take(&mut self.code_dirty), c)),
+        };
+        // `try_with`: a memory dropped during thread teardown is just freed.
+        let _ = SPARES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            let mut held: usize = spares.iter().map(|s| s.bytes.len()).sum();
+            while held + spare.bytes.len() > SPARE_BYTES {
+                held -= spares.remove(0).bytes.len();
+            }
+            spares.push(spare);
+        });
+    }
+
+    /// A memory of `size` bytes from the newest spare of that size or the
+    /// allocator. With a `cpu` to revive, a spare carrying a cache is
+    /// preferred, and `cpu` adopts the cache with its memory's bits.
+    fn reuse(size: usize, cpu: Option<&mut Cpu>) -> Memory {
         let spare = SPARES.with(|spares| {
             let mut spares = spares.borrow_mut();
-            let i = spares.iter().rposition(|b| b.len() == size)?;
+            let (i, _) = (spares.iter().enumerate())
+                .filter(|(_, s)| s.bytes.len() == size)
+                .max_by_key(|&(i, s)| (cpu.is_some() && s.cache.is_some(), i))?;
             Some(spares.remove(i))
         });
         count(|c| match spare {
@@ -274,17 +336,25 @@ impl Memory {
             None => c.buffers_allocated += 1,
         });
         debug_assert!(
-            spare.as_deref().is_none_or(all_zero),
+            spare.as_ref().is_none_or(|s| all_zero(&s.bytes)),
             "a spare buffer was parked unwiped"
         );
         let words = (size as u64).div_ceil(PAGE_SIZE).div_ceil(64) as usize;
+        let (bytes, cache) = spare.map_or_else(|| (vec![0; size], None), |s| (s.bytes, s.cache));
+        // The revived vCPU ends up with exactly the cache these bits vouch
+        // for: the spare's, or an empty one beside fresh bits.
+        let (code_dirty, pred) = (cache.filter(|_| cpu.is_some()))
+            .unwrap_or_else(|| (vec![0; words], PredCache::default()));
+        if let Some(cpu) = cpu {
+            cpu.pred = pred;
+        }
         Memory {
-            bytes: spare.unwrap_or_else(|| vec![0; size]),
+            bytes,
             dirty_low_end: 0,
             dirty_high_start: size as u64,
             dirty_pages: vec![0; words],
             touched: vec![0; words],
-            code_dirty: vec![0; words],
+            code_dirty,
         }
     }
 
@@ -951,6 +1021,37 @@ mod tests {
             });
             thread.join().expect("teardown must not panic");
         }
+    }
+
+    #[test]
+    fn a_retired_memory_is_revived_with_its_own_code_dirty_bits() {
+        use crate::cpu::{Cpu, CpuConfig};
+        // A thread of its own: an empty spare list.
+        std::thread::spawn(|| {
+            let size = 4 * PAGE_SIZE as usize;
+            let cpu = || Cpu::new(vclock::Clock::new(), CpuConfig::default(), 0);
+            let bare = Memory::new(size);
+            // A cache has seen every page; then the guest writes page 1.
+            let mut m = Memory::new(size);
+            (0..4).for_each(|page| m.clear_code_dirty_page(page));
+            m.write(PAGE_SIZE, Width::Q, 7).unwrap();
+            m.clear_code_dirty_page(1);
+            m.retire(&mut cpu());
+            assert_eq!(m.size(), 0, "retiring empties the memory");
+            drop(bare); // Parked after the retired shell, without a cache.
+            let marked = |m: &Memory| (0..4).filter(|&p| m.code_page_dirty(p)).collect::<Vec<_>>();
+            // Revival prefers the retired shell: zero, and its bits say the
+            // wipe rewrote page 1 and nothing else.
+            let revived = Memory::revive(size, &mut cpu());
+            assert!(all_zero(revived.as_slice()));
+            assert_eq!(marked(&revived), [1]);
+            // `new` took the bare buffer, with bits of its own.
+            let fresh = Memory::new(size);
+            assert_eq!(marked(&fresh), [] as [u64; 0]);
+            assert_eq!(counters().buffers_recycled, 2);
+        })
+        .join()
+        .unwrap();
     }
 
     // -----------------------------------------------------------------------

@@ -41,7 +41,10 @@
 //!   context running on it. Nothing in the shell lifecycle flushes it:
 //!   [`Cpu::restore_state`](crate::cpu::Cpu::restore_state) leaves it alone,
 //!   a hypervisor's vCPU reset carries it into the fresh CPU
-//!   ([`Cpu::adopt_predecode`](crate::cpu::Cpu::adopt_predecode)), and the
+//!   ([`Cpu::adopt_predecode`](crate::cpu::Cpu::adopt_predecode)), a
+//!   destroyed VM retires it with its wiped memory onto the spare list and
+//!   the next VM created on that memory adopts it
+//!   ([`Memory::retire`] / [`Memory::revive`]), and the
 //!   memory paths underneath mark exactly the pages they rewrite — `clear`
 //!   the pages it zeroes, the sparse restore and the delta re-arm the pages
 //!   they copy back (a page that was zero and stays zero has not changed
@@ -342,9 +345,10 @@ type BlockKey = (Mode, u64);
 
 /// The block cache. It belongs to the *shell* — the CPU/memory pair a
 /// hypervisor pools and re-arms — not to one guest context: it survives
-/// [`Cpu::restore_state`] and is carried across a vCPU reset by
-/// [`Cpu::adopt_predecode`]. See the invariant in the module docs for why
-/// that is safe.
+/// [`Cpu::restore_state`], is carried across a vCPU reset by
+/// [`Cpu::adopt_predecode`], and across a VM's teardown and re-creation by
+/// [`Memory::retire`] and [`Memory::revive`]. See the invariant in the
+/// module docs for why that is safe.
 ///
 /// Blocks live in an arena and are named by slot index; the run loop
 /// borrows `&Block` from the arena while the cache is detached from its

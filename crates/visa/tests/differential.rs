@@ -515,9 +515,10 @@ fn a_clean_revalidates_blocks_on_a_wiped_page_the_next_load_does_not_rewrite() {
             Step::Clean(0x1000),
             Step::Load(0),
             Step::Run(100),
-            // The same through a destroyed and re-created VM — a cold cache
-            // on recycled guest memory: the routine runs where it is poked
-            // again, and is gone, with its page, after the next re-create.
+            // The same through a destroyed and re-created VM, which revives
+            // the retired shell with its cache: the routine runs where it is
+            // poked again, and is gone, with its page, after the next
+            // re-create — its block came along and must be found stale.
             Step::Recreate(0x1000),
             Step::Load(0),
             Step::Poke(0x5000, routine.bytes),
@@ -535,6 +536,38 @@ fn a_clean_revalidates_blocks_on_a_wiped_page_the_next_load_does_not_rewrite() {
         assert_ne!(trace[rerun].state.regs[0], 14, "ran the wiped routine");
         assert!(trace[rerun].mem[0x5000..0x6000].iter().all(|&b| b == 0));
     }
+}
+
+#[test]
+fn a_cache_revived_onto_a_page_the_next_image_rewrites_differently_re_decodes() {
+    // Two images with one layout at one base and entry, differing only in
+    // the loop's immediate. A re-created VM revives the retired shell with
+    // the loop's cached blocks; loading the other image rewrites their page
+    // with other bytes, so the loop must be decoded again from those.
+    let program = |step: u64| {
+        format!(
+            ".org 0x1000\n mov sp, 0xF000\n mov r0, 0\n mov r1, 0\n\
+             loop:\n add r0, {step}\n add r1, 1\n cmp r1, 20\n jl loop\n hlt\n"
+        )
+    };
+    let (x, y) = (program(3), program(5));
+    let trace = check_script(
+        &[&x, &y],
+        &[
+            Step::Load(0),
+            Step::Run(1_000),
+            Step::Recreate(0x1000),
+            Step::Load(1),
+            Step::Run(1_000),
+            Step::Recreate(0x1000),
+            Step::Load(0),
+            Step::Run(1_000),
+        ],
+    );
+    let ran = |i: usize| (trace[i].state.regs[0], trace[i].events.clone());
+    assert_eq!(ran(1), (60, vec![diff::Event::Hlt]));
+    assert_eq!(ran(4), (100, vec![diff::Event::Hlt]), "ran x's loop");
+    assert_eq!(ran(7), ran(1));
 }
 
 /// Real mode → protected mode, calling one helper from both.

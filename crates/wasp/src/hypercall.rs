@@ -702,6 +702,25 @@ mod tests {
     }
 
     #[test]
+    fn a_read_of_u64_max_bytes_reads_the_rest_of_the_file() {
+        let (k, mut m, mut inv) = setup();
+        k.fs_add_file("/data.txt", b"filedata".to_vec());
+        m.write_guest(0, b"/data.txt").unwrap();
+        let HcOutcome::Resume(fd) =
+            handle_canned(nr::OPEN, [0, 9, 0, 0, 0], &mut m, &k, &mut inv).unwrap()
+        else {
+            panic!("open failed")
+        };
+        let out = handle_canned(nr::READ, [fd, 512, 1, 0, 0], &mut m, &k, &mut inv).unwrap();
+        assert_eq!(out, HcOutcome::Resume(1));
+        // The guest's length is taken as given, and must not overflow the
+        // cursor arithmetic underneath.
+        let out = handle_canned(nr::READ, [fd, 600, u64::MAX, 0, 0], &mut m, &k, &mut inv);
+        assert_eq!(out.unwrap(), HcOutcome::Resume(7));
+        assert_eq!(m.read_guest(600, 7).unwrap(), b"iledata");
+    }
+
+    #[test]
     fn stat_writes_size_into_guest_memory() {
         let (k, mut m, mut inv) = setup();
         k.fs_add_file("/f", vec![0; 777]);

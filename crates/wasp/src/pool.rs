@@ -55,9 +55,13 @@
 //! * **drop** (`PoolMode::Disabled` release, [`Pool::drop_shell`],
 //!   [`Pool::drop_all_shells`], an abandoned `SuspendedRun`): the shell is
 //!   destroyed *dirty* as far as the pool is concerned — the wipe happens in
-//!   the drop itself, before the guest-memory buffer is parked for reuse;
-//! * **create** (`KVM_CREATE_VM`): takes such a parked, already-zero buffer
-//!   when the thread has one of the size, and always a new vCPU.
+//!   the drop itself, and the VM retires as a shell: the guest-memory buffer
+//!   and its vCPU's block cache, parked together for reuse;
+//! * **create** (`KVM_CREATE_VM`): charged in full, always a new vCPU in
+//!   the reset state, on such a retired shell — already zero, its block
+//!   cache adopted exactly as a cleaned shell's is — when the thread has
+//!   one of the size. The isolation argument below covers it as written:
+//!   the shell is in the state `clean_async` leaves.
 //!
 //! The **blocked/suspended** state is the event-driven I/O path: a virtine
 //! parked in a blocking `recv` keeps its shell *inside* the

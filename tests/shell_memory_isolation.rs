@@ -13,14 +13,21 @@
 //! `vcc` heap base, the upper half, the stack, and one written only after its
 //! snapshot — and B sums exactly those words into its result, so residue shows
 //! in B's return value as well as in the byte-for-byte comparison.
+//!
+//! A destroyed VM retires as a shell that keeps its vCPU's block cache, and
+//! `create_vm` revives it, so the created-VM routes also pin the other half:
+//! A's blocks arrive with the shell, are found stale where B's bytes differ,
+//! and none of them runs.
 
 use std::rc::Rc;
+use std::sync::{Mutex, MutexGuard};
 
 use virtines::hostsim::HostKernel;
-use virtines::kvmsim::{Hypervisor, VmFd};
+use virtines::kvmsim::{Hypervisor, VmExit, VmFd};
 use virtines::vclock::Clock;
+use virtines::visa::cpu::Fault;
 use virtines::visa::mem::counters;
-use virtines::visa::{self, asm::Image};
+use virtines::visa::{self, asm::Image, pred, Reg};
 use virtines::wasp::{
     nr, Breakdown, ExitKind, HypercallMask, Invocation, Pool, PoolMode, RunOutcome, RunResult,
     ShellRun, ShellSource, VirtineId, VirtineSpec, Wasp, WaspConfig,
@@ -29,6 +36,13 @@ use virtines::wasp::{
 const MEM: usize = 512 * 1024;
 const ENTRY: u64 = 0x8000;
 const TENANT_A: u64 = 1;
+
+/// `visa::pred::counters()` is process-wide: the tests take turns, so that a
+/// block count moving is this test's doing.
+fn turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Where A leaves its secret (besides the args window, which the host
 /// writes): low data, the heap base, the upper half, its stack slot.
@@ -208,6 +222,7 @@ fn assert_same(got: Seen, expected: &Seen, route: &str) {
 fn b_on_a_cleaned_shell_of_a() {
     // (a) `Pool::release` wipes — charged or in the background — and parks;
     // the next acquire hands the shell to whoever asks.
+    let _turn = turn();
     let expected = b_on_a_never_used_vm(false);
     for mode in [PoolMode::Cached, PoolMode::CachedAsync] {
         let n = node();
@@ -228,6 +243,7 @@ fn b_on_a_cleaned_shell_of_a() {
 fn b_on_a_demoted_warm_shell_of_a() {
     // (b) A's shell parks warm — unwiped, holding everything A wrote — and is
     // then sacrificed to a request that found no clean shell.
+    let _turn = turn();
     let expected = b_on_a_never_used_vm(false);
     let n = node();
     let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY);
@@ -242,21 +258,43 @@ fn b_on_a_demoted_warm_shell_of_a() {
     );
 }
 
+/// What creating a VM and running B on it added: B's view, buffers
+/// recycled, blocks built and blocks invalidated.
+fn b_on_a_created_vm(n: &Node) -> (Seen, u64, u64, u64) {
+    let (mem, blocks) = (counters(), pred::counters());
+    let seen = n.b_runs_on(n.create_vm(), ShellSource::Created);
+    let after = pred::counters();
+    (
+        seen,
+        counters().buffers_recycled - mem.buffers_recycled,
+        after.blocks_built - blocks.blocks_built,
+        after.blocks_invalidated - blocks.blocks_invalidated,
+    )
+}
+
 /// (c) A's VM is destroyed *dirty* by `destroy`, and the next `create_vm` —
-/// which takes the very buffer A's VM just gave up — serves B.
+/// which revives the very shell A's VM just retired, block cache and all —
+/// serves B.
 fn b_on_a_vm_created_after(route: &str, destroy: impl FnOnce(&Node, &mut Pool)) {
+    let _turn = turn();
     let expected = b_on_a_never_used_vm(true);
     let n = node();
     let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY);
     destroy(&n, &mut pool);
-    let before = counters();
-    let vm = n.create_vm();
+    let (seen, recycled, _, invalidated) = b_on_a_created_vm(&n);
     assert_eq!(
-        counters().buffers_recycled - before.buffers_recycled,
-        1,
-        "{route}: B's VM must sit on the buffer A's VM dropped"
+        recycled, 1,
+        "{route}: B's VM must be the shell A's VM retired"
     );
-    assert_same(n.b_runs_on(vm, ShellSource::Created), &expected, route);
+    // B's image differs from A's at the same base and entry: A's blocks came
+    // with the shell (a cold cache has none to drop), were found stale when
+    // B reached them, and none ran — B sees what it sees on a never-used VM.
+    assert!(invalidated > 0, "{route}: A's blocks did not come with it");
+    assert_same(seen, &expected, route);
+    // B's VM retires in turn; a create for the same image builds nothing.
+    let (seen, recycled, built, _) = b_on_a_created_vm(&n);
+    assert_eq!((recycled, built), (1, 0), "{route}: B again");
+    assert_same(seen, &expected, &format!("{route}, B again"));
 }
 
 #[test]
@@ -310,4 +348,68 @@ fn b_on_a_vm_created_after_an_unpooled_release() {
         unpooled.release(vm);
         assert_eq!(unpooled.idle_shells(), 0, "dropped, not parked");
     });
+}
+
+/// What a client of `kvmsim` sees of one guest: the exit, four registers,
+/// the cycles from `create_vm` on, and every guest byte.
+type Raw = (Result<VmExit, Fault>, [u64; 4], u64, Vec<u8>);
+
+/// Creates a 64 KiB VM on `hv`, loads `image`, runs it; the VM is then
+/// destroyed.
+fn raw_run(hv: &Hypervisor, image: &Image) -> Raw {
+    let clock = hv.kernel().clock().clone();
+    let t0 = clock.now();
+    let vm = hv.create_vm(64 * 1024, ENTRY);
+    vm.load_image(image);
+    let vcpu = vm.vcpu();
+    let exit = vcpu.run(10_000);
+    let regs = [0, 1, 2, 3].map(|r| vcpu.reg(Reg(r)));
+    let mem = vm.read_guest(0, 64 * 1024).unwrap();
+    (exit, regs, (clock.now() - t0).get(), mem)
+}
+
+fn raw_hv() -> Hypervisor {
+    Hypervisor::kvm(HostKernel::new(Clock::new(), None))
+}
+
+#[test]
+fn a_revived_block_cache_never_runs_a_block_from_a_page_the_next_image_leaves_zero() {
+    // A jumps to a routine on page 15 of its VM. B, at the same base and
+    // entry, is only the jump: on a VM nobody used it runs into zeroes
+    // (`nop`s) and off the end of memory. A's block at the routine arrives in
+    // B's VM with the retired shell, and B's load never writes page 15: only
+    // the code-dirty mark A's wipe left there makes the block stale.
+    let _turn = turn();
+    let jump = ".org 0x8000\n mov r1, 0xF000\n jmp r1\n";
+    let routine = " mov r0, 0xA11CE\n hlt\n";
+    let b = visa::assemble(jump).unwrap();
+    let pad = 0x7000 - b.bytes.len();
+    let a = visa::assemble(&format!("{jump} .space {pad}\n{routine}")).unwrap();
+    let at_f000 = visa::assemble(&format!(".org 0xF000\n{routine}")).unwrap();
+    assert_eq!(a.bytes[0x7000..], at_f000.bytes);
+    let b_alone = {
+        let b = b.clone();
+        std::thread::spawn(move || raw_run(&raw_hv(), &b))
+    };
+    let b_alone = b_alone.join().expect("oracle run");
+    assert!(
+        b_alone.0.is_err() && b_alone.1[0] == 0,
+        "B runs off the end"
+    );
+
+    let hv = raw_hv();
+    let (exit, regs, ..) = raw_run(&hv, &a);
+    assert_eq!((exit, regs[0]), (Ok(VmExit::Hlt), 0xA11CE));
+    // The same image on A's retired shell: A's blocks came with it.
+    let before = (counters(), pred::counters());
+    assert_eq!(raw_run(&hv, &a).1[0], 0xA11CE);
+    assert_eq!(counters().buffers_recycled - before.0.buffers_recycled, 1);
+    assert_eq!(pred::counters().blocks_built, before.1.blocks_built);
+    // B on it: the stale routine block is dropped when B reaches it, and B
+    // sees exactly what it sees on a VM nobody used.
+    let before = pred::counters();
+    let got = raw_run(&hv, &b);
+    assert!(pred::counters().blocks_invalidated > before.blocks_invalidated);
+    assert_eq!(got.1[0], 0, "A's routine ran for B");
+    assert!(got == b_alone, "B differs from B on a never-used VM");
 }

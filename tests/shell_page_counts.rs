@@ -12,8 +12,11 @@
 //! The other half of the bargain — a clean and a reload of the same image
 //! still build and invalidate *zero* predecoded blocks — is pinned in
 //! `predecode_retention_isolation.rs`
-//! (`rearming_or_cleaning_a_shell_for_the_same_image_rebuilds_nothing`),
-//! whose counters are process-wide and need that file's turn-taking.
+//! (`rearming_or_cleaning_a_shell_for_the_same_image_rebuilds_nothing`), and
+//! here for a VM created on a destroyed one's retired shell. Block counters
+//! are process-wide, so the tests in this file take turns.
+
+use std::sync::{Mutex, MutexGuard};
 
 use virtines::hostsim::HostKernel;
 use virtines::kvmsim::{Hypervisor, VmExit, VmFd};
@@ -27,6 +30,13 @@ use virtines::wasp::{
 };
 
 const MEM: usize = 1 << 20;
+
+/// `visa::pred::counters()` is process-wide: the tests take turns, so that a
+/// block count moving is this test's doing.
+fn turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn hv() -> Hypervisor {
     Hypervisor::kvm(HostKernel::new(Clock::new(), None))
@@ -70,6 +80,7 @@ fn counted(f: impl FnOnce()) -> Counters {
 
 #[test]
 fn a_clean_wipes_exactly_the_pages_the_run_touched() {
+    let _turn = turn();
     let vm = at_snapshot_point(&hv());
     assert_eq!(vm.vcpu().run(100).unwrap(), VmExit::Hlt);
     // Pages 6, 7, 8 and 0x40 — while the extents the wipe is *charged* for
@@ -84,6 +95,7 @@ fn a_clean_wipes_exactly_the_pages_the_run_touched() {
 
 #[test]
 fn a_full_restore_copies_exactly_the_pages_of_its_image() {
+    let _turn = turn();
     let hv = hv();
     let source = at_snapshot_point(&hv);
     let snap = source.snapshot();
@@ -118,6 +130,7 @@ fn a_full_restore_copies_exactly_the_pages_of_its_image() {
 
 #[test]
 fn a_compiled_function_that_touches_the_heap_wipes_a_handful_of_pages() {
+    let _turn = turn();
     // `vcc` puts the heap at 0x28000, below the midpoint of its 512 KiB
     // shell, so one malloc'ed store stretches the low *extent* — the charge —
     // past 160 KiB. The host wipe is the pages: image, heap page, stack.
@@ -152,6 +165,7 @@ fn a_compiled_function_that_touches_the_heap_wipes_a_handful_of_pages() {
 
 #[test]
 fn a_dirty_shell_charges_its_extent_whatever_the_host_wipes() {
+    let _turn = turn();
     // The two ledgers side by side: one byte at 0x28000 is one page of host
     // work and 0x28001 bytes of virtual memset.
     let hv = hv();
@@ -166,34 +180,57 @@ fn a_dirty_shell_charges_its_extent_whatever_the_host_wipes() {
 
 #[test]
 fn create_vm_after_a_drop_goes_to_the_spare_list_not_the_allocator() {
+    let _turn = turn();
     let hv = hv();
-    // A size no other test on this thread uses, so the first one allocates.
+    // A size no other test on this thread uses, so the first ones allocate.
+    // Two spares of the size are parked: the dirty VM's retired shell, then
+    // the bare buffer of a `Machine` dropped after it.
     let size = 24 * PAGE_SIZE as usize;
-    let first = counted(|| drop(at_dirty(&hv, size)));
-    assert_eq!((first.buffers_allocated, first.buffers_recycled), (1, 0));
-    // The dirty VM was dropped without a clean: its wipe happened at the drop.
-    assert_eq!(first.pages_wiped, 1);
+    let first = counted(|| {
+        let bare = Machine::new(Clock::new(), CpuConfig::default(), size, 0x8000);
+        drop(at_dirty(&hv, size));
+        drop(bare);
+    });
+    assert_eq!((first.buffers_allocated, first.buffers_recycled), (2, 0));
+    // The dirty VM was dropped without a clean: its wipe happened at the
+    // drop, of its code page and its data page.
+    assert_eq!(first.pages_wiped, 2);
+    // `create_vm` takes the retired shell over the newer bare buffer: all
+    // zero, and the blocks its last vCPU built come with it, so the same
+    // code builds none.
+    let built = visa::pred::counters().blocks_built;
     let again = counted(|| {
         let vm = hv.create_vm(size, 0x8000);
         assert!(vm.read_guest(0, size).unwrap().iter().all(|&b| b == 0));
+        vm.load_image(&dirtier());
+        assert_eq!(vm.vcpu().run(100).unwrap(), VmExit::Hlt);
     });
     assert_eq!((again.buffers_allocated, again.buffers_recycled), (0, 1));
-    // Another size misses the list; a second live VM of the size does too.
+    assert_eq!(visa::pred::counters().blocks_built, built, "blocks rebuilt");
+    // Another size misses the list; live VMs of the size take one spare each
+    // (the retired shell first), then the allocator.
     let other = counted(|| drop(hv.create_vm(size + PAGE_SIZE as usize, 0x8000)));
     assert_eq!((other.buffers_allocated, other.buffers_recycled), (1, 0));
-    let two = counted(|| drop((hv.create_vm(size, 0x8000), hv.create_vm(size, 0x8000))));
-    assert_eq!((two.buffers_allocated, two.buffers_recycled), (1, 1));
+    let three = counted(|| drop([0; 3].map(|_| hv.create_vm(size, 0x8000))));
+    assert_eq!((three.buffers_allocated, three.buffers_recycled), (1, 2));
 }
 
-/// A VM of `size` bytes with one dirty page.
+/// Stores to page 3 and halts: code on page 8, data on page 3.
+fn dirtier() -> Image {
+    visa::assemble(".org 0x8000\n mov r1, 0x3000\n store.q [r1], r1\n hlt\n").unwrap()
+}
+
+/// A VM of `size` bytes that has run [`dirtier`].
 fn at_dirty(hv: &Hypervisor, size: usize) -> VmFd {
     let vm = hv.create_vm(size, 0x8000);
-    vm.write_guest(0x3000, b"left behind").unwrap();
+    vm.load_image(&dirtier());
+    assert_eq!(vm.vcpu().run(100).unwrap(), VmExit::Hlt);
     vm
 }
 
 #[test]
 fn a_wipe_marks_code_dirty_exactly_the_pages_it_zeroes() {
+    let _turn = turn();
     // The block cache revalidates what a wipe rewrote and nothing else: a
     // page that was zero and stays zero has not changed under any block.
     let mut m = Machine::new(Clock::new(), CpuConfig::default(), MEM, 0);
