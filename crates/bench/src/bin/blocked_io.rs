@@ -24,8 +24,7 @@
 //! and busy-wait gauges are exported via the server's `/metrics` endpoint
 //! (asserted mid-run). Writes `BENCH_blocked_io.json` for CI.
 
-use std::fmt::Write as _;
-
+use bench::json::Obj;
 use vhttp::dispatch::DispatchedServer;
 use vsched::BlockMode;
 
@@ -183,17 +182,7 @@ fn main() {
     let spin = run("spin-poll + slow clients", BlockMode::SpinPoll, true);
     let event = run("event-driven + slow clients", BlockMode::EventDriven, true);
 
-    println!(
-        "{:<28} | {:>12} {:>12} {:>12} {:>8} {:>8} {:>14} {:>7}",
-        "run",
-        "fast p50(ms)",
-        "fast p99(ms)",
-        "slow p99(ms)",
-        "blocked",
-        "resumed",
-        "busy-wait(cyc)",
-        "parked"
-    );
+    println!("run                          | fast p50(ms) fast p99(ms) slow p99(ms)  blocked  resumed busy-wait(cyc)  parked");
     for r in [&baseline, &spin, &event] {
         println!(
             "{:<28} | {:>12.4} {:>12.4} {:>12.4} {:>8} {:>8} {:>14} {:>7}",
@@ -243,31 +232,25 @@ fn main() {
     );
 
     // JSON artifact for CI trend tracking.
-    let mut json = String::from("{\n  \"runs\": [\n");
-    let rows = [&baseline, &spin, &event];
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"label\": \"{}\", \"fast_p50_ms\": {:.6}, \"fast_p99_ms\": {:.6}, \
-             \"slow_p99_ms\": {:.6}, \"served\": {}, \"blocked\": {}, \"resumed\": {}, \
-             \"busy_wait_cycles\": {}, \"max_parked_seen\": {}}}{}",
-            r.label,
-            r.fast_p50_ms,
-            r.fast_p99_ms,
-            r.slow_p99_ms,
-            r.served,
-            r.blocked,
-            r.resumed,
-            r.busy_wait_cycles,
-            r.max_parked_seen,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(
-        json,
-        "  ],\n  \"config\": {{\"shards\": {SHARDS}, \"slow_clients\": {SLOW_CLIENTS}, \
-         \"slow_chunks\": {SLOW_CHUNKS}, \"slow_spread_s\": {SLOW_SPREAD_S}, \
-         \"fast_requests\": {FAST_REQUESTS}, \"fast_window_s\": {FAST_WINDOW_S}}}\n}}"
-    );
-    bench::write_artifact("blocked_io", &json, &host);
+    let rows = [&baseline, &spin, &event].map(|r| {
+        Obj::new()
+            .str("label", r.label)
+            .num("fast_p50_ms", r.fast_p50_ms, 6)
+            .num("fast_p99_ms", r.fast_p99_ms, 6)
+            .num("slow_p99_ms", r.slow_p99_ms, 6)
+            .val("served", r.served)
+            .val("blocked", r.blocked)
+            .val("resumed", r.resumed)
+            .val("busy_wait_cycles", r.busy_wait_cycles)
+            .val("max_parked_seen", r.max_parked_seen)
+    });
+    let config = Obj::new()
+        .val("shards", SHARDS)
+        .val("slow_clients", SLOW_CLIENTS)
+        .val("slow_chunks", SLOW_CHUNKS)
+        .val("slow_spread_s", SLOW_SPREAD_S)
+        .val("fast_requests", FAST_REQUESTS)
+        .val("fast_window_s", FAST_WINDOW_S);
+    let doc = Obj::new().rows("runs", rows).val("config", config);
+    bench::write_artifact("blocked_io", doc, &host);
 }

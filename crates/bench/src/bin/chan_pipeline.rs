@@ -21,10 +21,9 @@
 //! Writes `BENCH_chan_pipeline.json` for CI; `check_regression` gates the
 //! p99s against the committed baseline.
 
-use std::fmt::Write as _;
-
+use bench::json::Obj;
 use vsched::{Dispatcher, DispatcherConfig, Placement, Request, TenantProfile};
-use wasp::{HypercallMask, Invocation, VirtineSpec, Wasp};
+use wasp::{nr, HypercallMask, Invocation, VirtineSpec, Wasp};
 
 const MEM: usize = 64 * 1024;
 const SHARDS: usize = 4;
@@ -35,10 +34,16 @@ fn dispatcher(config: DispatcherConfig) -> Dispatcher {
     Dispatcher::new(Wasp::new_kvm_default(), config)
 }
 
+/// A no-snapshot stage from `src`, allowed exactly the hypercalls in
+/// `allow`.
+fn stage(name: &str, src: &str, allow: &[u64]) -> VirtineSpec {
+    VirtineSpec::new(name, visa::assemble(src).expect("assemble"), MEM)
+        .with_policy(HypercallMask::allowing(allow))
+        .with_snapshot(false)
+}
+
 /// Stage 0: writes an 8-byte payload and sends it downstream (handle 0).
-fn producer_spec() -> VirtineSpec {
-    let img = visa::assemble(
-        "
+const PRODUCER: &str = "
 .org 0x8000
   mov r1, 0x100
   mov r5, 0x1122334455667788
@@ -50,18 +55,10 @@ fn producer_spec() -> VirtineSpec {
   mov r4, 0
   out 0x1, r0
   hlt
-",
-    )
-    .unwrap();
-    VirtineSpec::new("producer", img, MEM)
-        .with_policy(HypercallMask::allowing(&[wasp::nr::CHAN_SEND]))
-        .with_snapshot(false)
-}
+";
 
 /// Middle stage: receives from handle 0, forwards to handle 1.
-fn relay_spec() -> VirtineSpec {
-    let img = visa::assemble(
-        "
+const RELAY: &str = "
 .org 0x8000
   mov r0, 13           ; chan_recv(0, 0x200, 64)
   mov r1, 0
@@ -77,21 +74,11 @@ fn relay_spec() -> VirtineSpec {
   mov r4, 0
   out 0x1, r0
   hlt
-",
-    )
-    .unwrap();
-    VirtineSpec::new("relay", img, MEM)
-        .with_policy(HypercallMask::allowing(&[
-            wasp::nr::CHAN_RECV,
-            wasp::nr::CHAN_SEND,
-        ]))
-        .with_snapshot(false)
-}
+";
 
 /// Final stage: receives from handle 0, returns the bytes, exits.
-fn consumer_spec() -> VirtineSpec {
-    let img = visa::assemble(
-        "
+const CONSUMER_CALLS: &[u64] = &[nr::CHAN_RECV, nr::RETURN_DATA];
+const CONSUMER: &str = "
 .org 0x8000
   mov r0, 13           ; chan_recv(0, 0x200, 64)
   mov r1, 0
@@ -107,22 +94,11 @@ fn consumer_spec() -> VirtineSpec {
   mov r0, 0            ; exit(0)
   mov r1, 0
   out 0x1, r0
-",
-    )
-    .unwrap();
-    VirtineSpec::new("consumer", img, MEM)
-        .with_policy(HypercallMask::allowing(&[
-            wasp::nr::CHAN_RECV,
-            wasp::nr::RETURN_DATA,
-        ]))
-        .with_snapshot(false)
-}
+";
 
 /// A two-recv consumer for the cycle-identity check: parks mid-stream
 /// when the second message lags, never parks when both are pre-queued.
-fn two_recv_spec() -> VirtineSpec {
-    let img = visa::assemble(
-        "
+const TWO_RECV: &str = "
 .org 0x8000
   mov r0, 13           ; chan_recv #1
   mov r1, 0
@@ -140,13 +116,7 @@ fn two_recv_spec() -> VirtineSpec {
   add r7, r0
   mov r0, r7
   hlt
-",
-    )
-    .unwrap();
-    VirtineSpec::new("two_recv", img, MEM)
-        .with_policy(HypercallMask::allowing(&[wasp::nr::CHAN_RECV]))
-        .with_snapshot(false)
-}
+";
 
 struct PipelineResult {
     stage_p50_ms: f64,
@@ -165,9 +135,15 @@ fn run_pipeline() -> PipelineResult {
         shards: SHARDS,
         ..DispatcherConfig::default()
     });
-    let producer = d.register(producer_spec()).unwrap();
-    let relay = d.register(relay_spec()).unwrap();
-    let consumer = d.register(consumer_spec()).unwrap();
+    let producer = d
+        .register(stage("producer", PRODUCER, &[nr::CHAN_SEND]))
+        .unwrap();
+    let relay = d
+        .register(stage("relay", RELAY, &[nr::CHAN_RECV, nr::CHAN_SEND]))
+        .unwrap();
+    let consumer = d
+        .register(stage("consumer", CONSUMER, CONSUMER_CALLS))
+        .unwrap();
     let tenant = d.add_tenant(TenantProfile::new("pipe").with_mask(HypercallMask::ALLOW_ALL));
 
     let kernel = d.wasp().kernel().clone();
@@ -240,7 +216,9 @@ fn run_identity(pre_send: bool) -> (u64, u32) {
         shards: 1,
         ..DispatcherConfig::default()
     });
-    let consumer = d.register(two_recv_spec()).unwrap();
+    let consumer = d
+        .register(stage("two_recv", TWO_RECV, &[nr::CHAN_RECV]))
+        .unwrap();
     let tenant = d.add_tenant(TenantProfile::new("t").with_mask(HypercallMask::ALLOW_ALL));
     let chan = d.wasp().kernel().chan_open(256);
     if pre_send {
@@ -278,7 +256,9 @@ fn run_skew() -> (u64, usize, u64) {
         placement: Placement::ByTenant,
         ..DispatcherConfig::default()
     });
-    let consumer = d.register(consumer_spec()).unwrap();
+    let consumer = d
+        .register(stage("consumer", CONSUMER, CONSUMER_CALLS))
+        .unwrap();
     let filler_img = visa::assemble(".org 0x8000\n mov r0, 7\n hlt\n").unwrap();
     let filler = d
         .register(VirtineSpec::new("filler", filler_img, MEM).with_snapshot(false))
@@ -319,17 +299,7 @@ fn main() {
     println!("# {ITEMS} items x {STAGES} stages, {SHARDS} shards");
 
     let p = run_pipeline();
-    println!(
-        "{:<28} | {:>14} {:>14} {:>12} {:>12} {:>8} {:>8} {:>10}",
-        "run",
-        "stage p50(ms)",
-        "stage p99(ms)",
-        "e2e p50(ms)",
-        "e2e p99(ms)",
-        "blocked",
-        "resumed",
-        "migrations"
-    );
+    println!("run                          |  stage p50(ms)  stage p99(ms)  e2e p50(ms)  e2e p99(ms)  blocked  resumed migrations");
     println!(
         "{:<28} | {:>14.4} {:>14.4} {:>12.4} {:>12.4} {:>8} {:>8} {:>10}",
         "pipeline",
@@ -383,31 +353,29 @@ fn main() {
     assert_eq!(p.served, (ITEMS * STAGES) as u64);
 
     // JSON artifact for the CI regression gate.
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"pipeline\": {{\"stages\": {STAGES}, \"items\": {ITEMS}, \"shards\": {SHARDS}, \
-         \"stage_p50_ms\": {:.6}, \"stage_p99_ms\": {:.6}, \"e2e_p50_ms\": {:.6}, \
-         \"e2e_p99_ms\": {:.6}, \"served\": {}, \"blocked\": {}, \"resumed\": {}, \
-         \"migrations\": {}}},",
-        p.stage_p50_ms,
-        p.stage_p99_ms,
-        p.e2e_p50_ms,
-        p.e2e_p99_ms,
-        p.served,
-        p.blocked,
-        p.resumed,
-        p.migrations
-    );
-    let _ = writeln!(
-        json,
-        "  \"cycle_identity\": {{\"unparked_exec_cycles\": {unparked_cycles}, \
-         \"parked_exec_cycles\": {parked_cycles}, \"parked_resumes\": {parked_resumes}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"skew\": {{\"migrations\": {migrations}, \"landed_shard\": {landed}, \
-         \"exec_cycles\": {skew_cycles}}}\n}}"
-    );
-    bench::write_artifact("chan_pipeline", &json, &host);
+    let pipeline = Obj::new()
+        .val("stages", STAGES)
+        .val("items", ITEMS)
+        .val("shards", SHARDS)
+        .num("stage_p50_ms", p.stage_p50_ms, 6)
+        .num("stage_p99_ms", p.stage_p99_ms, 6)
+        .num("e2e_p50_ms", p.e2e_p50_ms, 6)
+        .num("e2e_p99_ms", p.e2e_p99_ms, 6)
+        .val("served", p.served)
+        .val("blocked", p.blocked)
+        .val("resumed", p.resumed)
+        .val("migrations", p.migrations);
+    let identity = Obj::new()
+        .val("unparked_exec_cycles", unparked_cycles)
+        .val("parked_exec_cycles", parked_cycles)
+        .val("parked_resumes", parked_resumes);
+    let skew = Obj::new()
+        .val("migrations", migrations)
+        .val("landed_shard", landed)
+        .val("exec_cycles", skew_cycles);
+    let doc = Obj::new()
+        .val("pipeline", pipeline)
+        .val("cycle_identity", identity)
+        .val("skew", skew);
+    bench::write_artifact("chan_pipeline", doc, &host);
 }

@@ -15,7 +15,11 @@
 //! tenant's excess is shed at admission without touching the others, and
 //! shed counts plus stolen-shell counts come straight from the dispatcher
 //! stats surface.
+//!
+//! Writes `BENCH_dispatcher_scaling.json` for the CI gate; every number in
+//! it is virtual time, so the committed baseline gates it exactly.
 
+use bench::json::Obj;
 use vclock::stats;
 use vespid::load::{locust_pattern, pattern_arrivals};
 use vespid::VespidPlatform;
@@ -107,6 +111,7 @@ fn run(shards: usize, arrivals: &[f64]) -> RunResult {
 }
 
 fn main() {
+    let host = bench::HostTimer::start();
     let scale = bench::trials(25) as f64 / 100.0;
     bench::header(
         "Dispatcher scaling: shards x tenant mix under the Figure 15 bursts",
@@ -121,18 +126,7 @@ fn main() {
         42.0 / COMPRESS,
         180.0 * COMPRESS * scale,
     );
-    println!(
-        "{:>6} {:>8} {:>12} {:>10} {:>10} {:>8} | {:>11} {:>14} {:>12}",
-        "shards",
-        "served",
-        "tput(req/s)",
-        "p50(ms)",
-        "p99(ms)",
-        "stolen",
-        "free s/shed",
-        "throttled s/shed",
-        "bursty s"
-    );
+    println!("shards   served  tput(req/s)    p50(ms)    p99(ms)   stolen | free s/shed throttled s/shed     bursty s");
 
     let mut by_shards = Vec::new();
     for shards in [1, 2, 4, 8] {
@@ -185,4 +179,28 @@ fn main() {
         );
     }
     println!("# rate limits held; unthrottled tenants unaffected");
+
+    let rows = by_shards.iter().map(|r| {
+        Obj::new()
+            .val("shards", r.shards)
+            .val("served", r.served)
+            .num("throughput_rps", r.throughput, 3)
+            .num("p50_ms", r.p50_ms, 6)
+            .num("p99_ms", r.p99_ms, 6)
+            .val("stolen", r.stolen)
+            .val("free_served", r.free_served)
+            .val("free_shed", r.free_shed)
+            .val("throttled_served", r.throttled_served)
+            .val("throttled_shed", r.throttled_shed)
+            .val("bursty_served", r.bursty_served)
+    });
+    let config = Obj::new()
+        .val("scale", scale)
+        .val("compress", COMPRESS)
+        .val("throttle_rps", THROTTLE_RPS);
+    let doc = Obj::new()
+        .rows("runs", rows)
+        .num("speedup", speedup, 4)
+        .val("config", config);
+    bench::write_artifact("dispatcher_scaling", doc, &host);
 }

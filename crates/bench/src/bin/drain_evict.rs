@@ -13,9 +13,11 @@
 //! path without operator involvement.
 //!
 //! Acceptance:
-//! * zero lost runs: `admitted == served + shed_deadline + shed_evicted`
-//!   across the whole run, fault phase included;
-//! * zero double-runs: every completion's arrival stamp is unique;
+//! * zero lost runs: every admitted request is served or shed after
+//!   admission, across the whole run, fault phase included
+//!   ([`bench::scenario::ExactlyOnce`]);
+//! * zero double-runs: every completion's logical sequence number is
+//!   unique;
 //! * the drained shard serves nothing that arrived after its drain
 //!   began — placement routes around the hole;
 //! * post-restore warm-hit rate reconverges to within 10% of the steady
@@ -25,18 +27,11 @@
 //!
 //! Writes `BENCH_drain_evict.json` for the CI gate.
 
-use std::collections::HashSet;
-use std::fmt::Write as _;
+use bench::json::Obj;
+use bench::scenario::{self, ExactlyOnce, Mix, Phase, MEM};
+use vsched::{FaultPlan, Placement, Request, ShardState, TenantProfile};
+use wasp::VirtineSpec;
 
-use vclock::stats::percentile;
-use vclock::Cycles;
-use vsched::{
-    Completion, Dispatcher, DispatcherConfig, FaultPlan, Placement, Request, ShardState,
-    TenantProfile,
-};
-use wasp::{VirtineSpec, Wasp};
-
-const MEM: usize = 64 * 1024;
 const SHARDS: usize = 4;
 const FNS: usize = 2;
 
@@ -50,45 +45,11 @@ const DRAIN_ROUNDS_EACH: usize = 30;
 const RECOVER_ROUNDS: usize = 60;
 const FAULT_ROUNDS: usize = 40;
 
-/// The §5.2 snapshotted function (same shape as the slo_observe mix).
-fn snap_image() -> visa::asm::Image {
-    visa::assemble(
-        "
-.org 0x8000
-  mov r1, 0xA000
-  mov r2, 0
-fill:
-  store.q [r1], r2
-  add r1, 8
-  add r2, 1
-  cmp r2, 512
-  jl fill
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
-  mov r6, 0xC000
-  store.q [r6], r2
-  hlt
-",
-    )
-    .expect("assemble")
-}
+/// Phases settle for 500 µs: the snapshotted mix drains fast.
+const SETTLE_S: f64 = 0.0005;
 
-struct Phase {
-    label: &'static str,
-    completions: Vec<Completion>,
-    served: u64,
-    warm_hits: u64,
-}
-
-impl Phase {
-    fn p99_us(&self) -> f64 {
-        let lat: Vec<f64> = self.completions.iter().map(|c| c.latency() * 1e6).collect();
-        percentile(&lat, 99.0)
-    }
-
-    fn warm_rate(&self) -> f64 {
-        self.warm_hits as f64 / self.served.max(1) as f64
-    }
+fn warm_rate(ph: &Phase) -> f64 {
+    ph.delta(|s| s.warm_hits) as f64 / ph.delta(|s| s.served).max(1) as f64
 }
 
 fn main() {
@@ -107,21 +68,16 @@ fn main() {
         2
     );
 
-    let mut d = Dispatcher::new(
-        Wasp::new_kvm_default(),
-        DispatcherConfig {
-            shards: SHARDS,
-            placement: Placement::SnapshotAware,
-            warm_capacity: 4,
-            tick: Cycles::from_micros(5.0),
-            ..DispatcherConfig::default()
-        },
-    );
+    let mut d = scenario::dispatcher(SHARDS, Placement::SnapshotAware);
     let tenant = d.add_tenant(TenantProfile::new("app"));
     let fns: Vec<_> = (0..FNS)
         .map(|i| {
-            d.register(VirtineSpec::new(format!("fn{i}"), snap_image(), MEM))
-                .expect("register")
+            d.register(VirtineSpec::new(
+                format!("fn{i}"),
+                scenario::snap_image(),
+                MEM,
+            ))
+            .expect("register")
         })
         .collect();
     d.prewarm(MEM, 2);
@@ -133,48 +89,25 @@ fn main() {
         t += CADENCE_S;
         d.submit(Request::new(tenant, f, t)).expect("admit");
     }
-    d.run_until(t + 0.001);
-    t += 0.001;
+    scenario::settle(&mut d, &mut t, 0.001);
     d.take_completions();
 
-    let drive = |d: &mut Dispatcher, t: &mut f64, rounds: usize| {
-        for _ in 0..rounds {
-            for &f in &fns {
-                *t += CADENCE_S;
-                d.submit(Request::new(tenant, f, *t)).expect("admit");
-            }
-            d.run_until(*t);
-        }
+    let mix = Mix {
+        tenant,
+        fast: fns,
+        slow: None,
+        cadence_s: CADENCE_S,
     };
-    let phase = |d: &mut Dispatcher,
-                 t: &mut f64,
-                 label: &'static str,
-                 body: &mut dyn FnMut(&mut Dispatcher, &mut f64)|
-     -> Phase {
-        let before = d.stats();
-        body(d, t);
-        // Settle, then move the cursor past the settle window: arrivals
-        // submitted behind the advanced clock would be clamped to "now"
-        // and collide, defeating the unique-arrival double-run check.
-        d.run_until(*t + 0.0005);
-        *t += 0.0005;
-        let after = d.stats();
-        Phase {
-            label,
-            completions: d.take_completions(),
-            served: after.served - before.served,
-            warm_hits: after.warm_hits - before.warm_hits,
-        }
-    };
+    let drive = |d: &mut _, t: &mut _, rounds| mix.drive(d, t, rounds);
 
     // Steady state.
-    let steady = phase(&mut d, &mut t, "steady", &mut |d, t| {
+    let steady = Phase::record(&mut d, &mut t, "steady", SETTLE_S, |d, t| {
         drive(d, t, STEADY_ROUNDS)
     });
 
     // Rolling drain: shard 0 out, restore, then shard 1 out, restore.
     let mut drain_started_at = [0.0f64; 2];
-    let drained = phase(&mut d, &mut t, "rolling drain", &mut |d, t| {
+    let drained = Phase::record(&mut d, &mut t, "rolling drain", SETTLE_S, |d, t| {
         for (i, &shard) in [0usize, 1].iter().enumerate() {
             drain_started_at[i] = *t;
             d.drain_shard(shard);
@@ -206,7 +139,7 @@ fn main() {
     }
 
     // Recovery: both shards back; the warm set must reconverge.
-    let recovered = phase(&mut d, &mut t, "recovered", &mut |d, t| {
+    let recovered = Phase::record(&mut d, &mut t, "recovered", SETTLE_S, |d, t| {
         drive(d, t, RECOVER_ROUNDS)
     });
 
@@ -220,7 +153,7 @@ fn main() {
             .kill_shell(fault_at.0, 3)
             .kill_shard(fault_at.1, 2),
     );
-    let faulted = phase(&mut d, &mut t, "fault plan", &mut |d, t| {
+    let faulted = Phase::record(&mut d, &mut t, "fault plan", SETTLE_S, |d, t| {
         drive(d, t, FAULT_ROUNDS)
     });
     assert_eq!(
@@ -239,19 +172,12 @@ fn main() {
     let p = d.pool_stats();
 
     // Exactly-once accounting across every phase, faults included.
-    let lost = s.admitted as i64 - s.served as i64 - s.shed_deadline as i64 - s.shed_evicted as i64;
-    let all: Vec<&Completion> = [&steady, &drained, &recovered, &faulted]
-        .iter()
-        .flat_map(|ph| ph.completions.iter())
-        .collect();
-    let unique: HashSet<u64> = all.iter().map(|c| c.arrival.to_bits()).collect();
-    let double_run = all.len() as i64 - unique.len() as i64;
+    let phases = [&steady, &drained, &recovered, &faulted];
+    let ledger = ExactlyOnce::of(&s, phases.iter().flat_map(|ph| &ph.completions));
+    let (lost, double_run) = (ledger.lost, ledger.duplicates);
 
-    println!(
-        "{:<16} | {:>6} {:>10} {:>10} {:>12}",
-        "phase", "served", "p99(µs)", "warm-rate", "on-shard-0/1"
-    );
-    for ph in [&steady, &drained, &recovered, &faulted] {
+    println!("phase            | served    p99(µs)  warm-rate on-shard-0/1");
+    for ph in phases {
         let on_drained = ph
             .completions
             .iter()
@@ -260,14 +186,14 @@ fn main() {
         println!(
             "{:<16} | {:>6} {:>10.2} {:>10.3} {:>12}",
             ph.label,
-            ph.served,
+            ph.delta(|s| s.served),
             ph.p99_us(),
-            ph.warm_rate(),
+            warm_rate(ph),
             on_drained
         );
     }
     let p99_factor = drained.p99_us() / steady.p99_us();
-    let warm_recovery = recovered.warm_rate() / steady.warm_rate();
+    let warm_recovery = warm_rate(&recovered) / warm_rate(&steady);
     println!("#");
     println!(
         "# lost {lost}, double-run {double_run}, evictions {} (grace {}, failed {}), \
@@ -281,8 +207,8 @@ fn main() {
     assert!(
         warm_recovery >= 0.9,
         "post-restore warm-hit rate {:.3} fell more than 10% below steady {:.3}",
-        recovered.warm_rate(),
-        steady.warm_rate()
+        warm_rate(&recovered),
+        warm_rate(&steady)
     );
     assert!(
         p.dropped > 0,
@@ -294,50 +220,30 @@ fn main() {
         "this mix never parks, so only shard failure may evict"
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"lost\": {lost},\n  \"double_run\": {double_run},\n  \
-         \"evictions\": {},\n  \"shells_dropped\": {},",
-        s.shed_evicted, p.dropped
-    );
-    let _ = writeln!(
-        json,
-        "  \"steady\": {{\"served\": {}, \"p99_us\": {:.4}, \"warm_hit_rate\": {:.6}}},",
-        steady.served,
-        steady.p99_us(),
-        steady.warm_rate()
-    );
-    let _ = writeln!(
-        json,
-        "  \"drain\": {{\"served\": {}, \"p99_us\": {:.4}, \"warm_hit_rate\": {:.6}, \
-         \"p99_factor\": {:.4}}},",
-        drained.served,
-        drained.p99_us(),
-        drained.warm_rate(),
-        p99_factor
-    );
-    let _ = writeln!(
-        json,
-        "  \"recovered\": {{\"served\": {}, \"p99_us\": {:.4}, \"warm_hit_rate\": {:.6}, \
-         \"warm_recovery_ratio\": {:.6}}},",
-        recovered.served,
-        recovered.p99_us(),
-        recovered.warm_rate(),
-        warm_recovery
-    );
-    let _ = writeln!(
-        json,
-        "  \"fault\": {{\"served\": {}, \"p99_us\": {:.4}, \"warm_hit_rate\": {:.6}}},",
-        faulted.served,
-        faulted.p99_us(),
-        faulted.warm_rate()
-    );
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"shards\": {SHARDS}, \"fns\": {FNS}, \"cadence_s\": {CADENCE_S}, \
-         \"steady_rounds\": {STEADY_ROUNDS}, \"drain_rounds_each\": {DRAIN_ROUNDS_EACH}, \
-         \"recover_rounds\": {RECOVER_ROUNDS}, \"fault_rounds\": {FAULT_ROUNDS}}}\n}}"
-    );
-    bench::write_artifact("drain_evict", &json, &host);
+    let phase = |ph: &Phase| {
+        let obj = Obj::new().val("served", ph.delta(|s| s.served));
+        obj.num("p99_us", ph.p99_us(), 4)
+            .num("warm_hit_rate", warm_rate(ph), 6)
+    };
+    let drain_row = phase(&drained).num("p99_factor", p99_factor, 4);
+    let recovered_row = phase(&recovered).num("warm_recovery_ratio", warm_recovery, 6);
+    let config = Obj::new()
+        .val("shards", SHARDS)
+        .val("fns", FNS)
+        .val("cadence_s", CADENCE_S)
+        .val("steady_rounds", STEADY_ROUNDS)
+        .val("drain_rounds_each", DRAIN_ROUNDS_EACH)
+        .val("recover_rounds", RECOVER_ROUNDS)
+        .val("fault_rounds", FAULT_ROUNDS);
+    let doc = Obj::new()
+        .val("lost", lost)
+        .val("double_run", double_run)
+        .val("evictions", s.shed_evicted)
+        .val("shells_dropped", p.dropped)
+        .val("steady", phase(&steady))
+        .val("drain", drain_row)
+        .val("recovered", recovered_row)
+        .val("fault", phase(&faulted))
+        .val("config", config);
+    bench::write_artifact("drain_evict", doc, &host);
 }

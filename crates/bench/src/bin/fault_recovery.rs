@@ -16,8 +16,9 @@
 //! stuck behind a straggler that never trips the detector.
 //!
 //! Acceptance:
-//! * zero lost runs: `admitted == served + shed() + retried_in_flight`
-//!   with the bridge term drained at quiesce;
+//! * zero lost runs: every admitted request is served or shed after
+//!   admission, with the retry bridge term drained at quiesce
+//!   ([`bench::scenario::ExactlyOnce`]);
 //! * zero double-runs: every completion's logical sequence number is
 //!   unique (hedge losers and stale retries are suppressed);
 //! * the shard failure is detector-declared (`declared == 1`) and
@@ -30,18 +31,14 @@
 //!
 //! Writes `BENCH_fault_recovery.json` for the CI gate.
 
-use std::collections::HashSet;
-use std::fmt::Write as _;
-
-use vclock::stats::percentile;
-use vclock::Cycles;
+use bench::json::Obj;
+use bench::scenario::{self, ExactlyOnce, Mix, Phase, MEM};
 use vsched::{
-    Completion, Dispatcher, DispatcherConfig, FaultPlan, HealthConfig, HedgePolicy, Placement,
-    Request, RetryPolicy, ShardState, TenantProfile,
+    FaultPlan, HealthConfig, HealthStats, HedgePolicy, Placement, Request, RetryPolicy, ShardState,
+    TenantProfile,
 };
-use wasp::{VirtineSpec, Wasp};
+use wasp::VirtineSpec;
 
-const MEM: usize = 64 * 1024;
 const SHARDS: usize = 4;
 
 /// Steady cadence: one fast request every 100 µs of virtual time, with
@@ -72,89 +69,19 @@ const STRAGGLER_WINDOWS: usize = 5;
 const FAILOVER_SHARD: usize = 2;
 const FAILOVER_HANG_S: f64 = 0.010;
 
-/// The §5.2 snapshotted fast function (same shape as the drain_evict mix).
-fn fast_image() -> visa::asm::Image {
-    visa::assemble(
-        "
-.org 0x8000
-  mov r1, 0xA000
-  mov r2, 0
-fill:
-  store.q [r1], r2
-  add r1, 8
-  add r2, 1
-  cmp r2, 512
-  jl fill
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
-  mov r6, 0xC000
-  store.q [r6], r2
-  hlt
-",
-    )
-    .expect("assemble")
-}
-
-/// The slow function: ~40k iterations of real work on every invocation
-/// (no snapshot, so warm re-arms cannot shortcut it). This is the
-/// mix's tail — and the head-of-line blocker that gives hedging
-/// something to do even before the straggler shows up.
-fn slow_image() -> visa::asm::Image {
-    visa::assemble(
-        "
-.org 0x8000
-  mov r1, 0xA000
-  mov r2, 0
-spin:
-  store.q [r1], r2
-  add r2, 1
-  cmp r2, 40000
-  jl spin
-  hlt
-",
-    )
-    .expect("assemble")
-}
-
-struct Phase {
-    label: &'static str,
-    completions: Vec<Completion>,
-    served: u64,
-    hedges_fired: u64,
-    hedges_won: u64,
-}
-
-impl Phase {
-    fn p99_us(&self) -> f64 {
-        let lat: Vec<f64> = self.completions.iter().map(|c| c.latency() * 1e6).collect();
-        percentile(&lat, 99.0)
-    }
-}
+/// Phases settle for 2 ms: the slow function's tail drains before the
+/// next phase starts.
+const SETTLE_S: f64 = 0.002;
 
 struct Outcome {
     phases: Vec<Phase>,
-    lost: i64,
-    duplicates: i64,
+    ledger: ExactlyOnce,
     retries: u64,
-    declared: u64,
-    restored: u64,
-    false_positives: u64,
-    probes: u64,
-    /// Replay fingerprint: every completion as (seq, shard, finish bits).
-    trace: Vec<(u64, usize, u64)>,
+    health: HealthStats,
 }
 
 fn run_scenario() -> Outcome {
-    let mut d = Dispatcher::new(
-        Wasp::new_kvm_default(),
-        DispatcherConfig {
-            shards: SHARDS,
-            placement: Placement::LeastLoaded,
-            warm_capacity: 4,
-            tick: Cycles::from_micros(5.0),
-            ..DispatcherConfig::default()
-        },
-    );
+    let mut d = scenario::dispatcher(SHARDS, Placement::LeastLoaded);
     d.set_health(HealthConfig::new().with_seed(HEALTH_SEED));
     // Hedge delay rides the observed p99 at a 0.25 multiplier (floored
     // at 30 µs): well under the tail it escapes, well over the fast
@@ -170,10 +97,10 @@ fn run_scenario() -> Outcome {
             .with_retry(RetryPolicy::new()),
     );
     let fast = d
-        .register(VirtineSpec::new("fast", fast_image(), MEM))
+        .register(VirtineSpec::new("fast", scenario::snap_image(), MEM))
         .expect("register");
     let slow = d
-        .register(VirtineSpec::new("slow", slow_image(), MEM).with_snapshot(false))
+        .register(VirtineSpec::new("slow", scenario::slow_image(), MEM).with_snapshot(false))
         .expect("register");
     d.prewarm(MEM, 2);
 
@@ -186,46 +113,22 @@ fn run_scenario() -> Outcome {
     }
     t += CADENCE_S;
     d.submit(Request::new(tenant, slow, t)).expect("admit");
-    d.run_until(t + 0.001);
-    t += 0.001;
+    scenario::settle(&mut d, &mut t, 0.001);
     d.take_completions();
 
-    let drive = |d: &mut Dispatcher, t: &mut f64, rounds: usize| {
-        for round in 0..rounds {
-            *t += CADENCE_S;
-            d.submit(Request::new(tenant, fast, *t)).expect("admit");
-            if round % SLOW_EVERY == 0 {
-                d.submit(Request::new(tenant, slow, *t)).expect("admit");
-            }
-            d.run_until(*t);
-        }
+    let mix = Mix {
+        tenant,
+        fast: vec![fast],
+        slow: Some((slow, SLOW_EVERY)),
+        cadence_s: CADENCE_S,
     };
-    let phase = |d: &mut Dispatcher,
-                 t: &mut f64,
-                 label: &'static str,
-                 body: &mut dyn FnMut(&mut Dispatcher, &mut f64)|
-     -> Phase {
-        let before = d.stats();
-        body(d, t);
-        // Settle, then move the cursor past the settle window so the
-        // next phase's arrivals never land behind the advanced clock.
-        d.run_until(*t + 0.002);
-        *t += 0.002;
-        let after = d.stats();
-        Phase {
-            label,
-            completions: d.take_completions(),
-            served: after.served - before.served,
-            hedges_fired: after.hedges_fired - before.hedges_fired,
-            hedges_won: after.hedges_won - before.hedges_won,
-        }
+    let phase = |d: &mut _, t: &mut _, label, rounds| {
+        Phase::record(d, t, label, SETTLE_S, |d, t| mix.drive(d, t, rounds))
     };
 
     // Steady state: the no-straggler baseline the hedge gate compares
     // against.
-    let steady = phase(&mut d, &mut t, "steady", &mut |d, t| {
-        drive(d, t, STEADY_ROUNDS)
-    });
+    let steady = phase(&mut d, &mut t, "steady", STEADY_ROUNDS);
 
     // Straggler: shard 1 wedges periodically — a gray failure the
     // detector must NOT declare (suspicion stays under threshold) and
@@ -239,18 +142,14 @@ fn run_scenario() -> Outcome {
         );
     }
     d.set_fault_plan(plan);
-    let straggler = phase(&mut d, &mut t, "straggler", &mut |d, t| {
-        drive(d, t, STRAGGLER_ROUNDS)
-    });
+    let straggler = phase(&mut d, &mut t, "straggler", STRAGGLER_ROUNDS);
     let declared_after_straggler = d.health_stats().expect("detector installed").declared;
 
     // Failover: shard 2 goes silent for 10 ms. The detector declares it
     // (probe-confirmed), evacuation re-homes its queue, and once the
     // hang lifts, half-open probes restore it — no operator calls.
     d.set_fault_plan(FaultPlan::new().hang_shard(t + 0.001, FAILOVER_SHARD, FAILOVER_HANG_S));
-    let failover = phase(&mut d, &mut t, "failover", &mut |d, t| {
-        drive(d, t, FAILOVER_ROUNDS)
-    });
+    let failover = phase(&mut d, &mut t, "failover", FAILOVER_ROUNDS);
     assert_eq!(
         d.shard_state(FAILOVER_SHARD),
         ShardState::Active,
@@ -263,34 +162,17 @@ fn run_scenario() -> Outcome {
 
     d.run_to_idle();
     let s = d.stats();
-    let h = d.health_stats().expect("detector installed");
     assert_eq!(
         declared_after_straggler, 0,
         "the straggler is a tail problem, not a failure — no declaration"
     );
 
-    let lost = s.admitted as i64 - s.served as i64 - s.shed() as i64 - s.retried_in_flight as i64;
-    let all: Vec<&Completion> = [&steady, &straggler, &failover]
-        .iter()
-        .flat_map(|ph| ph.completions.iter())
-        .collect();
-    let unique: HashSet<u64> = all.iter().map(|c| c.seq).collect();
-    let duplicates = all.len() as i64 - unique.len() as i64;
-    let trace = all
-        .iter()
-        .map(|c| (c.seq, c.shard, c.finish.to_bits()))
-        .collect();
-
+    let phases = vec![steady, straggler, failover];
     Outcome {
-        phases: vec![steady, straggler, failover],
-        lost,
-        duplicates,
+        ledger: ExactlyOnce::of(&s, phases.iter().flat_map(|ph| &ph.completions)),
+        phases,
         retries: s.retries_queued + s.retries_parked,
-        declared: h.declared,
-        restored: h.restored,
-        false_positives: h.false_positives,
-        probes: h.probes,
-        trace,
+        health: d.health_stats().expect("detector installed"),
     }
 }
 
@@ -312,59 +194,59 @@ fn main() {
         FAILOVER_HANG_S * 1e3,
     );
 
-    let run = run_scenario();
-    let replay = run_scenario();
-    assert_eq!(
-        run.trace, replay.trace,
-        "two invocations of the same seed must replay bit-for-bit"
-    );
+    // Replay fingerprint: every completion as (seq, shard, finish bits).
+    let run = scenario::replay_twice(run_scenario, |o| {
+        let all = o.phases.iter().flat_map(|ph| &ph.completions);
+        all.map(|c| (c.seq, c.shard, c.finish.to_bits()))
+            .collect::<Vec<_>>()
+    });
+    let hedges_fired = |ph: &Phase| ph.delta(|s| s.hedges_fired);
+    let hedges_won = |ph: &Phase| ph.delta(|s| s.hedges_won);
 
-    println!(
-        "{:<12} | {:>6} {:>10} {:>8} {:>8}",
-        "phase", "served", "p99(µs)", "hedged", "won"
-    );
+    println!("phase        | served    p99(µs)   hedged      won");
     for ph in &run.phases {
         println!(
             "{:<12} | {:>6} {:>10.2} {:>8} {:>8}",
             ph.label,
-            ph.served,
+            ph.delta(|s| s.served),
             ph.p99_us(),
-            ph.hedges_fired,
-            ph.hedges_won
+            hedges_fired(ph),
+            hedges_won(ph)
         );
     }
-    let steady = &run.phases[0];
-    let straggler = &run.phases[1];
-    let failover = &run.phases[2];
+    let [steady, straggler, failover] = &run.phases[..] else {
+        unreachable!("three phases")
+    };
+    let h = &run.health;
     let p99_factor = straggler.p99_us() / steady.p99_us();
     println!("#");
     println!(
         "# lost {}, duplicates {}, retries {}; detector declared {} restored {} \
          false-positives {} (probes {}); straggler p99 ×{p99_factor:.2}; replay ok",
-        run.lost,
-        run.duplicates,
+        run.ledger.lost,
+        run.ledger.duplicates,
         run.retries,
-        run.declared,
-        run.restored,
-        run.false_positives,
-        run.probes,
+        h.declared,
+        h.restored,
+        h.false_positives,
+        h.probes,
     );
 
     // Acceptance.
-    assert_eq!(run.lost, 0, "failover lost runs");
-    assert_eq!(run.duplicates, 0, "a logical request completed twice");
+    assert_eq!(run.ledger.lost, 0, "failover lost runs");
     assert_eq!(
-        run.declared, 1,
+        run.ledger.duplicates, 0,
+        "a logical request completed twice"
+    );
+    assert_eq!(
+        h.declared, 1,
         "exactly the hung shard must be declared failed — by the detector, \
          not the fault plan"
     );
-    assert_eq!(
-        run.restored, 1,
-        "the recovered shard must be probed back in"
-    );
-    assert_eq!(run.false_positives, 0, "the detector paged on a live shard");
+    assert_eq!(h.restored, 1, "the recovered shard must be probed back in");
+    assert_eq!(h.false_positives, 0, "the detector paged on a live shard");
     assert!(
-        run.phases[1].hedges_won > 0,
+        hedges_won(straggler) > 0,
         "hedges must actually rescue straggler-stranded work"
     );
     assert!(
@@ -373,48 +255,32 @@ fn main() {
          (got ×{p99_factor:.2})"
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"lost\": {},\n  \"duplicates\": {},\n  \"retries\": {},",
-        run.lost, run.duplicates, run.retries
-    );
-    let _ = writeln!(
-        json,
-        "  \"detector\": {{\"declared\": {}, \"restored\": {}, \"false_positives\": {}, \
-         \"probes\": {}}},",
-        run.declared, run.restored, run.false_positives, run.probes
-    );
-    let _ = writeln!(
-        json,
-        "  \"steady\": {{\"served\": {}, \"p99_us\": {:.4}, \"hedges_fired\": {}}},",
-        steady.served,
-        steady.p99_us(),
-        steady.hedges_fired
-    );
-    let _ = writeln!(
-        json,
-        "  \"straggler\": {{\"served\": {}, \"p99_us\": {:.4}, \"hedges_fired\": {}, \
-         \"hedges_won\": {}, \"p99_factor\": {:.4}}},",
-        straggler.served,
-        straggler.p99_us(),
-        straggler.hedges_fired,
-        straggler.hedges_won,
-        p99_factor
-    );
-    let _ = writeln!(
-        json,
-        "  \"failover\": {{\"served\": {}, \"p99_us\": {:.4}, \"hedges_won\": {}}},",
-        failover.served,
-        failover.p99_us(),
-        failover.hedges_won
-    );
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"shards\": {SHARDS}, \"cadence_s\": {CADENCE_S}, \
-         \"slow_every\": {SLOW_EVERY}, \"steady_rounds\": {STEADY_ROUNDS}, \
-         \"straggler_rounds\": {STRAGGLER_ROUNDS}, \"failover_rounds\": {FAILOVER_ROUNDS}, \
-         \"health_seed\": {HEALTH_SEED}}}\n}}"
-    );
-    bench::write_artifact("fault_recovery", &json, &host);
+    let phase = |ph: &Phase| {
+        let obj = Obj::new().val("served", ph.delta(|s| s.served));
+        obj.num("p99_us", ph.p99_us(), 4)
+    };
+    let steady_row = phase(steady).val("hedges_fired", hedges_fired(steady));
+    let straggler_row = phase(straggler)
+        .val("hedges_fired", hedges_fired(straggler))
+        .val("hedges_won", hedges_won(straggler))
+        .num("p99_factor", p99_factor, 4);
+    let failover_row = phase(failover).val("hedges_won", hedges_won(failover));
+    let config = Obj::new()
+        .val("shards", SHARDS)
+        .val("cadence_s", CADENCE_S)
+        .val("slow_every", SLOW_EVERY)
+        .val("steady_rounds", STEADY_ROUNDS)
+        .val("straggler_rounds", STRAGGLER_ROUNDS)
+        .val("failover_rounds", FAILOVER_ROUNDS)
+        .val("health_seed", HEALTH_SEED);
+    let doc = Obj::new()
+        .val("lost", run.ledger.lost)
+        .val("duplicates", run.ledger.duplicates)
+        .val("retries", run.retries)
+        .val("detector", scenario::detector(h))
+        .val("steady", steady_row)
+        .val("straggler", straggler_row)
+        .val("failover", failover_row)
+        .val("config", config);
+    bench::write_artifact("fault_recovery", doc, &host);
 }

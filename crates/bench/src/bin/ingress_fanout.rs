@@ -38,14 +38,14 @@
 //!
 //! Writes `BENCH_ingress_fanout.json` for the CI gate.
 
-use std::fmt::Write as _;
-
+use bench::json::Obj;
+use bench::scenario::{self, MEM};
+use vclock::costs::VSCHED_TRANSFER_CROSS_NODE;
 use vclock::stats::percentile;
 use vhttp::ingress::{EdgeCompletion, Ingress, IngressRun};
 use vsched::HealthConfig;
 use wasp::VirtineSpec;
 
-const MEM: usize = 64 * 1024;
 const SHARDS_PER_NODE: usize = 2;
 const FANOUT_NODES: usize = 3;
 
@@ -69,58 +69,11 @@ const FAIL_NODE: usize = 0;
 const HANG_AT_S: f64 = 0.004;
 const HANG_S: f64 = 0.008;
 
-/// The §5.2 snapshotted fast function (same shape as the
-/// fault_recovery mix).
-fn fast_image() -> visa::asm::Image {
-    visa::assemble(
-        "
-.org 0x8000
-  mov r1, 0xA000
-  mov r2, 0
-fill:
-  store.q [r1], r2
-  add r1, 8
-  add r2, 1
-  cmp r2, 512
-  jl fill
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
-  mov r6, 0xC000
-  store.q [r6], r2
-  hlt
-",
-    )
-    .expect("assemble")
-}
-
-/// The slow function: ~40k iterations of real work on every invocation
-/// (no snapshot, so warm re-arms cannot shortcut it) — the mix's tail
-/// and the queue-builder that gives fan-out something to win.
-fn slow_image() -> visa::asm::Image {
-    visa::assemble(
-        "
-.org 0x8000
-  mov r1, 0xA000
-  mov r2, 0
-spin:
-  store.q [r1], r2
-  add r2, 1
-  cmp r2, 40000
-  jl spin
-  hlt
-",
-    )
-    .expect("assemble")
-}
-
 struct Outcome {
     run: IngressRun,
     nodes: usize,
     routed: Vec<u64>,
     declared_mid_run: bool,
-    /// Replay fingerprint: every completion as (edge seq, node, finish
-    /// bits).
-    trace: Vec<(u64, usize, u64)>,
 }
 
 impl Outcome {
@@ -137,8 +90,9 @@ impl Outcome {
 
 fn run_scenario(nodes: usize, with_fault: bool) -> Outcome {
     let mut ing = Ingress::new(nodes, SHARDS_PER_NODE);
-    let fast = ing.register(VirtineSpec::new("fast", fast_image(), MEM));
-    let slow = ing.register(VirtineSpec::new("slow", slow_image(), MEM).with_snapshot(false));
+    let fast = ing.register(VirtineSpec::new("fast", scenario::snap_image(), MEM));
+    let slow =
+        ing.register(VirtineSpec::new("slow", scenario::slow_image(), MEM).with_snapshot(false));
     let tenant = ing.add_tenant(
         vsched::TenantProfile::new("app"),
         f64::INFINITY,
@@ -171,18 +125,11 @@ fn run_scenario(nodes: usize, with_fault: bool) -> Outcome {
     // scenario — gives the recovery probes room after the hang lifts.
     ing.advance(t + 0.005);
     let routed = (0..nodes).map(|i| ing.cluster().routed_to(i)).collect();
-    let run = ing.finish();
-    let trace = run
-        .completions
-        .iter()
-        .map(|c| (c.edge_seq, c.node, c.finish.to_bits()))
-        .collect();
     Outcome {
-        run,
+        run: ing.finish(),
         nodes,
         routed,
         declared_mid_run,
-        trace,
     }
 }
 
@@ -206,17 +153,17 @@ fn main() {
 
     let single = run_scenario(1, false);
     let fanout = run_scenario(FANOUT_NODES, false);
-    let failover = run_scenario(FANOUT_NODES, true);
-    let replay = run_scenario(FANOUT_NODES, true);
-    assert_eq!(
-        failover.trace, replay.trace,
-        "two invocations of the same seed must replay bit-for-bit"
+    // Replay fingerprint: every completion as (edge seq, node, finish bits).
+    let failover = scenario::replay_twice(
+        || run_scenario(FANOUT_NODES, true),
+        |o| {
+            let all = o.run.completions.iter();
+            all.map(|c| (c.edge_seq, c.node, c.finish.to_bits()))
+                .collect::<Vec<_>>()
+        },
     );
 
-    println!(
-        "{:<10} | {:>5} {:>6} {:>10} {:>6} {:>12} {:>9}",
-        "scenario", "nodes", "served", "p99(µs)", "lost", "redispatched", "declared"
-    );
+    println!("scenario   | nodes served    p99(µs)   lost redispatched  declared");
     for (label, o) in [
         ("single", &single),
         ("fanout", &fanout),
@@ -298,51 +245,38 @@ fn main() {
          the p99 (got ×{p99_factor:.2})"
     );
 
-    let routed_json = |o: &Outcome| {
-        let items: Vec<String> = o.routed.iter().map(u64::to_string).collect();
-        format!("[{}]", items.join(", "))
-    };
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"single\": {{\"served\": {}, \"p99_us\": {:.4}, \"lost\": {}}},",
-        single.run.completions.len(),
-        single.p99_us(),
-        single.run.lost
-    );
-    let _ = writeln!(
-        json,
-        "  \"fanout\": {{\"nodes\": {}, \"served\": {}, \"p99_us\": {:.4}, \
-         \"p99_factor\": {:.4}, \"lost\": {}, \"routed\": {}}},",
-        fanout.nodes,
-        fanout.run.completions.len(),
-        fanout.p99_us(),
-        p99_factor,
-        fanout.run.lost,
-        routed_json(&fanout)
-    );
-    let _ = writeln!(
-        json,
-        "  \"failover\": {{\"served\": {}, \"p99_us\": {:.4}, \"lost\": {}, \
-         \"duplicates\": {}, \"redispatched\": {}, \"transfer_cycles\": {},",
-        failover.run.completions.len(),
-        failover.p99_us(),
-        failover.run.lost,
-        failover.run.stats.duplicates,
-        failover.run.stats.redispatched,
-        failover.run.stats.redispatched * vclock::costs::VSCHED_TRANSFER_CROSS_NODE
-    );
-    let _ = writeln!(
-        json,
-        "    \"detector\": {{\"declared\": {}, \"restored\": {}, \"false_positives\": {}, \
-         \"probes\": {}}}}},",
-        h.declared, h.restored, h.false_positives, h.probes
-    );
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"fanout_nodes\": {FANOUT_NODES}, \"shards_per_node\": {SHARDS_PER_NODE}, \
-         \"cadence_s\": {CADENCE_S}, \"fast_per_round\": {FAST_PER_ROUND}, \
-         \"slow_every\": {SLOW_EVERY}, \"rounds\": {ROUNDS}, \"health_seed\": {HEALTH_SEED}}}\n}}"
-    );
-    bench::write_artifact("ingress_fanout", &json, &host);
+    let single_row = Obj::new()
+        .val("served", single.run.completions.len())
+        .num("p99_us", single.p99_us(), 4)
+        .val("lost", single.run.lost);
+    let fanout_row = Obj::new()
+        .val("nodes", fanout.nodes)
+        .val("served", fanout.run.completions.len())
+        .num("p99_us", fanout.p99_us(), 4)
+        .num("p99_factor", p99_factor, 4)
+        .val("lost", fanout.run.lost)
+        .list("routed", &fanout.routed);
+    let redispatched = failover.run.stats.redispatched;
+    let failover_row = Obj::new()
+        .val("served", failover.run.completions.len())
+        .num("p99_us", failover.p99_us(), 4)
+        .val("lost", failover.run.lost)
+        .val("duplicates", failover.run.stats.duplicates)
+        .val("redispatched", redispatched)
+        .val("transfer_cycles", redispatched * VSCHED_TRANSFER_CROSS_NODE)
+        .val("detector", scenario::detector(h));
+    let config = Obj::new()
+        .val("fanout_nodes", FANOUT_NODES)
+        .val("shards_per_node", SHARDS_PER_NODE)
+        .val("cadence_s", CADENCE_S)
+        .val("fast_per_round", FAST_PER_ROUND)
+        .val("slow_every", SLOW_EVERY)
+        .val("rounds", ROUNDS)
+        .val("health_seed", HEALTH_SEED);
+    let doc = Obj::new()
+        .val("single", single_row)
+        .val("fanout", fanout_row)
+        .val("failover", failover_row)
+        .val("config", config);
+    bench::write_artifact("ingress_fanout", doc, &host);
 }

@@ -26,9 +26,9 @@
 //! fast-over-reference speedup floor on every kernel. Writes
 //! `BENCH_interp_speed.json`.
 
-use std::fmt::Write;
 use std::time::Instant;
 
+use bench::json::Obj;
 use vclock::Clock;
 use visa::cpu::{CpuConfig, CpuExit, Machine};
 use visa::{assemble, Engine, Image, Reg};
@@ -284,9 +284,8 @@ fn main() {
         "kernel", "insts", "virt_cycles", "engine", "ns/inst", "MIPS", "speedup", "ident", "front%"
     );
 
-    let mut json = String::from("{\n  \"kernels\": [\n");
-    let kernels = kernels();
-    for (i, k) in kernels.iter().enumerate() {
+    let mut rows = Vec::new();
+    for k in &kernels() {
         let name = k.name;
         let before = visa::pred::counters();
         let (fast, reference) = min_interleaved(reps, |engine| run(k, engine));
@@ -320,23 +319,22 @@ fn main() {
             identical,
             "{name}: engines diverged — run the differential fuzzer"
         );
-        let _ = writeln!(
-            json,
-            "    {{\"kernel\": \"{name}\", \"insts\": {}, \"virt_cycles\": {}, \
-             \"cycle_identical\": {}, \"speedup\": {speedup:.3}, \
-             \"fast_ns_per_inst\": {:.2}, \"ref_ns_per_inst\": {:.2}, \
-             \"fast_mips\": {:.1}, \"ref_mips\": {:.1}}}{}",
-            fast.insts,
-            fast.virt_cycles,
-            if identical { 1 } else { 0 },
-            fast.ns_per_inst(),
-            reference.ns_per_inst(),
-            fast.mips(),
-            reference.mips(),
-            if i + 1 == kernels.len() { "" } else { "," }
+        rows.push(
+            Obj::new()
+                .str("kernel", name)
+                .val("insts", fast.insts)
+                .val("virt_cycles", fast.virt_cycles)
+                .val("cycle_identical", u8::from(identical))
+                .num("speedup", speedup, 3)
+                .num("fast_ns_per_inst", fast.ns_per_inst(), 2)
+                .num("ref_ns_per_inst", reference.ns_per_inst(), 2)
+                .num("fast_mips", fast.mips(), 1)
+                .num("ref_mips", reference.mips(), 1),
         );
     }
-    let _ = writeln!(json, "  ],\n  \"config\": {{\"reps\": {reps}}}\n}}");
     println!("#");
-    bench::write_artifact("interp_speed", &json, &host);
+    let doc = Obj::new()
+        .rows("kernels", rows)
+        .val("config", Obj::new().val("reps", reps));
+    bench::write_artifact("interp_speed", doc, &host);
 }

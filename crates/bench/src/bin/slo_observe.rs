@@ -27,14 +27,13 @@
 //! `TRACE_slo_observe.jsonl` (the traced run's span trees) as a CI
 //! artifact.
 
-use std::fmt::Write as _;
-
+use bench::json::Obj;
+use bench::scenario::{self, Mix, MEM};
 use vclock::Cycles;
-use vsched::{Dispatcher, DispatcherConfig, Placement, Request, TenantProfile};
+use vsched::{Placement, Request, TenantProfile};
 use vtrace::slo::{BurnPolicy, Severity, SloEngine, SloSpec};
-use wasp::{VirtineSpec, Wasp};
+use wasp::VirtineSpec;
 
-const MEM: usize = 64 * 1024;
 const SHARDS: usize = 4;
 const FNS: usize = 2;
 
@@ -54,31 +53,6 @@ const E2E_THRESHOLD_US: f64 = 5.0;
 /// degradation (about 1.5 ms: enough bad events to saturate both
 /// windows at the request cadence).
 const FIRE_BOUND_CYCLES: u64 = 6_000_000;
-
-/// The §5.2 snapshotted function: modest init footprint, one-page
-/// per-invocation dirt, so a warm hit is a cheap delta re-arm and a
-/// cold create pays the full fill loop.
-fn snap_image() -> visa::asm::Image {
-    visa::assemble(
-        "
-.org 0x8000
-  mov r1, 0xA000
-  mov r2, 0
-fill:
-  store.q [r1], r2
-  add r1, 8
-  add r2, 1
-  cmp r2, 512
-  jl fill
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
-  mov r6, 0xC000
-  store.q [r6], r2
-  hlt
-",
-    )
-    .expect("assemble")
-}
 
 struct RunOut {
     served: u64,
@@ -102,21 +76,16 @@ struct RunOut {
 }
 
 fn run(traced: bool) -> RunOut {
-    let mut d = Dispatcher::new(
-        Wasp::new_kvm_default(),
-        DispatcherConfig {
-            shards: SHARDS,
-            placement: Placement::SnapshotAware,
-            warm_capacity: 4,
-            tick: Cycles::from_micros(5.0),
-            ..DispatcherConfig::default()
-        },
-    );
+    let mut d = scenario::dispatcher(SHARDS, Placement::SnapshotAware);
     let tenant = d.add_tenant(TenantProfile::new("app"));
     let fns: Vec<_> = (0..FNS)
         .map(|i| {
-            d.register(VirtineSpec::new(format!("fn{i}"), snap_image(), MEM))
-                .expect("register")
+            d.register(VirtineSpec::new(
+                format!("fn{i}"),
+                scenario::snap_image(),
+                MEM,
+            ))
+            .expect("register")
         })
         .collect();
     // Provisioned clean shells: an acquire never has to steal a sibling's
@@ -150,34 +119,30 @@ fn run(traced: bool) -> RunOut {
         },
     ));
 
-    let mut degrade_at = Cycles(0);
-    let mut recovered_at = Cycles(0);
-    let mut degraded_metrics = String::new();
-    let mut warm_phase = vclock::stats::Histogram::new();
-    let rounds = HEALTHY_ROUNDS + DEGRADED_ROUNDS + RECOVERED_ROUNDS;
-    for round in 0..rounds {
-        if round == HEALTHY_ROUNDS {
-            // The injected incident: no warm shells anywhere, every
-            // invocation cold-creates.
-            degrade_at = Cycles::from_micros(t * 1e6);
-            d.set_warm_budget(Some(0), Some(0));
-            warm_phase = d.e2e_hist().clone();
+    let mix = Mix {
+        tenant,
+        fast: fns,
+        slow: None,
+        cadence_s: CADENCE_S,
+    };
+    let drive = |d: &mut _, t: &mut _, rounds| {
+        for round in 0..rounds {
+            mix.round(d, t, round);
+            d.slo_tick();
         }
-        if round == HEALTHY_ROUNDS + DEGRADED_ROUNDS {
-            recovered_at = Cycles::from_micros(t * 1e6);
-            d.set_warm_budget(None, None);
-        }
-        for &f in &fns {
-            t += CADENCE_S;
-            d.submit(Request::new(tenant, f, t)).expect("admit");
-        }
-        d.run_until(t);
-        d.slo_tick();
-        if round == HEALTHY_ROUNDS + DEGRADED_ROUNDS - 1 {
-            // Degraded steady state: the scrape must show the page firing.
-            degraded_metrics = vhttp::dispatch::prometheus_text(&d);
-        }
-    }
+    };
+    drive(&mut d, &mut t, HEALTHY_ROUNDS);
+    // The injected incident: no warm shells anywhere, every invocation
+    // cold-creates.
+    let degrade_at = Cycles::from_micros(t * 1e6);
+    d.set_warm_budget(Some(0), Some(0));
+    let warm_phase = d.e2e_hist().clone();
+    drive(&mut d, &mut t, DEGRADED_ROUNDS);
+    // Degraded steady state: the scrape must show the page firing.
+    let degraded_metrics = vhttp::dispatch::prometheus_text(&d);
+    let recovered_at = Cycles::from_micros(t * 1e6);
+    d.set_warm_budget(None, None);
+    drive(&mut d, &mut t, RECOVERED_ROUNDS);
     d.run_to_idle();
     d.slo_tick();
 
@@ -229,10 +194,7 @@ fn main() {
     let overhead_pct = 100.0 * (traced.e2e_sum_cycles as f64 - untraced.e2e_sum_cycles as f64)
         / untraced.e2e_sum_cycles as f64;
     let fire_ms = Cycles(traced.alert_fire_cycles).as_millis();
-    println!(
-        "{:<22} | {:>6} {:>10} {:>14} {:>12} {:>8}",
-        "run", "served", "warm-hits", "e2e-sum(cyc)", "fire(cyc)", "cleared"
-    );
+    println!("run                    | served  warm-hits   e2e-sum(cyc)    fire(cyc)  cleared");
     for (label, r) in [("traced", &traced), ("untraced", &untraced)] {
         println!(
             "{label:<22} | {:>6} {:>10} {:>14} {:>12} {:>8}",
@@ -290,26 +252,25 @@ fn main() {
     );
 
     // Artifacts: the gated numbers and the span trees.
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"alert_fire_cycles\": {},\n  \"alert_cleared\": {},\n  \
-         \"overhead_pct\": {:.6},\n  \"served\": {},\n  \"spans\": {},\n  \
-         \"warm_p90_us\": {:.4},",
-        traced.alert_fire_cycles,
-        traced.alert_cleared,
-        overhead_pct,
-        traced.served,
-        traced.spans,
-        traced.warm_p90_us,
-    );
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"shards\": {SHARDS}, \"fns\": {FNS}, \"cadence_s\": {CADENCE_S}, \
-         \"healthy_rounds\": {HEALTHY_ROUNDS}, \"degraded_rounds\": {DEGRADED_ROUNDS}, \
-         \"recovered_rounds\": {RECOVERED_ROUNDS}, \"e2e_threshold_us\": {E2E_THRESHOLD_US}}}\n}}"
-    );
-    bench::write_artifact("slo_observe", &json, &host);
+    let doc = Obj::new()
+        .val("alert_fire_cycles", traced.alert_fire_cycles)
+        .val("alert_cleared", traced.alert_cleared)
+        .num("overhead_pct", overhead_pct, 6)
+        .val("served", traced.served)
+        .val("spans", traced.spans)
+        .num("warm_p90_us", traced.warm_p90_us, 4)
+        .val(
+            "config",
+            Obj::new()
+                .val("shards", SHARDS)
+                .val("fns", FNS)
+                .val("cadence_s", CADENCE_S)
+                .val("healthy_rounds", HEALTHY_ROUNDS)
+                .val("degraded_rounds", DEGRADED_ROUNDS)
+                .val("recovered_rounds", RECOVERED_ROUNDS)
+                .val("e2e_threshold_us", E2E_THRESHOLD_US),
+        );
+    bench::write_artifact("slo_observe", doc, &host);
     std::fs::write("TRACE_slo_observe.jsonl", &traced.trace_lines).expect("write trace artifact");
     println!("# wrote TRACE_slo_observe.jsonl");
 }

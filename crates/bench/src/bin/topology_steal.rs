@@ -22,14 +22,12 @@
 //!
 //! Writes `BENCH_topology_steal.json` for the CI regression gate.
 
-use std::fmt::Write as _;
-
+use bench::json::Obj;
+use bench::scenario::{self, MEM};
 use vsched::{
     BlockMode, Dispatcher, DispatcherConfig, Placement, Request, TenantProfile, Topology,
 };
 use wasp::{HypercallMask, Invocation, VirtineSpec, Wasp};
-
-const MEM: usize = 64 * 1024;
 
 fn dispatcher(config: DispatcherConfig) -> Dispatcher {
     Dispatcher::new(Wasp::new_kvm_default(), config)
@@ -112,30 +110,6 @@ fn steal_ladder() -> StealLadder {
     }
 }
 
-/// A snapshotted function: modest init footprint, one-page per-invocation
-/// dirt, so warm hits are cheap delta re-arms.
-fn snap_image() -> visa::asm::Image {
-    visa::assemble(
-        "
-.org 0x8000
-  mov r1, 0xA000
-  mov r2, 0
-fill:
-  store.q [r1], r2
-  add r1, 8
-  add r2, 1
-  cmp r2, 512
-  jl fill
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
-  mov r6, 0xC000
-  store.q [r6], r2
-  hlt
-",
-    )
-    .expect("assemble")
-}
-
 struct WarmRun {
     label: &'static str,
     heavy_hit_rate: f64,
@@ -175,7 +149,7 @@ fn warm_run(
         tick: vclock::Cycles::from_micros(5.0),
         ..DispatcherConfig::default()
     });
-    let img = snap_image();
+    let img = scenario::snap_image();
     // Tenant index = home shard under ByTenant: heavy → 0, steady → 1-5,
     // hog → 6.
     let heavy = d.add_tenant(TenantProfile::new("heavy"));
@@ -258,10 +232,7 @@ fn main() {
     // Part 1: the steal-distance ladder.
     let ladder = steal_ladder();
     println!("# steal ladder: supply 2 same-CCX / 2 same-socket / 2 cross-socket shells");
-    println!(
-        "{:<28} {:>9} {:>10} {:>13}",
-        "phase", "same_ccx", "cross_ccx", "cross_socket"
-    );
+    println!("phase                         same_ccx  cross_ccx  cross_socket");
     for (i, &(a, b, c)) in ladder.phases.iter().enumerate() {
         println!(
             "{:<28} {a:>9} {b:>10} {c:>13}",
@@ -290,10 +261,7 @@ fn main() {
         "# warm sizing: heavy tenant (3 fns, one shard) + 5 steady + 1 hog \
          cycling 6 fns, 25 rounds"
     );
-    println!(
-        "{:<22} {:>10} {:>11} {:>12} {:>9} {:>13}",
-        "policy", "heavy-hit", "steady-hit", "overall-hit", "p50(ms)", "max-resident"
-    );
+    println!("policy                  heavy-hit  steady-hit  overall-hit   p50(ms)  max-resident");
     for r in [&fixed, &bare, &quota] {
         println!(
             "{:<22} {:>9.1}% {:>10.1}% {:>11.1}% {:>9.4} {:>13}",
@@ -334,28 +302,19 @@ fn main() {
     println!("# warm budget + tenant quota beat fixed per-pool capacity on hit rate");
 
     // JSON artifact for the CI regression gate.
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"steal\": {{\"same_ccx\": {}, \"cross_ccx\": {}, \"cross_socket\": {}}},",
-        ladder.same_ccx, ladder.cross_ccx, ladder.cross_socket
-    );
-    let _ = writeln!(json, "  \"warm\": [");
-    let runs = [&fixed, &bare, &quota];
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"label\": \"{}\", \"heavy_hit_rate\": {:.6}, \"steady_hit_rate\": {:.6}, \
-             \"overall_hit_rate\": {:.6}, \"p50_ms\": {:.6}, \"max_resident\": {}}}{}",
-            r.label,
-            r.heavy_hit_rate,
-            r.steady_hit_rate,
-            r.overall_hit_rate,
-            r.p50_ms,
-            r.max_resident,
-            if i + 1 == runs.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(json, "  ]\n}}");
-    bench::write_artifact("topology_steal", &json, &host);
+    let steal = Obj::new()
+        .val("same_ccx", ladder.same_ccx)
+        .val("cross_ccx", ladder.cross_ccx)
+        .val("cross_socket", ladder.cross_socket);
+    let warm = [&fixed, &bare, &quota].map(|r| {
+        Obj::new()
+            .str("label", r.label)
+            .num("heavy_hit_rate", r.heavy_hit_rate, 6)
+            .num("steady_hit_rate", r.steady_hit_rate, 6)
+            .num("overall_hit_rate", r.overall_hit_rate, 6)
+            .num("p50_ms", r.p50_ms, 6)
+            .val("max_resident", r.max_resident)
+    });
+    let doc = Obj::new().val("steal", steal).rows("warm", warm);
+    bench::write_artifact("topology_steal", doc, &host);
 }

@@ -26,8 +26,7 @@
 //! Writes `BENCH_warm_placement.json` so CI can track the perf trajectory
 //! across PRs.
 
-use std::fmt::Write as _;
-
+use bench::json::Obj;
 use vclock::{costs, stats};
 use vespid::load::{locust_pattern, pattern_arrivals};
 use vsched::{Dispatcher, DispatcherConfig, Placement, Request, TenantProfile};
@@ -258,19 +257,7 @@ fn main() {
         arrivals.len(),
         42.0 / COMPRESS * 1e3,
     );
-    println!(
-        "{:>6} {:>5} {:>15} | {:>8} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8}",
-        "shards",
-        "warm",
-        "placement",
-        "served",
-        "p50(ms)",
-        "p99(ms)",
-        "hit-rate",
-        "demoted",
-        "stolen",
-        "created"
-    );
+    println!("shards  warm       placement |   served   p50(ms)   p99(ms)  hit-rate  demoted   stolen  created");
 
     let mut runs: Vec<MacroRun> = Vec::new();
     for &shards in &[4usize, 8] {
@@ -347,35 +334,25 @@ fn main() {
     println!("# snapshot-aware placement beats the least-loaded baseline at 4 and 8 shards");
 
     // JSON artifact for CI trend tracking.
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"micro\": {{\"warm_acquire_image_cycles\": {}, \"full_acquire_image_cycles\": {}, \
-         \"delta_pages\": {}, \"ceiling_2x_vmrun\": {}}},",
-        m.warm_acquire_image, m.full_acquire_image, m.delta_pages, m.floor_2x
-    );
-    let _ = writeln!(json, "  \"macro\": [");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"label\": \"{}\", \"shards\": {}, \"warm_capacity\": {}, \
-             \"placement\": \"{}\", \"served\": {}, \"p50_ms\": {:.6}, \"p99_ms\": {:.6}, \
-             \"warm_hit_rate\": {:.6}, \"warm_demotions\": {}, \"stolen\": {}, \
-             \"created\": {}}}{}",
-            r.label,
-            r.shards,
-            r.warm_capacity,
-            r.placement,
-            r.served,
-            r.p50_ms,
-            r.p99_ms,
-            r.warm_hit_rate,
-            r.warm_demotions,
-            r.stolen,
-            r.created,
-            if i + 1 == runs.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(json, "  ]\n}}");
-    bench::write_artifact("warm_placement", &json, &host);
+    let micro = Obj::new()
+        .val("warm_acquire_image_cycles", m.warm_acquire_image)
+        .val("full_acquire_image_cycles", m.full_acquire_image)
+        .val("delta_pages", m.delta_pages)
+        .val("ceiling_2x_vmrun", m.floor_2x);
+    let rows = runs.iter().map(|r| {
+        Obj::new()
+            .str("label", r.label)
+            .val("shards", r.shards)
+            .val("warm_capacity", r.warm_capacity)
+            .str("placement", r.placement)
+            .val("served", r.served)
+            .num("p50_ms", r.p50_ms, 6)
+            .num("p99_ms", r.p99_ms, 6)
+            .num("warm_hit_rate", r.warm_hit_rate, 6)
+            .val("warm_demotions", r.warm_demotions)
+            .val("stolen", r.stolen)
+            .val("created", r.created)
+    });
+    let doc = Obj::new().val("micro", micro).rows("macro", rows);
+    bench::write_artifact("warm_placement", doc, &host);
 }

@@ -1,11 +1,13 @@
-//! A minimal JSON reader for the bench artifacts.
+//! A minimal JSON reader and writer for the bench artifacts.
 //!
-//! The workspace deliberately carries no external crates, so the CI
-//! regression gate (`check_regression`) parses the committed baseline and
-//! freshly produced `BENCH_*.json` files with this ~150-line recursive
-//! descent parser instead of serde. It covers exactly the JSON the bench
-//! binaries emit: objects, arrays, strings (with the escapes the writers
-//! use), numbers, booleans, and null.
+//! The workspace deliberately carries no external crates, so the bench
+//! binaries write their `BENCH_*.json` artifacts with [`Obj`], and the CI
+//! regression gate ([`crate::gate`]) parses those and the committed
+//! baselines with this recursive descent parser instead of serde. It
+//! covers exactly the JSON the writer emits: objects, arrays, strings
+//! (with the escapes the writer uses), numbers, booleans, and null.
+
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,14 +29,15 @@ pub enum Json {
 impl Json {
     /// Parses a complete JSON document.
     pub fn parse(src: &str) -> Result<Json, String> {
-        let bytes = src.as_bytes();
-        let mut pos = 0;
-        let v = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
+        let mut p = Parser {
+            b: src.as_bytes(),
+            pos: 0,
+        };
+        let v = p.value()?;
+        match p.peek() {
+            None => Ok(v),
+            Some(_) => Err(format!("trailing bytes at offset {}", p.pos)),
         }
-        Ok(v)
     }
 
     /// Object field lookup.
@@ -45,30 +48,14 @@ impl Json {
         }
     }
 
-    /// Array element lookup.
-    pub fn idx(&self, i: usize) -> Option<&Json> {
-        match self {
-            Json::Arr(items) => items.get(i),
-            _ => None,
-        }
-    }
-
-    /// The elements of an array (empty for non-arrays).
-    pub fn items(&self) -> &[Json] {
-        match self {
-            Json::Arr(items) => items,
-            _ => &[],
-        }
-    }
-
     /// Dot-separated path lookup: object keys and array indices, e.g.
     /// `"runs.2.fast_p99_ms"` or `"micro.warm_acquire_image_cycles"`.
     pub fn path(&self, p: &str) -> Option<&Json> {
         let mut cur = self;
         for seg in p.split('.') {
-            cur = match seg.parse::<usize>() {
-                Ok(i) => cur.idx(i)?,
-                Err(_) => cur.get(seg)?,
+            cur = match (cur, seg.parse::<usize>()) {
+                (Json::Arr(items), Ok(i)) => items.get(i)?,
+                _ => cur.get(seg)?,
             };
         }
         Some(cur)
@@ -91,124 +78,166 @@ impl Json {
     }
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+/// A JSON object under construction for a bench artifact. Each field is
+/// rendered as it is added, so a number keeps the decimals its field is
+/// written with and the artifact parses back to exactly those values.
+#[derive(Debug, Clone, Default)]
+pub struct Obj(Vec<String>);
+
+impl Obj {
+    /// An empty object.
+    pub fn new() -> Obj {
+        Obj::default()
+    }
+
+    /// A field in its `Display` form: an integer, a float at its shortest
+    /// round-trip form, or a nested [`Obj`].
+    pub fn val(mut self, key: &str, v: impl fmt::Display) -> Obj {
+        self.0.push(format!("{key:?}: {v}"));
+        self
+    }
+
+    /// A float at `decimals` fixed decimals.
+    pub fn num(self, key: &str, v: f64, decimals: usize) -> Obj {
+        self.val(key, format!("{v:.decimals$}"))
+    }
+
+    /// A string. Its quotes, backslashes, and line breaks are escaped the
+    /// way Rust and JSON both write them.
+    pub fn str(self, key: &str, v: &str) -> Obj {
+        self.val(key, format!("{v:?}"))
+    }
+
+    /// An array of `Display` items on one line.
+    pub fn list<T: fmt::Display>(self, key: &str, items: impl IntoIterator<Item = T>) -> Obj {
+        let items: Vec<String> = items.into_iter().map(|i| i.to_string()).collect();
+        self.val(key, format!("[{}]", items.join(", ")))
+    }
+
+    /// An array of objects, one per line.
+    pub fn rows(self, key: &str, rows: impl IntoIterator<Item = Obj>) -> Obj {
+        let rows: Vec<String> = rows.into_iter().map(|r| format!("\n    {r}")).collect();
+        self.val(key, format!("[{}\n  ]", rows.join(",")))
+    }
+
+    /// The object as a document, one top-level field per line.
+    pub(crate) fn document(&self) -> String {
+        format!("{{\n  {}\n}}\n", self.0.join(",\n  "))
     }
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at offset {pos}", c as char))
+/// The object on one line.
+impl fmt::Display for Obj {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{{{}}}", self.0.join(", "))
     }
 }
 
-fn value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, b':')?;
-                fields.push((key, value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at offset {pos}")),
-                }
-            }
+struct Parser<'a> {
+    b: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    /// The next byte past any whitespace.
+    fn peek(&mut self) -> Option<u8> {
+        while matches!(self.b.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at offset {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(string(b, pos)?)),
-        Some(b't') => keyword(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => keyword(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => keyword(b, pos, "null", Json::Null),
-        Some(_) => number(b, pos),
-        None => Err("unexpected end of input".into()),
+        self.b.get(self.pos).copied()
     }
-}
 
-fn keyword(b: &[u8], pos: &mut usize, word: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(v)
-    } else {
-        Err(format!("bad keyword at offset {pos}"))
+    /// Consumes `c` if it comes next.
+    fn eat(&mut self, c: u8) -> bool {
+        let hit = self.peek() == Some(c);
+        self.pos += usize::from(hit);
+        hit
     }
-}
 
-fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    other => return Err(format!("unsupported escape `\\{}`", *other as char)),
-                }
-            }
-            _ => out.push(c as char),
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        match self.eat(c) {
+            true => Ok(()),
+            false => Err(format!("expected `{}` at offset {}", c as char, self.pos)),
         }
     }
-    Err("unterminated string".into())
-}
 
-fn number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
+    fn value(&mut self) -> Result<Json, String> {
+        match self.peek() {
+            Some(b'{') => self.seq(b'}', Parser::field).map(Json::Obj),
+            Some(b'[') => self.seq(b']', Parser::value).map(Json::Arr),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.keyword("true", Json::Bool(true)),
+            Some(b'f') => self.keyword("false", Json::Bool(false)),
+            Some(b'n') => self.keyword("null", Json::Null),
+            Some(_) => self.number(),
+            None => Err("unexpected end of input".into()),
+        }
     }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at offset {start}"))
+
+    fn field(&mut self) -> Result<(String, Json), String> {
+        let key = self.string()?;
+        self.expect(b':')?;
+        Ok((key, self.value()?))
+    }
+
+    /// The items of an array or object whose opening byte is next,
+    /// through its `close` byte.
+    fn seq<T>(
+        &mut self,
+        close: u8,
+        item: fn(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        if self.eat(close) {
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            if self.eat(close) {
+                return Ok(items);
+            }
+            self.expect(b',')?;
+        }
+    }
+
+    fn keyword(&mut self, word: &str, v: Json) -> Result<Json, String> {
+        match self.b[self.pos..].starts_with(word.as_bytes()) {
+            true => Ok(v).inspect(|_| self.pos += word.len()),
+            false => Err(format!("bad keyword at offset {}", self.pos)),
+        }
+    }
+
+    /// A string's bytes, unescaped, decoded as the UTF-8 they were written in.
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = Vec::new();
+        while let Some(&c) = self.b.get(self.pos) {
+            self.pos += 1;
+            out.push(match c {
+                b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
+                b'\\' => match self.b.get(self.pos).inspect(|_| self.pos += 1) {
+                    Some(&e @ (b'"' | b'\\' | b'/')) => e,
+                    Some(b'n') => b'\n',
+                    Some(b't') => b'\t',
+                    Some(b'r') => b'\r',
+                    e => return Err(format!("unsupported escape {e:?} at offset {}", self.pos)),
+                },
+                _ => c,
+            });
+        }
+        Err("unterminated string".into())
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        let numeric = |c: &u8| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E');
+        self.pos += self.b[start..].iter().take_while(|c| numeric(c)).count();
+        let text = std::str::from_utf8(&self.b[start..self.pos]).ok();
+        let n = text.and_then(|s| s.parse().ok());
+        n.map(Json::Num)
+            .ok_or_else(|| format!("bad number at offset {start}"))
+    }
 }
 
 #[cfg(test)]
@@ -229,7 +258,7 @@ mod tests {
         assert_eq!(j.path("runs.1.p99_ms").unwrap().as_f64(), Some(-2e-3));
         assert_eq!(j.path("config.shards").unwrap().as_f64(), Some(4.0));
         assert_eq!(j.path("config.note"), Some(&Json::Null));
-        assert_eq!(j.path("runs").unwrap().items().len(), 2);
+        assert!(matches!(j.path("runs"), Some(Json::Arr(rows)) if rows.len() == 2));
         assert_eq!(j.path("runs.0.ok"), Some(&Json::Bool(true)));
         assert!(j.path("runs.5.label").is_none());
         assert!(j.path("nope").is_none());
@@ -239,6 +268,43 @@ mod tests {
     fn escapes_round_trip() {
         let j = Json::parse(r#"{"s": "a\"b\\c\nd"}"#).unwrap();
         assert_eq!(j.get("s").unwrap().as_str(), Some("a\"b\\c\nd"));
+    }
+
+    #[test]
+    fn written_artifacts_read_back_to_the_same_values() {
+        let labels = [
+            "p99 (µs)",
+            "a \"quoted\" row",
+            "back\\slash",
+            "two\nlines\tand\rmore",
+        ];
+        let doc = Obj::new()
+            .rows(
+                "runs",
+                labels
+                    .iter()
+                    .map(|l| Obj::new().str("label", l).num("p50_ms", 0.06774049, 6)),
+            )
+            .val(
+                "config",
+                Obj::new().val("cadence_s", 0.0001).val("shards", 4),
+            )
+            .num("ratio", 2.0 / 3.0, 4)
+            .list("routed", [300, 200, 200])
+            .document();
+        let j = Json::parse(&doc).unwrap();
+        for (i, label) in labels.iter().enumerate() {
+            let row = j.path(&format!("runs.{i}")).unwrap();
+            assert_eq!(row.get("label").and_then(Json::as_str), Some(*label));
+            assert_eq!(row.get("p50_ms").and_then(Json::as_f64), Some(0.067740));
+        }
+        assert_eq!(j.path("config.cadence_s").unwrap().as_f64(), Some(0.0001));
+        assert_eq!(j.path("config.shards").unwrap().as_f64(), Some(4.0));
+        assert_eq!(j.path("ratio").unwrap().as_f64(), Some(0.6667));
+        assert_eq!(j.path("routed.2").unwrap().as_f64(), Some(200.0));
+        // The reader alone: a multi-byte character is one character.
+        let j = Json::parse("{\"unit\": \"µs\"}").unwrap();
+        assert_eq!(j.get("unit").and_then(Json::as_str), Some("µs"));
     }
 
     #[test]

@@ -4,15 +4,17 @@
 //! evaluation, printing the same rows/series the paper reports (in cycles
 //! and/or µs of virtual time at 2.69 GHz). Trial counts follow the paper's
 //! "1000 trials unless otherwise noted", scaled down by default for quick
-//! runs; pass `--trials N` (or set `TRIALS=N`) to override.
+//! runs; pass `--trials N` to override.
 
+pub mod gate;
 pub mod json;
+pub mod scenario;
 
+use json::Obj;
 use vclock::stats::{Histogram, Summary};
 use vclock::Cycles;
 
-/// Parses `--trials N` from argv or `TRIALS` from the environment,
-/// defaulting to `default`.
+/// Parses `--trials N` from argv, defaulting to `default`.
 pub fn trials(default: usize) -> usize {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
@@ -22,10 +24,7 @@ pub fn trials(default: usize) -> usize {
             }
         }
     }
-    std::env::var("TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    default
 }
 
 /// Prints a header for a figure/table reproduction.
@@ -79,56 +78,42 @@ pub struct HostTimer {
     retired0: u64,
 }
 
+/// Guest instructions retired so far, both engines.
+fn retired() -> u64 {
+    let c = visa::pred::counters();
+    c.retired_fast + c.retired_ref
+}
+
 impl HostTimer {
     /// Starts the timer and snapshots the retired-instruction counters.
     pub fn start() -> Self {
-        let c = visa::pred::counters();
-        Self {
-            start: std::time::Instant::now(),
-            retired0: c.retired_fast + c.retired_ref,
-        }
+        let retired0 = retired();
+        let start = std::time::Instant::now();
+        Self { start, retired0 }
     }
 
-    /// Wall nanoseconds elapsed since [`HostTimer::start`].
-    pub fn wall_ns(&self) -> f64 {
-        self.start.elapsed().as_nanos() as f64
-    }
-
-    /// Guest instructions retired (both engines) since the timer started.
-    pub fn guest_insts(&self) -> u64 {
-        let c = visa::pred::counters();
-        (c.retired_fast + c.retired_ref).saturating_sub(self.retired0)
-    }
-
-    /// The `"host": {...}` JSON fragment: wall ms, retired guest
-    /// instructions, and host ns per guest instruction (0 when the bench
-    /// ran no guest code).
-    pub fn json(&self) -> String {
-        let wall_ns = self.wall_ns();
-        let insts = self.guest_insts();
+    /// The `host` object: wall ms, retired guest instructions, and host
+    /// ns per guest instruction (0 when the bench ran no guest code).
+    fn obj(&self) -> Obj {
+        let wall_ns = self.start.elapsed().as_nanos() as f64;
+        let insts = retired().saturating_sub(self.retired0);
         let ns_per_inst = if insts == 0 {
             0.0
         } else {
             wall_ns / insts as f64
         };
-        format!(
-            "\"host\": {{\"wall_ms\": {:.3}, \"guest_insts\": {insts}, \"ns_per_inst\": {ns_per_inst:.2}}}",
-            wall_ns / 1e6
-        )
+        let obj = Obj::new().num("wall_ms", wall_ns / 1e6, 3);
+        obj.val("guest_insts", insts)
+            .num("ns_per_inst", ns_per_inst, 2)
     }
 }
 
 /// Writes `BENCH_<name>.json`, appending the [`HostTimer`]'s `host` object
-/// as a final top-level field. `json` must be a complete object (ending in
-/// `}`); the regression gate ignores keys it doesn't check, so the
-/// wall-clock numbers ride along without perturbing any committed baseline.
-pub fn write_artifact(name: &str, json: &str, host: &HostTimer) {
-    let body = json
-        .trim_end()
-        .strip_suffix('}')
-        .expect("artifact JSON must end with `}`")
-        .trim_end();
-    let out = format!("{body},\n  {}\n}}\n", host.json());
+/// as a final top-level field. A baseline gates only the paths it lists,
+/// so the wall-clock numbers ride along without perturbing any committed
+/// baseline.
+pub fn write_artifact(name: &str, doc: Obj, host: &HostTimer) {
+    let out = doc.val("host", host.obj()).document();
     std::fs::write(format!("BENCH_{name}.json"), out).expect("write JSON artifact");
     println!("# wrote BENCH_{name}.json");
 }
@@ -138,21 +123,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trials_env_default() {
-        // No --trials in the test harness argv; default comes back unless
-        // TRIALS happens to be set.
-        if std::env::var("TRIALS").is_err() {
-            assert_eq!(trials(123), 123);
-        }
+    fn trials_default_without_the_flag() {
+        // No --trials in the test harness argv.
+        assert_eq!(trials(123), 123);
     }
 
     #[test]
     fn host_timer_emits_a_json_object() {
-        let t = HostTimer::start();
-        let j = t.json();
-        assert!(j.starts_with("\"host\": {"));
-        assert!(j.contains("\"wall_ms\""));
-        assert!(j.contains("\"ns_per_inst\""));
+        let j = json::Json::parse(&HostTimer::start().obj().to_string()).unwrap();
+        assert!(j.get("wall_ms").and_then(json::Json::as_f64).is_some());
+        assert!(j.get("ns_per_inst").and_then(json::Json::as_f64).is_some());
     }
 
     #[test]
