@@ -34,31 +34,6 @@ use visa::cpu::{CpuConfig, CpuExit, Machine};
 use visa::{assemble, Engine, Image, Reg};
 use wasp::hypercall::{nr, HYPERCALL_PORT};
 
-/// The Figure 3/9 recursive fib kernel (same source as visa's cpu tests).
-const FIB_SRC: &str = "
-.org 0x8000
-  mov sp, 0x8000
-  mov r1, 20
-  call fib
-  hlt
-fib:
-  cmp r1, 2
-  jl .base
-  push r1
-  sub r1, 1
-  call fib
-  pop r1
-  push r0
-  sub r1, 2
-  call fib
-  pop r2
-  add r0, r2
-  ret
-.base:
-  mov r0, r1
-  ret
-";
-
 /// An http-handler-shaped virtine: format a status body, then checksum a
 /// synthetic response buffer — string byte loops plus ALU-heavy scanning.
 const HTTP_SRC: &str = "
@@ -128,7 +103,8 @@ impl Kernel {
 }
 
 fn kernels() -> Vec<Kernel> {
-    let fib = assemble(FIB_SRC).expect("fib kernel assembles");
+    let fib_src = format!(".org 0x8000\n  mov sp, 0x8000\n{}", bench::FIB20_ASM);
+    let fib = assemble(&fib_src).expect("fib kernel assembles");
     let fib = Kernel {
         expect_r0: Some(6765),
         ..Kernel::new("fib", fib, 64 * 1024, CpuConfig::native())

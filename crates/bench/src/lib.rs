@@ -1,51 +1,61 @@
-//! Shared helpers for the per-figure benchmark binaries.
+//! Shared helpers for the benchmark binaries.
 //!
-//! Every binary regenerates one table or figure from the paper's
-//! evaluation, printing the same rows/series the paper reports (in cycles
-//! and/or µs of virtual time at 2.69 GHz). Trial counts follow the paper's
-//! "1000 trials unless otherwise noted", scaled down by default for quick
-//! runs; pass `--trials N` to override.
+//! The `paper` binary regenerates every table and figure of the paper's
+//! evaluation; the acceptance binaries drive the serving tiers built on
+//! top of it. All report virtual time (cycles, or µs at 2.69 GHz). Trial
+//! counts follow the paper's "1000 trials unless otherwise noted", scaled
+//! down by default for quick runs; pass `--trials N` to override.
 
 pub mod gate;
 pub mod json;
 pub mod scenario;
 
 use json::Obj;
-use vclock::stats::{Histogram, Summary};
+use vclock::stats::Histogram;
 use vclock::Cycles;
 
-/// Parses `--trials N` from argv, defaulting to `default`.
+/// Parses `--trials N` from argv. A missing, unparsable or zero `N` means
+/// `default`: no bench can summarize zero samples.
 pub fn trials(default: usize) -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trials" {
-            if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                return n;
-            }
-        }
-    }
-    default
+    trials_in(std::env::args(), default)
 }
+
+fn trials_in(args: impl IntoIterator<Item = String>, default: usize) -> usize {
+    let mut after = args.into_iter().skip_while(|a| a != "--trials").skip(1);
+    let n = after.next().and_then(|v| v.parse().ok());
+    n.filter(|&n| n > 0).unwrap_or(default)
+}
+
+/// Recursive fib(20) into `r0`, then `hlt`: Figure 3's kernel in every
+/// processor mode, and `interp_speed`'s call-heavy kernel. The caller
+/// sets the origin and the stack.
+pub const FIB20_ASM: &str = "
+  mov r1, 20
+  call fib
+  hlt
+fib:
+  cmp r1, 2
+  jl .base
+  push r1
+  sub r1, 1
+  call fib
+  pop r1
+  push r0
+  sub r1, 2
+  call fib
+  pop r2
+  add r0, r2
+  ret
+.base:
+  mov r0, r1
+  ret
+";
 
 /// Prints a header for a figure/table reproduction.
 pub fn header(title: &str, claim: &str) {
     println!("# {title}");
     println!("# paper claim: {claim}");
     println!("#");
-}
-
-/// Formats a `Summary` of cycle samples as `mean ± std (min)` with µs.
-pub fn fmt_cycles(s: &Summary) -> String {
-    let us = Cycles(s.mean as u64).as_micros();
-    format!(
-        "{:>12.0} ± {:>8.0} cyc  ({:>9.2} µs, min {:>10.0})",
-        s.mean, s.std_dev, us, s.min
-    )
-}
-
-/// One labelled measurement row.
-pub fn row(label: &str, s: &Summary) {
-    println!("{label:<28} {}", fmt_cycles(s));
 }
 
 /// Folds end-to-end latencies in virtual seconds into the shared cycle
@@ -108,14 +118,18 @@ impl HostTimer {
     }
 }
 
+/// Writes `doc` as `BENCH_<name>.json`.
+pub fn write_json(name: &str, doc: Obj) {
+    std::fs::write(format!("BENCH_{name}.json"), doc.document()).expect("write JSON artifact");
+    println!("# wrote BENCH_{name}.json");
+}
+
 /// Writes `BENCH_<name>.json`, appending the [`HostTimer`]'s `host` object
 /// as a final top-level field. A baseline gates only the paths it lists,
 /// so the wall-clock numbers ride along without perturbing any committed
 /// baseline.
 pub fn write_artifact(name: &str, doc: Obj, host: &HostTimer) {
-    let out = doc.val("host", host.obj()).document();
-    std::fs::write(format!("BENCH_{name}.json"), out).expect("write JSON artifact");
-    println!("# wrote BENCH_{name}.json");
+    write_json(name, doc.val("host", host.obj()));
 }
 
 #[cfg(test)]
@@ -136,10 +150,13 @@ mod tests {
     }
 
     #[test]
-    fn cycle_formatting_contains_units() {
-        let s = Summary::of(&[1000.0, 2000.0]);
-        let out = fmt_cycles(&s);
-        assert!(out.contains("cyc"));
-        assert!(out.contains("µs"));
+    fn a_zero_or_unusable_trial_count_falls_back_to_the_default() {
+        let trials = |args: &[&str]| trials_in(args.iter().map(|a| a.to_string()), 7);
+        assert_eq!(trials(&["bench", "--trials", "3"]), 3);
+        assert_eq!(trials(&["bench", "--trials", "0"]), 7);
+        assert_eq!(trials(&["bench", "--trials", "-2"]), 7);
+        assert_eq!(trials(&["bench", "--trials", "many"]), 7);
+        assert_eq!(trials(&["bench", "--trials"]), 7);
+        assert_eq!(trials(&["bench"]), 7);
     }
 }

@@ -382,7 +382,7 @@ mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)]
     fn mode_costs_match_table_1_ordering() {
-        // Table 1: ident map >> protected transition > lgdt16 > lgdt32
+        // Table 1: ident map >> lgdt16 > protected transition > lgdt32
         // > ljmp64 > ljmp32 > first instruction.
         assert!(MODE_CR0_PE > MODE_LGDT_PROT);
         assert!(MODE_LGDT_REAL > MODE_CR0_PE);
