@@ -95,11 +95,11 @@ mod tests {
 
     #[test]
     fn virtine_slowdown_shrinks_with_block_size() {
-        // Small sizes/iterations keep the test quick; the bench binary
-        // sweeps the full range. Note (EXPERIMENTS.md): our interpreted
-        // cipher inflates compute time relative to the paper's AES-NI
-        // native path, so the slowdown factors compress toward 1 as blocks
-        // grow — the *shape* (memory-bound per-invocation overhead,
+        // Small sizes/iterations keep the test quick; the `paper` bin sweeps
+        // the full range (docs/paper.md, the AES study rows). Our
+        // interpreted cipher inflates compute time relative to the paper's
+        // AES-NI native path, so the slowdown factors compress toward 1 as
+        // blocks grow — the *shape* (memory-bound per-invocation overhead,
         // amortized by compute) is what this asserts.
         let rows = run_speed(&[16, 512, 4096], 2);
         assert_eq!(rows.len(), 3);

@@ -7,7 +7,7 @@
 //! * [`random_source`] / [`random_source_paged`] — a whole assemblable
 //!   program exercising the instruction mix `vcc` emits plus the awkward
 //!   cases (divide faults, self-modifying stores, port I/O, wild indirect
-//!   jumps, illegal system instructions), for the fast-vs-reference
+//!   jumps, wild stack pointers, illegal system instructions), for the fast-vs-reference
 //!   differential harness and the `diff_fuzz` binary. Programs are *allowed* to fault, loop forever, or
 //!   scribble on themselves — the differential contract is that both
 //!   engines do exactly the same thing, not that the program is sensible.
@@ -109,7 +109,7 @@ pub fn random_inst(rng: &mut Rng) -> Inst {
 
 /// A register name for generated source; data generation sticks to
 /// `r0`–`r11`, leaving `r12` (data base), `r13` (code base), `fp`, and `sp`
-/// with stable roles.
+/// with stable roles (but for the occasional wild `sp`).
 fn data_reg(rng: &mut Rng) -> String {
     format!("r{}", rng.below(12))
 }
@@ -206,6 +206,17 @@ fn random_line(rng: &mut Rng, i: usize, n: usize) -> String {
             3 => format!("wrmsr 0xC0000080, {}", data_reg(rng)),
             _ => format!("ljmp32 {}", rng.below(1 << 16)),
         },
+        // A wild stack pointer, so that the next stack access faults — in
+        // either half of a fused pair too: near 0 (a push wraps), at the end
+        // of a 1 MiB memory and of real mode's reach, or past protected
+        // mode's.
+        94 => {
+            let near = [0, 1 << 20, 1 << 32][rng.below(3)];
+            format!(
+                "mov sp, {:#x}",
+                (near + rng.below(16) as u64).saturating_sub(8)
+            )
+        }
         _ => format!("add {}, {}", data_reg(rng), rng.below(256)),
     }
 }

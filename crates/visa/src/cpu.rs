@@ -215,6 +215,12 @@ pub struct Cpu {
     pub marks: Vec<(u8, Cycles)>,
     /// 2 MiB-page TLB, probed on every long-mode access by both engines.
     tlb: Tlb,
+    /// An access wholly below this address is its own physical address, with
+    /// no walk, tick or fault: the mode limit in real and protected mode; in
+    /// long mode 2 MiB while the TLB holds the identity entry for virtual
+    /// page 0, else 0. Derived from `mode` and `tlb` by
+    /// [`Cpu::refresh_identity_end`] wherever either is written.
+    identity_end: u64,
     /// Destination register of an in-flight `in` instruction.
     pub(crate) pending_in: Option<Reg>,
     pub(crate) first_inst_pending: bool,
@@ -240,7 +246,7 @@ const TLB_ENTRIES: usize = 64;
 /// split instruction/data TLBs keep a data stream from evicting the running
 /// code's translation. That rule is what lets a predecoded block rely on its
 /// code page staying resident from its first instruction to its last.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Tlb([(u64, u64); TLB_ENTRIES]);
 
 impl Tlb {
@@ -278,6 +284,7 @@ const PTE_PS: u64 = 1 << 7;
 const PTE_ADDR_MASK: u64 = 0x000F_FFFF_FFFF_F000;
 const PDE_2M_ADDR_MASK: u64 = 0x000F_FFFF_FFE0_0000;
 const REAL_MODE_LIMIT: u64 = 1 << 20;
+const PROT_MODE_LIMIT: u64 = 1 << 32;
 const CANONICAL_LIMIT: u64 = 1 << 48;
 
 /// The guest fault for an access beyond guest-physical memory.
@@ -289,7 +296,7 @@ impl Cpu {
     /// Creates a CPU in the reset state: real mode, zeroed registers,
     /// `pc = entry`.
     pub fn new(clock: Clock, config: CpuConfig, entry: u64) -> Cpu {
-        Cpu {
+        let mut cpu = Cpu {
             regs: [0; Reg::COUNT],
             pc: entry,
             mode: Mode::Real16,
@@ -303,13 +310,16 @@ impl Cpu {
             config,
             marks: Vec::new(),
             tlb: Tlb::new(),
+            identity_end: 0,
             pending_in: None,
             first_inst_pending: false,
             ept_built: false,
             insts_retired: 0,
             engine: Engine::Fast,
             pred: pred::PredCache::default(),
-        }
+        };
+        cpu.refresh_identity_end();
+        cpu
     }
 
     /// Current processor mode.
@@ -394,7 +404,7 @@ impl Cpu {
         self.efer = s.efer;
         self.gdt_base = s.gdt_base;
         self.flags = s.flags;
-        self.tlb.clear();
+        self.flush_tlb();
         self.pending_in = None;
         // A restored context was already warmed past its first instruction.
         self.first_inst_pending = false;
@@ -418,17 +428,31 @@ impl Cpu {
         std::mem::swap(&mut self.pred, &mut donor.pred);
     }
 
-    /// Translates a virtual address for an access of `len` bytes.
+    /// Translates a virtual address for an access of `len` (at least one)
+    /// bytes.
     ///
-    /// The hit path — a flat mode inside its limit, or a long-mode access
-    /// whose one 2 MiB page is in the TLB — is a compare or two and inlines
-    /// into the caller; walks, page-straddling accesses and faults are out
-    /// of line.
+    /// An access wholly below `identity_end` — every access of a flat mode
+    /// that stays inside its limit, and every long-mode access inside an
+    /// identity-mapped, TLB-resident first 2 MiB page — is its own physical
+    /// address: one compare, inlined into the caller. Anything else takes
+    /// [`Cpu::translate_full`], which returns the same for those.
     #[inline(always)]
     pub(crate) fn translate(&mut self, mem: &Memory, vaddr: u64, len: u64) -> Result<u64, Fault> {
+        debug_assert!(len > 0, "a zero-length access has no last byte");
+        if vaddr.saturating_add(len) <= self.identity_end {
+            return Ok(vaddr);
+        }
+        self.translate_full(mem, vaddr, len)
+    }
+
+    /// [`Cpu::translate`] without the identity window: the mode limit, or
+    /// the long-mode TLB and page walk.
+    #[cold]
+    #[inline(never)]
+    fn translate_full(&mut self, mem: &Memory, vaddr: u64, len: u64) -> Result<u64, Fault> {
         let limit = match self.mode {
             Mode::Real16 => REAL_MODE_LIMIT,
-            Mode::Prot32 => u32::MAX as u64 + 1,
+            Mode::Prot32 => PROT_MODE_LIMIT,
             Mode::Long64 => {
                 let last_byte = vaddr.wrapping_add(len.saturating_sub(1));
                 if vaddr < CANONICAL_LIMIT && last_byte >> PAGE_2M_SHIFT == vaddr >> PAGE_2M_SHIFT {
@@ -443,6 +467,22 @@ impl Cpu {
             return Err(self.beyond_mode(vaddr));
         }
         Ok(vaddr)
+    }
+
+    /// Re-derives `identity_end` from the mode and the TLB. Called wherever
+    /// either is written: a stale bound would translate without the walk,
+    /// tick or fault the full path takes.
+    fn refresh_identity_end(&mut self) {
+        self.identity_end = match self.mode {
+            Mode::Real16 => REAL_MODE_LIMIT,
+            Mode::Prot32 => PROT_MODE_LIMIT,
+            Mode::Long64 => self.long_identity_page_end(0).unwrap_or(0),
+        };
+    }
+
+    fn flush_tlb(&mut self) {
+        self.tlb.clear();
+        self.refresh_identity_end();
     }
 
     #[cold]
@@ -515,12 +555,27 @@ impl Cpu {
         }
         let frame = pde & PDE_2M_ADDR_MASK;
         self.tlb.fill(vpn, frame, self.pc >> PAGE_2M_SHIFT);
+        self.refresh_identity_end();
         Ok(frame | (vaddr & PAGE_2M_MASK))
     }
+
+    // Guest memory accesses. Each ticks `GUEST_MEM`, then runs its untimed
+    // core: the reference engine calls the former, and the fast engine —
+    // which charges a block's static cycles in one sum — the latter.
 
     #[inline(always)]
     pub(crate) fn load(&mut self, mem: &Memory, vaddr: u64, w: Width) -> Result<u64, Fault> {
         self.clock.tick(costs::GUEST_MEM);
+        self.load_untimed(mem, vaddr, w)
+    }
+
+    #[inline(always)]
+    pub(crate) fn load_untimed(
+        &mut self,
+        mem: &Memory,
+        vaddr: u64,
+        w: Width,
+    ) -> Result<u64, Fault> {
         let paddr = self.translate(mem, vaddr, w.bytes())?;
         mem.read(paddr, w).map_err(phys_fault)
     }
@@ -536,6 +591,17 @@ impl Cpu {
         v: u64,
     ) -> Result<u64, Fault> {
         self.clock.tick(costs::GUEST_MEM);
+        self.store_untimed(mem, vaddr, w, v)
+    }
+
+    #[inline(always)]
+    pub(crate) fn store_untimed(
+        &mut self,
+        mem: &mut Memory,
+        vaddr: u64,
+        w: Width,
+        v: u64,
+    ) -> Result<u64, Fault> {
         let paddr = self.translate(mem, vaddr, w.bytes())?;
         mem.write(paddr, w, v).map_err(phys_fault)?;
         Ok(paddr)
@@ -544,15 +610,27 @@ impl Cpu {
     /// Pushes `v`; returns the physical address written, like [`Cpu::store`].
     #[inline(always)]
     pub(crate) fn push(&mut self, mem: &mut Memory, v: u64) -> Result<u64, Fault> {
+        self.clock.tick(costs::GUEST_MEM);
+        self.push_untimed(mem, v)
+    }
+
+    #[inline(always)]
+    pub(crate) fn push_untimed(&mut self, mem: &mut Memory, v: u64) -> Result<u64, Fault> {
         let sp = self.reg(Reg::SP).wrapping_sub(8);
         self.set_reg(Reg::SP, sp);
-        self.store(mem, sp, Width::Q, v)
+        self.store_untimed(mem, sp, Width::Q, v)
     }
 
     #[inline(always)]
     pub(crate) fn pop(&mut self, mem: &Memory) -> Result<u64, Fault> {
+        self.clock.tick(costs::GUEST_MEM);
+        self.pop_untimed(mem)
+    }
+
+    #[inline(always)]
+    pub(crate) fn pop_untimed(&mut self, mem: &Memory) -> Result<u64, Fault> {
         let sp = self.reg(Reg::SP);
-        let v = self.load(mem, sp, Width::Q)?;
+        let v = self.load_untimed(mem, sp, Width::Q)?;
         self.set_reg(Reg::SP, sp.wrapping_add(8));
         Ok(v)
     }
@@ -637,7 +715,7 @@ impl Cpu {
                 }
                 if !was_pg && now_pg {
                     self.clock.tick(costs::MODE_CR0_PG);
-                    self.tlb.clear();
+                    self.flush_tlb();
                     if !self.ept_built {
                         // Hypervisor builds the nested page table lazily the
                         // first time the guest turns on translation.
@@ -650,7 +728,7 @@ impl Cpu {
             CrReg::Cr3 => {
                 self.clock.tick(costs::MODE_CR3_WRITE);
                 self.cr3 = value;
-                self.tlb.clear();
+                self.flush_tlb();
             }
             CrReg::Cr4 => {
                 self.clock.tick(costs::MODE_CR4_WRITE);
@@ -709,6 +787,7 @@ impl Cpu {
                 self.mode = Mode::Long64;
             }
         }
+        self.refresh_identity_end();
         self.pc = target;
         Ok(())
     }
@@ -730,7 +809,7 @@ impl Cpu {
         // boundary (mode limit or long-mode page end).
         let visible = match self.mode {
             Mode::Real16 => REAL_MODE_LIMIT - pc,
-            Mode::Prot32 => (u32::MAX as u64 + 1) - pc,
+            Mode::Prot32 => PROT_MODE_LIMIT - pc,
             Mode::Long64 => (PAGE_2M_MASK + 1) - (pc & PAGE_2M_MASK),
         };
         let win = &window[..window.len().min(visible as usize)];
@@ -1474,6 +1553,111 @@ patch:
             cycles(200) - cycles(64),
             2 * 136 * turn + (walks_200 - 63) * walk
         );
+    }
+
+    /// Compares [`Cpu::translate`] with [`Cpu::translate_full`] — the path
+    /// below the identity window — for seeded accesses from `cpu`'s current
+    /// state: the result, the ticks and the TLB afterwards must agree. Leaves
+    /// the state as it found it.
+    fn window_agrees(cpu: &mut Cpu, mem: &Memory, rng: &mut vclock::rng::Rng, state: &str) {
+        let (tlb, end) = (cpu.tlb.clone(), cpu.identity_end);
+        let edges = [
+            0,
+            1 << PAGE_2M_SHIFT,
+            64 << PAGE_2M_SHIFT,
+            REAL_MODE_LIMIT,
+            PROT_MODE_LIMIT,
+            CANONICAL_LIMIT,
+            u64::MAX,
+        ];
+        for _ in 0..400 {
+            let vaddr = match rng.below(3) {
+                0 => edges[rng.below(edges.len())]
+                    .wrapping_add(rng.below(32) as u64)
+                    .wrapping_sub(16),
+                1 => rng.below(4 << 20) as u64,
+                _ => rng.next_u64(),
+            };
+            let len = [1, 2, 4, 8][rng.below(4)];
+            let mut run = |full: bool| {
+                cpu.tlb = tlb.clone();
+                cpu.identity_end = end;
+                let t0 = cpu.clock.now();
+                let got = if full {
+                    cpu.translate_full(mem, vaddr, len)
+                } else {
+                    cpu.translate(mem, vaddr, len)
+                };
+                (got, cpu.clock.now() - t0, cpu.tlb.clone())
+            };
+            assert_eq!(run(false), run(true), "{state}: {len} bytes at {vaddr:#x}");
+        }
+        cpu.tlb = tlb;
+        cpu.identity_end = end;
+    }
+
+    #[test]
+    fn the_identity_window_is_only_a_shortcut() {
+        // Two address spaces over 1 GiB of 2 MiB pages: at 0x1000 the
+        // identity map; at 0x5000 the same with pages 0 and 1 swapped.
+        let mut mem = Memory::new(4 << 20);
+        let mut put = |addr: u64, v: u64| mem.write_bytes(addr, &v.to_le_bytes()).unwrap();
+        put(0x1000, 0x2003);
+        put(0x2000, 0x3003);
+        put(0x5000, 0x6003);
+        put(0x6000, 0x4003);
+        for page in 0..512 {
+            put(0x3000 + 8 * page, page << PAGE_2M_SHIFT | 0x83);
+            put(0x4000 + 8 * page, (page ^ 1) << PAGE_2M_SHIFT | 0x83);
+        }
+        let mut rng = vclock::rng::Rng::seeded(0x1D_E271);
+        let mut cpu = Cpu::new(Clock::new(), CpuConfig::default(), 0x8000);
+        // Every state is reached the way a guest reaches it, and names the
+        // bound it must leave behind.
+        let mut at = |cpu: &mut Cpu, state: &str, end: u64| {
+            assert_eq!(cpu.identity_end, end, "{state}");
+            window_agrees(cpu, &mem, &mut rng, state);
+        };
+        at(&mut cpu, "real mode", REAL_MODE_LIMIT);
+        cpu.gdt_base = Some(0);
+        cpu.write_cr(CrReg::Cr0, CR0_PE).unwrap();
+        cpu.far_jump(JmpMode::Prot32, 0x8000).unwrap();
+        at(&mut cpu, "protected mode", PROT_MODE_LIMIT);
+        let protected = cpu.save_state();
+        cpu.write_cr(CrReg::Cr3, 0x1000).unwrap();
+        cpu.write_cr(CrReg::Cr4, CR4_PAE).unwrap();
+        cpu.efer = EFER_LME;
+        cpu.write_cr(CrReg::Cr0, CR0_PE | CR0_PG).unwrap();
+        at(&mut cpu, "protected mode, paging on", PROT_MODE_LIMIT);
+        cpu.far_jump(JmpMode::Long64, 0x8000).unwrap();
+        at(&mut cpu, "long mode, TLB empty", 0);
+        let long = cpu.save_state();
+        let mem = &mem;
+        let fill = |cpu: &mut Cpu, vaddr: u64| cpu.translate(mem, vaddr, 8).unwrap();
+        fill(&mut cpu, 0x8000);
+        at(&mut cpu, "long mode, page 0 identity", 1 << PAGE_2M_SHIFT);
+        // Page 64 shares page 0's TLB slot; the running page is pinned.
+        fill(&mut cpu, 64 << PAGE_2M_SHIFT);
+        at(
+            &mut cpu,
+            "a colliding refill while page 0 runs",
+            1 << PAGE_2M_SHIFT,
+        );
+        cpu.pc = 1 << PAGE_2M_SHIFT;
+        fill(&mut cpu, 64 << PAGE_2M_SHIFT);
+        at(&mut cpu, "page 0 displaced by page 64", 0);
+        fill(&mut cpu, 0x100);
+        at(&mut cpu, "page 0 refilled", 1 << PAGE_2M_SHIFT);
+        cpu.write_cr(CrReg::Cr3, 0x5000).unwrap();
+        at(&mut cpu, "after a CR3 write", 0);
+        fill(&mut cpu, 0x100);
+        at(&mut cpu, "long mode, page 0 mapped elsewhere", 0);
+        cpu.restore_state(&protected);
+        at(&mut cpu, "restored to protected mode", PROT_MODE_LIMIT);
+        cpu.restore_state(&long);
+        at(&mut cpu, "restored to long mode", 0);
+        fill(&mut cpu, 0x100);
+        at(&mut cpu, "restored, page 0 identity", 1 << PAGE_2M_SHIFT);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! * **Predecode.** Straight-line runs of guest code are lazily decoded once
 //!   into a cached [`Vec<PredInst>`] (a *block*), keyed by `(mode, start
 //!   pc)`. Relative branch targets are resolved to absolute addresses at
-//!   build time, immediates are unpacked, and the per-instruction base cycle
-//!   cost is pre-summed from [`vclock::costs::GUEST_CLASS_BASE`] — execution
-//!   never touches [`Inst::decode`](crate::inst::Inst::decode) again.
+//!   build time, immediates are unpacked, and each instruction records the
+//!   block's static cycles (from [`vclock::costs::GUEST_CLASS_BASE`]) and
+//!   retired count up to and including itself — execution never touches
+//!   [`Inst::decode`](crate::inst::Inst::decode) again.
 //! * **Superinstructions.** Six 2-instruction patterns are fused at build
 //!   time — the ones that measured a win in `interp_speed`
 //!   (`docs/interpreter.md#superinstructions`): `cmp r,imm`+`jcc` (every
@@ -20,12 +21,13 @@
 //!   operand shuffles), `pop`+`push`, `pop`+`alu r,r` and `alu r,imm`+`call`.
 //!   A fused pair dispatches once but retires two instructions.
 //! * **Host-side shape.** One dispatch site (`run_fast`'s block loop, with
-//!   `exec` inlined into it); guest loads and stores whose hit path is a
-//!   mode or TLB compare, a bounds check and one unaligned access, inlined
-//!   into the `exec` arm from the definitions in `cpu.rs`/`mem.rs` that the
-//!   reference engine shares; blocks owned by an arena and lent to the loop
-//!   as `&Block`. A step budget that ends inside a block finishes on the
-//!   reference path.
+//!   `exec` inlined into it); guest loads and stores whose hit path is one
+//!   compare against the CPU's identity window, a bounds check and one
+//!   unaligned access, inlined into the `exec` arm from the definitions in
+//!   `cpu.rs`/`mem.rs` that the reference engine shares; the clock and the
+//!   retired count charged once per block, not per instruction; blocks
+//!   owned by an arena and lent to the loop as `&Block`. A step budget that
+//!   ends inside a block finishes on the reference path.
 //! * **Invalidation.** [`Memory`] keeps a code-dirty
 //!   page bitmap (set on every write, never cleared by the data-dirty
 //!   tracking). Before a cached block runs, any dirty page it overlaps is
@@ -71,7 +73,16 @@
 //! from the reference `step()` loop at every observation point: registers,
 //! memory, flags, `insts_retired`, exits, faults (kind *and* payload), and
 //! the virtual clock. Blocks therefore only contain instruction classes
-//! whose timing is position-independent; anything mode-dependent (`hlt`,
+//! whose timing is position-independent, and most of that timing is
+//! *static* — a class base, one `GUEST_MEM` per access — so `exec` ticks
+//! none of it and retires nothing: a block that runs to its end charges its
+//! total static cycles and retired count once, and one that stops early
+//! charges its prefix through the instruction it stopped in (through the
+//! first half of a fused pair whose first half faulted). A `mark` records
+//! the clock plus its own prefix. Only the dynamic ticks — a taken `jcc`, a
+//! TLB walk — land where they happen; ticks only add, and nothing but
+//! `mark` reads the clock inside a block, so every exit, fault and `mark`
+//! sees the reference's value. Anything mode-dependent (`hlt`,
 //! port I/O, `lgdt`/`mov cr`/`wrmsr`/`ljmp`) terminates the block and runs
 //! through [`Cpu::step`](crate::cpu::Cpu::step) itself. Long mode caches
 //! blocks only on code pages that are TLB-resident *and* identity-mapped —
@@ -88,7 +99,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use vclock::costs;
+use vclock::{costs, Cycles};
 
 use crate::cpu::{Cpu, CpuExit, Engine, Fault, Mode};
 use crate::inst::{Alu, Cond, CrReg, Inst, OpClass, Reg, Width};
@@ -238,14 +249,50 @@ enum PredOp {
 #[derive(Debug, Clone, Copy)]
 struct PredInst {
     op: PredOp,
-    /// Base cycles ticked up-front — chosen so the virtual clock matches the
-    /// reference interpreter at every point a fault or `mark` can observe it.
-    cost: u64,
     /// Address of the instruction (fault payloads for div/mod).
     pc: u64,
     /// Address of the next sequential instruction (past the whole fused
     /// pair for superinstructions).
     next_pc: u64,
+    /// The block's *prefix* through this instruction: the static cycles
+    /// ([`static_cost`]) and the instructions retired from the block's first
+    /// instruction up to and including this one (both halves of a pair).
+    cycles: u32,
+    retired: u32,
+}
+
+// Pinned: the dispatch loop streams a block's `PredInst`s, so their size is
+// cache footprint on every block entry.
+const _: () = assert!(std::mem::size_of::<PredInst>() == 48);
+
+impl PredInst {
+    fn prefix(&self) -> (u64, u64) {
+        (self.cycles.into(), self.retired.into())
+    }
+
+    /// The prefix a fault inside this instruction charges: through the
+    /// whole instruction, or only through the first half of a fused pair
+    /// whose first half faulted — which left `pc` on the second half, as
+    /// the reference does.
+    fn faulted_prefix(&self, pc: u64) -> (u64, u64) {
+        let second = match self.op {
+            PredOp::PopPush { s, mid, .. } if pc == mid => Inst::Push(s),
+            PredOp::PopAluRR {
+                op, d2, s2, mid, ..
+            } if pc == mid => Inst::AluRR(op, d2, s2),
+            PredOp::PushLoad {
+                w,
+                d,
+                base,
+                off,
+                mid,
+                ..
+            } if pc == mid => Inst::Load(w, d, base, off),
+            _ => return self.prefix(),
+        };
+        let (cycles, retired) = self.prefix();
+        (cycles - static_cost(&second), retired - 1)
+    }
 }
 
 /// A predecoded straight-line run of guest code.
@@ -259,14 +306,17 @@ struct Block {
     /// The exact source bytes decoded, for revalidation after writes land
     /// on the block's pages.
     src: Vec<u8>,
+    /// Never empty.
     insts: Vec<PredInst>,
-    /// Instructions the whole block retires (a fused pair retires two) —
-    /// lets the run loop hoist the step-budget check out of the dispatch
-    /// loop.
-    retire_total: u64,
 }
 
 impl Block {
+    /// The static cycles and instructions retired of the whole block: its
+    /// last instruction's prefix.
+    fn total(&self) -> (u64, u64) {
+        self.insts[self.insts.len() - 1].prefix()
+    }
+
     fn page_lo(&self) -> u64 {
         self.start / PAGE_SIZE
     }
@@ -590,15 +640,12 @@ fn build(cpu: &mut Cpu, mem: &Memory) -> Option<Block> {
     }
     let end = pc;
     let src = mem.slice(start, end - start).ok()?.to_vec();
-    let insts = lower(&raw);
     Some(Block {
         mode,
         start,
         end,
         src,
-        insts,
-        // Fused or not, every decoded instruction retires once.
-        retire_total: raw.len() as u64,
+        insts: lower(&raw),
     })
 }
 
@@ -614,131 +661,116 @@ fn abs_target(next_pc: u64, rel: i32) -> u64 {
     next_pc.wrapping_add(rel as i64 as u64)
 }
 
-/// Base cycle cost of one instruction, from the per-class table.
-fn class_cost(inst: &Inst) -> u64 {
-    costs::GUEST_CLASS_BASE[inst.class() as usize]
+/// The cycles an instruction costs wherever it runs: its class base, one
+/// `GUEST_MEM` per memory access, and the taken charge of an unconditional
+/// jump. The rest of what the reference ticks — a taken `jcc`, a TLB walk —
+/// depends on the run, and the fast engine ticks it where it happens.
+fn static_cost(inst: &Inst) -> u64 {
+    let base = costs::GUEST_CLASS_BASE[inst.class() as usize];
+    match inst {
+        Inst::Load(..)
+        | Inst::Store(..)
+        | Inst::Push(_)
+        | Inst::Pop(_)
+        | Inst::Call(_)
+        | Inst::CallR(_)
+        | Inst::Ret => base + costs::GUEST_MEM,
+        Inst::Jmp(_) | Inst::JmpR(_) => base + costs::GUEST_BRANCH_TAKEN,
+        _ => base,
+    }
 }
 
-/// Lowers a decoded run into predecoded form, fusing adjacent pairs.
+/// Lowers a decoded run into predecoded form, fusing adjacent pairs, and
+/// records each instruction's prefix.
 fn lower(raw: &[(Inst, u64, u64)]) -> Vec<PredInst> {
     let mut out = Vec::with_capacity(raw.len());
+    let (mut cycles, mut retired) = (0, 0);
     let mut i = 0;
     while i < raw.len() {
         let (inst, pc, len) = raw[i];
-        let next_pc = pc.wrapping_add(len);
-        if let Some(&(next, npc, nlen)) = raw.get(i + 1) {
-            let n_next = npc.wrapping_add(nlen);
-            let fused = match (inst, next) {
-                (Inst::CmpRI(a, imm), Inst::Jcc(c, rel)) => Some(PredInst {
-                    op: PredOp::CmpRIJcc(a, imm, c, abs_target(n_next, rel)),
-                    // cmp's ALU tick + jcc's BRANCH tick; nothing can
-                    // observe the clock between them.
-                    cost: costs::GUEST_ALU + costs::GUEST_BRANCH,
-                    pc,
-                    next_pc: n_next,
-                }),
-                // The Pop-first pairs carry only the pop's STACK tick in
-                // `cost`: the pop can fault, so the second half's tick stays
-                // behind it (dispatched in the exec arm). An ALU second half
-                // is restricted to plain-ALU-class ops so that deferred tick
-                // is the constant `GUEST_ALU`.
-                (Inst::Pop(d), Inst::Push(s)) => Some(PredInst {
-                    op: PredOp::PopPush { d, s, mid: npc },
-                    cost: costs::GUEST_STACK,
-                    pc,
-                    next_pc: n_next,
-                }),
-                (Inst::Pop(d), Inst::AluRR(op, d2, s2)) if plain_alu(op) => Some(PredInst {
-                    op: PredOp::PopAluRR {
-                        d,
-                        op,
-                        d2,
-                        s2,
-                        mid: npc,
-                    },
-                    cost: costs::GUEST_STACK,
-                    pc,
-                    next_pc: n_next,
-                }),
-                (Inst::AluRI(op, d, imm), Inst::Call(rel))
-                    if !matches!(op, Alu::Div | Alu::Mod) =>
-                {
-                    Some(PredInst {
-                        op: PredOp::AluRICall(op, d, imm, abs_target(n_next, rel)),
-                        // The ALU half cannot fault, so the call's base tick
-                        // merges up front; its push faults *after* both.
-                        cost: class_cost(&inst) + costs::GUEST_CALLRET,
-                        pc,
-                        next_pc: n_next,
-                    })
-                }
-                (Inst::MovRR(d, s), Inst::Pop(pd)) => Some(PredInst {
-                    op: PredOp::MovRRPop(d, s, pd),
-                    // The mov cannot fault: both base ticks merge up front,
-                    // ahead of the pop's (faultable, internally ticked) load.
-                    cost: costs::GUEST_ALU + costs::GUEST_STACK,
-                    pc,
-                    next_pc: n_next,
-                }),
-                (Inst::Push(a), Inst::Load(w, d, base, off)) => Some(PredInst {
-                    op: PredOp::PushLoad {
-                        a,
-                        w,
-                        d,
-                        base,
-                        off,
-                        mid: npc,
-                    },
-                    // The load's class base is zero (`cpu.load` ticks MEM
-                    // itself), so only the push's STACK tick rides up front;
-                    // the push can fault, so the exec arm retires per half.
-                    cost: costs::GUEST_STACK,
-                    pc,
-                    next_pc: n_next,
-                }),
-                _ => None,
-            };
-            if let Some(p) = fused {
-                out.push(p);
+        let pair = raw.get(i + 1).and_then(|&(next, mid, next_len)| {
+            let end = mid.wrapping_add(next_len);
+            Some((fuse(inst, next, mid, end)?, next, end))
+        });
+        let (op, next_pc) = match pair {
+            Some((op, next, end)) => {
                 SUPERINSTS_FUSED.fetch_add(1, Ordering::Relaxed);
-                i += 2;
-                continue;
+                cycles += static_cost(&next);
+                retired += 1;
+                i += 1;
+                (op, end)
             }
-        }
-        out.push(lower_one(inst, pc, next_pc));
+            None => {
+                let next_pc = pc.wrapping_add(len);
+                (lower_one(inst, next_pc), next_pc)
+            }
+        };
+        cycles += static_cost(&inst);
+        retired += 1;
         i += 1;
+        out.push(PredInst {
+            op,
+            pc,
+            next_pc,
+            cycles: u32::try_from(cycles).expect("64 instructions' cycles fit in u32"),
+            retired,
+        });
     }
     out
 }
 
+/// The superinstruction for `first` followed by `second`, which starts at
+/// `mid` and ends at `end`; `None` unless the pair is one of the six fused
+/// patterns.
+fn fuse(first: Inst, second: Inst, mid: u64, end: u64) -> Option<PredOp> {
+    Some(match (first, second) {
+        (Inst::CmpRI(a, imm), Inst::Jcc(c, rel)) => {
+            PredOp::CmpRIJcc(a, imm, c, abs_target(end, rel))
+        }
+        (Inst::Pop(d), Inst::Push(s)) => PredOp::PopPush { d, s, mid },
+        (Inst::Pop(d), Inst::AluRR(op, d2, s2)) if plain_alu(op) => {
+            PredOp::PopAluRR { d, op, d2, s2, mid }
+        }
+        (Inst::AluRI(op, d, imm), Inst::Call(rel)) if !matches!(op, Alu::Div | Alu::Mod) => {
+            PredOp::AluRICall(op, d, imm, abs_target(end, rel))
+        }
+        (Inst::MovRR(d, s), Inst::Pop(pd)) => PredOp::MovRRPop(d, s, pd),
+        (Inst::Push(a), Inst::Load(w, d, base, off)) => PredOp::PushLoad {
+            a,
+            w,
+            d,
+            base,
+            off,
+            mid,
+        },
+        _ => return None,
+    })
+}
+
 /// Lowers a single (unfused) instruction.
-fn lower_one(inst: Inst, pc: u64, next_pc: u64) -> PredInst {
-    let base = class_cost(&inst);
-    let (op, cost) = match inst {
-        Inst::Nop => (PredOp::Nop, base),
-        Inst::MovRR(d, s) => (PredOp::MovRR(d, s), base),
-        Inst::MovRI(d, imm) => (PredOp::MovRI(d, imm), base),
-        Inst::AluRR(op, d, s) => (PredOp::AluRR(op, d, s), base),
-        Inst::AluRI(op, d, imm) => (PredOp::AluRI(op, d, imm), base),
-        Inst::Neg(r) => (PredOp::Neg(r), base),
-        Inst::Not(r) => (PredOp::Not(r), base),
-        Inst::CmpRR(a, b) => (PredOp::CmpRR(a, b), base),
-        Inst::CmpRI(a, imm) => (PredOp::CmpRI(a, imm), base),
-        Inst::MovRCr(d, cr) => (PredOp::MovRCr(d, cr), base),
-        Inst::Jmp(rel) => (
-            PredOp::Jmp(abs_target(next_pc, rel)),
-            base + costs::GUEST_BRANCH_TAKEN,
-        ),
-        Inst::Jcc(c, rel) => (PredOp::Jcc(c, abs_target(next_pc, rel)), base),
-        Inst::JmpR(r) => (PredOp::JmpR(r), base + costs::GUEST_BRANCH_TAKEN),
-        Inst::Call(rel) => (PredOp::Call(abs_target(next_pc, rel)), base),
-        Inst::CallR(r) => (PredOp::CallR(r), base),
-        Inst::Ret => (PredOp::Ret, base),
-        Inst::Push(r) => (PredOp::Push(r), base),
-        Inst::Pop(r) => (PredOp::Pop(r), base),
-        Inst::Load(w, d, b, off) => (PredOp::Load(w, d, b, off), base),
-        Inst::Store(w, b, off, s) => (PredOp::Store(w, b, off, s), base),
-        Inst::Mark(id) => (PredOp::Mark(id), base),
+fn lower_one(inst: Inst, next_pc: u64) -> PredOp {
+    match inst {
+        Inst::Nop => PredOp::Nop,
+        Inst::MovRR(d, s) => PredOp::MovRR(d, s),
+        Inst::MovRI(d, imm) => PredOp::MovRI(d, imm),
+        Inst::AluRR(op, d, s) => PredOp::AluRR(op, d, s),
+        Inst::AluRI(op, d, imm) => PredOp::AluRI(op, d, imm),
+        Inst::Neg(r) => PredOp::Neg(r),
+        Inst::Not(r) => PredOp::Not(r),
+        Inst::CmpRR(a, b) => PredOp::CmpRR(a, b),
+        Inst::CmpRI(a, imm) => PredOp::CmpRI(a, imm),
+        Inst::MovRCr(d, cr) => PredOp::MovRCr(d, cr),
+        Inst::Jmp(rel) => PredOp::Jmp(abs_target(next_pc, rel)),
+        Inst::Jcc(c, rel) => PredOp::Jcc(c, abs_target(next_pc, rel)),
+        Inst::JmpR(r) => PredOp::JmpR(r),
+        Inst::Call(rel) => PredOp::Call(abs_target(next_pc, rel)),
+        Inst::CallR(r) => PredOp::CallR(r),
+        Inst::Ret => PredOp::Ret,
+        Inst::Push(r) => PredOp::Push(r),
+        Inst::Pop(r) => PredOp::Pop(r),
+        Inst::Load(w, d, b, off) => PredOp::Load(w, d, b, off),
+        Inst::Store(w, b, off, s) => PredOp::Store(w, b, off, s),
+        Inst::Mark(id) => PredOp::Mark(id),
         Inst::Hlt
         | Inst::In(..)
         | Inst::Out(..)
@@ -746,12 +778,6 @@ fn lower_one(inst: Inst, pc: u64, next_pc: u64) -> PredInst {
         | Inst::MovCr(..)
         | Inst::Wrmsr(..)
         | Inst::Ljmp(..) => unreachable!("class excluded by the block builder"),
-    };
-    PredInst {
-        op,
-        cost,
-        pc,
-        next_pc,
     }
 }
 
@@ -799,46 +825,21 @@ fn div_mod(op: Alu, a: u64, b: u64, pc: u64) -> Result<u64, Fault> {
 
 /// Dispatches one predecoded instruction.
 ///
-/// Mirrors the reference `step()` exactly: `insts_retired` and `pc` advance
-/// *before* the body (so fault states match), and the clock is ticked such
-/// that every fault- or `mark`-observable point sees the reference value.
+/// Mirrors the reference `step()`'s semantics and its `pc`, which advances
+/// *before* the body, so a fault leaves it where the reference does. The
+/// static cycles and the retired count are the run loop's to charge (see
+/// [`PredInst::cycles`]): this ticks only what depends on the run — a taken
+/// `jcc` here, a TLB walk inside [`Cpu::translate`] — and retires nothing.
 /// It has one caller and must be part of it: out of line, every guest
 /// instruction pays a call, a stack frame and a `Result` through memory.
 #[inline(always)]
 fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<Flow, Fault> {
-    if pi.cost != 0 {
-        cpu.clock.tick(pi.cost);
-    }
-    // One dispatch: each arm advances `insts_retired` and `pc` *before* its
-    // body (so fault states match the reference), via these macros.
-    // Superinstructions with a faultable first half manage both per
-    // sub-instruction inside their arms instead.
-    macro_rules! retire1 {
-        () => {
-            cpu.insts_retired += 1;
-            cpu.pc = pi.next_pc;
-        };
-    }
-    macro_rules! retire2 {
-        () => {
-            cpu.insts_retired += 2;
-            cpu.pc = pi.next_pc;
-        };
-    }
+    cpu.pc = pi.next_pc;
     match pi.op {
-        PredOp::Nop => {
-            retire1!();
-        }
-        PredOp::MovRR(d, s) => {
-            retire1!();
-            cpu.set_reg(d, cpu.reg(s));
-        }
-        PredOp::MovRI(d, imm) => {
-            retire1!();
-            cpu.set_reg(d, imm);
-        }
+        PredOp::Nop => {}
+        PredOp::MovRR(d, s) => cpu.set_reg(d, cpu.reg(s)),
+        PredOp::MovRI(d, imm) => cpu.set_reg(d, imm),
         PredOp::AluRR(op, d, s) => {
-            retire1!();
             let (a, b) = (cpu.reg(d), cpu.reg(s));
             let v = match op {
                 Alu::Div | Alu::Mod => div_mod(op, a, b, pi.pc)?,
@@ -847,7 +848,6 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
             cpu.set_reg(d, v);
         }
         PredOp::AluRI(op, d, imm) => {
-            retire1!();
             let a = cpu.reg(d);
             let v = match op {
                 Alu::Div | Alu::Mod => div_mod(op, a, imm, pi.pc)?,
@@ -855,138 +855,100 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
             };
             cpu.set_reg(d, v);
         }
-        PredOp::Neg(r) => {
-            retire1!();
-            cpu.set_reg(r, (cpu.reg(r) as i64).wrapping_neg() as u64);
-        }
-        PredOp::Not(r) => {
-            retire1!();
-            cpu.set_reg(r, !cpu.reg(r));
-        }
-        PredOp::CmpRR(a, b) => {
-            retire1!();
-            cpu.set_cmp_flags(cpu.reg(a), cpu.reg(b));
-        }
-        PredOp::CmpRI(a, imm) => {
-            retire1!();
-            cpu.set_cmp_flags(cpu.reg(a), imm);
-        }
-        PredOp::MovRCr(d, cr) => {
-            retire1!();
-            cpu.set_reg(d, cpu.read_cr(cr));
-        }
-        PredOp::Jmp(target) => {
-            cpu.insts_retired += 1;
-            cpu.pc = target;
-        }
+        PredOp::Neg(r) => cpu.set_reg(r, (cpu.reg(r) as i64).wrapping_neg() as u64),
+        PredOp::Not(r) => cpu.set_reg(r, !cpu.reg(r)),
+        PredOp::CmpRR(a, b) => cpu.set_cmp_flags(cpu.reg(a), cpu.reg(b)),
+        PredOp::CmpRI(a, imm) => cpu.set_cmp_flags(cpu.reg(a), imm),
+        PredOp::MovRCr(d, cr) => cpu.set_reg(d, cpu.read_cr(cr)),
+        PredOp::Jmp(target) => cpu.pc = target,
         PredOp::Jcc(c, target) => {
-            retire1!();
             if cpu.cond_holds(c) {
                 cpu.clock.tick(costs::GUEST_BRANCH_TAKEN);
                 cpu.pc = target;
             }
         }
-        PredOp::JmpR(r) => {
-            cpu.insts_retired += 1;
-            cpu.pc = cpu.reg(r);
-        }
+        PredOp::JmpR(r) => cpu.pc = cpu.reg(r),
         PredOp::Call(target) => {
-            retire1!();
-            let written = cpu.push(mem, pi.next_pc)?;
+            let written = cpu.push_untimed(mem, pi.next_pc)?;
             cpu.pc = target;
             if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
         PredOp::CallR(r) => {
-            retire1!();
             let target = cpu.reg(r);
-            let written = cpu.push(mem, pi.next_pc)?;
+            let written = cpu.push_untimed(mem, pi.next_pc)?;
             cpu.pc = target;
             if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
-        PredOp::Ret => {
-            retire1!();
-            cpu.pc = cpu.pop(mem)?;
-        }
+        PredOp::Ret => cpu.pc = cpu.pop_untimed(mem)?,
         PredOp::Push(r) => {
-            retire1!();
-            let written = cpu.push(mem, cpu.reg(r))?;
+            let written = cpu.push_untimed(mem, cpu.reg(r))?;
             if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
         PredOp::Pop(r) => {
-            retire1!();
-            let v = cpu.pop(mem)?;
+            let v = cpu.pop_untimed(mem)?;
             cpu.set_reg(r, v);
         }
         PredOp::Load(w, d, base, off) => {
-            retire1!();
             let addr = cpu.reg(base).wrapping_add(off as i64 as u64);
-            let v = cpu.load(mem, addr, w)?;
+            let v = cpu.load_untimed(mem, addr, w)?;
             cpu.set_reg(d, v);
         }
         PredOp::Store(w, base, off, s) => {
-            retire1!();
             let addr = cpu.reg(base).wrapping_add(off as i64 as u64);
-            let written = cpu.store(mem, addr, w, cpu.reg(s))?;
+            let written = cpu.store_untimed(mem, addr, w, cpu.reg(s))?;
             if blk.hits(written, w.bytes()) {
                 return Ok(Flow::SelfModified);
             }
         }
         PredOp::Mark(id) => {
-            retire1!();
-            let now = cpu.clock.now();
+            // What the clock will read once the block's prefix up to here
+            // is charged: nothing else in a block reads it.
+            let now = cpu.clock.now() + Cycles(pi.cycles.into());
             cpu.marks.push((id, now));
         }
         PredOp::CmpRIJcc(a, imm, c, target) => {
-            retire2!();
             cpu.set_cmp_flags(cpu.reg(a), imm);
             if cpu.cond_holds(c) {
                 cpu.clock.tick(costs::GUEST_BRANCH_TAKEN);
                 cpu.pc = target;
             }
         }
+        // The pairs whose first half can fault hold `pc` on their second
+        // half while the first runs, as the reference does.
         PredOp::PopPush { d, s, mid } => {
-            cpu.insts_retired += 1;
             cpu.pc = mid;
-            let v = cpu.pop(mem)?;
+            let v = cpu.pop_untimed(mem)?;
             cpu.set_reg(d, v);
-            cpu.insts_retired += 1;
             cpu.pc = pi.next_pc;
-            cpu.clock.tick(costs::GUEST_STACK);
-            let written = cpu.push(mem, cpu.reg(s))?;
+            let written = cpu.push_untimed(mem, cpu.reg(s))?;
             if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
         PredOp::PopAluRR { d, op, d2, s2, mid } => {
-            cpu.insts_retired += 1;
             cpu.pc = mid;
-            let v = cpu.pop(mem)?;
+            let v = cpu.pop_untimed(mem)?;
             cpu.set_reg(d, v);
-            cpu.insts_retired += 1;
             cpu.pc = pi.next_pc;
-            cpu.clock.tick(costs::GUEST_ALU);
-            let v2 = alu_value(op, cpu.reg(d2), cpu.reg(s2));
-            cpu.set_reg(d2, v2);
+            cpu.set_reg(d2, alu_value(op, cpu.reg(d2), cpu.reg(s2)));
         }
         PredOp::AluRICall(op, d, imm, target) => {
-            retire2!();
             cpu.set_reg(d, alu_value(op, cpu.reg(d), imm));
-            let written = cpu.push(mem, pi.next_pc)?;
+            let written = cpu.push_untimed(mem, pi.next_pc)?;
             cpu.pc = target;
             if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
             }
         }
         PredOp::MovRRPop(d, s, pd) => {
-            retire2!();
             cpu.set_reg(d, cpu.reg(s));
-            let v = cpu.pop(mem)?;
+            let v = cpu.pop_untimed(mem)?;
             cpu.set_reg(pd, v);
         }
         PredOp::PushLoad {
@@ -997,13 +959,11 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
             off,
             mid,
         } => {
-            cpu.insts_retired += 1;
             cpu.pc = mid;
-            let written = cpu.push(mem, cpu.reg(a))?;
-            cpu.insts_retired += 1;
+            let written = cpu.push_untimed(mem, cpu.reg(a))?;
             cpu.pc = pi.next_pc;
             let addr = cpu.reg(base).wrapping_add(off as i64 as u64);
-            let v = cpu.load(mem, addr, w)?;
+            let v = cpu.load_untimed(mem, addr, w)?;
             cpu.set_reg(d, v);
             if blk.hits(written, 8) {
                 return Ok(Flow::SelfModified);
@@ -1048,6 +1008,13 @@ pub(crate) fn run_fast(cpu: &mut Cpu, mem: &mut Memory, max_steps: u64) -> Resul
     result
 }
 
+/// Ticks a block's static `cycles` and credits its `retired` instructions.
+#[inline(always)]
+fn charge(cpu: &mut Cpu, (cycles, retired): (u64, u64)) {
+    cpu.clock.tick(cycles);
+    cpu.insts_retired += retired;
+}
+
 #[inline(never)]
 fn run_blocks(
     cpu: &mut Cpu,
@@ -1076,7 +1043,7 @@ fn run_blocks(
         };
         let blk = cache.block(slot);
         let budget = limit - cpu.insts_retired;
-        if blk.retire_total > budget {
+        if blk.total().1 > budget {
             // Less than one block of budget left: the reference path lands
             // the step limit on the exact instruction boundary, fused pairs
             // included. At most `MAX_BLOCK_INSTS - 1` steps per run, and only
@@ -1088,16 +1055,31 @@ fn run_blocks(
         }
         // The whole block fits in the remaining budget: the one dispatch
         // site, with no per-instruction budget checks.
-        let mut self_modified = false;
+        let mut stop = None;
         for pi in blk.insts.iter() {
-            if let Flow::SelfModified = exec(cpu, mem, pi, blk)? {
-                self_modified = true;
-                break;
+            match exec(cpu, mem, pi, blk) {
+                Ok(Flow::Next) => {}
+                flow => {
+                    stop = Some((pi, flow));
+                    break;
+                }
             }
         }
-        if self_modified {
-            cache.remove(slot);
+        // The block's static cycles and retired count, charged once: in
+        // full, or through the instruction it stopped in. Ticks only add
+        // and nothing but `mark` reads the clock inside a block, so every
+        // exit, fault and `mark` sees the reference's value.
+        let Some((pi, flow)) = stop else {
+            charge(cpu, blk.total());
+            continue;
+        };
+        if let Err(fault) = flow {
+            charge(cpu, pi.faulted_prefix(cpu.pc));
+            return Err(fault);
         }
+        // Stopped without a fault: a store into the block's own bytes.
+        charge(cpu, pi.prefix());
+        cache.remove(slot);
     }
     Ok(CpuExit::StepLimit)
 }

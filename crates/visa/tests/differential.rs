@@ -93,6 +93,162 @@ fn faults_are_engine_identical() {
     );
 }
 
+// ---------------------------------------------------------------------------
+// Early block exits. The fast engine charges a block's static cycles and
+// retired count once, at its end, or through the instruction it stopped in;
+// a `mark` adds its own prefix to the clock. Every case below stops a block
+// early behind a `mark` in the same block, and both engines must agree on
+// the clock, the retired count, `pc` and the marks.
+
+/// Runs `src` on both engines in `mem` bytes of memory, demands identity,
+/// and returns the fast engine's fault.
+fn early_exit(src: &str, mem: usize) -> visa::Fault {
+    let img = assemble(src).expect("assemble");
+    if let Err(d) = diff::compare(&img, mem, 1_000, 0xD1FF) {
+        panic!("{d}\nsource:\n{src}");
+    }
+    let fast = diff::run_one(Engine::Fast, &img, mem, 1_000, 0xD1FF);
+    assert!(!fast.marks.is_empty(), "no mark ran:\n{src}");
+    match &fast.events[..] {
+        [diff::Event::Fault(fault)] => fault.clone(),
+        other => panic!("expected one fault, got {other:?}:\n{src}"),
+    }
+}
+
+/// Real mode from 0x100: `setup`, a `mark`, then `body`, all one block.
+fn real16(setup: &str, body: &str) -> String {
+    format!(
+        ".org 0x100\n mov sp, 0xF000\n mov r1, 5\n mov r4, 0x3000\n{setup}\n\
+         \x20 mark 1\n add r0, 1\n{body}\n add r0, 2\n hlt\n"
+    )
+}
+
+/// Protected mode (limit 4 GiB, past the 1 MiB memory), likewise.
+fn prot32(setup: &str, body: &str) -> String {
+    format!(
+        ".org 0x1000\n .equ GDT, 0x200\n lgdt GDT\n mov r1, cr0\n or r1, 1\n mov cr0, r1\n\
+         \x20 ljmp32 prot\n prot:\n mov sp, 0xF000\n mov r1, 5\n mov r4, 0x3000\n{setup}\n\
+         \x20 mark 1\n add r0, 1\n\
+         {body}\n add r0, 2\n hlt\n"
+    )
+}
+
+/// Which limit a guest access fault crossed: the mode's reach or memory's.
+fn crossed(fault: &visa::Fault) -> &'static str {
+    match fault {
+        visa::Fault::AddressBeyondMode { .. } => "mode",
+        visa::Fault::PhysOutOfBounds { .. } => "memory",
+        _ => "neither",
+    }
+}
+
+#[test]
+fn a_fault_in_either_half_of_a_fused_pair_charges_through_that_half() {
+    // Real mode's 1 MiB reach is the test memory's size, so past one is past
+    // the other; a 64 KiB memory, or protected mode, separates them. `pop` +
+    // `push` cannot fault in its second half (the push writes where the pop
+    // read), nor can `pop` + `alu`; `mov` + `pop` and `alu` + `call` fault
+    // only in theirs.
+    const SMALL: usize = 64 << 10;
+    let first_half = [
+        ("mov sp, 0x100000", "pop r2\n push r1", MEM, "mode"),
+        ("mov sp, 0x10000", "pop r2\n push r1", SMALL, "memory"),
+        ("mov sp, 0xFFFFC", "pop r2\n add r3, r1", MEM, "mode"),
+        ("mov sp, 0x10004", "pop r2\n add r3, r1", SMALL, "memory"),
+        ("mov sp, 0", "push r1\n load.q r2, [r4 + 8]", MEM, "mode"),
+        (
+            "mov sp, 0x10008",
+            "push r1\n load.q r2, [r4 + 8]",
+            SMALL,
+            "memory",
+        ),
+    ];
+    let second_half = [
+        (
+            "mov r4, 0xFFFFC",
+            "push r1\n load.q r2, [r4 + 0]",
+            MEM,
+            "mode",
+        ),
+        (
+            "mov r4, 0xFFFC",
+            "push r1\n load.q r2, [r4 + 0]",
+            SMALL,
+            "memory",
+        ),
+        ("mov sp, 0x100000", "mov r2, r1\n pop r3", MEM, "mode"),
+        ("mov sp, 0x10000", "mov r2, r1\n pop r3", SMALL, "memory"),
+        ("mov sp, 4", "add r1, 3\n call 0x100", MEM, "mode"),
+        ("mov sp, 0x10008", "add r1, 3\n call 0x100", SMALL, "memory"),
+    ];
+    for (setup, pair, mem, limit) in first_half.into_iter().chain(second_half) {
+        let src = real16(setup, pair);
+        assert_eq!(crossed(&early_exit(&src, mem)), limit, "{src}");
+    }
+    // Protected mode: past its 4 GiB reach, and past memory inside it.
+    for (setup, pair, limit) in [
+        ("mov sp, 0x100000000", "pop r2\n push r1", "mode"),
+        ("mov sp, 0x200000", "pop r2\n push r1", "memory"),
+        (
+            "mov sp, 0x100000004",
+            "push r1\n load.q r2, [r4 + 8]",
+            "mode",
+        ),
+        ("mov sp, 0x100000000", "mov r2, r1\n pop r3", "mode"),
+        ("mov sp, 0x200000", "add r1, 3\n call 0x1000", "memory"),
+    ] {
+        let src = prot32(setup, pair);
+        assert_eq!(crossed(&early_exit(&src, MEM)), limit, "{src}");
+    }
+}
+
+#[test]
+fn a_divide_by_zero_mid_block_charges_through_the_divide() {
+    let src = real16("mov r3, 0", "mul r1, 3\n div r1, r3");
+    assert!(matches!(
+        early_exit(&src, MEM),
+        visa::Fault::DivideByZero { .. }
+    ));
+}
+
+#[test]
+fn a_self_modifying_store_mid_block_charges_through_the_store() {
+    // The store rewrites the immediate of the `add` right behind it, in the
+    // same block: the block stops after the store, and the rest runs from the
+    // new bytes.
+    let src = ".org 0x100\n mov sp, 0xF000\n mov r5, patch\n mov r6, 9\n\
+               \x20 mark 1\n add r0, 1\n store.b [r5 + 2], r6\n\
+               patch:\n add r0, 1\n mark 2\n add r0, 2\n hlt\n";
+    check(src, 1_000);
+    let fast = diff::run_one(Engine::Fast, &assemble(src).unwrap(), MEM, 1_000, 1);
+    assert_eq!(fast.state.regs[0], 1 + 9 + 2);
+    assert_eq!(fast.marks.len(), 2);
+}
+
+#[test]
+fn a_long_mode_mark_after_a_walk_in_its_block_sees_the_walk() {
+    // Virtual page 1 aliases frame 0. The load misses the TLB and walks,
+    // ticking the clock in the middle of a cached block; the `mark` after it
+    // must see that tick and only its own prefix of the block's static cost.
+    let src = LONG_MODE_LOOP.replace(
+        "long:\n",
+        "long:\n\
+         \x20 mov r1, PT_BASE + 0x2008\n mov r2, 0x83\n store.q [r1 + 0], r2\n\
+         \x20 mov r1, 0x200000\n\
+         \x20 add r0, 1\n load.q r2, [r1 + 0x100]\n mark 7\n add r0, 1\n mark 8\n add r0, 1\n hlt\n",
+    );
+    check(&src, 10_000);
+    let img = assemble(&src).unwrap();
+    let fast = diff::run_one(Engine::Fast, &img, MEM, 10_000, 1);
+    assert_eq!(fast.state.mode, visa::Mode::Long64);
+    let walk = vclock::costs::GUEST_TLB_MISS_WALK + 3 * vclock::costs::GUEST_MEM;
+    let [.., (7, at7), (8, at8)] = fast.marks[..] else {
+        panic!("{:?}", fast.marks);
+    };
+    assert_eq!((at8 - at7).get(), vclock::costs::GUEST_ALU);
+    assert!(at7.get() > walk);
+}
+
 #[test]
 fn self_modifying_code_is_engine_identical() {
     // Overwrite the `add r0, 1` (0x20 opcode region) in the loop body with
