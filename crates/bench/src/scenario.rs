@@ -162,9 +162,9 @@ impl Phase {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExactlyOnce {
     /// Admitted requests neither served nor shed after admission:
-    /// `admitted − served − shed_deadline − shed_evicted −
-    /// retried_in_flight` (docs/reliability.md, "The conservation
-    /// identity"). Door sheds never entered `admitted`.
+    /// `admitted − served − shed_evicted − retried_in_flight`
+    /// (docs/reliability.md, "The conservation identity"). Door sheds
+    /// (rate limit, in-flight cap) never entered `admitted`.
     pub lost: i64,
     /// Completions beyond the first for a logical sequence number.
     pub duplicates: i64,
@@ -173,7 +173,7 @@ pub struct ExactlyOnce {
 impl ExactlyOnce {
     /// The ledger of `s` and every completion the run produced.
     pub fn of<'a>(s: &DispatcherStats, done: impl IntoIterator<Item = &'a Completion>) -> Self {
-        let settled = s.served + s.shed_deadline + s.shed_evicted + s.retried_in_flight;
+        let settled = s.served + s.shed_evicted + s.retried_in_flight;
         let mut seqs: Vec<u64> = done.into_iter().map(|c| c.seq).collect();
         let all = seqs.len();
         seqs.sort_unstable();

@@ -38,11 +38,6 @@ impl Type {
         matches!(self, Type::Char)
     }
 
-    /// Whether this is any pointer (including `void*`).
-    pub fn is_pointer(&self) -> bool {
-        matches!(self, Type::Ptr(_))
-    }
-
     /// Whether this behaves as a pointer in arithmetic (pointer or array).
     pub fn is_pointer_like(&self) -> bool {
         matches!(self, Type::Ptr(_) | Type::Array(..))
@@ -390,7 +385,7 @@ mod tests {
 
     #[test]
     fn pointer_classification() {
-        assert!(Type::Int.ptr().is_pointer());
+        assert!(Type::Int.ptr().is_pointer_like());
         assert!(Type::Array(Box::new(Type::Int), 3).is_pointer_like());
         assert!(!Type::Int.is_pointer_like());
         assert_eq!(Type::Char.ptr().pointee(), Some(&Type::Char));

@@ -6,13 +6,9 @@
 //! with a seeded RNG so experiments stay bit-for-bit reproducible:
 //!
 //! * multiplicative jitter around each charged cost, and
-//! * rare, large "scheduling event" outliers, which experiment harnesses can
-//!   strip with the same Tukey filter the paper uses (footnote 3).
+//! * heavier-tailed network-stack jitter for loopback socket operations.
 
 use crate::rng::Rng;
-
-/// Default probability of a host-scheduling outlier per sampled value.
-const OUTLIER_PROBABILITY: f64 = 0.004;
 
 /// A seeded jitter source.
 ///
@@ -50,11 +46,6 @@ impl NoiseModel {
         }
     }
 
-    /// Returns whether jitter is applied.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Applies symmetric multiplicative jitter of relative magnitude
     /// `spread` (e.g. `0.02` for ±2 %) to `base` cycles.
     pub fn jitter(&mut self, base: u64, spread: f64) -> u64 {
@@ -63,21 +54,6 @@ impl NoiseModel {
         }
         let f = 1.0 + self.rng.range_f64(-spread, spread);
         ((base as f64) * f).round().max(0.0) as u64
-    }
-
-    /// Samples a host-scheduling outlier: with small probability returns an
-    /// extra delay of 10–80 µs worth of cycles (a descheduling event),
-    /// otherwise zero.
-    pub fn scheduling_outlier(&mut self) -> u64 {
-        if !self.enabled {
-            return 0;
-        }
-        if self.rng.bool(OUTLIER_PROBABILITY) {
-            // 10–80 µs at 2.69 GHz.
-            self.rng.range_u64(26_900, 215_200)
-        } else {
-            0
-        }
     }
 
     /// Network-stack variance: heavier-tailed jitter used for loopback
@@ -107,9 +83,7 @@ mod tests {
     fn disabled_model_is_identity() {
         let mut n = NoiseModel::disabled();
         assert_eq!(n.jitter(1234, 0.5), 1234);
-        assert_eq!(n.scheduling_outlier(), 0);
         assert_eq!(n.net_jitter(999), 999);
-        assert!(!n.is_enabled());
     }
 
     #[test]
@@ -118,7 +92,6 @@ mod tests {
         let mut b = NoiseModel::seeded(42);
         for _ in 0..100 {
             assert_eq!(a.jitter(50_000, 0.05), b.jitter(50_000, 0.05));
-            assert_eq!(a.scheduling_outlier(), b.scheduling_outlier());
             assert_eq!(a.net_jitter(10_000), b.net_jitter(10_000));
         }
     }
@@ -130,18 +103,6 @@ mod tests {
             let v = n.jitter(100_000, 0.02);
             assert!((98_000..=102_000).contains(&v), "jitter escaped: {v}");
         }
-    }
-
-    #[test]
-    fn outliers_are_rare_but_present() {
-        let mut n = NoiseModel::seeded(3);
-        let mut hits = 0;
-        for _ in 0..20_000 {
-            if n.scheduling_outlier() > 0 {
-                hits += 1;
-            }
-        }
-        assert!((10..300).contains(&hits), "outlier count {hits}");
     }
 
     #[test]

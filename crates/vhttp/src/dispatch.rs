@@ -53,13 +53,8 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
         "Requests by outcome: submitted (offered at the door), admitted \
          (passed admission and enqueued), served (ran to completion), \
          shed_rate_limit (tenant token bucket empty), shed_in_flight \
-         (tenant max_in_flight reached), shed_deadline (deadline passed \
-         while queued), shed_deadline_unmeetable (estimated wait already \
-         past the deadline at submit), shed_byte_budget (tenant sustained \
-         byte rate exceeded), shed_evicted (hard-stopped by shard \
-         lifecycle: drain grace period expired or the shard failed), \
-         shed_brownout (refused at the door by the overload brownout \
-         controller's degradation ladder)",
+         (tenant max_in_flight reached), shed_evicted (hard-stopped by \
+         shard lifecycle: drain grace period expired or the shard failed)",
         &requests,
     );
     out.metric(
@@ -480,13 +475,6 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
                 .collect::<Vec<_>>(),
         );
     }
-    out.metric(
-        "vsched_brownout_level",
-        "gauge",
-        "Overload brownout degradation ladder level (0 = no degradation; \
-         each level sheds priorities below its floor at the door)",
-        &[(String::new(), d.brownout_level() as f64)],
-    );
     out.finish()
 }
 
@@ -838,9 +826,8 @@ impl DispatchedServer {
     /// shard pairing its lifecycle state with the failure detector's
     /// view (suspicion score, circuit-breaker state, last observed
     /// heartbeat in cycles), then one summary line with the detector
-    /// counters and the brownout level. Without an installed detector
-    /// the per-shard lines carry lifecycle state only and the summary
-    /// says `"detector":"disabled"`.
+    /// counters. Without an installed detector the per-shard lines carry
+    /// lifecycle state only and the summary says `"detector":"disabled"`.
     pub fn fetch_admin_health(&mut self) -> Vec<u8> {
         self.serve_host("/admin/health", |s, _| {
             use std::fmt::Write;
@@ -870,21 +857,12 @@ impl DispatchedServer {
                     let _ = writeln!(
                         body,
                         "{{\"declared\":{},\"restored\":{},\"false_positives\":{},\
-                         \"probes\":{},\"probe_failures\":{},\"brownout_level\":{}}}",
-                        h.declared,
-                        h.restored,
-                        h.false_positives,
-                        h.probes,
-                        h.probe_failures,
-                        s.dispatcher.brownout_level()
+                         \"probes\":{},\"probe_failures\":{}}}",
+                        h.declared, h.restored, h.false_positives, h.probes, h.probe_failures,
                     );
                 }
                 None => {
-                    let _ = writeln!(
-                        body,
-                        "{{\"detector\":\"disabled\",\"brownout_level\":{}}}",
-                        s.dispatcher.brownout_level()
-                    );
+                    let _ = writeln!(body, "{{\"detector\":\"disabled\"}}");
                 }
             }
             (OK, NDJSON, body)
@@ -1043,30 +1021,30 @@ impl DispatchedServer {
     }
 }
 
-/// Convenience: serves `per_tenant` requests from each profile at
-/// `rate_rps` per tenant (interleaved arrivals) and returns the run.
-pub fn run_server_dispatched(
-    shards: usize,
-    profiles: Vec<TenantProfile>,
-    per_tenant: usize,
-    rate_rps: f64,
-    file_size: usize,
-) -> DispatchedRun {
-    let mut server = DispatchedServer::new(shards, file_size);
-    let tenants: Vec<TenantId> = profiles.into_iter().map(|p| server.add_tenant(p)).collect();
-    for i in 0..per_tenant {
-        let t = i as f64 / rate_rps;
-        for &tenant in &tenants {
-            let _ = server.offer(tenant, t);
-        }
-    }
-    server.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vclock::stats;
+
+    /// Convenience: serves `per_tenant` requests from each profile at
+    /// `rate_rps` per tenant (interleaved arrivals) and returns the run.
+    fn run_server_dispatched(
+        shards: usize,
+        profiles: Vec<TenantProfile>,
+        per_tenant: usize,
+        rate_rps: f64,
+        file_size: usize,
+    ) -> DispatchedRun {
+        let mut server = DispatchedServer::new(shards, file_size);
+        let tenants: Vec<TenantId> = profiles.into_iter().map(|p| server.add_tenant(p)).collect();
+        for i in 0..per_tenant {
+            let t = i as f64 / rate_rps;
+            for &tenant in &tenants {
+                let _ = server.offer(tenant, t);
+            }
+        }
+        server.finish()
+    }
 
     #[test]
     fn concurrent_connections_are_all_served_correctly() {
@@ -1140,10 +1118,6 @@ mod tests {
             ),
             format!("vsched_warm_hits_total {}", stats.warm_hits),
             format!("vsched_warm_demotions_total {}", stats.warm_demotions),
-            format!(
-                "vsched_requests_total{{outcome=\"shed_byte_budget\"}} {}",
-                stats.shed_byte_budget
-            ),
             "vsched_topology{level=\"sockets\"} 1".to_string(),
             "vsched_topology{level=\"shards\"} 2".to_string(),
             format!(
@@ -1160,8 +1134,8 @@ mod tests {
             "vsched_parked 0".to_string(),
             "vsched_shard_parked{shard=\"0\"} 0".to_string(),
             format!(
-                "vsched_requests_total{{outcome=\"shed_deadline_unmeetable\"}} {}",
-                stats.shed_deadline_unmeetable
+                "vsched_requests_total{{outcome=\"shed_evicted\"}} {}",
+                stats.shed_evicted
             ),
             format!(
                 "vsched_tenant_served_total{{tenant=\"good\"}} {}",
@@ -1296,28 +1270,6 @@ mod tests {
         );
         let run = server.finish();
         assert_eq!(run.served, 12);
-    }
-
-    #[test]
-    fn byte_limited_tenant_surfaces_in_metrics() {
-        let mut server = DispatchedServer::new(2, 256);
-        // Byte budgets meter the request payload (args + invocation
-        // payload), which `offer`'s connection-only requests don't carry
-        // — so drive a fat-args request through the dispatcher directly
-        // and check the shed lands in the exported series.
-        let metered = server.add_tenant(http_tenant("metered").with_byte_rate(8.0, 8.0));
-        let err = server
-            .dispatcher
-            .submit(Request::new(metered, server.virtine, 0.0).with_args(vec![0u8; 64]))
-            .unwrap_err();
-        assert_eq!(err, ShedReason::ByteBudget);
-        server.dispatcher.run_to_idle();
-        let text = String::from_utf8(server.fetch_metrics()).unwrap();
-        assert!(
-            text.lines()
-                .any(|l| l == "vsched_requests_total{outcome=\"shed_byte_budget\"} 1"),
-            "byte-budget shed missing from the exported series:\n{text}"
-        );
     }
 
     #[test]
@@ -1642,7 +1594,7 @@ mod tests {
             [
                 "{\"shard\":0,\"state\":\"active\"}",
                 "{\"shard\":1,\"state\":\"active\"}",
-                "{\"detector\":\"disabled\",\"brownout_level\":0}",
+                "{\"detector\":\"disabled\"}",
             ],
         );
 
@@ -1678,7 +1630,6 @@ mod tests {
         assert!(metrics
             .lines()
             .any(|l| l.starts_with("vsched_suspicion{shard=\"0\"} ")));
-        assert!(metrics.lines().any(|l| l == "vsched_brownout_level 0"));
         let run = server.finish();
         assert_eq!(run.served, 4);
     }

@@ -16,10 +16,7 @@
 //! [`dispatch`] scales the §6.3 server past the paper: concurrent
 //! connections flow through the `vsched` dispatcher (sharded pools,
 //! per-client-class admission control) instead of one blocking loop.
-//! [`pipeline`] splits the request path into a parser virtine → handler
-//! virtine chain over a cross-virtine channel, each stage under a
-//! strictly narrower hypercall mask. [`ingress`] scales past one
-//! dispatcher entirely: an edge tier (accept-loop virtine,
+//! [`ingress`] scales past one dispatcher entirely: an edge tier (accept-loop virtine,
 //! PROXY-style client attribution, per-tenant edge admission) routing
 //! connections across a multi-node `vsched::cluster` with exactly-once
 //! failover.
@@ -28,7 +25,6 @@ pub mod dispatch;
 pub mod echo;
 mod expo;
 pub mod ingress;
-pub mod pipeline;
 pub mod server;
 
 /// A parsed HTTP request line.

@@ -53,14 +53,8 @@ pub enum Crt0Kind {
 /// library initialization and the workload call.
 ///
 /// `entry_fn` is the symbol to call; `mem_size` fixes the stack top and
-/// heap limit. The heap defaults to [`layout::HEAP_BASE`]; use
-/// [`crt0_with_heap`] when the image budget needs to differ.
-pub fn crt0(entry_fn: &str, kind: Crt0Kind, mem_size: usize) -> String {
-    crt0_with_heap(entry_fn, kind, mem_size, layout::HEAP_BASE)
-}
-
-/// [`crt0`] with an explicit heap base (must lie above the image and below
-/// the stack reservation).
+/// heap limit; `heap_base` (usually [`layout::HEAP_BASE`]) must lie above
+/// the image and below the stack reservation.
 pub fn crt0_with_heap(entry_fn: &str, kind: Crt0Kind, mem_size: usize, heap_base: u64) -> String {
     let stack_top = (mem_size as u64) & !0xF;
     let heap_limit = stack_top.saturating_sub(layout::STACK_RESERVE);
@@ -474,7 +468,12 @@ mod tests {
     fn crt0_full_assembles() {
         let src = format!(
             "{}\nwork:\n  mov r0, 1\n  ret\n__libc_init:\n  ret\n",
-            crt0("work", Crt0Kind::Full { arity: 2 }, 4 * 1024 * 1024)
+            crt0_with_heap(
+                "work",
+                Crt0Kind::Full { arity: 2 },
+                4 * 1024 * 1024,
+                layout::HEAP_BASE
+            )
         );
         let img = visa::assemble(&src).expect("crt0 must assemble");
         assert_eq!(img.base, layout::IMAGE_BASE);
@@ -484,15 +483,20 @@ mod tests {
 
     #[test]
     fn crt0_raw_has_no_snapshot_out() {
-        let raw = crt0("main", Crt0Kind::Raw, 1 << 20);
+        let raw = crt0_with_heap("main", Crt0Kind::Raw, 1 << 20, layout::HEAP_BASE);
         assert!(!raw.contains("out HC_PORT, r6"));
-        let full = crt0("main", Crt0Kind::Full { arity: 0 }, 1 << 20);
+        let full = crt0_with_heap(
+            "main",
+            Crt0Kind::Full { arity: 0 },
+            1 << 20,
+            layout::HEAP_BASE,
+        );
         assert!(full.contains("out HC_PORT, r6"));
     }
 
     #[test]
     fn crt0_marshals_args_right_to_left() {
-        let s = crt0("f", Crt0Kind::Full { arity: 3 }, 1 << 20);
+        let s = crt0_with_heap("f", Crt0Kind::Full { arity: 3 }, 1 << 20, layout::HEAP_BASE);
         let first = s.find("[r9 + 16]").expect("arg 2 first");
         let last = s.find("[r9 + 0]").expect("arg 0 last");
         assert!(first < last);
@@ -536,7 +540,12 @@ mod tests {
 
         let src = format!(
             "{}\nwork:\n  mov r0, 4242\n  ret\n__libc_init:\n  ret\n",
-            crt0("work", Crt0Kind::Full { arity: 0 }, 4 * 1024 * 1024)
+            crt0_with_heap(
+                "work",
+                Crt0Kind::Full { arity: 0 },
+                4 * 1024 * 1024,
+                layout::HEAP_BASE
+            )
         );
         let img = visa::assemble(&src).unwrap();
         let mut m = Machine::new(

@@ -33,7 +33,7 @@ use wasp::{
     VirtineSpec, WaitTarget, Wasp, WaspError,
 };
 
-use crate::health::{BrownoutConfig, BrownoutController, HealthConfig, HealthStats, ShardHealth};
+use crate::health::{HealthConfig, HealthStats, ShardHealth};
 use crate::lifecycle::MemberSet;
 use crate::openreq::{hedge_delay, CopyFinish, CopyLoss, OpenTable, RetryCause, Timer};
 use crate::placement::{Candidate, CostEngine, WarmPolicy, WarmVerdict};
@@ -79,9 +79,6 @@ pub struct Dispatcher {
     /// Every parked run, keyed (and so visited in order) by its wait
     /// token; each knows the shard it is parked on. See `crate::parking`.
     pub(crate) parked: BTreeMap<u64, Box<Parked>>,
-    /// EMA of recent per-request worker cost (cycles), feeding the
-    /// deadline-unmeetable admission estimate. Zero until the first serve.
-    avg_service: u64,
     /// The socket/CCX grouping the engine prices hops against.
     pub(crate) topology: Topology,
     /// The policy layer behind every routing decision (see
@@ -101,9 +98,6 @@ pub struct Dispatcher {
     /// ([`Dispatcher::set_health`]; absent — zero overhead, bit-identical
     /// runs — until installed).
     pub(crate) members: MemberSet,
-    /// Overload brownout controller; `None` until
-    /// [`Dispatcher::set_brownout`].
-    pub(crate) brownout: Option<BrownoutController>,
     /// The exactly-once table: every copy of every request whose tenant
     /// opted into retries or hedging, and their timers.
     pub(crate) open: OpenTable,
@@ -171,14 +165,12 @@ impl Dispatcher {
             stats: DispatcherStats::default(),
             next_token: 0,
             parked: BTreeMap::new(),
-            avg_service: 0,
             topology,
             engine,
             warm_stamp: 0,
             trace: TraceCollector::disabled(),
             slo: None,
             members,
-            brownout: None,
             open: OpenTable::new(),
             next_shed_trace: u64::MAX,
             hist_queue_wait: Histogram::new(),
@@ -268,23 +260,6 @@ impl Dispatcher {
     /// installed.
     pub fn shard_health(&self) -> Option<Vec<ShardHealth>> {
         self.members.health_view()
-    }
-
-    /// Installs the overload brownout controller (see
-    /// [`crate::health::BrownoutController`]): while the installed SLO
-    /// engine reports any page-severity alert, admission steps down the
-    /// configured degradation ladder, shedding the lowest priority tiers
-    /// first, and recovers with hysteresis once the pager clears.
-    /// Requires an SLO engine ([`Dispatcher::set_slo`]) to ever trigger.
-    pub fn set_brownout(&mut self, config: BrownoutConfig) {
-        self.brownout = Some(BrownoutController::new(config));
-    }
-
-    /// The brownout controller's current degradation level (0 = normal
-    /// operation, and always 0 when no controller is installed) — the
-    /// `vsched_brownout_level` gauge.
-    pub fn brownout_level(&self) -> u64 {
-        self.brownout.as_ref().map_or(0, |b| b.level() as u64)
     }
 
     /// Queue-wait distribution (cycles from arrival to first execution
@@ -422,11 +397,9 @@ impl Dispatcher {
     }
 
     /// Offers one request. Returns its sequence number when admitted, or
-    /// the [`ShedReason`] when refused at admission (rate limit, byte
-    /// budget, or in-flight cap; [`ShedReason::DeadlineMissed`] never comes from
-    /// `submit` — deadlines are checked in-queue and surface in
-    /// [`TenantStats::shed_deadline`]). Arrivals must be non-decreasing;
-    /// earlier timestamps are clamped forward.
+    /// the [`ShedReason`] when refused at admission (in-flight cap or rate
+    /// limit). Arrivals must be non-decreasing; earlier timestamps are
+    /// clamped forward.
     ///
     /// Submission also advances the dispatcher: any shard batch scheduled
     /// before this arrival runs first, so admission sees up-to-date
@@ -462,59 +435,27 @@ impl Dispatcher {
             tenant: req.tenant,
             virtine: req.virtine,
             seq: self.seq,
-            priority: tenant.profile.priority.saturating_add(req.priority_boost),
+            priority: tenant.profile.priority,
             arrival,
-            deadline: req.deadline_s.map_or(u64::MAX, cyc),
         };
-
-        // Brownout door: while the overload controller holds a
-        // degradation level, requests below its priority floor are shed
-        // before any budget (tokens, in-flight slots) is charged.
-        if self
-            .brownout
-            .as_ref()
-            .is_some_and(|b| b.sheds(ticket.priority))
-        {
-            return self.refuse(&ticket, ShedReason::Brownout);
-        }
 
         // Cap before bucket: a request refused at the in-flight cap must
         // not burn rate-limit tokens the tenant could use once a slot
         // frees up.
-        let tenant = &self.tenants[req.tenant.0];
-        if tenant.stats.in_flight >= tenant.profile.max_in_flight as u64 {
-            return self.refuse(&ticket, ShedReason::InFlightCap);
+        let refused = if tenant.stats.in_flight >= tenant.profile.max_in_flight as u64 {
+            Some(ShedReason::InFlightCap)
+        } else if !tenant.bucket.admit(Cycles(arrival)) {
+            Some(ShedReason::RateLimited)
+        } else {
+            None
+        };
+        if let Some(reason) = refused {
+            return self.refuse(&ticket, reason);
         }
-
-        // Deadline-aware admission (also before the bucket — a request we
-        // refuse must not burn tokens): estimate when the target shard
-        // could start this request — next batch boundary after its worker
-        // frees up, plus backlog × recent per-request cost — and shed now
-        // if the deadline is already lost. Cheaper for everyone than
-        // queueing a guaranteed miss.
+        // Placement is a pure read of the shards, so a refused request
+        // never builds a candidate list.
         let shard = self.place(req.tenant, req.virtine);
-        let s = &self.shards[shard];
-        let est_start = align_up(s.free_at.max(arrival), self.config.tick.get())
-            .saturating_add((s.queue.len() as u64).saturating_mul(self.avg_service));
-        if est_start > ticket.deadline {
-            return self.refuse(&ticket, ShedReason::DeadlineUnmeetable);
-        }
-
-        // Request and byte buckets are checked jointly before either is
-        // charged: a request refused by one must not burn tokens from
-        // the other. Bytes are the payload the platform moves for the
-        // request — marshalled args plus the invocation payload.
-        let bytes = (req.args.len() + req.invocation.payload.len()) as f64;
         let tenant = &mut self.tenants[req.tenant.0];
-        let now = Cycles(arrival);
-        if !tenant.bucket.can_admit(now, 1.0) {
-            return self.refuse(&ticket, ShedReason::RateLimited);
-        }
-        if !tenant.byte_bucket.can_admit(now, bytes) {
-            return self.refuse(&ticket, ShedReason::ByteBudget);
-        }
-        tenant.bucket.take(1.0);
-        tenant.byte_bucket.take(bytes);
         tenant.stats.admitted += 1;
         tenant.stats.in_flight += 1;
         self.stats.admitted += 1;
@@ -980,25 +921,6 @@ impl Dispatcher {
                 self.copy_lost(ticket.seq, free, None, None);
                 continue;
             }
-            if ticket.deadline < free {
-                // Too late to start: shed in-queue (the request's deadline
-                // passed while it waited). Woken blocked runs are exempt
-                // (their queue ticket carries no deadline) — they hold a
-                // live shell that must run to completion or be killed
-                // explicitly, never silently dropped.
-                if self.copy_lost(ticket.seq, free, None, None) == CopyLoss::Terminal {
-                    let reason = ShedReason::DeadlineMissed;
-                    self.tspan(ticket.seq, "queue_wait", String::new, ticket.arrival, free);
-                    let why = || reason.label().to_string();
-                    self.tspan(ticket.seq, "shed", why, free, free);
-                    let end = Terminal::Shed {
-                        reason,
-                        evict: None,
-                    };
-                    self.settle(&ticket, free, end);
-                }
-                continue;
-            }
             free = self.execute(idx, q, free);
             if self.shards[idx].spinning > 0 {
                 // Spin-poll baseline: the worker just pinned itself on a
@@ -1163,12 +1085,11 @@ impl Dispatcher {
     }
 
     /// Reports one copy of a request gone without finishing — destroyed
-    /// with its shard, shed at its deadline, evicted, or a hedge-race
-    /// loser surfacing — to the exactly-once table, and does the
-    /// bookkeeping every such site owes: the span of the retry the table
-    /// may have scheduled, the `park` span of a copy that was `parked`
-    /// (target, since when), and the end of the copy's own trace when no
-    /// shed will close it — a suppressed copy's always, a retried hedge
+    /// with its shard, evicted, or a hedge-race loser surfacing — to the
+    /// exactly-once table, and does the bookkeeping every such site owes:
+    /// the span of the retry the table may have scheduled, the `park`
+    /// span of a copy that was `parked` (target, since when), and the end
+    /// of the copy's own trace when no shed will close it — a suppressed copy's always, a retried hedge
     /// duplicate's too (the retry continues under the logical trace).
     /// Only on [`CopyLoss::Terminal`] does the caller's shed proceed.
     pub(crate) fn copy_lost(
@@ -1199,8 +1120,8 @@ impl Dispatcher {
 
     /// Completion epilogue for a run — fresh or resumed — whose last
     /// segment ended at worker position `finish`: releases the shell (warm
-    /// when permitted), updates the admission cost estimate, and settles
-    /// the request as served. Returns the worker's new timeline position.
+    /// when permitted) and settles the request as served. Returns the
+    /// worker's new timeline position.
     fn complete(
         &mut self,
         idx: usize,
@@ -1269,12 +1190,6 @@ impl Dispatcher {
             None => self.shards[idx].pool.release(vm),
         }
 
-        let service = progress.service_so_far;
-        self.avg_service = if self.avg_service == 0 {
-            service
-        } else {
-            (7 * self.avg_service + service) / 8
-        };
         let detail = || match outcome.breakdown.warm_hit {
             true => format!("warm_delta={}", outcome.breakdown.delta_pages),
             false => String::new(),

@@ -1,6 +1,5 @@
 //! Health-driven failover: a deterministic heartbeat/suspicion failure
-//! detector with circuit-breaker recovery, plus the overload brownout
-//! controller.
+//! detector with circuit-breaker recovery.
 //!
 //! The paper's economics make isolation contexts cheap enough to kill and
 //! re-create freely (§5.2); this module supplies the *trigger*: instead of
@@ -31,15 +30,6 @@
 //! [`HealthConfig::probes_to_restore`] *consecutive* successes close it
 //! again via `restore_shard`. Any failure while half-open re-opens the
 //! breaker and resets the streak.
-//!
-//! **Brownout.** Orthogonally, when the installed SLO engine's burn-rate
-//! pager fires (see `vtrace::slo`), the [`BrownoutController`] steps down
-//! a degradation ladder: each level carries a priority floor below which
-//! requests are shed at the door with [`crate::ShedReason::Brownout`] —
-//! lowest-priority tiers first, before any token bucket is charged.
-//! Recovery is hysteretic: a level is only stepped back up after
-//! [`BrownoutConfig::recover_hold`] of page-free quiet, so the controller
-//! cannot flap with the pager.
 
 use vclock::rng::Rng;
 use vclock::Cycles;
@@ -369,128 +359,6 @@ impl HealthDetector {
     }
 }
 
-/// Knobs for the overload brownout controller. Installed with
-/// `Dispatcher::set_brownout`; requires an SLO engine
-/// (`Dispatcher::set_slo`) whose page-severity alerts drive it.
-#[derive(Debug, Clone)]
-pub struct BrownoutConfig {
-    /// Degradation ladder: `ladder[k]` is the priority floor at level
-    /// `k + 1` — requests with effective priority *below* the floor are
-    /// shed with [`crate::ShedReason::Brownout`]. Must be non-empty and
-    /// non-decreasing (each level sheds at least what the previous did).
-    pub ladder: Vec<u8>,
-    /// Minimum time between successive step-*downs* (escalations) while
-    /// the pager keeps firing, so one sustained page does not slam the
-    /// controller to the deepest level instantly.
-    pub step_hold: Cycles,
-    /// Page-free quiet time required before stepping one level back up
-    /// (the hysteresis half: recovery is deliberately slower than
-    /// escalation).
-    pub recover_hold: Cycles,
-}
-
-impl BrownoutConfig {
-    /// A two-level ladder shedding priority 0, then priorities ≤ 1, with
-    /// 2 ms between escalations and 10 ms of quiet before recovery.
-    pub fn new() -> BrownoutConfig {
-        BrownoutConfig {
-            ladder: vec![1, 2],
-            step_hold: Cycles::from_micros(2_000.0),
-            recover_hold: Cycles::from_micros(10_000.0),
-        }
-    }
-
-    /// Sets the ladder of priority floors (builder style).
-    pub fn with_ladder(mut self, ladder: Vec<u8>) -> BrownoutConfig {
-        assert!(
-            !ladder.is_empty(),
-            "a brownout ladder needs at least one level"
-        );
-        assert!(
-            ladder.windows(2).all(|w| w[0] <= w[1]),
-            "ladder floors must be non-decreasing"
-        );
-        self.ladder = ladder;
-        self
-    }
-
-    /// Sets the escalation hold and recovery quiet time in virtual
-    /// seconds (builder style).
-    pub fn with_holds(mut self, step_secs: f64, recover_secs: f64) -> BrownoutConfig {
-        assert!(
-            step_secs >= 0.0 && recover_secs >= 0.0,
-            "holds cannot be negative"
-        );
-        self.step_hold = Cycles::from_micros(step_secs * 1e6);
-        self.recover_hold = Cycles::from_micros(recover_secs * 1e6);
-        self
-    }
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> BrownoutConfig {
-        BrownoutConfig::new()
-    }
-}
-
-/// The overload brownout controller: a degradation ladder stepped down
-/// while the burn-rate pager fires, stepped back up with hysteresis.
-#[derive(Debug)]
-pub struct BrownoutController {
-    config: BrownoutConfig,
-    level: usize,
-    last_change: u64,
-    quiet_since: Option<u64>,
-}
-
-impl BrownoutController {
-    /// A controller at level 0 (no degradation).
-    pub fn new(config: BrownoutConfig) -> BrownoutController {
-        BrownoutController {
-            config,
-            level: 0,
-            last_change: 0,
-            quiet_since: None,
-        }
-    }
-
-    /// Advances the controller to virtual instant `now` given whether
-    /// any page-severity alert is currently firing. Returns the level in
-    /// effect after the step.
-    pub fn evaluate(&mut self, now: u64, paging: bool) -> usize {
-        if paging {
-            self.quiet_since = None;
-            let can_step = self.level == 0 || now >= self.last_change + self.config.step_hold.get();
-            if self.level < self.config.ladder.len() && can_step {
-                self.level += 1;
-                self.last_change = now;
-            }
-        } else if self.level > 0 {
-            match self.quiet_since {
-                None => self.quiet_since = Some(now),
-                Some(q) if now >= q + self.config.recover_hold.get() => {
-                    self.level -= 1;
-                    self.last_change = now;
-                    self.quiet_since = if self.level > 0 { Some(now) } else { None };
-                }
-                Some(_) => {}
-            }
-        }
-        self.level
-    }
-
-    /// The current degradation level (0 = none), the
-    /// `vsched_brownout_level` gauge.
-    pub fn level(&self) -> usize {
-        self.level
-    }
-
-    /// Whether a request at `priority` is shed at the current level.
-    pub fn sheds(&self, priority: u8) -> bool {
-        self.level > 0 && priority < self.config.ladder[self.level - 1]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,34 +530,6 @@ mod tests {
         assert_eq!(stats_a.declared, 1);
         assert_eq!(stats_a.restored, 1);
         assert_eq!(stats_a.false_positives, 0);
-    }
-
-    #[test]
-    fn brownout_ladder_steps_down_and_recovers_with_hysteresis() {
-        let cfg = BrownoutConfig::new()
-            .with_ladder(vec![1, 3])
-            .with_holds(0.001, 0.005);
-        let mut b = BrownoutController::new(cfg);
-        assert_eq!(b.level(), 0);
-        assert!(!b.sheds(0));
-        // First page escalates immediately.
-        assert_eq!(b.evaluate(cyc(100.0), true), 1);
-        assert!(b.sheds(0) && !b.sheds(1), "level 1 floor is priority 1");
-        // A page inside the step hold does not escalate again.
-        assert_eq!(b.evaluate(cyc(600.0), true), 1);
-        // Past the hold it does.
-        assert_eq!(b.evaluate(cyc(1_200.0), true), 2);
-        assert!(b.sheds(2) && !b.sheds(3), "level 2 floor is priority 3");
-        // Quiet, but not long enough: holds.
-        assert_eq!(b.evaluate(cyc(2_000.0), false), 2);
-        assert_eq!(b.evaluate(cyc(6_000.0), false), 2);
-        // 5 ms of quiet steps one level up — not straight to zero.
-        assert_eq!(b.evaluate(cyc(7_100.0), false), 1);
-        // A fresh page resets the quiet clock.
-        assert_eq!(b.evaluate(cyc(7_200.0), true), 1, "step hold blocks");
-        assert_eq!(b.evaluate(cyc(11_000.0), false), 1);
-        assert_eq!(b.evaluate(cyc(16_100.0), false), 0);
-        assert!(!b.sheds(0));
     }
 
     #[test]

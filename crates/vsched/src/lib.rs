@@ -48,21 +48,20 @@
 //!   diagram in [`placement`] and the `topology_steal` bench.
 //! * **Multi-tenant admission control** ([`TenantProfile`]) — generalizes
 //!   §5.1's default-deny posture from hypercalls to platform capacity.
-//!   Each tenant gets a token-bucket rate limit, a payload *byte* budget
-//!   ([`TenantProfile::with_byte_rate`], shed as
-//!   [`ShedReason::ByteBudget`]), and an in-flight cap (shed early, at
-//!   the door), plus a [`wasp::HypercallMask`] *ceiling* intersected with
-//!   every spec policy: a tenant profile can only narrow what a virtine
-//!   may do, never widen it (the per-compartment resource budget framing
+//!   Each tenant gets a token-bucket rate limit ([`TokenBucket`]) and an
+//!   in-flight cap (both shed at the door, before the request takes a
+//!   sequence number), plus a [`wasp::HypercallMask`] *ceiling*
+//!   intersected with every spec policy: a tenant profile can only narrow
+//!   what a virtine may do, never widen it (the per-compartment resource budget framing
 //!   of the related capability-hardware literature, see PAPERS.md).
-//! * **Priority/deadline run queues with batched ticks** ([`Request`],
+//! * **Priority run queues with batched ticks** ([`Request`],
 //!   [`DispatcherConfig::tick`]) — generalizes §7.1's single-queue
 //!   serverless experiment. Admitted requests wait for their shard's next
-//!   batch tick; each tick pops up to `batch_size` requests by (priority,
-//!   deadline, FIFO) and retires requests whose deadline already passed.
-//!   Everything is driven by the `vclock` virtual clock, so a full
-//!   platform run is deterministic and benchmarkable bit-for-bit — the
-//!   property the reproduction depends on everywhere else.
+//!   batch tick; each tick pops up to `batch_size` requests by (tenant
+//!   priority, FIFO). Everything is driven by the `vclock` virtual
+//!   clock, so a full platform run is deterministic and benchmarkable
+//!   bit-for-bit — the property the reproduction depends on everywhere
+//!   else.
 //! * **Event-driven blocked I/O** ([`BlockMode`], the dispatcher's
 //!   parked map) — generalizes §6.3's blocking `recv` from a busy-wait into an
 //!   exit. A virtine that blocks suspends (`wasp::SuspendedRun` — shell,
@@ -74,11 +73,6 @@
 //!   shell, `blocked_timeout` stat); [`BlockMode::SpinPoll`] preserves
 //!   the pre-suspension behavior as a measurable baseline (the
 //!   `blocked_io` bench shows the fast-tenant p99 gap).
-//! * **Deadline-aware admission** ([`ShedReason::DeadlineUnmeetable`]) —
-//!   `submit` estimates the target shard's queue wait (backlog × an EMA
-//!   of recent per-request cost) and sheds immediately when the deadline
-//!   is already lost, before the request burns queue space or rate
-//!   tokens.
 //! * **Dispatcher statistics** ([`DispatcherStats`], [`TenantStats`],
 //!   [`ShardSnapshot`]) — surfaced exactly like `wasp::PoolStats`:
 //!   per-tenant served/shed/stolen/blocked/in-flight and per-shard queue
@@ -109,25 +103,23 @@
 //!   eligible set, its queued work, migratable parked runs, and pooled
 //!   shells evacuate to siblings through the same priced `Candidate`
 //!   cost machinery as steals, and unmigratable parked runs ride a
-//!   per-tenant grace period before being shed as
-//!   [`ShedReason::Evicted`]. [`FaultPlan`] injects shard/shell kills at
+//!   grace period ([`DispatcherConfig::drain_grace`]) before being shed
+//!   as [`ShedReason::Evicted`]. [`FaultPlan`] injects shard/shell kills at
 //!   chosen virtual instants (seeded via `vclock::rng`), so failure
 //!   recovery replays bit-for-bit through the same reconcile path — see
 //!   `docs/lifecycle.md` and the `drain_evict` bench.
-//! * **Health-driven failover with exactly-once retry, hedging, and
-//!   brownout** ([`health`], [`Dispatcher::set_health`] /
-//!   [`Dispatcher::set_brownout`], [`RetryPolicy`] / [`HedgePolicy`]) —
-//!   a heartbeat/suspicion failure detector in virtual time turns *gray*
-//!   failures ([`FaultKind::Hang`]: the worker wedges but the shard
-//!   stays `Active` and placement keeps feeding it) into declared
-//!   failures through the same `fail_shard` → reconcile → re-admit path
-//!   as the fault plan, and restores them via half-open circuit-breaker
-//!   probes. Work lost to a shard failure is re-submitted exactly once
+//! * **Health-driven failover with exactly-once retry and hedging**
+//!   ([`health`], [`Dispatcher::set_health`], [`RetryPolicy`] /
+//!   [`HedgePolicy`]) — a heartbeat/suspicion failure detector in
+//!   virtual time turns *gray* failures ([`FaultKind::Hang`]: the worker
+//!   wedges but the shard stays `Active` and placement keeps feeding it)
+//!   into declared failures through the same `fail_shard` → reconcile →
+//!   re-admit path as the fault plan, and restores them via half-open
+//!   circuit-breaker probes. Work lost to a shard failure is re-submitted exactly once
 //!   under a per-tenant budgeted backoff, tail latency is optionally
 //!   hedged from the observed p99 with first-completion-wins dedup
-//!   ([`openreq`]), and a pager-driven brownout ladder sheds the lowest
-//!   priority tiers under overload. See `docs/reliability.md` and the
-//!   `fault_recovery` bench.
+//!   ([`openreq`]). See `docs/reliability.md` and the `fault_recovery`
+//!   bench.
 //! * **One request record, one terminal outcome** ([`dispatcher`]) — a
 //!   request is one ticket from admission on, and one function settles
 //!   it, which is why the conservation identity (stated once, in
@@ -175,7 +167,7 @@ pub mod topology;
 
 pub use cluster::{Cluster, ClusterAction, ClusterStats};
 pub use dispatcher::{Dispatcher, DispatcherLoad};
-pub use health::{BrownoutConfig, CircuitState, HealthConfig, HealthStats, ShardHealth};
+pub use health::{CircuitState, HealthConfig, HealthStats, ShardHealth};
 pub use lifecycle::{FaultEvent, FaultKind, FaultPlan, LifecycleAction, ShardState};
 pub use placement::{Candidate, CostEngine, WarmPolicy, WarmVerdict};
 pub use request::{BlockMode, Completion, DispatcherConfig, DispatcherStats, Placement, Request};
@@ -283,6 +275,46 @@ mod tests {
     }
 
     #[test]
+    fn a_door_shed_is_a_pure_refusal() {
+        // One huge tick: nothing executes between the submissions, so the
+        // clock moves only by what `submit` itself charges.
+        let mut d = dispatcher(DispatcherConfig {
+            tick: vclock::Cycles::from_micros(10_000_000.0),
+            ..DispatcherConfig::default()
+        });
+        let id = d.register(halt_spec("t")).unwrap();
+        let capped = d.add_tenant(TenantProfile::new("capped").with_max_in_flight(1));
+        let limited = d.add_tenant(TenantProfile::new("limited").with_rate(10.0, 1.0));
+        assert_eq!(d.submit(Request::new(capped, id, 0.0)), Ok(0));
+        assert_eq!(d.submit(Request::new(limited, id, 0.0)), Ok(1));
+        let queues = |d: &Dispatcher| -> Vec<(u64, Vec<u64>)> {
+            let seqs = |s: &shard::Shard| {
+                let mut seqs: Vec<u64> = s.queue.iter().map(|q| q.ticket.seq).collect();
+                seqs.sort_unstable();
+                seqs
+            };
+            d.shards.iter().map(|s| (s.next_wake, seqs(s))).collect()
+        };
+        let before = queues(&d);
+        for (tenant, reason) in [
+            (capped, ShedReason::InFlightCap),
+            (limited, ShedReason::RateLimited),
+        ] {
+            let t0 = d.clock().now();
+            assert_eq!(d.submit(Request::new(tenant, id, 0.0)), Err(reason));
+            assert_eq!(
+                (d.clock().now() - t0).get(),
+                vclock::costs::VSCHED_ADMISSION,
+                "{reason}: the admission charge and nothing else"
+            );
+            assert_eq!(queues(&d), before, "{reason}: a queue moved");
+        }
+        // Neither refusal took a sequence number.
+        let free = d.add_tenant(TenantProfile::new("free"));
+        assert_eq!(d.submit(Request::new(free, id, 0.0)), Ok(2));
+    }
+
+    #[test]
     #[should_panic(expected = "virtine not registered")]
     fn submitting_an_unregistered_virtine_panics_at_the_door() {
         let mut d = dispatcher(DispatcherConfig::default());
@@ -291,29 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_expired_requests_are_dropped_in_queue() {
-        let mut d = dispatcher(DispatcherConfig {
-            shards: 1,
-            batch_size: 1,
-            ..DispatcherConfig::default()
-        });
-        let id = d.register(halt_spec("t")).unwrap();
-        let tenant = d.add_tenant(TenantProfile::new("dl"));
-        // A boosted request occupies the worker (EDF alone would let the
-        // deadlined request jump the queue); the second's deadline expires
-        // while it queues behind it.
-        d.submit(Request::new(tenant, id, 0.0).with_boost(5))
-            .unwrap();
-        d.submit(Request::new(tenant, id, 0.0).with_deadline(1e-9))
-            .unwrap();
-        d.run_to_idle();
-        assert_eq!(d.tenant_stats(tenant).served, 1);
-        assert_eq!(d.tenant_stats(tenant).shed_deadline, 1);
-        assert_eq!(d.tenant_stats(tenant).in_flight, 0);
-    }
-
-    #[test]
-    fn priority_and_boost_order_execution() {
+    fn priority_then_fifo_orders_execution() {
         let mut d = dispatcher(DispatcherConfig {
             shards: 1,
             batch_size: 8,
@@ -325,15 +335,13 @@ mod tests {
         let s0 = d.submit(Request::new(low, id, 0.0)).unwrap();
         let s1 = d.submit(Request::new(low, id, 0.0)).unwrap();
         let s2 = d.submit(Request::new(high, id, 0.0)).unwrap();
-        let s3 = d.submit(Request::new(low, id, 0.0).with_boost(5)).unwrap();
+        let s3 = d.submit(Request::new(low, id, 0.0)).unwrap();
         assert_eq!((s0, s1, s2, s3), (0, 1, 2, 3));
         d.run_to_idle();
-        let tenants: Vec<usize> = d.completions().iter().map(|c| c.tenant.index()).collect();
-        // High-priority tenant first, boosted low next, then FIFO.
-        assert_eq!(
-            tenants,
-            vec![high.index(), low.index(), low.index(), low.index()]
-        );
+        let seqs: Vec<u64> = d.completions().iter().map(|c| c.seq).collect();
+        // The high-priority tenant's request first, then the low tenant's
+        // in submission order.
+        assert_eq!(seqs, vec![s2, s0, s1, s3]);
         let starts: Vec<f64> = d.completions().iter().map(|c| c.start).collect();
         assert!(starts.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -1188,102 +1196,6 @@ init:
     }
 
     #[test]
-    fn hopeless_deadlines_are_shed_at_admission() {
-        let mut d = dispatcher(DispatcherConfig {
-            shards: 1,
-            batch_size: 1,
-            ..DispatcherConfig::default()
-        });
-        let id = d.register(halt_spec("t")).unwrap();
-        let tenant = d.add_tenant(TenantProfile::new("dl").with_rate(1000.0, 1.0));
-        // Prime the per-request cost estimate.
-        d.submit(Request::new(tenant, id, 0.0)).unwrap();
-        d.run_to_idle();
-
-        // A deadline already in the past can never be met: shed at submit,
-        // without burning the tenant's rate-limit token.
-        let err = d
-            .submit(Request::new(tenant, id, 1.0).with_deadline(0.5))
-            .unwrap_err();
-        assert_eq!(err, ShedReason::DeadlineUnmeetable);
-        let ts = d.tenant_stats(tenant);
-        assert_eq!(ts.shed_deadline_unmeetable, 1);
-        assert_eq!(d.stats().shed_deadline_unmeetable, 1);
-        assert_eq!(ts.shed(), 1);
-        assert_eq!(ts.in_flight, 0);
-
-        // The token survived the shed: a meetable deadline at the same
-        // instant is admitted.
-        d.submit(Request::new(tenant, id, 1.0).with_deadline(2.0))
-            .unwrap();
-
-        // Backlog-driven: pile requests on the single worker until the
-        // estimated queue wait pushes a near deadline past its bound.
-        let bulk = d.add_tenant(TenantProfile::new("bulk"));
-        for _ in 0..50 {
-            d.submit(Request::new(bulk, id, 2.0)).unwrap();
-        }
-        let tick_s = d.config().tick.as_secs();
-        let err = d
-            .submit(Request::new(bulk, id, 2.0).with_deadline(2.0 + 2.0 * tick_s))
-            .unwrap_err();
-        assert_eq!(err, ShedReason::DeadlineUnmeetable);
-        d.run_to_idle();
-        assert_eq!(
-            d.stats().submitted,
-            d.stats().served + d.stats().shed(),
-            "conservation across admission sheds"
-        );
-    }
-
-    #[test]
-    fn byte_budget_sheds_fat_payloads_without_burning_request_tokens() {
-        let mut d = dispatcher(DispatcherConfig::default());
-        let id = d.register(halt_spec("t")).unwrap();
-        // 100 requests/s is generous; 64 bytes/s with a 64-byte burst is
-        // the binding constraint for fat payloads.
-        let tenant = d.add_tenant(
-            TenantProfile::new("metered")
-                .with_rate(100.0, 10.0)
-                .with_byte_rate(64.0, 64.0),
-        );
-        // A 48-byte payload admits; the next 48 bytes don't fit.
-        d.submit(Request::new(tenant, id, 0.0).with_args(vec![7u8; 48]))
-            .unwrap();
-        assert_eq!(
-            d.submit(Request::new(tenant, id, 0.0).with_args(vec![7u8; 48])),
-            Err(ShedReason::ByteBudget)
-        );
-        // Zero-byte requests ride through on the request bucket alone.
-        d.submit(Request::new(tenant, id, 0.0)).unwrap();
-        let s = d.tenant_stats(tenant);
-        assert_eq!(s.shed_byte_budget, 1);
-        assert_eq!(d.stats().shed_byte_budget, 1);
-        assert_eq!(s.shed(), 1);
-        // The byte shed burned no *request* tokens: 10-burst minus the
-        // two admissions leaves 8, and a refill later the fat payload
-        // fits again (bucket refilled 64 bytes over one second).
-        d.submit(Request::new(tenant, id, 1.0).with_args(vec![7u8; 48]))
-            .unwrap();
-        d.run_to_idle();
-        assert_eq!(d.tenant_stats(tenant).served, 3);
-        assert_eq!(d.tenant_stats(tenant).shed_rate_limit, 0);
-        assert_eq!(
-            d.stats().submitted,
-            d.stats().served + d.stats().shed(),
-            "conservation across byte sheds"
-        );
-        // Invocation payload bytes count too, not just args.
-        assert_eq!(
-            d.submit(
-                Request::new(tenant, id, 1.0)
-                    .with_invocation(Invocation::with_payload(vec![7u8; 60]))
-            ),
-            Err(ShedReason::ByteBudget)
-        );
-    }
-
-    #[test]
     fn distance_biased_steals_drain_near_donors_first() {
         // 2 sockets x 2 CCXs x 2 shards. Tenant 0 homes on shard 0
         // (ByTenant); its six blocking-recv requests each park holding a
@@ -1605,14 +1517,11 @@ init:
         let mut d = dispatcher(DispatcherConfig {
             shards: 2,
             block: BlockMode::SpinPoll,
+            drain_grace: vclock::Cycles::from_micros(2_000.0),
             ..DispatcherConfig::default()
         });
         let blocked = d.register(blocking_recv_spec("b")).unwrap();
-        let tenant = d.add_tenant(
-            TenantProfile::new("t")
-                .with_mask(HypercallMask::ALLOW_ALL)
-                .with_drain_grace(0.002),
-        );
+        let tenant = d.add_tenant(TenantProfile::new("t").with_mask(HypercallMask::ALLOW_ALL));
         let (_client, server) = conn_pair(&d, 91);
         d.submit(Request::new(tenant, blocked, 0.0).with_invocation(Invocation::with_conn(server)))
             .unwrap();
@@ -2094,69 +2003,5 @@ init:
         // Exactly once under hedging: distinct logical sequence numbers.
         let seqs: std::collections::HashSet<u64> = d.completions().iter().map(|c| c.seq).collect();
         assert_eq!(seqs.len(), 2);
-    }
-
-    #[test]
-    fn brownout_sheds_low_priority_work_while_the_pager_fires() {
-        use vtrace::slo::{BurnPolicy, SloEngine, SloSpec};
-        let mut d = dispatcher(DispatcherConfig::default());
-        let id = d.register(halt_spec("t")).unwrap();
-        let noisy = d.add_tenant(TenantProfile::new("noisy").with_rate(10.0, 2.0));
-        let victim = d.add_tenant(TenantProfile::new("victim"));
-        d.set_slo(SloEngine::new(
-            vec![SloSpec::availability("avail", 0.9)],
-            BurnPolicy {
-                fast_window: vclock::Cycles::from_micros(1_000.0),
-                slow_window: vclock::Cycles::from_micros(5_000.0),
-                page_burn: 3.0,
-                ticket_burn: 1.0,
-            },
-        ));
-        d.set_brownout(
-            BrownoutConfig::new()
-                .with_ladder(vec![1])
-                .with_holds(0.0005, 0.002),
-        );
-        assert_eq!(d.brownout_level(), 0);
-
-        // An overload burst: 2 admitted, the rest shed — burn rate 10×
-        // the 10% error budget, far past the page threshold. Every
-        // submit advances virtual time, so the pager fires and the door
-        // engages *mid-burst*: the first refusals are rate-limit sheds,
-        // the tail is browned out.
-        for _ in 0..20 {
-            let _ = d.submit(Request::new(noisy, id, 0.0));
-        }
-        d.run_until(0.0005);
-        assert_eq!(d.brownout_level(), 1, "the pager stepped the ladder");
-        let noisy_stats = d.tenant_stats(noisy);
-        assert_eq!(noisy_stats.shed(), 18);
-        assert!(noisy_stats.shed_rate_limit >= 1);
-        assert!(noisy_stats.shed_brownout >= 1, "the door closed mid-burst");
-
-        // Level 1 floor is priority 1: the victim's default-priority
-        // request is shed at the door, before any token-bucket charge; a
-        // boosted one passes.
-        assert_eq!(
-            d.submit(Request::new(victim, id, 0.0006)).unwrap_err(),
-            ShedReason::Brownout
-        );
-        assert!(d
-            .submit(Request::new(victim, id, 0.0006).with_boost(1))
-            .is_ok());
-        assert_eq!(d.tenant_stats(victim).shed_brownout, 1);
-        assert_eq!(d.tenant_stats(victim).shed_rate_limit, 0);
-
-        // Quiet: the burst ages out of the fast window, and after the
-        // 2 ms recovery hold the ladder steps back up.
-        d.run_until(0.004);
-        assert_eq!(d.brownout_level(), 1, "hysteresis holds the level");
-        d.run_until(0.007);
-        assert_eq!(d.brownout_level(), 0, "page-free quiet recovered it");
-        assert!(d.submit(Request::new(victim, id, 0.008)).is_ok());
-        d.run_to_idle();
-        assert_eq!(d.tenant_stats(victim).served, 2);
-        assert_eq!(d.tenant_stats(victim).shed(), 1);
-        assert_eq!(d.tenant_stats(victim).in_flight, 0);
     }
 }

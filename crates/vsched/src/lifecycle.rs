@@ -31,10 +31,10 @@
 //!   quota-respecting `Candidate` cost machinery as steals and
 //!   resume-time migration;
 //! * parked runs that *cannot* move (no eligible sibling, or a spin-poll
-//!   wait that pins its worker) ride a per-tenant grace period
-//!   ([`crate::TenantProfile::drain_grace`]) and are then hard-stopped
+//!   wait that pins its worker) ride a grace period
+//!   ([`crate::DispatcherConfig::drain_grace`]) and are then hard-stopped
 //!   and shed with [`crate::ShedReason::Evicted`] — the only
-//!   post-admission shed besides a missed deadline;
+//!   post-admission shed;
 //! * re-running the reconciler against a converged state performs zero
 //!   actions, so an operator (or a control loop) can call it on every
 //!   tick without thrashing.
@@ -45,14 +45,13 @@
 //! operator-initiated drain.
 
 use vclock::{costs, Cycles};
-use vtrace::slo::Severity;
 
 use crate::dispatcher::{cyc, Dispatcher};
 use crate::health::{HealthAction, HealthConfig, HealthDetector, HealthStats, ShardHealth};
 use crate::openreq::{CopyLoss, RetryCause};
 use crate::request::{BlockMode, FailCause, Terminal};
 use crate::shard::{align_up, Queued, Work};
-use crate::tenant::{ShedReason, TenantId};
+use crate::tenant::ShedReason;
 
 /// Desired/actual lifecycle state of one shard.
 ///
@@ -593,18 +592,14 @@ impl Dispatcher {
         }
     }
 
-    /// When lifecycle evicts a run of `tenant` that parked at
-    /// `blocked_from` on draining shard `idx`: the tenant's grace period
-    /// (else the configured default) past the later of the drain start
-    /// and the park.
-    pub(crate) fn grace_deadline(&self, idx: usize, tenant: TenantId, blocked_from: u64) -> u64 {
-        let grace = self.tenants[tenant.0]
-            .profile
-            .drain_grace
-            .unwrap_or(self.config.drain_grace)
-            .get();
+    /// When lifecycle evicts a run that parked at `blocked_from` on
+    /// draining shard `idx`: the configured grace period past the later
+    /// of the drain start and the park.
+    pub(crate) fn grace_deadline(&self, idx: usize, blocked_from: u64) -> u64 {
         let since = self.members.left_active(idx);
-        since.max(blocked_from).saturating_add(grace)
+        since
+            .max(blocked_from)
+            .saturating_add(self.config.drain_grace.get())
     }
 
     /// One pass of the lifecycle reconciliation loop: for every
@@ -669,7 +664,7 @@ impl Dispatcher {
                         });
                     }
                     None => {
-                        let at = self.grace_deadline(i, p.ticket.tenant, p.blocked_from);
+                        let at = self.grace_deadline(i, p.blocked_from);
                         if p.evict_at != at {
                             p.evict_at = at;
                             actions.push(LifecycleAction::EvictionArmed { seq, shard: i, at });
@@ -762,32 +757,18 @@ impl Dispatcher {
         self.advance_to(limit);
     }
 
-    /// Evaluates the failure detector and the brownout controller at the
-    /// dispatcher's arrival horizon. Detector declarations drive the
-    /// existing `fail_shard` → reconcile → re-admit path; restorations go
-    /// through [`Dispatcher::restore_shard`]. Free when neither is
-    /// installed.
+    /// Evaluates the failure detector at the dispatcher's arrival
+    /// horizon. Declarations drive the existing `fail_shard` → reconcile
+    /// → re-admit path; restorations go through
+    /// [`Dispatcher::restore_shard`]. Free when no detector is installed.
     fn reliability_eval(&mut self) {
-        let now = self.last_arrival;
-        for action in self.members.poll(now) {
+        for action in self.members.poll(self.last_arrival) {
             match action {
                 HealthAction::Declare(shard) => {
                     self.fail_shard(shard);
                 }
                 HealthAction::Restore(shard) => self.restore_shard(shard),
             }
-        }
-        if let Some(b) = &mut self.brownout {
-            let paging = match &mut self.slo {
-                Some(slo) => {
-                    slo.tick(Cycles(now));
-                    slo.report()
-                        .iter()
-                        .any(|r| r.severity == Some(Severity::Page))
-                }
-                None => false,
-            };
-            b.evaluate(now, paging);
         }
     }
 }

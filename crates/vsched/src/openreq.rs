@@ -51,8 +51,8 @@ pub(crate) struct ScheduledRetry {
     pub cause: &'static str,
 }
 
-/// What became of a copy destroyed by a shard failure, deadline, or
-/// cancellation (see [`OpenTable::lose_copy`]).
+/// What became of a copy destroyed by a shard failure or cancellation
+/// (see [`OpenTable::lose_copy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CopyLoss {
     /// Another copy of the logical request is still live (or already won);
@@ -100,8 +100,8 @@ pub(crate) struct Respawn {
 /// proportional to in-flight work.
 struct OpenReq {
     /// The original copy's ticket (`seq` is the logical sequence number).
-    /// Re-submissions keep its arrival and deadline: latency spans every
-    /// attempt, and a retry is the same promise, not a fresh one.
+    /// Re-submissions keep its arrival: latency spans every attempt, and a
+    /// retry is the same promise, not a fresh one.
     ticket: Ticket,
     /// Pristine marshalled arguments for a re-submission.
     args: Vec<u8>,
@@ -207,9 +207,8 @@ impl OpenTable {
         }
     }
 
-    /// Records the destruction of one copy of a request (shard failure,
-    /// deadline, or cancellation at `now`), and decides what the caller
-    /// must do:
+    /// Records the destruction of one copy of a request (shard failure or
+    /// cancellation at `now`), and decides what the caller must do:
     ///
     /// - [`CopyLoss::Suppressed`]: the logical request is already done,
     ///   or another copy is still live (or a retry is pending) — the
@@ -308,10 +307,9 @@ impl OpenTable {
             .retry_bucket
             .as_mut()
             .expect("a retry policy always builds a budget bucket");
-        if !bucket.can_admit(Cycles(now), 1.0) {
+        if !bucket.admit(Cycles(now)) {
             return None;
         }
-        bucket.take(1.0);
         let base = policy.backoff.get() as f64 * 2f64.powi(o.attempt as i32);
         let factor = if policy.jitter_frac > 0.0 {
             self.retry_rng
@@ -382,9 +380,8 @@ impl OpenTable {
 
     /// Releases a pending retry at its backoff instant: a fresh copy
     /// rebuilt from the pristine submit-time inputs, under the original
-    /// sequence number, arrival, and deadline. A retry whose request
-    /// finished while it waited (a hedge copy won the race) is silently
-    /// dropped.
+    /// sequence number and arrival. A retry whose request finished while
+    /// it waited (a hedge copy won the race) is silently dropped.
     fn release_retry(
         &mut self,
         logical: u64,

@@ -85,7 +85,7 @@ impl Dispatcher {
             // immediately; the next reconcile pass may still migrate the
             // run out (and disarm it) before the clock fires.
             evict_at: if self.members.state(idx) == ShardState::Draining {
-                self.grace_deadline(idx, ticket.tenant, blocked_from)
+                self.grace_deadline(idx, blocked_from)
             } else {
                 u64::MAX
             },
@@ -155,12 +155,7 @@ impl Dispatcher {
             self.tspan(seq, "resume", || format!("shard={dest}"), wake, wake);
             let q = Queued {
                 front: true,
-                // Exempt from in-queue deadline shedding: a woken run
-                // holds a live shell and must complete or be killed.
-                ticket: Ticket {
-                    deadline: u64::MAX,
-                    ..p.ticket
-                },
+                ticket: p.ticket,
                 work: Work::Resume(p),
             };
             self.shards[dest].enqueue_at(q, tick, wake);

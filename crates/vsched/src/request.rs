@@ -91,12 +91,11 @@ pub struct DispatcherConfig {
     /// tenant's next warm park demotes its own least-recently-parked
     /// shell — a churning tenant evicts itself, never a neighbor.
     pub warm_tenant_quota: Option<usize>,
-    /// Default grace period for parked runs stranded on a *draining*
+    /// Grace period for parked runs stranded on a *draining*
     /// shard (no eligible sibling to migrate to, or a spin-poll wait
     /// that pins its worker): past it the run is hard-stopped and shed
     /// with [`ShedReason::Evicted`]. Measured from the later of the
-    /// drain start and the park; overridden per tenant by
-    /// [`crate::TenantProfile::drain_grace`].
+    /// drain start and the park.
     pub drain_grace: Cycles,
 }
 
@@ -132,15 +131,10 @@ pub struct Request {
     /// Arrival time in virtual seconds; must be non-decreasing across
     /// `submit` calls.
     pub arrival_s: f64,
-    /// Added to the tenant's base priority for this request.
-    pub priority_boost: u8,
-    /// Optional absolute deadline (virtual seconds): requests still queued
-    /// past it are shed, not run.
-    pub deadline_s: Option<f64>,
 }
 
 impl Request {
-    /// A plain request: no payload, no boost, no deadline.
+    /// A plain request: no arguments, no payload.
     pub fn new(tenant: TenantId, virtine: VirtineId, arrival_s: f64) -> Request {
         Request {
             tenant,
@@ -148,8 +142,6 @@ impl Request {
             args: Vec::new(),
             invocation: Invocation::default(),
             arrival_s,
-            priority_boost: 0,
-            deadline_s: None,
         }
     }
 
@@ -162,18 +154,6 @@ impl Request {
     /// Attaches marshalled arguments (builder style).
     pub fn with_args(mut self, args: Vec<u8>) -> Request {
         self.args = args;
-        self
-    }
-
-    /// Sets a deadline (builder style).
-    pub fn with_deadline(mut self, deadline_s: f64) -> Request {
-        self.deadline_s = Some(deadline_s);
-        self
-    }
-
-    /// Boosts priority (builder style).
-    pub fn with_boost(mut self, boost: u8) -> Request {
-        self.priority_boost = boost;
         self
     }
 }
@@ -248,21 +228,13 @@ pub struct DispatcherStats {
     pub shed_rate_limit: u64,
     /// Requests shed at the in-flight cap.
     pub shed_in_flight: u64,
-    /// Requests shed in-queue at their deadline.
-    pub shed_deadline: u64,
-    /// Requests shed at admission: the target shard's backlog already made
-    /// the deadline unmeetable.
-    pub shed_deadline_unmeetable: u64,
-    /// Requests shed because the payload exceeded the tenant's byte
-    /// budget.
-    pub shed_byte_budget: u64,
     /// Admitted runs hard-stopped by shard lifecycle
     /// ([`ShedReason::Evicted`]): the sum of the two cause counters
     /// below, kept separately so `shed()` stays a sum of disjoint
     /// reasons.
     pub shed_evicted: u64,
     /// Evictions caused by a drain grace expiry
-    /// ([`crate::TenantProfile::drain_grace`]).
+    /// ([`DispatcherConfig::drain_grace`]).
     pub evicted_grace: u64,
     /// Evictions caused by shard failure (fault injection or operator
     /// [`crate::Dispatcher::fail_shard`]).
@@ -305,10 +277,6 @@ pub struct DispatcherStats {
     /// waited while the worker was *free* — exported as
     /// `vsched_blocked_cycles_total`.
     pub blocked_cycles: u64,
-    /// Requests shed at the door by the overload brownout controller
-    /// ([`ShedReason::Brownout`]): their priority sat below the active
-    /// degradation level's floor.
-    pub shed_brownout: u64,
     /// Retries scheduled for requests that lost their *queued* copy to a
     /// shard failure (exported as `vsched_retries_total{cause=
     /// "shard_failed_queued"}`).
@@ -341,11 +309,7 @@ impl DispatcherStats {
         match reason {
             ShedReason::RateLimited => &mut self.shed_rate_limit,
             ShedReason::InFlightCap => &mut self.shed_in_flight,
-            ShedReason::DeadlineMissed => &mut self.shed_deadline,
-            ShedReason::DeadlineUnmeetable => &mut self.shed_deadline_unmeetable,
-            ShedReason::ByteBudget => &mut self.shed_byte_budget,
             ShedReason::Evicted => &mut self.shed_evicted,
-            ShedReason::Brownout => &mut self.shed_brownout,
         }
     }
 

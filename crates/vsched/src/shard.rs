@@ -1,5 +1,4 @@
-//! Per-worker shards: a private shell pool plus a priority/deadline run
-//! queue — and the records (`Ticket`, `Parked`) a request travels as.
+//! Per-worker shards: a private shell pool plus a priority run queue — and the records (`Ticket`, `Parked`) a request travels as.
 //!
 //! §5.2's single shell pool amortizes `KVM_CREATE_VM`; at platform scale a
 //! single pool becomes the serialization point every worker contends on.
@@ -41,13 +40,11 @@ pub(crate) struct Ticket {
     /// of its open trace. A retry runs under the logical request's own
     /// number; a hedge duplicate gets a fresh one (see `crate::openreq`).
     pub seq: u64,
-    /// Effective priority: tenant base plus per-request boost.
+    /// The tenant's priority.
     pub priority: u8,
     /// Original arrival (cycles); end-to-end latency spans every attempt
     /// and every park.
     pub arrival: u64,
-    /// Absolute deadline in cycles; `u64::MAX` when none.
-    pub deadline: u64,
 }
 
 /// What a run has consumed so far, threaded from its first execution
@@ -128,13 +125,12 @@ impl Eq for Queued {}
 
 impl Ord for Queued {
     /// Max-heap order: woken blocked runs first, then higher priority,
-    /// then earlier deadline, then submission order.
+    /// then submission order.
     fn cmp(&self, other: &Queued) -> Ordering {
         let (a, b) = (&self.ticket, &other.ticket);
         self.front
             .cmp(&other.front)
             .then(a.priority.cmp(&b.priority))
-            .then(b.deadline.cmp(&a.deadline))
             .then(b.seq.cmp(&a.seq))
     }
 }
@@ -265,7 +261,7 @@ impl Shard {
 mod tests {
     use super::*;
 
-    fn q(priority: u8, deadline: u64, seq: u64) -> Queued {
+    fn q(priority: u8, seq: u64) -> Queued {
         Queued {
             front: false,
             ticket: Ticket {
@@ -274,7 +270,6 @@ mod tests {
                 seq,
                 priority,
                 arrival: 0,
-                deadline,
             },
             work: Work::Fresh {
                 args: Vec::new(),
@@ -284,26 +279,26 @@ mod tests {
     }
 
     #[test]
-    fn heap_pops_priority_then_deadline_then_fifo() {
+    fn heap_pops_priority_then_fifo() {
         let mut h = BinaryHeap::new();
-        h.push(q(0, u64::MAX, 1));
-        h.push(q(2, u64::MAX, 2));
-        h.push(q(2, 500, 3));
-        h.push(q(1, 100, 4));
-        h.push(q(0, u64::MAX, 0));
+        h.push(q(0, 1));
+        h.push(q(2, 3));
+        h.push(q(2, 2));
+        h.push(q(1, 4));
+        h.push(q(0, 0));
         let order: Vec<u64> = std::iter::from_fn(|| h.pop())
             .map(|x| x.ticket.seq)
             .collect();
-        // Priority 2 first (deadline 500 beats none), then priority 1,
-        // then priority 0 in submission order.
-        assert_eq!(order, vec![3, 2, 4, 0, 1]);
+        // Priority 2 first in submission order, then priority 1, then
+        // priority 0 in submission order.
+        assert_eq!(order, vec![2, 3, 4, 0, 1]);
     }
 
     #[test]
     fn woken_blocked_runs_outrank_every_priority_class() {
         let mut h = BinaryHeap::new();
-        h.push(q(9, 100, 0));
-        let mut woken = q(0, u64::MAX, 1);
+        h.push(q(9, 0));
+        let mut woken = q(0, 1);
         woken.front = true;
         h.push(woken);
         let order: Vec<u64> = std::iter::from_fn(|| h.pop())

@@ -30,62 +30,38 @@ impl TenantId {
     }
 }
 
-/// Why the dispatcher refused a request at admission or dropped it before
-/// execution.
+/// Why the dispatcher refused a request at admission or dropped it after.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// The tenant's token bucket was empty: it exceeded its sustained rate.
     RateLimited,
     /// The tenant already has `max_in_flight` requests queued or running.
     InFlightCap,
-    /// The request's deadline passed while it waited in a shard queue.
-    DeadlineMissed,
-    /// Deadline-aware admission: the target shard's backlog already makes
-    /// the deadline unmeetable (estimated queue wait × recent per-request
-    /// cost lands past it), so the request is shed at `submit` instead of
-    /// wasting queue space on a guaranteed miss.
-    DeadlineUnmeetable,
-    /// The tenant's *byte* bucket was empty: the request's payload bytes
-    /// (args plus invocation payload, counted at submit) exceeded its
-    /// sustained byte rate. Request and byte budgets are independent — a
-    /// tenant within its request rate can still be shed for fat payloads.
-    ByteBudget,
     /// Shard lifecycle evicted an admitted run that could not be
     /// re-admitted elsewhere: its drain grace period
-    /// ([`TenantProfile::drain_grace`]) expired while it was still parked
-    /// on a draining shard, or the shard it was parked on failed and the
-    /// suspended state died with it. This is the only post-admission shed
-    /// besides [`ShedReason::DeadlineMissed`]; movable work (queued
-    /// requests, migratable suspensions, warm shells) is relocated by the
-    /// reconciler instead and never sees this reason.
+    /// ([`crate::DispatcherConfig::drain_grace`]) expired while it was
+    /// still parked on a draining shard, or the shard it was parked on
+    /// failed and the suspended state died with it. This is the only
+    /// post-admission shed; movable work (queued requests, migratable
+    /// suspensions, warm shells) is relocated by the reconciler instead
+    /// and never sees this reason.
     Evicted,
-    /// The brownout controller ([`crate::BrownoutConfig`]) was holding a
-    /// degradation level whose priority floor the request's effective
-    /// priority fell below: the burn-rate pager was firing and the
-    /// dispatcher shed low-priority tiers at the door to protect the SLO
-    /// of the rest. Charged before any token bucket, so a browned-out
-    /// request burns no budget.
-    Brownout,
 }
 
 impl ShedReason {
     /// Every reason, in the order the stats surfaces list them.
-    pub const ALL: [ShedReason; 7] = [
+    pub const ALL: [ShedReason; 3] = [
         ShedReason::RateLimited,
         ShedReason::InFlightCap,
-        ShedReason::DeadlineMissed,
-        ShedReason::DeadlineUnmeetable,
-        ShedReason::ByteBudget,
         ShedReason::Evicted,
-        ShedReason::Brownout,
     ];
 
     /// Whether the request was refused by `submit` itself — before it was
     /// admitted, so it never held an in-flight slot, a sequence number, or
-    /// a queue entry. The other reasons shed an *admitted* request and
-    /// must give its in-flight slot back.
+    /// a queue entry. [`ShedReason::Evicted`] sheds an *admitted* request
+    /// and must give its in-flight slot back.
     pub fn at_door(self) -> bool {
-        !matches!(self, ShedReason::DeadlineMissed | ShedReason::Evicted)
+        self != ShedReason::Evicted
     }
 
     /// Stable snake_case label for this reason, matching the `outcome`
@@ -96,11 +72,7 @@ impl ShedReason {
         match self {
             ShedReason::RateLimited => "rate_limit",
             ShedReason::InFlightCap => "in_flight",
-            ShedReason::DeadlineMissed => "deadline",
-            ShedReason::DeadlineUnmeetable => "deadline_unmeetable",
-            ShedReason::ByteBudget => "byte_budget",
             ShedReason::Evicted => "evicted",
-            ShedReason::Brownout => "brownout",
         }
     }
 }
@@ -110,11 +82,7 @@ impl std::fmt::Display for ShedReason {
         match self {
             ShedReason::RateLimited => write!(f, "rate limited"),
             ShedReason::InFlightCap => write!(f, "in-flight cap reached"),
-            ShedReason::DeadlineMissed => write!(f, "deadline missed"),
-            ShedReason::DeadlineUnmeetable => write!(f, "deadline unmeetable at admission"),
-            ShedReason::ByteBudget => write!(f, "byte budget exhausted"),
             ShedReason::Evicted => write!(f, "evicted by shard lifecycle"),
-            ShedReason::Brownout => write!(f, "shed by overload brownout"),
         }
     }
 }
@@ -275,14 +243,6 @@ pub struct TenantProfile {
     /// Token-bucket capacity: the largest instantaneous burst admitted
     /// from a full bucket.
     pub burst: f64,
-    /// Sustained admission rate in payload *bytes* per virtual second
-    /// (request args plus invocation payload, counted at submit);
-    /// `f64::INFINITY` disables byte budgeting.
-    pub byte_rate_bps: f64,
-    /// Byte-bucket capacity: the largest single-instant payload volume
-    /// admitted from a full bucket. A request carrying more bytes than
-    /// this can never be admitted (shed with [`ShedReason::ByteBudget`]).
-    pub byte_burst: f64,
     /// Maximum requests this tenant may have queued or running at once.
     pub max_in_flight: usize,
     /// Hypercall ceiling, intersected with each spec's policy (§5.1
@@ -295,14 +255,6 @@ pub struct TenantProfile {
     /// in-flight slot; past the bound it is killed with a wiped shell and
     /// counted in [`TenantStats::blocked_timeout`]. `None` waits forever.
     pub max_block: Option<Cycles>,
-    /// How long this tenant's parked runs may linger on a *draining*
-    /// shard when they cannot be migrated out (no eligible sibling, or a
-    /// spin-polling wait that pins its worker), measured from the later
-    /// of the drain start and the park. Past the bound the run is
-    /// hard-stopped and — its input already consumed, so re-admission is
-    /// impossible — shed with [`ShedReason::Evicted`]. `None` falls back
-    /// to [`crate::DispatcherConfig::drain_grace`].
-    pub drain_grace: Option<Cycles>,
     /// Exactly-once retry of work lost to shard failure; `None` (the
     /// default) sheds lost work with [`ShedReason::Evicted`] as before.
     pub retry: Option<RetryPolicy>,
@@ -321,13 +273,10 @@ impl TenantProfile {
             name: name.into(),
             rate_rps: f64::INFINITY,
             burst: 1.0,
-            byte_rate_bps: f64::INFINITY,
-            byte_burst: 1.0,
             max_in_flight: usize::MAX,
             mask: HypercallMask::DENY_ALL,
             priority: 0,
             max_block: None,
-            drain_grace: None,
             retry: None,
             hedge: None,
         }
@@ -338,16 +287,6 @@ impl TenantProfile {
         assert!(burst >= 1.0, "burst below one admits nothing");
         self.rate_rps = rate_rps;
         self.burst = burst;
-        self
-    }
-
-    /// Sets the payload-byte rate and burst capacity (builder style):
-    /// the byte-budget half of admission, beside the request-count
-    /// bucket of [`TenantProfile::with_rate`].
-    pub fn with_byte_rate(mut self, bytes_per_s: f64, burst_bytes: f64) -> TenantProfile {
-        assert!(burst_bytes > 0.0, "a zero byte burst admits no payload");
-        self.byte_rate_bps = bytes_per_s;
-        self.byte_burst = burst_bytes;
         self
     }
 
@@ -374,16 +313,6 @@ impl TenantProfile {
     pub fn with_max_block(mut self, secs: f64) -> TenantProfile {
         assert!(secs > 0.0, "a zero block budget kills every block");
         self.max_block = Some(Cycles::from_micros(secs * 1e6));
-        self
-    }
-
-    /// Bounds how long this tenant's unmigratable parked runs may ride
-    /// out a shard drain before being hard-stopped and shed as
-    /// [`ShedReason::Evicted`], in virtual seconds (builder style). Zero
-    /// evicts at the first reconcile pass.
-    pub fn with_drain_grace(mut self, secs: f64) -> TenantProfile {
-        assert!(secs >= 0.0, "a drain grace cannot be negative");
-        self.drain_grace = Some(Cycles::from_micros(secs * 1e6));
         self
     }
 
@@ -414,14 +343,6 @@ pub struct TenantStats {
     pub shed_rate_limit: u64,
     /// Requests shed at the in-flight cap.
     pub shed_in_flight: u64,
-    /// Requests dropped in-queue after their deadline passed.
-    pub shed_deadline: u64,
-    /// Requests shed at admission because the deadline was already
-    /// unmeetable given the target shard's backlog.
-    pub shed_deadline_unmeetable: u64,
-    /// Requests shed because the payload exceeded the tenant's byte
-    /// budget.
-    pub shed_byte_budget: u64,
     /// Served requests that ran on a shell stolen from a sibling shard.
     pub stolen_serves: u64,
     /// Served requests that hit a warm shell (delta re-arm).
@@ -440,10 +361,6 @@ pub struct TenantStats {
     /// were parked on a draining shard, or the shard they were parked on
     /// failed.
     pub shed_evicted: u64,
-    /// Requests shed at the door by the brownout controller
-    /// ([`ShedReason::Brownout`]): their priority fell below the active
-    /// degradation level's floor.
-    pub shed_brownout: u64,
     /// Re-submissions performed by the retry machinery (attempts beyond
     /// the first, summed over all logical requests).
     pub retries: u64,
@@ -460,11 +377,7 @@ impl TenantStats {
         match reason {
             ShedReason::RateLimited => &mut self.shed_rate_limit,
             ShedReason::InFlightCap => &mut self.shed_in_flight,
-            ShedReason::DeadlineMissed => &mut self.shed_deadline,
-            ShedReason::DeadlineUnmeetable => &mut self.shed_deadline_unmeetable,
-            ShedReason::ByteBudget => &mut self.shed_byte_budget,
             ShedReason::Evicted => &mut self.shed_evicted,
-            ShedReason::Brownout => &mut self.shed_brownout,
         }
     }
 
@@ -475,10 +388,11 @@ impl TenantStats {
     }
 }
 
-/// A token bucket refilled in virtual time. Public because edge layers
-/// (the `vhttp` ingress) reuse it for per-tenant admission accounting
-/// *in front of* the cluster, so a tenant over budget is shed at the
-/// edge with the same refill semantics the dispatcher would apply.
+/// A token bucket refilled in virtual time — the one definition every
+/// admission budget uses: the dispatcher's per-tenant rate limit, the
+/// per-tenant retry budget (`crate::openreq`), and the `vhttp` ingress's
+/// edge admission, which sheds a tenant over budget *in front of* the
+/// cluster with the same refill semantics the dispatcher would apply.
 #[derive(Debug, Clone)]
 pub struct TokenBucket {
     tokens: f64,
@@ -499,38 +413,20 @@ impl TokenBucket {
         }
     }
 
-    /// Refills up to `now` and tries to charge one token (the
-    /// one-bucket convenience over `can_admit` + `take`; the
-    /// dispatcher's admission checks the request and byte buckets
-    /// jointly instead, and the edge uses this form directly).
+    /// Refills up to `now` and tries to charge one token; a refusal
+    /// charges nothing.
     pub fn admit(&mut self, now: Cycles) -> bool {
-        if !self.can_admit(now, 1.0) {
-            return false;
-        }
-        self.take(1.0);
-        true
-    }
-
-    /// Refills up to `now` and reports whether `cost` tokens are
-    /// available, without charging — `submit` checks the request and the
-    /// byte bucket jointly before charging either, so a request refused
-    /// by one bucket never burns tokens from the other.
-    pub fn can_admit(&mut self, now: Cycles, cost: f64) -> bool {
         if !self.rate_rps.is_finite() {
             return true;
         }
         let dt = now.saturating_sub(self.last_refill).as_secs();
         self.tokens = (self.tokens + dt * self.rate_rps).min(self.burst);
         self.last_refill = Cycles(self.last_refill.get().max(now.get()));
-        self.tokens >= cost
-    }
-
-    /// Charges `cost` tokens the caller just checked with
-    /// [`TokenBucket::can_admit`].
-    pub fn take(&mut self, cost: f64) {
-        if self.rate_rps.is_finite() {
-            self.tokens -= cost;
+        if self.tokens < 1.0 {
+            return false;
         }
+        self.tokens -= 1.0;
+        true
     }
 }
 
@@ -539,9 +435,6 @@ impl TokenBucket {
 pub(crate) struct TenantState {
     pub(crate) profile: TenantProfile,
     pub(crate) bucket: TokenBucket,
-    /// The byte-budget bucket beside the request bucket: charged the
-    /// request's payload bytes at submit.
-    pub(crate) byte_bucket: TokenBucket,
     /// The retry-budget bucket, present only when the profile carries a
     /// [`RetryPolicy`]: charged one token per re-submission.
     pub(crate) retry_bucket: Option<TokenBucket>,
@@ -555,14 +448,12 @@ pub(crate) struct TenantState {
 impl TenantState {
     pub(crate) fn new(profile: TenantProfile) -> TenantState {
         let bucket = TokenBucket::new(profile.rate_rps, profile.burst);
-        let byte_bucket = TokenBucket::new(profile.byte_rate_bps, profile.byte_burst);
         let retry_bucket = profile
             .retry
             .map(|r| TokenBucket::new(r.budget_rps, r.budget_burst));
         TenantState {
             profile,
             bucket,
-            byte_bucket,
             retry_bucket,
             stats: TenantStats::default(),
             e2e: Histogram::new(),
@@ -605,44 +496,14 @@ mod tests {
     }
 
     #[test]
-    fn byte_costs_draw_down_the_bucket_without_charging_on_refusal() {
-        // 100 bytes/s, 64-byte burst: a 48-byte payload admits, the next
-        // 48-byte one doesn't — and the refusal must not charge.
-        let mut b = TokenBucket::new(100.0, 64.0);
-        let t0 = Cycles::ZERO;
-        assert!(b.can_admit(t0, 48.0));
-        b.take(48.0);
-        assert!(!b.can_admit(t0, 48.0));
-        assert!(b.can_admit(t0, 16.0), "refusal left the 16 bytes intact");
-        // 320 ms at 100 B/s refills 32 bytes: 48 fits again.
-        let t1 = Cycles::from_micros(320_000.0);
-        assert!(b.can_admit(t1, 48.0));
-        b.take(48.0);
-        // A payload above the burst can never be admitted.
-        let late = Cycles::from_micros(60_000_000.0);
-        assert!(!b.can_admit(late, 65.0));
-    }
-
-    #[test]
     fn shed_reason_displays() {
         assert_eq!(ShedReason::RateLimited.to_string(), "rate limited");
         assert_eq!(ShedReason::InFlightCap.to_string(), "in-flight cap reached");
-        assert_eq!(ShedReason::DeadlineMissed.to_string(), "deadline missed");
-        assert_eq!(
-            ShedReason::DeadlineUnmeetable.to_string(),
-            "deadline unmeetable at admission"
-        );
-        assert_eq!(ShedReason::ByteBudget.to_string(), "byte budget exhausted");
         assert_eq!(
             ShedReason::Evicted.to_string(),
             "evicted by shard lifecycle"
         );
         assert_eq!(ShedReason::Evicted.label(), "evicted");
-        assert_eq!(
-            ShedReason::Brownout.to_string(),
-            "shed by overload brownout"
-        );
-        assert_eq!(ShedReason::Brownout.label(), "brownout");
     }
 
     #[test]

@@ -1076,11 +1076,9 @@ fn lifecycle_churn_cases(seed: u64, cases: usize) {
         let n_tenants = rng.below(2) + 2;
         let tenants: Vec<_> = (0..n_tenants)
             .map(|i| {
-                let mut p = TenantProfile::new(format!("t{i}")).with_mask(HypercallMask::ALLOW_ALL);
-                if rng.bool(0.5) {
-                    p = p.with_drain_grace(rng.range_f64(0.0005, 0.003));
-                }
-                d.add_tenant(p)
+                d.add_tenant(
+                    TenantProfile::new(format!("t{i}")).with_mask(HypercallMask::ALLOW_ALL),
+                )
             })
             .collect();
         let chan = d.wasp().kernel().chan_open(256);
@@ -1222,7 +1220,7 @@ fn conservation_holds(d: &Dispatcher, tenants: &[vsched::TenantId], admitted: &[
         assert_eq!(t.admitted, admitted, "case {case}: tenant admitted");
         assert_eq!(
             t.admitted,
-            t.served + t.shed_deadline + t.shed_evicted + t.in_flight,
+            t.served + t.shed_evicted + t.in_flight,
             "case {case}: tenant {} conservation",
             id.index()
         );
@@ -1235,7 +1233,7 @@ fn conservation_holds(d: &Dispatcher, tenants: &[vsched::TenantId], admitted: &[
     assert_eq!(g.served, d.completions().len() as u64, "case {case}");
     // Unresolved admitted requests are exactly the held slots.
     assert_eq!(
-        g.admitted - g.served - g.shed_deadline - g.shed_evicted,
+        g.admitted - g.served - g.shed_evicted,
         in_flight,
         "case {case}: conservation"
     );
@@ -1246,8 +1244,8 @@ fn conservation_holds(d: &Dispatcher, tenants: &[vsched::TenantId], admitted: &[
         .sum();
     if live == 0 {
         // Nothing queued or parked: only backoffs still hold slots —
-        // `admitted == served + shed_deadline + shed_evicted +
-        // retried_in_flight`, the form the docs state.
+        // `admitted == served + shed_evicted + retried_in_flight`, the
+        // form the docs state.
         assert_eq!(in_flight, retried, "case {case}: slots with no copy");
     }
 }
@@ -1398,10 +1396,10 @@ fn retry_churn_cases(seed: u64, cases: usize) {
 }
 
 /// Tracing observes a run; it must never change one. The same seeded mix
-/// of serves, door sheds (in-flight cap, rate limit, unmeetable deadline),
-/// in-queue deadline sheds, parks, and hedged requests yields identical
-/// `submit` results, identical completion streams (every field), and
-/// identical stats with tracing on and off — in particular a door shed's
+/// of serves, door sheds (in-flight cap, rate limit), parks, and hedged
+/// requests yields identical `submit` results, identical completion
+/// streams (every field), and identical stats with tracing on and off —
+/// in particular a door shed's
 /// one-span trace must not consume a request sequence number. The one
 /// stat left out is `blocked_cycles`: parked time is read off the shared
 /// clock, which tracing's own calibrated span cost advances. Runs under
@@ -1486,7 +1484,6 @@ fn traced_or_not(
         let tenant = tenants[rng.below(tenants.len())];
         let mut req = Request::new(tenant, worker, t);
         match rng.below(6) {
-            0 => req = req.with_deadline(t + rng.range_f64(0.0, 0.0001)),
             1 if tenant == tenants[2] => {
                 req = Request::new(tenant, consumer, t)
                     .with_invocation(wasp::Invocation::default().with_chans(vec![chan]));

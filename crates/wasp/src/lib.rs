@@ -48,6 +48,5 @@ pub use native::{NativeExit, NativeOutcome, NativeRunner};
 pub use pool::{Pool, PoolMode, PoolStats, WarmExport, DEFAULT_WARM_CAPACITY};
 pub use runtime::{
     Breakdown, ExitKind, RunOutcome, RunResult, ShellRun, ShellSource, SuspendedRun, VirtineId,
-    VirtineSpec, VirtineWarmStats, Wasp, WaspConfig, WaspError, WaspStats, ARGS_ADDR, LOAD_ADDR,
-    NO_SNAPSHOT_ENV,
+    VirtineSpec, Wasp, WaspConfig, WaspError, WaspStats, ARGS_ADDR, LOAD_ADDR, NO_SNAPSHOT_ENV,
 };

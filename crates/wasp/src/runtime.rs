@@ -513,26 +513,9 @@ pub struct WaspStats {
     pub resumes: u64,
 }
 
-/// Per-virtine warm-path statistics (surfaced alongside [`WaspStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VirtineWarmStats {
-    /// Invocations re-armed from a warm shell (delta restore).
-    pub warm_hits: u64,
-    /// Invocations that paid the full sparse restore.
-    pub full_restores: u64,
-    /// Invocations that cold-booted from the image.
-    pub cold_boots: u64,
-    /// Total pages copied by delta re-arms.
-    pub delta_pages: u64,
-    /// Runs that left their shell warm-parkable (normal exit with the
-    /// spec's current snapshot armed).
-    pub warm_ready: u64,
-}
-
 struct SpecEntry {
     spec: VirtineSpec,
     snapshot: Option<Rc<VmSnapshot>>,
-    warm: VirtineWarmStats,
 }
 
 /// A client-supplied hypercall handler. Returning `None` falls through to
@@ -638,7 +621,6 @@ impl Wasp {
         specs.push(SpecEntry {
             spec,
             snapshot: None,
-            warm: VirtineWarmStats::default(),
         });
         Ok(VirtineId(specs.len() - 1))
     }
@@ -650,11 +632,6 @@ impl Wasp {
         if let Some(e) = self.specs.borrow_mut().get_mut(id.0) {
             e.snapshot = None;
         }
-    }
-
-    /// Per-virtine warm-path statistics.
-    pub fn virtine_warm_stats(&self, id: VirtineId) -> Option<VirtineWarmStats> {
-        self.specs.borrow().get(id.0).map(|e| e.warm)
     }
 
     /// Runs one invocation with the canned handlers only.
@@ -812,12 +789,6 @@ impl Wasp {
                     stats.warm_hits += 1;
                     stats.delta_pages_copied += delta_pages;
                 }
-                {
-                    let mut specs = self.specs.borrow_mut();
-                    let warm = &mut specs[id.0].warm;
-                    warm.warm_hits += 1;
-                    warm.delta_pages += delta_pages;
-                }
                 armed = Some(shell_snap);
                 true
             }
@@ -832,12 +803,10 @@ impl Wasp {
                 if let (true, Some(cur)) = (snapshot_enabled, &snap) {
                     vm.restore(cur);
                     self.stats.borrow_mut().snapshot_restores += 1;
-                    self.specs.borrow_mut()[id.0].warm.full_restores += 1;
                     armed = Some(Rc::clone(cur));
                     true
                 } else {
                     vm.load_image(&image);
-                    self.specs.borrow_mut()[id.0].warm.cold_boots += 1;
                     false
                 }
             }
@@ -1088,10 +1057,7 @@ impl Wasp {
                 .get(id.0)
                 .and_then(|e| e.snapshot.clone());
             match (armed, current) {
-                (Some(a), Some(c)) if Rc::ptr_eq(&a, &c) => {
-                    self.specs.borrow_mut()[id.0].warm.warm_ready += 1;
-                    Some(a)
-                }
+                (Some(a), Some(c)) if Rc::ptr_eq(&a, &c) => Some(a),
                 _ => None,
             }
         } else {
@@ -1374,9 +1340,6 @@ init:
             stats.delta_pages_copied,
             out2.breakdown.delta_pages + out3.breakdown.delta_pages
         );
-        let vw = w.virtine_warm_stats(id).unwrap();
-        assert_eq!((vw.warm_hits, vw.cold_boots), (2, 1));
-        assert_eq!(vw.warm_ready, 3, "all runs left the shell parkable");
     }
 
     /// `snapshot(); return *(u64*)8` — reads the second argument word.
