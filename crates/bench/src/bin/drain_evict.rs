@@ -29,6 +29,7 @@
 
 use bench::json::Obj;
 use bench::scenario::{self, ExactlyOnce, Mix, Phase, MEM};
+use vclock::Cycles;
 use vsched::{FaultPlan, Placement, Request, ShardState, TenantProfile};
 use wasp::VirtineSpec;
 
@@ -150,8 +151,8 @@ fn main() {
     let fault_at = (t + 0.001, t + 0.002);
     d.set_fault_plan(
         FaultPlan::new()
-            .kill_shell(fault_at.0, 3)
-            .kill_shard(fault_at.1, 2),
+            .kill_shell(Cycles::from_secs(fault_at.0), 3)
+            .kill_shard(Cycles::from_secs(fault_at.1), 2),
     );
     let faulted = Phase::record(&mut d, &mut t, "fault plan", SETTLE_S, |d, t| {
         drive(d, t, FAULT_ROUNDS)

@@ -33,6 +33,7 @@
 
 use bench::json::Obj;
 use bench::scenario::{self, ExactlyOnce, Mix, Phase, MEM};
+use vclock::Cycles;
 use vsched::{
     FaultPlan, HealthConfig, HealthStats, HedgePolicy, Placement, Request, RetryPolicy, ShardState,
     TenantProfile,
@@ -92,7 +93,7 @@ fn run_scenario() -> Outcome {
             .with_hedge(
                 HedgePolicy::new()
                     .with_quantile(0.99, 0.25)
-                    .with_min_delay(0.00003),
+                    .with_min_delay(Cycles::from_secs(0.00003)),
             )
             .with_retry(RetryPolicy::new()),
     );
@@ -136,9 +137,9 @@ fn run_scenario() -> Outcome {
     let mut plan = FaultPlan::new();
     for k in 0..STRAGGLER_WINDOWS {
         plan = plan.hang_shard(
-            t + 0.0005 + k as f64 * STRAGGLER_PERIOD_S,
+            Cycles::from_secs(t + 0.0005 + k as f64 * STRAGGLER_PERIOD_S),
             STRAGGLER_SHARD,
-            STRAGGLER_HANG_S,
+            Cycles::from_secs(STRAGGLER_HANG_S),
         );
     }
     d.set_fault_plan(plan);
@@ -148,7 +149,11 @@ fn run_scenario() -> Outcome {
     // Failover: shard 2 goes silent for 10 ms. The detector declares it
     // (probe-confirmed), evacuation re-homes its queue, and once the
     // hang lifts, half-open probes restore it — no operator calls.
-    d.set_fault_plan(FaultPlan::new().hang_shard(t + 0.001, FAILOVER_SHARD, FAILOVER_HANG_S));
+    d.set_fault_plan(FaultPlan::new().hang_shard(
+        Cycles::from_secs(t + 0.001),
+        FAILOVER_SHARD,
+        Cycles::from_secs(FAILOVER_HANG_S),
+    ));
     let failover = phase(&mut d, &mut t, "failover", FAILOVER_ROUNDS);
     assert_eq!(
         d.shard_state(FAILOVER_SHARD),

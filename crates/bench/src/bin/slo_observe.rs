@@ -134,13 +134,13 @@ fn run(traced: bool) -> RunOut {
     drive(&mut d, &mut t, HEALTHY_ROUNDS);
     // The injected incident: no warm shells anywhere, every invocation
     // cold-creates.
-    let degrade_at = Cycles::from_micros(t * 1e6);
+    let degrade_at = Cycles::from_secs(t);
     d.set_warm_budget(Some(0), Some(0));
     let warm_phase = d.e2e_hist().clone();
     drive(&mut d, &mut t, DEGRADED_ROUNDS);
     // Degraded steady state: the scrape must show the page firing.
     let degraded_metrics = vhttp::dispatch::prometheus_text(&d);
-    let recovered_at = Cycles::from_micros(t * 1e6);
+    let recovered_at = Cycles::from_secs(t);
     d.set_warm_budget(None, None);
     drive(&mut d, &mut t, RECOVERED_ROUNDS);
     d.run_to_idle();

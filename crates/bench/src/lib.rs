@@ -65,7 +65,7 @@ pub fn header(title: &str, claim: &str) {
 pub fn latency_histogram(lat_s: &[f64]) -> Histogram {
     let mut h = Histogram::new();
     for &s in lat_s {
-        h.record(Cycles::from_micros(s * 1e6).get());
+        h.record(Cycles::from_secs(s).get());
     }
     h
 }

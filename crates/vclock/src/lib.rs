@@ -72,6 +72,22 @@ impl Cycles {
         Cycles((us * TINKER_GHZ * 1_000.0).round() as u64)
     }
 
+    /// Builds a cycle count from seconds at the `tinker` frequency: the
+    /// one place a virtual instant or duration given in seconds enters
+    /// the cycle domain. Exactly `from_micros(s * 1e6)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on NaN, an infinity, or a negative value — which would
+    /// otherwise saturate silently to zero or `u64::MAX` cycles.
+    pub fn from_secs(s: f64) -> Cycles {
+        assert!(
+            s.is_finite() && s >= 0.0,
+            "virtual time must be finite and non-negative, got {s} s"
+        );
+        Cycles::from_micros(s * 1e6)
+    }
+
     /// Saturating subtraction; clamps at zero instead of wrapping.
     pub fn saturating_sub(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.saturating_sub(rhs.0))
@@ -209,6 +225,30 @@ mod tests {
         let c = Cycles(123_456);
         let us = c.as_micros();
         assert_eq!(Cycles::from_micros(us), c);
+    }
+
+    #[test]
+    fn from_secs_is_exactly_the_micros_conversion() {
+        // Every seconds literal the benches and the vperf workloads pass
+        // as an instant or a duration, then a seeded sweep of [0, 200) s.
+        let literals = [
+            0.0, 1e-6, 0.00003, 0.0001, 0.0002, 0.00025, 0.0005, 0.001, 0.002, 0.003, 0.004, 0.005,
+            0.008, 0.010, 0.015, 0.030, 0.040, 0.05, 300.0, 3600.0,
+        ];
+        let mut rng = rng::Rng::seeded(0x5EC5);
+        let sweep = (0..10_000).map(|_| rng.range_f64(0.0, 200.0));
+        for s in literals.into_iter().chain(sweep) {
+            assert_eq!(Cycles::from_secs(s), Cycles::from_micros(s * 1e6), "{s} s");
+        }
+        assert_eq!(Cycles::from_secs(1.0), Cycles(2_690_000_000));
+    }
+
+    #[test]
+    fn from_secs_refuses_nan_infinite_and_negative_time() {
+        for s in [f64::NAN, -1e-9, f64::INFINITY, f64::NEG_INFINITY] {
+            let r = std::panic::catch_unwind(|| Cycles::from_secs(s));
+            assert!(r.is_err(), "{s} s must panic");
+        }
     }
 
     #[test]

@@ -509,7 +509,7 @@ accept:
         self.stats.offered += 1;
         self.advance(arrival_s.max(self.now_s));
         let edge_seq = self.next_seq;
-        let now = Cycles::from_micros(arrival_s * 1e6);
+        let now = Cycles::from_secs(arrival_s);
 
         // The connection's first bytes carry the attribution; the
         // acceptor virtine consumes them off the wire and the edge
@@ -537,7 +537,7 @@ accept:
             return Err(IngressShed::EdgeRate);
         }
 
-        let Some(node) = self.cluster.route(arrival_s) else {
+        let Some(node) = self.cluster.route(now) else {
             self.stats.shed_no_node += 1;
             self.trace_shed(&conn, "shed:no_healthy_node");
             return Err(IngressShed::NoHealthyNode);
@@ -609,7 +609,7 @@ accept:
                     attempts,
                     evacuated: attempts > 1,
                 });
-                let at = Cycles::from_micros(c.finish * 1e6);
+                let at = Cycles::from_secs(c.finish);
                 let detail = || format!("node={node} attempts={attempts}");
                 self.tspan(edge_seq, "ingress_complete", detail, at, at);
                 self.tfinish(edge_seq, "ok", at);
@@ -636,9 +636,9 @@ accept:
         let live = self.reqs.iter().filter(|(_, r)| r.node == failed);
         let pending: Vec<u64> = live.map(|(&seq, _)| seq).collect();
         let mut moved = 0;
-        let now = Cycles::from_micros(t_s * 1e6);
+        let now = Cycles::from_secs(t_s);
         for edge_seq in pending {
-            let Some(dst) = self.cluster.evacuation_target(failed, t_s) else {
+            let Some(dst) = self.cluster.evacuation_target(failed, now) else {
                 self.stats.shed_no_node += 1;
                 self.shed_live(edge_seq, "shed:no_healthy_node", now);
                 continue;
@@ -657,7 +657,7 @@ accept:
                     req.attempts += 1;
                     moved += 1;
                     self.stats.redispatched += 1;
-                    let landed = Cycles::from_micros((t_s + transfer_s) * 1e6);
+                    let landed = Cycles::from_secs(t_s + transfer_s);
                     let hop = || format!("from={failed} to={dst}");
                     self.tspan(edge_seq, "ingress_evacuate", hop, now, landed);
                 }
@@ -679,7 +679,7 @@ accept:
             return Vec::new();
         }
         self.edge.run_until(t_s);
-        let actions = self.cluster.advance_to(t_s);
+        let actions = self.cluster.advance_to(Cycles::from_secs(t_s));
         // Completions first: work that finished before a declaration is
         // terminal and must not be re-run.
         self.collect_completions();

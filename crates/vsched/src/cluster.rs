@@ -37,7 +37,9 @@
 //! inputs instead (see `vhttp::ingress`); `docs/cluster.md` shows the
 //! full handover sequence.
 
-use crate::dispatcher::{cyc, Dispatcher};
+use vclock::Cycles;
+
+use crate::dispatcher::Dispatcher;
 use crate::health::{HealthAction, HealthConfig, HealthStats, ShardHealth};
 use crate::lifecycle::{MemberSet, ShardState};
 use crate::placement::{Candidate, CostEngine, WarmPolicy};
@@ -94,7 +96,7 @@ pub struct Cluster {
     /// plan and the node-level detector.
     members: MemberSet,
     engine: CostEngine,
-    now_s: f64,
+    now: Cycles,
     stats: ClusterStats,
 }
 
@@ -105,7 +107,7 @@ impl Cluster {
             nodes: Vec::new(),
             members: MemberSet::default(),
             engine: CostEngine::new(Placement::LeastLoaded, 1, WarmPolicy::default()),
-            now_s: 0.0,
+            now: Cycles::ZERO,
             stats: ClusterStats::default(),
         }
     }
@@ -170,7 +172,7 @@ impl Cluster {
     /// work completes in place, and [`Cluster::advance_to`] converges it
     /// to `Drained` once empty.
     pub fn drain_node(&mut self, i: usize) {
-        self.members.drain(i, cyc(self.now_s));
+        self.members.drain(i, self.now.get());
     }
 
     /// Returns node `i` to `Active` (routable again), restoring the
@@ -192,7 +194,7 @@ impl Cluster {
     /// later — the edge then re-dispatches from pristine inputs.
     /// Idempotent.
     pub fn fail_node(&mut self, i: usize) {
-        if !self.members.fail(i, cyc(self.now_s)) {
+        if !self.members.fail(i, self.now.get()) {
             return;
         }
         let d = &mut self.nodes[i].d;
@@ -204,27 +206,35 @@ impl Cluster {
     /// Schedules a gray failure: node `node` becomes unreachable at
     /// virtual second `at_s` for `duration_s` (no heartbeats, no
     /// progress), then answers probes again. The detector — not this
-    /// call — declares the failure.
+    /// call — declares the failure. Takes seconds, unlike its siblings,
+    /// because `vperf` calls it so: both instants convert once with
+    /// [`Cycles::from_secs`], the hang's end from `at_s + duration_s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown node, on a NaN, infinite or negative instant,
+    /// and on a hang that would lift before it starts.
     pub fn hang_node_at(&mut self, at_s: f64, node: usize, duration_s: f64) {
         assert!(node < self.nodes.len(), "unknown node");
-        self.members.plan.hang(at_s, node, Some(duration_s));
+        let until = Cycles::from_secs(at_s + duration_s);
+        let at = Cycles::from_secs(at_s);
+        self.members.plan.hang(at, node, Some(until));
     }
 
-    /// Schedules a permanent node death at virtual second `at_s`: a hang
+    /// Schedules a permanent node death at virtual instant `at`: a hang
     /// that never lifts.
-    pub fn kill_node_at(&mut self, at_s: f64, node: usize) {
+    pub fn kill_node_at(&mut self, at: Cycles, node: usize) {
         assert!(node < self.nodes.len(), "unknown node");
-        self.members.plan.hang(at_s, node, None);
+        self.members.plan.hang(at, node, None);
     }
 
-    /// Node-level [`Candidate`] rows at virtual second `now_s`, index-
+    /// Node-level [`Candidate`] rows at virtual instant `now`, index-
     /// aligned with the node list. `anchor` is the node work would leave
     /// ([`Hop::Local`], never picked by evacuation); every other node is
     /// one [`Hop::CrossNode`] away — routing from the edge passes `None`
     /// and sees a uniform cross-node price, so the decision reduces to
     /// health and load exactly as the lexicographic key orders them.
-    pub fn candidates(&self, anchor: Option<usize>, now_s: f64) -> Vec<Candidate> {
-        let now = cyc(now_s);
+    pub fn candidates(&self, anchor: Option<usize>, now: Cycles) -> Vec<Candidate> {
         self.nodes
             .iter()
             .enumerate()
@@ -238,7 +248,7 @@ impl Cluster {
                 Candidate {
                     shard: i,
                     queue_depth: load.queue_depth,
-                    free_at: load.free_at.max(now),
+                    free_at: load.free_at.max(now.get()),
                     idle_shells: load.idle_shells,
                     warm_shells: load.warm_shells,
                     hop,
@@ -249,12 +259,12 @@ impl Cluster {
             .collect()
     }
 
-    /// Picks the node for a fresh edge request at `now_s` — the least
+    /// Picks the node for a fresh edge request at `now` — the least
     /// loaded routable node under the engine's evacuation key (from the
     /// edge, every node is one `CrossNode` hop). `None` when no node is
     /// routable; the edge sheds.
-    pub fn route(&mut self, now_s: f64) -> Option<usize> {
-        let c = self.candidates(None, now_s);
+    pub fn route(&mut self, now: Cycles) -> Option<usize> {
+        let c = self.candidates(None, now);
         let picked = self.engine.evacuate(&c)?;
         self.stats.routed += 1;
         self.nodes[picked].routed += 1;
@@ -264,8 +274,8 @@ impl Cluster {
     /// Picks the destination for work evacuating off node `from` —
     /// same key, `from` anchored [`Hop::Local`] so it can never receive
     /// its own evacuation. `None` when no other node is routable.
-    pub fn evacuation_target(&self, from: usize, now_s: f64) -> Option<usize> {
-        self.engine.evacuate(&self.candidates(Some(from), now_s))
+    pub fn evacuation_target(&self, from: usize, now: Cycles) -> Option<usize> {
+        self.engine.evacuate(&self.candidates(Some(from), now))
     }
 
     /// Records `n` cross-node re-dispatches performed by the edge, each
@@ -296,7 +306,7 @@ impl Cluster {
         self.members.health_view()
     }
 
-    /// Advances every node in lockstep virtual time to `t_s`, applying
+    /// Advances every node in lockstep virtual time to `t`, applying
     /// due faults, feeding node heartbeats, polling the detector, and
     /// converging draining nodes. Returns every lifecycle action taken;
     /// a second call at an instant already reached returns none.
@@ -306,30 +316,29 @@ impl Cluster {
     /// a hung node is frozen — its dispatcher does not advance and its
     /// monitor slot goes silent, which is exactly what a partitioned
     /// node looks like from a control plane.
-    pub fn advance_to(&mut self, t_s: f64) -> Vec<ClusterAction> {
+    pub fn advance_to(&mut self, t: Cycles) -> Vec<ClusterAction> {
         let mut actions = Vec::new();
-        if t_s <= self.now_s {
+        if t <= self.now {
             return actions;
         }
-        let step_s = match self.members.heartbeat_interval() {
-            Some(hb) => (hb.as_secs() / 2.0).max(1e-6),
-            None => t_s - self.now_s,
+        let step = match self.members.heartbeat_interval() {
+            Some(hb) => Cycles(hb.get() / 2).max(Cycles::from_secs(1e-6)),
+            None => t - self.now,
         };
-        let mut ts = self.now_s;
-        while ts < t_s {
-            ts = (ts + step_s).min(t_s);
+        let mut now = self.now;
+        while now < t {
+            now = (now + step).min(t);
             // Node faults are hangs; the member set keeps their count.
-            while self.members.pop_due(ts).is_some() {}
+            while self.members.pop_due(now).is_some() {}
 
-            let now = cyc(ts);
             for i in 0..self.nodes.len() {
                 if !self.members.is_hung(i) {
-                    self.nodes[i].d.run_until(ts);
-                    self.members.heartbeat(i, now);
+                    self.nodes[i].d.run_to(now);
+                    self.members.heartbeat(i, now.get());
                 }
             }
 
-            for a in self.members.poll(now) {
+            for a in self.members.poll(now.get()) {
                 match a {
                     HealthAction::Declare(i) => {
                         self.fail_node(i);
@@ -352,7 +361,7 @@ impl Cluster {
                 }
             }
         }
-        self.now_s = t_s;
+        self.now = t;
         actions
     }
 
@@ -418,7 +427,7 @@ mod tests {
     #[test]
     fn candidates_price_every_remote_node_one_cross_node_hop() {
         let (c, _, _) = two_node_cluster();
-        let rows = c.candidates(Some(0), 0.0);
+        let rows = c.candidates(Some(0), Cycles::ZERO);
         assert_eq!(rows[0].hop, Hop::Local);
         assert_eq!(rows[0].transfer_cost, 0);
         assert_eq!(rows[1].hop, Hop::CrossNode);
@@ -435,7 +444,11 @@ mod tests {
                 .submit(Request::new(tenant, virtine, 0.0))
                 .unwrap();
         }
-        assert_eq!(c.route(0.0), Some(1), "deeper queue must lose the route");
+        assert_eq!(
+            c.route(Cycles::ZERO),
+            Some(1),
+            "deeper queue must lose the route"
+        );
         assert_eq!(c.stats().routed, 1);
         assert_eq!(c.routed_to(1), 1);
     }
@@ -445,9 +458,9 @@ mod tests {
         let (mut c, _, _) = two_node_cluster();
         c.drain_node(0);
         assert!(!c.routable(0));
-        assert_eq!(c.route(0.0), Some(1));
+        assert_eq!(c.route(Cycles::ZERO), Some(1));
         // An empty draining node converges to Drained on the next tick.
-        let actions = c.advance_to(0.001);
+        let actions = c.advance_to(Cycles::from_secs(0.001));
         assert!(actions.contains(&ClusterAction::NodeDrained { node: 0 }));
         assert_eq!(c.node_state(0), ShardState::Drained);
         c.restore_node(0);
@@ -458,8 +471,12 @@ mod tests {
     fn evacuation_target_never_picks_the_failed_node() {
         let (mut c, _, _) = two_node_cluster();
         c.fail_node(0);
-        assert_eq!(c.evacuation_target(0, 0.0), Some(1));
-        assert_eq!(c.evacuation_target(1, 0.0), None, "only the anchor is left");
+        assert_eq!(c.evacuation_target(0, Cycles::ZERO), Some(1));
+        assert_eq!(
+            c.evacuation_target(1, Cycles::ZERO),
+            None,
+            "only the anchor is left"
+        );
     }
 
     #[test]
@@ -473,7 +490,7 @@ mod tests {
         // Node 1 partitions for 10 ms — an eternity against the 500 µs
         // heartbeat interval and threshold 4.
         c.hang_node_at(0.001, 1, 0.010);
-        let actions = c.advance_to(0.008);
+        let actions = c.advance_to(Cycles::from_secs(0.008));
         assert!(actions.contains(&ClusterAction::NodeDeclared { node: 1 }));
         assert!(!c.routable(1));
         assert_eq!(c.node_state(1), ShardState::Failed);
@@ -486,7 +503,7 @@ mod tests {
             .iter()
             .all(|s| *s == ShardState::Failed));
         // The hang lifts; recovery probes restore the node.
-        let actions = c.advance_to(0.030);
+        let actions = c.advance_to(Cycles::from_secs(0.030));
         assert!(actions.contains(&ClusterAction::NodeRestored { node: 1 }));
         assert!(c.routable(1));
         assert_eq!(c.health_stats().unwrap().restored, 1);
@@ -497,8 +514,8 @@ mod tests {
             c.node_mut(1).submit(Request::new(t, v, 0.0)).unwrap();
             c.hang_node_at(0.001, 1, 0.010);
             let mut log = Vec::new();
-            log.extend(c.advance_to(0.008));
-            log.extend(c.advance_to(0.030));
+            log.extend(c.advance_to(Cycles::from_secs(0.008)));
+            log.extend(c.advance_to(Cycles::from_secs(0.030)));
             (log, c.health_stats().unwrap().probes)
         };
         assert_eq!(run(0xC1), run(0xC1));
@@ -514,22 +531,32 @@ mod tests {
         let mut nodes = Vec::new();
         c.drain_node(0);
         assert_eq!(c.node_state(0), ShardState::Draining, "until the next step");
-        c.advance_to(0.001);
+        c.advance_to(Cycles::from_secs(0.001));
         nodes.push(c.node_state(0));
         c.restore_node(0);
         nodes.push(c.node_state(0));
-        c.advance_to(0.010);
+        c.advance_to(Cycles::from_secs(0.010));
         nodes.push(c.node_state(0));
-        c.advance_to(0.030);
+        c.advance_to(Cycles::from_secs(0.030));
         nodes.push(c.node_state(0));
-        assert!(c.advance_to(0.030).is_empty(), "an instant already reached");
-        assert!(c.advance_to(0.020).is_empty(), "an instant in the past");
+        assert!(
+            c.advance_to(Cycles::from_secs(0.030)).is_empty(),
+            "an instant already reached"
+        );
+        assert!(
+            c.advance_to(Cycles::from_secs(0.020)).is_empty(),
+            "an instant in the past"
+        );
 
         // The shard tier, same script: the detector polls as the
         // dispatcher advances, so walk it in 100 µs steps.
         let mut d = node();
         d.set_health(HealthConfig::new().with_seed(0xC3));
-        d.set_fault_plan(FaultPlan::new().hang_shard(0.002, 0, 0.010));
+        d.set_fault_plan(FaultPlan::new().hang_shard(
+            Cycles::from_secs(0.002),
+            0,
+            Cycles::from_secs(0.010),
+        ));
         let walk = |d: &mut Dispatcher, from: f64, to: f64| {
             let steps = ((to - from) / 0.0001).round() as u32;
             for k in 1..=steps {
@@ -562,22 +589,25 @@ mod tests {
         let (mut c, _, _) = two_node_cluster();
         c.set_health(HealthConfig::new().with_seed(0xC4));
         c.hang_node_at(0.001, 1, 0.010);
-        let actions = c.advance_to(0.008);
+        let actions = c.advance_to(Cycles::from_secs(0.008));
         assert!(actions.contains(&ClusterAction::NodeDeclared { node: 1 }));
         assert!(!c.routable(1));
         // Eligibility is the state alone: no detector poll has run since
         // the restore, and the node is routable anyway.
         c.restore_node(1);
         assert!(c.routable(1));
-        assert!(c.candidates(None, 0.008).iter().all(|r| r.eligible));
+        assert!(c
+            .candidates(None, Cycles::from_secs(0.008))
+            .iter()
+            .all(|r| r.eligible));
     }
 
     #[test]
     fn kill_is_permanent_and_evacuation_counts_transfers() {
         let (mut c, _, _) = two_node_cluster();
         c.set_health(HealthConfig::new().with_seed(0xC2));
-        c.kill_node_at(0.001, 0);
-        let actions = c.advance_to(0.010);
+        c.kill_node_at(Cycles::from_secs(0.001), 0);
+        let actions = c.advance_to(Cycles::from_secs(0.010));
         assert!(actions.contains(&ClusterAction::NodeDeclared { node: 0 }));
         c.note_evacuations(3);
         assert_eq!(c.stats().evacuated, 3);
@@ -586,7 +616,7 @@ mod tests {
             3 * costs::VSCHED_TRANSFER_CROSS_NODE
         );
         // Dead for good: far later, still not routable.
-        c.advance_to(0.100);
+        c.advance_to(Cycles::from_secs(0.100));
         assert!(!c.routable(0));
         assert_eq!(c.health_stats().unwrap().restored, 0);
     }

@@ -414,7 +414,7 @@ impl Dispatcher {
             self.mem_sizes.contains_key(&req.virtine),
             "virtine not registered via Dispatcher::register"
         );
-        let arrival = cyc(req.arrival_s).max(self.last_arrival);
+        let arrival = req.arrival.get().max(self.last_arrival);
         self.last_arrival = arrival;
         self.deliver_wakeups(arrival);
         self.advance_with_faults(arrival);
@@ -608,10 +608,10 @@ impl Dispatcher {
                     virtine: ticket.virtine,
                     seq: logical,
                     shard,
-                    arrival: secs(ticket.arrival),
-                    start: secs(progress.first_start),
-                    finish: secs(at),
-                    service: secs(progress.service_so_far),
+                    arrival: Cycles(ticket.arrival).as_secs(),
+                    start: Cycles(progress.first_start).as_secs(),
+                    finish: Cycles(at).as_secs(),
+                    service: Cycles(progress.service_so_far).as_secs(),
                     reused_shell: b.reused_shell,
                     stolen_shell: progress.stolen,
                     warm_hit: b.warm_hit,
@@ -661,13 +661,23 @@ impl Dispatcher {
         self.advance_with_faults(u64::MAX);
     }
 
-    /// Advances the dispatcher to virtual time `t_s`: delivers pending
+    /// Advances the dispatcher to virtual second `t_s`: delivers pending
     /// socket wake-ups (bytes sent by the driver since the last call are
     /// treated as arriving now) and runs every shard batch and block
     /// timeout scheduled before it. The trickled-delivery driver in
     /// `vhttp::dispatch` interleaves this with chunk sends.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a NaN, infinite or negative `t_s`
+    /// ([`Cycles::from_secs`]).
     pub fn run_until(&mut self, t_s: f64) {
-        let t = cyc(t_s).max(self.last_arrival);
+        self.run_to(Cycles::from_secs(t_s));
+    }
+
+    /// [`Dispatcher::run_until`] at a virtual instant.
+    pub(crate) fn run_to(&mut self, t: Cycles) {
+        let t = t.get().max(self.last_arrival);
         self.last_arrival = t;
         self.deliver_wakeups(t);
         self.advance_with_faults(t);
@@ -1269,14 +1279,4 @@ impl Dispatcher {
             .take_warm_victim_of(victim, mem_size)?;
         Some((donor, vm))
     }
-}
-
-/// Virtual seconds → cycles.
-pub(crate) fn cyc(s: f64) -> u64 {
-    Cycles::from_micros(s * 1e6).get()
-}
-
-/// Cycles → virtual seconds.
-fn secs(c: u64) -> f64 {
-    Cycles(c).as_secs()
 }

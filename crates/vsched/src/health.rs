@@ -71,10 +71,13 @@ impl HealthConfig {
         }
     }
 
-    /// Sets the heartbeat interval in virtual seconds (builder style).
-    pub fn with_heartbeat_interval(mut self, secs: f64) -> HealthConfig {
-        assert!(secs > 0.0, "heartbeat interval must be positive");
-        self.heartbeat_interval = Cycles::from_micros(secs * 1e6);
+    /// Sets the heartbeat interval (builder style).
+    pub fn with_heartbeat_interval(mut self, interval: Cycles) -> HealthConfig {
+        assert!(
+            interval > Cycles::ZERO,
+            "heartbeat interval must be positive"
+        );
+        self.heartbeat_interval = interval;
         self
     }
 
@@ -85,12 +88,12 @@ impl HealthConfig {
         self
     }
 
-    /// Sets the probe cadence in virtual seconds and the number of
-    /// consecutive successes that restore a shard (builder style).
-    pub fn with_probes(mut self, interval_secs: f64, to_restore: u32) -> HealthConfig {
-        assert!(interval_secs > 0.0, "probe interval must be positive");
+    /// Sets the probe cadence and the number of consecutive successes
+    /// that restore a shard (builder style).
+    pub fn with_probes(mut self, interval: Cycles, to_restore: u32) -> HealthConfig {
+        assert!(interval > Cycles::ZERO, "probe interval must be positive");
         assert!(to_restore >= 1, "restoring needs at least one probe");
-        self.probe_interval = Cycles::from_micros(interval_secs * 1e6);
+        self.probe_interval = interval;
         self.probes_to_restore = to_restore;
         self
     }
@@ -505,8 +508,8 @@ mod tests {
     fn detector_replays_bit_for_bit_from_the_seed() {
         let run = || {
             let cfg = HealthConfig::new()
-                .with_heartbeat_interval(0.0001)
-                .with_probes(0.00005, 2)
+                .with_heartbeat_interval(Cycles::from_secs(0.0001))
+                .with_probes(Cycles::from_secs(0.00005), 2)
                 .with_seed(42);
             let mut d = HealthDetector::new(cfg, 3);
             let mut log = Vec::new();
@@ -535,9 +538,9 @@ mod tests {
     #[test]
     fn config_builders_validate() {
         let h = HealthConfig::new()
-            .with_heartbeat_interval(0.001)
+            .with_heartbeat_interval(Cycles::from_secs(0.001))
             .with_suspicion_threshold(8.0)
-            .with_probes(0.0005, 5)
+            .with_probes(Cycles::from_secs(0.0005), 5)
             .with_seed(9);
         assert_eq!(h.heartbeat_interval, Cycles::from_micros(1_000.0));
         assert_eq!(h.suspicion_threshold, 8.0);
@@ -546,5 +549,17 @@ mod tests {
         assert_eq!(CircuitState::Closed.label(), "closed");
         assert_eq!(CircuitState::Open.label(), "open");
         assert_eq!(CircuitState::HalfOpen.label(), "half_open");
+    }
+
+    #[test]
+    #[should_panic(expected = "heartbeat interval must be positive")]
+    fn a_zero_heartbeat_interval_is_refused() {
+        let _ = HealthConfig::new().with_heartbeat_interval(Cycles::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "probe interval must be positive")]
+    fn a_zero_probe_interval_is_refused() {
+        let _ = HealthConfig::new().with_probes(Cycles::ZERO, 3);
     }
 }

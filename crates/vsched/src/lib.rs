@@ -136,6 +136,15 @@
 //!   re-dispatches its unresolved work from pristine edge inputs. See
 //!   `docs/cluster.md` and the `ingress_fanout` bench.
 //!
+//! ## Virtual time
+//!
+//! Every instant and duration `vsched` stores or is configured with is
+//! [`vclock::Cycles`]. Seconds enter at three entry points only —
+//! [`Request::new`], [`Dispatcher::run_until`] and
+//! [`Cluster::hang_node_at`] — each converted once, on entry, by
+//! [`vclock::Cycles::from_secs`], which refuses NaN, infinite and
+//! negative times. [`Completion`] still reports f64 seconds.
+//!
 //! ## Example
 //!
 //! ```
@@ -180,6 +189,7 @@ pub use topology::{Hop, Topology};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vclock::Cycles;
     use wasp::{HypercallMask, Invocation, PoolMode, VirtineSpec, Wasp};
 
     const MEM: usize = 64 * 1024;
@@ -230,7 +240,7 @@ mod tests {
     fn in_flight_cap_sheds_excess() {
         let mut d = dispatcher(DispatcherConfig {
             // One huge tick: nothing executes between the submissions.
-            tick: vclock::Cycles::from_micros(10_000_000.0),
+            tick: Cycles::from_micros(10_000_000.0),
             ..DispatcherConfig::default()
         });
         let id = d.register(halt_spec("t")).unwrap();
@@ -279,7 +289,7 @@ mod tests {
         // One huge tick: nothing executes between the submissions, so the
         // clock moves only by what `submit` itself charges.
         let mut d = dispatcher(DispatcherConfig {
-            tick: vclock::Cycles::from_micros(10_000_000.0),
+            tick: Cycles::from_micros(10_000_000.0),
             ..DispatcherConfig::default()
         });
         let id = d.register(halt_spec("t")).unwrap();
@@ -312,6 +322,12 @@ mod tests {
         // Neither refusal took a sequence number.
         let free = d.add_tenant(TenantProfile::new("free"));
         assert_eq!(d.submit(Request::new(free, id, 0.0)), Ok(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "virtual time must be finite and non-negative")]
+    fn a_nan_arrival_is_refused_at_the_entry_point() {
+        let _ = Request::new(TenantId(0), wasp::VirtineId::from_raw(0), f64::NAN);
     }
 
     #[test]
@@ -477,7 +493,7 @@ mod tests {
         let mut d = dispatcher(DispatcherConfig {
             shards: 1,
             batch_size: 1,
-            tick: vclock::Cycles::from_micros(tick_s * 1e6),
+            tick: Cycles::from_secs(tick_s),
             ..DispatcherConfig::default()
         });
         let id = d.register(halt_spec("t")).unwrap();
@@ -1039,7 +1055,7 @@ init:
         let tenant = d.add_tenant(
             TenantProfile::new("t")
                 .with_mask(HypercallMask::ALLOW_ALL)
-                .with_max_block(0.005),
+                .with_max_block(Cycles::from_secs(0.005)),
         );
         let (_client, server) = conn_pair(&d, 91);
         d.submit(Request::new(tenant, blocked, 0.0).with_invocation(Invocation::with_conn(server)))
@@ -1170,7 +1186,7 @@ init:
         let tenant = d.add_tenant(
             TenantProfile::new("t")
                 .with_mask(HypercallMask::ALLOW_ALL)
-                .with_max_block(0.005),
+                .with_max_block(Cycles::from_secs(0.005)),
         );
         let (client, server) = conn_pair(&d, 92);
         d.submit(Request::new(tenant, blocked, 0.0).with_invocation(Invocation::with_conn(server)))
@@ -1449,7 +1465,7 @@ init:
         let mut d = dispatcher(DispatcherConfig {
             shards: 2,
             placement: Placement::ByTenant,
-            tick: vclock::Cycles::from_micros(10_000_000.0),
+            tick: Cycles::from_micros(10_000_000.0),
             ..DispatcherConfig::default()
         });
         let id = d.register(halt_spec("t")).unwrap();
@@ -1517,7 +1533,7 @@ init:
         let mut d = dispatcher(DispatcherConfig {
             shards: 2,
             block: BlockMode::SpinPoll,
-            drain_grace: vclock::Cycles::from_micros(2_000.0),
+            drain_grace: Cycles::from_micros(2_000.0),
             ..DispatcherConfig::default()
         });
         let blocked = d.register(blocking_recv_spec("b")).unwrap();
@@ -1602,7 +1618,7 @@ init:
         let mut d = dispatcher(DispatcherConfig {
             shards: 2,
             placement: Placement::ByTenant,
-            tick: vclock::Cycles::from_micros(10_000_000.0),
+            tick: Cycles::from_micros(10_000_000.0),
             ..DispatcherConfig::default()
         });
         let blocked = d.register(blocking_recv_spec("b")).unwrap();
@@ -1671,7 +1687,7 @@ init:
         });
         let id = d.register(halt_spec("t")).unwrap();
         let tenant = d.add_tenant(TenantProfile::new("t")); // home = shard 0
-        d.set_fault_plan(FaultPlan::new().kill_shard(0.05, 0));
+        d.set_fault_plan(FaultPlan::new().kill_shard(Cycles::from_secs(0.05), 0));
         // Requests straddle the kill: before it they serve on the home,
         // after it they re-route to the survivor. Nothing is lost.
         for i in 0..10 {
@@ -1697,7 +1713,7 @@ init:
         });
         let id2 = d2.register(halt_spec("t")).unwrap();
         let tenant2 = d2.add_tenant(TenantProfile::new("t"));
-        d2.set_fault_plan(FaultPlan::new().kill_shard(0.05, 0));
+        d2.set_fault_plan(FaultPlan::new().kill_shard(Cycles::from_secs(0.05), 0));
         for i in 0..10 {
             d2.submit(Request::new(tenant2, id2, i as f64 * 0.01))
                 .unwrap();
@@ -1726,7 +1742,7 @@ init:
         let tenant = d.add_tenant(TenantProfile::new("t"));
         d.prewarm(MEM, 2);
         let before = d.pool_stats().created;
-        d.set_fault_plan(FaultPlan::new().kill_shell(0.01, 0));
+        d.set_fault_plan(FaultPlan::new().kill_shell(Cycles::from_secs(0.01), 0));
         for i in 0..4 {
             d.submit(Request::new(tenant, id, i as f64 * 0.01)).unwrap();
         }
@@ -1761,14 +1777,18 @@ init:
         let tenant = d.add_tenant(TenantProfile::new("t").with_retry(RetryPolicy::new()));
         d.set_health(
             HealthConfig::new()
-                .with_heartbeat_interval(0.0005)
+                .with_heartbeat_interval(Cycles::from_secs(0.0005))
                 .with_suspicion_threshold(4.0)
-                .with_probes(0.00025, 3),
+                .with_probes(Cycles::from_secs(0.00025), 3),
         );
         // A gray failure on the tenant's home shard: no FaultPlan kill,
         // only a wedged worker from 5 ms to 20 ms. The shard stays
         // Active — only its heartbeat silence gives it away.
-        d.set_fault_plan(FaultPlan::new().hang_shard(0.005, 0, 0.015));
+        d.set_fault_plan(FaultPlan::new().hang_shard(
+            Cycles::from_secs(0.005),
+            0,
+            Cycles::from_secs(0.015),
+        ));
         for step in 0..120u64 {
             let t = step as f64 * 0.0005;
             d.submit(Request::new(tenant, id, t)).unwrap();
@@ -1815,8 +1835,8 @@ init:
         // nested hang's recovery at 4 ms must not un-wedge the shard.
         d.set_fault_plan(
             FaultPlan::new()
-                .hang_shard(0.001, 0, 0.010)
-                .hang_shard(0.002, 0, 0.002),
+                .hang_shard(Cycles::from_secs(0.001), 0, Cycles::from_secs(0.010))
+                .hang_shard(Cycles::from_secs(0.002), 0, Cycles::from_secs(0.002)),
         );
         d.submit(Request::new(tenant, id, 0.005)).unwrap();
         d.run_to_idle();
@@ -1834,15 +1854,20 @@ init:
             });
             let id = d.register(halt_spec("t")).unwrap();
             let tenant = d.add_tenant(
-                TenantProfile::new("t").with_retry(RetryPolicy::new().with_backoff(0.0002)),
+                TenantProfile::new("t")
+                    .with_retry(RetryPolicy::new().with_backoff(Cycles::from_secs(0.0002))),
             );
             d.set_health(
                 HealthConfig::new()
-                    .with_heartbeat_interval(0.0005)
-                    .with_probes(0.00025, 2)
+                    .with_heartbeat_interval(Cycles::from_secs(0.0005))
+                    .with_probes(Cycles::from_secs(0.00025), 2)
                     .with_seed(1234),
             );
-            d.set_fault_plan(FaultPlan::new().hang_shard(0.003, 0, 0.01));
+            d.set_fault_plan(FaultPlan::new().hang_shard(
+                Cycles::from_secs(0.003),
+                0,
+                Cycles::from_secs(0.01),
+            ));
             for step in 0..60u64 {
                 let t = step as f64 * 0.0005;
                 d.submit(Request::new(tenant, id, t)).unwrap();
@@ -1869,12 +1894,13 @@ init:
         let mut d = dispatcher(DispatcherConfig {
             shards: 1,
             // One huge tick: the three requests pile up unexecuted.
-            tick: vclock::Cycles::from_micros(10_000_000.0),
+            tick: Cycles::from_micros(10_000_000.0),
             ..DispatcherConfig::default()
         });
         let id = d.register(halt_spec("t")).unwrap();
         let tenant = d.add_tenant(
-            TenantProfile::new("t").with_retry(RetryPolicy::new().with_backoff(0.0002)),
+            TenantProfile::new("t")
+                .with_retry(RetryPolicy::new().with_backoff(Cycles::from_secs(0.0002))),
         );
         for _ in 0..3 {
             d.submit(Request::new(tenant, id, 0.0)).unwrap();
@@ -1922,7 +1948,11 @@ init:
         let tenant = d.add_tenant(
             TenantProfile::new("t")
                 .with_mask(HypercallMask::ALLOW_ALL)
-                .with_retry(RetryPolicy::new().with_backoff(0.0001).with_jitter(0.0)),
+                .with_retry(
+                    RetryPolicy::new()
+                        .with_backoff(Cycles::from_secs(0.0001))
+                        .with_jitter(0.0),
+                ),
         );
         let chan = d.wasp().kernel().chan_open(256);
         d.submit(
@@ -1967,12 +1997,17 @@ init:
         });
         let id = d.register(halt_spec("t")).unwrap();
         let tenant = d.add_tenant(
-            TenantProfile::new("t").with_hedge(HedgePolicy::new().with_min_delay(0.0002)),
+            TenantProfile::new("t")
+                .with_hedge(HedgePolicy::new().with_min_delay(Cycles::from_secs(0.0002))),
         );
         // Shard 0 (the least-loaded pick at t=0) wedges before the
         // request's batch runs; the copy hedged at 200 µs lands on the
         // healthy sibling and wins.
-        d.set_fault_plan(FaultPlan::new().hang_shard(0.0, 0, 0.01));
+        d.set_fault_plan(FaultPlan::new().hang_shard(
+            Cycles::from_secs(0.0),
+            0,
+            Cycles::from_secs(0.01),
+        ));
         d.submit(Request::new(tenant, id, 0.0)).unwrap();
         d.run_to_idle();
 

@@ -46,7 +46,7 @@
 
 use vclock::{costs, Cycles};
 
-use crate::dispatcher::{cyc, Dispatcher};
+use crate::dispatcher::Dispatcher;
 use crate::health::{HealthAction, HealthConfig, HealthDetector, HealthStats, ShardHealth};
 use crate::openreq::{CopyLoss, RetryCause};
 use crate::request::{BlockMode, FailCause, Terminal};
@@ -176,8 +176,8 @@ pub enum FaultKind {
 /// One scheduled fault at a virtual instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
-    /// Virtual time in seconds at which the fault fires.
-    pub at_s: f64,
+    /// Virtual instant at which the fault fires.
+    pub at: Cycles,
     /// What fails.
     pub kind: FaultKind,
 }
@@ -202,70 +202,57 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Schedules a whole-shard failure at `at_s` virtual seconds
+    /// Schedules a whole-shard failure at virtual instant `at` (builder
+    /// style).
+    pub fn kill_shard(mut self, at: Cycles, shard: usize) -> FaultPlan {
+        self.push(at, FaultKind::KillShard(shard));
+        self
+    }
+
+    /// Schedules a single-shell loss on `shard` at virtual instant `at`
     /// (builder style).
-    pub fn kill_shard(mut self, at_s: f64, shard: usize) -> FaultPlan {
-        self.push(FaultEvent {
-            at_s,
-            kind: FaultKind::KillShard(shard),
-        });
+    pub fn kill_shell(mut self, at: Cycles, shard: usize) -> FaultPlan {
+        self.push(at, FaultKind::KillShell(shard));
         self
     }
 
-    /// Schedules a single-shell loss on `shard` at `at_s` virtual
-    /// seconds (builder style).
-    pub fn kill_shell(mut self, at_s: f64, shard: usize) -> FaultPlan {
-        self.push(FaultEvent {
-            at_s,
-            kind: FaultKind::KillShell(shard),
-        });
-        self
-    }
-
-    /// Schedules a gray failure: `shard` hangs at `at_s` and recovers
-    /// `duration_s` later (builder style). The pair models a wedged
+    /// Schedules a gray failure: `shard` hangs at `at` and recovers
+    /// `duration` later (builder style). The pair models a wedged
     /// worker — a straggler the lifecycle machinery alone never notices,
     /// which is exactly what the health detector exists to catch.
-    pub fn hang_shard(mut self, at_s: f64, shard: usize, duration_s: f64) -> FaultPlan {
-        self.hang(at_s, shard, Some(duration_s));
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + duration` overflows the cycle counter.
+    pub fn hang_shard(mut self, at: Cycles, shard: usize, duration: Cycles) -> FaultPlan {
+        let until = at.get().checked_add(duration.get());
+        self.hang(at, shard, Some(Cycles(until.expect("hang end overflows"))));
         self
     }
 
-    /// Schedules a hang of `member` at `at_s` that lifts `duration_s`
-    /// later — or never, for `None` (a node kill).
-    pub(crate) fn hang(&mut self, at_s: f64, member: usize, duration_s: Option<f64>) {
-        self.push(FaultEvent {
-            at_s,
-            kind: FaultKind::Hang(member),
-        });
-        if let Some(d) = duration_s {
-            assert!(d.is_finite() && d >= 0.0, "hang duration must be finite");
-            self.push(FaultEvent {
-                at_s: at_s + d,
-                kind: FaultKind::Unhang(member),
-            });
+    /// Schedules a hang of `member` at `at` that lifts at `until` — or
+    /// never, for `None` (a node kill).
+    pub(crate) fn hang(&mut self, at: Cycles, member: usize, until: Option<Cycles>) {
+        self.push(at, FaultKind::Hang(member));
+        if let Some(until) = until {
+            assert!(until >= at, "a hang cannot lift before it starts");
+            self.push(until, FaultKind::Unhang(member));
         }
     }
 
-    fn push(&mut self, e: FaultEvent) {
-        // Stable insert keeps ties in insertion order without a sort_by
-        // over f64 keys (total order is fine here: NaN is rejected).
-        assert!(
-            e.at_s.is_finite() && e.at_s >= 0.0,
-            "fault instant must be finite"
-        );
-        let i = self.events.partition_point(|x| x.at_s <= e.at_s);
-        self.events.insert(i, e);
+    fn push(&mut self, at: Cycles, kind: FaultKind) {
+        let i = self.events.partition_point(|x| x.at <= at);
+        self.events.insert(i, FaultEvent { at, kind });
     }
 
     /// The virtual instant of the next pending fault, if any.
-    pub fn next_at(&self) -> Option<f64> {
-        self.events.first().map(|e| e.at_s)
+    pub fn next_at(&self) -> Option<Cycles> {
+        self.events.first().map(|e| e.at)
     }
 
-    /// Pops the next event due at or before `now_s`.
-    pub(crate) fn pop_due(&mut self, now_s: f64) -> Option<FaultEvent> {
-        if self.next_at()? > now_s {
+    /// Pops the next event due at or before `now`.
+    pub(crate) fn pop_due(&mut self, now: Cycles) -> Option<FaultEvent> {
+        if self.next_at()? > now {
             return None;
         }
         Some(self.events.remove(0))
@@ -380,10 +367,10 @@ impl MemberSet {
         true
     }
 
-    /// Pops the next fault due at or before `now_s` and applies a hang or
+    /// Pops the next fault due at or before `now` and applies a hang or
     /// unhang to the member's open-hang count; the tier applies the rest.
-    pub(crate) fn pop_due(&mut self, now_s: f64) -> Option<FaultKind> {
-        let kind = self.plan.pop_due(now_s)?.kind;
+    pub(crate) fn pop_due(&mut self, now: Cycles) -> Option<FaultKind> {
+        let kind = self.plan.pop_due(now)?.kind;
         match kind {
             FaultKind::Hang(i) => self.hangs[i] += 1,
             FaultKind::Unhang(i) => self.hangs[i] -= 1,
@@ -726,11 +713,11 @@ impl Dispatcher {
                 self.reconcile();
             }
             let due_at = self.members.plan.next_at();
-            let Some(at_s) = due_at.filter(|&at_s| cyc(at_s) <= limit) else {
+            let Some(at) = due_at.filter(|at| at.get() <= limit) else {
                 break;
             };
-            self.advance_to(cyc(at_s));
-            while let Some(kind) = self.members.pop_due(at_s) {
+            self.advance_to(at.get());
+            while let Some(kind) = self.members.pop_due(at) {
                 match kind {
                     FaultKind::KillShard(shard) => {
                         self.fail_shard(shard);
@@ -745,7 +732,7 @@ impl Dispatcher {
                         // does not retroactively fill the gap.
                         let tick = self.config.tick.get();
                         let s = &mut self.shards[shard];
-                        s.free_at = s.free_at.max(cyc(at_s));
+                        s.free_at = s.free_at.max(at.get());
                         if !s.queue.is_empty() {
                             s.next_wake = align_up(s.free_at, tick);
                         }
@@ -803,18 +790,18 @@ mod tests {
         assert_eq!(ShardState::Drained.to_string(), "drained");
     }
 
-    /// Every event due at `now_s`, in firing order.
-    fn due(plan: &mut FaultPlan, now_s: f64) -> Vec<FaultEvent> {
-        std::iter::from_fn(|| plan.pop_due(now_s)).collect()
+    /// Every event due at `now` seconds, in firing order.
+    fn due(plan: &mut FaultPlan, now: f64) -> Vec<FaultEvent> {
+        std::iter::from_fn(|| plan.pop_due(Cycles::from_secs(now))).collect()
     }
 
     #[test]
     fn plan_fires_in_time_order_with_stable_ties() {
         let mut plan = FaultPlan::new()
-            .kill_shard(0.5, 1)
-            .kill_shell(0.2, 0)
-            .kill_shard(0.5, 2);
-        assert_eq!(plan.next_at(), Some(0.2));
+            .kill_shard(Cycles::from_secs(0.5), 1)
+            .kill_shell(Cycles::from_secs(0.2), 0)
+            .kill_shard(Cycles::from_secs(0.5), 2);
+        assert_eq!(plan.next_at(), Some(Cycles::from_secs(0.2)));
         assert_eq!(
             due(&mut plan, 0.5)
                 .iter()
@@ -833,16 +820,17 @@ mod tests {
 
     #[test]
     fn hang_shard_schedules_the_hang_and_the_recovery() {
-        let mut plan = FaultPlan::new().hang_shard(0.3, 2, 0.2);
+        let mut plan =
+            FaultPlan::new().hang_shard(Cycles::from_secs(0.3), 2, Cycles::from_secs(0.2));
         assert_eq!(plan.pending(), 2);
-        assert_eq!(plan.next_at(), Some(0.3));
+        assert_eq!(plan.next_at(), Some(Cycles::from_secs(0.3)));
         let due = due(&mut plan, 1.0);
         assert_eq!(
             due.iter().map(|e| e.kind).collect::<Vec<_>>(),
             [FaultKind::Hang(2), FaultKind::Unhang(2)],
-            "hang first, recovery duration_s later"
+            "hang first, recovery duration later"
         );
-        assert_eq!(due[1].at_s, 0.5);
+        assert_eq!(due[1].at, Cycles::from_secs(0.5));
     }
 
     #[test]
@@ -893,10 +881,10 @@ mod tests {
     fn overlapping_hangs_hold_a_member_until_the_last_one_lifts() {
         let mut m = MemberSet::new(1);
         m.plan = FaultPlan::new()
-            .hang_shard(0.001, 0, 0.010)
-            .hang_shard(0.002, 0, 0.002);
+            .hang_shard(Cycles::from_secs(0.001), 0, Cycles::from_secs(0.010))
+            .hang_shard(Cycles::from_secs(0.002), 0, Cycles::from_secs(0.002));
         let hung_after = |m: &mut MemberSet, t: f64| {
-            while m.pop_due(t).is_some() {}
+            while m.pop_due(Cycles::from_secs(t)).is_some() {}
             m.is_hung(0)
         };
         assert!(!hung_after(&mut m, 0.0005));
@@ -907,7 +895,7 @@ mod tests {
         );
         assert!(!hung_after(&mut m, 0.011));
         // A hang with no recovery (a node kill) never lifts.
-        m.plan.hang(0.02, 0, None);
+        m.plan.hang(Cycles::from_secs(0.02), 0, None);
         assert!(hung_after(&mut m, 1e9));
     }
 }

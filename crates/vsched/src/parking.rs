@@ -294,9 +294,9 @@ impl Dispatcher {
 mod tests {
     use hostsim::SockId;
     use vclock::rng::Rng;
+    use vclock::Cycles;
     use wasp::{HypercallMask, Invocation, VirtineId, VirtineSpec, Wasp};
 
-    use crate::dispatcher::cyc;
     use crate::{
         Dispatcher, DispatcherConfig, FaultPlan, LifecycleAction, Placement, Request, TenantId,
         TenantProfile,
@@ -363,7 +363,7 @@ mod tests {
         let homes: Vec<usize> = d.parked.values().map(|p| p.shard).collect();
         assert_eq!(homes, [1, 0], "token order is the reverse of shard order");
         for p in d.parked.values_mut() {
-            p.timeout_at = cyc(0.005);
+            p.timeout_at = Cycles::from_secs(0.005).get();
         }
         d.run_until(0.01);
         let killed: Vec<(usize, f64)> = d
@@ -388,9 +388,13 @@ mod tests {
         let t = d.add_tenant(
             TenantProfile::new("t")
                 .with_mask(HypercallMask::ALLOW_ALL)
-                .with_max_block(0.002),
+                .with_max_block(Cycles::from_secs(0.002)),
         );
-        d.set_fault_plan(FaultPlan::new().hang_shard(0.001, 0, 0.010));
+        d.set_fault_plan(FaultPlan::new().hang_shard(
+            Cycles::from_secs(0.001),
+            0,
+            Cycles::from_secs(0.010),
+        ));
         submit_recv(&mut d, t, id, 70, 0.0);
         d.run_until(0.008);
         assert_eq!(d.parked(), 1, "a wedged worker fires no timeouts");
@@ -443,7 +447,7 @@ mod tests {
         let hasty = d.add_tenant(
             TenantProfile::new("hasty")
                 .with_mask(HypercallMask::ALLOW_ALL)
-                .with_max_block(0.002),
+                .with_max_block(Cycles::from_secs(0.002)),
         );
         let mut rng = Rng::seeded(0x9A2C);
         let mut clients: Vec<SockId> = Vec::new();

@@ -128,20 +128,25 @@ pub struct Request {
     pub args: Vec<u8>,
     /// Invocation state (payload, bound connection, ...).
     pub invocation: Invocation,
-    /// Arrival time in virtual seconds; must be non-decreasing across
-    /// `submit` calls.
-    pub arrival_s: f64,
+    /// Arrival instant; must be non-decreasing across `submit` calls.
+    pub arrival: Cycles,
 }
 
 impl Request {
-    /// A plain request: no arguments, no payload.
+    /// A plain request arriving at virtual second `arrival_s`: no
+    /// arguments, no payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a NaN, infinite or negative arrival
+    /// ([`Cycles::from_secs`]).
     pub fn new(tenant: TenantId, virtine: VirtineId, arrival_s: f64) -> Request {
         Request {
             tenant,
             virtine,
             args: Vec::new(),
             invocation: Invocation::default(),
-            arrival_s,
+            arrival: Cycles::from_secs(arrival_s),
         }
     }
 

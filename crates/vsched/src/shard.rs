@@ -21,7 +21,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use vclock::Cycles;
 use wasp::{Invocation, Pool, SuspendedRun, VirtineId};
 
 use crate::lifecycle::ShardState;
@@ -229,14 +228,10 @@ pub struct ShardSnapshot {
     pub idle_shells: usize,
     /// Warm shells parked in the shard's pool.
     pub warm_shells: usize,
-    /// The shard worker's timeline position in virtual seconds.
-    pub free_at_s: f64,
     /// Lifecycle state at snapshot time.
     pub state: ShardState,
     /// Counters.
     pub stats: ShardStats,
-    /// The shard pool's own statistics.
-    pub pool: wasp::PoolStats,
 }
 
 impl Shard {
@@ -249,10 +244,8 @@ impl Shard {
             parked,
             idle_shells: self.pool.idle_shells(),
             warm_shells: self.pool.warm_shells(),
-            free_at_s: Cycles(self.free_at).as_secs(),
             state,
             stats: self.stats,
-            pool: self.pool.stats(),
         }
     }
 }

@@ -140,10 +140,9 @@ impl RetryPolicy {
         self
     }
 
-    /// Sets the backoff base in virtual seconds (builder style).
-    pub fn with_backoff(mut self, secs: f64) -> RetryPolicy {
-        assert!(secs >= 0.0, "backoff cannot be negative");
-        self.backoff = Cycles::from_micros(secs * 1e6);
+    /// Sets the backoff base (builder style).
+    pub fn with_backoff(mut self, backoff: Cycles) -> RetryPolicy {
+        self.backoff = backoff;
         self
     }
 
@@ -218,10 +217,13 @@ impl HedgePolicy {
         self
     }
 
-    /// Sets the delay floor in virtual seconds (builder style).
-    pub fn with_min_delay(mut self, secs: f64) -> HedgePolicy {
-        assert!(secs > 0.0, "a zero hedge delay duplicates every request");
-        self.min_delay = Cycles::from_micros(secs * 1e6);
+    /// Sets the delay floor (builder style).
+    pub fn with_min_delay(mut self, min_delay: Cycles) -> HedgePolicy {
+        assert!(
+            min_delay > Cycles::ZERO,
+            "a zero hedge delay duplicates every request"
+        );
+        self.min_delay = min_delay;
         self
     }
 }
@@ -308,11 +310,14 @@ impl TenantProfile {
         self
     }
 
-    /// Bounds how long a virtine may stay parked in one blocking wait, in
-    /// virtual seconds (builder style).
-    pub fn with_max_block(mut self, secs: f64) -> TenantProfile {
-        assert!(secs > 0.0, "a zero block budget kills every block");
-        self.max_block = Some(Cycles::from_micros(secs * 1e6));
+    /// Bounds how long a virtine may stay parked in one blocking wait
+    /// (builder style).
+    pub fn with_max_block(mut self, max_block: Cycles) -> TenantProfile {
+        assert!(
+            max_block > Cycles::ZERO,
+            "a zero block budget kills every block"
+        );
+        self.max_block = Some(max_block);
         self
     }
 
@@ -514,14 +519,14 @@ mod tests {
             .with_retry(
                 RetryPolicy::new()
                     .with_max_attempts(4)
-                    .with_backoff(0.0005)
+                    .with_backoff(Cycles::from_secs(0.0005))
                     .with_jitter(0.25)
                     .with_budget(50.0, 8.0),
             )
             .with_hedge(
                 HedgePolicy::new()
                     .with_quantile(0.95, 1.5)
-                    .with_min_delay(0.001),
+                    .with_min_delay(Cycles::from_secs(0.001)),
             );
         let r = p.retry.unwrap();
         assert_eq!(r.max_attempts, 4);
@@ -533,5 +538,17 @@ mod tests {
         assert_eq!(h.min_delay, Cycles::from_micros(1000.0));
         let ts = TenantState::new(TenantProfile::new("r").with_retry(RetryPolicy::new()));
         assert!(ts.retry_bucket.is_some(), "retry policy builds its bucket");
+    }
+
+    #[test]
+    #[should_panic(expected = "a zero hedge delay duplicates every request")]
+    fn a_zero_hedge_delay_is_refused() {
+        let _ = HedgePolicy::new().with_min_delay(Cycles::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "a zero block budget kills every block")]
+    fn a_zero_block_budget_is_refused() {
+        let _ = TenantProfile::new("t").with_max_block(Cycles::ZERO);
     }
 }

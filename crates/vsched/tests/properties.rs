@@ -2,6 +2,7 @@
 //! driven by the repository's seeded PRNG (no external crates).
 
 use vclock::rng::Rng;
+use vclock::Cycles;
 use vsched::{
     Dispatcher, DispatcherConfig, HedgePolicy, Hop, Placement, Request, RetryPolicy, TenantProfile,
     Topology,
@@ -324,7 +325,7 @@ fn parked_blocked_shells_are_never_stolen_or_demoted_and_wipe_on_kill() {
         let a = d.add_tenant(
             TenantProfile::new("a")
                 .with_mask(HypercallMask::ALLOW_ALL)
-                .with_max_block(max_block_s),
+                .with_max_block(Cycles::from_secs(max_block_s)),
         );
         let b = d.add_tenant(TenantProfile::new("b").with_mask(HypercallMask::ALLOW_ALL));
         let c = d.add_tenant(TenantProfile::new("c").with_mask(HypercallMask::ALLOW_ALL));
@@ -613,7 +614,7 @@ fn migrated_resumes_charge_identical_cycles_and_wipe_on_kill() {
                 .unwrap();
             let mut a = TenantProfile::new("a").with_mask(HypercallMask::ALLOW_ALL);
             if let Some(mb) = max_block {
-                a = a.with_max_block(mb);
+                a = a.with_max_block(Cycles::from_secs(mb));
             }
             let a = d.add_tenant(a);
             let chan = d.wasp().kernel().chan_open(64);
@@ -1304,12 +1305,13 @@ fn retry_churn_cases(seed: u64, cases: usize) {
                     .with_retry(
                         RetryPolicy::new()
                             .with_max_attempts((rng.below(3) + 2) as u32)
-                            .with_backoff(rng.range_f64(0.0001, 0.001))
+                            .with_backoff(Cycles::from_secs(rng.range_f64(0.0001, 0.001)))
                             .with_jitter(0.2),
                     );
                 if rng.bool(0.5) {
                     p = p.with_hedge(
-                        HedgePolicy::new().with_min_delay(rng.range_f64(0.0002, 0.002)),
+                        HedgePolicy::new()
+                            .with_min_delay(Cycles::from_secs(rng.range_f64(0.0002, 0.002))),
                     );
                 }
                 d.add_tenant(p)
@@ -1470,7 +1472,7 @@ fn traced_or_not(
         d.add_tenant(
             TenantProfile::new("hedged")
                 .with_mask(HypercallMask::ALLOW_ALL)
-                .with_hedge(HedgePolicy::new().with_min_delay(0.0002)),
+                .with_hedge(HedgePolicy::new().with_min_delay(Cycles::from_secs(0.0002))),
         ),
     ];
 

@@ -89,8 +89,8 @@ pub struct BurnPolicy {
 impl Default for BurnPolicy {
     fn default() -> BurnPolicy {
         BurnPolicy {
-            fast_window: Cycles::from_micros(5.0 * 60.0 * 1e6),
-            slow_window: Cycles::from_micros(60.0 * 60.0 * 1e6),
+            fast_window: Cycles::from_secs(5.0 * 60.0),
+            slow_window: Cycles::from_secs(60.0 * 60.0),
             page_burn: 14.4,
             ticket_burn: 3.0,
         }
