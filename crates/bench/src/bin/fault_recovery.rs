@@ -176,7 +176,7 @@ fn run_scenario() -> Outcome {
     Outcome {
         ledger: ExactlyOnce::of(&s, phases.iter().flat_map(|ph| &ph.completions)),
         phases,
-        retries: s.retries_queued + s.retries_parked,
+        retries: s.retries_queued,
         health: d.health_stats().expect("detector installed"),
     }
 }

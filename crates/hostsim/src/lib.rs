@@ -12,7 +12,6 @@
 //! The kernel object is cheaply cloneable and single-threaded, mirroring the
 //! deterministic discrete simulation used across the workspace.
 
-pub mod chan;
 pub mod fs;
 pub mod net;
 
@@ -22,12 +21,10 @@ use std::rc::Rc;
 use vclock::noise::NoiseModel;
 use vclock::{costs, Clock, Cycles};
 
-pub use chan::{ChanError, ChanId};
 pub use fs::{Fd, FileStat, FsError};
 pub use net::{NetError, SockId};
 
-/// What a non-destructive probe of a receive side — a socket's or a
-/// channel's — says.
+/// What a non-destructive probe of a socket's receive side says.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvReady {
     /// At least one message is queued; a `recv` returns data.
@@ -48,26 +45,13 @@ pub enum RecvReady {
 pub enum WaitTarget {
     /// A socket becoming readable (data or EOF).
     Sock(SockId),
-    /// A channel's receive side becoming readable (data or EOF).
-    ChanRecv(ChanId),
-    /// A channel admitting a send of `len` bytes (or closing). The
-    /// pending length rides along because the wake condition is
-    /// message-specific: a partially-full queue blocks a big send while
-    /// admitting a small one.
-    ChanSend {
-        /// The channel the sender is parked on.
-        chan: ChanId,
-        /// The parked message's length.
-        len: usize,
-    },
 }
 
 /// A provider-independent classification of host I/O failures, shared by
-/// the [`fs`], [`net`], and [`chan`] layers. Wasp maps every hypercall
-/// failure to a guest return code by *class*, so "end of stream", "you
-/// closed this", "backpressure", and "never existed" keep their meanings
-/// across files, sockets, and channels instead of each layer inventing
-/// its own aliasing.
+/// the [`fs`] and [`net`] layers. Wasp maps every hypercall failure to a
+/// guest return code by *class*, so "end of stream", "you closed this",
+/// and "never existed" keep their meanings across files and sockets
+/// instead of each layer inventing its own aliasing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoClass {
     /// The handle was never issued (a caller bug).
@@ -76,8 +60,6 @@ pub enum IoClass {
     Closed,
     /// Clean end-of-stream: not an error; guests see `0`.
     Eof,
-    /// A bounded queue is at capacity: retry or park (backpressure).
-    Full,
     /// The named object does not exist.
     NotFound,
     /// The operation was refused (no listener, not listening).
@@ -110,23 +92,11 @@ impl NetError {
     }
 }
 
-impl ChanError {
-    /// This error's [`IoClass`].
-    pub fn class(&self) -> IoClass {
-        match self {
-            ChanError::BadChan(_) => IoClass::BadHandle,
-            ChanError::Closed(_) => IoClass::Closed,
-            ChanError::Full(_) => IoClass::Full,
-        }
-    }
-}
-
 struct Inner {
     clock: Clock,
     noise: RefCell<NoiseModel>,
     fs: RefCell<fs::InMemFs>,
     net: RefCell<net::LoopbackNet>,
-    chan: RefCell<chan::ChanTable>,
 }
 
 /// A handle to the simulated host kernel.
@@ -169,7 +139,6 @@ impl HostKernel {
                 noise: RefCell::new(noise),
                 fs: RefCell::new(fs::InMemFs::default()),
                 net: RefCell::new(net::LoopbackNet::default()),
-                chan: RefCell::new(chan::ChanTable::default()),
             }),
         }
     }
@@ -349,113 +318,46 @@ impl HostKernel {
         self.inner.net.borrow().open_sockets()
     }
 
-    // -- Cross-virtine channels (host-mediated pipeline plumbing). ---------
-    //
-    // Channels live entirely in the host: guests reach them only through
-    // the `chan_*` hypercalls, each one a mediated exit. Data-moving
-    // operations charge like the socket layer (one syscall round trip plus
-    // a queue-management cost and the per-byte copy); the readiness
-    // machinery is kernel-internal bookkeeping and charges nothing, for
-    // the same reason the socket waiters charge nothing — a blocking
-    // `chan_recv` is *one* syscall whose cost is paid when the message is
-    // delivered.
-
-    /// Creates a channel bounded to `capacity` queued bytes.
-    pub fn chan_open(&self, capacity: usize) -> ChanId {
-        self.syscall_overhead();
-        self.inner.chan.borrow_mut().open(capacity)
-    }
-
-    /// Queues one message on a channel (backpressure via
-    /// [`ChanError::Full`]), waking parked receivers.
-    pub fn chan_send(&self, id: ChanId, data: &[u8]) -> Result<(), ChanError> {
-        self.syscall_overhead();
-        self.inner.chan.borrow_mut().send(id, data)?;
-        self.charge(costs::HOST_CHAN_OP + self.copy_cost(data.len()));
-        Ok(())
-    }
-
-    /// Pops one message from a channel (`None` would block *or* is EOF —
-    /// use [`HostKernel::wait_pending`]), waking parked senders when
-    /// capacity frees up.
-    pub fn chan_recv(&self, id: ChanId, max_len: usize) -> Result<Option<Vec<u8>>, ChanError> {
-        self.syscall_overhead();
-        let got = self.inner.chan.borrow_mut().recv(id, max_len)?;
-        if let Some(data) = &got {
-            self.charge(costs::HOST_CHAN_OP + self.copy_cost(data.len()));
-        }
-        Ok(got)
-    }
-
-    /// Closes a channel: refuses further sends, wakes every waiter.
-    pub fn chan_close(&self, id: ChanId) -> Result<(), ChanError> {
-        self.syscall_overhead();
-        self.inner.chan.borrow_mut().close(id)
-    }
-
     // -- Waits: readiness machinery for event-driven blocked I/O. ----------
     //
     // Kernel-internal bookkeeping, not guest-visible system calls: a
-    // blocking `recv` (or `chan_recv` / `chan_send`) is *one* syscall that
-    // parks in the kernel and completes when its condition holds, so
-    // probing, registration, and wake delivery charge nothing. The
-    // data-moving call at wake time carries the full syscall + copy cost,
-    // exactly once. The per-object rules (one waiter per socket, many per
-    // channel, the send-fits predicate) live in [`net`] and [`chan`].
+    // blocking `recv` is *one* syscall that parks in the kernel and
+    // completes when its socket turns readable, so probing, registration,
+    // and wake delivery charge nothing. The data-moving call at wake time
+    // carries the full syscall + copy cost, exactly once. The per-socket
+    // rule (one waiter per socket) lives in [`net`].
 
     /// Free probe: would a run waiting on `target` still block? `Ok(false)`
-    /// when the awaited operation would complete now — with data, with a
-    /// clean EOF, or (a send to a closed channel aside, which is an error)
-    /// with the message admitted.
+    /// when the awaited `recv` would complete now, with data or with a
+    /// clean EOF.
     pub fn wait_pending(&self, target: WaitTarget) -> Result<bool, IoClass> {
-        let (net, chans) = (self.inner.net.borrow(), self.inner.chan.borrow());
-        let blocks = |ready| ready == RecvReady::WouldBlock;
-        match target {
-            WaitTarget::Sock(sock) => net.poll(sock).map(blocks).map_err(|e| e.class()),
-            WaitTarget::ChanRecv(chan) => chans.poll_recv(chan).map(blocks).map_err(|e| e.class()),
-            WaitTarget::ChanSend { chan, len } => {
-                let fits = chans.send_fits(chan, len);
-                fits.map(|fits| !fits).map_err(|e| e.class())
-            }
-        }
+        let WaitTarget::Sock(sock) = target;
+        let ready = self.inner.net.borrow().poll(sock);
+        ready
+            .map(|r| r == RecvReady::WouldBlock)
+            .map_err(|e| e.class())
     }
 
     /// Registers one-shot `token`, woken when the wait on `target` ends. A
     /// wait that has already ended wakes the token immediately, so
     /// registration never loses a wake that raced the block decision.
     pub fn wait_register(&self, target: WaitTarget, token: u64) -> Result<(), IoClass> {
+        let WaitTarget::Sock(sock) = target;
         let mut net = self.inner.net.borrow_mut();
-        let mut chans = self.inner.chan.borrow_mut();
-        match target {
-            WaitTarget::Sock(sock) => net.register_waiter(sock, token).map_err(|e| e.class()),
-            WaitTarget::ChanRecv(chan) => {
-                let done = chans.register_recv_waiter(chan, token);
-                done.map_err(|e| e.class())
-            }
-            WaitTarget::ChanSend { chan, len } => {
-                let done = chans.register_send_waiter(chan, token, len);
-                done.map_err(|e| e.class())
-            }
-        }
+        net.register_waiter(sock, token).map_err(|e| e.class())
     }
 
-    /// Drops `token`'s registration on `target` (the parked run was woken,
+    /// Drops the registration on `target` (the parked run was woken,
     /// moved, or killed): a later readiness event wakes nobody.
-    pub fn wait_clear(&self, target: WaitTarget, token: u64) {
-        match target {
-            WaitTarget::Sock(sock) => self.inner.net.borrow_mut().clear_waiter(sock),
-            WaitTarget::ChanRecv(chan) | WaitTarget::ChanSend { chan, .. } => {
-                self.inner.chan.borrow_mut().clear_waiter(chan, token);
-            }
-        }
+    pub fn wait_clear(&self, target: WaitTarget) {
+        let WaitTarget::Sock(sock) = target;
+        self.inner.net.borrow_mut().clear_waiter(sock);
     }
 
-    /// Drains the tokens whose waits ended since the last call: socket
-    /// tokens first, then channel tokens, each in wake order.
+    /// Drains the tokens whose waits ended since the last call, in wake
+    /// order.
     pub fn take_woken(&self) -> Vec<u64> {
-        let mut woken = self.inner.net.borrow_mut().take_woken();
-        woken.extend(self.inner.chan.borrow_mut().take_woken());
-        woken
+        self.inner.net.borrow_mut().take_woken()
     }
 }
 
@@ -573,33 +475,9 @@ mod tests {
     }
 
     #[test]
-    fn channels_pass_messages_and_charge_per_byte() {
-        let (clock, k) = kernel();
-        let c = k.chan_open(4096);
-        let t0 = clock.now();
-        k.chan_send(c, b"small").unwrap();
-        let small = clock.now() - t0;
-        assert_eq!(k.chan_recv(c, 64).unwrap().unwrap(), b"small");
-
-        let t0 = clock.now();
-        k.chan_send(c, &vec![7u8; 4096]).unwrap();
-        let big = clock.now() - t0;
-        assert!(big > small, "bigger sends cost more: {big} !> {small}");
-        assert!(k.chan_recv(c, 8192).unwrap().is_some());
-        assert!(k.chan_recv(c, 8192).unwrap().is_none(), "drained");
-
-        k.chan_close(c).unwrap();
-        assert_eq!(k.wait_pending(WaitTarget::ChanRecv(c)), Ok(false), "EOF");
-        assert_eq!(k.chan_send(c, b"x"), Err(ChanError::Closed(c)));
-    }
-
-    #[test]
-    fn error_classes_unify_across_fs_net_and_chan() {
+    fn error_classes_unify_across_fs_and_net() {
         let (_, k) = kernel();
         // Closed means closed, everywhere.
-        let c = k.chan_open(8);
-        k.chan_close(c).unwrap();
-        assert_eq!(k.chan_send(c, b"x").unwrap_err().class(), IoClass::Closed);
         k.net_listen(4).unwrap();
         let s = k.net_connect(4).unwrap();
         k.net_close(s).unwrap();
@@ -609,10 +487,6 @@ mod tests {
         k.sys_close(fd).unwrap();
         assert_eq!(k.sys_read(fd, 8).unwrap_err().class(), IoClass::Closed);
         // Bad handles and EOF keep their own classes.
-        assert_eq!(
-            k.chan_send(ChanId(99), b"x").unwrap_err().class(),
-            IoClass::BadHandle
-        );
         assert_eq!(
             k.net_recv(SockId(99), 8).unwrap_err().class(),
             IoClass::BadHandle

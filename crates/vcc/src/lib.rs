@@ -28,7 +28,7 @@ pub mod parse;
 use std::collections::HashMap;
 
 use visa::asm::Image;
-use vlibc::{crt0_with_heap, layout, Crt0Kind, HYPERCALL4_ASM, HYPERCALL_ASM, LIBC_C};
+use vlibc::{crt0_with_heap, layout, Crt0Kind, HYPERCALL_ASM, LIBC_C};
 use wasp::{HypercallMask, Invocation, RunOutcome, VirtineId, VirtineSpec, Wasp, WaspError};
 
 pub use ast::{Annotation, Program, Type};
@@ -215,7 +215,7 @@ fn link_one(
 ) -> Result<CompiledVirtine, CError> {
     let gen = codegen::generate(program, &[root, "__libc_init"])?;
     for ext in &gen.externs {
-        if ext != "hypercall" && ext != "hypercall4" {
+        if ext != "hypercall" {
             return Err(CError {
                 line: 0,
                 msg: format!("unresolved external function `{ext}`"),
@@ -226,9 +226,6 @@ fn link_one(
     listing.push_str(&gen.text);
     if gen.externs.contains("hypercall") {
         listing.push_str(HYPERCALL_ASM);
-    }
-    if gen.externs.contains("hypercall4") {
-        listing.push_str(HYPERCALL4_ASM);
     }
     listing.push_str(&gen.data);
 
@@ -314,53 +311,6 @@ virtine int fib(int n) {
             cold.breakdown.total
         );
         assert_eq!(warm.ret, cold.ret);
-    }
-
-    #[test]
-    fn vchan_wrappers_compile_and_round_trip_in_guest() {
-        // A self-contained pipeline stage: opens a channel, pushes a
-        // message through it, reads it back non-blockingly, and returns a
-        // checksum — exercising hypercall4 (the flags register must be
-        // pinned to 0/1, not caller garbage) end to end.
-        let src = r#"
-virtine_config(chans) int pipe_echo(int n) {
-    int h = vchan_open(64);
-    if (h < 0) return -1;
-    char msg[16];
-    itoa(n, msg);
-    int len = strlen(msg);
-    if (vchan_send(h, msg, len) != len) return -2;
-    char back[16];
-    int got = vchan_tryrecv(h, back, 16);
-    if (got != len) return -3;
-    back[got] = 0;
-    /* Drained now: tryrecv must report WOULD_BLOCK (-2), not block. */
-    char dummy[4];
-    if (vchan_tryrecv(h, dummy, 4) != 0 - 2) return -4;
-    if (vchan_close(h) != 0) return -5;
-    return atoi(back);
-}
-"#;
-        let unit = compile(src).unwrap();
-        let wasp = Wasp::new_kvm_default();
-        let configs = HashMap::from([(
-            "chans".to_string(),
-            HypercallMask::allowing(&[
-                wasp::nr::GET_DATA,
-                wasp::nr::CHAN_OPEN,
-                wasp::nr::CHAN_SEND,
-                wasp::nr::CHAN_RECV,
-                wasp::nr::CHAN_CLOSE,
-            ]),
-        )]);
-        let id = unit
-            .virtine("pipe_echo")
-            .unwrap()
-            .register_with(&wasp, &configs)
-            .unwrap();
-        let out = invoke(&wasp, id, &[4711]).unwrap();
-        assert!(out.exit.is_normal(), "{:?}", out.exit);
-        assert_eq!(out.ret as i64, 4711);
     }
 
     #[test]

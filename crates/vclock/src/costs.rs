@@ -188,12 +188,6 @@ pub const HOST_NET_STACK: u64 = 5_200;
 /// Cost of `accept` on a pending loopback connection.
 pub const HOST_NET_ACCEPT: u64 = 7_000;
 
-/// Queue-management cost per cross-virtine channel send/recv, excluding
-/// the per-byte copy. Channels are in-kernel byte queues — no network
-/// stack to run — so moving a message is much cheaper than a loopback
-/// socket hop ([`HOST_NET_STACK`]).
-pub const HOST_CHAN_OP: u64 = 900;
-
 /// Cost of creating an SGX enclave ("SGX Create" of Figure 8; enclave
 /// creation adds and measures EPC pages and is millisecond-scale —
 /// the slowest bar on the log-scale axis).

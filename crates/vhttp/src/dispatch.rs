@@ -62,12 +62,8 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
         "counter",
         "Exactly-once re-submissions of work lost to a shard failure, by \
          the copy that was lost: shard_failed_queued (a queued copy with \
-         no surviving shard to evacuate to), shard_failed_parked (a \
-         suspended run that died with its shard)",
-        &[
-            ("{cause=\"shard_failed_queued\"}".into(), s.retries_queued),
-            ("{cause=\"shard_failed_parked\"}".into(), s.retries_parked),
-        ],
+         no surviving shard to evacuate to)",
+        &[("{cause=\"shard_failed_queued\"}".into(), s.retries_queued)],
     );
     out.metric(
         "vsched_retried_in_flight",

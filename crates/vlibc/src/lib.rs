@@ -153,34 +153,11 @@ hypercall:
   ret
 ";
 
-/// The four-argument hypercall trampoline, callable from mini-C as
-/// `int hypercall4(int nr, int a, int b, int c, int d)`.
-///
-/// The `chan_*` calls carry a flags word in the fourth argument register
-/// (`r4`); the three-argument trampoline leaves `r4` holding caller
-/// garbage, which for a flags register would randomly flip a blocking
-/// call non-blocking — so four-argument calls get their own stub that
-/// pins every register they consume.
-pub const HYPERCALL4_ASM: &str = "\
-hypercall4:
-  push fp
-  mov fp, sp
-  load.q r6, [fp + 16]   ; nr
-  load.q r1, [fp + 24]
-  load.q r2, [fp + 32]
-  load.q r3, [fp + 40]
-  load.q r4, [fp + 48]
-  out HC_PORT, r6
-  pop fp
-  ret
-";
-
 /// The mini-C library source: the "newlib port" of §5.3. Compiled into the
 /// same translation unit as user code, so the call-graph cut of §2 prunes
 /// unused routines from the image.
 pub const LIBC_C: &str = r#"
 int hypercall(int nr, int a, int b, int c);
-int hypercall4(int nr, int a, int b, int c, int d);
 
 int __heap_ptr;
 int __heap_limit;
@@ -376,41 +353,6 @@ int vreturn_data(char* buf, int len) {
     return hypercall(10, (int)buf, len, 0);
 }
 
-/* ---- Cross-virtine channels (vchan): pipeline stages exchange bytes
-   through host-mediated bounded queues. Handles are invocation-private
-   indices the host binds before the run (upstream first by convention);
-   vchan_open appends a fresh channel. ---- */
-
-int vchan_open(int capacity) {
-    return hypercall(11, capacity, 0, 0);
-}
-
-/* Blocking: parks the virtine while the channel is at its byte bound
-   (backpressure). Returns len, or -1 if the channel closed. */
-int vchan_send(int h, char* buf, int len) {
-    return hypercall4(12, h, (int)buf, len, 0);
-}
-
-/* Non-blocking: -2 (WOULD_BLOCK) when the channel is full. */
-int vchan_trysend(int h, char* buf, int len) {
-    return hypercall4(12, h, (int)buf, len, 1);
-}
-
-/* Blocking: parks the virtine until a message (or EOF) arrives. Returns
-   the byte count, 0 at end-of-stream, -1 on a bad handle. */
-int vchan_recv(int h, char* buf, int maxlen) {
-    return hypercall4(13, h, (int)buf, maxlen, 0);
-}
-
-/* Non-blocking: -2 (WOULD_BLOCK) when the channel is open but empty. */
-int vchan_tryrecv(int h, char* buf, int maxlen) {
-    return hypercall4(13, h, (int)buf, maxlen, 1);
-}
-
-int vchan_close(int h) {
-    return hypercall(14, h, 0, 0);
-}
-
 int puts(char* s) {
     return vwrite(1, s, strlen(s));
 }
@@ -507,30 +449,6 @@ mod tests {
     fn hypercall_stub_assembles_with_port_equ() {
         let src = format!(".org 0\n.equ HC_PORT, 0x1\n{HYPERCALL_ASM}");
         visa::assemble(&src).expect("hypercall stub must assemble");
-    }
-
-    #[test]
-    fn hypercall4_stub_assembles_and_pins_the_flags_register() {
-        let src = format!(".org 0\n.equ HC_PORT, 0x1\n{HYPERCALL4_ASM}");
-        visa::assemble(&src).expect("hypercall4 stub must assemble");
-        // The whole point of the 4-arg stub: the flags register (r4) is
-        // loaded from the stack, never left holding caller garbage.
-        assert!(HYPERCALL4_ASM.contains("load.q r4, [fp + 48]"));
-        assert!(!HYPERCALL_ASM.contains("load.q r4"));
-    }
-
-    #[test]
-    fn libc_declares_the_vchan_wrappers() {
-        for f in [
-            "vchan_open",
-            "vchan_send",
-            "vchan_trysend",
-            "vchan_recv",
-            "vchan_tryrecv",
-            "vchan_close",
-        ] {
-            assert!(LIBC_C.contains(f), "libc missing {f}");
-        }
     }
 
     #[test]

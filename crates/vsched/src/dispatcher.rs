@@ -30,12 +30,12 @@ use vtrace::slo::SloEngine;
 use vtrace::TraceCollector;
 use wasp::{
     ExitKind, Invocation, Pool, PoolStats, RunOutcome, RunResult, ShellRun, ShellSource, VirtineId,
-    VirtineSpec, WaitTarget, Wasp, WaspError,
+    VirtineSpec, Wasp, WaspError,
 };
 
 use crate::health::{HealthConfig, HealthStats, ShardHealth};
 use crate::lifecycle::MemberSet;
-use crate::openreq::{hedge_delay, CopyFinish, CopyLoss, OpenTable, RetryCause, Timer};
+use crate::openreq::{hedge_delay, CopyFinish, CopyLoss, OpenTable, Timer};
 use crate::placement::{Candidate, CostEngine, WarmPolicy, WarmVerdict};
 use crate::request::{Completion, DispatcherConfig, DispatcherStats, FailCause, Request, Terminal};
 use crate::shard::{align_up, Parked, Progress, Queued, Shard, ShardSnapshot, Ticket, Work};
@@ -920,15 +920,10 @@ impl Dispatcher {
             let ticket = q.ticket;
             if self.open.is_moot(ticket.seq) {
                 // A hedge-race loser whose sibling copy already reached
-                // the terminal outcome: it never executes. A woken
-                // suspension aborts; its shell survives (the worker is
-                // alive) and returns to the pool wiped.
-                if let Work::Resume(p) = q.work {
-                    let (outcome, vm) = self.wasp.abort_suspended(p.run);
-                    debug_assert!(outcome.warm_state.is_none());
-                    self.shards[idx].pool.release(vm);
-                }
-                self.copy_lost(ticket.seq, free, None, None);
+                // the terminal outcome: it never executes. It is a fresh
+                // copy — a parked run is never tracked — so no shell is
+                // held.
+                self.copy_lost(ticket.seq, free, false);
                 continue;
             }
             free = self.execute(idx, q, free);
@@ -1077,9 +1072,8 @@ impl Dispatcher {
     }
 
     /// Routes a run whose execution segment ended at worker position `at`:
-    /// to its completion, or back to the parked set when it blocked —
-    /// possibly on a *different* object than last time (a pipeline stage
-    /// parks on its input channel, then on its output's backpressure).
+    /// to its completion, or back to the parked set when it blocked
+    /// again.
     fn segment_ended(
         &mut self,
         idx: usize,
@@ -1094,30 +1088,21 @@ impl Dispatcher {
         }
     }
 
-    /// Reports one copy of a request gone without finishing — destroyed
-    /// with its shard, evicted, or a hedge-race loser surfacing — to the
-    /// exactly-once table, and does the bookkeeping every such site owes:
-    /// the span of the retry the table may have scheduled, the `park`
-    /// span of a copy that was `parked` (target, since when), and the end
-    /// of the copy's own trace when no shed will close it — a suppressed copy's always, a retried hedge
+    /// Reports one queued copy of a request gone without finishing —
+    /// destroyed with its shard, or a hedge-race loser surfacing — to the
+    /// exactly-once table (`retry` when a shard failure took it), and does
+    /// the bookkeeping every such site owes: the span of the retry the
+    /// table may have scheduled, and the end of the copy's own trace when
+    /// no shed will close it — a suppressed copy's always, a retried hedge
     /// duplicate's too (the retry continues under the logical trace).
     /// Only on [`CopyLoss::Terminal`] does the caller's shed proceed.
-    pub(crate) fn copy_lost(
-        &mut self,
-        seq: u64,
-        at: u64,
-        retry: Option<RetryCause>,
-        parked: Option<(WaitTarget, u64)>,
-    ) -> CopyLoss {
+    pub(crate) fn copy_lost(&mut self, seq: u64, at: u64, retry: bool) -> CopyLoss {
         let loss = self
             .open
             .lose_copy(seq, at, retry, &mut self.tenants, &mut self.stats);
         if let CopyLoss::Retried(r) = loss {
-            let detail = || format!("attempt={} cause=shard_failed_{}", r.attempt, r.cause);
+            let detail = || format!("attempt={} cause=shard_failed_queued", r.attempt);
             self.tspan(r.logical, "retry", detail, at, r.release_at);
-        }
-        if let Some((target, from)) = parked {
-            self.tspan(seq, "park", || format!("{target:?}"), from, at);
         }
         match loss {
             CopyLoss::Suppressed => self.tfinish(seq, "hedge:canceled", at),

@@ -800,178 +800,6 @@ init:
         );
     }
 
-    /// A consumer spec: blocking `chan_recv` from channel handle 0 into
-    /// 0x4000, then halts with the recv length in `r0`.
-    fn chan_recv_spec(name: &str) -> VirtineSpec {
-        let img = visa::assemble(
-            "
-.org 0x8000
-  mov r0, 13           ; chan_recv
-  mov r1, 0            ; handle 0
-  mov r2, 0x4000
-  mov r3, 64
-  mov r4, 0            ; flags: blocking
-  out 0x1, r0
-  hlt
-",
-        )
-        .unwrap();
-        VirtineSpec::new(name, img, MEM)
-            .with_policy(HypercallMask::allowing(&[wasp::nr::CHAN_RECV]))
-            .with_snapshot(false)
-    }
-
-    #[test]
-    fn chan_blocked_run_parks_and_resumes_on_send() {
-        let mut d = dispatcher(DispatcherConfig {
-            shards: 1,
-            ..DispatcherConfig::default()
-        });
-        let consumer = d.register(chan_recv_spec("c")).unwrap();
-        let tenant = d.add_tenant(TenantProfile::new("t").with_mask(HypercallMask::ALLOW_ALL));
-        let chan = d.wasp().kernel().chan_open(256);
-        d.submit(
-            Request::new(tenant, consumer, 0.0)
-                .with_invocation(Invocation::default().with_chans(vec![chan])),
-        )
-        .unwrap();
-        d.run_to_idle();
-        assert_eq!(d.parked(), 1, "empty channel parks the consumer");
-        assert_eq!(d.stats().blocked, 1);
-
-        d.wasp().kernel().chan_send(chan, b"work").unwrap();
-        d.run_until(0.01);
-        d.run_to_idle();
-        let c = d.completions().last().unwrap();
-        assert!(c.exit_normal);
-        assert_eq!(c.resumes, 1);
-        assert_eq!(d.stats().resumed, 1);
-        assert_eq!(d.parked(), 0);
-        assert_eq!(d.tenant_stats(tenant).in_flight, 0);
-    }
-
-    #[test]
-    fn guest_to_guest_chan_send_wakes_a_parked_consumer_within_one_drain() {
-        // Producer virtine chan_sends on the same channel the consumer is
-        // parked on — the cross-virtine pipeline hop, entirely inside one
-        // drain.
-        let mut d = dispatcher(DispatcherConfig {
-            shards: 1,
-            ..DispatcherConfig::default()
-        });
-        let consumer = d.register(chan_recv_spec("c")).unwrap();
-        let producer_img = visa::assemble(
-            "
-.org 0x8000
-  mov r1, 0x100
-  mov r5, 0x676e6970   ; \"ping\"
-  store.q [r1], r5
-  mov r0, 12           ; chan_send(0, 0x100, 4)
-  mov r1, 0
-  mov r2, 0x100
-  mov r3, 4
-  mov r4, 0
-  out 0x1, r0
-  hlt
-",
-        )
-        .unwrap();
-        let producer = d
-            .register(
-                VirtineSpec::new("p", producer_img, MEM)
-                    .with_policy(HypercallMask::allowing(&[wasp::nr::CHAN_SEND]))
-                    .with_snapshot(false),
-            )
-            .unwrap();
-        let tenant = d.add_tenant(TenantProfile::new("t").with_mask(HypercallMask::ALLOW_ALL));
-        let chan = d.wasp().kernel().chan_open(64);
-        d.submit(
-            Request::new(tenant, consumer, 0.0)
-                .with_invocation(Invocation::default().with_chans(vec![chan])),
-        )
-        .unwrap();
-        d.submit(
-            Request::new(tenant, producer, 0.001)
-                .with_invocation(Invocation::default().with_chans(vec![chan])),
-        )
-        .unwrap();
-        d.run_to_idle();
-        assert_eq!(d.completions().len(), 2, "one drain completes the hop");
-        assert!(d.completions().iter().all(|c| c.exit_normal));
-        assert_eq!(d.stats().resumed, 1);
-        assert_eq!(d.parked(), 0);
-        // The consumer received exactly the producer's 4 bytes.
-        let consumed = d
-            .completions()
-            .iter()
-            .find(|c| c.virtine == consumer)
-            .unwrap();
-        assert_eq!(consumed.resumes, 1);
-    }
-
-    #[test]
-    fn blocked_chan_send_on_a_partially_full_queue_parks_and_resumes() {
-        // The livelock regression, end to end: the channel holds 6 of 8
-        // bytes — not "Full", but the guest's 4-byte send doesn't fit.
-        // The run must park (drain terminates!) and resume only when a
-        // host recv frees enough capacity.
-        let mut d = dispatcher(DispatcherConfig {
-            shards: 1,
-            ..DispatcherConfig::default()
-        });
-        let sender_img = visa::assemble(
-            "
-.org 0x8000
-  mov r1, 0x100
-  mov r5, 0x44434241   ; \"ABCD\"
-  store.q [r1], r5
-  mov r0, 12           ; chan_send(0, 0x100, 4)
-  mov r1, 0
-  mov r2, 0x100
-  mov r3, 4
-  mov r4, 0
-  out 0x1, r0
-  hlt
-",
-        )
-        .unwrap();
-        let sender = d
-            .register(
-                VirtineSpec::new("s", sender_img, MEM)
-                    .with_policy(HypercallMask::allowing(&[wasp::nr::CHAN_SEND]))
-                    .with_snapshot(false),
-            )
-            .unwrap();
-        let tenant = d.add_tenant(TenantProfile::new("t").with_mask(HypercallMask::ALLOW_ALL));
-        let chan = d.wasp().kernel().chan_open(8);
-        d.wasp().kernel().chan_send(chan, b"123456").unwrap();
-        d.submit(
-            Request::new(tenant, sender, 0.0)
-                .with_invocation(Invocation::default().with_chans(vec![chan])),
-        )
-        .unwrap();
-        // This drain must terminate with the sender parked — the
-        // pre-fix registration woke the token immediately and the
-        // park/wake loop never converged.
-        d.run_to_idle();
-        assert_eq!(d.parked(), 1, "sender parked under backpressure");
-        assert_eq!(d.completions().len(), 0);
-
-        // Draining the queue frees capacity: the sender resumes and its
-        // message lands.
-        d.wasp().kernel().chan_recv(chan, 64).unwrap().unwrap();
-        d.run_until(0.01);
-        d.run_to_idle();
-        let c = d.completions().last().unwrap();
-        assert!(c.exit_normal);
-        assert_eq!(c.resumes, 1);
-        assert_eq!(
-            d.wasp().kernel().chan_recv(chan, 64).unwrap().unwrap(),
-            b"ABCD"
-        );
-        assert_eq!(d.parked(), 0);
-    }
-
     #[test]
     fn woken_run_migrates_to_the_least_loaded_shard_under_skew() {
         // The consumer parks on shard 0 (its tenant's home under ByTenant
@@ -983,15 +811,12 @@ init:
             placement: Placement::ByTenant,
             ..DispatcherConfig::default()
         });
-        let consumer = d.register(chan_recv_spec("c")).unwrap();
+        let consumer = d.register(blocking_recv_spec("c")).unwrap();
         let filler = d.register(halt_spec("f")).unwrap();
         let a = d.add_tenant(TenantProfile::new("a").with_mask(HypercallMask::ALLOW_ALL));
-        let chan = d.wasp().kernel().chan_open(64);
-        d.submit(
-            Request::new(a, consumer, 0.0)
-                .with_invocation(Invocation::default().with_chans(vec![chan])),
-        )
-        .unwrap();
+        let (client, server) = conn_pair(&d, 90);
+        d.submit(Request::new(a, consumer, 0.0).with_invocation(Invocation::with_conn(server)))
+            .unwrap();
         d.run_until(0.001);
         assert_eq!(d.shard_snapshots()[0].parked, 1);
 
@@ -1001,7 +826,7 @@ init:
             d.submit(Request::new(a, filler, 0.002)).unwrap();
         }
         assert!(d.shard_snapshots()[0].queue_depth >= 16);
-        d.wasp().kernel().chan_send(chan, b"go").unwrap();
+        d.wasp().kernel().net_send(client, b"go").unwrap();
         d.run_until(0.0021);
         d.run_to_idle();
 
@@ -1268,21 +1093,18 @@ init:
             topology: Some(Topology::grouped(2, 2, 2)),
             ..DispatcherConfig::default()
         });
-        let consumer = d.register(chan_recv_spec("c")).unwrap();
+        let consumer = d.register(blocking_recv_spec("c")).unwrap();
         let filler = d.register(halt_spec("f")).unwrap();
         let a = d.add_tenant(TenantProfile::new("a").with_mask(HypercallMask::ALLOW_ALL));
-        let chan = d.wasp().kernel().chan_open(64);
-        d.submit(
-            Request::new(a, consumer, 0.0)
-                .with_invocation(Invocation::default().with_chans(vec![chan])),
-        )
-        .unwrap();
+        let (client, server) = conn_pair(&d, 90);
+        d.submit(Request::new(a, consumer, 0.0).with_invocation(Invocation::with_conn(server)))
+            .unwrap();
         d.run_until(0.001);
         assert_eq!(d.shard_snapshots()[0].parked, 1);
         for _ in 0..16 {
             d.submit(Request::new(a, filler, 0.002)).unwrap();
         }
-        d.wasp().kernel().chan_send(chan, b"go").unwrap();
+        d.wasp().kernel().net_send(client, b"go").unwrap();
         d.run_until(0.0021);
         d.run_to_idle();
         let c = d
@@ -1939,54 +1761,50 @@ init:
     }
 
     #[test]
-    fn parked_run_lost_to_a_shard_failure_is_retried_exactly_once() {
+    fn a_connection_bound_run_is_never_hedged_or_retried() {
+        // The tenant opts into both policies, but the request is bound to
+        // a connection, whose conversation cannot be replayed: it is never
+        // tracked, so it arms no hedge, and a shard failure under it
+        // parked sheds it instead of retrying it.
         let mut d = dispatcher(DispatcherConfig {
-            shards: 1,
+            shards: 2,
             ..DispatcherConfig::default()
         });
-        let consumer = d.register(chan_recv_spec("c")).unwrap();
+        let consumer = d.register(blocking_recv_spec("c")).unwrap();
         let tenant = d.add_tenant(
             TenantProfile::new("t")
                 .with_mask(HypercallMask::ALLOW_ALL)
-                .with_retry(
-                    RetryPolicy::new()
-                        .with_backoff(Cycles::from_secs(0.0001))
-                        .with_jitter(0.0),
-                ),
+                .with_retry(RetryPolicy::new().with_jitter(0.0))
+                .with_hedge(HedgePolicy::new().with_min_delay(Cycles::from_secs(0.0002))),
         );
-        let chan = d.wasp().kernel().chan_open(256);
+        let (_client, server) = conn_pair(&d, 90);
         d.submit(
-            Request::new(tenant, consumer, 0.0)
-                .with_invocation(Invocation::default().with_chans(vec![chan])),
+            Request::new(tenant, consumer, 0.0).with_invocation(Invocation::with_conn(server)),
         )
         .unwrap();
-        d.run_to_idle();
-        assert_eq!(d.parked(), 1, "empty channel parks the consumer");
+        // Well past the hedge delay, still parked.
+        d.run_until(0.01);
+        assert_eq!(d.parked(), 1, "the empty socket parks the run");
+        assert_eq!(d.stats().hedges_armed, 0);
+        assert_eq!(d.stats().hedges_fired, 0);
 
-        // The shard dies under the parked run. Idempotent re-execution
-        // is safe (the consumer made no externally visible progress), so
-        // the eviction becomes a retry instead of a shed.
-        let actions = d.fail_shard(0);
+        let home = (0..2)
+            .find(|&i| d.shard_snapshots()[i].parked == 1)
+            .unwrap();
+        let actions = d.fail_shard(home);
         assert!(
             actions
                 .iter()
-                .any(|a| matches!(a, LifecycleAction::RunRetried { shard: 0, .. })),
-            "the parked loss was scheduled for re-submission: {actions:?}"
+                .any(|a| matches!(a, LifecycleAction::RunEvicted { .. })),
+            "the parked run was evicted: {actions:?}"
         );
-        assert_eq!(d.stats().retries_parked, 1);
-        assert_eq!(d.stats().shed_evicted, 0);
-        assert_eq!(d.parked(), 0);
-
-        d.restore_shard(0);
-        d.wasp().kernel().chan_send(chan, b"work").unwrap();
-        d.run_until(0.01);
-        d.run_to_idle();
-        assert_eq!(d.stats().served, 1, "the retried run completed");
-        assert_eq!(d.stats().shed(), 0);
-        assert_eq!(d.stats().retried_in_flight, 0);
+        let s = d.stats();
+        assert_eq!(s.shed_evicted, 1);
+        assert_eq!((s.retries_queued, s.retries_parked), (0, 0));
+        assert_eq!(d.tenant_stats(tenant).retries, 0);
+        assert_eq!((s.retried_in_flight, d.parked()), (0, 0));
         assert_eq!(d.tenant_stats(tenant).in_flight, 0);
-        assert_eq!(d.completions().len(), 1, "exactly one completion");
-        assert!(d.completions()[0].exit_normal);
+        assert_eq!(s.submitted, s.served + s.shed(), "conservation");
     }
 
     #[test]

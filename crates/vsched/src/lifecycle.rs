@@ -48,7 +48,7 @@ use vclock::{costs, Cycles};
 
 use crate::dispatcher::Dispatcher;
 use crate::health::{HealthAction, HealthConfig, HealthDetector, HealthStats, ShardHealth};
-use crate::openreq::{CopyLoss, RetryCause};
+use crate::openreq::CopyLoss;
 use crate::request::{BlockMode, FailCause, Terminal};
 use crate::shard::{align_up, Queued, Work};
 use crate::tenant::ShedReason;
@@ -512,17 +512,18 @@ impl Dispatcher {
             let ticket = q.ticket;
             let loss = if let Work::Resume(p) = q.work {
                 debug_assert_eq!(p.shard, shard, "a woken run queues where it is homed");
-                self.evict_parked(p, now, FailCause::ShardFailed)
+                self.evict_parked(p, now, FailCause::ShardFailed);
+                CopyLoss::Terminal
             } else if self.open.is_moot(ticket.seq) {
                 // A hedge-race loser stranded on the failing shard: the
                 // logical request already finished elsewhere, so the
                 // entry just evaporates.
-                self.copy_lost(ticket.seq, now, None, None)
+                self.copy_lost(ticket.seq, now, false)
             } else if let Some(dest) = self.evacuation_target(shard, now) {
                 actions.push(self.requeue(q, shard, dest, now));
                 continue;
             } else {
-                let loss = self.copy_lost(ticket.seq, now, Some(RetryCause::Queued), None);
+                let loss = self.copy_lost(ticket.seq, now, true);
                 if loss == CopyLoss::Terminal {
                     self.tspan(ticket.seq, "queue_wait", String::new, ticket.arrival, now);
                     let cause = || FailCause::ShardFailed.label().to_string();
@@ -542,8 +543,8 @@ impl Dispatcher {
         for token in self.parked_on(shard) {
             let p = self.unpark(token);
             let seq = p.ticket.seq;
-            let loss = self.evict_parked(p, now, FailCause::ShardFailed);
-            actions.extend(eviction_action(loss, seq, shard));
+            self.evict_parked(p, now, FailCause::ShardFailed);
+            actions.push(LifecycleAction::RunEvicted { seq, shard });
         }
         actions
     }

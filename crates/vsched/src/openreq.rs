@@ -15,7 +15,9 @@
 //! Requests of tenants with neither policy — and connection-bound
 //! requests, whose inputs cannot be replayed — are never tracked: every
 //! question about them answers "the only copy", at the cost of one failed
-//! hash lookup.
+//! hash lookup. Only a connection-bound run can block, so a parked run is
+//! never a tracked copy: every copy this table counts is queued or
+//! executing.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -29,16 +31,6 @@ use crate::request::DispatcherStats;
 use crate::shard::Ticket;
 use crate::tenant::{HedgePolicy, TenantState};
 
-/// Which copy of a request a shard failure destroyed — the `cause` label
-/// of `vsched_retries_total`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RetryCause {
-    /// A fresh queued entry with no eligible evacuation sibling.
-    Queued,
-    /// A parked (suspended) run whose hardware state died with the shard.
-    Parked,
-}
-
 /// A retry the table just scheduled (the facts its trace span records).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ScheduledRetry {
@@ -47,8 +39,6 @@ pub(crate) struct ScheduledRetry {
     pub attempt: u32,
     /// When the backoff releases it.
     pub release_at: u64,
-    /// The lost copy, as `vsched_retries_total` labels it.
-    pub cause: &'static str,
 }
 
 /// What became of a copy destroyed by a shard failure or cancellation
@@ -110,8 +100,8 @@ struct OpenReq {
     invocation: Invocation,
     /// Attempts consumed so far (0 = only the first run).
     attempt: u32,
-    /// Live copies: queued, parked, or executing (a pending retry is not
-    /// a live copy — it is counted by `pending_retry`).
+    /// Live copies: queued or executing (a pending retry is not a live
+    /// copy — it is counted by `pending_retry`).
     copies: u32,
     /// A terminal outcome (completion, kill, or shed) has been recorded;
     /// every later copy event is suppressed.
@@ -193,10 +183,15 @@ impl OpenTable {
 
     /// Whether this copy's logical request already reached its terminal
     /// outcome through a sibling copy: a hedge-race loser that must never
-    /// execute (or resume), only be reported lost.
+    /// execute, only be reported lost.
     pub(crate) fn is_moot(&self, copy_seq: u64) -> bool {
         let logical = self.hedge_of.get(&copy_seq).copied().unwrap_or(copy_seq);
         self.open.get(&logical).is_some_and(|o| o.done)
+    }
+
+    /// Whether `copy_seq` is a copy of a tracked request.
+    pub(crate) fn tracks(&self, copy_seq: u64) -> bool {
+        self.hedge_of.contains_key(&copy_seq) || self.open.contains_key(&copy_seq)
     }
 
     /// Drops a decided request's entry once nothing can refer to it again.
@@ -214,8 +209,8 @@ impl OpenTable {
     ///   or another copy is still live (or a retry is pending) — the
     ///   caller records nothing terminal.
     /// - [`CopyLoss::Retried`]: this was the last live copy and an
-    ///   exactly-once retry was scheduled (`retry` names the cause) —
-    ///   the caller records nothing terminal; the in-flight slot rides
+    ///   exactly-once retry was scheduled (`retry` allows one) — the
+    ///   caller records nothing terminal; the in-flight slot rides
     ///   through the backoff as `retried_in_flight`.
     /// - [`CopyLoss::Terminal`]: the caller's ordinary shed accounting
     ///   proceeds. Untracked requests (no retry/hedge policy) always
@@ -224,7 +219,7 @@ impl OpenTable {
         &mut self,
         copy_seq: u64,
         now: u64,
-        retry: Option<RetryCause>,
+        retry: bool,
         tenants: &mut [TenantState],
         stats: &mut DispatcherStats,
     ) -> CopyLoss {
@@ -244,8 +239,9 @@ impl OpenTable {
             // request.
             return CopyLoss::Suppressed;
         }
-        let retried =
-            retry.and_then(|cause| self.try_schedule_retry(logical, now, cause, tenants, stats));
+        let retried = retry
+            .then(|| self.try_schedule_retry(logical, now, tenants, stats))
+            .flatten();
         if let Some(retried) = retried {
             return CopyLoss::Retried(retried);
         }
@@ -290,7 +286,6 @@ impl OpenTable {
         &mut self,
         logical: u64,
         now: u64,
-        cause: RetryCause,
         tenants: &mut [TenantState],
         stats: &mut DispatcherStats,
     ) -> Option<ScheduledRetry> {
@@ -324,21 +319,11 @@ impl OpenTable {
         tenant.stats.retries += 1;
         tenant.stats.retried_in_flight += 1;
         stats.retried_in_flight += 1;
-        let cause = match cause {
-            RetryCause::Queued => {
-                stats.retries_queued += 1;
-                "queued"
-            }
-            RetryCause::Parked => {
-                stats.retries_parked += 1;
-                "parked"
-            }
-        };
+        stats.retries_queued += 1;
         Some(ScheduledRetry {
             logical,
             attempt: o.attempt,
             release_at,
-            cause,
         })
     }
 

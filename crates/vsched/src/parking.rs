@@ -13,7 +13,6 @@ use wasp::SuspendedRun;
 
 use crate::dispatcher::Dispatcher;
 use crate::lifecycle::ShardState;
-use crate::openreq::{CopyFinish, CopyLoss, RetryCause};
 use crate::request::{BlockMode, FailCause, Terminal};
 use crate::shard::{Parked, Progress, Queued, Ticket, Work};
 use crate::tenant::ShedReason;
@@ -48,7 +47,7 @@ impl Dispatcher {
     pub(crate) fn unpark(&mut self, token: u64) -> Box<Parked> {
         let p = self.parked.remove(&token);
         let p = p.expect("token names a parked run");
-        self.wasp.kernel().wait_clear(p.run.wait().target, token);
+        self.wasp.kernel().wait_clear(p.run.wait().target);
         p
     }
 
@@ -65,6 +64,9 @@ impl Dispatcher {
         progress: Progress,
         blocked_from: u64,
     ) -> u64 {
+        // Only a connection-bound run blocks, and those are never
+        // tracked: no parked run is a retry or hedge copy.
+        debug_assert!(!self.open.tracks(ticket.seq));
         let token = self.next_token;
         self.next_token += 1;
         // Registration is race-free: an object that became ready between
@@ -117,18 +119,6 @@ impl Dispatcher {
             };
             let (idx, seq) = (p.shard, p.ticket.seq);
             let wake = stamp.max(p.blocked_from);
-            if self.open.is_moot(seq) {
-                // A parked hedge-race loser: its sibling copy finished
-                // while it waited. Abort the suspension instead of
-                // resuming it — the wake's bytes stay with the winner's
-                // accounting.
-                self.settle_spin(idx, p.blocked_from, wake);
-                let (outcome, vm) = self.wasp.abort_suspended(p.run);
-                debug_assert!(outcome.warm_state.is_none());
-                self.shards[idx].pool.release(vm);
-                self.copy_lost(seq, wake, None, None);
-                continue;
-            }
             let bound = p.timeout_at.min(p.evict_at);
             if wake > bound {
                 // The data arrived, but only after the tenant's max_block
@@ -213,45 +203,34 @@ impl Dispatcher {
     /// or destroyed outright when the shard failed, taking the hardware
     /// context with it — and the request is shed with
     /// [`ShedReason::Evicted`]. Unlike [`Dispatcher::kill_parked`] this
-    /// is a *shed*, not an abnormal serve: no completion is recorded. The
-    /// caller has already detached the run from the parked map (or popped
-    /// it, woken, off its shard's queue).
-    pub(crate) fn evict_parked(&mut self, p: Box<Parked>, at: u64, cause: FailCause) -> CopyLoss {
+    /// is a *shed*, not an abnormal serve: no completion is recorded, and
+    /// no retry is tried — a parked run is bound to a connection, whose
+    /// conversation cannot be replayed. The caller has already detached
+    /// the run from the parked map (or popped it, woken, off its shard's
+    /// queue).
+    pub(crate) fn evict_parked(&mut self, p: Box<Parked>, at: u64, cause: FailCause) {
         let (idx, seq) = (p.shard, p.ticket.seq);
         let at = at.max(p.blocked_from);
         self.settle_spin(idx, p.blocked_from, at);
         let target = p.run.wait().target;
         let (outcome, vm) = self.wasp.abort_suspended(p.run);
         debug_assert!(outcome.warm_state.is_none());
-        // Shard failure is the retryable loss: the suspension died
-        // through no fault of the request. A drain-grace expiry is a
-        // policy decision against this very run — retrying it would
-        // reverse the operator.
-        let retry = match cause {
+        match cause {
             // Draining: the worker is alive, the shell survives its run —
             // the ordinary wiped release, then the next reconcile pass
             // evacuates it like any other idle shell.
-            FailCause::GraceExpired => {
-                self.shards[idx].pool.release(vm);
-                None
-            }
+            FailCause::GraceExpired => self.shards[idx].pool.release(vm),
             // Failed: the context died with the shard.
-            FailCause::ShardFailed => {
-                self.shards[idx].pool.drop_shell(vm);
-                Some(RetryCause::Parked)
-            }
-        };
-        let loss = self.copy_lost(seq, at, retry, Some((target, p.blocked_from)));
-        if loss == CopyLoss::Terminal {
-            self.stats.blocked_cycles += outcome.breakdown.blocked.get();
-            self.tspan(seq, "drain_evict", || cause.label().to_string(), at, at);
-            let end = Terminal::Shed {
-                reason: ShedReason::Evicted,
-                evict: Some(cause),
-            };
-            self.settle(&p.ticket, at, end);
+            FailCause::ShardFailed => self.shards[idx].pool.drop_shell(vm),
         }
-        loss
+        self.tspan(seq, "park", || format!("{target:?}"), p.blocked_from, at);
+        self.stats.blocked_cycles += outcome.breakdown.blocked.get();
+        self.tspan(seq, "drain_evict", || cause.label().to_string(), at, at);
+        let end = Terminal::Shed {
+            reason: ShedReason::Evicted,
+            evict: Some(cause),
+        };
+        self.settle(&p.ticket, at, end);
     }
 
     /// Kills a parked run whose tenant `max_block` expired at timeline
@@ -268,18 +247,13 @@ impl Dispatcher {
         // The shell still holds the killed invocation's state: the
         // ordinary wiped release (§5.2) erases it before any reuse.
         self.shards[idx].pool.release(vm);
-        let CopyFinish::Won { logical } = self.open.finish_copy(seq, &mut self.stats) else {
-            // The race was already decided elsewhere: suppress the
-            // kill's accounting entirely.
-            self.tfinish(seq, "hedge:canceled", at);
-            return;
-        };
         self.tenants[p.ticket.tenant.0].stats.blocked_timeout += 1;
         self.stats.blocked_timeout += 1;
         self.shards[idx].stats.blocked_timeout += 1;
         self.tspan(seq, "park", || format!("{target:?}"), p.blocked_from, at);
+        // Untracked, so the run is its own logical request.
         let end = Terminal::Served {
-            logical,
+            logical: seq,
             shard: idx,
             progress: p.progress,
             breakdown: outcome.breakdown,

@@ -197,8 +197,8 @@ pub struct Completion {
     pub warm_hit: bool,
     /// Whether the virtine ended by normal means (`hlt`/`exit`).
     pub exit_normal: bool,
-    /// Times the request blocked in a wait (`recv` or a channel end) and
-    /// was resumed before completing (zero for a request that never
+    /// Times the request blocked in a wait (`recv` or `read(0)` on its
+    /// connection) and was resumed before completing (zero for a request that never
     /// waited).
     pub resumes: u32,
     /// Whether any resume migrated the run off the shard it blocked on
@@ -286,8 +286,8 @@ pub struct DispatcherStats {
     /// shard failure (exported as `vsched_retries_total{cause=
     /// "shard_failed_queued"}`).
     pub retries_queued: u64,
-    /// Retries scheduled for requests whose *parked* (suspended) run died
-    /// with its shard (`cause="shard_failed_parked"`).
+    /// Always 0: a parked run is bound to a connection, is never tracked
+    /// for retry, and a shard failure under it sheds it instead.
     pub retries_parked: u64,
     /// Requests currently between losing their last live copy and their
     /// retry's backoff release: they hold an in-flight slot with no copy

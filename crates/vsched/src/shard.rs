@@ -11,7 +11,7 @@
 //! and `crate::topology`), with the per-hop transfer cost charged by
 //! `dispatcher`.
 //!
-//! A run that blocks in `recv` (or a channel end) leaves the shard for
+//! A run that blocks in `recv` (or `read(0)`) leaves the shard for
 //! the dispatcher's parked map (`crate::parking`): batch ticks never see
 //! it, its shell rides inside the `wasp::SuspendedRun` (outside the pool
 //! — unstealable, undemotable), and a wake re-queues it at the *front* of
@@ -63,8 +63,8 @@ pub(crate) struct Progress {
 /// A run suspended in a blocking wait, parked on the shard that was
 /// executing it. On wake it is re-admitted through *placement* — the
 /// least-loaded shard, which may not be the one it blocked on — so a
-/// saturated home shard cannot hold a runnable virtine hostage (the
-/// resume-time migration half of the cross-virtine-channel work).
+/// saturated home shard cannot hold a runnable virtine hostage
+/// (resume-time migration).
 #[derive(Debug)]
 pub(crate) struct Parked {
     /// The shard the run is parked on (and, once woken, queued on): whose

@@ -1,15 +1,50 @@
 //! Property-style tests over the dispatcher's isolation invariants,
 //! driven by the repository's seeded PRNG (no external crates).
 
+use hostsim::SockId;
 use vclock::rng::Rng;
 use vclock::Cycles;
 use vsched::{
     Dispatcher, DispatcherConfig, HedgePolicy, Hop, Placement, Request, RetryPolicy, TenantProfile,
     Topology,
 };
-use wasp::{HypercallMask, VirtineSpec, Wasp};
+use wasp::{HypercallMask, Invocation, VirtineId, VirtineSpec, Wasp};
 
 const MEM: usize = 64 * 1024;
+
+/// Registers a consumer that blocking-`recv`s on its bound connection
+/// into 0x4000 and halts with the count in r0 (0 at EOF).
+fn recv_consumer(d: &mut Dispatcher) -> VirtineId {
+    let img = visa::assemble(
+        "
+.org 0x8000
+  mov r0, 7            ; recv
+  mov r1, 0x4000
+  mov r2, 64
+  mov r3, 0            ; flags: blocking
+  out 0x1, r0
+  hlt
+",
+    )
+    .unwrap();
+    let spec = VirtineSpec::new("c", img, MEM)
+        .with_policy(HypercallMask::allowing(&[wasp::nr::RECV]))
+        .with_snapshot(false);
+    d.register(spec).unwrap()
+}
+
+/// A fresh connection on the dispatcher's kernel: the client end, and an
+/// invocation bound to the server end. One per consumer, because a
+/// socket admits one waiter.
+fn connect(d: &Dispatcher) -> (SockId, Invocation) {
+    const PORT: u16 = 90;
+    let k = d.wasp().kernel();
+    // Only the first call binds; later ones find the port in use.
+    let _ = k.net_listen(PORT);
+    let client = k.net_connect(PORT).unwrap();
+    let server = k.net_accept(PORT).unwrap().unwrap();
+    (client, Invocation::with_conn(server))
+}
 
 /// Seed matrix for the churn-style property tests: the long-committed
 /// seed plus a small fixed spread, so the random interleavings cover
@@ -410,19 +445,19 @@ fn parked_blocked_shells_are_never_stolen_or_demoted_and_wipe_on_kill() {
     }
 }
 
-/// A wake storm: many runs parked on *one* channel; the peer closes and
-/// every one of them wakes (EOF). Random storm sizes and configs;
+/// A wake storm: many runs parked, each on its own connection; every
+/// client closes at one instant and every run wakes (EOF). Random storm sizes and configs;
 /// invariants on every case:
 ///
-/// * every parked run wakes and completes — close wakes the whole storm,
-///   not one lucky waiter;
+/// * every parked run wakes and completes — the closes wake the whole
+///   storm in one delivery;
 /// * woken runs go to the *front* of the run queues: they all complete
 ///   before lower-priority work that was queued while they slept;
 /// * in-flight accounting returns to zero and submitted = served;
 /// * no shell leaks: every shell minted is back in a pool at the end
 ///   (parked shells re-enter circulation through their completion).
 #[test]
-fn channel_close_wakes_the_whole_storm_in_front_of_queued_work() {
+fn peer_close_wakes_the_whole_storm_in_front_of_queued_work() {
     let mut rng = Rng::seeded(0x57011111);
     for case in 0..10 {
         let storm = rng.below(12) + 3;
@@ -434,28 +469,7 @@ fn channel_close_wakes_the_whole_storm_in_front_of_queued_work() {
                 ..DispatcherConfig::default()
             },
         );
-        // A consumer that blocking-recvs from channel handle 0 and halts
-        // with the recv return value (0 at EOF) in r0.
-        let recv_img = visa::assemble(
-            "
-.org 0x8000
-  mov r0, 13
-  mov r1, 0
-  mov r2, 0x4000
-  mov r3, 64
-  mov r4, 0
-  out 0x1, r0
-  hlt
-",
-        )
-        .unwrap();
-        let consumer = d
-            .register(
-                VirtineSpec::new("c", recv_img, MEM)
-                    .with_policy(HypercallMask::allowing(&[wasp::nr::CHAN_RECV]))
-                    .with_snapshot(false),
-            )
-            .unwrap();
+        let consumer = recv_consumer(&mut d);
         let filler_img = visa::assemble(".org 0x8000\n mov r0, 1\n hlt\n").unwrap();
         let filler = d
             .register(VirtineSpec::new("f", filler_img, MEM).with_snapshot(false))
@@ -467,14 +481,13 @@ fn channel_close_wakes_the_whole_storm_in_front_of_queued_work() {
         );
         let bulk = d.add_tenant(TenantProfile::new("bulk").with_priority(0));
 
-        // The storm parks on one shared channel.
-        let chan = d.wasp().kernel().chan_open(64);
+        // The storm parks, one connection per run.
+        let mut clients = Vec::new();
         for i in 0..storm {
-            d.submit(
-                Request::new(waiters, consumer, i as f64 * 1e-4)
-                    .with_invocation(wasp::Invocation::default().with_chans(vec![chan])),
-            )
-            .unwrap();
+            let (client, inv) = connect(&d);
+            clients.push(client);
+            d.submit(Request::new(waiters, consumer, i as f64 * 1e-4).with_invocation(inv))
+                .unwrap();
         }
         d.run_until(0.01);
         assert_eq!(d.parked(), storm, "case {case}: whole storm parked");
@@ -485,8 +498,10 @@ fn channel_close_wakes_the_whole_storm_in_front_of_queued_work() {
             d.submit(Request::new(bulk, filler, 0.02)).unwrap();
         }
 
-        // Peer closes: EOF is readable — every waiter wakes at once.
-        d.wasp().kernel().chan_close(chan).unwrap();
+        // Every peer closes: EOF is readable — every waiter wakes at once.
+        for client in clients {
+            d.wasp().kernel().net_close(client).unwrap();
+        }
         d.run_until(0.021);
         d.run_to_idle();
 
@@ -553,25 +568,23 @@ fn migrated_resumes_charge_identical_cycles_and_wipe_on_kill() {
         let secret = rng.next_u64() | 1;
         let fillers = rng.below(16) + 8;
 
-        // The consumer plants a secret, then blocking-recvs twice from
-        // channel handle 0 (the second recv is where a killed run dies).
+        // The consumer plants a secret, then blocking-recvs twice on its
+        // connection (the second recv is where a killed run dies).
         let consumer_img = visa::assemble(&format!(
             "
 .org 0x8000
   mov r1, {addr:#x}
   mov r2, {secret:#x}
   store.q [r1], r2
-  mov r0, 13           ; chan_recv #1
-  mov r1, 0
-  mov r2, 0x200
-  mov r3, 64
-  mov r4, 0
+  mov r0, 7            ; recv #1
+  mov r1, 0x200
+  mov r2, 64
+  mov r3, 0
   out 0x1, r0
-  mov r0, 13           ; chan_recv #2
-  mov r1, 0
-  mov r2, 0x300
-  mov r3, 64
-  mov r4, 0
+  mov r0, 7            ; recv #2
+  mov r1, 0x300
+  mov r2, 64
+  mov r3, 0
   out 0x1, r0
   hlt
 "
@@ -605,7 +618,7 @@ fn migrated_resumes_charge_identical_cycles_and_wipe_on_kill() {
             let consumer = d
                 .register(
                     VirtineSpec::new("c", consumer_img.clone(), MEM)
-                        .with_policy(HypercallMask::allowing(&[wasp::nr::CHAN_RECV]))
+                        .with_policy(HypercallMask::allowing(&[wasp::nr::RECV]))
                         .with_snapshot(false),
                 )
                 .unwrap();
@@ -617,12 +630,9 @@ fn migrated_resumes_charge_identical_cycles_and_wipe_on_kill() {
                 a = a.with_max_block(Cycles::from_secs(mb));
             }
             let a = d.add_tenant(a);
-            let chan = d.wasp().kernel().chan_open(64);
-            d.submit(
-                Request::new(a, consumer, 0.0)
-                    .with_invocation(wasp::Invocation::default().with_chans(vec![chan])),
-            )
-            .unwrap();
+            let (client, inv) = connect(&d);
+            d.submit(Request::new(a, consumer, 0.0).with_invocation(inv))
+                .unwrap();
             d.run_until(0.001);
             assert_eq!(d.parked(), 1);
             if skew {
@@ -632,16 +642,16 @@ fn migrated_resumes_charge_identical_cycles_and_wipe_on_kill() {
             }
             // One message: wakes recv #1; recv #2 parks again (forever,
             // absent a max_block).
-            d.wasp().kernel().chan_send(chan, b"payload1").unwrap();
+            d.wasp().kernel().net_send(client, b"payload1").unwrap();
             d.run_until(0.003);
             d.run_until(0.004);
-            (d, consumer, a, chan)
+            (d, consumer, a, client)
         };
 
         // Scenario A (pinned): no skew — the resume stays home. Complete
         // it with a second message.
-        let (mut da, consumer_a, ta, chan_a) = run_scenario(false, None);
-        da.wasp().kernel().chan_send(chan_a, b"payload2").unwrap();
+        let (mut da, consumer_a, ta, client_a) = run_scenario(false, None);
+        da.wasp().kernel().net_send(client_a, b"payload2").unwrap();
         da.run_to_idle();
         let ca = da
             .completions()
@@ -654,8 +664,8 @@ fn migrated_resumes_charge_identical_cycles_and_wipe_on_kill() {
 
         // Scenario B (migrated): shard 0's queue is stuffed, so the wake
         // re-admits the consumer on shard 1.
-        let (mut db, consumer_b, _tb, chan_b) = run_scenario(true, None);
-        db.wasp().kernel().chan_send(chan_b, b"payload2").unwrap();
+        let (mut db, consumer_b, _tb, client_b) = run_scenario(true, None);
+        db.wasp().kernel().net_send(client_b, b"payload2").unwrap();
         db.run_to_idle();
         let cb = db
             .completions()
@@ -680,7 +690,7 @@ fn migrated_resumes_charge_identical_cycles_and_wipe_on_kill() {
         // but recv #2 never gets data and the tenant's max_block kills
         // the run — *on the shard it migrated to*. A reader reusing that
         // shard's shell must see zeroes at the secret's address.
-        let (mut dc, consumer_c, tc, _chan_c) = run_scenario(true, Some(0.01));
+        let (mut dc, consumer_c, tc, _client_c) = run_scenario(true, Some(0.01));
         dc.run_to_idle(); // Fires the block timeout on the landing shard.
         assert_eq!(dc.stats().blocked_timeout, 1, "case {case}");
         let killed = dc
@@ -909,27 +919,8 @@ fn warm_quota_and_budget_hold_under_steal_demote_migrate_mix() {
 ",
         )
         .unwrap();
-        // Chan consumer: parks on an empty channel, completes on a send.
-        let chan_img = visa::assemble(
-            "
-.org 0x8000
-  mov r0, 13           ; chan_recv
-  mov r1, 0
-  mov r2, 0x4000
-  mov r3, 64
-  mov r4, 0
-  out 0x1, r0
-  hlt
-",
-        )
-        .unwrap();
-        let consumer = d
-            .register(
-                VirtineSpec::new("consumer", chan_img, MEM)
-                    .with_policy(HypercallMask::allowing(&[wasp::nr::CHAN_RECV]))
-                    .with_snapshot(false),
-            )
-            .unwrap();
+        // Consumer: parks on an empty connection, completes on a send.
+        let consumer = recv_consumer(&mut d);
         let tenants: Vec<_> = (0..n_tenants)
             .map(|i| {
                 let virtines: Vec<_> = (0..rng.below(2) + 2)
@@ -966,12 +957,9 @@ fn warm_quota_and_budget_hold_under_steal_demote_migrate_mix() {
 
         // Park a consumer mid-stream, skew its home shard, wake it: the
         // resume migrates while warm parks keep landing.
-        let chan = d.wasp().kernel().chan_open(64);
-        d.submit(
-            Request::new(tenants[0].0, consumer, 0.0)
-                .with_invocation(wasp::Invocation::default().with_chans(vec![chan])),
-        )
-        .unwrap();
+        let (client, inv) = connect(&d);
+        d.submit(Request::new(tenants[0].0, consumer, 0.0).with_invocation(inv))
+            .unwrap();
         d.run_until(0.001);
 
         let mut t = 0.002;
@@ -987,7 +975,7 @@ fn warm_quota_and_budget_hold_under_steal_demote_migrate_mix() {
             }
             t += rng.range_f64(0.0, 0.002);
         }
-        d.wasp().kernel().chan_send(chan, b"wake").unwrap();
+        d.wasp().kernel().net_send(client, b"wake").unwrap();
         d.run_until(t + 0.001);
         d.run_to_idle();
         check(&d, "after drain");
@@ -1002,7 +990,7 @@ fn warm_quota_and_budget_hold_under_steal_demote_migrate_mix() {
 
 /// Shard lifecycle churn: random interleavings of submit / drain /
 /// restore / fail / reconcile under live traffic — including parked
-/// channel consumers — preserve the exactly-once contract (every
+/// connection-bound consumers — preserve the exactly-once contract (every
 /// admitted request is served once or shed once, never both, never
 /// twice), leak no shells (pooled inventory balances creations minus
 /// destructions), and keep warm tenant quotas holding on the surviving
@@ -1038,8 +1026,8 @@ fn lifecycle_churn_cases(seed: u64, cases: usize) {
             },
         );
         // A snapshotted worker (exercises warm-shell migration) and a
-        // blocking channel consumer (exercises park migration, grace
-        // eviction, and eviction-on-failure).
+        // blocking connection-bound consumer (exercises park migration,
+        // grace eviction, and eviction-on-failure).
         let snap_img = visa::assemble(
             "
 .org 0x8000
@@ -1053,27 +1041,8 @@ fn lifecycle_churn_cases(seed: u64, cases: usize) {
 ",
         )
         .unwrap();
-        let chan_img = visa::assemble(
-            "
-.org 0x8000
-  mov r0, 13           ; chan_recv
-  mov r1, 0
-  mov r2, 0x4000
-  mov r3, 64
-  mov r4, 0
-  out 0x1, r0
-  hlt
-",
-        )
-        .unwrap();
         let worker = d.register(VirtineSpec::new("w", snap_img, MEM)).unwrap();
-        let consumer = d
-            .register(
-                VirtineSpec::new("c", chan_img, MEM)
-                    .with_policy(HypercallMask::allowing(&[wasp::nr::CHAN_RECV]))
-                    .with_snapshot(false),
-            )
-            .unwrap();
+        let consumer = recv_consumer(&mut d);
         let n_tenants = rng.below(2) + 2;
         let tenants: Vec<_> = (0..n_tenants)
             .map(|i| {
@@ -1082,7 +1051,7 @@ fn lifecycle_churn_cases(seed: u64, cases: usize) {
                 )
             })
             .collect();
-        let chan = d.wasp().kernel().chan_open(256);
+        let mut clients = Vec::new();
 
         let mut t = 0.0;
         let ops = rng.below(60) + 40;
@@ -1092,10 +1061,9 @@ fn lifecycle_churn_cases(seed: u64, cases: usize) {
                 0..=4 => {
                     let tenant = tenants[rng.below(tenants.len())];
                     if rng.bool(0.25) {
-                        let _ =
-                            d.submit(Request::new(tenant, consumer, t).with_invocation(
-                                wasp::Invocation::default().with_chans(vec![chan]),
-                            ));
+                        let (client, inv) = connect(&d);
+                        clients.push(client);
+                        let _ = d.submit(Request::new(tenant, consumer, t).with_invocation(inv));
                     } else {
                         let _ = d.submit(Request::new(tenant, worker, t));
                     }
@@ -1131,7 +1099,9 @@ fn lifecycle_churn_cases(seed: u64, cases: usize) {
             d.restore_shard(shard);
         }
         assert!(d.reconcile().is_empty(), "case {case}: restored != quiet");
-        d.wasp().kernel().chan_close(chan).unwrap();
+        for client in clients {
+            d.wasp().kernel().net_close(client).unwrap();
+        }
         d.run_to_idle();
         assert_eq!(d.parked(), 0, "case {case}: runs left parked");
 
@@ -1270,33 +1240,14 @@ fn retry_churn_cases(seed: u64, cases: usize) {
             },
         );
         // A plain halting worker (conn-free, so the dispatcher tracks it
-        // for retry and hedging) plus a blocking channel consumer whose
-        // parked run dies with its shard and must be retried.
+        // for retry and hedging) plus a blocking connection-bound consumer,
+        // never tracked, whose parked run dies with its shard and is shed.
         let img = visa::assemble(".org 0x8000\n mov r0, 3\n hlt\n").unwrap();
-        let chan_img = visa::assemble(
-            "
-.org 0x8000
-  mov r0, 13           ; chan_recv
-  mov r1, 0
-  mov r2, 0x4000
-  mov r3, 64
-  mov r4, 0
-  out 0x1, r0
-  hlt
-",
-        )
-        .unwrap();
         let worker = d
             .register(VirtineSpec::new("w", img, MEM).with_snapshot(false))
             .unwrap();
-        let consumer = d
-            .register(
-                VirtineSpec::new("c", chan_img, MEM)
-                    .with_policy(HypercallMask::allowing(&[wasp::nr::CHAN_RECV]))
-                    .with_snapshot(false),
-            )
-            .unwrap();
-        let chan = d.wasp().kernel().chan_open(256);
+        let consumer = recv_consumer(&mut d);
+        let mut clients = Vec::new();
         let n_tenants = rng.below(2) + 2;
         let tenants: Vec<_> = (0..n_tenants)
             .map(|j| {
@@ -1327,8 +1278,9 @@ fn retry_churn_cases(seed: u64, cases: usize) {
                 0..=4 => {
                     let who = rng.below(tenants.len());
                     let req = if rng.bool(0.2) {
-                        Request::new(tenants[who], consumer, t)
-                            .with_invocation(wasp::Invocation::default().with_chans(vec![chan]))
+                        let (client, inv) = connect(&d);
+                        clients.push(client);
+                        Request::new(tenants[who], consumer, t).with_invocation(inv)
                     } else {
                         Request::new(tenants[who], worker, t)
                     };
@@ -1350,7 +1302,9 @@ fn retry_churn_cases(seed: u64, cases: usize) {
         for shard in 0..shards {
             d.restore_shard(shard);
         }
-        d.wasp().kernel().chan_close(chan).unwrap();
+        for client in clients {
+            d.wasp().kernel().net_close(client).unwrap();
+        }
         d.run_to_idle();
         assert_eq!(d.parked(), 0, "case {case}: runs left parked");
         conservation_holds(&d, &tenants, &admitted, &case);
@@ -1442,30 +1396,13 @@ fn traced_or_not(
         d.enable_tracing(64);
     }
     let img = visa::assemble(".org 0x8000\n mov r0, 3\n hlt\n").unwrap();
-    let chan_img = visa::assemble(
-        "
-.org 0x8000
-  mov r0, 13           ; chan_recv
-  mov r1, 0
-  mov r2, 0x4000
-  mov r3, 64
-  mov r4, 0
-  out 0x1, r0
-  hlt
-",
-    )
-    .unwrap();
     let worker = d
         .register(VirtineSpec::new("w", img, MEM).with_snapshot(false))
         .unwrap();
-    let consumer = d
-        .register(
-            VirtineSpec::new("c", chan_img, MEM)
-                .with_policy(HypercallMask::allowing(&[wasp::nr::CHAN_RECV]))
-                .with_snapshot(false),
-        )
-        .unwrap();
-    let chan = d.wasp().kernel().chan_open(256);
+    let consumer = recv_consumer(&mut d);
+    // Clients of parked consumers, oldest first; a wake sends to the
+    // oldest.
+    let mut clients = std::collections::VecDeque::new();
     let tenants = [
         d.add_tenant(TenantProfile::new("capped").with_max_in_flight(1)),
         d.add_tenant(TenantProfile::new("limited").with_rate(2_000.0, 2.0)),
@@ -1487,18 +1424,23 @@ fn traced_or_not(
         let mut req = Request::new(tenant, worker, t);
         match rng.below(6) {
             1 if tenant == tenants[2] => {
-                req = Request::new(tenant, consumer, t)
-                    .with_invocation(wasp::Invocation::default().with_chans(vec![chan]));
+                let (client, inv) = connect(&d);
+                clients.push_back(client);
+                req = Request::new(tenant, consumer, t).with_invocation(inv);
             }
             2 => {
-                let _ = d.wasp().kernel().chan_send(chan, b"wake");
+                if let Some(client) = clients.pop_front() {
+                    d.wasp().kernel().net_send(client, b"wake").unwrap();
+                }
             }
             3 => d.run_until(t),
             _ => {}
         }
         results.push(d.submit(req));
     }
-    d.wasp().kernel().chan_close(chan).unwrap();
+    for client in clients {
+        d.wasp().kernel().net_close(client).unwrap();
+    }
     d.run_to_idle();
     let completions = d.completions().iter().map(|c| format!("{c:?}")).collect();
     let stats = vsched::DispatcherStats {

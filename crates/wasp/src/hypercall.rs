@@ -12,41 +12,11 @@
 //! virtual context" (§5.1). The [`HypercallMask`] is the client-specified
 //! bitmask policy of `virtine_config(cfg)` (§5.3); clients may further
 //! interpose a custom filter or full custom handlers.
-//!
-//! ## Cross-virtine channels (vchan)
-//!
-//! Virtines compose into pipelines over host-mediated channels
-//! (`hostsim::chan`): bounded byte queues reachable only through the
-//! `chan_*` hypercalls, so two virtines exchange bytes without ever
-//! sharing memory — every transfer is an exit the host mediates and the
-//! mask gates. The lifecycle mirrors the warm-shell diagram in
-//! [`crate::pool`]:
-//!
-//! ```text
-//!        chan_open / host bind            chan_send (fits)
-//!   ───────────────────────► open ◄──────────────────────── producer
-//!                             │ ▲                              │
-//!            chan_recv        │ │ recv frees capacity          │ full:
-//!            (data queued)    │ │ (wakes parked senders)       ▼
-//!   consumer ◄────────────────┘ └──────────────── WaitReason on ChanSend
-//!      │                                          (backpressure park)
-//!      │ empty: WaitReason on ChanRecv
-//!      ▼            (park; send/close wakes *every* parked waiter)
-//!   parked run ──── wake ────► resume at the faulting hypercall
-//!                             │
-//!                  chan_close ▼
-//!   open ────────────────► closed: sends refused, queued data drains,
-//!                          then EOF (`0`) — both sides' waiters woken
-//! ```
-//!
-//! Unlike a socket (one waiter per end), *many* runs may park on one
-//! channel; a wake is delivered to all of them and the losers re-park —
-//! the wake-storm contract the dispatcher's resume placement relies on.
 
 use std::collections::HashMap;
 
 pub use hostsim::WaitTarget;
-use hostsim::{ChanId, Fd, HostKernel, IoClass, SockId};
+use hostsim::{Fd, HostKernel, IoClass, SockId};
 use visa::cpu::Fault;
 
 /// The I/O port virtines issue hypercalls on.
@@ -63,16 +33,6 @@ pub const RECV_NONBLOCK: u64 = 1;
 /// reads as -2, mirroring the contract guests already check with
 /// `n <= 0`.
 pub const WOULD_BLOCK: u64 = u64::MAX - 1;
-
-/// `chan_send`/`chan_recv` flag: return [`WOULD_BLOCK`] instead of
-/// blocking when the channel is full (send) or empty (recv). Rides in the
-/// hypercall's fourth argument register.
-pub const CHAN_NONBLOCK: u64 = 1;
-
-/// Bound on channels one invocation may hold (host-bound plus
-/// `chan_open`ed): a guest looping `chan_open` must not grow host state
-/// without limit.
-pub const MAX_CHANS_PER_INVOCATION: usize = 64;
 
 /// Hypercall numbers for Wasp's canned, general-purpose handlers (§5.1:
 /// clients "can also choose from a variety of general-purpose handlers that
@@ -101,20 +61,8 @@ pub mod nr {
     pub const GET_DATA: u64 = 9;
     /// `return_data(buf, len)` — copies the invocation result out.
     pub const RETURN_DATA: u64 = 10;
-    /// `chan_open(capacity) -> h` — creates a channel, bound into the
-    /// invocation's private handle table.
-    pub const CHAN_OPEN: u64 = 11;
-    /// `chan_send(h, buf, len, flags)` — queues one message; blocks (or
-    /// returns [`super::WOULD_BLOCK`] under [`super::CHAN_NONBLOCK`]) when
-    /// the channel is at its byte bound.
-    pub const CHAN_SEND: u64 = 12;
-    /// `chan_recv(h, buf, max_len, flags) -> len` — pops one message;
-    /// blocks (or [`super::WOULD_BLOCK`]) when empty, `0` at EOF.
-    pub const CHAN_RECV: u64 = 13;
-    /// `chan_close(h)` — closes the channel and wakes every waiter.
-    pub const CHAN_CLOSE: u64 = 14;
     /// Number of defined hypercalls.
-    pub const COUNT: u64 = 15;
+    pub const COUNT: u64 = 11;
 }
 
 /// Returns a human-readable name for a hypercall number.
@@ -131,10 +79,6 @@ pub fn name(n: u64) -> &'static str {
         nr::SNAPSHOT => "snapshot",
         nr::GET_DATA => "get_data",
         nr::RETURN_DATA => "return_data",
-        nr::CHAN_OPEN => "chan_open",
-        nr::CHAN_SEND => "chan_send",
-        nr::CHAN_RECV => "chan_recv",
-        nr::CHAN_CLOSE => "chan_close",
         _ => "unknown",
     }
 }
@@ -204,17 +148,6 @@ pub struct Invocation {
     /// Guest fd → host fd translation for files opened by this invocation.
     open_fds: HashMap<u64, Fd>,
     next_guest_fd: u64,
-    /// Channels bound to this invocation: the guest handle is the index.
-    /// The host wires a pipeline by binding the *same* [`ChanId`] into a
-    /// producer's and a consumer's invocation (by convention upstream
-    /// first); `chan_open` appends to the table at run time.
-    chans: Vec<ChanId>,
-    /// Channels the *guest* created via `chan_open` (a subset of
-    /// `chans`). Host-bound channels belong to whoever wired the
-    /// pipeline; guest-opened ones are invocation-private and the
-    /// runtime closes them when the run ends, so a guest cannot grow
-    /// host channel state beyond its own lifetime.
-    guest_opened: Vec<ChanId>,
     /// Number of `snapshot` requests seen (the JS co-design of §6.5 rejects
     /// repeats: "snapshot and get_data cannot be called more than once").
     pub snapshot_requests: u32,
@@ -239,9 +172,9 @@ impl Invocation {
         }
     }
 
-    /// A fresh invocation carrying the same *inputs* — payload, bound
-    /// connection, host-wired channels — with virgin runtime state (no
-    /// result, no stdout, no open fds, no guest-opened channels). This is
+    /// A fresh invocation carrying the same *inputs* — payload and bound
+    /// connection — with virgin runtime state (no result, no stdout, no
+    /// open fds). This is
     /// the seed a dispatcher-level retry or hedge re-submits: `Invocation`
     /// is deliberately not `Clone` (mid-run state must not be duplicated),
     /// but its input half can be re-issued for an idempotent re-run.
@@ -249,37 +182,8 @@ impl Invocation {
         Invocation {
             payload: self.payload.clone(),
             conn: self.conn,
-            chans: self.chans.clone(),
             ..Invocation::default()
         }
-    }
-
-    /// Binds pre-opened channels (builder style): the pipeline wiring a
-    /// dispatcher performs before the virtine runs. Guest handle `i` is
-    /// `chans[i]`.
-    pub fn with_chans(mut self, chans: Vec<ChanId>) -> Invocation {
-        self.chans = chans;
-        self
-    }
-
-    /// Binds one more channel, returning its guest handle.
-    pub fn bind_chan(&mut self, chan: ChanId) -> u64 {
-        self.chans.push(chan);
-        (self.chans.len() - 1) as u64
-    }
-
-    /// Channels the guest created via `chan_open`, which die with the
-    /// invocation (the runtime closes them at run end).
-    pub fn guest_opened_chans(&self) -> &[ChanId] {
-        &self.guest_opened
-    }
-
-    /// Resolves a guest channel handle.
-    fn chan_at(&self, h: u64) -> Option<ChanId> {
-        usize::try_from(h)
-            .ok()
-            .and_then(|i| self.chans.get(i))
-            .copied()
     }
 
     fn register_fd(&mut self, host: Fd) -> u64 {
@@ -306,19 +210,17 @@ pub trait GuestMem {
 ///
 /// `hostsim` owns the half that names the host object and says when the
 /// wait is over ([`WaitTarget`]); this is the guest half — where the
-/// completion reads or writes guest memory. A receive (`recv`, `read(0)`,
-/// `chan_recv`) delivers up to `len` bytes at `buf` with the count in
-/// `r0`; a `chan_send` queues the `len` bytes at `buf`. Either way the
-/// completion is the one charged syscall the blocking call is, performed
-/// exactly where the hypercall faulted.
+/// completion writes guest memory. A receive (`recv`, `read(0)`) delivers
+/// up to `len` bytes at `buf` with the count in `r0`: the one charged
+/// syscall the blocking call is, performed exactly where the hypercall
+/// faulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitReason {
     /// The host object whose readiness ends the wait.
     pub target: WaitTarget,
-    /// Guest address the completion writes to (receive) or reads (send).
+    /// Guest address the completion writes to.
     pub buf: u64,
-    /// Guest-supplied bound on the delivery, or the pending message's
-    /// length.
+    /// Guest-supplied bound on the delivery.
     pub len: usize,
 }
 
@@ -347,14 +249,13 @@ pub(crate) const GUEST_ERR: u64 = u64::MAX;
 
 /// One rule for every host I/O failure, keyed by the shared
 /// [`IoClass`] taxonomy: end-of-stream is the clean `0` guests already
-/// check for, backpressure is the [`WOULD_BLOCK`] sentinel, and
-/// everything else — bad handle, closed, refused, busy, missing — is the
-/// errno-style `-1`. `fs`, `net`, and `chan` failures all map here, so no
-/// layer can alias "you closed this" into a success or EOF into an error.
+/// check for, and everything else — bad handle, closed, refused, busy,
+/// missing — is the errno-style `-1`. `fs` and `net` failures both map
+/// here, so no layer can alias "you closed this" into a success or EOF
+/// into an error.
 pub(crate) fn guest_ret(class: IoClass) -> u64 {
     match class {
         IoClass::Eof => 0,
-        IoClass::Full => WOULD_BLOCK,
         _ => GUEST_ERR,
     }
 }
@@ -497,63 +398,15 @@ pub fn handle_canned(
             inv.result = data;
             Ok(HcOutcome::Resume(len as u64))
         }
-        nr::CHAN_OPEN => {
-            let capacity = args[0] as usize;
-            if capacity > 1 << 24 {
-                return Ok(HcOutcome::Kill("chan_open: unreasonable capacity"));
-            }
-            if inv.chans.len() >= MAX_CHANS_PER_INVOCATION {
-                // A guest looping chan_open would otherwise grow host
-                // state without bound; no legitimate pipeline stage needs
-                // more ends than this.
-                return Ok(HcOutcome::Kill("chan_open: too many channels"));
-            }
-            let chan = kernel.chan_open(capacity);
-            inv.guest_opened.push(chan);
-            Ok(HcOutcome::Resume(inv.bind_chan(chan)))
-        }
-        nr::CHAN_SEND => {
-            let (h, buf, len) = (args[0], args[1], args[2] as usize);
-            if len > 1 << 24 {
-                // A length no channel could ever accept is a caller bug,
-                // not backpressure: kill rather than park forever (§3.2 —
-                // inputs are assumed unsanitized).
-                return Ok(HcOutcome::Kill("chan_send: unreasonable length"));
-            }
-            let nonblock = args[3] & CHAN_NONBLOCK != 0;
-            let Some(chan) = inv.chan_at(h) else {
-                return Ok(HcOutcome::Resume(GUEST_ERR));
-            };
-            let target = WaitTarget::ChanSend { chan, len };
-            complete_or_wait(mem, kernel, WaitReason { target, buf, len }, nonblock)
-        }
-        nr::CHAN_RECV => {
-            let (h, buf, len) = (args[0], args[1], args[2] as usize);
-            let nonblock = args[3] & CHAN_NONBLOCK != 0;
-            let Some(chan) = inv.chan_at(h) else {
-                return Ok(HcOutcome::Resume(GUEST_ERR));
-            };
-            let target = WaitTarget::ChanRecv(chan);
-            complete_or_wait(mem, kernel, WaitReason { target, buf, len }, nonblock)
-        }
-        nr::CHAN_CLOSE => {
-            let Some(chan) = inv.chan_at(args[0]) else {
-                return Ok(HcOutcome::Resume(GUEST_ERR));
-            };
-            match kernel.chan_close(chan) {
-                Ok(()) => Ok(HcOutcome::Resume(0)),
-                Err(e) => Ok(HcOutcome::Resume(guest_ret(e.class()))),
-            }
-        }
         _ => Ok(HcOutcome::Kill("unknown hypercall")),
     }
 }
 
-/// The blocking-I/O contract, written once for `recv`, `read(0)`,
-/// `chan_recv` and `chan_send` (all outcomes guest-distinguishable):
+/// The blocking-I/O contract, written once for `recv` and `read(0)` (all
+/// outcomes guest-distinguishable):
 ///
 /// * the wait is over → [`complete`] the call: deliver the queued bytes
-///   (or the clean `0` of end-of-stream), or queue the message;
+///   (or the clean `0` of end-of-stream);
 /// * it would block → [`HcOutcome::Block`] carrying `wait` (blocking) or
 ///   the [`WOULD_BLOCK`] sentinel (non-blocking);
 /// * the object is gone or refuses → the error's guest encoding.
@@ -584,30 +437,21 @@ fn complete_or_wait(
 /// Completes the hypercall `wait` describes now that its wait is over —
 /// the one charged syscall — and returns the guest's `r0`: the byte count
 /// (0 at end-of-stream: the other side drained and closed), or the
-/// error's guest encoding (a channel closed under a parked sender fails
-/// the send cleanly). A hostile `buf` faults here, on the blocked and the
-/// unblocked path alike, before a send touches the channel.
+/// error's guest encoding. A hostile `buf` faults here, on the blocked and
+/// the unblocked path alike.
 pub(crate) fn complete(
     mem: &mut dyn GuestMem,
     kernel: &HostKernel,
     wait: WaitReason,
 ) -> Result<u64, Fault> {
-    let got = match wait.target {
-        WaitTarget::Sock(sock) => kernel.net_recv(sock, wait.len).map_err(|e| e.class()),
-        WaitTarget::ChanRecv(chan) => kernel.chan_recv(chan, wait.len).map_err(|e| e.class()),
-        WaitTarget::ChanSend { chan, len } => {
-            let data = mem.read_guest(wait.buf, len)?;
-            let sent = kernel.chan_send(chan, &data);
-            return Ok(sent.map_or_else(|e| guest_ret(e.class()), |()| len as u64));
-        }
-    };
-    match got {
+    let WaitTarget::Sock(sock) = wait.target;
+    match kernel.net_recv(sock, wait.len) {
         Ok(Some(data)) => {
             mem.write_guest(wait.buf, &data)?;
             Ok(data.len() as u64)
         }
         Ok(None) => Ok(0),
-        Err(class) => Ok(guest_ret(class)),
+        Err(e) => Ok(guest_ret(e.class())),
     }
 }
 
@@ -843,147 +687,19 @@ mod tests {
     }
 
     #[test]
-    fn chan_send_recv_round_trip_through_hypercalls() {
-        let (k, mut m, mut inv) = setup();
-        // Open a channel from inside the guest.
-        let h =
-            match handle_canned(nr::CHAN_OPEN, [4096, 0, 0, 0, 0], &mut m, &k, &mut inv).unwrap() {
-                HcOutcome::Resume(h) => h,
-                other => panic!("chan_open failed: {other:?}"),
-            };
-        m.write_guest(64, b"payload").unwrap();
-        let out = handle_canned(nr::CHAN_SEND, [h, 64, 7, 0, 0], &mut m, &k, &mut inv).unwrap();
-        assert_eq!(out, HcOutcome::Resume(7));
-        let out = handle_canned(nr::CHAN_RECV, [h, 256, 64, 0, 0], &mut m, &k, &mut inv).unwrap();
-        assert_eq!(out, HcOutcome::Resume(7));
-        assert_eq!(m.read_guest(256, 7).unwrap(), b"payload");
-    }
-
-    #[test]
-    fn chan_recv_distinguishes_data_block_wouldblock_and_eof() {
-        let (k, mut m, _) = setup();
-        let chan = k.chan_open(64);
-        let mut inv = Invocation::default().with_chans(vec![chan]);
-
-        // Open but empty, blocking: an exit, not a busy-wait.
-        let out = handle_canned(nr::CHAN_RECV, [0, 128, 32, 0, 0], &mut m, &k, &mut inv).unwrap();
-        assert_eq!(
-            out,
-            HcOutcome::Block(WaitReason {
-                target: WaitTarget::ChanRecv(chan),
-                buf: 128,
-                len: 32
-            })
-        );
-        // Non-blocking: the WOULD_BLOCK sentinel.
-        let out = handle_canned(
-            nr::CHAN_RECV,
-            [0, 128, 32, CHAN_NONBLOCK, 0],
-            &mut m,
-            &k,
-            &mut inv,
-        )
-        .unwrap();
-        assert_eq!(out, HcOutcome::Resume(WOULD_BLOCK));
-
-        // Data queued: delivered regardless of flags.
-        k.chan_send(chan, b"go").unwrap();
-        let out = handle_canned(nr::CHAN_RECV, [0, 128, 32, 0, 0], &mut m, &k, &mut inv).unwrap();
-        assert_eq!(out, HcOutcome::Resume(2));
-
-        // Closed and drained: a clean 0 EOF on both paths.
-        k.chan_close(chan).unwrap();
-        let out = handle_canned(nr::CHAN_RECV, [0, 128, 32, 0, 0], &mut m, &k, &mut inv).unwrap();
-        assert_eq!(out, HcOutcome::Resume(0), "blocking chan_recv sees EOF");
-        let out = handle_canned(
-            nr::CHAN_RECV,
-            [0, 128, 32, CHAN_NONBLOCK, 0],
-            &mut m,
-            &k,
-            &mut inv,
-        )
-        .unwrap();
-        assert_eq!(out, HcOutcome::Resume(0), "non-blocking sees EOF too");
-    }
-
-    #[test]
-    fn chan_send_applies_backpressure_and_fails_cleanly_when_closed() {
-        let (k, mut m, _) = setup();
-        let chan = k.chan_open(8);
-        let mut inv = Invocation::default().with_chans(vec![chan]);
-        m.write_guest(0, b"123456").unwrap();
-        let out = handle_canned(nr::CHAN_SEND, [0, 0, 6, 0, 0], &mut m, &k, &mut inv).unwrap();
-        assert_eq!(out, HcOutcome::Resume(6));
-
-        // 6 of 8 bytes used: a 3-byte send blocks (backpressure park)...
-        let out = handle_canned(nr::CHAN_SEND, [0, 0, 3, 0, 0], &mut m, &k, &mut inv).unwrap();
-        assert_eq!(
-            out,
-            HcOutcome::Block(WaitReason {
-                target: WaitTarget::ChanSend { chan, len: 3 },
-                buf: 0,
-                len: 3
-            })
-        );
-        // ...or reports WOULD_BLOCK non-blocking.
-        let out = handle_canned(
-            nr::CHAN_SEND,
-            [0, 0, 3, CHAN_NONBLOCK, 0],
-            &mut m,
-            &k,
-            &mut inv,
-        )
-        .unwrap();
-        assert_eq!(out, HcOutcome::Resume(WOULD_BLOCK));
-        // A 2-byte send still fits.
-        let out = handle_canned(nr::CHAN_SEND, [0, 0, 2, 0, 0], &mut m, &k, &mut inv).unwrap();
-        assert_eq!(out, HcOutcome::Resume(2));
-
-        // Closed: sends fail with -1 (never silently dropped).
-        k.chan_close(chan).unwrap();
-        let out = handle_canned(nr::CHAN_SEND, [0, 0, 2, 0, 0], &mut m, &k, &mut inv).unwrap();
-        assert_eq!(out, HcOutcome::Resume(GUEST_ERR));
-    }
-
-    #[test]
-    fn chan_handles_are_invocation_private() {
-        let (k, mut m, mut inv) = setup();
-        // No channel bound at handle 0: every op is a clean -1, and the
-        // raw host ChanId of a channel bound to *another* invocation is
-        // unreachable (guests only ever see table indices).
-        let other = k.chan_open(64);
-        let out =
-            handle_canned(nr::CHAN_SEND, [other.0, 0, 1, 0, 0], &mut m, &k, &mut inv).unwrap();
-        assert_eq!(out, HcOutcome::Resume(GUEST_ERR));
-        let out = handle_canned(nr::CHAN_RECV, [0, 0, 8, 0, 0], &mut m, &k, &mut inv).unwrap();
-        assert_eq!(out, HcOutcome::Resume(GUEST_ERR));
-        let out = handle_canned(nr::CHAN_CLOSE, [5, 0, 0, 0, 0], &mut m, &k, &mut inv).unwrap();
-        assert_eq!(out, HcOutcome::Resume(GUEST_ERR));
-    }
-
-    #[test]
     fn wait_targets_name_the_object_that_ends_the_wait() {
         // The scheduler's `park` span detail is the target's `Debug`
-        // output: these three strings are part of the trace format.
-        let (sock, chan) = (SockId(3), ChanId(9));
-        let shown = |target: WaitTarget| format!("{target:?}");
-        assert_eq!(shown(WaitTarget::Sock(sock)), "Sock(SockId(3))");
-        assert_eq!(shown(WaitTarget::ChanRecv(chan)), "ChanRecv(ChanId(9))");
-        assert_eq!(
-            shown(WaitTarget::ChanSend { chan, len: 1 }),
-            "ChanSend { chan: ChanId(9), len: 1 }"
-        );
+        // output: this string is part of the trace format.
+        let shown = format!("{:?}", WaitTarget::Sock(SockId(3)));
+        assert_eq!(shown, "Sock(SockId(3))");
     }
 
-    /// The four blocking hypercall forms, and the one fixture they are
-    /// all driven on: a connection bound as fd 0 and a 128-byte channel
-    /// bound at handle 0.
+    /// The two blocking hypercall forms, and the one fixture they are
+    /// both driven on: a connection bound as fd 0.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Kind {
         Recv,
         Read0,
-        ChanRecv,
-        ChanSend,
     }
 
     struct Fixture {
@@ -992,62 +708,44 @@ mod tests {
         inv: Invocation,
         client: SockId,
         server: SockId,
-        chan: ChanId,
     }
 
     const MSG: [u8; 100] = [0x5A; 100];
     const BUF: u64 = 512;
 
     impl Fixture {
-        /// A fixture on which `kind`'s call would block.
-        fn blocked(kind: Kind) -> Fixture {
-            let (k, mut m, _) = setup();
+        /// A fixture on which either call would block.
+        fn blocked() -> Fixture {
+            let (k, m, _) = setup();
             k.net_listen(80).unwrap();
             let client = k.net_connect(80).unwrap();
             let server = k.net_accept(80).unwrap().unwrap();
-            let chan = k.chan_open(128);
-            if kind == Kind::ChanSend {
-                // 100 of 128 bytes used: a second 100-byte message waits.
-                k.chan_send(chan, &MSG).unwrap();
-                m.write_guest(BUF, &MSG).unwrap();
-            }
-            let inv = Invocation::with_conn(server).with_chans(vec![chan]);
+            let inv = Invocation::with_conn(server);
             Fixture {
                 k,
                 m,
                 inv,
                 client,
                 server,
-                chan,
             }
         }
 
         /// Ends the wait the way `state` says, from outside the guest.
-        fn end_wait(&self, kind: Kind, state: &str) {
-            let k = &self.k;
-            match (state, kind) {
-                ("ready", Kind::Recv | Kind::Read0) => k.net_send(self.client, &MSG).unwrap(),
-                ("ready", Kind::ChanRecv) => k.chan_send(self.chan, &MSG).unwrap(),
-                ("ready", Kind::ChanSend) => drop(k.chan_recv(self.chan, 128).unwrap().unwrap()),
-                ("closed", Kind::Recv | Kind::Read0) => k.net_close(self.client).unwrap(),
-                ("closed", Kind::ChanRecv) => k.chan_close(self.chan).unwrap(),
-                ("closed", Kind::ChanSend) => {
-                    k.chan_close(self.chan).unwrap();
-                }
+        fn end_wait(&self, state: &str) {
+            match state {
+                "ready" => self.k.net_send(self.client, &MSG).unwrap(),
+                "closed" => self.k.net_close(self.client).unwrap(),
                 // The guest's own end goes away under it.
-                ("gone", Kind::Recv | Kind::Read0) => k.net_close(self.server).unwrap(),
-                _ => unreachable!("{state} for {kind:?}"),
+                "gone" => self.k.net_close(self.server).unwrap(),
+                _ => unreachable!("{state}"),
             }
         }
 
-        fn target(&self, kind: Kind) -> WaitTarget {
-            match kind {
-                Kind::Recv | Kind::Read0 => WaitTarget::Sock(self.server),
-                Kind::ChanRecv => WaitTarget::ChanRecv(self.chan),
-                Kind::ChanSend => WaitTarget::ChanSend {
-                    chan: self.chan,
-                    len: MSG.len(),
-                },
+        fn wait(&self) -> WaitReason {
+            WaitReason {
+                target: WaitTarget::Sock(self.server),
+                buf: BUF,
+                len: MSG.len(),
             }
         }
 
@@ -1063,8 +761,6 @@ mod tests {
             let (n, args) = match kind {
                 Kind::Recv => (nr::RECV, [buf, len, flag, 0, 0]),
                 Kind::Read0 => (nr::READ, [0, buf, len, 0, 0]),
-                Kind::ChanRecv => (nr::CHAN_RECV, [0, buf, len, flag, 0]),
-                Kind::ChanSend => (nr::CHAN_SEND, [0, buf, len, flag, 0]),
             };
             let t0 = self.k.now();
             let out = handle_canned(n, args, &mut self.m, &self.k, &mut self.inv);
@@ -1085,24 +781,17 @@ mod tests {
     #[test]
     fn every_wait_kind_takes_the_one_path_through_all_four_states() {
         use vclock::costs;
-        // The per-kind charges: one syscall round trip, plus — when bytes
-        // move — the socket stack or channel queue op and the copy.
+        // The charges: one syscall round trip, plus — when bytes move —
+        // the socket stack and the copy.
         const SYS: u64 = 2 * costs::HOST_RING_TRANSITION + costs::HOST_SYSCALL_BASE;
         let copy = MSG.len() as u64 * costs::HOST_COPY_PER_BYTE_X1000 / 1_000;
-        let moved = |kind| match kind {
-            Kind::Recv | Kind::Read0 => SYS + costs::HOST_NET_STACK + copy,
-            Kind::ChanRecv | Kind::ChanSend => SYS + costs::HOST_CHAN_OP + copy,
-        };
+        let moved = SYS + costs::HOST_NET_STACK + copy;
         let n = MSG.len() as u64;
 
-        for kind in [Kind::Recv, Kind::Read0, Kind::ChanRecv, Kind::ChanSend] {
-            // Would block. Blocking: parks on the expected target, free.
-            let mut f = Fixture::blocked(kind);
-            let wait = WaitReason {
-                target: f.target(kind),
-                buf: BUF,
-                len: MSG.len(),
-            };
+        for kind in [Kind::Recv, Kind::Read0] {
+            // Would block. Blocking: parks on the connection, free.
+            let mut f = Fixture::blocked();
+            let wait = f.wait();
             assert_eq!(f.call(kind, BUF, false), (Ok(HcOutcome::Block(wait)), 0));
             // Non-blocking (`read` has no such form): the sentinel, and
             // the probe-and-fail is one syscall round trip.
@@ -1115,86 +804,49 @@ mod tests {
 
             // Ready: the same r0 and the same charge whether the call
             // found it ready or a resume completes it after a park.
-            let mut unblocked = Fixture::blocked(kind);
-            unblocked.end_wait(kind, "ready");
+            let mut unblocked = Fixture::blocked();
+            unblocked.end_wait("ready");
             let at_block = unblocked.call(kind, BUF, false);
-            assert_eq!(
-                at_block,
-                (Ok(HcOutcome::Resume(n)), moved(kind)),
-                "{kind:?}"
-            );
-            f.end_wait(kind, "ready");
-            assert_eq!(f.resume(wait), Some((Ok(n), moved(kind))), "{kind:?}");
-            let landed = match kind {
-                Kind::ChanSend => f.k.chan_recv(f.chan, 128).unwrap().unwrap(),
-                _ => f.m.read_guest(BUF, MSG.len()).unwrap(),
-            };
-            assert_eq!(landed, MSG, "{kind:?}");
+            assert_eq!(at_block, (Ok(HcOutcome::Resume(n)), moved), "{kind:?}");
+            f.end_wait("ready");
+            assert_eq!(f.resume(wait), Some((Ok(n), moved)), "{kind:?}");
+            assert_eq!(f.m.read_guest(BUF, MSG.len()).unwrap(), MSG, "{kind:?}");
 
-            // EOF / closed. A receive sees the clean 0 for one syscall on
-            // both paths. A send to a closed channel is refused: free
-            // when the probe already says so, one failed syscall when the
-            // channel closed under the parked sender.
-            let (r0, at_block_cost) = match kind {
-                Kind::ChanSend => (GUEST_ERR, 0),
-                _ => (0, SYS),
-            };
-            let mut closed = Fixture::blocked(kind);
-            closed.end_wait(kind, "closed");
+            // EOF: the clean 0 for one syscall on both paths.
+            let mut closed = Fixture::blocked();
+            closed.end_wait("closed");
             let got = closed.call(kind, BUF, false);
-            assert_eq!(got, (Ok(HcOutcome::Resume(r0)), at_block_cost), "{kind:?}");
-            let mut parked = Fixture::blocked(kind);
-            parked.end_wait(kind, "closed");
-            assert_eq!(parked.resume(wait_of(&parked, kind)), Some((Ok(r0), SYS)));
+            assert_eq!(got, (Ok(HcOutcome::Resume(0)), SYS), "{kind:?}");
+            let mut parked = Fixture::blocked();
+            parked.end_wait("closed");
+            let wait = parked.wait();
+            assert_eq!(parked.resume(wait), Some((Ok(0), SYS)));
 
             // Bad handle: -1, free at the call (the probe refuses it);
             // one failed syscall when a resume finds the object gone.
-            let mut bad = Fixture::blocked(kind);
+            let mut bad = Fixture::blocked();
             bad.inv.conn = Some(SockId(999));
-            bad.inv.chans = vec![ChanId(999)];
             let got = bad.call(kind, BUF, false);
             assert_eq!(got, (Ok(HcOutcome::Resume(GUEST_ERR)), 0), "{kind:?}");
-            let mut gone = Fixture::blocked(kind);
-            let mut wait = wait_of(&gone, kind);
-            match kind {
-                Kind::Recv | Kind::Read0 => gone.end_wait(kind, "gone"),
-                Kind::ChanRecv => wait.target = WaitTarget::ChanRecv(ChanId(999)),
-                Kind::ChanSend => {
-                    wait.target = WaitTarget::ChanSend {
-                        chan: ChanId(999),
-                        len: MSG.len(),
-                    }
-                }
-            }
+            let mut gone = Fixture::blocked();
+            gone.end_wait("gone");
+            let wait = gone.wait();
             assert_eq!(gone.resume(wait), Some((Ok(GUEST_ERR), SYS)), "{kind:?}");
 
-            // A hostile buffer faults identically on both paths — and a
-            // send faults before it touches the channel.
+            // A hostile buffer faults identically on both paths.
             const HOSTILE: u64 = 0xFFFF_0000;
-            let mut direct = Fixture::blocked(kind);
-            direct.end_wait(kind, "ready");
+            let mut direct = Fixture::blocked();
+            direct.end_wait("ready");
             let (fault, _) = direct.call(kind, HOSTILE, false);
             let fault = fault.expect_err("hostile buf must fault");
-            let mut parked = Fixture::blocked(kind);
+            let mut parked = Fixture::blocked();
             let (out, _) = parked.call(kind, HOSTILE, false);
             let Ok(HcOutcome::Block(wait)) = out else {
                 panic!("{kind:?}: parks first, faults at the completion: {out:?}");
             };
-            parked.end_wait(kind, "ready");
+            parked.end_wait("ready");
             let (resumed, _) = parked.resume(wait).expect("the wait is over");
             assert_eq!(resumed, Err(fault), "{kind:?}");
-            if kind == Kind::ChanSend {
-                let empty = WaitTarget::ChanRecv(parked.chan);
-                assert_eq!(parked.k.wait_pending(empty), Ok(true), "nothing was queued");
-            }
-        }
-
-        fn wait_of(f: &Fixture, kind: Kind) -> WaitReason {
-            WaitReason {
-                target: f.target(kind),
-                buf: BUF,
-                len: MSG.len(),
-            }
         }
     }
 
@@ -1232,5 +884,18 @@ mod tests {
         let (k, mut m, mut inv) = setup();
         let out = handle_canned(999, [0; 5], &mut m, &k, &mut inv).unwrap();
         assert!(matches!(out, HcOutcome::Kill(_)));
+    }
+
+    #[test]
+    fn the_numbers_past_return_data_are_unknown() {
+        // `return_data` is the last call; no number past it names one.
+        assert_eq!(nr::COUNT, 11);
+        assert_eq!(nr::RETURN_DATA, nr::COUNT - 1);
+        for n in nr::COUNT..15 {
+            assert_eq!(name(n), "unknown", "{n}");
+            let (k, mut m, mut inv) = setup();
+            let out = handle_canned(n, [0; 5], &mut m, &k, &mut inv).unwrap();
+            assert_eq!(out, HcOutcome::Kill("unknown hypercall"), "{n}");
+        }
     }
 }

@@ -16,11 +16,9 @@
 //! * **Snapshotting** ([`runtime`]) — a virtine can checkpoint itself after
 //!   initialization; subsequent invocations of the same function resume
 //!   from the snapshot and skip the boot path entirely (§5.2, Figure 7).
-//! * **Cross-virtine channels** ([`hypercall`], "vchan") — virtines
-//!   compose into pipelines over host-mediated bounded byte queues,
-//!   reachable only through mask-gated `chan_*` hypercalls; blocking
-//!   sends/recvs are exits that suspend the run ([`SuspendedRun`]), never
-//!   busy-waits. See the lifecycle diagram in the [`hypercall`] docs.
+//! * **Blocked I/O** ([`hypercall`]) — a blocking `recv` or `read(0)` on
+//!   the bound connection is an exit that suspends the run
+//!   ([`SuspendedRun`]), never a busy-wait (§6.3).
 //! * **Native baseline** ([`native`]) — the same binaries run natively for
 //!   apples-to-apples comparisons, with hypercalls downgraded to syscalls.
 //!
@@ -41,8 +39,8 @@ pub mod pool;
 pub mod runtime;
 
 pub use hypercall::{
-    nr, GuestMem, HcOutcome, HypercallMask, Invocation, WaitReason, WaitTarget, CHAN_NONBLOCK,
-    HYPERCALL_PORT, RECV_NONBLOCK, WOULD_BLOCK,
+    nr, GuestMem, HcOutcome, HypercallMask, Invocation, WaitReason, WaitTarget, HYPERCALL_PORT,
+    RECV_NONBLOCK, WOULD_BLOCK,
 };
 pub use native::{NativeExit, NativeOutcome, NativeRunner};
 pub use pool::{Pool, PoolMode, PoolStats, WarmExport, DEFAULT_WARM_CAPACITY};

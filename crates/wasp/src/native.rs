@@ -186,12 +186,6 @@ impl NativeRunner {
 
         let ret = machine.cpu.reg(Reg(0));
         let marks = std::mem::take(&mut machine.cpu.marks);
-        // Guest-opened channels die with the invocation, exactly as in
-        // the virtualized runtime: the native baseline must not let a
-        // looping chan_open grow host channel state across runs.
-        for &chan in invocation.guest_opened_chans() {
-            let _ = self.kernel.chan_close(chan);
-        }
         NativeOutcome {
             exit,
             ret,

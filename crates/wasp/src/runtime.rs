@@ -864,10 +864,10 @@ impl Wasp {
 
         // Spurious wake-ups re-park without charging anything: the
         // still-pending probe is the same free kernel-internal poll the
-        // block decision used. Channels wake *every* parked waiter, so a
-        // run can lose the race for the message it was woken for. A wait
-        // whose object failed meanwhile is over: the completion below
-        // reports the failure.
+        // block decision used. A wake does not promise the data is still
+        // there, so the probe is re-run rather than trusted. A wait whose
+        // object failed meanwhile is over: the completion below reports
+        // the failure.
         let still_blocked = self.kernel.wait_pending(s.wait.target) == Ok(true);
         s.live.breakdown.blocked += t_resume - s.blocked_at;
         if still_blocked {
@@ -996,17 +996,6 @@ impl Wasp {
         }
     }
 
-    /// Closes every channel the guest `chan_open`ed during the ending
-    /// invocation: guest-created channels are invocation-private, so the
-    /// host reclaims them here (double closes — the guest already closed
-    /// — are fine). Host-bound channels are untouched: their lifecycle
-    /// belongs to the pipeline that wired them.
-    fn release_guest_chans(&self, invocation: &Invocation) {
-        for &chan in invocation.guest_opened_chans() {
-            let _ = self.kernel.chan_close(chan);
-        }
-    }
-
     /// What a finished segment turns the run into: a suspension parked at
     /// `at`, or the final outcome.
     fn end_segment(&self, mut live: Live, end: SegmentEnd, at: Cycles) -> RunResult {
@@ -1043,7 +1032,6 @@ impl Wasp {
         let vcpu = vm.vcpu();
         let ret = vcpu.reg(Reg(0));
         marks.extend(vcpu.take_marks());
-        self.release_guest_chans(&invocation);
 
         // The shell may park warm only when its state provably derives
         // from the spec's *current* snapshot (compared by Rc identity — a
@@ -1733,173 +1721,11 @@ init:
         assert_eq!(out_b.hypercalls, out_a.hypercalls);
     }
 
-    /// A guest that blocking-chan_recvs from handle 0 into 0x4000 and
-    /// halts with the return value in `r0`.
-    fn chan_recv_image() -> Image {
-        image(
-            "
-.org 0x8000
-  mov r0, 13           ; chan_recv
-  mov r1, 0            ; handle 0
-  mov r2, 0x4000       ; buf
-  mov r3, 64           ; max_len
-  mov r4, 0            ; flags: blocking
-  out 0x1, r0
-  hlt
-",
-        )
-    }
-
-    fn chan_recv_spec(w: &Wasp) -> VirtineId {
-        w.register(
-            VirtineSpec::new("chan_recv", chan_recv_image(), MEM)
-                .with_policy(HypercallMask::allowing(&[nr::CHAN_RECV]))
-                .with_snapshot(false),
-        )
-        .unwrap()
-    }
-
+    /// One run parked three times on its connection — `recv`, `read(0)`,
+    /// then `recv` again — carries its marks, its segmented clock and its
+    /// exec charge through every park unchanged.
     #[test]
-    fn chan_blocked_then_resumed_run_charges_the_same_guest_cycles_as_unblocked() {
-        // Run A: the message is already queued — no park.
-        let w = wasp(PoolMode::CachedAsync);
-        let chan = w.kernel().chan_open(256);
-        let id = chan_recv_spec(&w);
-        w.kernel().chan_send(chan, b"ping").unwrap();
-        let RunResult::Done(out_a, _) =
-            start_resumable(&w, id, Invocation::default().with_chans(vec![chan]))
-        else {
-            panic!("pre-sent message must not block");
-        };
-        assert_eq!(out_a.exit, ExitKind::Halted(4));
-        assert_eq!(out_a.breakdown.resumes, 0);
-
-        // Run B: empty channel — parks, waits out virtual time, resumes.
-        let w = wasp(PoolMode::CachedAsync);
-        let chan = w.kernel().chan_open(256);
-        let id = chan_recv_spec(&w);
-        let RunResult::Blocked(s) =
-            start_resumable(&w, id, Invocation::default().with_chans(vec![chan]))
-        else {
-            panic!("empty channel must block");
-        };
-        assert_eq!(s.wait().target, WaitTarget::ChanRecv(chan));
-        // A spurious resume (still empty) re-parks without charging.
-        let RunResult::Blocked(s) = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap() else {
-            panic!("still empty: must re-park");
-        };
-        w.clock().tick(1_000_000);
-        w.kernel().chan_send(chan, b"ping").unwrap();
-        let RunResult::Done(out_b, _) = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap()
-        else {
-            panic!("readable channel must resume to completion");
-        };
-        assert_eq!(out_b.exit, ExitKind::Halted(4));
-        assert_eq!(out_b.breakdown.resumes, 1);
-        assert!(out_b.breakdown.blocked.get() >= 1_000_000);
-
-        // The acceptance invariant, extended to channels: a parked
-        // consumer charges byte-identical guest cycles to an unparked one.
-        assert_eq!(
-            out_b.breakdown.exec, out_a.breakdown.exec,
-            "chan-blocked-then-resumed exec must equal the unblocked run's"
-        );
-        assert_eq!(out_b.breakdown.total, out_a.breakdown.total);
-        assert_eq!(out_b.hypercalls, out_a.hypercalls);
-    }
-
-    #[test]
-    fn guest_opened_channels_die_with_the_invocation() {
-        // The guest opens a channel and exits without closing it; the
-        // runtime must close it so host channel state cannot outlive the
-        // invocation. (Host-bound channels are untouched: the pipeline
-        // that wired them owns their lifecycle.)
-        let img = image(
-            "
-.org 0x8000
-  mov r0, 11           ; chan_open(16)
-  mov r1, 16
-  out 0x1, r0
-  hlt
-",
-        );
-        let w = wasp(PoolMode::CachedAsync);
-        let host_chan = w.kernel().chan_open(16);
-        let id = w
-            .register(
-                VirtineSpec::new("opener", img, MEM)
-                    .with_policy(HypercallMask::allowing(&[nr::CHAN_OPEN]))
-                    .with_snapshot(false),
-            )
-            .unwrap();
-        let out = w
-            .run(id, &[], Invocation::default().with_chans(vec![host_chan]))
-            .unwrap();
-        assert!(out.exit.is_normal());
-        assert_eq!(out.invocation.guest_opened_chans().len(), 1);
-        let guest_chan = out.invocation.guest_opened_chans()[0];
-        // The guest-opened channel was closed (and, empty, reaped); the
-        // host-bound one is still live.
-        assert_eq!(
-            w.kernel().chan_send(guest_chan, b"x"),
-            Err(hostsim::ChanError::Closed(guest_chan)),
-            "guest-opened channel must not outlive the invocation"
-        );
-        w.kernel().chan_send(host_chan, b"x").unwrap();
-    }
-
-    #[test]
-    fn chan_send_backpressure_parks_and_resumes_after_capacity_frees() {
-        // A guest that chan_sends 8 bytes at 0x100 into handle 0.
-        let img = image(
-            "
-.org 0x8000
-  mov r1, 0x100
-  mov r5, 0x41414141
-  store.q [r1], r5
-  mov r0, 12           ; chan_send
-  mov r1, 0            ; handle 0
-  mov r2, 0x100        ; buf
-  mov r3, 8            ; len
-  mov r4, 0            ; flags: blocking
-  out 0x1, r0
-  hlt
-",
-        );
-        let w = wasp(PoolMode::CachedAsync);
-        let chan = w.kernel().chan_open(8);
-        // Pre-fill the channel so the guest's send cannot fit.
-        w.kernel().chan_send(chan, b"xxxxxx").unwrap();
-        let id = w
-            .register(
-                VirtineSpec::new("chan_send", img, MEM)
-                    .with_policy(HypercallMask::allowing(&[nr::CHAN_SEND]))
-                    .with_snapshot(false),
-            )
-            .unwrap();
-        let RunResult::Blocked(s) =
-            start_resumable(&w, id, Invocation::default().with_chans(vec![chan]))
-        else {
-            panic!("full channel must block the sender");
-        };
-        assert!(matches!(s.wait().target, WaitTarget::ChanSend { .. }));
-        // Draining the queue frees capacity; the resume performs the send.
-        w.kernel().chan_recv(chan, 64).unwrap().unwrap();
-        let RunResult::Done(out, _) = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap() else {
-            panic!("freed capacity must resume the sender");
-        };
-        assert_eq!(out.exit, ExitKind::Halted(8), "send completed at resume");
-        let msg = w.kernel().chan_recv(chan, 64).unwrap().unwrap();
-        assert_eq!(&msg[..4], b"AAAA", "the queued bytes landed");
-    }
-
-    /// One run parked on all three wait kinds in turn — socket `recv`,
-    /// `chan_recv`, then `chan_send` backpressure — carries its marks,
-    /// hypercall count, and segmented accounting across every park as one
-    /// value: the totals equal the sum of the segments, and the guest is
-    /// charged exactly what the never-blocked run is.
-    #[test]
-    fn a_run_parked_on_three_wait_kinds_sums_its_segments() {
+    fn a_run_parked_three_times_sums_its_segments() {
         let img = image(
             "
 .org 0x8000
@@ -1910,18 +1736,16 @@ init:
   mov r3, 0
   out 0x1, r0
   mark 2
-  mov r0, 13           ; chan_recv handle 0 (blocking) into 0x4100
+  mov r0, 2            ; read(0) (always blocking) into 0x4100
   mov r1, 0
   mov r2, 0x4100
   mov r3, 64
-  mov r4, 0
   out 0x1, r0
   mark 3
-  mov r0, 12           ; chan_send handle 1 (blocking): the 4 recv'd bytes
-  mov r1, 1
-  mov r2, 0x4000
-  mov r3, 4
-  mov r4, 0
+  mov r0, 7            ; recv (blocking) into 0x4200
+  mov r1, 0x4200
+  mov r2, 64
+  mov r3, 0
   out 0x1, r0
   mark 4
   hlt
@@ -1930,19 +1754,18 @@ init:
         let setup = || {
             let w = wasp(PoolMode::CachedAsync);
             let (client, server) = conn_pair(&w, 80);
-            let (input, output) = (w.kernel().chan_open(64), w.kernel().chan_open(8));
-            let policy = HypercallMask::allowing(&[nr::RECV, nr::CHAN_RECV, nr::CHAN_SEND]);
+            let policy = HypercallMask::allowing(&[nr::RECV, nr::READ]);
             let spec = VirtineSpec::new("three_waits", img.clone(), MEM).with_policy(policy);
             let id = w.register(spec.with_snapshot(false)).unwrap();
-            let invocation = Invocation::with_conn(server).with_chans(vec![input, output]);
-            (w, id, invocation, client, input, output)
+            (w, id, Invocation::with_conn(server), client)
         };
         let mark_ids = |out: &RunOutcome| out.marks.iter().map(|m| m.0).collect::<Vec<_>>();
 
         // Run A: every wait is already satisfied — no park.
-        let (w, id, invocation, client, input, _) = setup();
-        w.kernel().net_send(client, b"ping").unwrap();
-        w.kernel().chan_send(input, b"go").unwrap();
+        let (w, id, invocation, client) = setup();
+        for msg in [&b"ping"[..], b"go", b"pong"] {
+            w.kernel().net_send(client, msg).unwrap();
+        }
         let RunResult::Done(out_a, _) = start_resumable(&w, id, invocation) else {
             panic!("satisfied waits must not block");
         };
@@ -1950,9 +1773,8 @@ init:
         assert_eq!((out_a.hypercalls, out_a.breakdown.resumes), (3, 0));
         assert_eq!(mark_ids(&out_a), [1, 2, 3, 4]);
 
-        // Run B: nothing is ready, and the output channel is full.
-        let (w, id, invocation, client, input, output) = setup();
-        w.kernel().chan_send(output, b"xxxxxx").unwrap();
+        // Run B: nothing is ready at any of the three calls.
+        let (w, id, invocation, client) = setup();
         let clock = w.clock();
         let shell = ShellRun {
             vm: w.hypervisor().create_vm(MEM, LOAD_ADDR),
@@ -1967,22 +1789,16 @@ init:
         let mut run = w.run_on_shell(shell, &mut |_, _, _, _| None).unwrap();
         // Time inside `run_on_shell`/`resume_on_shell`, and parked outside.
         let (mut inside, mut parked) = (clock.now() - t0, Cycles::ZERO);
-        for kind in 0..3 {
+        for (park, msg) in [&b"ping"[..], b"go", b"pong"].into_iter().enumerate() {
             let RunResult::Blocked(s) = run else {
-                panic!("wait {kind} must park");
+                panic!("wait {park} must park");
             };
-            assert_eq!(s.breakdown().resumes, kind);
+            assert_eq!(s.breakdown().resumes as usize, park);
             assert_eq!(s.breakdown().blocked, parked);
             assert_eq!(s.breakdown().total, inside, "segments so far");
             // Unrelated platform work passes, then the wait is satisfied.
-            clock.tick(1_000_000 * (u64::from(kind) + 1));
-            match s.wait().target {
-                WaitTarget::Sock(_) => w.kernel().net_send(client, b"ping").unwrap(),
-                WaitTarget::ChanRecv(_) => w.kernel().chan_send(input, b"go").unwrap(),
-                WaitTarget::ChanSend { .. } => {
-                    w.kernel().chan_recv(output, 64).unwrap().unwrap();
-                }
-            }
+            clock.tick(1_000_000 * (park as u64 + 1));
+            w.kernel().net_send(client, msg).unwrap();
             let before = clock.now();
             parked += before - s.blocked_at();
             run = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap();
@@ -1992,7 +1808,6 @@ init:
             panic!("the third resume must run to completion");
         };
         assert_eq!(out_b.exit, ExitKind::Halted(4));
-        assert_eq!(w.kernel().chan_recv(output, 64).unwrap().unwrap(), b"ping");
 
         // The totals are the sums of the segments...
         assert_eq!(out_b.breakdown.resumes, 3);
@@ -2007,40 +1822,33 @@ init:
     }
 
     #[test]
-    fn chan_closed_while_sender_parked_resumes_to_a_clean_failure() {
-        let img = image(
-            "
-.org 0x8000
-  mov r0, 12           ; chan_send(0, 0x100, 8)
-  mov r1, 0
-  mov r2, 0x100
-  mov r3, 8
-  mov r4, 0
-  out 0x1, r0
-  hlt
-",
-        );
-        let w = wasp(PoolMode::CachedAsync);
-        let chan = w.kernel().chan_open(8);
-        w.kernel().chan_send(chan, b"fullfull").unwrap();
-        let id = w
-            .register(
-                VirtineSpec::new("s", img, MEM)
-                    .with_policy(HypercallMask::allowing(&[nr::CHAN_SEND]))
-                    .with_snapshot(false),
-            )
-            .unwrap();
-        let RunResult::Blocked(s) =
-            start_resumable(&w, id, Invocation::default().with_chans(vec![chan]))
-        else {
-            panic!("must block");
-        };
-        w.kernel().chan_close(chan).unwrap();
-        let RunResult::Done(out, _) = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap() else {
-            panic!("close ends the send wait");
-        };
-        // The send failed with -1: the wait ended, the guest decides.
-        assert_eq!(out.exit, ExitKind::Halted(u64::MAX));
+    fn a_number_past_return_data_kills_or_is_denied() {
+        // No hypercall is numbered past `return_data`: allowed, the call
+        // is unknown and kills; masked, it is denied like any other.
+        for n in nr::COUNT..15 {
+            let img = image(&format!(
+                ".org 0x8000
+ mov r0, {n}
+ out 0x1, r0
+ hlt
+"
+            ));
+            let w = wasp(PoolMode::CachedAsync);
+            let out = w
+                .launch_once(
+                    img.clone(),
+                    MEM,
+                    HypercallMask::ALLOW_ALL,
+                    Invocation::default(),
+                )
+                .unwrap();
+            assert_eq!(out.exit, ExitKind::Killed("unknown hypercall"), "{n}");
+            let exit_only = HypercallMask::allowing(&[nr::EXIT]);
+            let out = w
+                .launch_once(img, MEM, exit_only, Invocation::default())
+                .unwrap();
+            assert_eq!(out.exit, ExitKind::Denied { nr: n }, "{n}");
+        }
     }
 
     #[test]
