@@ -154,14 +154,23 @@ pub fn prometheus_text(d: &Dispatcher) -> String {
         "visa_predecode_dispatch_total",
         "counter",
         "Predecoded block entries served by the front cache, the block map \
-         or a fresh build, and instructions single-stepped on the reference \
-         path instead (uncacheable code, the tail of a step budget)",
+         or a fresh build; the map and build entries that fast-forwarded a \
+         counted loop instead of running it (loop); and instructions \
+         single-stepped on the reference path instead (uncacheable code, \
+         the tail of a step budget)",
         &[
             ("{path=\"front\"}".into(), guest.dispatch_front),
             ("{path=\"map\"}".into(), guest.dispatch_map),
             ("{path=\"built\"}".into(), guest.dispatch_built),
+            ("{path=\"loop\"}".into(), guest.dispatch_loop),
             ("{path=\"reference\"}".into(), guest.dispatch_reference),
         ],
+    );
+    out.metric(
+        "visa_predecode_loop_iterations_total",
+        "counter",
+        "Counted-loop iterations the predecoded engine fast-forwarded",
+        &plain(guest.loop_iterations),
     );
     out.metric(
         "visa_superinsts_fused_total",

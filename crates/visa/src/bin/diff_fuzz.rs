@@ -3,11 +3,12 @@
 //!
 //! Usage: `diff_fuzz [--iters N] [--seed S] [--insts I] [--lifecycle]`
 //!
-//! Each iteration generates one random program from the seeded corpus,
-//! assembles it, and runs it on the fast and reference engines with
-//! identical seeded I/O. Exits non-zero on the first divergence, printing
-//! the generating seed, the divergence report, and the source — everything
-//! needed to reproduce with `--iters 1 --seed <reported>`.
+//! Each iteration generates one random program from the seeded corpus — a
+//! quarter of them counted loops (`corpus::random_loop_source`), the shape
+//! the fast engine fast-forwards — assembles it, and runs it on the fast
+//! and reference engines with identical seeded I/O. Exits non-zero on the
+//! first divergence, printing the seed that reruns the case alone
+//! (`--iters 1 --seed <reported>`), the divergence report, and the source.
 //!
 //! With `--lifecycle` each iteration generates *two* programs and a random
 //! shell-lifecycle script over them (`diff::random_script`: snapshots, full
@@ -48,8 +49,14 @@ fn main() {
         // Derive one seed per case so any case reproduces standalone.
         let case_seed = seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = Rng::seeded(case_seed);
+        // A quarter of the cases are counted loops; the plain ones run in
+        // 4 MiB, where long mode's 2 MiB identity window ends inside memory.
+        let loops = rng.bool(0.25);
+        let mem = if loops && !lifecycle { 4 << 20 } else { MEM };
         let mut program = || {
-            let src = if lifecycle && rng.bool(0.5) {
+            let src = if loops {
+                corpus::random_loop_source(&mut rng, mem as u64)
+            } else if lifecycle && rng.bool(0.5) {
                 corpus::random_source_paged(&mut rng, insts)
             } else {
                 corpus::random_source(&mut rng, insts)
@@ -67,15 +74,16 @@ fn main() {
             let images = [a, b];
             let steps = diff::random_script(&mut rng, &images);
             (
-                diff::compare_script(&images, MEM, &steps, case_seed),
+                diff::compare_script(&images, mem, &steps, case_seed),
                 format!("{src_a}\nsecond image:\n{src_b}"),
             )
         } else {
             let (img, src) = program();
-            (diff::compare(&img, MEM, 50_000, case_seed), src)
+            (diff::compare(&img, mem, 50_000, case_seed), src)
         };
         if let Err(report) = result {
-            eprintln!("case {i} (seed {case_seed:#x}) DIVERGED:\n{report}\nsource:\n{sources}");
+            let again = seed.wrapping_add(i);
+            eprintln!("case {i} (rerun: --iters 1 --seed {again}) DIVERGED:\n{report}\nsource:\n{sources}");
             divergences += 1;
         }
     }

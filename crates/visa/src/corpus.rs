@@ -1,6 +1,6 @@
 //! Seeded random guest-program generation.
 //!
-//! Two generators, both deterministic from a [`vclock::rng::Rng`] seed:
+//! Three generators, all deterministic from a [`vclock::rng::Rng`] seed:
 //!
 //! * [`random_inst`] — one instruction of any form with random operands,
 //!   for encode/decode round-trip property tests.
@@ -11,6 +11,8 @@
 //!   differential harness and the `diff_fuzz` binary. Programs are *allowed* to fault, loop forever, or
 //!   scribble on themselves — the differential contract is that both
 //!   engines do exactly the same thing, not that the program is sensible.
+//! * [`random_loop_source`] — a counted loop, the block shape the fast
+//!   engine fast-forwards, aimed at the edges where it must stop.
 
 use vclock::rng::Rng;
 
@@ -249,6 +251,84 @@ fn source(rng: &mut Rng, n: usize, before_data: &str) -> String {
         let _ = writeln!(s, "L{i}:\n  {line}");
     }
     let _ = writeln!(s, "L{n}:\n  hlt\n{before_data}data:\n  .space 256");
+    s
+}
+
+/// A counted loop — `add`/`sub r, imm` and one to three stores of mixed
+/// widths, closed by `cmp` + `jcc` — in real, protected or long mode, as
+/// assembler source for a `mem_size`-byte memory. The strides are negative,
+/// zero or positive, the condition signed, unsigned or `ne`, the trip count
+/// 0 to 10 000, and each store's base is set to cross, at some iteration,
+/// the end of memory, the mode's identity window (long mode maps 2–4 MiB to
+/// frame 0, so crossing it is legal but walks), the loop's own bytes or a
+/// data buffer. Now and then the body gains an instruction the fast
+/// engine's loop fast-forward does not take, or the back edge lands
+/// mid-block.
+pub fn random_loop_source(rng: &mut Rng, mem_size: u64) -> String {
+    use std::fmt::Write as _;
+    let mode = rng.below(3);
+    let mut s = String::from(".org 0x1000\n mov sp, 0xFF00\n");
+    if mode > 0 {
+        s.push_str(" lgdt 0x200\n mov r0, cr0\n or r0, 1\n mov cr0, r0\n ljmp32 p\np:\n");
+    }
+    if mode == 2 {
+        s.push_str(
+            " mov r1, 0x10000\n mov r2, 0x11003\n store.q [r1 + 0], r2\n\
+             \x20mov r2, 0x12003\n store.q [r1 + 0x1000], r2\n mov r2, 0x83\n\
+             \x20store.q [r1 + 0x2000], r2\n store.q [r1 + 0x2008], r2\n mov cr3, r1\n\
+             \x20mov r2, 0x20\n mov cr4, r2\n mov r2, 0x100\n wrmsr 0xC0000080, r2\n\
+             \x20mov r2, 0x80000001\n mov cr0, r2\n ljmp64 l\nl:\n",
+        );
+    }
+    let strides: [i64; 10] = [0, 1, 2, 3, 8, 16, 4096, -1, -8, -4096];
+    let stride = |rng: &mut Rng| strides[rng.below(strides.len())] as u64;
+    // The counter: `trips` turns from `init` by `step`, then `cmp` to `end`;
+    // the stores' bases are the registers after it.
+    let (counter, step) = (rng.below(12), stride(rng));
+    let trips = 10 << rng.below(11);
+    let trips = rng.range_u64(0, trips).min(10_000);
+    let init = [0, rng.below(100) as u64, 1 << 63, 0u64.wrapping_sub(16)][rng.below(4)];
+    let end = init.wrapping_add(trips.wrapping_mul(step));
+    let _ = writeln!(s, " mov r{counter}, {init:#x}");
+    let mut body = vec![format!("add r{counter}, {step:#x}")];
+    let identity: u64 = [1 << 20, 1 << 32, 2 << 20][mode];
+    let (mem, id) = (mem_size.to_string(), identity.to_string());
+    let targets = ["data", "lp", &mem, &id];
+    let floors = [0x1000, 0x1000, mem_size, identity];
+    for base in (1..rng.range_u64(2, 5) as usize).map(|i| (counter + i) % 12) {
+        // `base` crosses `target`, or moves away from it, at iteration `at`.
+        let (stride, t) = (stride(rng), rng.below(4));
+        let (target, floor) = (targets[t], floors[t]);
+        let stride_bytes = (stride as i64).unsigned_abs();
+        let at = rng.range_u64(0, trips + 2).min(floor / stride_bytes.max(1));
+        let delta = (rng.below(17) as u64).wrapping_sub(8 + at * stride_bytes);
+        let _ = writeln!(s, " mov r{base}, {target}\n add r{base}, {delta:#x}");
+        let w = ["b", "w", "d", "q"][rng.below(4)];
+        let (off, src) = (rng.below(16), rng.below(12));
+        body.push(format!("store.{w} [r{base} + {off}], r{src}"));
+        body.push(format!("add r{base}, {stride:#x}"));
+    }
+    let extra: Vec<_> = "sub r{}, 3|add r{}, 1|mark 1|load.q r{}, [r12]|mul r{}, 3"
+        .split('|')
+        .collect();
+    for _ in 0..rng.below(3) {
+        let kinds = if rng.bool(0.8) { 2 } else { extra.len() };
+        let pick = extra[rng.below(kinds)];
+        body.push(pick.replace("{}", &rng.below(12).to_string()));
+    }
+    for i in (1..body.len()).rev() {
+        body.swap(i, rng.below(i + 1));
+    }
+    let back = usize::from(rng.bool(0.1)) * rng.below(body.len());
+    s.push_str("lp:\n");
+    for (i, line) in body.iter().enumerate() {
+        let _ = writeln!(s, "{}  {line}", if i == back { "back:\n" } else { "" });
+    }
+    // Mostly a condition that holds for `trips` turns; now and then any.
+    let toward = [["jne", "jl", "jb"], ["jne", "jg", "ja"]][usize::from((step as i64) < 0)];
+    let cond = [toward[rng.below(3)], JCC_NAMES[rng.below(10)]][usize::from(rng.bool(0.4))];
+    let _ = writeln!(s, "  cmp r{counter}, {end:#x}\n  {cond} back");
+    s.push_str("  hlt\ndata:\n  .space 256\n");
     s
 }
 

@@ -445,6 +445,12 @@ impl Cpu {
         self.translate_full(mem, vaddr, len)
     }
 
+    /// The identity window's end: an access wholly below it is its own
+    /// physical address, with no walk, tick or fault ([`Cpu::translate`]).
+    pub(crate) fn identity_end(&self) -> u64 {
+        self.identity_end
+    }
+
     /// [`Cpu::translate`] without the identity window: the mode limit, or
     /// the long-mode TLB and page walk.
     #[cold]

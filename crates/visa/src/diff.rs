@@ -6,7 +6,8 @@
 //! feeding seeded values to every `in` hypercall and recording every
 //! externally visible event; [`compare`] runs both engines and diffs the
 //! event streams, final architected state, full memory, virtual clock,
-//! `mark` timelines, and retired-instruction counts. Any mismatch is a
+//! `mark` timelines, retired-instruction counts, and the memory ledger
+//! that prices every later snapshot, wipe and re-arm. Any mismatch is a
 //! fast-path bug, reported with enough context to reproduce
 //! (`visa/tests/differential.rs` and the `diff_fuzz` binary both call
 //! [`compare`]).
@@ -25,7 +26,7 @@ use vclock::{Clock, Cycles};
 
 use crate::asm::Image;
 use crate::cpu::{Cpu, CpuConfig, CpuExit, CpuState, Engine, Fault, Machine};
-use crate::mem::{Memory, SparseImage};
+use crate::mem::{DirtyExtent, Memory, SparseImage};
 
 /// One externally visible event from a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,6 +68,22 @@ pub struct Outcome {
     pub marks: Vec<(u8, Cycles)>,
     /// Instructions retired.
     pub retired: u64,
+    /// The memory's ledger: what the host will charge for and visit when it
+    /// snapshots, wipes or re-arms this memory next.
+    pub ledger: Ledger,
+}
+
+/// What [`Memory`] has recorded about the writes to it — beyond the bytes,
+/// the state later virtual `memset`/`memcpy` charges are computed from. Two
+/// engines that write the same bytes must leave the same ledger.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ledger {
+    /// The dirty extents ([`Memory::dirty_extent`]).
+    pub dirty: DirtyExtent,
+    /// The dirty-page log ([`Memory::dirty_page_indices`]).
+    pub dirty_pages: Vec<u64>,
+    /// Pages out of the log that may still hold a non-zero byte.
+    pub touched: Vec<u64>,
 }
 
 /// Runs `img` on a fresh machine with the given engine until halt, fault,
@@ -164,6 +181,11 @@ impl Shell {
             clock: m.cpu.clock().now(),
             marks: m.cpu.marks.clone(),
             retired: m.cpu.insts_retired(),
+            ledger: Ledger {
+                dirty: m.mem.dirty_extent(),
+                dirty_pages: m.mem.dirty_page_indices(),
+                touched: m.mem.touched_page_indices(),
+            },
         }
     }
 }
@@ -195,43 +217,21 @@ fn divergence(fast: &Outcome, reference: &Outcome) -> Option<String> {
         return None;
     }
     let mut out = String::from("fast and reference engines diverged:\n");
-    if fast.events != reference.events {
-        out.push_str(&format!(
-            "  events:\n    fast: {:?}\n    ref:  {:?}\n",
-            fast.events, reference.events
-        ));
-    }
-    if fast.state != reference.state {
-        out.push_str(&format!(
-            "  state:\n    fast: {:?}\n    ref:  {:?}\n",
-            fast.state, reference.state
-        ));
-    }
-    if fast.mem != reference.mem {
-        let first = fast
-            .mem
-            .iter()
-            .zip(reference.mem.iter())
-            .position(|(a, b)| a != b);
-        out.push_str(&format!("  memory differs first at {first:?}\n"));
-    }
-    if fast.clock != reference.clock {
-        out.push_str(&format!(
-            "  clock: fast={:?} ref={:?}\n",
-            fast.clock, reference.clock
-        ));
-    }
-    if fast.marks != reference.marks {
-        out.push_str(&format!(
-            "  marks:\n    fast: {:?}\n    ref:  {:?}\n",
-            fast.marks, reference.marks
-        ));
-    }
-    if fast.retired != reference.retired {
-        out.push_str(&format!(
-            "  retired: fast={} ref={}\n",
-            fast.retired, reference.retired
-        ));
+    let mut field = |name: &str, f: &dyn std::fmt::Debug, r: &dyn std::fmt::Debug| {
+        let (f, r) = (format!("{f:?}"), format!("{r:?}"));
+        if f != r {
+            out.push_str(&format!("  {name}:\n    fast: {f}\n    ref:  {r}\n"));
+        }
+    };
+    field("events", &fast.events, &reference.events);
+    field("state", &fast.state, &reference.state);
+    field("clock", &fast.clock, &reference.clock);
+    field("marks", &fast.marks, &reference.marks);
+    field("retired", &fast.retired, &reference.retired);
+    field("memory ledger", &fast.ledger, &reference.ledger);
+    let mut bytes = fast.mem.iter().zip(&reference.mem);
+    if let Some(at) = bytes.position(|(a, b)| a != b) {
+        out.push_str(&format!("  memory differs first at {at}\n"));
     }
     Some(out)
 }

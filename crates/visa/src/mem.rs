@@ -177,6 +177,15 @@ fn pages_in(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
     })
 }
 
+/// Indices of the pages set in a page bitmap, ascending.
+fn page_indices(bitmap: &[u64]) -> Vec<u64> {
+    let words = bitmap.iter().enumerate();
+    words
+        .flat_map(|(w, &bits)| pages_in(w, bits))
+        .map(|page| page as u64)
+        .collect()
+}
+
 /// The dirty regions of a memory — Wasp's image-proportional snapshot
 /// representation (§5.2) — plus the set of pages they have content on.
 ///
@@ -384,11 +393,13 @@ impl Memory {
     /// Indices of pages written since the last
     /// [`Memory::reset_dirty_pages`], in ascending order.
     pub fn dirty_page_indices(&self) -> Vec<u64> {
-        let words = self.dirty_pages.iter().enumerate();
-        words
-            .flat_map(|(w, &bits)| pages_in(w, bits))
-            .map(|page| page as u64)
-            .collect()
+        page_indices(&self.dirty_pages)
+    }
+
+    /// Indices of the pages that left the dirty log but may still hold a
+    /// non-zero byte, in ascending order.
+    pub(crate) fn touched_page_indices(&self) -> Vec<u64> {
+        page_indices(&self.touched)
     }
 
     /// Number of pages written since the last

@@ -28,6 +28,13 @@
 //!   retired count charged once per block, not per instruction; blocks
 //!   owned by an arena and lent to the loop as `&Block`. A step budget that
 //!   ends inside a block finishes on the reference path.
+//! * **Counted loops.** A block of `add`/`sub r, imm` and stores closed by
+//!   the fused `cmp`+`jcc` back to its own start is recognised when it is
+//!   built; it never enters the front cache, and each entry to it runs as
+//!   many iterations as fit in one out-of-line `fast_forward` — within
+//!   the step budget, with every store below the identity window, inside
+//!   memory and off the block's own bytes — and the block itself only when
+//!   not one does (`docs/interpreter.md#counted-loops`).
 //! * **Invalidation.** [`Memory`] keeps a code-dirty
 //!   page bitmap (set on every write, never cleared by the data-dirty
 //!   tracking). Before a cached block runs, any dirty page it overlaps is
@@ -127,6 +134,8 @@ static DISPATCH_FRONT: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_MAP: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_BUILT: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_REFERENCE: AtomicU64 = AtomicU64::new(0);
+static DISPATCH_LOOP: AtomicU64 = AtomicU64::new(0);
+static LOOP_ITERATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide guest-execution counters (monotonic, all engines).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,6 +161,11 @@ pub struct Counters {
     /// Instructions the fast engine single-stepped on the reference path
     /// instead: uncacheable code and the tail of a step budget.
     pub dispatch_reference: u64,
+    /// The `dispatch_map` and `dispatch_built` entries that fast-forwarded
+    /// a counted loop instead of running it.
+    pub dispatch_loop: u64,
+    /// Iterations those fast-forwards performed.
+    pub loop_iterations: u64,
 }
 
 /// Snapshot of the process-wide guest-execution counters.
@@ -166,6 +180,8 @@ pub fn counters() -> Counters {
         dispatch_map: DISPATCH_MAP.load(Ordering::Relaxed),
         dispatch_built: DISPATCH_BUILT.load(Ordering::Relaxed),
         dispatch_reference: DISPATCH_REFERENCE.load(Ordering::Relaxed),
+        dispatch_loop: DISPATCH_LOOP.load(Ordering::Relaxed),
+        loop_iterations: LOOP_ITERATIONS.load(Ordering::Relaxed),
     }
 }
 
@@ -270,11 +286,12 @@ impl PredInst {
         (self.cycles.into(), self.retired.into())
     }
 
-    /// The prefix a fault inside this instruction charges: through the
-    /// whole instruction, or only through the first half of a fused pair
-    /// whose first half faulted — which left `pc` on the second half, as
-    /// the reference does.
-    fn faulted_prefix(&self, pc: u64) -> (u64, u64) {
+    /// The prefix an instruction that stopped its block — a fault, or a
+    /// store into the block's own bytes — charges: through the whole
+    /// instruction, or only through the first half of a fused pair that
+    /// stopped there, which left `pc` on the second half, as the reference
+    /// does.
+    fn stopped_prefix(&self, pc: u64) -> (u64, u64) {
         let second = match self.op {
             PredOp::PopPush { s, mid, .. } if pc == mid => Inst::Push(s),
             PredOp::PopAluRR {
@@ -305,9 +322,76 @@ struct Block {
     end: u64,
     /// The exact source bytes decoded, for revalidation after writes land
     /// on the block's pages.
-    src: Vec<u8>,
+    src: Box<[u8]>,
     /// Never empty.
-    insts: Vec<PredInst>,
+    insts: Box<[PredInst]>,
+    /// Set when the block is a counted loop.
+    counted: Option<Box<CountedLoop>>,
+}
+
+// Pinned: every block entry reads its arena slot. With boxed slices rather
+// than `Vec`s a slot is 64 bytes; at 80 the fib kernel read ≈ 2 % slower.
+const _: () = assert!(std::mem::size_of::<Block>() == 64);
+
+/// A block whose body is only `add`/`sub r, imm` and `store`s, ending in
+/// the fused `cmp r, imm` + `jcc` back to its own first instruction: what
+/// an iteration does is known before it runs, so [`fast_forward`] can run
+/// many at once.
+#[derive(Debug)]
+struct CountedLoop {
+    /// Each register's net change over one iteration (wrapping).
+    step: [u64; Reg::COUNT],
+    /// The body's stores, in program order.
+    stores: Vec<LoopStore>,
+    /// The back edge: `cmp reg, imm`, then `jcc cond` to the block start.
+    cmp: (Reg, u64, Cond),
+}
+
+/// One `store.w [base + off], src` of a counted loop.
+#[derive(Debug)]
+struct LoopStore {
+    w: Width,
+    off: i32,
+    /// `base` and `src`, each with what the body's `add`/`sub`s ahead of
+    /// the store add to it in an iteration.
+    regs: [(Reg, u64); 2],
+}
+
+impl CountedLoop {
+    /// Recognises a counted loop in a block starting at `start`.
+    fn recognise(start: u64, insts: &[PredInst]) -> Option<Box<CountedLoop>> {
+        let (last, body) = insts.split_last()?;
+        let PredOp::CmpRIJcc(reg, imm, cond, target) = last.op else {
+            return None;
+        };
+        let mut step = [0u64; Reg::COUNT];
+        let mut stores = Vec::new();
+        for pi in body {
+            match pi.op {
+                PredOp::AluRI(op @ (Alu::Add | Alu::Sub), r, imm) => {
+                    step[r.index()] = alu_value(op, step[r.index()], imm);
+                }
+                PredOp::Store(w, base, off, src) => {
+                    let regs = [base, src].map(|r| (r, step[r.index()]));
+                    stores.push(LoopStore { w, off, regs });
+                }
+                _ => return None,
+            }
+        }
+        let cmp = (reg, imm, cond);
+        (target == start).then(|| Box::new(CountedLoop { step, stores, cmp }))
+    }
+
+    /// The address and the value of `st` in iteration `i`, from `regs` at
+    /// the top of the first.
+    #[inline(always)]
+    fn store_at(&self, regs: &[u64; Reg::COUNT], st: &LoopStore, i: u64) -> (u64, u64) {
+        let [base, src] = st.regs.map(|(r, pre)| {
+            let stride = self.step[r.index()].wrapping_mul(i);
+            regs[r.index()].wrapping_add(pre).wrapping_add(stride)
+        });
+        (base.wrapping_add(st.off as i64 as u64), src)
+    }
 }
 
 impl Block {
@@ -341,6 +425,29 @@ impl Block {
     /// Does a write of `len` bytes at `addr` land inside this block?
     fn hits(&self, addr: u64, len: u64) -> bool {
         addr < self.end && addr.saturating_add(len) > self.start
+    }
+
+    /// For how many iterations a store of `len` bytes at `at`, moving by
+    /// `stride` per iteration, stays wholly below `bound` and clear of this
+    /// block's bytes. Closed-form over the arithmetic progression; a stride
+    /// that would hop over the block counts as entering it.
+    fn safe_stores(&self, at: u64, stride: u64, len: u64, bound: u64) -> u64 {
+        let [at, len, bound] = [at, len, bound].map(i128::from);
+        let (start, end) = (i128::from(self.start), i128::from(self.end));
+        let below = at + len <= start;
+        if at + len > bound || !(below || at >= end) {
+            return 0;
+        }
+        let (room, stride) = match i128::from(stride as i64) {
+            0 => return u64::MAX,
+            // Up to the last address below the block, or below the bound.
+            d if d > 0 && below => (start.min(bound) - len - at, d),
+            d if d > 0 => (bound - len - at, d),
+            // Down to the block's end, or to zero.
+            d if at >= end => (at - end, -d),
+            d => (at, -d),
+        };
+        u64::try_from(room / stride + 1).unwrap_or(u64::MAX)
     }
 }
 
@@ -525,11 +632,17 @@ impl PredCache {
         }
     }
 
-    /// Returns the slot of the block to execute at `cpu.pc`, building and
-    /// caching it if needed; `None` when the instruction there must run on
-    /// the reference path.
+    /// Finds the block to execute at `cpu.pc`, building and caching it if
+    /// needed — or, for a counted loop, fast-forwards it instead — within a
+    /// step budget that ends at `limit` retired instructions.
     #[inline]
-    fn acquire(&mut self, cpu: &mut Cpu, mem: &mut Memory, n: &mut Dispatches) -> Option<u32> {
+    fn acquire(
+        &mut self,
+        cpu: &mut Cpu,
+        mem: &mut Memory,
+        n: &mut Dispatches,
+        limit: u64,
+    ) -> Acquired {
         // Long-mode blocks are only valid on TLB-resident identity-mapped
         // code pages (see `build`). Checking the *live* TLB here — not just
         // at build time — also covers CR3 switches: a CR3 write clears the
@@ -537,7 +650,7 @@ impl PredCache {
         // The reference step this falls back to pays the walk tick
         // faithfully and refills the TLB.
         if cpu.mode == Mode::Long64 && cpu.long_identity_page_end(cpu.pc).is_none() {
-            return None;
+            return Acquired::Reference;
         }
         // Hottest path: the front pair names this exact block and no write
         // has landed on its pages since the last sweep — known-fresh with no
@@ -549,22 +662,49 @@ impl PredCache {
                 if let Some(Some(blk)) = self.slots.get(slot as usize) {
                     if blk.start == pc && blk.mode == cpu.mode && blk.pages_clean(mem) {
                         n.front += 1;
-                        return Some(slot);
+                        return Acquired::Block(slot);
                     }
                 }
             }
         }
-        self.acquire_miss(cpu, mem, n)
+        self.acquire_miss(cpu, mem, n, limit)
     }
 
     /// [`PredCache::acquire`] past the front cache: the map probe, the
-    /// revalidation sweep and the block build, kept out of the run loop's
-    /// body.
+    /// revalidation sweep, the block build and the counted-loop
+    /// fast-forward, kept out of the run loop's body. A counted loop never
+    /// enters the front cache, so that every entry to it comes here.
     #[inline(never)]
-    fn acquire_miss(&mut self, cpu: &mut Cpu, mem: &mut Memory, n: &mut Dispatches) -> Option<u32> {
-        let pc = cpu.pc;
-        let at = front_idx(pc);
-        let key = (cpu.mode, pc);
+    fn acquire_miss(
+        &mut self,
+        cpu: &mut Cpu,
+        mem: &mut Memory,
+        n: &mut Dispatches,
+        limit: u64,
+    ) -> Acquired {
+        let Some(slot) = self.block_at(cpu, mem, n) else {
+            return Acquired::Reference;
+        };
+        let blk = self.block(slot);
+        if blk.counted.is_none() {
+            self.front[front_idx(cpu.pc)] = (cpu.pc, slot);
+            return Acquired::Block(slot);
+        }
+        match fast_forward(cpu, mem, blk, limit - cpu.insts_retired) {
+            Some(k) => {
+                n.loops += 1;
+                n.loop_iterations += k;
+                Acquired::FastForwarded
+            }
+            None => Acquired::Block(slot),
+        }
+    }
+
+    /// The slot of the cached block at `cpu.pc`, revalidated, or of one
+    /// built there now; `None` when the instruction there must run on the
+    /// reference path.
+    fn block_at(&mut self, cpu: &mut Cpu, mem: &mut Memory, n: &mut Dispatches) -> Option<u32> {
+        let key = (cpu.mode, cpu.pc);
         if let Some(&slot) = self.map.get(&key) {
             let blk = self.block(slot);
             if !blk.pages_clean(mem) {
@@ -572,18 +712,15 @@ impl PredCache {
                 self.sweep(mem, lo, hi);
             }
             if let Some(&slot) = self.map.get(&key) {
-                self.front[at] = (pc, slot);
                 n.map += 1;
                 return Some(slot);
             }
         }
         let blk = build(cpu, mem)?;
         self.sweep(mem, blk.page_lo(), blk.page_hi());
-        let slot = self.insert(blk);
-        self.front[at] = (pc, slot);
         BLOCKS_BUILT.fetch_add(1, Ordering::Relaxed);
         n.built += 1;
-        Some(slot)
+        Some(self.insert(blk))
     }
 }
 
@@ -639,13 +776,15 @@ fn build(cpu: &mut Cpu, mem: &Memory) -> Option<Block> {
         return None;
     }
     let end = pc;
-    let src = mem.slice(start, end - start).ok()?.to_vec();
+    let src = mem.slice(start, end - start).ok()?.into();
+    let insts = lower(&raw);
     Some(Block {
         mode,
         start,
         end,
         src,
-        insts: lower(&raw),
+        counted: CountedLoop::recognise(start, &insts),
+        insts: insts.into_boxed_slice(),
     })
 }
 
@@ -783,6 +922,16 @@ fn lower_one(inst: Inst, next_pc: u64) -> PredOp {
 
 // ---------------------------------------------------------------------------
 // Execution.
+
+/// What [`PredCache::acquire`] found at `cpu.pc`.
+enum Acquired {
+    /// A cached block, to run.
+    Block(u32),
+    /// Nothing the engine can cache: one reference step.
+    Reference,
+    /// A counted loop, already fast-forwarded.
+    FastForwarded,
+}
 
 /// What a dispatched [`PredInst`] asks the block loop to do next.
 enum Flow {
@@ -961,13 +1110,15 @@ fn exec(cpu: &mut Cpu, mem: &mut Memory, pi: &PredInst, blk: &Block) -> Result<F
         } => {
             cpu.pc = mid;
             let written = cpu.push_untimed(mem, cpu.reg(a))?;
+            if blk.hits(written, 8) {
+                // The push may have rewritten the load: it runs from the
+                // new bytes, as the reference fetches them.
+                return Ok(Flow::SelfModified);
+            }
             cpu.pc = pi.next_pc;
             let addr = cpu.reg(base).wrapping_add(off as i64 as u64);
             let v = cpu.load_untimed(mem, addr, w)?;
             cpu.set_reg(d, v);
-            if blk.hits(written, 8) {
-                return Ok(Flow::SelfModified);
-            }
         }
     }
     Ok(Flow::Next)
@@ -981,6 +1132,8 @@ struct Dispatches {
     map: u64,
     built: u64,
     reference: u64,
+    loops: u64,
+    loop_iterations: u64,
 }
 
 /// The fast engine's run loop. Semantically identical to
@@ -1000,12 +1153,69 @@ pub(crate) fn run_fast(cpu: &mut Cpu, mem: &mut Memory, max_steps: u64) -> Resul
         (&DISPATCH_MAP, n.map),
         (&DISPATCH_BUILT, n.built),
         (&DISPATCH_REFERENCE, n.reference),
+        (&DISPATCH_LOOP, n.loops),
+        (&LOOP_ITERATIONS, n.loop_iterations),
     ] {
         if by != 0 {
             counter.fetch_add(by, Ordering::Relaxed);
         }
     }
     result
+}
+
+/// Runs as many iterations of the counted loop `blk` as its back edge
+/// takes, the `budget` holds and every store of them stays below the
+/// identity window's end and inside guest memory (so it is tick-free and
+/// cannot fault) and clear of the block's own bytes; returns how many, or
+/// `None` when not even the first qualifies and the block must run as
+/// usual.
+///
+/// The effect is the reference's, iteration for iteration: the stores land
+/// in program order through [`Memory::write`], each at the address and
+/// with the value the body's adds give it in its iteration; each register
+/// advances by its step per iteration; the flags are the last `cmp`'s;
+/// `pc` is the block start or its fall-through; and the clock and the
+/// retired count are the block's total per iteration plus a taken branch
+/// per back edge taken. Nothing in the body reads the clock, and the
+/// block's bytes never change under it.
+#[inline(never)]
+fn fast_forward(cpu: &mut Cpu, mem: &mut Memory, blk: &Block, budget: u64) -> Option<u64> {
+    let lp = blk.counted.as_deref()?;
+    let (cycles, retired) = blk.total();
+    let bound = cpu.identity_end().min(mem.size() as u64);
+    let regs = cpu.regs;
+    let mut cap = budget / retired;
+    for st in &lp.stores {
+        let (at, _) = lp.store_at(&regs, st, 0);
+        let stride = lp.step[st.regs[0].0.index()];
+        cap = cap.min(blk.safe_stores(at, stride, st.w.bytes(), bound));
+    }
+    if cap == 0 {
+        return None;
+    }
+    // Each iteration's stores, then its back edge, compared as the `cmp`
+    // would: the last compare's flags stay set.
+    let (reg, imm, cond) = lp.cmp;
+    let (mut k, mut taken) = (0, true);
+    while taken && k < cap {
+        for st in &lp.stores {
+            let (at, v) = lp.store_at(&regs, st, k);
+            mem.write(at, st.w, v).expect("bounds-checked above");
+        }
+        k += 1;
+        let step = lp.step[reg.index()].wrapping_mul(k);
+        cpu.set_cmp_flags(regs[reg.index()].wrapping_add(step), imm);
+        taken = cpu.cond_holds(cond);
+    }
+    for (r, step) in cpu.regs.iter_mut().zip(lp.step) {
+        *r = r.wrapping_add(step.wrapping_mul(k));
+    }
+    let last = &blk.insts[blk.insts.len() - 1];
+    cpu.pc = if taken { blk.start } else { last.next_pc };
+    let back_edges = k - 1 + u64::from(taken);
+    let cycles = k * cycles + back_edges * costs::GUEST_BRANCH_TAKEN;
+    charge(cpu, (cycles, k * retired));
+    Some(k)
 }
 
 /// Ticks a block's static `cycles` and credits its `retired` instructions.
@@ -1034,12 +1244,16 @@ fn run_blocks(
         // Anything `acquire`/`build` refuses (decode faults, reference-only
         // classes, long-mode pages outside the cacheable set) single-steps
         // on the reference path.
-        let Some(slot) = cache.acquire(cpu, mem, n) else {
-            n.reference += 1;
-            if let Some(exit) = cpu.step(mem)? {
-                return Ok(exit);
+        let slot = match cache.acquire(cpu, mem, n, limit) {
+            Acquired::Block(slot) => slot,
+            Acquired::Reference => {
+                n.reference += 1;
+                if let Some(exit) = cpu.step(mem)? {
+                    return Ok(exit);
+                }
+                continue;
             }
-            continue;
+            Acquired::FastForwarded => continue,
         };
         let blk = cache.block(slot);
         let budget = limit - cpu.insts_retired;
@@ -1074,11 +1288,11 @@ fn run_blocks(
             continue;
         };
         if let Err(fault) = flow {
-            charge(cpu, pi.faulted_prefix(cpu.pc));
+            charge(cpu, pi.stopped_prefix(cpu.pc));
             return Err(fault);
         }
         // Stopped without a fault: a store into the block's own bytes.
-        charge(cpu, pi.prefix());
+        charge(cpu, pi.stopped_prefix(cpu.pc));
         cache.remove(slot);
     }
     Ok(CpuExit::StepLimit)
@@ -1097,6 +1311,27 @@ mod tests {
         m.load_image(&img);
         m.cpu.set_engine(Engine::Fast);
         m
+    }
+
+    #[test]
+    fn only_adds_subs_and_stores_closed_by_a_branch_to_the_block_start_are_counted_loops() {
+        let is_counted = |body: &str, back: &str| {
+            let src = format!(
+                ".org 0x1000\n mov sp, 0xF000\n mov r5, 0x3000\n jmp lp\n\
+                 lp:\n{body}\nmid:\n add r3, 1\n cmp r3, 9\n {back}\n hlt\n"
+            );
+            let mut m = fast_machine(&src);
+            assert_eq!(m.run(10_000), Ok(CpuExit::Hlt));
+            let lp = assemble(&src).unwrap().label("lp").unwrap();
+            let at_lp = m.cpu.pred.slots.iter().flatten().find(|b| b.start == lp);
+            at_lp.expect("the loop's block is cached").counted.is_some()
+        };
+        assert!(is_counted(" store.q [r5 + 0], r3\n sub r5, 8", "jl lp"));
+        assert!(is_counted(" add r1, 2\n store.b [r5 - 3], r1", "jne lp"));
+        assert!(!is_counted(" store.q [r5 + 0], r3\n mark 1", "jl lp"));
+        assert!(!is_counted(" load.q r1, [r5 + 0]", "jl lp"));
+        assert!(!is_counted(" xor r1, 2", "jl lp"));
+        assert!(!is_counted(" store.q [r5 + 0], r3", "jl mid"));
     }
 
     #[test]

@@ -226,6 +226,24 @@ fn a_self_modifying_store_mid_block_charges_through_the_store() {
 }
 
 #[test]
+fn a_push_that_rewrites_the_load_fused_behind_it_runs_the_new_bytes() {
+    // `push` + `load` dispatch as one pair, but the push's eight zero bytes
+    // land on the load and the `nop` after it: the reference fetches eight
+    // `nop`s there, and the pair must stop after its first half to do the
+    // same instead of running the load it was decoded with.
+    let src = ".org 0x1000\n mov sp, pair + 10\n mov r8, 0\n mov r3, 5\n mov r12, pair\n\
+               pair:\n push r8\n load.q r3, [r12 + 0]\n nop\n hlt\n";
+    let img = assemble(src).unwrap();
+    let pair = img.label("pair").unwrap();
+    let hlt = assemble(".org 0\n hlt\n").unwrap().bytes;
+    assert_eq!(img.bytes[(pair + 10 - img.base) as usize..], hlt, "layout");
+    check(src, 1_000);
+    let fast = diff::run_one(Engine::Fast, &img, MEM, 1_000, 1);
+    assert_eq!(fast.state.regs[3], 5, "ran the overwritten load");
+    assert_eq!(fast.events, [diff::Event::Hlt]);
+}
+
+#[test]
 fn a_long_mode_mark_after_a_walk_in_its_block_sees_the_walk() {
     // Virtual page 1 aliases frame 0. The load misses the TLB and walks,
     // ticking the clock in the middle of a cached block; the `mark` after it
@@ -871,6 +889,193 @@ fn random_lifecycle_scripts_are_engine_identical() {
         let steps = diff::random_script(&mut rng, &images);
         if let Err(d) = diff::compare_script(&images, MEM, &steps, case) {
             panic!("case {case}: {d}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Counted loops. A block of `add`/`sub r, imm` and stores closed by `cmp` +
+// `jcc` back to its own start is fast-forwarded many iterations per
+// dispatch; each case below is one way those iterations could stop short
+// of, or run past, where the reference stops.
+
+/// `crt0`'s identity-map loop, entered by a jump so that its block holds
+/// only the body: `trips` stores of an advancing entry, one per iteration.
+fn table_loop(setup: &str, trips: u64) -> String {
+    format!(
+        ".org 0x1000\n mov sp, 0xF000\n mov r3, 0\n mov r4, 0x83\n mov r5, 0x3000\n{setup}\n\
+         \x20 jmp lp\n\
+         lp:\n store.q [r5 + 0], r4\n add r5, 8\n add r4, 0x200000\n add r3, 1\n\
+         \x20 cmp r3, {trips}\n jl lp\n\
+         \x20 mark 1\n hlt\n"
+    )
+}
+
+#[test]
+fn a_counted_loop_stops_and_resumes_identically_at_every_budget() {
+    // Budgets that end before the loop, inside an iteration (less than one
+    // iteration's worth left), and after any number of whole iterations.
+    let images = [assemble(&table_loop("", 64)).expect("assemble")];
+    let run = |steps: &[Step]| {
+        if let Err(d) = diff::compare_script(&images, MEM, steps, 0xD1FF) {
+            panic!("{d}");
+        }
+        diff::run_script(Engine::Fast, &images, MEM, steps, 0xD1FF)
+    };
+    let whole = run(&[Step::Load(0), Step::Run(100_000)]).pop().unwrap();
+    assert_eq!(whole.state.regs[3], 64);
+    assert_eq!(whole.events, [diff::Event::Hlt]);
+    for k in 1..=300 {
+        let trace = run(&[Step::Load(0), Step::Run(k), Step::Run(100_000)]);
+        assert_eq!(trace[1].retired, k);
+        assert_eq!(trace[2].state, whole.state, "budget {k}");
+        assert_eq!(trace[2].mem, whole.mem, "budget {k}");
+        let reentry = Cycles(vclock::costs::GUEST_FIRST_INSTRUCTION);
+        assert_eq!(trace[2].clock, whole.clock + reentry, "budget {k}");
+    }
+}
+
+#[test]
+fn a_loop_store_leaving_memory_at_iteration_j_faults_there() {
+    // Real mode crosses its 1 MiB reach, protected mode the end of a 1 MiB
+    // memory: the same store, two different faults, both at iteration `j`.
+    for j in [0, 1, 37, 500] {
+        let setup = format!(" mov r5, {}", 0x10_0000 - 8 * j);
+        let real = table_loop(&setup, 1_000);
+        let prot = real.replacen(
+            " mov sp, 0xF000\n",
+            " mov sp, 0xF000\n lgdt 0x200\n mov r1, cr0\n or r1, 1\n mov cr0, r1\n ljmp32 prot\nprot:\n",
+            1,
+        );
+        for (src, want) in [
+            (
+                real,
+                visa::Fault::AddressBeyondMode {
+                    vaddr: 0x10_0000,
+                    mode: visa::Mode::Real16,
+                },
+            ),
+            (prot, visa::Fault::PhysOutOfBounds { paddr: 0x10_0000 }),
+        ] {
+            check(&src, 100_000);
+            let fast = diff::run_one(Engine::Fast, &assemble(&src).unwrap(), MEM, 100_000, 1);
+            assert_eq!(fast.events, [diff::Event::Fault(want)], "j = {j}\n{src}");
+            assert_eq!(fast.state.regs[3], j, "faulted at iteration {j}");
+        }
+    }
+}
+
+#[test]
+fn a_loop_store_into_its_own_bytes_at_iteration_j() {
+    // Down from above the block one byte per iteration: iteration `j` writes
+    // the last byte of the `jl` (already 0xFF), the next few the rest of its
+    // displacement, and then the loop jumps into what it wrote.
+    let src = |j: u64| {
+        format!(
+            ".org 0x1000\n mov sp, 0xF000\n mov r3, 0\n mov r5, after + {j} - 1\n mov r6, -1\n\
+             \x20 jmp lp\n\
+             lp:\n store.b [r5 + 0], r6\n sub r5, 1\n add r3, 1\n cmp r3, 1000\n jl lp\n\
+             after:\n mark 1\n hlt\n"
+        )
+    };
+    for j in [1, 2, 7, 100] {
+        let src = src(j);
+        check(&src, 100_000);
+        let img = assemble(&src).unwrap();
+        let fast = diff::run_one(Engine::Fast, &img, MEM, 100_000, 1);
+        let after = img.label("after").unwrap() as usize;
+        assert!(fast.state.regs[3] > j, "ran past iteration {j}");
+        assert_eq!(fast.mem[after - 4..after], [0xFF; 4], "rewrote the `jl`");
+    }
+}
+
+#[test]
+fn a_long_mode_loop_store_past_the_identity_window_walks_where_the_reference_does() {
+    // 4 MiB of memory, both 2 MiB pages identity-mapped: at iteration `j`
+    // the store leaves the window the fast-forward may use, and its first
+    // access to page 1 walks the page tables.
+    for j in [0, 1, 100] {
+        let src = LONG_MODE_LOOP.replace(
+            "long:\n",
+            &format!(
+                "long:\n\
+                 \x20 mov r1, PT_BASE + 0x2008\n mov r2, 0x200083\n store.q [r1 + 0], r2\n\
+                 \x20 mov r3, 0\n mov r4, 7\n mov r5, {}\n\
+                 lp:\n store.q [r5 + 0], r4\n add r5, 8\n add r3, 1\n cmp r3, 300\n jl lp\n\
+                 \x20 mark 2\n hlt\n",
+                0x20_0000 - 8 * j
+            ),
+        );
+        let img = assemble(&src).expect("assemble");
+        if let Err(d) = diff::compare(&img, 4 << 20, 100_000, 1) {
+            panic!("j = {j}: {d}");
+        }
+        let fast = diff::run_one(Engine::Fast, &img, 4 << 20, 100_000, 1);
+        assert_eq!(fast.events, [diff::Event::Hlt]);
+        assert_eq!(fast.mem[0x20_0000 + 8 * (299 - j as usize)], 7);
+    }
+}
+
+#[test]
+fn a_wrapping_induction_register_counts_like_the_reference() {
+    // (start, step, bound, jcc): across zero unsigned, across the sign bit
+    // signed, and down through zero under an unsigned bound. The store
+    // follows both adds, so it sees them mid-iteration.
+    for (start, step, bound, jcc) in [
+        ("0xFFFFFFFFFFFFFFF0", "add r3, 1", "0x10", "jne"),
+        ("0x7FFFFFFFFFFFFFF0", "add r3, 1", "0", "jg"),
+        ("0xF", "sub r3, 1", "0xFFFFFFFFFFFFFFF8", "jb"),
+    ] {
+        let src = format!(
+            ".org 0x1000\n mov sp, 0xF000\n mov r3, {start}\n mov r5, data\n jmp lp\n\
+             lp:\n add r5, 8\n {step}\n store.q [r5 - 8], r3\n cmp r3, {bound}\n {jcc} lp\n\
+             \x20 hlt\n\
+             data:\n .space 256\n"
+        );
+        check(&src, 100_000);
+        let img = assemble(&src).unwrap();
+        let fast = diff::run_one(Engine::Fast, &img, MEM, 100_000, 1);
+        let turns = (fast.state.regs[5] - img.label("data").unwrap()) / 8;
+        assert!((16..=32).contains(&turns), "{jcc}: {turns} turns");
+    }
+}
+
+#[test]
+fn a_loop_whose_back_edge_is_never_taken_runs_once() {
+    // Entered by a jump, so the loop's block runs its body first: once, with
+    // the condition already false, both with and without a store.
+    for body in ["store.q [r5 + 0], r3\n add r5, 8", "add r5, 8"] {
+        let src = format!(
+            ".org 0x1000\n mov sp, 0xF000\n mov r3, 5\n mov r5, 0x3000\n jmp lp\n\
+             lp:\n {body}\n add r3, 1\n cmp r3, 5\n jl lp\n mark 1\n hlt\n"
+        );
+        check(&src, 1_000);
+        let fast = diff::run_one(Engine::Fast, &assemble(&src).unwrap(), MEM, 1_000, 1);
+        assert_eq!((fast.state.regs[3], fast.state.regs[5]), (6, 0x3008));
+    }
+}
+
+#[test]
+fn a_back_edge_into_the_middle_of_its_block_is_not_a_counted_loop() {
+    // The block at `top` ends in a `jl` to `mid`, past its first
+    // instruction: fast-forwarding it would repeat the `add r7, 1`.
+    let src = ".org 0x1000\n mov sp, 0xF000\n mov r3, 0\n mov r5, 0x3000\n mov r7, 0\n jmp top\n\
+               top:\n add r7, 1\n\
+               mid:\n store.q [r5 + 0], r3\n add r5, 8\n add r3, 1\n cmp r3, 20\n jl mid\n\
+               \x20 hlt\n";
+    check(src, 10_000);
+    let fast = diff::run_one(Engine::Fast, &assemble(src).unwrap(), MEM, 10_000, 1);
+    assert_eq!((fast.state.regs[3], fast.state.regs[7]), (20, 1));
+}
+
+#[test]
+fn random_counted_loops_are_engine_identical() {
+    let mut rng = Rng::seeded(0x5EED_0004);
+    for case in 0..150 {
+        let src = corpus::random_loop_source(&mut rng, 4 << 20);
+        let img = assemble(&src).expect("assemble");
+        if let Err(d) = diff::compare(&img, 4 << 20, 50_000, case) {
+            panic!("case {case}: {d}\nsource:\n{src}");
         }
     }
 }
