@@ -21,6 +21,10 @@
 //!   point: the cold start of §4.2, 3 072 of whose 3 123 instructions are
 //!   the loop that writes the 2 MiB identity map — a counted loop, which
 //!   the fast engine fast-forwards.
+//! * **spin** — `cluster_fanout`'s slow guest: a 3 000-turn counted loop
+//!   whose one store does not move, entered 100 times from a cached block,
+//!   as a pooled shell with a retained block cache enters it on every
+//!   request.
 //!
 //! Each engine runs every kernel to completion `--trials` times; the
 //! min-of-reps wall time yields host ns/inst and guest MIPS. The two
@@ -68,6 +72,26 @@ virtine int bump(int n) {
     }
     return total;
 }
+";
+
+/// `cluster_fanout`'s slow guest (`store.q` to one address, 3 000 turns)
+/// inside an outer loop, whose first block enters it each time around.
+const SPIN_ASM: &str = "
+.org 0x8000
+  mov r7, 0
+outer:
+  mov r1, 0xA000
+  mov r2, 0
+spin:
+  store.q [r1], r2
+  add r2, 1
+  cmp r2, 3000
+  jl spin
+  add r7, 1
+  cmp r7, 100
+  jl outer
+  load.q r0, [r1]
+  hlt
 ";
 
 /// A guest ready to run on a bare [`Machine`]: image, machine shape, what
@@ -157,7 +181,17 @@ fn kernels() -> Vec<Kernel> {
         ..Kernel::compiled("global_store", &unit.virtines[0])
     };
 
-    vec![fib, http, js, aes, global_store, boot]
+    let spin = Kernel {
+        expect_r0: Some(2_999),
+        ..Kernel::new(
+            "spin",
+            assemble(SPIN_ASM).expect("spin kernel assembles"),
+            64 * 1024,
+            CpuConfig::default(),
+        )
+    };
+
+    vec![fib, http, js, aes, global_store, boot, spin]
 }
 
 /// One timed engine run: min-of-reps wall time plus the deterministic

@@ -141,10 +141,8 @@ virtine int dense(int n) {
     let run = |budgets: &[u64]| {
         let mut steps = vec![Step::Load(0), args.clone()];
         steps.extend(budgets.iter().map(|&b| Step::Run(b)));
-        if let Err(report) = diff::compare_script(&images, v.mem_size, &steps, 0xC0DE) {
-            panic!("budgets {budgets:?}:\n{report}");
-        }
-        diff::run_script(visa::Engine::Fast, &images, v.mem_size, &steps, 0xC0DE)
+        diff::compare_script(&images, v.mem_size, &steps, 0xC0DE)
+            .unwrap_or_else(|report| panic!("budgets {budgets:?}:\n{report}"))
             .pop()
             .expect("one outcome per step")
     };

@@ -1,11 +1,12 @@
 //! Differential fuzzer: random guest programs through both interpreter
 //! engines, demanding byte- and cycle-identical behaviour.
 //!
-//! Usage: `diff_fuzz [--iters N] [--seed S] [--insts I] [--lifecycle]`
+//! Usage: `diff_fuzz [--iters N] [--seed S] [--insts I] [--lifecycle] [--loops]`
 //!
 //! Each iteration generates one random program from the seeded corpus — a
 //! quarter of them counted loops (`corpus::random_loop_source`), the shape
-//! the fast engine fast-forwards — assembles it, and runs it on the fast
+//! the fast engine fast-forwards, and with `--loops` all of them —
+//! assembles it, and runs it on the fast
 //! and reference engines with identical seeded I/O. Exits non-zero on the
 //! first divergence, printing the seed that reruns the case alone
 //! (`--iters 1 --seed <reported>`), the divergence report, and the source.
@@ -43,15 +44,17 @@ fn main() {
     let seed = arg("--seed", 0xF0CC_ACC1A);
     let insts = arg("--insts", 80) as usize;
     let lifecycle = std::env::args().any(|a| a == "--lifecycle");
+    let all_loops = std::env::args().any(|a| a == "--loops");
 
     let mut divergences = 0u64;
     for i in 0..iters {
         // Derive one seed per case so any case reproduces standalone.
         let case_seed = seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = Rng::seeded(case_seed);
-        // A quarter of the cases are counted loops; the plain ones run in
-        // 4 MiB, where long mode's 2 MiB identity window ends inside memory.
-        let loops = rng.bool(0.25);
+        // A quarter of the cases are counted loops (all, with `--loops`);
+        // outside lifecycle scripts those run in 4 MiB, where long mode's
+        // 2 MiB identity window ends inside memory.
+        let loops = rng.bool(0.25) || all_loops;
         let mem = if loops && !lifecycle { 4 << 20 } else { MEM };
         let mut program = || {
             let src = if loops {
@@ -74,7 +77,7 @@ fn main() {
             let images = [a, b];
             let steps = diff::random_script(&mut rng, &images);
             (
-                diff::compare_script(&images, mem, &steps, case_seed),
+                diff::compare_script(&images, mem, &steps, case_seed).map(drop),
                 format!("{src_a}\nsecond image:\n{src_b}"),
             )
         } else {
@@ -91,10 +94,10 @@ fn main() {
         eprintln!("{divergences}/{iters} cases diverged");
         std::process::exit(1);
     }
-    let mode = if lifecycle {
-        "lifecycle scripts"
-    } else {
-        "cases"
+    let mode = match (lifecycle, all_loops) {
+        (true, _) => "lifecycle scripts",
+        (false, true) => "counted loops",
+        (false, false) => "cases",
     };
     println!("diff_fuzz: {iters} {mode}, fast == reference on all (seed {seed:#x})");
 }

@@ -280,7 +280,9 @@ pub fn random_loop_source(rng: &mut Rng, mem_size: u64) -> String {
              \x20mov r2, 0x80000001\n mov cr0, r2\n ljmp64 l\nl:\n",
         );
     }
-    let strides: [i64; 10] = [0, 1, 2, 3, 8, 16, 4096, -1, -8, -4096];
+    // Past a page too (8 KiB, and three pages and 8 bytes), where a store's
+    // writes skip pages.
+    let strides: [i64; 13] = [0, 1, 2, 3, 8, 16, 4096, 12296, 8192, -1, -8, -4096, -8192];
     let stride = |rng: &mut Rng| strides[rng.below(strides.len())] as u64;
     // The counter: `trips` turns from `init` by `step`, then `cmp` to `end`;
     // the stores' bases are the registers after it.

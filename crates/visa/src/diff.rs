@@ -343,13 +343,14 @@ pub fn run_script(
 }
 
 /// Runs `steps` on both engines and compares them after *every* step;
-/// returns a description of the first divergence.
+/// returns the fast engine's trace, or a description of the first
+/// divergence.
 pub fn compare_script(
     images: &[Image],
     mem_size: usize,
     steps: &[Step],
     io_seed: u64,
-) -> Result<(), String> {
+) -> Result<Vec<Outcome>, String> {
     let fast = run_script(Engine::Fast, images, mem_size, steps, io_seed);
     let reference = run_script(Engine::Reference, images, mem_size, steps, io_seed);
     for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
@@ -360,7 +361,7 @@ pub fn compare_script(
             ));
         }
     }
-    Ok(())
+    Ok(fast)
 }
 
 /// A seeded random lifecycle over `images` (all linked at the same base):

@@ -555,6 +555,106 @@ impl Memory {
         Ok(())
     }
 
+    /// Writes a progression: the low `width` bytes of `value + i·step` at
+    /// `paddr + i·stride`, for `i` in `0..count`, in that order. The bytes
+    /// and the ledger are what `count` [`Memory::write`] calls leave, for
+    /// one bounds check over the whole span, one pass over its pages when
+    /// no page between two writes can be skipped, and the extents in
+    /// closed form. Fails, writing nothing, when any of the writes would
+    /// leave memory.
+    pub(crate) fn write_progression(
+        &mut self,
+        paddr: u64,
+        stride: i64,
+        count: u64,
+        width: Width,
+        (value, step): (u64, u64),
+    ) -> Result<(), PhysAccessError> {
+        let len = width.bytes();
+        let Some(last) = count.checked_sub(1) else {
+            return Ok(());
+        };
+        let end = i128::from(paddr) + i128::from(stride) * i128::from(last);
+        let (lo, hi) = (
+            end.min(paddr.into()),
+            end.max(paddr.into()) + i128::from(len),
+        );
+        if lo < 0 || hi > self.bytes.len() as i128 {
+            return Err(self.out_of_bounds(paddr, len));
+        }
+        let (lo, hi) = (lo as u64, hi as u64);
+        match width {
+            Width::B => self.put_progression::<1>(paddr, stride, count, value, step),
+            Width::W => self.put_progression::<2>(paddr, stride, count, value, step),
+            Width::D => self.put_progression::<4>(paddr, stride, count, value, step),
+            Width::Q => self.put_progression::<8>(paddr, stride, count, value, step),
+        }
+        let gap = stride.unsigned_abs();
+        if gap <= PAGE_SIZE {
+            // No page fits between two neighbouring writes: every page of
+            // the span is written.
+            for page in lo / PAGE_SIZE..=(hi - 1) / PAGE_SIZE {
+                self.mark_page(page);
+            }
+        } else {
+            for i in 0..count {
+                let at = paddr.wrapping_add((stride as u64).wrapping_mul(i));
+                for page in at / PAGE_SIZE..=(at + len - 1) / PAGE_SIZE {
+                    self.mark_page(page);
+                }
+            }
+        }
+        // Writes that end by the midpoint raise the low extent to the
+        // highest end among them; the rest lower the high extent to the
+        // lowest start among them (`extend_dirty`).
+        let mid = (self.bytes.len() as u64) / 2;
+        if hi <= mid || lo + len > mid {
+            self.extend_dirty(lo, hi);
+        } else {
+            // Both kinds, so at least two writes, `gap` apart: `split` is
+            // the start of the highest write that ends by the midpoint.
+            let split = lo + (mid - len - lo).checked_div(gap).unwrap_or(0) * gap;
+            self.extend_dirty(lo, split + len);
+            self.extend_dirty(split + gap, hi);
+        }
+        Ok(())
+    }
+
+    /// The bytes of [`Memory::write_progression`], whose span is in range:
+    /// one pass over contiguous chunks when the writes abut, ascending.
+    #[inline(always)]
+    fn put_progression<const N: usize>(
+        &mut self,
+        paddr: u64,
+        stride: i64,
+        count: u64,
+        mut value: u64,
+        step: u64,
+    ) {
+        if stride == N as i64 {
+            // The span was checked; `get_mut` keeps a panic path out all
+            // the same.
+            let at = paddr as usize;
+            let Some(span) = self.bytes.get_mut(at..at + N * count as usize) else {
+                return;
+            };
+            for dst in span.chunks_exact_mut(N) {
+                dst.copy_from_slice(&value.to_le_bytes()[..N]);
+                value = value.wrapping_add(step);
+            }
+            return;
+        }
+        // In order: with `stride` under `N` the writes overlap, and the
+        // later one wins.
+        let mut at = paddr;
+        for _ in 0..count {
+            let stored = self.put::<N>(at, value);
+            debug_assert!(stored.is_some(), "the span was bounds-checked");
+            at = at.wrapping_add(stride as u64);
+            value = value.wrapping_add(step);
+        }
+    }
+
     /// Reads an 8-byte little-endian value (page-table walks).
     pub fn read_u64(&self, paddr: u64) -> Result<u64, PhysAccessError> {
         self.read(paddr, Width::Q)
@@ -1198,6 +1298,54 @@ mod tests {
                 near(rng, boundary)
             }
             _ => rng.range_u64(0, size),
+        }
+    }
+
+    #[test]
+    fn a_progression_leaves_what_its_writes_one_by_one_leave() {
+        let mut rng = Rng::seeded(0x9a6f);
+        for size in [4096, 64 * 1024 + 100, 512 * 1024] {
+            let pages = (size as u64).div_ceil(PAGE_SIZE);
+            for case in 0..400 {
+                let width = [Width::B, Width::W, Width::D, Width::Q][rng.below(4)];
+                let strides = [0, 1, 2, 3, 8, width.bytes() as i64, 4096, 4097, 8192, 12296];
+                let stride = strides[rng.below(strides.len())] * [1, -1][rng.below(2)];
+                let count = [0, 1, 2, rng.range_u64(0, 600)][rng.below(4)];
+                let (at, value, step) = (
+                    arb_addr(&mut rng, size as u64),
+                    rng.next_u64(),
+                    rng.next_u64(),
+                );
+                // Both start from the same earlier write, so the extents
+                // already hold something.
+                let (mut bulk, mut one_by_one) = (Memory::new(size), Memory::new(size));
+                let (early, v) = (arb_addr(&mut rng, size as u64), rng.next_u64());
+                let _ = (
+                    bulk.write(early, Width::Q, v),
+                    one_by_one.write(early, Width::Q, v),
+                );
+                let before = one_by_one.clone();
+                let ok = bulk
+                    .write_progression(at, stride, count, width, (value, step))
+                    .is_ok();
+                let fits = (0..count).all(|i| {
+                    let addr = at.wrapping_add((stride as u64).wrapping_mul(i));
+                    let v = value.wrapping_add(step.wrapping_mul(i));
+                    one_by_one.write(addr, width, v).is_ok()
+                });
+                let what =
+                    format!("size {size} case {case}: {count} x {width:?} at {at:#x} by {stride}");
+                assert_eq!(ok, fits, "{what}: bounds");
+                if !fits {
+                    assert!(bulk == before, "{what}: a failed progression wrote");
+                    continue;
+                }
+                assert!(bulk == one_by_one, "{what}: bytes, extents or dirty log");
+                for page in 0..pages {
+                    let dirty = [&bulk, &one_by_one].map(|m| m.code_page_dirty(page));
+                    assert_eq!(dirty[0], dirty[1], "{what}: code-dirty page {page}");
+                }
+            }
         }
     }
 

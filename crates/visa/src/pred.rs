@@ -34,7 +34,9 @@
 //!   many iterations as fit in one out-of-line `fast_forward` — within
 //!   the step budget, with every store below the identity window, inside
 //!   memory and off the block's own bytes — and the block itself only when
-//!   not one does (`docs/interpreter.md#counted-loops`).
+//!   not one does. The iterations run in bulk: a closed-form trip count,
+//!   one progression write per moving store, and a store whose address
+//!   does not move written once (`docs/interpreter.md#counted-loops`).
 //! * **Invalidation.** [`Memory`] keeps a code-dirty
 //!   page bitmap (set on every write, never cleared by the data-dirty
 //!   tracking). Before a cached block runs, any dirty page it overlaps is
@@ -392,6 +394,121 @@ impl CountedLoop {
         });
         (base.wrapping_add(st.off as i64 as u64), src)
     }
+
+    /// How far `st`'s address moves per iteration.
+    fn stride(&self, st: &LoopStore) -> u64 {
+        self.step[st.regs[0].0.index()]
+    }
+
+    /// The trip count from `x0` in the compared register at the top of the
+    /// first iteration: the first back edge not taken, or `cap` (≥ 1). In
+    /// closed form ([`closed_trips`]) when the counter cannot wrap, checked
+    /// at both ends; otherwise the compare is iterated. Compares on `cpu`,
+    /// whose flags are left to the caller to set.
+    fn trips(&self, cpu: &mut Cpu, x0: u64, cap: u64) -> u64 {
+        let (reg, imm, cond) = self.cmp;
+        let step = self.step[reg.index()];
+        let mut holds = |i: u64| {
+            cpu.set_cmp_flags(x0.wrapping_add(step.wrapping_mul(i)), imm);
+            cpu.cond_holds(cond)
+        };
+        // Where the orderings hold is a prefix or a suffix of the turns, so
+        // holding at 1 and at `k - 1` is holding throughout; `eq` and `ne`
+        // change at most twice. The check catches an answer off at either
+        // end.
+        let checked = |&k: &u64| (k == 1 || holds(1) && holds(k - 1)) && (k == cap || !holds(k));
+        let closed = closed_trips(x0, step, imm, cond, cap).filter(checked);
+        closed.unwrap_or_else(|| (1..cap).find(|&i| !holds(i)).unwrap_or(cap))
+    }
+
+    /// Leaves in `mem` what the stores of iterations `0..k` leave, from
+    /// `regs` at the top of the first, without running them one by one:
+    ///
+    /// * a store whose address does not move is written in the last
+    ///   iteration only: each earlier write of it is overwritten by that
+    ///   one, and the ledger it leaves — a set of pages and the extents'
+    ///   bounds — is the same after one write as after `k`;
+    /// * the moving stores write iterations `0..k - 1` first, each as one
+    ///   [`Memory::write_progression`] when their `k`-iteration byte ranges
+    ///   are pairwise disjoint (so the order between them cannot matter),
+    ///   otherwise interleaved in program order;
+    /// * the last iteration runs whole, in program order, so what it
+    ///   overwrites is the reference's.
+    ///
+    /// `fast_forward` has bounds-checked every write, so none fails.
+    fn store(&self, regs: &[u64; Reg::COUNT], mem: &mut Memory, k: u64) {
+        let write = |mem: &mut Memory, st: &LoopStore, i: u64| {
+            let (at, v) = self.store_at(regs, st, i);
+            let written = mem.write(at, st.w, v);
+            debug_assert!(written.is_ok(), "bounds-checked above");
+        };
+        let moving = || self.stores.iter().filter(|st| self.stride(st) != 0);
+        let span = |st: &LoopStore| {
+            let [(a, _), (b, _)] = [0, k - 1].map(|i| self.store_at(regs, st, i));
+            (a.min(b), a.max(b) + st.w.bytes())
+        };
+        let disjoint = moving().enumerate().all(|(i, a)| {
+            let (lo, hi) = span(a);
+            moving()
+                .skip(i + 1)
+                .all(|b| span(b).1 <= lo || hi <= span(b).0)
+        });
+        if disjoint {
+            for st in moving() {
+                let (at, v) = self.store_at(regs, st, 0);
+                let step = self.step[st.regs[1].0.index()];
+                let written =
+                    mem.write_progression(at, self.stride(st) as i64, k - 1, st.w, (v, step));
+                debug_assert!(written.is_ok(), "bounds-checked above");
+            }
+        } else {
+            for i in 0..k - 1 {
+                moving().for_each(|st| write(mem, st, i));
+            }
+        }
+        self.stores.iter().for_each(|st| write(mem, st, k - 1));
+    }
+}
+
+/// The first `i` in `1..=cap` at which `cmp x0 + i·step, imm` fails `cond`,
+/// or `cap`, in closed form; `None` when the counter can wrap over
+/// `[x0, x0 + step·cap]` in the condition's signedness (`step` is signed:
+/// a `sub` steps down), where the compare is no longer monotone in `i`.
+fn closed_trips(x0: u64, step: u64, imm: u64, cond: Cond, cap: u64) -> Option<u64> {
+    let signed = matches!(cond, Cond::Lt | Cond::Le | Cond::Gt | Cond::Ge);
+    let (x0, imm, range) = if signed {
+        let range = i128::from(i64::MIN)..=i128::from(i64::MAX);
+        (i128::from(x0 as i64), i128::from(imm as i64), range)
+    } else {
+        (i128::from(x0), i128::from(imm), 0..=i128::from(u64::MAX))
+    };
+    let (s, cap) = (i128::from(step as i64), i128::from(cap));
+    if !range.contains(&(x0 + s * cap)) {
+        return None;
+    }
+    // While `x0 + s·i <= t`: one past the last `i` that holds, or every `i`
+    // or none when the counter does not rise.
+    let below = |x0: i128, s: i128, t: i128| match (t - x0).checked_div_euclid(s) {
+        Some(last) if s > 0 => last + 1,
+        _ if x0 + s <= t => cap,
+        _ => 1,
+    };
+    let k = match cond {
+        Cond::Lt | Cond::B => below(x0, s, imm - 1),
+        Cond::Le | Cond::Be => below(x0, s, imm),
+        Cond::Gt | Cond::A => below(-x0, -s, -imm - 1),
+        Cond::Ge | Cond::Ae => below(-x0, -s, -imm),
+        Cond::Eq if x0 + s != imm => 1,
+        Cond::Eq if s == 0 => cap,
+        Cond::Eq => 2,
+        // The one turn that hits the bound, if one does.
+        Cond::Ne if s == 0 => [1, cap][usize::from(x0 != imm)],
+        Cond::Ne => match ((imm - x0).checked_rem(s), (imm - x0).checked_div(s)) {
+            (Some(0), Some(hit)) if hit >= 1 => hit,
+            _ => cap,
+        },
+    };
+    u64::try_from(k.max(1).min(cap)).ok()
 }
 
 impl Block {
@@ -1170,46 +1287,40 @@ pub(crate) fn run_fast(cpu: &mut Cpu, mem: &mut Memory, max_steps: u64) -> Resul
 /// `None` when not even the first qualifies and the block must run as
 /// usual.
 ///
-/// The effect is the reference's, iteration for iteration: the stores land
-/// in program order through [`Memory::write`], each at the address and
-/// with the value the body's adds give it in its iteration; each register
-/// advances by its step per iteration; the flags are the last `cmp`'s;
-/// `pc` is the block start or its fall-through; and the clock and the
-/// retired count are the block's total per iteration plus a taken branch
-/// per back edge taken. Nothing in the body reads the clock, and the
-/// block's bytes never change under it.
+/// The effect is the reference's: the trip count `k` is the first back
+/// edge not taken ([`CountedLoop::trips`]), the bytes and the memory
+/// ledger are those of the `k` iterations' stores
+/// ([`CountedLoop::store`]); each register advances by its step per
+/// iteration; the flags are the last `cmp`'s; `pc` is the block start or
+/// its fall-through; and the clock and the retired count are the block's
+/// total per iteration plus a taken branch per back edge taken. Nothing in
+/// the body reads the clock, and the block's bytes never change under it.
 #[inline(never)]
 fn fast_forward(cpu: &mut Cpu, mem: &mut Memory, blk: &Block, budget: u64) -> Option<u64> {
     let lp = blk.counted.as_deref()?;
     let (cycles, retired) = blk.total();
     let bound = cpu.identity_end().min(mem.size() as u64);
     let regs = cpu.regs;
-    let mut cap = budget / retired;
+    // No more iterations than the budget holds, nor than the clock can
+    // count: the charge below cannot overflow, however many the guest asks.
+    let headroom = u64::MAX - cpu.clock.now().get();
+    let mut cap = (budget / retired).min(headroom / (cycles + costs::GUEST_BRANCH_TAKEN));
     for st in &lp.stores {
         let (at, _) = lp.store_at(&regs, st, 0);
-        let stride = lp.step[st.regs[0].0.index()];
-        cap = cap.min(blk.safe_stores(at, stride, st.w.bytes(), bound));
+        cap = cap.min(blk.safe_stores(at, lp.stride(st), st.w.bytes(), bound));
     }
     if cap == 0 {
         return None;
     }
-    // Each iteration's stores, then its back edge, compared as the `cmp`
-    // would: the last compare's flags stay set.
     let (reg, imm, cond) = lp.cmp;
-    let (mut k, mut taken) = (0, true);
-    while taken && k < cap {
-        for st in &lp.stores {
-            let (at, v) = lp.store_at(&regs, st, k);
-            mem.write(at, st.w, v).expect("bounds-checked above");
-        }
-        k += 1;
-        let step = lp.step[reg.index()].wrapping_mul(k);
-        cpu.set_cmp_flags(regs[reg.index()].wrapping_add(step), imm);
-        taken = cpu.cond_holds(cond);
-    }
+    let k = lp.trips(cpu, regs[reg.index()], cap);
+    lp.store(&regs, mem, k);
     for (r, step) in cpu.regs.iter_mut().zip(lp.step) {
         *r = r.wrapping_add(step.wrapping_mul(k));
     }
+    // The last compare's flags stay set.
+    cpu.set_cmp_flags(cpu.regs[reg.index()], imm);
+    let taken = cpu.cond_holds(cond);
     let last = &blk.insts[blk.insts.len() - 1];
     cpu.pc = if taken { blk.start } else { last.next_pc };
     let back_edges = k - 1 + u64::from(taken);
@@ -1332,6 +1443,55 @@ mod tests {
         assert!(!is_counted(" load.q r1, [r5 + 0]", "jl lp"));
         assert!(!is_counted(" xor r1, 2", "jl lp"));
         assert!(!is_counted(" store.q [r5 + 0], r3", "jl mid"));
+    }
+
+    #[test]
+    fn closed_form_trip_counts_are_the_first_compare_that_fails() {
+        use vclock::rng::Rng;
+        const CONDS: [Cond; 10] = [
+            Cond::Eq,
+            Cond::Ne,
+            Cond::Lt,
+            Cond::Le,
+            Cond::Gt,
+            Cond::Ge,
+            Cond::B,
+            Cond::Be,
+            Cond::A,
+            Cond::Ae,
+        ];
+        let mut cpu = fast_machine(".org 0x1000\n hlt\n").cpu;
+        let mut rng = Rng::seeded(0x7219);
+        let edges = [0, 1, 1 << 63, (1 << 63) - 1, u64::MAX - 16, u64::MAX];
+        let mut closed = 0;
+        for _ in 0..20_000 {
+            let near = |rng: &mut Rng| {
+                edges[rng.below(edges.len())]
+                    .wrapping_add(rng.below(41) as u64)
+                    .wrapping_sub(20)
+            };
+            let x0 = near(&mut rng);
+            let step = [0, 1, 3, 4096, rng.next_u64() >> rng.below(64)][rng.below(5)];
+            let step = [step, step.wrapping_neg()][rng.below(2)];
+            let imm = [
+                near(&mut rng),
+                x0.wrapping_add(step.wrapping_mul(rng.range_u64(0, 300))),
+            ][rng.below(2)];
+            let (cond, cap) = (CONDS[rng.below(10)], rng.range_u64(1, 300));
+            let mut holds = |i: u64| {
+                cpu.set_cmp_flags(x0.wrapping_add(step.wrapping_mul(i)), imm);
+                cpu.cond_holds(cond)
+            };
+            let iterated = (1..cap).find(|&i| !holds(i)).unwrap_or(cap);
+            if let Some(k) = closed_trips(x0, step, imm, cond, cap) {
+                assert_eq!(
+                    k, iterated,
+                    "{x0:#x} + {step:#x}·i, {cond:?} {imm:#x}, cap {cap}"
+                );
+                closed += 1;
+            }
+        }
+        assert!(closed > 15_000, "only {closed} in closed form");
     }
 
     #[test]

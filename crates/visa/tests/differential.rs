@@ -507,10 +507,7 @@ fn every_budget_stops_and_resumes_identically() {
     // engines stop on the same instruction, and resuming ends the same way.
     let images = [assemble(FIB).expect("assemble")];
     let run = |steps: &[Step]| {
-        if let Err(d) = diff::compare_script(&images, 64 * 1024, steps, 0xD1FF) {
-            panic!("{d}");
-        }
-        diff::run_script(Engine::Fast, &images, 64 * 1024, steps, 0xD1FF)
+        diff::compare_script(&images, 64 * 1024, steps, 0xD1FF).unwrap_or_else(|d| panic!("{d}"))
     };
     let whole = run(&[Step::Load(0), Step::Run(100_000)]).pop().unwrap();
     assert_eq!(whole.state.regs[0], 55);
@@ -540,10 +537,7 @@ fn check_script(srcs: &[&str], steps: &[Step]) -> Vec<diff::Outcome> {
         .iter()
         .map(|src| assemble(src).expect("assemble"))
         .collect();
-    if let Err(d) = diff::compare_script(&images, MEM, steps, 0xD1FF) {
-        panic!("{d}");
-    }
-    diff::run_script(Engine::Fast, &images, MEM, steps, 0xD1FF)
+    diff::compare_script(&images, MEM, steps, 0xD1FF).unwrap_or_else(|d| panic!("{d}"))
 }
 
 /// Counts to 20 in steps of `add r0, 1`, patches that immediate to 7 (a
@@ -911,27 +905,187 @@ fn table_loop(setup: &str, trips: u64) -> String {
     )
 }
 
+/// Runs `src` on both engines in `mem` bytes to its end (at most `LOOP_RUN`
+/// instructions), then again stopped after every budget from 1 to 300
+/// that ends before it and resumed to the same total — budgets that end
+/// before the loop, inside an iteration, and after any number of whole
+/// iterations. The engines must agree after every step, and every cut run
+/// must end where the whole one did, ledger included; returns the fast
+/// engine's whole run.
+fn stops_and_resumes_at_every_budget(src: &str, mem: usize) -> diff::Outcome {
+    let images = [assemble(src).expect("assemble")];
+    let run = |steps: &[Step]| {
+        diff::compare_script(&images, mem, steps, 0xD1FF)
+            .unwrap_or_else(|d| panic!("{d}\nsource:\n{src}"))
+    };
+    let whole = run(&[Step::Load(0), Step::Run(LOOP_RUN)]).pop().unwrap();
+    for k in 1..whole.retired.min(301) {
+        let trace = run(&[Step::Load(0), Step::Run(k), Step::Run(LOOP_RUN - k)]);
+        assert_eq!(trace[1].retired, k);
+        assert_eq!(trace[2].state, whole.state, "budget {k}\n{src}");
+        assert_eq!(trace[2].mem, whole.mem, "budget {k}\n{src}");
+        assert_eq!(trace[2].ledger, whole.ledger, "budget {k}\n{src}");
+        let reentry = Cycles(vclock::costs::GUEST_FIRST_INSTRUCTION);
+        assert_eq!(trace[2].clock, whole.clock + reentry, "budget {k}\n{src}");
+    }
+    whole
+}
+
+/// The step budget of a whole run in [`stops_and_resumes_at_every_budget`].
+const LOOP_RUN: u64 = 100_000;
+
 #[test]
 fn a_counted_loop_stops_and_resumes_identically_at_every_budget() {
-    // Budgets that end before the loop, inside an iteration (less than one
-    // iteration's worth left), and after any number of whole iterations.
-    let images = [assemble(&table_loop("", 64)).expect("assemble")];
-    let run = |steps: &[Step]| {
-        if let Err(d) = diff::compare_script(&images, MEM, steps, 0xD1FF) {
-            panic!("{d}");
-        }
-        diff::run_script(Engine::Fast, &images, MEM, steps, 0xD1FF)
-    };
-    let whole = run(&[Step::Load(0), Step::Run(100_000)]).pop().unwrap();
+    let whole = stops_and_resumes_at_every_budget(&table_loop("", 64), MEM);
     assert_eq!(whole.state.regs[3], 64);
     assert_eq!(whole.events, [diff::Event::Hlt]);
-    for k in 1..=300 {
-        let trace = run(&[Step::Load(0), Step::Run(k), Step::Run(100_000)]);
-        assert_eq!(trace[1].retired, k);
-        assert_eq!(trace[2].state, whole.state, "budget {k}");
-        assert_eq!(trace[2].mem, whole.mem, "budget {k}");
-        let reentry = Cycles(vclock::costs::GUEST_FIRST_INSTRUCTION);
-        assert_eq!(trace[2].clock, whole.clock + reentry, "budget {k}");
+}
+
+/// Memory for the loops below: page tables at 64 KiB in long mode, data
+/// from 96 KiB, and the extents' midpoint at 128 KiB for a progression to
+/// cross.
+const LOOP_MEM: usize = 256 << 10;
+
+/// `setup`, a jump to `lp:` and `body` (which ends in its `cmp` and the
+/// `jcc` back to `lp`), then `mark 1` and `hlt`: in real, protected and
+/// long mode, each checked by [`stops_and_resumes_at_every_budget`] in
+/// `mem` bytes. Returns the three fast runs.
+fn loop_in_every_mode(mem: usize, setup: &str, body: &str) -> Vec<diff::Outcome> {
+    let tail = format!("{setup}\n jmp lp\nlp:\n{body}\n mark 1\n hlt\n");
+    let real = format!(".org 0x1000\n mov sp, 0xF000\n{tail}");
+    let prot = format!(
+        ".org 0x1000\n lgdt 0x200\n mov r1, cr0\n or r1, 1\n mov cr0, r1\n ljmp32 prot\n\
+         prot:\n mov sp, 0xF000\n{tail}"
+    );
+    let long = LONG_MODE_LOOP.replace("long:\n", &format!("long:\n{tail}"));
+    [real, prot, long]
+        .iter()
+        .map(|src| stops_and_resumes_at_every_budget(src, mem))
+        .collect()
+}
+
+#[test]
+fn a_fixed_store_the_moving_store_overwrites_early_is_written_last() {
+    // The moving store runs over the fixed one's bytes at iteration 10 of
+    // 40; the fixed store, before or after it in the body, has the last
+    // word there.
+    let setup = " mov r3, 0\n mov r4, 0x1111\n mov r5, 0x18000\n mov r6, 0x18053\n mov r7, 0xABCD";
+    let (fixed, moving) = (" store.w [r6 + 0], r7", " store.q [r5 + 0], r4");
+    let rest = " add r5, 8\n add r4, 0x10001\n add r3, 1\n cmp r3, 40\n jl lp";
+    for body in [[fixed, moving], [moving, fixed]] {
+        let body = format!("{}\n{}\n{rest}", body[0], body[1]);
+        for run in loop_in_every_mode(LOOP_MEM, setup, &body) {
+            assert_eq!(run.mem[0x18053..0x18055], [0xCD, 0xAB], "{body}");
+        }
+    }
+}
+
+#[test]
+fn a_fixed_store_whose_value_register_moves_writes_its_last_value() {
+    // Two fixed stores overlapping each other, each with a moving value,
+    // one of them seeing an add ahead of it.
+    let setup = " mov r3, 0\n mov r6, 0x18100\n mov r7, 5";
+    let body = " add r7, 3\n store.d [r6 + 0], r7\n store.b [r6 + 2], r3\n add r3, 1\n\
+                \x20cmp r3, 50\n jl lp";
+    for run in loop_in_every_mode(LOOP_MEM, setup, body) {
+        assert_eq!(run.mem[0x18100..0x18104], [5 + 150, 0, 49, 0]);
+    }
+}
+
+#[test]
+fn a_store_whose_stride_is_under_its_width_overlaps_itself() {
+    // Up by 3 with 8-byte writes, down by 1 with 4-byte ones, up by 1 with
+    // 2-byte ones: each write lands partly on the one before it.
+    for (w, stride) in [("q", "add r5, 3"), ("d", "sub r5, 1"), ("w", "add r5, 1")] {
+        let setup = " mov r3, 0\n mov r4, 0x0102030405060708\n mov r5, 0x18800";
+        let body = format!(
+            " store.{w} [r5 + 0], r4\n {stride}\n add r4, 0x1111\n add r3, 1\n cmp r3, 45\n jl lp"
+        );
+        loop_in_every_mode(LOOP_MEM, setup, &body);
+    }
+}
+
+#[test]
+fn a_store_striding_past_a_page_marks_only_the_pages_it_writes() {
+    // Up by two pages and 8 bytes, starting one byte before a page end (so
+    // the first write straddles it), and down by three pages and 8 bytes:
+    // both cross the extents' midpoint, and leave the pages in between
+    // unwritten.
+    let cases = [
+        (0x17FFF, "add r5, 0x2008", 16, 0x19),
+        (0x3F000, "sub r5, 0x3008", 12, 0x3D),
+    ];
+    for (from, stride, turns, skipped) in cases {
+        let setup = format!(" mov r3, 0\n mov r4, 7\n mov r5, {from:#x}");
+        let body = format!(
+            " store.w [r5 + 0], r4\n {stride}\n add r4, 1\n add r3, 1\n cmp r3, {turns}\n jl lp"
+        );
+        for run in loop_in_every_mode(LOOP_MEM, &setup, &body) {
+            assert!(!run.ledger.dirty_pages.contains(&skipped), "{body}");
+        }
+    }
+}
+
+#[test]
+fn two_moving_stores_run_apart_when_their_ranges_are_disjoint_and_interleaved_when_not() {
+    // Crossing each other, overlapping 4 bytes into each other's writes,
+    // then far apart.
+    let pairs = [
+        (
+            0x18000,
+            "store.q [r5 + 0], r4",
+            0x18140,
+            "store.q [r6 + 0], r3",
+            "sub r6, 8",
+        ),
+        (
+            0x18000,
+            "store.q [r5 + 0], r4",
+            0x18004,
+            "store.d [r6 + 0], r3",
+            "add r6, 8",
+        ),
+        (
+            0x18000,
+            "store.q [r5 + 0], r4",
+            0x1A000,
+            "store.d [r6 + 0], r3",
+            "add r6, 16",
+        ),
+    ];
+    for (a, store_a, b, store_b, step_b) in pairs {
+        let setup = format!(" mov r3, 0\n mov r4, 0x5A5A\n mov r5, {a:#x}\n mov r6, {b:#x}");
+        let body = format!(
+            " {store_a}\n {store_b}\n add r5, 8\n {step_b}\n add r4, 0x101\n add r3, 1\n\
+             \x20cmp r3, 40\n jl lp"
+        );
+        loop_in_every_mode(LOOP_MEM, &setup, &body);
+    }
+}
+
+#[test]
+fn trip_counts_at_the_counter_s_wrap_edges_match_the_reference() {
+    // From the signed and the unsigned wrap edge, by ±1 and ±4 096, against
+    // the bound 20 turns on under every condition: some stop there, some
+    // at once, some wrap on the way, and the rest fault at the end of
+    // memory, 100 turns in. The page tables' 76 KiB and the store are all
+    // these need; a smaller memory is quicker to compare 240 times.
+    let mem = 96 << 10;
+    let jccs = [
+        "je", "jne", "jl", "jle", "jg", "jge", "jb", "jbe", "ja", "jae",
+    ];
+    for init in [1u64 << 63, u64::MAX - 16] {
+        for step in [1i64, -1, 4096, -4096] {
+            let end = init.wrapping_add((step as u64).wrapping_mul(20));
+            for jcc in jccs {
+                let setup = format!(" mov r3, {init:#x}\n mov r5, {:#x}", mem - 800);
+                let body = format!(
+                    " store.q [r5 + 0], r3\n add r5, 8\n add r3, {:#x}\n cmp r3, {end:#x}\n {jcc} lp",
+                    step as u64
+                );
+                loop_in_every_mode(mem, &setup, &body);
+            }
+        }
     }
 }
 
