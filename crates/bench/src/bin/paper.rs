@@ -2,10 +2,11 @@
 //!
 //! Each figure or table this repo reproduces is one [`Figure`] in
 //! [`FIGURES`]: its id, the gist of the paper's claim, its columns, the
-//! code that measures its rows, and the [`Check`]s that claim implies. One
-//! printer prints every table with its checks' verdicts, and the run
-//! writes `BENCH_paper.json` (virtual numbers only, so its baseline gates
-//! every value `exact`). The process exits non-zero when a check fails.
+//! code that measures its rows, and the [`Check`]s that claim implies, on
+//! (row, column) cells. [`check::figures`] prints every table with its
+//! checks' verdicts, on the printer `scenarios` shares, and writes
+//! `BENCH_paper.json` (virtual numbers only, so its baseline gates every
+//! value `exact`). The process exits non-zero when a check fails.
 //!
 //! Each figure has its own default trial count; `--trials N` overrides
 //! them all (Figure 15 reads it as a percentage of the full Locust
@@ -15,7 +16,7 @@
 //! virtual time at 2.69 GHz. `docs/paper.md` is the ledger: each claim in
 //! full, its check, and what the simulation does not reproduce.
 
-use bench::json::Obj;
+use bench::check::{self, Check, Figure, Row};
 use bench::FIB20_ASM;
 use hostsim::HostKernel;
 use kvmsim::Hypervisor;
@@ -25,39 +26,7 @@ use visa::{CpuConfig, Image, Machine};
 use wasp::{Invocation, NativeExit, NativeRunner, PoolMode, RunOutcome};
 use wasp::{VirtineId, VirtineSpec, Wasp, WaspConfig};
 
-/// A table cell: row label and column name.
-type Cell = (&'static str, &'static str);
-
-/// A measured row: its label and one value per column.
-type Row = (String, Vec<f64>);
-
-/// What a paper claim implies about its table. Bounds are inclusive.
-#[derive(Debug, Clone, Copy)]
-enum Check {
-    /// Down one column, each row's value at most the next's.
-    Order(&'static str, &'static [&'static str]),
-    /// The first cell over the second, within `[lo, hi]`.
-    Ratio(Cell, Cell, f64, f64),
-    /// The cell within `[lo, hi]`.
-    Band(Cell, f64, f64),
-    /// Column `y` against column `x` over every row: the least-squares
-    /// line's R² is at least the floor.
-    Linear(&'static str, &'static str, f64),
-}
-
 use Check::{Band, Linear, Order, Ratio};
-
-/// One figure or table of the paper.
-struct Figure {
-    id: &'static str,
-    claim: &'static str,
-    /// Default trial count.
-    trials: usize,
-    columns: &'static [&'static str],
-    /// The rows at a trial count.
-    measure: fn(usize) -> Vec<Row>,
-    checks: &'static [Check],
-}
 
 /// The columns of a summary of cycle samples.
 const CYCLES: &[&str] = &["mean", "std", "mean_us", "min"];
@@ -197,89 +166,8 @@ const FIGURES: &[Figure] = &[
     },
 ];
 
-/// A figure's measured rows. The artifact and the checks read the exact
-/// values; the printed table shows them to two decimals.
-struct Table {
-    fig: &'static Figure,
-    rows: Vec<Row>,
-}
-
-impl Table {
-    /// Column `col` of every row.
-    fn values(&self, col: &str) -> Vec<f64> {
-        let i = self.fig.columns.iter().position(|&c| c == col);
-        let i = i.unwrap_or_else(|| panic!("{}: no column {col}", self.fig.id));
-        self.rows.iter().map(|r| r.1[i]).collect()
-    }
-
-    fn cell(&self, (row, col): Cell) -> f64 {
-        let i = self.rows.iter().position(|r| r.0 == row);
-        self.values(col)[i.unwrap_or_else(|| panic!("{}: no row {row}", self.fig.id))]
-    }
-
-    /// Prints the table under its claim, then each check's verdict.
-    /// Returns how many checks failed.
-    fn print(&self) -> usize {
-        bench::header(self.fig.id, self.fig.claim);
-        let head = self.fig.columns.iter().map(|c| format!("{c:>13}"));
-        println!("{:20}{}", "", head.collect::<String>());
-        for (label, values) in &self.rows {
-            let two = |v: &f64| format!("{:>13}", format!("{v:.2}").trim_end_matches(".00"));
-            println!("{label:20}{}", values.iter().map(two).collect::<String>());
-        }
-        let mut failed = 0;
-        for check in self.fig.checks {
-            let holds = check.holds(self);
-            println!("# {} {check:?}", if holds { "holds: " } else { "FAILED:" });
-            failed += usize::from(!holds);
-        }
-        println!();
-        failed
-    }
-}
-
-impl Check {
-    /// Whether the claim holds on `t`.
-    fn holds(self, t: &Table) -> bool {
-        let within = |v: f64, lo: f64, hi: f64| (lo..=hi).contains(&v);
-        match self {
-            Order(col, rows) => rows
-                .windows(2)
-                .all(|w| t.cell((w[0], col)) <= t.cell((w[1], col))),
-            Ratio(a, b, lo, hi) => within(t.cell(a) / t.cell(b), lo, hi),
-            Band(a, lo, hi) => within(t.cell(a), lo, hi),
-            Linear(x, y, floor) => r_squared(&t.values(x), &t.values(y)) >= floor,
-        }
-    }
-}
-
-/// R² of the least-squares line through the points `(x, y)`.
-fn r_squared(x: &[f64], y: &[f64]) -> f64 {
-    let (mx, my) = (mean(x), mean(y));
-    let dot = |a: &[f64], ma: f64, b: &[f64], mb: f64| -> f64 {
-        a.iter().zip(b).map(|(a, b)| (a - ma) * (b - mb)).sum()
-    };
-    dot(x, mx, y, my).powi(2) / (dot(x, mx, x, mx) * dot(y, my, y, my))
-}
-
 fn main() {
-    let (mut heads, mut json, mut failed) = (Vec::new(), Vec::new(), 0);
-    for fig in FIGURES {
-        let rows = (fig.measure)(bench::trials(fig.trials));
-        let table = Table { fig, rows };
-        failed += table.print();
-        let columns = fig.columns.iter().map(|c| format!("{c:?}"));
-        heads.push(Obj::new().str("id", fig.id).list("columns", columns));
-        for (label, values) in &table.rows {
-            let row = Obj::new().str("table", fig.id).str("label", label);
-            json.push(row.list("values", values));
-        }
-    }
-    bench::write_json("paper", Obj::new().rows("tables", heads).rows("rows", json));
-    if failed > 0 {
-        eprintln!("{failed} paper claim checks failed");
-        std::process::exit(1);
-    }
+    check::exit_on(check::figures(FIGURES), "paper claim");
 }
 
 // ---------------------------------------------------------------------------
@@ -709,75 +597,14 @@ fn aes(trials: usize) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const FIG: Figure = Figure {
-        id: "synthetic",
-        claim: "none",
-        trials: 1,
-        columns: &["x", "y"],
-        measure: |_| Vec::new(),
-        checks: &[],
-    };
-
-    /// Whether `check` holds on `y` against `x = 0, 1, 2, …`, in rows
-    /// `r0, r1, …`.
-    fn holds(check: Check, y: &[f64]) -> bool {
-        let rows = (0..)
-            .zip(y)
-            .map(|(i, &y)| (format!("r{i}"), vec![i as f64, y]));
-        let table = Table {
-            fig: &FIG,
-            rows: rows.collect(),
-        };
-        check.holds(&table)
-    }
-
-    const EPS: f64 = 1e-9;
-
-    #[test]
-    fn an_ordering_fails_once_two_rows_swap() {
-        let c = Order("y", &["r0", "r1", "r2"]);
-        assert!(holds(c, &[1.0, 2.0, 3.0]));
-        assert!(holds(c, &[1.0, 2.0, 2.0]));
-        assert!(!holds(c, &[1.0, 2.0, 2.0 - EPS]));
-        assert!(!holds(c, &[2.0, 1.0, 3.0]));
-    }
-
-    #[test]
-    fn a_ratio_band_fails_just_past_either_bound() {
-        let c = Ratio(("r1", "y"), ("r0", "y"), 1.0, 1.04);
-        assert!(holds(c, &[100.0, 100.0]));
-        assert!(holds(c, &[100.0, 103.9]));
-        assert!(!holds(c, &[100.0, 104.0 + EPS]));
-        assert!(!holds(c, &[100.0, 100.0 - EPS]));
-    }
-
-    #[test]
-    fn a_value_band_fails_just_past_either_bound() {
-        let c = Band(("r0", "y"), 8.0, 12.0);
-        assert!(holds(c, &[8.0]) && holds(c, &[12.0]));
-        assert!(!holds(c, &[8.0 - EPS]));
-        assert!(!holds(c, &[12.0 + EPS]));
-    }
-
-    #[test]
-    fn a_linear_fit_fails_just_under_its_r_squared_floor() {
-        // y = 2x + 1 with the middle point lifted by d: R² = 1 / (1 + d²/12).
-        let y = |d: f64| [1.0, 3.0 + d, 5.0];
-        let floor = r_squared(&[0.0, 1.0, 2.0], &y(0.1));
-        assert!((floor - 1.0 / (1.0 + 0.01 / 12.0)).abs() < 1e-12);
-        let c = Linear("x", "y", floor);
-        assert!(holds(c, &y(0.0)));
-        assert!(holds(c, &y(0.1)));
-        assert!(!holds(c, &y(0.1 + 1e-6)));
-    }
+    use Check::StrictOrder;
 
     #[test]
     fn every_check_names_a_column_of_its_figure() {
         for f in FIGURES {
             for check in f.checks {
                 let cols = match *check {
-                    Order(col, _) => vec![col],
+                    Order(col, _) | StrictOrder(col, _) => vec![col],
                     Ratio(a, b, ..) => vec![a.1, b.1],
                     Band(a, ..) => vec![a.1],
                     Linear(x, y, _) => vec![x, y],

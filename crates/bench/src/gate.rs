@@ -20,7 +20,7 @@
 
 use std::path::Path;
 
-use crate::json::Json;
+use crate::json::{collect, matches, Json};
 
 /// Relative tolerance of the drift rules.
 pub const TOLERANCE: f64 = 0.15;
@@ -156,25 +156,6 @@ impl Report {
 fn load(path: &Path) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Every leaf under `j` with its dotted path.
-fn collect<'a>(j: &'a Json, path: &str, out: &mut Vec<(String, &'a Json)>) {
-    let children: Vec<(String, &Json)> = match j {
-        Json::Obj(fields) => fields.iter().map(|(k, v)| (k.clone(), v)).collect(),
-        Json::Arr(items) => (0..).zip(items).map(|(i, v)| (format!("{i}"), v)).collect(),
-        leaf => return out.push((path.to_string(), leaf)),
-    };
-    for (seg, child) in children {
-        collect(child, format!("{path}.{seg}").trim_start_matches('.'), out);
-    }
-}
-
-/// Whether gate `pattern` names leaf `path`.
-fn matches(pattern: &str, path: &str) -> bool {
-    let (p, q): (Vec<&str>, Vec<&str>) = (pattern.split('.').collect(), path.split('.').collect());
-    let seg = |(p, q): (&&str, &&str)| p == q || (*p == "*" && q.parse::<usize>().is_ok());
-    p.len() == q.len() && p.iter().zip(&q).all(seg)
 }
 
 #[cfg(test)]

@@ -61,6 +61,17 @@ impl Json {
         Some(cur)
     }
 
+    /// The numbers at every leaf `pattern` names, in document order: a
+    /// `*` segment matches every array index.
+    pub fn numbers(&self, pattern: &str) -> Vec<f64> {
+        let mut leaves = Vec::new();
+        collect(self, "", &mut leaves);
+        let named = leaves
+            .into_iter()
+            .filter(|(path, _)| matches(pattern, path));
+        named.filter_map(|(_, leaf)| leaf.as_f64()).collect()
+    }
+
     /// Numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -131,6 +142,26 @@ impl fmt::Display for Obj {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{{}}}", self.0.join(", "))
     }
+}
+
+/// Every leaf under `j` with its dotted path.
+pub(crate) fn collect<'a>(j: &'a Json, path: &str, out: &mut Vec<(String, &'a Json)>) {
+    let children: Vec<(String, &Json)> = match j {
+        Json::Obj(fields) => fields.iter().map(|(k, v)| (k.clone(), v)).collect(),
+        Json::Arr(items) => (0..).zip(items).map(|(i, v)| (format!("{i}"), v)).collect(),
+        leaf => return out.push((path.to_string(), leaf)),
+    };
+    for (seg, child) in children {
+        collect(child, format!("{path}.{seg}").trim_start_matches('.'), out);
+    }
+}
+
+/// Whether `pattern` names leaf `path`: segment by segment, where a `*`
+/// matches any array index.
+pub(crate) fn matches(pattern: &str, path: &str) -> bool {
+    let (p, q): (Vec<&str>, Vec<&str>) = (pattern.split('.').collect(), path.split('.').collect());
+    let seg = |(p, q): (&&str, &&str)| p == q || (*p == "*" && q.parse::<usize>().is_ok());
+    p.len() == q.len() && p.iter().zip(&q).all(seg)
 }
 
 struct Parser<'a> {

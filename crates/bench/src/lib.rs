@@ -1,14 +1,17 @@
 //! Shared helpers for the benchmark binaries.
 //!
 //! The `paper` binary regenerates every table and figure of the paper's
-//! evaluation; the acceptance binaries drive the serving tiers built on
-//! top of it. All report virtual time (cycles, or µs at 2.69 GHz). Trial
-//! counts follow the paper's "1000 trials unless otherwise noted", scaled
-//! down by default for quick runs; pass `--trials N` to override.
+//! evaluation; the `scenarios` binary drives the serving tiers built on
+//! top of it, one row of [`scenarios::SCENARIOS`] each. Both state their
+//! claims as [`check::Check`]s. All report virtual time (cycles, or µs at
+//! 2.69 GHz). `paper`'s trial counts follow the paper's "1000 trials
+//! unless otherwise noted", scaled down by default for quick runs; pass
+//! `--trials N` to override.
 
+pub mod check;
 pub mod gate;
 pub mod json;
-pub mod scenario;
+pub mod scenarios;
 
 use json::Obj;
 use vclock::stats::Histogram;
@@ -51,10 +54,10 @@ fib:
   ret
 ";
 
-/// Prints a header for a figure/table reproduction.
+/// Prints a header for a figure, table or scenario.
 pub fn header(title: &str, claim: &str) {
     println!("# {title}");
-    println!("# paper claim: {claim}");
+    println!("# claim: {claim}");
     println!("#");
 }
 

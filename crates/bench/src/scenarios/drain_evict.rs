@@ -12,26 +12,27 @@
 //! whole shard mid-traffic, exercising the same reconcile → re-admit
 //! path without operator involvement.
 //!
-//! Acceptance:
+//! The row's checks:
 //! * zero lost runs: every admitted request is served or shed after
 //!   admission, across the whole run, fault phase included
-//!   ([`bench::scenario::ExactlyOnce`]);
+//!   ([`ExactlyOnce`]);
 //! * zero double-runs: every completion's logical sequence number is
 //!   unique;
-//! * the drained shard serves nothing that arrived after its drain
-//!   began — placement routes around the hole;
 //! * post-restore warm-hit rate reconverges to within 10% of the steady
 //!   state (the evacuated warm shells kept their identity);
-//! * the drain-window p99 stays within a small factor of steady state
-//!   (gated against the committed baseline by `check_regression`).
+//! * the drain-window p99 stays within 2× of steady state, the "near
+//!   baseline" bound `blocked_io` uses;
+//! * the planned faults destroy shells.
 //!
-//! Writes `BENCH_drain_evict.json` for the CI gate.
+//! Asserted in the run: the drained shard serves nothing that arrived
+//! after its drain began (placement routes around the hole), each drain
+//! converges, the planned shard kill fires, and only shard failure
+//! evicts.
 
-use bench::json::Obj;
-use bench::scenario::{self, ExactlyOnce, Mix, Phase, MEM};
+use super::mix::{self, ExactlyOnce, Mix, Phase};
+use crate::json::Obj;
 use vclock::Cycles;
-use vsched::{FaultPlan, Placement, Request, ShardState, TenantProfile};
-use wasp::VirtineSpec;
+use vsched::{FaultPlan, Placement, Request, ShardState};
 
 const SHARDS: usize = 4;
 const FNS: usize = 2;
@@ -53,62 +54,26 @@ fn warm_rate(ph: &Phase) -> f64 {
     ph.delta(|s| s.warm_hits) as f64 / ph.delta(|s| s.served).max(1) as f64
 }
 
-fn main() {
-    let host = bench::HostTimer::start();
-    bench::header(
-        "Shard lifecycle: rolling drain/restore and fault injection under live traffic",
-        "draining half the shards one at a time loses nothing, double-runs \
-         nothing, and the evacuated warm set reconverges after restore; a \
-         seeded fault plan exercises the same reconcile path",
-    );
-    println!(
-        "# {FNS} snapshotted fns at {:.0} µs cadence on {SHARDS} shards; \
-         {STEADY_ROUNDS} steady / {}x{DRAIN_ROUNDS_EACH} drained / \
-         {RECOVER_ROUNDS} recovered / {FAULT_ROUNDS} fault rounds",
-        CADENCE_S * 1e6,
-        2
-    );
-
-    let mut d = scenario::dispatcher(SHARDS, Placement::SnapshotAware);
-    let tenant = d.add_tenant(TenantProfile::new("app"));
-    let fns: Vec<_> = (0..FNS)
-        .map(|i| {
-            d.register(VirtineSpec::new(
-                format!("fn{i}"),
-                scenario::snap_image(),
-                MEM,
-            ))
-            .expect("register")
-        })
-        .collect();
-    d.prewarm(MEM, 2);
+/// Steady, rolling-drain, recovered and fault-plan phases.
+pub(super) fn measure() -> Obj {
+    let mut d = mix::dispatcher(SHARDS, Placement::SnapshotAware);
+    let mix = Mix::snapped(&mut d, FNS, CADENCE_S);
 
     // Warm-up: establish each function's snapshot outside the measured
     // phases.
     let mut t = 0.0;
-    for &f in &fns {
+    for &f in &mix.fast {
         t += CADENCE_S;
-        d.submit(Request::new(tenant, f, t)).expect("admit");
+        d.submit(Request::new(mix.tenant, f, t)).expect("admit");
     }
-    scenario::settle(&mut d, &mut t, 0.001);
+    mix::settle(&mut d, &mut t, 0.001);
     d.take_completions();
 
-    let mix = Mix {
-        tenant,
-        fast: fns,
-        slow: None,
-        cadence_s: CADENCE_S,
-    };
-    let drive = |d: &mut _, t: &mut _, rounds| mix.drive(d, t, rounds);
-
-    // Steady state.
-    let steady = Phase::record(&mut d, &mut t, "steady", SETTLE_S, |d, t| {
-        drive(d, t, STEADY_ROUNDS)
-    });
+    let steady = mix.phase(&mut d, &mut t, STEADY_ROUNDS, SETTLE_S);
 
     // Rolling drain: shard 0 out, restore, then shard 1 out, restore.
     let mut drain_started_at = [0.0f64; 2];
-    let drained = Phase::record(&mut d, &mut t, "rolling drain", SETTLE_S, |d, t| {
+    let drained = Phase::record(&mut d, &mut t, SETTLE_S, |d, t| {
         for (i, &shard) in [0usize, 1].iter().enumerate() {
             drain_started_at[i] = *t;
             d.drain_shard(shard);
@@ -116,7 +81,7 @@ fn main() {
                 !d.shard_state(shard).is_active(),
                 "shard {shard} must leave the candidate set"
             );
-            drive(d, t, DRAIN_ROUNDS_EACH);
+            mix.drive(d, t, DRAIN_ROUNDS_EACH);
             assert_eq!(
                 d.shard_state(shard),
                 ShardState::Drained,
@@ -140,9 +105,7 @@ fn main() {
     }
 
     // Recovery: both shards back; the warm set must reconverge.
-    let recovered = Phase::record(&mut d, &mut t, "recovered", SETTLE_S, |d, t| {
-        drive(d, t, RECOVER_ROUNDS)
-    });
+    let recovered = mix.phase(&mut d, &mut t, RECOVER_ROUNDS, SETTLE_S);
 
     // Fault injection: a single shell loss on shard 3, then shard 2
     // fails outright — both at fixed virtual instants, replayable from
@@ -154,9 +117,7 @@ fn main() {
             .kill_shell(Cycles::from_secs(fault_at.0), 3)
             .kill_shard(Cycles::from_secs(fault_at.1), 2),
     );
-    let faulted = Phase::record(&mut d, &mut t, "fault plan", SETTLE_S, |d, t| {
-        drive(d, t, FAULT_ROUNDS)
-    });
+    let faulted = mix.phase(&mut d, &mut t, FAULT_ROUNDS, SETTLE_S);
     assert_eq!(
         d.shard_state(2),
         ShardState::Failed,
@@ -175,46 +136,8 @@ fn main() {
     // Exactly-once accounting across every phase, faults included.
     let phases = [&steady, &drained, &recovered, &faulted];
     let ledger = ExactlyOnce::of(&s, phases.iter().flat_map(|ph| &ph.completions));
-    let (lost, double_run) = (ledger.lost, ledger.duplicates);
-
-    println!("phase            | served    p99(µs)  warm-rate on-shard-0/1");
-    for ph in phases {
-        let on_drained = ph
-            .completions
-            .iter()
-            .filter(|c| c.shard == 0 || c.shard == 1)
-            .count();
-        println!(
-            "{:<16} | {:>6} {:>10.2} {:>10.3} {:>12}",
-            ph.label,
-            ph.delta(|s| s.served),
-            ph.p99_us(),
-            warm_rate(ph),
-            on_drained
-        );
-    }
     let p99_factor = drained.p99_us() / steady.p99_us();
     let warm_recovery = warm_rate(&recovered) / warm_rate(&steady);
-    println!("#");
-    println!(
-        "# lost {lost}, double-run {double_run}, evictions {} (grace {}, failed {}), \
-         shells dropped {}; drain p99 ×{p99_factor:.2}, warm recovery {warm_recovery:.3}",
-        s.shed_evicted, s.evicted_grace, s.evicted_failed, p.dropped
-    );
-
-    // Acceptance.
-    assert_eq!(lost, 0, "lifecycle churn lost runs");
-    assert_eq!(double_run, 0, "a re-homed run executed twice");
-    assert!(
-        warm_recovery >= 0.9,
-        "post-restore warm-hit rate {:.3} fell more than 10% below steady {:.3}",
-        warm_rate(&recovered),
-        warm_rate(&steady)
-    );
-    assert!(
-        p.dropped > 0,
-        "the planned faults must actually destroy shells"
-    );
     assert_eq!(
         s.shed_evicted - evictions_before,
         s.evicted_failed,
@@ -236,15 +159,14 @@ fn main() {
         .val("drain_rounds_each", DRAIN_ROUNDS_EACH)
         .val("recover_rounds", RECOVER_ROUNDS)
         .val("fault_rounds", FAULT_ROUNDS);
-    let doc = Obj::new()
-        .val("lost", lost)
-        .val("double_run", double_run)
+    Obj::new()
+        .val("lost", ledger.lost)
+        .val("double_run", ledger.duplicates)
         .val("evictions", s.shed_evicted)
         .val("shells_dropped", p.dropped)
         .val("steady", phase(&steady))
         .val("drain", drain_row)
         .val("recovered", recovered_row)
         .val("fault", phase(&faulted))
-        .val("config", config);
-    bench::write_artifact("drain_evict", doc, &host);
+        .val("config", config)
 }

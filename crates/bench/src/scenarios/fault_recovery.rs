@@ -15,24 +15,26 @@
 //! (delay derived from the tenant's observed p99) rescues requests
 //! stuck behind a straggler that never trips the detector.
 //!
-//! Acceptance:
+//! The row's checks:
 //! * zero lost runs: every admitted request is served or shed after
 //!   admission, with the retry bridge term drained at quiesce
-//!   ([`bench::scenario::ExactlyOnce`]);
+//!   ([`ExactlyOnce`]);
 //! * zero double-runs: every completion's logical sequence number is
 //!   unique (hedge losers and stale retries are suppressed);
 //! * the shard failure is detector-declared (`declared == 1`) and
 //!   probe-restored (`restored == 1`) with `false_positives == 0` —
 //!   the plan contains no `kill_shard` entry at all;
-//! * hedging holds the straggler-mix p99 within 1.5× the no-straggler
-//!   baseline, though the straggler wedges for 6× the baseline p99;
-//! * the whole scenario replays bit-for-bit: two invocations with the
-//!   same seed produce identical (seq, shard, finish) streams.
+//! * hedging wins straggler-stranded work and holds the straggler-mix
+//!   p99 within 1.5× the no-straggler baseline, though the straggler
+//!   wedges for 6× the baseline p99.
 //!
-//! Writes `BENCH_fault_recovery.json` for the CI gate.
+//! Asserted in the run: the straggler is never declared, the recovered
+//! shard is active with nothing to reconcile, and the whole scenario
+//! replays bit-for-bit: two invocations with the same seed produce
+//! identical (seq, shard, finish) streams.
 
-use bench::json::Obj;
-use bench::scenario::{self, ExactlyOnce, Mix, Phase, MEM};
+use super::mix::{self, ExactlyOnce, Mix, Phase, MEM};
+use crate::json::Obj;
 use vclock::Cycles;
 use vsched::{
     FaultPlan, HealthConfig, HealthStats, HedgePolicy, Placement, Request, RetryPolicy, ShardState,
@@ -75,14 +77,14 @@ const FAILOVER_HANG_S: f64 = 0.010;
 const SETTLE_S: f64 = 0.002;
 
 struct Outcome {
-    phases: Vec<Phase>,
+    phases: [Phase; 3],
     ledger: ExactlyOnce,
     retries: u64,
     health: HealthStats,
 }
 
 fn run_scenario() -> Outcome {
-    let mut d = scenario::dispatcher(SHARDS, Placement::LeastLoaded);
+    let mut d = mix::dispatcher(SHARDS, Placement::LeastLoaded);
     d.set_health(HealthConfig::new().with_seed(HEALTH_SEED));
     // Hedge delay rides the observed p99 at a 0.25 multiplier (floored
     // at 30 µs): well under the tail it escapes, well over the fast
@@ -97,11 +99,9 @@ fn run_scenario() -> Outcome {
             )
             .with_retry(RetryPolicy::new()),
     );
-    let fast = d
-        .register(VirtineSpec::new("fast", scenario::snap_image(), MEM))
-        .expect("register");
+    let fast = mix::register(&mut d, "fast", mix::snap_image());
     let slow = d
-        .register(VirtineSpec::new("slow", scenario::slow_image(), MEM).with_snapshot(false))
+        .register(VirtineSpec::new("slow", mix::slow_image(), MEM).with_snapshot(false))
         .expect("register");
     d.prewarm(MEM, 2);
 
@@ -114,7 +114,7 @@ fn run_scenario() -> Outcome {
     }
     t += CADENCE_S;
     d.submit(Request::new(tenant, slow, t)).expect("admit");
-    scenario::settle(&mut d, &mut t, 0.001);
+    mix::settle(&mut d, &mut t, 0.001);
     d.take_completions();
 
     let mix = Mix {
@@ -123,13 +123,10 @@ fn run_scenario() -> Outcome {
         slow: Some((slow, SLOW_EVERY)),
         cadence_s: CADENCE_S,
     };
-    let phase = |d: &mut _, t: &mut _, label, rounds| {
-        Phase::record(d, t, label, SETTLE_S, |d, t| mix.drive(d, t, rounds))
-    };
 
     // Steady state: the no-straggler baseline the hedge gate compares
     // against.
-    let steady = phase(&mut d, &mut t, "steady", STEADY_ROUNDS);
+    let steady = mix.phase(&mut d, &mut t, STEADY_ROUNDS, SETTLE_S);
 
     // Straggler: shard 1 wedges periodically — a gray failure the
     // detector must NOT declare (suspicion stays under threshold) and
@@ -143,7 +140,7 @@ fn run_scenario() -> Outcome {
         );
     }
     d.set_fault_plan(plan);
-    let straggler = phase(&mut d, &mut t, "straggler", STRAGGLER_ROUNDS);
+    let straggler = mix.phase(&mut d, &mut t, STRAGGLER_ROUNDS, SETTLE_S);
     let declared_after_straggler = d.health_stats().expect("detector installed").declared;
 
     // Failover: shard 2 goes silent for 10 ms. The detector declares it
@@ -154,7 +151,7 @@ fn run_scenario() -> Outcome {
         FAILOVER_SHARD,
         Cycles::from_secs(FAILOVER_HANG_S),
     ));
-    let failover = phase(&mut d, &mut t, "failover", FAILOVER_ROUNDS);
+    let failover = mix.phase(&mut d, &mut t, FAILOVER_ROUNDS, SETTLE_S);
     assert_eq!(
         d.shard_state(FAILOVER_SHARD),
         ShardState::Active,
@@ -172,7 +169,7 @@ fn run_scenario() -> Outcome {
         "the straggler is a tail problem, not a failure — no declaration"
     );
 
-    let phases = vec![steady, straggler, failover];
+    let phases = [steady, straggler, failover];
     Outcome {
         ledger: ExactlyOnce::of(&s, phases.iter().flat_map(|ph| &ph.completions)),
         phases,
@@ -181,26 +178,10 @@ fn run_scenario() -> Outcome {
     }
 }
 
-fn main() {
-    let host = bench::HostTimer::start();
-    bench::header(
-        "Health-driven failover: detector-declared failure, hedged straggler, probe-driven restore",
-        "a wedged shard is declared failed from observed silence alone, its \
-         work is recovered exactly once, hedges escape a straggler that never \
-         trips the detector, and the whole scenario replays bit-for-bit",
-    );
-    println!(
-        "# fast fn at {:.0} µs cadence (+ slow fn every {SLOW_EVERY} rounds) on {SHARDS} shards; \
-         {STEADY_ROUNDS} steady / {STRAGGLER_ROUNDS} straggler / {FAILOVER_ROUNDS} failover rounds; \
-         straggler hangs {}x{:.0} µs, failover hang {:.0} ms",
-        CADENCE_S * 1e6,
-        STRAGGLER_WINDOWS,
-        STRAGGLER_HANG_S * 1e6,
-        FAILOVER_HANG_S * 1e3,
-    );
-
+/// Steady, straggler and failover phases, run twice to prove the replay.
+pub(super) fn measure() -> Obj {
     // Replay fingerprint: every completion as (seq, shard, finish bits).
-    let run = scenario::replay_twice(run_scenario, |o| {
+    let run = mix::replay_twice(run_scenario, |o| {
         let all = o.phases.iter().flat_map(|ph| &ph.completions);
         all.map(|c| (c.seq, c.shard, c.finish.to_bits()))
             .collect::<Vec<_>>()
@@ -208,58 +189,8 @@ fn main() {
     let hedges_fired = |ph: &Phase| ph.delta(|s| s.hedges_fired);
     let hedges_won = |ph: &Phase| ph.delta(|s| s.hedges_won);
 
-    println!("phase        | served    p99(µs)   hedged      won");
-    for ph in &run.phases {
-        println!(
-            "{:<12} | {:>6} {:>10.2} {:>8} {:>8}",
-            ph.label,
-            ph.delta(|s| s.served),
-            ph.p99_us(),
-            hedges_fired(ph),
-            hedges_won(ph)
-        );
-    }
-    let [steady, straggler, failover] = &run.phases[..] else {
-        unreachable!("three phases")
-    };
-    let h = &run.health;
+    let [steady, straggler, failover] = &run.phases;
     let p99_factor = straggler.p99_us() / steady.p99_us();
-    println!("#");
-    println!(
-        "# lost {}, duplicates {}, retries {}; detector declared {} restored {} \
-         false-positives {} (probes {}); straggler p99 ×{p99_factor:.2}; replay ok",
-        run.ledger.lost,
-        run.ledger.duplicates,
-        run.retries,
-        h.declared,
-        h.restored,
-        h.false_positives,
-        h.probes,
-    );
-
-    // Acceptance.
-    assert_eq!(run.ledger.lost, 0, "failover lost runs");
-    assert_eq!(
-        run.ledger.duplicates, 0,
-        "a logical request completed twice"
-    );
-    assert_eq!(
-        h.declared, 1,
-        "exactly the hung shard must be declared failed — by the detector, \
-         not the fault plan"
-    );
-    assert_eq!(h.restored, 1, "the recovered shard must be probed back in");
-    assert_eq!(h.false_positives, 0, "the detector paged on a live shard");
-    assert!(
-        hedges_won(straggler) > 0,
-        "hedges must actually rescue straggler-stranded work"
-    );
-    assert!(
-        p99_factor <= 1.5,
-        "hedging must hold the straggler-mix p99 within 1.5× the baseline \
-         (got ×{p99_factor:.2})"
-    );
-
     let phase = |ph: &Phase| {
         let obj = Obj::new().val("served", ph.delta(|s| s.served));
         obj.num("p99_us", ph.p99_us(), 4)
@@ -278,14 +209,13 @@ fn main() {
         .val("straggler_rounds", STRAGGLER_ROUNDS)
         .val("failover_rounds", FAILOVER_ROUNDS)
         .val("health_seed", HEALTH_SEED);
-    let doc = Obj::new()
+    Obj::new()
         .val("lost", run.ledger.lost)
         .val("duplicates", run.ledger.duplicates)
         .val("retries", run.retries)
-        .val("detector", scenario::detector(h))
+        .val("detector", mix::detector(&run.health))
         .val("steady", steady_row)
         .val("straggler", straggler_row)
         .val("failover", failover_row)
-        .val("config", config);
-    bench::write_artifact("fault_recovery", doc, &host);
+        .val("config", config)
 }

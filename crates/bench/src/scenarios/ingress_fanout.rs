@@ -3,9 +3,9 @@
 //!
 //! The paper stops at one machine: virtines make isolated contexts
 //! cheap enough that a single host serves the §6.3 workload at native
-//! speed. This bench asks the platform question on top of that
+//! speed. This scenario asks the platform question on top of that
 //! economics — what does the same mix look like behind an edge tier
-//! that routes connections across *nodes*? Three scenarios, one
+//! that routes connections across *nodes*? Three runs, one
 //! workload (snapshotted fast function at a fixed cadence with a
 //! no-snapshot slow spin riding along — the Figure 15 mix shape):
 //!
@@ -22,24 +22,28 @@
 //!   `VSCHED_TRANSFER_CROSS_NODE` cycles of arrival latency), and
 //!   half-open probes restore the node once the hang lifts.
 //!
-//! Acceptance:
+//! The row's checks:
 //! * zero lost connections in every scenario: every accepted request
 //!   ends in exactly one terminal completion or an accounted shed;
-//! * zero duplicates: first-terminal-outcome-wins at the edge, fencing
-//!   before re-dispatch — the exactly-once tripwire stays at zero;
+//! * zero duplicates in the failover: first-terminal-outcome-wins at the
+//!   edge, fencing before re-dispatch — the exactly-once tripwire stays
+//!   at zero;
 //! * the failover is detector-declared (`declared == 1`, no operator
 //!   call, no kill in the plan), actually exercises the replay path
 //!   (`redispatched >= 1`), and is probe-restored (`restored == 1`)
 //!   with zero false positives;
-//! * fan-out helps: the fanout p99 stays below the single-node p99
-//!   (the committed `p99_factor` gates its drift);
-//! * the whole failover scenario replays bit-for-bit: two runs under
-//!   one seed produce identical (edge seq, node, finish) streams.
+//! * fan-out helps: the load reaches every node, and the fanout p99
+//!   stays at or below the single-node p99.
 //!
-//! Writes `BENCH_ingress_fanout.json` for the CI gate.
+//! Asserted in the run: the accept-loop virtine wakes and exits normally
+//! in every scenario; the fault-free ones declare nothing and complete
+//! nothing twice; the failure lands mid-run and an evacuated connection
+//! finishes on a survivor; and the whole failover scenario replays
+//! bit-for-bit: two runs under one seed produce identical (edge seq,
+//! node, finish) streams.
 
-use bench::json::Obj;
-use bench::scenario::{self, MEM};
+use super::mix::{self, MEM};
+use crate::json::Obj;
 use vclock::costs::VSCHED_TRANSFER_CROSS_NODE;
 use vclock::stats::percentile;
 use vhttp::ingress::{EdgeCompletion, Ingress, IngressRun};
@@ -71,28 +75,14 @@ const HANG_S: f64 = 0.008;
 
 struct Outcome {
     run: IngressRun,
-    nodes: usize,
     routed: Vec<u64>,
-    declared_mid_run: bool,
-}
-
-impl Outcome {
-    fn p99_us(&self) -> f64 {
-        let lat: Vec<f64> = self
-            .run
-            .completions
-            .iter()
-            .map(|c: &EdgeCompletion| (c.finish - c.arrival) * 1e6)
-            .collect();
-        percentile(&lat, 99.0)
-    }
+    p99_us: f64,
 }
 
 fn run_scenario(nodes: usize, with_fault: bool) -> Outcome {
     let mut ing = Ingress::new(nodes, SHARDS_PER_NODE);
-    let fast = ing.register(VirtineSpec::new("fast", scenario::snap_image(), MEM));
-    let slow =
-        ing.register(VirtineSpec::new("slow", scenario::slow_image(), MEM).with_snapshot(false));
+    let fast = ing.register(VirtineSpec::new("fast", mix::snap_image(), MEM));
+    let slow = ing.register(VirtineSpec::new("slow", mix::slow_image(), MEM).with_snapshot(false));
     let tenant = ing.add_tenant(
         vsched::TenantProfile::new("app"),
         f64::INFINITY,
@@ -125,36 +115,38 @@ fn run_scenario(nodes: usize, with_fault: bool) -> Outcome {
     // scenario — gives the recovery probes room after the hang lifts.
     ing.advance(t + 0.005);
     let routed = (0..nodes).map(|i| ing.cluster().routed_to(i)).collect();
+    let run = ing.finish();
+    assert!(run.stats.acceptor_wakes > 0, "the acceptor never woke");
+    assert!(run.acceptor.exit_normal, "acceptor died");
+    if with_fault {
+        assert!(declared_mid_run, "the failure must land mid-run");
+        let survived = |c: &EdgeCompletion| c.evacuated && c.node != FAIL_NODE;
+        assert!(
+            run.completions.iter().any(survived),
+            "an evacuated connection should finish on a survivor"
+        );
+    } else {
+        let declared = run.health.as_ref().map(|h| h.declared);
+        assert_eq!(declared, Some(0), "no declarations without a fault");
+        assert_eq!(run.stats.duplicates, 0, "a connection completed twice");
+    }
+    let lat_us: Vec<f64> = (run.completions.iter())
+        .map(|c| (c.finish - c.arrival) * 1e6)
+        .collect();
+    let p99_us = percentile(&lat_us, 99.0);
     Outcome {
-        run: ing.finish(),
-        nodes,
+        run,
         routed,
-        declared_mid_run,
+        p99_us,
     }
 }
 
-fn main() {
-    let host = bench::HostTimer::start();
-    bench::header(
-        "Cluster fan-out: the Figure 15-style mix across nodes behind the vhttp ingress",
-        "one edge tier routes the mix across identical vsched nodes by health \
-         and load; a mid-run node failure is detector-declared, fenced, \
-         replayed cross-node exactly once, and probe-restored — bit-for-bit \
-         reproducibly",
-    );
-    println!(
-        "# {FAST_PER_ROUND} fast (+ slow every {SLOW_EVERY} rounds) per {:.0} µs round, \
-         {ROUNDS} rounds; {SHARDS_PER_NODE} shards/node; failover: node {FAIL_NODE} hangs \
-         {:.0} ms at t={:.0} ms",
-        CADENCE_S * 1e6,
-        HANG_S * 1e3,
-        HANG_AT_S * 1e3,
-    );
-
+/// One node, the same load over three, and the three with a node failure.
+pub(super) fn measure() -> Obj {
     let single = run_scenario(1, false);
     let fanout = run_scenario(FANOUT_NODES, false);
     // Replay fingerprint: every completion as (edge seq, node, finish bits).
-    let failover = scenario::replay_twice(
+    let failover = mix::replay_twice(
         || run_scenario(FANOUT_NODES, true),
         |o| {
             let all = o.run.completions.iter();
@@ -162,109 +154,28 @@ fn main() {
                 .collect::<Vec<_>>()
         },
     );
-
-    println!("scenario   | nodes served    p99(µs)   lost redispatched  declared");
-    for (label, o) in [
-        ("single", &single),
-        ("fanout", &fanout),
-        ("failover", &failover),
-    ] {
-        let h = o.run.health.as_ref().expect("detector installed");
-        println!(
-            "{label:<10} | {:>5} {:>6} {:>10.2} {:>6} {:>12} {:>9}",
-            o.nodes,
-            o.run.completions.len(),
-            o.p99_us(),
-            o.run.lost,
-            o.run.stats.redispatched,
-            h.declared,
-        );
-    }
-    let p99_factor = fanout.p99_us() / single.p99_us();
+    let p99_factor = fanout.p99_us / single.p99_us;
     let h = failover.run.health.as_ref().expect("detector installed");
-    println!("#");
-    println!(
-        "# fanout p99 ×{p99_factor:.2} of single-node; failover: declared {} restored {} \
-         false-positives {} redispatched {} duplicates {}; replay ok",
-        h.declared,
-        h.restored,
-        h.false_positives,
-        failover.run.stats.redispatched,
-        failover.run.stats.duplicates,
-    );
-
-    // Acceptance.
-    for (label, o) in [
-        ("single", &single),
-        ("fanout", &fanout),
-        ("failover", &failover),
-    ] {
-        assert_eq!(o.run.lost, 0, "{label}: accepted connections lost");
-        assert_eq!(
-            o.run.stats.duplicates, 0,
-            "{label}: a connection completed twice"
-        );
-        assert!(
-            o.run.stats.acceptor_wakes > 0,
-            "{label}: the accept-loop virtine never woke"
-        );
-        assert!(o.run.acceptor.exit_normal, "{label}: acceptor died");
-    }
-    assert_eq!(
-        single.run.health.as_ref().unwrap().declared + fanout.run.health.as_ref().unwrap().declared,
-        0,
-        "no declarations without a fault"
-    );
-    assert!(failover.declared_mid_run, "the failure must land mid-run");
-    assert_eq!(
-        h.declared, 1,
-        "exactly the hung node must be declared — by the detector, not a plan"
-    );
-    assert_eq!(h.restored, 1, "the recovered node must be probed back in");
-    assert_eq!(h.false_positives, 0, "the detector paged on a live node");
-    assert!(
-        failover.run.stats.redispatched >= 1,
-        "the failover must exercise the cross-node replay path"
-    );
-    assert!(
-        failover
-            .run
-            .completions
-            .iter()
-            .any(|c| c.evacuated && c.node != FAIL_NODE),
-        "an evacuated connection should finish on a survivor"
-    );
-    assert!(
-        fanout.routed.iter().all(|&r| r > 0),
-        "fan-out must spread the load across every node (got {:?})",
-        fanout.routed
-    );
-    assert!(
-        p99_factor <= 1.0,
-        "spreading the same load across {FANOUT_NODES} nodes must not raise \
-         the p99 (got ×{p99_factor:.2})"
-    );
-
     let single_row = Obj::new()
         .val("served", single.run.completions.len())
-        .num("p99_us", single.p99_us(), 4)
+        .num("p99_us", single.p99_us, 4)
         .val("lost", single.run.lost);
     let fanout_row = Obj::new()
-        .val("nodes", fanout.nodes)
+        .val("nodes", FANOUT_NODES)
         .val("served", fanout.run.completions.len())
-        .num("p99_us", fanout.p99_us(), 4)
+        .num("p99_us", fanout.p99_us, 4)
         .num("p99_factor", p99_factor, 4)
         .val("lost", fanout.run.lost)
         .list("routed", &fanout.routed);
     let redispatched = failover.run.stats.redispatched;
     let failover_row = Obj::new()
         .val("served", failover.run.completions.len())
-        .num("p99_us", failover.p99_us(), 4)
+        .num("p99_us", failover.p99_us, 4)
         .val("lost", failover.run.lost)
         .val("duplicates", failover.run.stats.duplicates)
         .val("redispatched", redispatched)
         .val("transfer_cycles", redispatched * VSCHED_TRANSFER_CROSS_NODE)
-        .val("detector", scenario::detector(h));
+        .val("detector", mix::detector(h));
     let config = Obj::new()
         .val("fanout_nodes", FANOUT_NODES)
         .val("shards_per_node", SHARDS_PER_NODE)
@@ -273,10 +184,9 @@ fn main() {
         .val("slow_every", SLOW_EVERY)
         .val("rounds", ROUNDS)
         .val("health_seed", HEALTH_SEED);
-    let doc = Obj::new()
+    Obj::new()
         .val("single", single_row)
         .val("fanout", fanout_row)
         .val("failover", failover_row)
-        .val("config", config);
-    bench::write_artifact("ingress_fanout", doc, &host);
+        .val("config", config)
 }

@@ -1,4 +1,4 @@
-//! The Figure 15 serverless mix the scenario benches share: the §5.2
+//! The Figure 15 serverless mix the scenarios share: the §5.2
 //! snapshotted function and the slow spin, the dispatcher that serves
 //! them, a fixed-cadence driver, per-phase recording, the exactly-once
 //! ledger, and the bit-for-bit replay check.
@@ -10,9 +10,9 @@ use vclock::stats::percentile;
 use vclock::Cycles;
 use vsched::{
     Completion, Dispatcher, DispatcherConfig, DispatcherStats, HealthStats, Placement, Request,
-    TenantId,
+    TenantId, TenantProfile,
 };
-use wasp::{VirtineId, Wasp};
+use wasp::{VirtineId, VirtineSpec, Wasp};
 
 /// Guest memory of both mix functions.
 pub const MEM: usize = 64 * 1024;
@@ -75,6 +75,12 @@ pub fn dispatcher(shards: usize, placement: Placement) -> Dispatcher {
     Dispatcher::new(Wasp::new_kvm_default(), config)
 }
 
+/// Registers `image` on `d` as `name`, in [`MEM`] of guest memory.
+pub fn register(d: &mut Dispatcher, name: impl Into<String>, image: visa::asm::Image) -> VirtineId {
+    d.register(VirtineSpec::new(name, image, MEM))
+        .expect("register")
+}
+
 /// Fixed-cadence arrivals for one tenant: each round submits every `fast`
 /// function one cadence apart, plus `slow.0` beside the last of them every
 /// `slow.1` rounds, then runs the dispatcher up to the cursor.
@@ -90,6 +96,22 @@ pub struct Mix {
 }
 
 impl Mix {
+    /// Tenant `app` submitting `fns` snapshotted functions `fn0…` every
+    /// `cadence_s`, with two clean shells prewarmed per shard.
+    pub fn snapped(d: &mut Dispatcher, fns: usize, cadence_s: f64) -> Mix {
+        let tenant = d.add_tenant(TenantProfile::new("app"));
+        let fast = (0..fns)
+            .map(|i| register(d, format!("fn{i}"), snap_image()))
+            .collect();
+        d.prewarm(MEM, 2);
+        Mix {
+            tenant,
+            fast,
+            slow: None,
+            cadence_s,
+        }
+    }
+
     /// Submits round `round`'s arrivals from cursor `t` and runs up to it.
     pub fn round(&self, d: &mut Dispatcher, t: &mut f64, round: usize) {
         let fast = self.fast.iter().map(|&f| (f, self.cadence_s));
@@ -105,6 +127,11 @@ impl Mix {
     pub fn drive(&self, d: &mut Dispatcher, t: &mut f64, rounds: usize) {
         (0..rounds).for_each(|round| self.round(d, t, round));
     }
+
+    /// Records `rounds` rounds as one [`Phase`] settled for `settle_s`.
+    pub fn phase(&self, d: &mut Dispatcher, t: &mut f64, rounds: usize, settle_s: f64) -> Phase {
+        Phase::record(d, t, settle_s, |d, t| self.drive(d, t, rounds))
+    }
 }
 
 /// Runs `window_s` past cursor `t` and moves the cursor there, so later
@@ -116,8 +143,6 @@ pub fn settle(d: &mut Dispatcher, t: &mut f64, window_s: f64) {
 
 /// One measured phase: its completions and the dispatcher stats around it.
 pub struct Phase {
-    /// Row label.
-    pub label: &'static str,
     /// Everything that completed during the phase and its settle window.
     pub completions: Vec<Completion>,
     before: DispatcherStats,
@@ -129,7 +154,6 @@ impl Phase {
     pub fn record(
         d: &mut Dispatcher,
         t: &mut f64,
-        label: &'static str,
         settle_s: f64,
         body: impl FnOnce(&mut Dispatcher, &mut f64),
     ) -> Phase {
@@ -139,7 +163,6 @@ impl Phase {
         let after = d.stats();
         let completions = d.take_completions();
         Phase {
-            label,
             completions,
             before,
             after,

@@ -14,25 +14,23 @@
 //! `VTRACE_SPAN` cycles, and the total served-latency overhead must stay
 //! under 3%.
 //!
-//! Acceptance:
-//! * the page alert fires after the degradation, within
-//!   `FIRE_BOUND_CYCLES` of virtual time, and clears after recovery;
-//! * the availability SLO stays quiet (nothing is shed — this is a
-//!   latency regression, and the alert taxonomy must say so);
-//! * `/metrics` text carries `vslo_alert{slo="e2e_p99",severity="page"} 1`
-//!   at the degraded steady state;
-//! * tracing-on vs tracing-off end-to-end overhead < 3%.
+//! The row's checks: the traced run's page alert fires within
+//! `FIRE_BOUND_CYCLES` of virtual time after the degradation and clears
+//! after recovery; the healthy steady state meets the objective; tracing
+//! records spans and its end-to-end overhead stays within 3%.
 //!
-//! Writes `BENCH_slo_observe.json` for the CI gate and
-//! `TRACE_slo_observe.jsonl` (the traced run's span trees) as a CI
-//! artifact.
+//! Asserted in the run: the untraced run's alert does the same and it
+//! records no span; the availability SLO stays quiet (nothing is shed —
+//! this is a latency regression, and the alert taxonomy must say so);
+//! and `/metrics` carries `vslo_alert{slo="e2e_p99",severity="page"} 1`
+//! at the degraded steady state. The traced run's span trees go to
+//! `TRACE_slo_observe.jsonl`.
 
-use bench::json::Obj;
-use bench::scenario::{self, Mix, MEM};
+use super::mix::{self, Mix};
+use crate::json::Obj;
 use vclock::Cycles;
-use vsched::{Placement, Request, TenantProfile};
+use vsched::{Placement, Request};
 use vtrace::slo::{BurnPolicy, Severity, SloEngine, SloSpec};
-use wasp::VirtineSpec;
 
 const SHARDS: usize = 4;
 const FNS: usize = 2;
@@ -52,11 +50,10 @@ const E2E_THRESHOLD_US: f64 = 5.0;
 /// The page alert must fire within this much virtual time of the
 /// degradation (about 1.5 ms: enough bad events to saturate both
 /// windows at the request cadence).
-const FIRE_BOUND_CYCLES: u64 = 6_000_000;
+pub(super) const FIRE_BOUND_CYCLES: f64 = 6e6;
 
 struct RunOut {
     served: u64,
-    warm_hits: u64,
     /// Sum of end-to-end cycles across served requests (the ablation
     /// metric: deterministic in virtual time).
     e2e_sum_cycles: u64,
@@ -64,33 +61,19 @@ struct RunOut {
     alert_fire_cycles: u64,
     /// 1 when the page alert cleared after the budget was restored.
     alert_cleared: u64,
-    /// Availability alert transitions (must stay zero: nothing is shed).
-    availability_events: u64,
     /// Healthy-phase p90 off the dispatcher's own e2e histogram (the
     /// p99 of the small healthy sample is its first cold starts; p90 is
     /// the steady state the objective is set against).
     warm_p90_us: f64,
-    degraded_metrics: String,
     trace_lines: String,
     spans: u64,
 }
 
 fn run(traced: bool) -> RunOut {
-    let mut d = scenario::dispatcher(SHARDS, Placement::SnapshotAware);
-    let tenant = d.add_tenant(TenantProfile::new("app"));
-    let fns: Vec<_> = (0..FNS)
-        .map(|i| {
-            d.register(VirtineSpec::new(
-                format!("fn{i}"),
-                scenario::snap_image(),
-                MEM,
-            ))
-            .expect("register")
-        })
-        .collect();
+    let mut d = mix::dispatcher(SHARDS, Placement::SnapshotAware);
     // Provisioned clean shells: an acquire never has to steal a sibling's
     // warm shell, so the healthy phase genuinely runs on delta re-arms.
-    d.prewarm(MEM, 2);
+    let mix = Mix::snapped(&mut d, FNS, CADENCE_S);
     if traced {
         d.enable_tracing(4096);
     }
@@ -98,9 +81,9 @@ fn run(traced: bool) -> RunOut {
     // Warm-up: establish each function's snapshot before the SLO clock
     // starts, so the healthy phase measures the steady state.
     let mut t = 0.0;
-    for &f in &fns {
+    for &f in &mix.fast {
         t += CADENCE_S;
-        d.submit(Request::new(tenant, f, t)).expect("admit");
+        d.submit(Request::new(mix.tenant, f, t)).expect("admit");
     }
     d.run_until(t + 0.001);
 
@@ -119,12 +102,6 @@ fn run(traced: bool) -> RunOut {
         },
     ));
 
-    let mix = Mix {
-        tenant,
-        fast: fns,
-        slow: None,
-        cadence_s: CADENCE_S,
-    };
     let drive = |d: &mut _, t: &mut _, rounds| {
         for round in 0..rounds {
             mix.round(d, t, round);
@@ -139,7 +116,18 @@ fn run(traced: bool) -> RunOut {
     let warm_phase = d.e2e_hist().clone();
     drive(&mut d, &mut t, DEGRADED_ROUNDS);
     // Degraded steady state: the scrape must show the page firing.
-    let degraded_metrics = vhttp::dispatch::prometheus_text(&d);
+    if traced {
+        let metrics = vhttp::dispatch::prometheus_text(&d);
+        let gauge = |line: &str| metrics.lines().any(|l| l == line);
+        assert!(
+            gauge("vslo_alert{slo=\"e2e_p99\",severity=\"page\"} 1"),
+            "degraded /metrics must export the firing page alert:\n{metrics}"
+        );
+        assert!(
+            gauge("vslo_alert{slo=\"availability\",severity=\"page\"} 0"),
+            "availability page gauge must read 0"
+        );
+    }
     let recovered_at = Cycles::from_secs(t);
     d.set_warm_budget(None, None);
     drive(&mut d, &mut t, RECOVERED_ROUNDS);
@@ -156,121 +144,59 @@ fn run(traced: bool) -> RunOut {
     let cleared = log.iter().any(|ev| {
         ev.slo == "e2e_p99" && !ev.fired && ev.severity == Severity::Page && ev.at >= recovered_at
     });
-    let availability_events = log.iter().filter(|ev| ev.slo == "availability").count() as u64;
+    assert!(
+        log.iter().all(|ev| ev.slo != "availability"),
+        "nothing was shed; the availability SLO must stay quiet"
+    );
 
-    let s = d.stats();
     RunOut {
-        served: s.served,
-        warm_hits: s.warm_hits,
+        served: d.stats().served,
         e2e_sum_cycles: d.e2e_hist().sum(),
         alert_fire_cycles: fire.at.saturating_sub(degrade_at).get(),
         alert_cleared: cleared as u64,
-        availability_events,
         warm_p90_us: Cycles(warm_phase.quantile(0.9)).as_micros(),
-        degraded_metrics,
         trace_lines: d.trace_json_lines(None, 10_000),
         spans: d.trace().spans_recorded(),
     }
 }
 
-fn main() {
-    let host = bench::HostTimer::start();
-    bench::header(
-        "SLO observability: burn-rate paging over an injected warm-budget incident",
-        "multiwindow burn-rate alerts page within bounded virtual time of a \
-         latency regression and clear after recovery; span tracing costs \
-         <3% end-to-end",
-    );
-    println!(
-        "# {FNS} snapshotted fns at {:.0} µs cadence on {SHARDS} shards; \
-         p99 objective {E2E_THRESHOLD_US} µs; {HEALTHY_ROUNDS} healthy / \
-         {DEGRADED_ROUNDS} degraded / {RECOVERED_ROUNDS} recovered rounds",
-        CADENCE_S * 1e6
-    );
-
+/// A traced and an untraced run of the same incident.
+pub(super) fn measure() -> Obj {
     let traced = run(true);
     let untraced = run(false);
-
-    let overhead_pct = 100.0 * (traced.e2e_sum_cycles as f64 - untraced.e2e_sum_cycles as f64)
-        / untraced.e2e_sum_cycles as f64;
-    let fire_ms = Cycles(traced.alert_fire_cycles).as_millis();
-    println!("run                    | served  warm-hits   e2e-sum(cyc)    fire(cyc)  cleared");
-    for (label, r) in [("traced", &traced), ("untraced", &untraced)] {
-        println!(
-            "{label:<22} | {:>6} {:>10} {:>14} {:>12} {:>8}",
-            r.served, r.warm_hits, r.e2e_sum_cycles, r.alert_fire_cycles, r.alert_cleared
-        );
-    }
-    println!("#");
-    println!(
-        "# warm-phase p90 {:.2} µs vs {E2E_THRESHOLD_US} µs objective; page fired {:.3} ms \
-         after the budget slash ({} spans, tracing overhead {overhead_pct:+.3}%)",
-        traced.warm_p90_us, fire_ms, traced.spans
-    );
-
-    // Acceptance.
     assert!(
-        traced.warm_p90_us < E2E_THRESHOLD_US,
-        "healthy steady state must meet the objective (p90 {:.2} µs)",
-        traced.warm_p90_us
+        untraced.alert_fire_cycles as f64 <= FIRE_BOUND_CYCLES,
+        "untraced page alert took {} cycles (> {FIRE_BOUND_CYCLES}) to fire",
+        untraced.alert_fire_cycles
     );
-    for r in [&traced, &untraced] {
-        assert!(
-            r.alert_fire_cycles <= FIRE_BOUND_CYCLES,
-            "page alert took {} cycles (> {FIRE_BOUND_CYCLES}) to fire",
-            r.alert_fire_cycles
-        );
-        assert_eq!(r.alert_cleared, 1, "page alert must clear after recovery");
-        assert_eq!(
-            r.availability_events, 0,
-            "nothing was shed; the availability SLO must stay quiet"
-        );
-    }
-    assert!(
-        overhead_pct.abs() < 3.0,
-        "tracing overhead {overhead_pct:.3}% breaches the 3% ablation bound"
+    assert_eq!(
+        untraced.alert_cleared, 1,
+        "page alert must clear after recovery"
     );
-    assert!(
-        traced
-            .degraded_metrics
-            .lines()
-            .any(|l| l == "vslo_alert{slo=\"e2e_p99\",severity=\"page\"} 1"),
-        "degraded /metrics must export the firing page alert:\n{}",
-        traced.degraded_metrics
-    );
-    assert!(
-        traced
-            .degraded_metrics
-            .lines()
-            .any(|l| l == "vslo_alert{slo=\"availability\",severity=\"page\"} 0"),
-        "availability page gauge must read 0"
-    );
-    assert!(traced.spans > 0 && !traced.trace_lines.is_empty());
     assert_eq!(
         untraced.spans, 0,
         "the untraced run must record nothing (zero-cost when disabled)"
     );
+    assert!(!traced.trace_lines.is_empty());
+    std::fs::write("TRACE_slo_observe.jsonl", &traced.trace_lines).expect("write trace artifact");
+    println!("# wrote TRACE_slo_observe.jsonl");
 
-    // Artifacts: the gated numbers and the span trees.
-    let doc = Obj::new()
+    let overhead_pct = 100.0 * (traced.e2e_sum_cycles as f64 - untraced.e2e_sum_cycles as f64)
+        / untraced.e2e_sum_cycles as f64;
+    let config = Obj::new()
+        .val("shards", SHARDS)
+        .val("fns", FNS)
+        .val("cadence_s", CADENCE_S)
+        .val("healthy_rounds", HEALTHY_ROUNDS)
+        .val("degraded_rounds", DEGRADED_ROUNDS)
+        .val("recovered_rounds", RECOVERED_ROUNDS)
+        .val("e2e_threshold_us", E2E_THRESHOLD_US);
+    Obj::new()
         .val("alert_fire_cycles", traced.alert_fire_cycles)
         .val("alert_cleared", traced.alert_cleared)
         .num("overhead_pct", overhead_pct, 6)
         .val("served", traced.served)
         .val("spans", traced.spans)
         .num("warm_p90_us", traced.warm_p90_us, 4)
-        .val(
-            "config",
-            Obj::new()
-                .val("shards", SHARDS)
-                .val("fns", FNS)
-                .val("cadence_s", CADENCE_S)
-                .val("healthy_rounds", HEALTHY_ROUNDS)
-                .val("degraded_rounds", DEGRADED_ROUNDS)
-                .val("recovered_rounds", RECOVERED_ROUNDS)
-                .val("e2e_threshold_us", E2E_THRESHOLD_US),
-        );
-    bench::write_artifact("slo_observe", doc, &host);
-    std::fs::write("TRACE_slo_observe.jsonl", &traced.trace_lines).expect("write trace artifact");
-    println!("# wrote TRACE_slo_observe.jsonl");
+        .val("config", config)
 }

@@ -48,13 +48,13 @@ fn a_cold_boot_fast_forwards_all_but_the_first_turn_of_the_identity_map_loop() {
 
 #[test]
 fn the_scenario_mix_fast_forwards_its_fill_and_its_spin() {
-    let mem = bench::scenario::MEM;
-    let fill = bench::scenario::snap_image();
+    let mem = bench::scenarios::mix::MEM;
+    let fill = bench::scenarios::mix::snap_image();
     assert_eq!(
         loops_to_first_exit(&fill, mem, Engine::Fast),
         (SNAPSHOT, [1, 511])
     );
-    let spin = bench::scenario::slow_image();
+    let spin = bench::scenarios::mix::slow_image();
     assert_eq!(
         loops_to_first_exit(&spin, mem, Engine::Fast),
         (CpuExit::Hlt, [1, 39_999])
