@@ -194,14 +194,13 @@ fn kvm(img: &Image, trials: usize) -> [Vec<f64>; 2] {
         let t0 = clock.now();
         let vm = hv.create_vm(64 * 1024, 0x8000);
         vm.load_image(img);
-        vm.vcpu().run(100).expect("run");
+        vm.run(100).expect("run");
         (clock.now() - t0).get() as f64
     });
     let vm = hv.create_vm(64 * 1024, 0x8000);
     let vmrun = sample(trials, || {
         vm.load_image(img);
-        let vcpu = vm.vcpu();
-        clock.time(|| vcpu.run(100).expect("run")).1.get() as f64
+        clock.time(|| vm.run(100).expect("run")).1.get() as f64
     });
     [create, vmrun]
 }

@@ -122,14 +122,14 @@ pub const SCENARIOS: &[Scenario] = &[
     Scenario {
         id: "slo_observe",
         claim: "multiwindow burn-rate alerts page within bounded virtual time of a \
-                latency regression and clear after recovery; span tracing costs under \
-                3% end to end",
+                latency regression and clear after recovery; a traced run equals an \
+                untraced one to the cycle",
         measure: slo_observe::measure,
         checks: &[
             StrictOrder("*", &["warm_p90_us", "config.e2e_threshold_us"]),
             Band("alert_fire_cycles", 0.0, slo_observe::FIRE_BOUND_CYCLES),
             Band("alert_cleared", 1.0, 1.0),
-            Band("overhead_pct", -3.0, 3.0),
+            Band("overhead_pct", 0.0, 0.0),
             Band("spans", 1.0, INF),
         ],
     },

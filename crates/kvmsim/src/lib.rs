@@ -2,7 +2,7 @@
 //!
 //! A KVM-shaped API (modelled on the rust-vmm `kvm-ioctls` crate the paper's
 //! ecosystem would use) over the VISA machine: `Hypervisor` → [`VmFd`] →
-//! [`VcpuFd::run`] → [`VmExit`]. Every operation charges the calibrated cost
+//! [`VmFd::run`] → [`VmExit`]. Every operation charges the calibrated cost
 //! of its real counterpart:
 //!
 //! * `KVM_CREATE_VM` pays the kernel-side VMCS/VMCB allocation that makes
@@ -28,7 +28,7 @@
 //! | [`VmFd::snapshot`] | copies the two extents out and notes which pages they have content on |
 //! | [`VmFd::restore`] | wipes as `clean` does, then copies exactly the pages the snapshot has content on |
 //! | [`VmFd::restore_delta`] | copies exactly the pages in the dirty log |
-//! | dropping the last handle | wipes as `clean` does and retires the VM to the thread's spare list: its guest-memory buffer and its vCPU's block cache, which stays with that memory |
+//! | dropping the `VmFd` | wipes as `clean` does and retires the VM to the thread's spare list: its guest-memory buffer and its vCPU's block cache, which stays with that memory |
 //! | [`Hypervisor::create_vm`] | charges the full from-scratch cost, builds a new vCPU in the reset state, and takes a retired shell of the size — already zero, its block cache adopted as `clean` adopts it — or allocates |
 //!
 //! `visa::mem::counters()` counts the pages and buffers.
@@ -39,7 +39,6 @@
 //! constant factor on the dispatch path.
 
 use std::cell::RefCell;
-use std::rc::Rc;
 
 use hostsim::HostKernel;
 use vclock::costs;
@@ -68,7 +67,7 @@ impl Flavor {
     }
 }
 
-/// Reasons [`VcpuFd::run`] returned to user space.
+/// Reasons [`VmFd::run`] returned to user space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmExit {
     /// Guest executed `hlt`.
@@ -80,7 +79,7 @@ pub enum VmExit {
         /// Value written.
         value: u64,
     },
-    /// Guest read from I/O `port`; answer with [`VcpuFd::provide_in`].
+    /// Guest read from I/O `port`. Wasp answers none: it kills the guest.
     IoIn {
         /// Port number.
         port: u16,
@@ -117,11 +116,6 @@ impl Hypervisor {
             kernel,
             flavor: Flavor::HyperV,
         }
-    }
-
-    /// The flavor of this hypervisor.
-    pub fn flavor(&self) -> Flavor {
-        self.flavor
     }
 
     /// The host kernel behind this hypervisor.
@@ -171,7 +165,7 @@ impl Hypervisor {
         let mut cpu = Cpu::new(self.kernel.clock().clone(), CpuConfig::default(), entry);
         let mem = Memory::revive(mem_size, &mut cpu);
         VmFd {
-            inner: Rc::new(RefCell::new(VmInner {
+            inner: Box::new(RefCell::new(VmInner {
                 cpu,
                 mem,
                 kernel: self.kernel.clone(),
@@ -188,18 +182,20 @@ struct VmInner {
     flavor: Flavor,
 }
 
-// The last handle is gone: the VM retires as a wiped shell that keeps its
-// vCPU's block cache for the next `create_vm` of its size.
-impl Drop for VmInner {
-    fn drop(&mut self) {
-        self.mem.retire(&mut self.cpu);
-    }
+/// A virtual machine and its one vCPU (the per-context "device file" of
+/// §5.1): the only handle, owned, so whoever holds it holds the VM. Boxed,
+/// so a shell moves between pools and runs as one pointer.
+pub struct VmFd {
+    inner: Box<RefCell<VmInner>>,
 }
 
-/// A virtual machine handle (the per-context "device file" of §5.1).
-#[derive(Clone)]
-pub struct VmFd {
-    inner: Rc<RefCell<VmInner>>,
+// The VM is gone: it retires as a wiped shell that keeps its vCPU's block
+// cache for the next `create_vm` of its size.
+impl Drop for VmFd {
+    fn drop(&mut self) {
+        let inner = self.inner.get_mut();
+        inner.mem.retire(&mut inner.cpu);
+    }
 }
 
 impl std::fmt::Debug for VmFd {
@@ -232,14 +228,6 @@ impl VmSnapshot {
 }
 
 impl VmFd {
-    /// Creates the vCPU handle. The vCPU was already allocated by
-    /// [`Hypervisor::create_vm`]; this is a zero-cost accessor.
-    pub fn vcpu(&self) -> VcpuFd {
-        VcpuFd {
-            inner: Rc::clone(&self.inner),
-        }
-    }
-
     /// Size of guest-physical memory.
     pub fn mem_size(&self) -> usize {
         self.inner.borrow().mem.size()
@@ -383,21 +371,7 @@ impl VmFd {
         inner.cpu.restore_state(&snap.cpu);
         pages
     }
-}
 
-/// A virtual-CPU handle.
-#[derive(Clone)]
-pub struct VcpuFd {
-    inner: Rc<RefCell<VmInner>>,
-}
-
-impl std::fmt::Debug for VcpuFd {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "VcpuFd(pc={:#x})", self.inner.borrow().cpu.pc)
-    }
-}
-
-impl VcpuFd {
     /// `KVM_RUN`: enters the guest and runs until it exits, faults, or
     /// retires `max_steps` instructions.
     pub fn run(&self, max_steps: u64) -> Result<VmExit, Fault> {
@@ -426,15 +400,6 @@ impl VcpuFd {
         })
     }
 
-    /// Supplies the value for a pending `in` after an [`VmExit::IoIn`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no `in` is pending.
-    pub fn provide_in(&self, value: u64) {
-        self.inner.borrow_mut().cpu.provide_in(value);
-    }
-
     /// Reads a guest register.
     pub fn reg(&self, r: Reg) -> u64 {
         self.inner.borrow().cpu.reg(r)
@@ -449,11 +414,6 @@ impl VcpuFd {
     /// instructions (experiment instrumentation).
     pub fn take_marks(&self) -> Vec<(u8, vclock::Cycles)> {
         std::mem::take(&mut self.inner.borrow_mut().cpu.marks)
-    }
-
-    /// Instructions retired by this vCPU.
-    pub fn insts_retired(&self) -> u64 {
-        self.inner.borrow().cpu.insts_retired()
     }
 }
 
@@ -479,7 +439,7 @@ mod tests {
         let t0 = clock.now();
         let vm = hv.create_vm(64 * 1024, 0x8000);
         vm.load_image(&hlt_image());
-        let exit = vm.vcpu().run(100).unwrap();
+        let exit = vm.run(100).unwrap();
         assert_eq!(exit, VmExit::Hlt);
         let total = (clock.now() - t0).get();
         // Figure 2's "KVM" bar: a few hundred thousand cycles.
@@ -494,11 +454,10 @@ mod tests {
         let (clock, _, hv) = setup();
         let vm = hv.create_vm(64 * 1024, 0x8000);
         vm.load_image(&visa::assemble(".org 0x8000\n hlt\n hlt\n").unwrap());
-        let vcpu = vm.vcpu();
-        vcpu.run(100).unwrap();
+        vm.run(100).unwrap();
         // Second KVM_RUN measures the reusable floor (the "vmrun" bar).
         let t0 = clock.now();
-        vcpu.run(100).unwrap();
+        vm.run(100).unwrap();
         let total = (clock.now() - t0).get();
         assert!(
             (2_000..8_000).contains(&total),
@@ -516,7 +475,7 @@ mod tests {
         for (clock, hv) in [(&clock_k, &hv_k), (&clock_h, &hv_h)] {
             let vm = hv.create_vm(64 * 1024, 0x8000);
             vm.load_image(&hlt_image());
-            vm.vcpu().run(100).unwrap();
+            vm.run(100).unwrap();
             assert!(clock.now().get() > 0);
         }
         let k = clock_k.now().get() as f64;
@@ -530,27 +489,22 @@ mod tests {
         let (_, _, hv) = setup();
         let vm = hv.create_vm(64 * 1024, 0x8000);
         vm.load_image(&visa::assemble(".org 0x8000\n mov r1, 7\n out 0xF1, r1\n hlt\n").unwrap());
-        let vcpu = vm.vcpu();
         assert_eq!(
-            vcpu.run(100).unwrap(),
+            vm.run(100).unwrap(),
             VmExit::IoOut {
                 port: 0xF1,
                 value: 7
             }
         );
-        assert_eq!(vcpu.run(100).unwrap(), VmExit::Hlt);
+        assert_eq!(vm.run(100).unwrap(), VmExit::Hlt);
     }
 
     #[test]
-    fn io_in_blocks_until_answered() {
+    fn io_in_reaches_userspace_with_its_port() {
         let (_, _, hv) = setup();
         let vm = hv.create_vm(64 * 1024, 0x8000);
         vm.load_image(&visa::assemble(".org 0x8000\n in r2, 0x30\n hlt\n").unwrap());
-        let vcpu = vm.vcpu();
-        assert_eq!(vcpu.run(100).unwrap(), VmExit::IoIn { port: 0x30 });
-        vcpu.provide_in(555);
-        assert_eq!(vcpu.run(100).unwrap(), VmExit::Hlt);
-        assert_eq!(vcpu.reg(Reg(2)), 555);
+        assert_eq!(vm.run(100).unwrap(), VmExit::IoIn { port: 0x30 });
     }
 
     #[test]
@@ -558,7 +512,7 @@ mod tests {
         let (_, _, hv) = setup();
         let vm = hv.create_vm(4096, 0x0);
         vm.load_image(&visa::assemble(".org 0\n mov r0, 1\n mov r1, 0\n div r0, r1\n").unwrap());
-        let err = vm.vcpu().run(100).unwrap_err();
+        let err = vm.run(100).unwrap_err();
         assert!(matches!(err, Fault::DivideByZero { .. }));
     }
 
@@ -577,7 +531,7 @@ mod tests {
         let (clock, _, hv) = setup();
         let vm = hv.create_vm(64 * 1024, 0x8000);
         vm.load_image(&hlt_image());
-        vm.vcpu().run(100).unwrap();
+        vm.run(100).unwrap();
         let t0 = clock.now();
         vm.clean(0x8000);
         let sync_cost = (clock.now() - t0).get();
@@ -600,9 +554,8 @@ mod tests {
         vm.load_image(
             &visa::assemble(".org 0x8000\n mov r3, 1234\n out 1, r3\n mov r3, 0\n hlt\n").unwrap(),
         );
-        let vcpu = vm.vcpu();
         // Run to the out (our "snapshot point").
-        assert!(matches!(vcpu.run(100).unwrap(), VmExit::IoOut { .. }));
+        assert!(matches!(vm.run(100).unwrap(), VmExit::IoOut { .. }));
         let snap = vm.snapshot();
         assert_eq!(snap.mem_size(), 1 << 20);
         // Only the dirty image region is captured, not the whole 1 MiB.
@@ -613,8 +566,8 @@ mod tests {
         );
 
         // Continue: r3 gets clobbered.
-        assert_eq!(vcpu.run(100).unwrap(), VmExit::Hlt);
-        assert_eq!(vcpu.reg(Reg(3)), 0);
+        assert_eq!(vm.run(100).unwrap(), VmExit::Hlt);
+        assert_eq!(vm.reg(Reg(3)), 0);
 
         // Restore: r3 is 1234 again and execution resumes past the out.
         let t0 = clock.now();
@@ -626,8 +579,8 @@ mod tests {
             restore_cost >= sparse_copy && restore_cost < full_copy / 4,
             "restore cost {restore_cost} (sparse {sparse_copy}, full {full_copy})"
         );
-        assert_eq!(vcpu.reg(Reg(3)), 1234);
-        assert_eq!(vcpu.run(100).unwrap(), VmExit::Hlt);
+        assert_eq!(vm.reg(Reg(3)), 1234);
+        assert_eq!(vm.run(100).unwrap(), VmExit::Hlt);
     }
 
     #[test]
@@ -635,7 +588,7 @@ mod tests {
         let (_, _, hv) = setup();
         let vm = hv.create_vm(64 * 4096, 0x8000);
         vm.load_image(&hlt_image());
-        vm.vcpu().run(100).unwrap();
+        vm.run(100).unwrap();
         let _snap = vm.snapshot(); // Resets the log.
         assert!(vm.dirty_log().is_empty());
         vm.write_guest(3 * 4096 + 17, &[1, 2, 3]).unwrap();
@@ -671,10 +624,9 @@ mod tests {
                 )
                 .unwrap(),
             );
-            let vcpu = vm.vcpu();
-            assert!(matches!(vcpu.run(100).unwrap(), VmExit::IoOut { .. }));
+            assert!(matches!(vm.run(100).unwrap(), VmExit::IoOut { .. }));
             let snap = vm.snapshot();
-            assert_eq!(vcpu.run(100).unwrap(), VmExit::Hlt);
+            assert_eq!(vm.run(100).unwrap(), VmExit::Hlt);
             (vm, snap)
         };
 
@@ -696,10 +648,9 @@ mod tests {
         // Both resume from the snapshot point and converge on the same
         // halt state.
         for vm in [&delta_vm, &full_vm] {
-            let vcpu = vm.vcpu();
-            assert_eq!(vcpu.reg(Reg(3)), 1234);
-            assert_eq!(vcpu.run(100).unwrap(), VmExit::Hlt);
-            assert_eq!(vcpu.reg(Reg(3)), 0);
+            assert_eq!(vm.reg(Reg(3)), 1234);
+            assert_eq!(vm.run(100).unwrap(), VmExit::Hlt);
+            assert_eq!(vm.reg(Reg(3)), 0);
         }
         assert_eq!(
             delta_vm.read_guest(0, size).unwrap(),
@@ -733,6 +684,6 @@ mod tests {
         let (_, _, hv) = setup();
         let vm = hv.create_vm(4096, 0);
         vm.load_image(&visa::assemble(".org 0\nspin: jmp spin\n").unwrap());
-        assert_eq!(vm.vcpu().run(1000).unwrap(), VmExit::StepLimit);
+        assert_eq!(vm.run(1000).unwrap(), VmExit::StepLimit);
     }
 }

@@ -288,14 +288,6 @@ pub const VSCHED_TRANSFER_CROSS_SOCKET: u64 = 9_800;
 /// recovery path.
 pub const VSCHED_TRANSFER_CROSS_NODE: u64 = 84_000;
 
-/// Recording one trace span into the bounded in-memory ring when
-/// invocation tracing is enabled: a timestamp read, a bucket index, and
-/// a ring slot write (~two cache lines). Charged per span so the
-/// tracing-on vs tracing-off ablation is deterministic in virtual time;
-/// tracing disabled charges nothing, keeping traced-off runs
-/// bit-identical to historical baselines.
-pub const VTRACE_SPAN: u64 = 40;
-
 #[cfg(test)]
 mod tests {
     use super::*;

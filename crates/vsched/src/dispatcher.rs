@@ -29,8 +29,8 @@ use vclock::{costs, Clock, Cycles};
 use vtrace::slo::SloEngine;
 use vtrace::TraceCollector;
 use wasp::{
-    ExitKind, Invocation, Pool, PoolStats, RunOutcome, RunResult, ShellRun, ShellSource, VirtineId,
-    VirtineSpec, Wasp, WaspError,
+    CleanShell, ExitKind, Invocation, Pool, PoolStats, RunOutcome, RunResult, Shell, ShellRun,
+    UsedShell, VirtineId, VirtineSpec, Wasp, WaspError,
 };
 
 use crate::health::{HealthConfig, HealthStats, ShardHealth};
@@ -146,11 +146,7 @@ impl Dispatcher {
         };
         let engine = CostEngine::new(config.placement, config.batch_size, warm_policy);
         let shards = (0..config.shards)
-            .map(|_| {
-                Shard::new(
-                    Pool::new(config.pool_mode, wasp::LOAD_ADDR).with_warm_capacity(pool_capacity),
-                )
-            })
+            .map(|_| Shard::new(Pool::new(config.pool_mode).with_warm_capacity(pool_capacity)))
             .collect();
         let members = MemberSet::new(config.shards);
         Dispatcher {
@@ -180,12 +176,10 @@ impl Dispatcher {
     }
 
     /// Enables invocation tracing, retaining the most recent `capacity`
-    /// finished span trees (zero disables tracing again). When enabled,
-    /// every recorded span charges `vclock::costs::VTRACE_SPAN` to the
-    /// shared clock, so the tracing overhead is itself deterministic in
-    /// virtual time; when disabled (the default) nothing is recorded,
-    /// charged, or allocated, and runs are bit-identical to a build
-    /// without tracing.
+    /// finished span trees (zero disables tracing again). Recording is
+    /// host-side bookkeeping and charges no virtual cycle, so a traced run
+    /// is identical in virtual time to an untraced one; when disabled (the
+    /// default) nothing is recorded or allocated.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.trace = TraceCollector::with_capacity(capacity);
     }
@@ -551,7 +545,6 @@ impl Dispatcher {
                 // refused request's entire timeline.
                 let id = self.next_shed_trace;
                 self.next_shed_trace -= 1;
-                self.wasp.clock().tick(costs::VTRACE_SPAN);
                 let virtine = ticket.virtine.into_raw() as u64;
                 self.trace
                     .record_shed(id, ticket.tenant.0, virtine, Cycles(at), reason.label());
@@ -625,9 +618,8 @@ impl Dispatcher {
         }
     }
 
-    /// Records one trace span, charging its calibrated cost — when
-    /// tracing is on. `detail` is only called then, so the disabled path
-    /// never formats a detail string.
+    /// Records one trace span when tracing is on. `detail` is only called
+    /// then, so the disabled path never formats a detail string.
     pub(crate) fn tspan(
         &mut self,
         id: u64,
@@ -637,7 +629,6 @@ impl Dispatcher {
         end: u64,
     ) {
         if self.trace.enabled() {
-            self.wasp.clock().tick(costs::VTRACE_SPAN);
             self.trace
                 .span(id, label, detail(), Cycles(start), Cycles(end));
         }
@@ -646,7 +637,6 @@ impl Dispatcher {
     /// Closes a request's trace with its terminal outcome.
     pub(crate) fn tfinish(&mut self, id: u64, outcome: &str, at: u64) {
         if self.trace.enabled() {
-            self.wasp.clock().tick(costs::VTRACE_SPAN);
             self.trace.finish(id, outcome, Cycles(at));
         }
     }
@@ -979,53 +969,50 @@ impl Dispatcher {
         //   6. KVM_CREATE_VM.
         let key = (ticket.tenant.0 as u64, ticket.virtine.into_raw());
         let mut stolen = false;
-        let (vm, source) = if let Some((vm, snap)) =
+        let shell = if let Some(w) =
             self.shards[idx]
                 .pool
                 .acquire_warm(self.wasp.hypervisor(), key.0, key.1, mem_size)
         {
-            (vm, ShellSource::Warm(snap))
+            Shell::Warm(w)
         } else if self.shards[idx].pool.idle_shells_of(mem_size) > 0 {
             // Guaranteed hit: `acquire` pops the parked shell, counts the
             // reuse in this shard's own stats, and charges bookkeeping.
-            let (vm, hit) = self.shards[idx]
+            self.shards[idx]
                 .pool
-                .acquire(self.wasp.hypervisor(), mem_size);
-            debug_assert!(hit);
-            (vm, ShellSource::Clean)
-        } else if let Some((donor, vm)) = self.steal_from_sibling(idx, mem_size) {
+                .acquire(self.wasp.hypervisor(), mem_size)
+        } else if let Some((donor, c)) = self.steal_from_sibling(idx, mem_size) {
             self.account_steal(donor, idx);
             stolen = true;
-            (vm, ShellSource::Clean)
-        } else if let Some(vm) = self.shards[idx]
+            Shell::Clean(c)
+        } else if let Some(c) = self.shards[idx]
             .pool
             .warm_victim_tenant(mem_size, key.0)
             .and_then(|victim| self.shards[idx].pool.take_warm_victim_of(victim, mem_size))
         {
             self.stats.warm_demotions += 1;
-            (vm, ShellSource::Clean)
-        } else if let Some((donor, vm)) = self.steal_warm_victim(idx, key.0, mem_size) {
+            Shell::Clean(c)
+        } else if let Some((donor, c)) = self.steal_warm_victim(idx, key.0, mem_size) {
             self.account_steal(donor, idx);
             self.stats.warm_demotions += 1;
             stolen = true;
-            (vm, ShellSource::Clean)
+            Shell::Clean(c)
         } else {
-            let (vm, _) = self.shards[idx]
+            // A miss everywhere: `acquire` creates (`KVM_CREATE_VM`).
+            self.shards[idx]
                 .pool
-                .acquire(self.wasp.hypervisor(), mem_size);
-            (vm, ShellSource::Created)
+                .acquire(self.wasp.hypervisor(), mem_size)
         };
         let acquire = (clock.now() - t0).get();
-        let src = match &source {
-            ShellSource::Warm(_) => "warm",
-            ShellSource::Clean if stolen => "stolen_clean",
-            ShellSource::Clean => "clean",
-            ShellSource::Created => "cold_create",
+        let src = match &shell {
+            Shell::Warm(_) => "warm",
+            Shell::Clean(_) if stolen => "stolen_clean",
+            Shell::Clean(_) => "clean",
+            Shell::Created(_) => "cold_create",
         };
 
         let run = ShellRun {
-            vm,
-            source,
+            shell,
             id: ticket.virtine,
             args: &args,
             invocation,
@@ -1083,7 +1070,9 @@ impl Dispatcher {
         at: u64,
     ) -> u64 {
         match run {
-            RunResult::Done(outcome, vm) => self.complete(idx, &ticket, progress, outcome, vm, at),
+            RunResult::Done(outcome, used) => {
+                self.complete(idx, &ticket, progress, outcome, used, at)
+            }
             RunResult::Blocked(s) => self.park_suspended(idx, s, ticket, progress, at),
         }
     }
@@ -1123,7 +1112,7 @@ impl Dispatcher {
         ticket: &Ticket,
         progress: Progress,
         outcome: RunOutcome,
-        vm: kvmsim::VmFd,
+        used: UsedShell,
         finish: u64,
     ) -> u64 {
         let key = (ticket.tenant.0 as u64, ticket.virtine.into_raw());
@@ -1132,7 +1121,7 @@ impl Dispatcher {
             // already served (or shed) by a sibling copy. Wipe the
             // shell back into the pool and suppress every stat — one
             // logical request, one terminal outcome.
-            self.shards[idx].pool.release(vm);
+            self.shards[idx].pool.release(used);
             self.tfinish(ticket.seq, "hedge:canceled", finish);
             return finish;
         };
@@ -1140,49 +1129,45 @@ impl Dispatcher {
         // snapshot, dirty log intact) or wipe clean. Warm parks go
         // through the engine's capacity verdict — decision point
         // "warm_release": cross-shard budget and per-tenant quota first,
-        // the per-pool LRU bound as the remaining backstop.
-        match outcome.warm_state.clone() {
-            Some(snap) => {
-                // The cross-shard accounting walk only runs when the
-                // engine's capacity policy will actually read the counts;
-                // the default (no budget, no quota) parks unconditionally
-                // and leaves sizing to the per-pool LRU bound.
-                let verdict = if self.engine.warm_policy_active() {
-                    let tenant_resident: usize = self
-                        .shards
-                        .iter()
-                        .map(|s| s.pool.warm_shells_of_tenant(key.0))
-                        .sum();
-                    let global_resident: usize =
-                        self.shards.iter().map(|s| s.pool.warm_shells()).sum();
-                    self.engine.warm_release(tenant_resident, global_resident)
-                } else {
-                    WarmVerdict::Park {
-                        evict_tenant_lru: false,
-                        evict_global_lru: false,
-                    }
-                };
-                match verdict {
-                    WarmVerdict::Demote => self.shards[idx].pool.release(vm),
-                    WarmVerdict::Park {
-                        evict_tenant_lru,
-                        evict_global_lru,
-                    } => {
-                        if evict_tenant_lru {
-                            self.demote_warm_lru(Some(key.0));
-                        }
-                        if evict_global_lru {
-                            self.demote_warm_lru(None);
-                        }
-                        let stamp = self.warm_stamp;
-                        self.warm_stamp += 1;
-                        self.shards[idx]
-                            .pool
-                            .release_warm_stamped(vm, key.0, key.1, snap, stamp);
-                    }
-                }
+        // the per-pool LRU bound as the remaining backstop. A shell
+        // without the warm token takes the wiped release; the cross-shard
+        // accounting walk only runs when the engine's capacity policy will
+        // actually read the counts — the default (no budget, no quota)
+        // parks unconditionally and leaves sizing to the per-pool LRU bound.
+        let verdict = if !used.warm_parkable() {
+            WarmVerdict::Demote
+        } else if self.engine.warm_policy_active() {
+            let tenant_resident: usize = self
+                .shards
+                .iter()
+                .map(|s| s.pool.warm_shells_of_tenant(key.0))
+                .sum();
+            let global_resident: usize = self.shards.iter().map(|s| s.pool.warm_shells()).sum();
+            self.engine.warm_release(tenant_resident, global_resident)
+        } else {
+            WarmVerdict::Park {
+                evict_tenant_lru: false,
+                evict_global_lru: false,
             }
-            None => self.shards[idx].pool.release(vm),
+        };
+        match verdict {
+            WarmVerdict::Demote => self.shards[idx].pool.release(used),
+            WarmVerdict::Park {
+                evict_tenant_lru,
+                evict_global_lru,
+            } => {
+                if evict_tenant_lru {
+                    self.demote_warm_lru(Some(key.0));
+                }
+                if evict_global_lru {
+                    self.demote_warm_lru(None);
+                }
+                let stamp = self.warm_stamp;
+                self.warm_stamp += 1;
+                self.shards[idx]
+                    .pool
+                    .release_warm_stamped(used, key.0, key.1, stamp);
+            }
         }
 
         let detail = || match outcome.breakdown.warm_hit {
@@ -1233,11 +1218,11 @@ impl Dispatcher {
     /// donor — the nearest sibling with idle shells of the right size,
     /// richest within a hop class. Shells were wiped on release (§5.2),
     /// so the thief runs them directly — tenant data cannot cross shards.
-    fn steal_from_sibling(&mut self, idx: usize, mem_size: usize) -> Option<(usize, kvmsim::VmFd)> {
+    fn steal_from_sibling(&mut self, idx: usize, mem_size: usize) -> Option<(usize, CleanShell)> {
         let c = self.candidates(Some(idx), None, Some(mem_size), 0);
         let donor = self.engine.steal_clean(&c)?;
-        let vm = self.shards[donor].pool.take_idle(mem_size)?;
-        Some((donor, vm))
+        let shell = self.shards[donor].pool.take_idle(mem_size)?;
+        Some((donor, shell))
     }
 
     /// Decision point 3 (acquire → warm demote-steal): asks the engine
@@ -1253,15 +1238,15 @@ impl Dispatcher {
         idx: usize,
         thief_tenant: u64,
         mem_size: usize,
-    ) -> Option<(usize, kvmsim::VmFd)> {
+    ) -> Option<(usize, CleanShell)> {
         let c = self.candidates(Some(idx), None, Some(mem_size), 0);
         let donor = self.engine.steal_warm(&c)?;
         let victim = self.shards[donor]
             .pool
             .warm_victim_tenant(mem_size, thief_tenant)?;
-        let vm = self.shards[donor]
+        let shell = self.shards[donor]
             .pool
             .take_warm_victim_of(victim, mem_size)?;
-        Some((donor, vm))
+        Some((donor, shell))
     }
 }

@@ -257,11 +257,6 @@ impl FaultPlan {
         }
         Some(self.events.remove(0))
     }
-
-    /// Remaining scheduled events.
-    pub fn pending(&self) -> usize {
-        self.events.len()
-    }
 }
 
 /// One tier's members as the lifecycle sees them — the shards of a
@@ -662,7 +657,7 @@ impl Dispatcher {
                 self.parked.insert(token, p);
             }
 
-            // Pooled shells: warm exports keep their (tenant, virtine)
+            // Pooled shells: warm shells keep their (tenant, virtine)
             // key, snapshot identity, and LRU stamp, so cross-shard
             // budgets and quotas are unchanged by the move; clean shells
             // just change pools. Each transfer pays its hop.
@@ -670,22 +665,22 @@ impl Dispatcher {
                 let Some(dest) = self.evacuation_target(i, now) else {
                     break;
                 };
-                let Some(export) = self.shards[i].pool.export_warm_lru() else {
+                let Some(warm) = self.shards[i].pool.export_warm_lru() else {
                     break;
                 };
                 self.wasp.clock().tick(self.topology.transfer_cost(i, dest));
-                self.shards[dest].pool.import_warm(export);
+                self.shards[dest].pool.import_warm(warm);
                 actions.push(LifecycleAction::WarmMigrated { from: i, to: dest });
             }
             while self.shards[i].pool.idle_shells() > 0 {
                 let Some(dest) = self.evacuation_target(i, now) else {
                     break;
                 };
-                let Some(vm) = self.shards[i].pool.take_idle_any() else {
+                let Some(clean) = self.shards[i].pool.take_idle_any() else {
                     break;
                 };
                 self.wasp.clock().tick(self.topology.transfer_cost(i, dest));
-                self.shards[dest].pool.adopt_idle(vm);
+                self.shards[dest].pool.adopt_idle(clean);
                 actions.push(LifecycleAction::CleanMigrated { from: i, to: dest });
             }
 
@@ -815,7 +810,7 @@ mod tests {
             ],
             "time order, insertion order on the 0.5 tie"
         );
-        assert_eq!(plan.pending(), 0);
+        assert_eq!(plan.events.len(), 0);
         assert!(due(&mut plan, 9.0).is_empty());
     }
 
@@ -823,7 +818,7 @@ mod tests {
     fn hang_shard_schedules_the_hang_and_the_recovery() {
         let mut plan =
             FaultPlan::new().hang_shard(Cycles::from_secs(0.3), 2, Cycles::from_secs(0.2));
-        assert_eq!(plan.pending(), 2);
+        assert_eq!(plan.events.len(), 2);
         assert_eq!(plan.next_at(), Some(Cycles::from_secs(0.3)));
         let due = due(&mut plan, 1.0);
         assert_eq!(

@@ -213,15 +213,14 @@ impl Dispatcher {
         let at = at.max(p.blocked_from);
         self.settle_spin(idx, p.blocked_from, at);
         let target = p.run.wait().target;
-        let (outcome, vm) = self.wasp.abort_suspended(p.run);
-        debug_assert!(outcome.warm_state.is_none());
+        let (outcome, used) = self.wasp.abort_suspended(p.run);
         match cause {
             // Draining: the worker is alive, the shell survives its run —
             // the ordinary wiped release, then the next reconcile pass
             // evacuates it like any other idle shell.
-            FailCause::GraceExpired => self.shards[idx].pool.release(vm),
+            FailCause::GraceExpired => self.shards[idx].pool.release(used),
             // Failed: the context died with the shard.
-            FailCause::ShardFailed => self.shards[idx].pool.drop_shell(vm),
+            FailCause::ShardFailed => self.shards[idx].pool.drop_shell(used),
         }
         self.tspan(seq, "park", || format!("{target:?}"), p.blocked_from, at);
         self.stats.blocked_cycles += outcome.breakdown.blocked.get();
@@ -242,11 +241,10 @@ impl Dispatcher {
         let (idx, seq) = (p.shard, p.ticket.seq);
         self.settle_spin(idx, p.blocked_from, at);
         let target = p.run.wait().target;
-        let (outcome, vm) = self.wasp.abort_suspended(p.run);
-        debug_assert!(outcome.warm_state.is_none());
+        let (outcome, used) = self.wasp.abort_suspended(p.run);
         // The shell still holds the killed invocation's state: the
         // ordinary wiped release (§5.2) erases it before any reuse.
-        self.shards[idx].pool.release(vm);
+        self.shards[idx].pool.release(used);
         self.tenants[p.ticket.tenant.0].stats.blocked_timeout += 1;
         self.stats.blocked_timeout += 1;
         self.shards[idx].stats.blocked_timeout += 1;

@@ -269,8 +269,8 @@ impl TraceCollector {
         self.dropped
     }
 
-    /// Total spans recorded since construction (tracing-overhead
-    /// accounting: each span costs `vclock::costs::VTRACE_SPAN`).
+    /// Total spans recorded since construction. Recording charges no
+    /// virtual cycle; its cost is host time only.
     pub fn spans_recorded(&self) -> u64 {
         self.spans
     }

@@ -43,8 +43,10 @@ pub use hypercall::{
     RECV_NONBLOCK, WOULD_BLOCK,
 };
 pub use native::{NativeExit, NativeOutcome, NativeRunner};
-pub use pool::{Pool, PoolMode, PoolStats, WarmExport, DEFAULT_WARM_CAPACITY};
+pub use pool::{
+    CleanShell, Pool, PoolMode, PoolStats, Shell, UsedShell, WarmShell, DEFAULT_WARM_CAPACITY,
+};
 pub use runtime::{
-    Breakdown, ExitKind, RunOutcome, RunResult, ShellRun, ShellSource, SuspendedRun, VirtineId,
-    VirtineSpec, Wasp, WaspConfig, WaspError, WaspStats, ARGS_ADDR, LOAD_ADDR, NO_SNAPSHOT_ENV,
+    Breakdown, ExitKind, RunOutcome, RunResult, ShellRun, SuspendedRun, VirtineId, VirtineSpec,
+    Wasp, WaspConfig, WaspError, WaspStats, ARGS_ADDR, LOAD_ADDR, NO_SNAPSHOT_ENV,
 };

@@ -15,71 +15,113 @@
 //! * [`PoolMode::CachedAsync`] — shells are recycled and wiped in the
 //!   background, off the request path ("Wasp+CA").
 //!
-//! ## Warm shells (shell lifecycle)
-//!
 //! On top of the paper's clean pool, a shell that just ran a *snapshotted*
 //! virtine can park **warm**: still holding the restored state, keyed by
 //! `(tenant, virtine)`, with the dirty-page log recording exactly which
 //! pages the invocation diverged from the snapshot. Re-acquiring it re-arms
-//! by copying back only those pages (see `kvmsim::VmFd::restore_delta`)
-//! instead of the full sparse snapshot — the SEUSS/Faasm-style resident
-//! warm context, at hardware-dirty-logging exactness.
+//! by copying back only those pages (`kvmsim::VmFd::restore_delta`) instead
+//! of the full sparse snapshot — the SEUSS/Faasm-style resident warm
+//! context, at hardware-dirty-logging exactness.
 //!
-//! ```text
-//!            KVM_CREATE_VM                 release (wiped, §5.2)
-//!   create ───────────────► in use ─────────────────────────────► clean
-//!                            ▲  │  │                               │
-//!          acquire_warm      │  │  │ HcOutcome::Block              │ acquire
-//!          (delta re-arm,    │  │  ▼ (blocking recv, no data)      ▼
-//!          same key only)    │  │ blocked/suspended ── wake ──► in use
-//!                            │  │  (shell held by SuspendedRun,
-//!                            │  │   outside the pool: unstealable,
-//!                            │  │   undemotable; timeout-kill exits
-//!                            │  │   via the ordinary wiped release)
-//!                            │  ▼
-//!                            └─ warm[(tenant, virtine)] ── demote ─► clean
-//!                               (release_warm after a snapshotted
-//!                                run, normal exit; LRU evict /
-//!                                cross-key / steal: full wipe)
+//! ## Shell states
+//!
+//! A shell's lifecycle state is its type. Each type is move-only and owns
+//! the shell's one `kvmsim::VmFd`, which no type hands out beyond this
+//! crate, so every transition is a call that consumes one state and returns
+//! the next:
+//!
+//! | type | holds | made by | leaves by |
+//! |---|---|---|---|
+//! | [`CleanShell`] | no non-zero byte, a vCPU in the reset state | `KVM_CREATE_VM` ([`CleanShell::create`], a pool miss, [`Pool::prewarm`]) or a wipe | a run: [`Wasp::run_on_shell`](crate::Wasp::run_on_shell) installs it, as [`Shell::Created`] or [`Shell::Clean`] |
+//! | [`WarmShell`] | a snapshot plus the dirty-page log, keyed `(tenant, virtine)` | [`Pool::release_warm`] of a used shell that carries the warm token | a run as [`Shell::Warm`] — the delta re-arm when its snapshot is still the spec's current one (`Rc` identity), a wipe otherwise — or a wipe in the pool |
+//! | [`UsedShell`] | whatever the run left | a finished run ([`RunResult::Done`](crate::RunResult::Done)) or [`Wasp::abort_suspended`](crate::Wasp::abort_suspended) | [`Pool::release`] (a wipe), [`Pool::release_warm`] (a warm park when the run left the token, a wipe otherwise), [`Pool::drop_shell`] |
+//!
+//! Between install and outcome the runtime holds the shell; a run blocked
+//! in a wait holds it inside its [`SuspendedRun`](crate::SuspendedRun),
+//! outside every pool, so no acquire, steal or demotion can reach it. Warm
+//! and clean shells also move between pools whole ([`Pool::export_warm_lru`]
+//! / [`Pool::import_warm`], [`Pool::take_idle`] / [`Pool::adopt_idle`]).
+//!
+//! Each exit's wipe, and who pays for it. `VmFd::clean` charges the memset
+//! of the dirty extents to the shared clock; `VmFd::clean_async` does the
+//! same work off it. Either way the pages the run touched are zeroed
+//! eagerly, so a shell on a clean list holds no non-zero byte:
+//!
+//! | exit | wipe | paid by |
+//! |---|---|---|
+//! | [`Pool::release`], and [`Pool::release_warm`] without the token | `clean` under [`PoolMode::Cached`], `clean_async` under [`PoolMode::CachedAsync`], a drop under [`PoolMode::Disabled`] | the releasing caller's clock under `Cached` (a `Wasp::run`'s `Breakdown::release`); nobody otherwise |
+//! | a warm shell evicted over capacity by a park or an import, [`Pool::demote_oldest_warm`] | `clean` under `Cached`, `clean_async` otherwise | the caller that parks, imports or demotes, under `Cached`; nobody otherwise |
+//! | [`Pool::take_warm_victim_of`] (a demotion or a demote-steal on the acquire path) | `clean`, in every mode | the *requester's* acquire: the request that found no clean shell, whoever parked the victim |
+//! | a stale [`Shell::Warm`] (its snapshot is no longer the spec's) | `clean`, in the runtime's install | the request, in `Breakdown::image` |
+//! | a drop: [`Pool::drop_shell`], [`Pool::drop_all_shells`], [`Pool::drop_idle`], a `Disabled` release, an abandoned `SuspendedRun` | the `VmFd`'s drop, which retires the wiped buffer and its vCPU's block cache to the thread's spare list | nobody: a destroyed context is off the books |
+//!
+//! `KVM_CREATE_VM` is charged in full, always a new vCPU in the reset
+//! state, on such a retired shell — already zero, its block cache adopted
+//! as a cleaned shell's is — when the thread has one of the size: the state
+//! `clean_async` leaves.
+//!
+//! **Isolation argument.** §5.2's no-information-leakage guarantee is that
+//! a shell reaches another key only through a wipe, and a warm shell only
+//! its own key, re-armed. The types above hold it; each `compile_fail`
+//! block below is a move they refuse, beside a compiling sibling that makes
+//! the legal one. A warm shell is not a clean one — it runs only as
+//! [`Shell::Warm`], where the runtime re-arms or wipes it:
+//!
+//! ```compile_fail,E0308
+//! # use wasp::{HypercallMask, Invocation, Shell, ShellRun, VirtineId, WarmShell};
+//! fn start(warm: WarmShell, id: VirtineId) -> ShellRun<'static> {
+//!     let shell = Shell::Clean(warm);
+//!     let narrow = HypercallMask::ALLOW_ALL;
+//!     ShellRun { shell, id, args: &[], invocation: Invocation::default(), narrow, resumable: false }
+//! }
+//! ```
+//! ```
+//! # use wasp::{HypercallMask, Invocation, Shell, ShellRun, VirtineId, WarmShell};
+//! fn start(warm: WarmShell, id: VirtineId) -> ShellRun<'static> {
+//!     let shell = Shell::Warm(warm);
+//!     let narrow = HypercallMask::ALLOW_ALL;
+//!     ShellRun { shell, id, args: &[], invocation: Invocation::default(), narrow, resumable: false }
+//! }
 //! ```
 //!
-//! What the edges physically do (the virtual clock charges them by dirty
-//! *extent*; `kvmsim` crate docs, `visa::mem` module docs):
+//! A used shell reaches a clean list only through a wipe:
 //!
-//! * **release / demote** (`VmFd::clean`, `clean_async`): zeroes the pages
-//!   the run touched, eagerly — a shell on the clean list holds no non-zero
-//!   byte, under either cleaning mode;
-//! * **acquire → install**: a full restore wipes (a no-op on a clean shell)
-//!   and copies the pages the snapshot has content on; a warm re-arm copies
-//!   the pages in the dirty log;
-//! * **drop** (`PoolMode::Disabled` release, [`Pool::drop_shell`],
-//!   [`Pool::drop_all_shells`], an abandoned `SuspendedRun`): the shell is
-//!   destroyed *dirty* as far as the pool is concerned — the wipe happens in
-//!   the drop itself, and the VM retires as a shell: the guest-memory buffer
-//!   and its vCPU's block cache, parked together for reuse;
-//! * **create** (`KVM_CREATE_VM`): charged in full, always a new vCPU in
-//!   the reset state, on such a retired shell — already zero, its block
-//!   cache adopted exactly as a cleaned shell's is — when the thread has
-//!   one of the size. The isolation argument below covers it as written:
-//!   the shell is in the state `clean_async` leaves.
+//! ```compile_fail,E0308
+//! # use wasp::{Pool, UsedShell};
+//! fn recycle(pool: &mut Pool, used: UsedShell) {
+//!     pool.adopt_idle(used);
+//! }
+//! ```
+//! ```
+//! # use wasp::{Pool, UsedShell};
+//! fn recycle(pool: &mut Pool, used: UsedShell) {
+//!     pool.release(used);
+//! }
+//! ```
 //!
-//! The **blocked/suspended** state is the event-driven I/O path: a virtine
-//! parked in a blocking `recv` keeps its shell *inside* the
-//! [`crate::SuspendedRun`], so none of the pool's acquire/steal/demote
-//! paths can ever observe it — isolation of a parked invocation's live
-//! state is structural, not a bookkeeping promise. Its transitions are
-//! block → park → wake → resume (re-entering the guest at the faulting
-//! hypercall) or timeout → kill → wiped release (`ExitKind::Blocked`).
+//! A clean shell has no `KVM_RUN` of its own: it runs only through
+//! [`Wasp::run_on_shell`](crate::Wasp::run_on_shell), which installs an
+//! image or a snapshot on it first:
 //!
-//! **Isolation argument.** A warm shell still contains the previous
-//! invocation's data, so it may only be handed back *re-armed* and only to
-//! the exact `(tenant, virtine)` key that parked it; the re-arm itself
-//! erases the previous invocation's writes (every write set its dirty bit;
-//! every dirty page is restored to snapshot contents). Every other exit
-//! from the warm list — LRU eviction, cross-key demotion, work stealing —
-//! goes through the same full wipe as a normal release, so §5.2's
-//! no-information-leakage guarantee is preserved across tenants, virtines,
-//! and shards.
+//! ```compile_fail,E0616
+//! # use wasp::{CleanShell, HypercallMask, Invocation, Shell, ShellRun, VirtineId, Wasp};
+//! fn start(wasp: &Wasp, clean: CleanShell, _id: VirtineId) {
+//!     let _ = (wasp, clean.0.run(1_000));
+//! }
+//! ```
+//! ```
+//! # use wasp::{CleanShell, HypercallMask, Invocation, Shell, ShellRun, VirtineId, Wasp};
+//! fn start(wasp: &Wasp, clean: CleanShell, id: VirtineId) {
+//!     let shell = Shell::Clean(clean);
+//!     let narrow = HypercallMask::ALLOW_ALL;
+//!     let run = ShellRun { shell, id, args: &[], invocation: Invocation::default(), narrow, resumable: false };
+//!     let _ = wasp.run_on_shell(run, &mut |_, _, _, _| None);
+//! }
+//! ```
+//!
+//! The rest is tests over the state the types leave: a recycled, demoted
+//! or re-created shell serves the next tenant exactly as a never-used one
+//! does (`tests/isolation/`).
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -87,6 +129,9 @@ use std::rc::Rc;
 
 use kvmsim::{Hypervisor, VmFd, VmSnapshot};
 use vclock::costs;
+use visa::cpu::Fault;
+
+use crate::runtime::LOAD_ADDR;
 
 /// Shell caching policy (§5.2, Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -140,21 +185,49 @@ impl std::ops::AddAssign for PoolStats {
     }
 }
 
-/// A warm shell: parked still holding the state a snapshotted run left
-/// behind, re-armable only for the exact key that parked it.
+/// A shell that holds no byte of any earlier run, its vCPU in the reset
+/// state at [`LOAD_ADDR`]: made only by `KVM_CREATE_VM`
+/// or a wipe.
 #[derive(Debug)]
-struct WarmShell {
+pub struct CleanShell(pub(crate) VmFd);
+
+impl CleanShell {
+    /// `KVM_CREATE_VM` with `mem_size` bytes of guest memory, charged in
+    /// full.
+    pub fn create(hv: &Hypervisor, mem_size: usize) -> CleanShell {
+        CleanShell(hv.create_vm(mem_size, LOAD_ADDR))
+    }
+
+    /// Zeroes the pages `vm` touched and resets its vCPU: the memset
+    /// charged to the shared clock (`VmFd::clean`) or done off it
+    /// (`VmFd::clean_async`).
+    pub(crate) fn wipe(vm: VmFd, charged: bool) -> CleanShell {
+        if charged {
+            vm.clean(LOAD_ADDR);
+        } else {
+            vm.clean_async(LOAD_ADDR);
+        }
+        CleanShell(vm)
+    }
+}
+
+/// A shell parked still holding the state a snapshotted run left — its
+/// snapshot plus the dirty-page log — keyed to the `(tenant, virtine)`
+/// that parked it. Opaque: it runs only as [`Shell::Warm`] for that key
+/// (see the [module docs](self)), and otherwise leaves by a wipe.
+#[derive(Debug)]
+pub struct WarmShell {
     /// Opaque tenant tag (the dispatcher uses tenant indices; Wasp's own
     /// single-client pool uses 0).
     tenant: u64,
     /// `VirtineId::into_raw` of the virtine whose snapshot the state
     /// derives from.
     virtine: usize,
-    vm: VmFd,
+    pub(crate) vm: VmFd,
     /// The exact snapshot the shell's state derives from; compared by
-    /// `Rc` identity on re-acquire so a re-registered or invalidated
-    /// snapshot can never be delta-restored against stale state.
-    snap: Rc<VmSnapshot>,
+    /// `Rc` identity on re-arm so a re-registered or invalidated snapshot
+    /// can never be delta-restored against stale state.
+    pub(crate) snap: Rc<VmSnapshot>,
     /// Park-order stamp for LRU decisions. Pool-local parks use the
     /// pool's own counter; a dispatcher spanning many pools passes a
     /// shared counter ([`Pool::release_warm_stamped`]) so "least recently
@@ -162,15 +235,50 @@ struct WarmShell {
     stamp: u64,
 }
 
-/// A warm shell exported intact from one pool for adoption by another —
-/// the shard-drain evacuation path. The state is *not* wiped: the entry
-/// stays keyed to the same `(tenant, virtine)` on the destination pool,
-/// so the §5.2 isolation argument is unchanged (only the exact key that
-/// parked it may ever re-arm it, wherever it is resident). The stamp
-/// rides along so cross-pool LRU ordering survives the move. Opaque: it
-/// is the pool's own record, handed over as it is.
+/// The shell a finished or aborted run gives back, holding whatever the
+/// run left. It reaches a pool only through [`Pool::release`] or
+/// [`Pool::release_warm`], or is destroyed by [`Pool::drop_shell`].
 #[derive(Debug)]
-pub struct WarmExport(WarmShell);
+pub struct UsedShell {
+    pub(crate) vm: VmFd,
+    /// The warm token: set only when the run exited normally and the
+    /// shell's state provably equals this snapshot — the spec's current
+    /// one — plus the dirty-page log.
+    pub(crate) warm: Option<Rc<VmSnapshot>>,
+}
+
+impl UsedShell {
+    /// Whether the run left the warm token: [`Pool::release_warm`] parks
+    /// the shell warm instead of wiping it.
+    pub fn warm_parkable(&self) -> bool {
+        self.warm.is_some()
+    }
+
+    /// Reads what the run left in guest memory (bounds-checked).
+    pub fn read_guest(&self, addr: u64, len: usize) -> Result<Vec<u8>, Fault> {
+        self.vm.read_guest(addr, len)
+    }
+
+    /// Pages the run wrote since its shell was last snapshotted or
+    /// restored (`kvmsim::VmFd::dirty_log`).
+    pub fn dirty_log(&self) -> Vec<u64> {
+        self.vm.dirty_log()
+    }
+}
+
+/// The shell a run starts on ([`crate::ShellRun::shell`]); the runtime's
+/// install step picks its re-arm by the variant.
+#[derive(Debug)]
+pub enum Shell {
+    /// New from `KVM_CREATE_VM`.
+    Created(CleanShell),
+    /// Reused from a clean list.
+    Clean(CleanShell),
+    /// Parked warm: delta re-armed when its snapshot is still the spec's
+    /// current one, wiped in place (charged) before the ordinary install
+    /// otherwise.
+    Warm(WarmShell),
+}
 
 /// The pool itself. Shells are segregated by guest-memory size: a shell's
 /// hardware context is sized when created, so only same-sized requests can
@@ -178,7 +286,7 @@ pub struct WarmExport(WarmShell);
 #[derive(Debug)]
 pub struct Pool {
     mode: PoolMode,
-    clean: HashMap<usize, Vec<VmFd>>,
+    clean: HashMap<usize, Vec<CleanShell>>,
     /// Warm shells in LRU order: oldest at the front, newest parks at the
     /// back. Bounded by `warm_capacity` (warm shells keep full guest state
     /// resident, so the cache is memory-bounded by design).
@@ -187,18 +295,15 @@ pub struct Pool {
     /// Pool-local park-order counter (see [`WarmShell::stamp`]).
     warm_seq: u64,
     stats: PoolStats,
-    /// Reset vector shells are parked at.
-    entry: u64,
 }
 
 /// Default bound on resident warm shells per pool.
 pub const DEFAULT_WARM_CAPACITY: usize = 8;
 
 impl Pool {
-    /// Creates a pool; `entry` is the guest address shells reset to
-    /// (Wasp loads images at 0x8000, §5.1). Warm caching starts at
-    /// [`DEFAULT_WARM_CAPACITY`]; tune with [`Pool::with_warm_capacity`].
-    pub fn new(mode: PoolMode, entry: u64) -> Pool {
+    /// Creates a pool. Warm caching starts at [`DEFAULT_WARM_CAPACITY`];
+    /// tune with [`Pool::with_warm_capacity`].
+    pub fn new(mode: PoolMode) -> Pool {
         Pool {
             mode,
             clean: HashMap::new(),
@@ -206,7 +311,6 @@ impl Pool {
             warm_capacity: DEFAULT_WARM_CAPACITY,
             warm_seq: 0,
             stats: PoolStats::default(),
-            entry,
         }
     }
 
@@ -215,16 +319,6 @@ impl Pool {
     pub fn with_warm_capacity(mut self, capacity: usize) -> Pool {
         self.warm_capacity = capacity;
         self
-    }
-
-    /// The pool's mode.
-    pub fn mode(&self) -> PoolMode {
-        self.mode
-    }
-
-    /// The warm-shell bound.
-    pub fn warm_capacity(&self) -> usize {
-        self.warm_capacity
     }
 
     /// Statistics so far.
@@ -291,7 +385,8 @@ impl Pool {
         let Some(victim) = self.take_oldest_warm(of_tenant) else {
             return false;
         };
-        self.demote(victim.vm);
+        self.wipe_into_clean(victim.vm);
+        self.stats.warm_demoted += 1;
         true
     }
 
@@ -303,55 +398,43 @@ impl Pool {
         Some(self.warm.remove(i))
     }
 
-    /// Acquires a shell with `mem_size` bytes of guest memory, reusing a
-    /// clean cached shell when possible. Returns the shell and whether it
-    /// was reused.
-    pub fn acquire(&mut self, hv: &Hypervisor, mem_size: usize) -> (VmFd, bool) {
+    /// Acquires a shell with `mem_size` bytes of guest memory: a clean
+    /// cached shell when one is parked ([`Shell::Clean`]), a new one
+    /// otherwise ([`Shell::Created`]).
+    pub fn acquire(&mut self, hv: &Hypervisor, mem_size: usize) -> Shell {
         if self.mode != PoolMode::Disabled {
-            if let Some(vm) = self.clean.get_mut(&mem_size).and_then(Vec::pop) {
+            if let Some(shell) = self.clean.get_mut(&mem_size).and_then(Vec::pop) {
                 hv.kernel().clock().tick(costs::WASP_POOL_BOOKKEEPING);
                 self.stats.reused += 1;
-                return (vm, true);
+                return Shell::Clean(shell);
             }
         }
         self.stats.created += 1;
-        (hv.create_vm(mem_size, self.entry), false)
+        Shell::Created(CleanShell::create(hv, mem_size))
     }
 
-    /// Releases a used shell back to the pool. Under [`PoolMode::Cached`]
-    /// the wipe is charged to the caller; under [`PoolMode::CachedAsync`]
-    /// the wipe still happens (no information leaks, §3.3) but its cycles
-    /// are not charged to the request timeline — the background cleaner
-    /// pays them. Under [`PoolMode::Disabled`] the shell is dropped.
-    pub fn release(&mut self, vm: VmFd) {
-        match self.mode {
-            PoolMode::Disabled => {
-                // Dropped: the host frees the VM state off the books.
-            }
-            PoolMode::Cached => {
-                vm.clean(self.entry);
-                self.park(vm);
-            }
-            PoolMode::CachedAsync => {
-                vm.clean_async(self.entry);
-                self.park(vm);
-            }
+    /// Releases a used shell back to the pool, wiped (the first row of the
+    /// wipe table in the [module docs](self)); under [`PoolMode::Disabled`]
+    /// the shell is dropped.
+    pub fn release(&mut self, shell: UsedShell) {
+        if self.mode != PoolMode::Disabled {
+            self.wipe_into_clean(shell.vm);
+            self.stats.released += 1;
         }
     }
 
     /// Acquires a warm shell for `(tenant, virtine)` with `mem_size` bytes
-    /// of guest memory, most recently parked first. The shell is returned
-    /// *un-re-armed* together with the snapshot its state derives from; the
-    /// caller (the runtime's install step) performs the delta re-arm so the
-    /// copy lands in the invocation's `image` cost term, exactly where the
-    /// full restore it replaces used to.
+    /// of guest memory, most recently parked first. The shell is handed
+    /// over *un-re-armed*: the runtime's install step re-arms it
+    /// ([`Shell::Warm`]), so the copy lands in the invocation's `image`
+    /// cost term, exactly where the full restore it replaces used to.
     pub fn acquire_warm(
         &mut self,
         hv: &Hypervisor,
         tenant: u64,
         virtine: usize,
         mem_size: usize,
-    ) -> Option<(VmFd, Rc<VmSnapshot>)> {
+    ) -> Option<WarmShell> {
         if self.mode == PoolMode::Disabled || self.warm_capacity == 0 {
             return None;
         }
@@ -362,23 +445,19 @@ impl Pool {
         hv.kernel().clock().tick(costs::WASP_WARM_BOOKKEEPING);
         self.stats.reused += 1;
         self.stats.warm_acquired += 1;
-        Some((w.vm, w.snap))
+        Some(w)
     }
 
-    /// Parks a shell *warm* for `(tenant, virtine)`: no wipe — the state
-    /// (snapshot plus dirty-page log) stays resident for a delta re-arm by
-    /// the same key. Over capacity, the least-recently-parked warm shell is
-    /// demoted: wiped per the pool's cleaning mode (asynchronously under
-    /// [`PoolMode::CachedAsync`], i.e. off the request path) and moved to
-    /// the clean list.
-    ///
-    /// Callers must only park shells whose state derives from `snap` with
-    /// an intact dirty log (`Wasp` guarantees this via `RunOutcome`'s warm
-    /// state token).
-    pub fn release_warm(&mut self, vm: VmFd, tenant: u64, virtine: usize, snap: Rc<VmSnapshot>) {
+    /// Parks a used shell *warm* for `(tenant, virtine)` when its run left
+    /// the warm token ([`UsedShell::warm_parkable`]): no wipe — the state
+    /// stays resident for a delta re-arm by the same key. Without the
+    /// token it takes [`Pool::release`]. Over capacity, the
+    /// least-recently-parked warm shell is demoted: wiped per the pool's
+    /// cleaning mode and moved to the clean list.
+    pub fn release_warm(&mut self, shell: UsedShell, tenant: u64, virtine: usize) {
         let stamp = self.warm_seq;
         self.warm_seq += 1;
-        self.release_warm_stamped(vm, tenant, virtine, snap, stamp);
+        self.release_warm_stamped(shell, tenant, virtine, stamp);
     }
 
     /// [`Pool::release_warm`] with an explicit park-order stamp. A
@@ -387,20 +466,22 @@ impl Pool {
     /// meaningful across shards; stamps must be non-decreasing per pool.
     pub fn release_warm_stamped(
         &mut self,
-        vm: VmFd,
+        mut shell: UsedShell,
         tenant: u64,
         virtine: usize,
-        snap: Rc<VmSnapshot>,
         stamp: u64,
     ) {
-        let shell = WarmShell {
+        let Some(snap) = shell.warm.take() else {
+            return self.release(shell);
+        };
+        let warm = WarmShell {
             tenant,
             virtine,
-            vm,
+            vm: shell.vm,
             snap,
             stamp,
         };
-        if self.park_warm(shell) {
+        if self.park_warm(warm) {
             self.stats.released += 1;
             self.stats.warm_parked += 1;
         }
@@ -415,7 +496,8 @@ impl Pool {
             return false;
         }
         if self.warm_capacity == 0 {
-            self.release(shell.vm);
+            self.wipe_into_clean(shell.vm);
+            self.stats.released += 1;
             return false;
         }
         self.warm.push(shell);
@@ -462,29 +544,19 @@ impl Pool {
     /// [`Pool::take_idle`]: the caller accounts for the reuse. The
     /// demote-steal path pairs it with [`Pool::warm_victim_tenant`] so
     /// victim selection respects tenant fairness.
-    pub fn take_warm_victim_of(&mut self, tenant: u64, mem_size: usize) -> Option<VmFd> {
+    pub fn take_warm_victim_of(&mut self, tenant: u64, mem_size: usize) -> Option<CleanShell> {
         let victim =
             self.take_oldest_warm(|w| w.tenant == tenant && w.vm.mem_size() == mem_size)?;
-        victim.vm.clean(self.entry);
         self.stats.warm_demoted += 1;
-        Some(victim.vm)
+        Some(CleanShell::wipe(victim.vm, true))
     }
 
-    /// Wipes an evicted warm shell per the pool's cleaning mode (off the
-    /// request path under [`PoolMode::CachedAsync`], like any release) and
-    /// parks it clean.
-    fn demote(&mut self, vm: VmFd) {
-        match self.mode {
-            PoolMode::Cached => vm.clean(self.entry),
-            _ => vm.clean_async(self.entry),
-        }
-        self.stats.warm_demoted += 1;
-        self.clean.entry(vm.mem_size()).or_default().push(vm);
-    }
-
-    fn park(&mut self, vm: VmFd) {
-        self.stats.released += 1;
-        self.clean.entry(vm.mem_size()).or_default().push(vm);
+    /// Wipes `vm` per the pool's cleaning mode — charged under
+    /// [`PoolMode::Cached`], in the background otherwise — onto the clean
+    /// list.
+    fn wipe_into_clean(&mut self, vm: VmFd) {
+        let shell = CleanShell::wipe(vm, self.mode == PoolMode::Cached);
+        self.adopt_idle(shell);
     }
 
     /// Removes a clean shell of `mem_size` bytes from the pool without
@@ -492,9 +564,8 @@ impl Pool {
     /// parked. This is the work-stealing entry point: another shard's
     /// pool adopts the shell, and the *thief* accounts for the reuse —
     /// bumping this pool's `reused` would credit a serve to a shard that
-    /// executed nothing. The shell was wiped on release (no cross-tenant
-    /// leakage, §3.3/§5.2), so the thief can run it directly.
-    pub fn take_idle(&mut self, mem_size: usize) -> Option<VmFd> {
+    /// executed nothing.
+    pub fn take_idle(&mut self, mem_size: usize) -> Option<CleanShell> {
         self.clean.get_mut(&mem_size).and_then(Vec::pop)
     }
 
@@ -502,7 +573,7 @@ impl Pool {
     /// shell (smallest guest-memory size first, for determinism), or
     /// `None` when the clean lists are empty. The shard-drain evacuation
     /// loop uses this to empty a pool whose shells span several sizes.
-    pub fn take_idle_any(&mut self) -> Option<VmFd> {
+    pub fn take_idle_any(&mut self) -> Option<CleanShell> {
         let size = *self
             .clean
             .iter()
@@ -515,20 +586,22 @@ impl Pool {
     /// Adopts a clean shell evacuated from a sibling pool. The mirror of
     /// [`Pool::take_idle`]: no statistics move — the shell was already
     /// counted `created` by whichever pool minted it, and adoption is
-    /// inventory relocation, not a release after a run. The shell was
-    /// wiped before it ever parked clean, so adoption is isolation-free.
-    pub fn adopt_idle(&mut self, vm: VmFd) {
-        self.clean.entry(vm.mem_size()).or_default().push(vm);
+    /// inventory relocation, not a release after a run.
+    pub fn adopt_idle(&mut self, shell: CleanShell) {
+        self.clean
+            .entry(shell.0.mem_size())
+            .or_default()
+            .push(shell);
     }
 
     /// Exports the least-recently-parked warm shell *intact* — state,
     /// snapshot identity, and LRU stamp — for adoption by a sibling pool
     /// ([`Pool::import_warm`]). This is the shard-drain evacuation path:
-    /// unlike every other warm exit (which wipes), the entry keeps its
+    /// unlike every other warm exit (which wipes), the shell keeps its
     /// `(tenant, virtine)` key across the move, so no state ever becomes
     /// reachable by a different key.
-    pub fn export_warm_lru(&mut self) -> Option<WarmExport> {
-        self.take_oldest_warm(|_| true).map(WarmExport)
+    pub fn export_warm_lru(&mut self) -> Option<WarmShell> {
+        self.take_oldest_warm(|_| true)
     }
 
     /// Adopts a warm shell exported from a sibling pool, preserving its
@@ -536,22 +609,17 @@ impl Pool {
     /// warm shell is demoted exactly as on a warm park; under
     /// [`PoolMode::Disabled`] or zero capacity the import degrades to a
     /// wiped release, like any warm park would.
-    pub fn import_warm(&mut self, e: WarmExport) {
-        self.park_warm(e.0);
+    pub fn import_warm(&mut self, shell: WarmShell) {
+        self.park_warm(shell);
     }
 
     /// Destroys one clean shell (smallest guest-memory size first) —
     /// the "kill a shell" fault-injection primitive. Returns whether a
     /// shell was dropped; counted in [`PoolStats::dropped`].
     pub fn drop_idle(&mut self) -> bool {
-        match self.take_idle_any() {
-            Some(vm) => {
-                drop(vm);
-                self.stats.dropped += 1;
-                true
-            }
-            None => false,
-        }
+        let dropped = self.take_idle_any().is_some();
+        self.stats.dropped += u64::from(dropped);
+        dropped
     }
 
     /// Destroys every pooled shell, clean and warm — a failed shard's
@@ -571,8 +639,8 @@ impl Pool {
     /// suspended run on a failed shard), counting it in
     /// [`PoolStats::dropped`] so the pool's inventory arithmetic stays
     /// exact.
-    pub fn drop_shell(&mut self, vm: VmFd) {
-        drop(vm);
+    pub fn drop_shell(&mut self, shell: UsedShell) {
+        drop(shell);
         self.stats.dropped += 1;
     }
 
@@ -580,9 +648,10 @@ impl Pool {
     /// (warm-up before a burst, as a serverless front end would do).
     pub fn prewarm(&mut self, hv: &Hypervisor, mem_size: usize, count: usize) {
         for _ in 0..count {
-            let vm = hv.create_vm(mem_size, self.entry);
+            let shell = CleanShell::create(hv, mem_size);
             self.stats.created += 1;
-            self.park(vm);
+            self.stats.released += 1;
+            self.adopt_idle(shell);
         }
     }
 }
@@ -598,16 +667,36 @@ mod tests {
         (clock.clone(), Hypervisor::kvm(HostKernel::new(clock, None)))
     }
 
-    const ENTRY: u64 = 0x8000;
     const MEM: usize = 64 * 1024;
+
+    fn vm(shell: &Shell) -> &VmFd {
+        match shell {
+            Shell::Created(c) | Shell::Clean(c) => &c.0,
+            Shell::Warm(w) => &w.vm,
+        }
+    }
+
+    fn reused(shell: &Shell) -> bool {
+        !matches!(shell, Shell::Created(_))
+    }
+
+    /// `shell` as a run would give it back, with the warm token `warm`.
+    fn used(shell: Shell, warm: Option<Rc<VmSnapshot>>) -> UsedShell {
+        let vm = match shell {
+            Shell::Created(c) | Shell::Clean(c) => c.0,
+            Shell::Warm(w) => w.vm,
+        };
+        UsedShell { vm, warm }
+    }
 
     #[test]
     fn disabled_pool_always_creates() {
         let (_, hv) = hv();
-        let mut pool = Pool::new(PoolMode::Disabled, ENTRY);
-        let (vm1, reused1) = pool.acquire(&hv, MEM);
-        pool.release(vm1);
-        let (_, reused2) = pool.acquire(&hv, MEM);
+        let mut pool = Pool::new(PoolMode::Disabled);
+        let shell = pool.acquire(&hv, MEM);
+        let reused1 = reused(&shell);
+        pool.release(used(shell, None));
+        let reused2 = reused(&pool.acquire(&hv, MEM));
         assert!(!reused1 && !reused2);
         assert_eq!(pool.stats().created, 2);
         assert_eq!(pool.idle_shells(), 0);
@@ -616,27 +705,26 @@ mod tests {
     #[test]
     fn cached_pool_reuses_shells() {
         let (_, hv) = hv();
-        let mut pool = Pool::new(PoolMode::Cached, ENTRY);
-        let (vm, reused) = pool.acquire(&hv, MEM);
-        assert!(!reused);
-        pool.release(vm);
+        let mut pool = Pool::new(PoolMode::Cached);
+        let shell = pool.acquire(&hv, MEM);
+        assert!(!reused(&shell));
+        pool.release(used(shell, None));
         assert_eq!(pool.idle_shells(), 1);
-        let (_, reused) = pool.acquire(&hv, MEM);
-        assert!(reused);
+        assert!(reused(&pool.acquire(&hv, MEM)));
         assert_eq!(pool.stats().reused, 1);
     }
 
     #[test]
     fn reuse_is_much_cheaper_than_creation() {
         let (clock, hv) = hv();
-        let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY);
+        let mut pool = Pool::new(PoolMode::CachedAsync);
         let (_, create_cost) = clock.time(|| pool.acquire(&hv, MEM));
-        let (vm, _) = pool.acquire(&hv, MEM);
-        pool.release(vm);
+        let shell = pool.acquire(&hv, MEM);
+        pool.release(used(shell, None));
         let (_, reuse_cost) = clock.time(|| {
-            let (vm, reused) = pool.acquire(&hv, MEM);
-            assert!(reused);
-            vm
+            let shell = pool.acquire(&hv, MEM);
+            assert!(reused(&shell));
+            shell
         });
         assert!(
             reuse_cost.get() * 100 < create_cost.get(),
@@ -650,15 +738,15 @@ mod tests {
 
         // The wipe cost tracks what the virtine dirtied, so dirty the
         // shells before releasing them.
-        let mut sync_pool = Pool::new(PoolMode::Cached, ENTRY);
-        let (vm, _) = sync_pool.acquire(&hv, MEM);
-        vm.write_guest(0, &[7u8; 4096]).unwrap();
-        let (_, sync_cost) = clock.time(|| sync_pool.release(vm));
+        let mut sync_pool = Pool::new(PoolMode::Cached);
+        let shell = sync_pool.acquire(&hv, MEM);
+        vm(&shell).write_guest(0, &[7u8; 4096]).unwrap();
+        let (_, sync_cost) = clock.time(|| sync_pool.release(used(shell, None)));
 
-        let mut async_pool = Pool::new(PoolMode::CachedAsync, ENTRY);
-        let (vm, _) = async_pool.acquire(&hv, MEM);
-        vm.write_guest(0, &[7u8; 4096]).unwrap();
-        let (_, async_cost) = clock.time(|| async_pool.release(vm));
+        let mut async_pool = Pool::new(PoolMode::CachedAsync);
+        let shell = async_pool.acquire(&hv, MEM);
+        vm(&shell).write_guest(0, &[7u8; 4096]).unwrap();
+        let (_, async_cost) = clock.time(|| async_pool.release(used(shell, None)));
 
         assert!(sync_cost.get() > 0, "sync cleaning charges the wipe");
         assert_eq!(async_cost.get(), 0, "async cleaning is off the books");
@@ -668,13 +756,15 @@ mod tests {
     fn recycled_shells_are_actually_clean() {
         let (_, hv) = hv();
         for mode in [PoolMode::Cached, PoolMode::CachedAsync] {
-            let mut pool = Pool::new(mode, ENTRY);
-            let (vm, _) = pool.acquire(&hv, MEM);
-            vm.write_guest(0x100, b"secret key material").unwrap();
-            pool.release(vm);
-            let (vm, reused) = pool.acquire(&hv, MEM);
-            assert!(reused);
-            let bytes = vm.read_guest(0x100, 19).unwrap();
+            let mut pool = Pool::new(mode);
+            let shell = pool.acquire(&hv, MEM);
+            vm(&shell)
+                .write_guest(0x100, b"secret key material")
+                .unwrap();
+            pool.release(used(shell, None));
+            let shell = pool.acquire(&hv, MEM);
+            assert!(reused(&shell));
+            let bytes = vm(&shell).read_guest(0x100, 19).unwrap();
             assert!(
                 bytes.iter().all(|&b| b == 0),
                 "information leaked through the pool under {mode:?}"
@@ -685,31 +775,43 @@ mod tests {
     #[test]
     fn shells_are_segregated_by_memory_size() {
         let (_, hv) = hv();
-        let mut pool = Pool::new(PoolMode::Cached, ENTRY);
-        let (vm, _) = pool.acquire(&hv, MEM);
-        pool.release(vm);
+        let mut pool = Pool::new(PoolMode::Cached);
+        let shell = pool.acquire(&hv, MEM);
+        pool.release(used(shell, None));
         // A differently-sized request cannot reuse the parked shell.
-        let (vm2, reused) = pool.acquire(&hv, 2 * MEM);
-        assert!(!reused);
-        assert_eq!(vm2.mem_size(), 2 * MEM);
+        let shell = pool.acquire(&hv, 2 * MEM);
+        assert!(!reused(&shell));
+        assert_eq!(vm(&shell).mem_size(), 2 * MEM);
         assert_eq!(pool.idle_shells(), 1);
     }
 
-    /// A parked-warm shell for pool tests: runs nothing, just snapshots a
-    /// VM so there is a state token to park against.
-    fn warm_fixture(hv: &Hypervisor, pool: &mut Pool) -> std::rc::Rc<kvmsim::VmSnapshot> {
-        let (vm, _) = pool.acquire(hv, MEM);
-        vm.write_guest(0x100, b"resident snapshot state").unwrap();
-        let snap = std::rc::Rc::new(vm.snapshot());
-        vm.write_guest(0x2000, b"invocation dirt").unwrap();
-        pool.release_warm(vm, 7, 3, std::rc::Rc::clone(&snap));
+    /// Parks a shell warm for `(tenant, virtine)`: runs nothing, just
+    /// snapshots a VM so there is a state token to park against.
+    fn park(hv: &Hypervisor, pool: &mut Pool, key: (u64, usize), data: &[u8]) -> Rc<VmSnapshot> {
+        let shell = pool.acquire(hv, MEM);
+        vm(&shell).write_guest(0x100, data).unwrap();
+        let snap = Rc::new(vm(&shell).snapshot());
+        pool.release_warm(used(shell, Some(Rc::clone(&snap))), key.0, key.1);
+        snap
+    }
+
+    /// A warm shell of key `(7, 3)` holding snapshot state and
+    /// post-snapshot dirt.
+    fn warm_fixture(hv: &Hypervisor, pool: &mut Pool) -> Rc<VmSnapshot> {
+        let shell = pool.acquire(hv, MEM);
+        vm(&shell)
+            .write_guest(0x100, b"resident snapshot state")
+            .unwrap();
+        let snap = Rc::new(vm(&shell).snapshot());
+        vm(&shell).write_guest(0x2000, b"invocation dirt").unwrap();
+        pool.release_warm(used(shell, Some(Rc::clone(&snap))), 7, 3);
         snap
     }
 
     #[test]
     fn warm_park_and_reacquire_round_trips_for_the_same_key() {
         let (_, hv) = hv();
-        let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY);
+        let mut pool = Pool::new(PoolMode::CachedAsync);
         let snap = warm_fixture(&hv, &mut pool);
         assert_eq!(pool.warm_shells(), 1);
         assert!(pool.has_warm(7, 3));
@@ -721,12 +823,12 @@ mod tests {
         assert!(pool.acquire_warm(&hv, 7, 4, MEM).is_none());
         assert!(pool.acquire_warm(&hv, 7, 3, 2 * MEM).is_none());
 
-        let (vm, got) = pool.acquire_warm(&hv, 7, 3, MEM).expect("warm hit");
-        assert!(std::rc::Rc::ptr_eq(&got, &snap));
+        let w = pool.acquire_warm(&hv, 7, 3, MEM).expect("warm hit");
+        assert!(Rc::ptr_eq(&w.snap, &snap));
         // The state is still resident (un-re-armed): both the snapshot
         // bytes and the previous invocation's dirt.
-        assert_eq!(vm.read_guest(0x100, 4).unwrap(), b"resi");
-        assert_eq!(vm.read_guest(0x2000, 4).unwrap(), b"invo");
+        assert_eq!(w.vm.read_guest(0x100, 4).unwrap(), b"resi");
+        assert_eq!(w.vm.read_guest(0x2000, 4).unwrap(), b"invo");
         let s = pool.stats();
         assert_eq!((s.warm_acquired, s.warm_parked, s.reused), (1, 1, 1));
     }
@@ -734,12 +836,9 @@ mod tests {
     #[test]
     fn warm_capacity_evicts_lru_into_the_clean_list() {
         let (_, hv) = hv();
-        let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY).with_warm_capacity(2);
+        let mut pool = Pool::new(PoolMode::CachedAsync).with_warm_capacity(2);
         for virtine in 0..3 {
-            let (vm, _) = pool.acquire(&hv, MEM);
-            vm.write_guest(0x100, b"secret").unwrap();
-            let snap = std::rc::Rc::new(vm.snapshot());
-            pool.release_warm(vm, 0, virtine, snap);
+            park(&hv, &mut pool, (0, virtine), b"secret");
         }
         // Oldest (virtine 0) was demoted: wiped and parked clean.
         assert_eq!(pool.warm_shells(), 2);
@@ -747,15 +846,16 @@ mod tests {
         assert!(pool.has_warm(0, 1) && pool.has_warm(0, 2));
         assert_eq!(pool.idle_shells_of(MEM), 1);
         assert_eq!(pool.stats().warm_demoted, 1);
-        let (vm, reused) = pool.acquire(&hv, MEM);
-        assert!(reused);
-        assert!(vm.read_guest(0x100, 6).unwrap().iter().all(|&b| b == 0));
+        let shell = pool.acquire(&hv, MEM);
+        assert!(reused(&shell));
+        let bytes = vm(&shell).read_guest(0x100, 6).unwrap();
+        assert!(bytes.iter().all(|&b| b == 0));
     }
 
     #[test]
     fn take_warm_victim_wipes_before_handing_over() {
         let (clock, hv) = hv();
-        let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY);
+        let mut pool = Pool::new(PoolMode::CachedAsync);
         warm_fixture(&hv, &mut pool);
         assert!(
             pool.take_warm_victim_of(7, 2 * MEM).is_none(),
@@ -766,13 +866,13 @@ mod tests {
             "tenant segregated"
         );
         let t0 = clock.now();
-        let vm = pool.take_warm_victim_of(7, MEM).expect("victim");
+        let c = pool.take_warm_victim_of(7, MEM).expect("victim");
         assert!(
             (clock.now() - t0).get() > 0,
             "demotion on the acquire path charges the wipe"
         );
-        assert!(vm.read_guest(0x100, 8).unwrap().iter().all(|&b| b == 0));
-        assert!(vm.read_guest(0x2000, 8).unwrap().iter().all(|&b| b == 0));
+        assert!(c.0.read_guest(0x100, 8).unwrap().iter().all(|&b| b == 0));
+        assert!(c.0.read_guest(0x2000, 8).unwrap().iter().all(|&b| b == 0));
         assert_eq!(pool.warm_shells(), 0);
         assert_eq!(pool.stats().warm_demoted, 1);
     }
@@ -780,44 +880,34 @@ mod tests {
     #[test]
     fn zero_warm_capacity_degrades_to_a_wiped_release() {
         let (_, hv) = hv();
-        let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY).with_warm_capacity(0);
-        let snap = {
-            let (vm, _) = pool.acquire(&hv, MEM);
-            vm.write_guest(0x100, b"secret").unwrap();
-            let snap = std::rc::Rc::new(vm.snapshot());
-            pool.release_warm(vm, 0, 0, snap.clone());
-            snap
-        };
+        let mut pool = Pool::new(PoolMode::CachedAsync).with_warm_capacity(0);
+        park(&hv, &mut pool, (0, 0), b"secret");
         assert_eq!(pool.warm_shells(), 0);
         assert!(pool.acquire_warm(&hv, 0, 0, MEM).is_none());
         assert_eq!(pool.idle_shells(), 1);
-        let (vm, reused) = pool.acquire(&hv, MEM);
-        assert!(reused);
-        assert!(vm.read_guest(0x100, 6).unwrap().iter().all(|&b| b == 0));
-        drop(snap);
+        let shell = pool.acquire(&hv, MEM);
+        assert!(reused(&shell));
+        let bytes = vm(&shell).read_guest(0x100, 6).unwrap();
+        assert!(bytes.iter().all(|&b| b == 0));
     }
 
     #[test]
     fn warm_victim_selection_prefers_the_requester_then_the_biggest_hoard() {
         let (_, hv) = hv();
-        let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY);
+        let mut pool = Pool::new(PoolMode::CachedAsync);
         // Tenant 5 hoards three warm shells; tenant 9 parks one.
         for virtine in 0..3 {
-            let (vm, _) = pool.acquire(&hv, MEM);
-            let snap = std::rc::Rc::new(vm.snapshot());
-            pool.release_warm(vm, 5, virtine, snap);
+            park(&hv, &mut pool, (5, virtine), b"");
         }
-        let (vm, _) = pool.acquire(&hv, MEM);
-        let snap = std::rc::Rc::new(vm.snapshot());
-        pool.release_warm(vm, 9, 0, snap);
+        park(&hv, &mut pool, (9, 0), b"");
 
         // A requester with its own shell parked sacrifices itself...
         assert_eq!(pool.warm_victim_tenant(MEM, 9), Some(9));
         // ...anyone else thins the hoard, never tenant 9's only shell.
         assert_eq!(pool.warm_victim_tenant(MEM, 7), Some(5));
         assert_eq!(pool.warm_victim_tenant(2 * MEM, 7), None, "size gated");
-        let vm = pool.take_warm_victim_of(5, MEM).expect("victim");
-        assert_eq!(vm.mem_size(), MEM);
+        let c = pool.take_warm_victim_of(5, MEM).expect("victim");
+        assert_eq!(c.0.mem_size(), MEM);
         assert_eq!(pool.warm_shells_of_tenant(5), 2);
         assert_eq!(pool.warm_shells_of_tenant(9), 1);
         assert!(pool.take_warm_victim_of(3, MEM).is_none(), "tenant gated");
@@ -826,14 +916,14 @@ mod tests {
     #[test]
     fn stamped_parks_drive_cross_pool_lru_demotion() {
         let (_, hv) = hv();
-        let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY);
+        let mut pool = Pool::new(PoolMode::CachedAsync);
         // Shared-counter stamps arrive out of pool-local order of nothing:
         // park (tenant, virtine, stamp) = (1,0,10), (2,0,11), (1,1,12).
         for (tenant, virtine, stamp) in [(1, 0, 10), (2, 0, 11), (1, 1, 12)] {
-            let (vm, _) = pool.acquire(&hv, MEM);
-            vm.write_guest(0x100, b"warm state").unwrap();
-            let snap = std::rc::Rc::new(vm.snapshot());
-            pool.release_warm_stamped(vm, tenant, virtine, snap, stamp);
+            let shell = pool.acquire(&hv, MEM);
+            vm(&shell).write_guest(0x100, b"warm state").unwrap();
+            let snap = Rc::new(vm(&shell).snapshot());
+            pool.release_warm_stamped(used(shell, Some(snap)), tenant, virtine, stamp);
         }
         assert_eq!(pool.oldest_warm_stamp(None), Some(10));
         assert_eq!(pool.oldest_warm_stamp(Some(1)), Some(10));
@@ -851,23 +941,24 @@ mod tests {
         assert!(!pool.has_warm(2, 0));
         assert!(!pool.demote_oldest_warm(Some(3)), "nothing of tenant 3");
         // Demoted shells come back clean.
-        let (vm, reused) = pool.acquire(&hv, MEM);
-        assert!(reused);
-        assert!(vm.read_guest(0x100, 10).unwrap().iter().all(|&b| b == 0));
+        let shell = pool.acquire(&hv, MEM);
+        assert!(reused(&shell));
+        let bytes = vm(&shell).read_guest(0x100, 10).unwrap();
+        assert!(bytes.iter().all(|&b| b == 0));
     }
 
     #[test]
     fn warm_export_import_round_trips_with_key_and_stamp() {
         let (_, hv) = hv();
-        let mut src = Pool::new(PoolMode::CachedAsync, ENTRY);
-        let mut dst = Pool::new(PoolMode::CachedAsync, ENTRY);
+        let mut src = Pool::new(PoolMode::CachedAsync);
+        let mut dst = Pool::new(PoolMode::CachedAsync);
         let snap = warm_fixture(&hv, &mut src);
 
-        // LRU export: the entry leaves intact — key, snapshot identity,
+        // LRU export: the shell leaves intact — key, snapshot identity,
         // and stamp all survive the move.
         let e = src.export_warm_lru().expect("one warm shell parked");
-        assert_eq!((e.0.tenant, e.0.virtine), (7, 3));
-        assert!(std::rc::Rc::ptr_eq(&e.0.snap, &snap));
+        assert_eq!((e.tenant, e.virtine), (7, 3));
+        assert!(Rc::ptr_eq(&e.snap, &snap));
         assert_eq!(src.warm_shells(), 0);
         dst.import_warm(e);
         assert!(dst.has_warm(7, 3));
@@ -875,22 +966,22 @@ mod tests {
 
         // The destination re-arms it for the same key, like a local park:
         // the post-snapshot dirt is gone after the delta restore.
-        let (vm, got) = dst.acquire_warm(&hv, 7, 3, MEM).expect("warm hit");
-        assert!(std::rc::Rc::ptr_eq(&got, &snap));
-        vm.restore_delta(&got);
-        assert!(vm.read_guest(0x2000, 15).unwrap().iter().all(|&b| b == 0));
+        let w = dst.acquire_warm(&hv, 7, 3, MEM).expect("warm hit");
+        assert!(Rc::ptr_eq(&w.snap, &snap));
+        w.vm.restore_delta(&w.snap);
+        assert!(w.vm.read_guest(0x2000, 15).unwrap().iter().all(|&b| b == 0));
         assert_eq!(
-            &vm.read_guest(0x100, 23).unwrap(),
+            &w.vm.read_guest(0x100, 23).unwrap(),
             b"resident snapshot state"
         );
-        dst.release(vm);
+        dst.release(used(Shell::Warm(w), None));
         assert!(src.export_warm_lru().is_none(), "source is empty");
     }
 
     #[test]
     fn dropped_shells_balance_the_inventory_arithmetic() {
         let (_, hv) = hv();
-        let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY);
+        let mut pool = Pool::new(PoolMode::CachedAsync);
         warm_fixture(&hv, &mut pool); // 1 warm
         pool.prewarm(&hv, MEM, 2); // 2 clean
         assert_eq!(pool.stats().created, 3);
@@ -910,20 +1001,17 @@ mod tests {
     #[test]
     fn disabled_pool_drops_warm_releases() {
         let (_, hv) = hv();
-        let mut pool = Pool::new(PoolMode::Disabled, ENTRY);
-        let (vm, _) = pool.acquire(&hv, MEM);
-        let snap = std::rc::Rc::new(vm.snapshot());
-        pool.release_warm(vm, 0, 0, snap);
+        let mut pool = Pool::new(PoolMode::Disabled);
+        park(&hv, &mut pool, (0, 0), b"");
         assert_eq!(pool.warm_shells() + pool.idle_shells(), 0);
     }
 
     #[test]
     fn prewarm_fills_the_pool() {
         let (_, hv) = hv();
-        let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY);
+        let mut pool = Pool::new(PoolMode::CachedAsync);
         pool.prewarm(&hv, MEM, 4);
         assert_eq!(pool.idle_shells(), 4);
-        let (_, reused) = pool.acquire(&hv, MEM);
-        assert!(reused);
+        assert!(reused(&pool.acquire(&hv, MEM)));
     }
 }

@@ -28,18 +28,19 @@
 //!
 //! ## Warm/clean shell lifecycle and isolation
 //!
-//! See the [`crate::pool`] module docs for the lifecycle diagram. The
-//! runtime upholds the two invariants warm caching rests on:
+//! The shell states are types; the [`crate::pool`] module docs list them,
+//! their transitions and who pays each wipe. The runtime makes the two
+//! moves the pool cannot:
 //!
-//! * a shell is only parked warm when its state provably equals *the
-//!   spec's current snapshot plus the dirty-page log* — i.e. the run
-//!   restored that exact snapshot (full or delta) or captured it, and
-//!   exited normally; the `Rc` identity of the snapshot is the token
-//!   ([`RunOutcome::warm_state`]) that travels with the shell;
-//! * a warm shell handed back for the *same* `(tenant, virtine)` key is
-//!   re-armed before the guest runs, erasing every page the previous
-//!   invocation touched; any other path out of the warm list is a full
-//!   wipe. Either way no bit of a prior invocation's data is observable,
+//! * it gives a run's [`UsedShell`] the warm token only when the shell's
+//!   state provably equals *the spec's current snapshot plus the
+//!   dirty-page log* — the run restored that exact snapshot (full or
+//!   delta) or captured it, and exited normally; the token is the
+//!   snapshot's `Rc`, compared by identity;
+//! * it re-arms a [`Shell::Warm`] before the guest runs, erasing every
+//!   page the previous invocation touched, only when the shell's snapshot
+//!   is still the spec's current one; otherwise it wipes the shell in
+//!   place. Either way no bit of a prior invocation's data is observable,
 //!   so §5.2's no-information-leakage guarantee survives the optimization.
 //!
 //! ## Blocked/suspended runs (event-driven I/O)
@@ -90,7 +91,7 @@ use visa::Reg;
 use crate::hypercall::{
     self, GuestMem, HcOutcome, HypercallMask, Invocation, WaitReason, HYPERCALL_PORT,
 };
-use crate::pool::{Pool, PoolMode, PoolStats};
+use crate::pool::{Pool, PoolMode, PoolStats, Shell, UsedShell};
 
 /// Guest address where marshalled arguments are placed ("the argument, n,
 /// is loaded into the virtine's address space at address 0x0", §6.1).
@@ -224,8 +225,8 @@ pub enum ExitKind {
     /// The instruction budget ran out.
     StepLimit,
     /// The run was abandoned while suspended in a blocking wait (e.g. a
-    /// scheduler's block timeout killed it). The shell still holds the
-    /// parked invocation's state and must take a wiped release.
+    /// scheduler's block timeout killed it). Its [`UsedShell`] never
+    /// carries the warm token.
     Blocked,
 }
 
@@ -233,31 +234,6 @@ impl ExitKind {
     /// Whether the invocation completed by normal means.
     pub fn is_normal(&self) -> bool {
         matches!(self, ExitKind::Halted(_) | ExitKind::Exited(_))
-    }
-}
-
-/// Where the shell an invocation runs on came from. Layers that manage
-/// their own pools (e.g. `vsched`) acquire shells themselves and tell
-/// [`Wasp::run_on_shell`] the provenance so the install step can pick the
-/// matching (and cheapest sound) re-arm mechanism.
-#[derive(Debug, Clone)]
-pub enum ShellSource {
-    /// Freshly created via `KVM_CREATE_VM`: guest memory is zero.
-    Created,
-    /// Reused from a clean list: wiped on release, guest memory is zero.
-    Clean,
-    /// Parked warm: still holds the state of a previous snapshotted run of
-    /// the *same* `(tenant, virtine)`, derived from this snapshot, with
-    /// the dirty-page log recording the divergence. Eligible for a delta
-    /// re-arm iff the snapshot is still the spec's current one (compared
-    /// by `Rc` identity); otherwise the runtime wipes it in place.
-    Warm(Rc<VmSnapshot>),
-}
-
-impl ShellSource {
-    /// Whether the shell came from a pool rather than `KVM_CREATE_VM`.
-    pub fn is_reused(&self) -> bool {
-        !matches!(self, ShellSource::Created)
     }
 }
 
@@ -309,11 +285,6 @@ pub struct RunOutcome {
     pub hypercalls: u64,
     /// Cycle attribution.
     pub breakdown: Breakdown,
-    /// When `Some`, the shell this outcome ran on was left in a state that
-    /// provably equals this snapshot plus the dirty-page log — the caller
-    /// may park it *warm* ([`Pool::release_warm`]) instead of wiping it.
-    /// `None` means the shell must take the ordinary wiped release.
-    pub warm_state: Option<Rc<VmSnapshot>>,
 }
 
 impl RunOutcome {
@@ -323,13 +294,14 @@ impl RunOutcome {
     }
 }
 
-/// How a run left the shell: finished (outcome plus the dirty shell), or —
+/// How a run left the shell: finished (outcome plus the used shell), or —
 /// only when [`ShellRun::resumable`] — suspended at a blocking hypercall
 /// with the shell parked inside the [`SuspendedRun`].
 #[derive(Debug)]
 pub enum RunResult {
-    /// The invocation completed; route the shell through a pool.
-    Done(RunOutcome, VmFd),
+    /// The invocation completed; the shell goes to a pool's release or
+    /// warm park, or is dropped.
+    Done(RunOutcome, UsedShell),
     /// The invocation is parked on a [`WaitReason`]. Resume it with
     /// [`Wasp::resume_on_shell`] once the condition holds, or kill it with
     /// [`Wasp::abort_suspended`].
@@ -343,7 +315,7 @@ pub enum RunResult {
 /// stolen, demoted, or re-armed by any pool path while the run is blocked —
 /// the only exits are [`Wasp::resume_on_shell`] (deliver the awaited bytes
 /// and continue exactly at the faulting hypercall) and
-/// [`Wasp::abort_suspended`] (give the shell back for a wiped release).
+/// [`Wasp::abort_suspended`] (give the shell back, used and never warm).
 /// Cycle accounting is segmented: execution before the block is already in
 /// [`Breakdown::exec`]; parked time accrues to [`Breakdown::blocked`] and
 /// never to `exec`/`total`.
@@ -398,12 +370,9 @@ impl Live {
 /// [`Wasp::run_on_shell`].
 #[derive(Debug)]
 pub struct ShellRun<'a> {
-    /// The shell to run on; must be sized for the spec
-    /// ([`WaspError::ShellSizeMismatch`] otherwise).
-    pub vm: VmFd,
-    /// Where `vm` came from, so the install step can pick the cheapest
-    /// sound re-arm mechanism.
-    pub source: ShellSource,
+    /// The shell to run on, in the state that picks its install; must be
+    /// sized for the spec ([`WaspError::ShellSizeMismatch`] otherwise).
+    pub shell: Shell,
     /// The registered virtine to run.
     pub id: VirtineId,
     /// Marshalled arguments, written at [`ARGS_ADDR`].
@@ -430,17 +399,6 @@ impl SuspendedRun {
     /// The virtine being run.
     pub fn virtine(&self) -> VirtineId {
         self.live.id
-    }
-
-    /// When the run (last) blocked, on the shared virtual clock.
-    pub fn blocked_at(&self) -> Cycles {
-        self.blocked_at
-    }
-
-    /// Accounting accumulated so far (`exec` covers the segments already
-    /// executed; `blocked` the waits already completed).
-    pub fn breakdown(&self) -> &Breakdown {
-        &self.live.breakdown
     }
 }
 
@@ -557,7 +515,7 @@ impl Wasp {
     /// Creates a runtime over the given hypervisor.
     pub fn new(hv: Hypervisor, config: WaspConfig) -> Wasp {
         let kernel = hv.kernel().clone();
-        let pool = Pool::new(config.pool_mode, LOAD_ADDR).with_warm_capacity(config.warm_capacity);
+        let pool = Pool::new(config.pool_mode).with_warm_capacity(config.warm_capacity);
         Wasp {
             hv,
             kernel,
@@ -674,44 +632,31 @@ impl Wasp {
         } else {
             None
         };
-        let (vm, source) = match warm {
-            Some((vm, snap)) => (vm, ShellSource::Warm(snap)),
-            None => {
-                let (vm, reused) = self.pool.borrow_mut().acquire(&self.hv, mem_size);
-                let source = if reused {
-                    ShellSource::Clean
-                } else {
-                    ShellSource::Created
-                };
-                (vm, source)
-            }
+        let shell = match warm {
+            Some(w) => Shell::Warm(w),
+            None => self.pool.borrow_mut().acquire(&self.hv, mem_size),
         };
         let t_acquired = clock.now();
 
         // 2.–4. Execute on the acquired shell.
         let run = ShellRun {
-            vm,
-            source,
+            shell,
             id,
             args,
             invocation,
             narrow: HypercallMask::ALLOW_ALL,
             resumable: false,
         };
-        let RunResult::Done(mut outcome, vm) = self.run_on_shell(run, handler)? else {
+        let RunResult::Done(mut outcome, used) = self.run_on_shell(run, handler)? else {
             unreachable!("non-resumable runs never suspend");
         };
 
         // 5. Recycle the shell: park it warm when the run left it in
         // snapshot-derived state, wipe it otherwise.
         let t_exec = clock.now();
-        match outcome.warm_state.clone() {
-            Some(snap) => self
-                .pool
-                .borrow_mut()
-                .release_warm(vm, Self::SELF_TENANT, id.0, snap),
-            None => self.pool.borrow_mut().release(vm),
-        }
+        self.pool
+            .borrow_mut()
+            .release_warm(used, Self::SELF_TENANT, id.0);
         let t_end = clock.now();
 
         outcome.breakdown.acquire = t_acquired - t0;
@@ -723,14 +668,9 @@ impl Wasp {
     /// Runs one invocation on a caller-provided shell, returning the used
     /// shell instead of releasing it into Wasp's internal pool. This is the
     /// dispatcher entry point: a scheduling layer (e.g. `vsched`) that keeps
-    /// its own sharded shell pools acquires a shell itself, hands it here
-    /// with its [`ShellSource`] provenance, and decides afterwards which
-    /// shard's pool the shell is parked in (and whether warm or clean —
-    /// see [`RunOutcome::warm_state`]).
-    ///
-    /// The returned shell is *dirty* — the caller must route it through a
-    /// [`Pool`] (whose release wipes it, §5.2, or parks it warm when
-    /// `warm_state` permits) before any reuse.
+    /// its own sharded shell pools acquires a [`Shell`] itself, hands it
+    /// here, and decides afterwards which shard's pool the [`UsedShell`] is
+    /// released or parked warm in.
     ///
     /// The `breakdown.acquire`/`release` fields of the outcome are zero;
     /// they belong to whoever manages the shell's lifecycle.
@@ -745,7 +685,12 @@ impl Wasp {
         run: ShellRun<'_>,
         handler: CustomHandler<'_>,
     ) -> Result<RunResult, WaspError> {
-        let (vm, id) = (run.vm, run.id);
+        let id = run.id;
+        let (vm, reused, warm) = match run.shell {
+            Shell::Created(c) => (c.0, false, None),
+            Shell::Clean(c) => (c.0, true, None),
+            Shell::Warm(w) => (w.vm, true, Some(w.snap)),
+        };
         let (image, mem_size, policy, snapshot_enabled, snap) = {
             let specs = self.specs.borrow();
             let entry = specs.get(id.0).ok_or(WaspError::NoSuchVirtine)?;
@@ -766,7 +711,6 @@ impl Wasp {
         self.stats.borrow_mut().invocations += 1;
         let clock = self.kernel.clock().clone();
         let t_acquired = clock.now();
-        let reused = run.source.is_reused();
 
         // 2. Install the execution state: warm delta re-arm when the shell
         // already holds the spec's current snapshot, else full sparse
@@ -774,8 +718,8 @@ impl Wasp {
         let mut armed: Option<Rc<VmSnapshot>> = None;
         let mut warm_hit = false;
         let mut delta_pages = 0u64;
-        let restored = match run.source {
-            ShellSource::Warm(shell_snap)
+        let restored = match warm {
+            Some(shell_snap)
                 if snapshot_enabled
                     && snap
                         .as_ref()
@@ -792,8 +736,8 @@ impl Wasp {
                 armed = Some(shell_snap);
                 true
             }
-            other => {
-                if matches!(other, ShellSource::Warm(_)) {
+            stale => {
+                if stale.is_some() {
                     // Stale warm shell: the snapshot it derives from is no
                     // longer the spec's current one (invalidated or
                     // re-registered since it parked). Demote in place with
@@ -885,7 +829,7 @@ impl Wasp {
 
         let end = match delivered {
             Ok(r0) => {
-                vm.vcpu().set_reg(Reg(0), r0);
+                vm.set_reg(Reg(0), r0);
                 self.exec_segment(&mut live, true, handler)
             }
             Err(fault) => SegmentEnd::Exit(ExitKind::Faulted(fault)),
@@ -897,10 +841,10 @@ impl Wasp {
     }
 
     /// Kills a [`SuspendedRun`] without resuming it (e.g. a scheduler's
-    /// block timeout fired). Returns the outcome — [`ExitKind::Blocked`],
-    /// never warm-parkable — and the shell, which still holds the dead
-    /// invocation's state and **must** take a wiped release before reuse.
-    pub fn abort_suspended(&self, s: SuspendedRun) -> (RunOutcome, VmFd) {
+    /// block timeout fired). Returns the outcome — [`ExitKind::Blocked`] —
+    /// and the used shell, which holds the dead invocation's state and
+    /// never the warm token.
+    pub fn abort_suspended(&self, s: SuspendedRun) -> (RunOutcome, UsedShell) {
         let mut live = s.live;
         live.breakdown.blocked += self.kernel.clock().now() - s.blocked_at;
         live.breakdown.total = live.breakdown.image + live.breakdown.exec;
@@ -917,11 +861,11 @@ impl Wasp {
         resumable: bool,
         handler: CustomHandler<'_>,
     ) -> SegmentEnd {
-        let vcpu = live.vm.vcpu();
+        let vm = &live.vm;
         loop {
-            match vcpu.run(self.config.step_budget) {
+            match vm.run(self.config.step_budget) {
                 Err(fault) => return SegmentEnd::Exit(ExitKind::Faulted(fault)),
-                Ok(VmExit::Hlt) => return SegmentEnd::Exit(ExitKind::Halted(vcpu.reg(Reg(0)))),
+                Ok(VmExit::Hlt) => return SegmentEnd::Exit(ExitKind::Halted(vm.reg(Reg(0)))),
                 Ok(VmExit::StepLimit) => return SegmentEnd::Exit(ExitKind::StepLimit),
                 Ok(VmExit::IoIn { .. }) => {
                     return SegmentEnd::Exit(ExitKind::Killed("unexpected port read"))
@@ -934,14 +878,8 @@ impl Wasp {
                         self.stats.borrow_mut().denials += 1;
                         return SegmentEnd::Exit(ExitKind::Denied { nr: n });
                     }
-                    let hc_args = [
-                        vcpu.reg(Reg(1)),
-                        vcpu.reg(Reg(2)),
-                        vcpu.reg(Reg(3)),
-                        vcpu.reg(Reg(4)),
-                        vcpu.reg(Reg(5)),
-                    ];
-                    let mut mem = VmMem(&live.vm);
+                    let hc_args = [1, 2, 3, 4, 5].map(|r| vm.reg(Reg(r)));
+                    let mut mem = VmMem(vm);
                     let invocation = &mut live.invocation;
                     let outcome = match handler(n, hc_args, &mut mem, invocation) {
                         Some(custom) => Ok(custom),
@@ -951,7 +889,7 @@ impl Wasp {
                     };
                     match outcome {
                         Err(fault) => return SegmentEnd::Exit(ExitKind::Faulted(fault)),
-                        Ok(HcOutcome::Resume(v)) => vcpu.set_reg(Reg(0), v),
+                        Ok(HcOutcome::Resume(v)) => vm.set_reg(Reg(0), v),
                         Ok(HcOutcome::Exit(code)) => {
                             return SegmentEnd::Exit(ExitKind::Exited(code))
                         }
@@ -967,12 +905,12 @@ impl Wasp {
                             // non-blocking form. The probe-and-fail is a
                             // full syscall round trip, like EAGAIN.
                             self.kernel.syscall_overhead();
-                            vcpu.set_reg(Reg(0), hypercall::WOULD_BLOCK);
+                            vm.set_reg(Reg(0), hypercall::WOULD_BLOCK);
                         }
                         Ok(HcOutcome::TakeSnapshot) => {
                             // Resume value is fixed *before* the snapshot so
                             // restored invocations observe the same state.
-                            vcpu.set_reg(Reg(0), 0);
+                            vm.set_reg(Reg(0), 0);
                             if live.snapshot_enabled {
                                 let mut specs = self.specs.borrow_mut();
                                 let entry = &mut specs[live.id.0];
@@ -1001,7 +939,7 @@ impl Wasp {
     fn end_segment(&self, mut live: Live, end: SegmentEnd, at: Cycles) -> RunResult {
         match end {
             SegmentEnd::Block(wait) => {
-                live.marks.extend(live.vm.vcpu().take_marks());
+                live.marks.extend(live.vm.take_marks());
                 RunResult::Blocked(SuspendedRun {
                     live,
                     wait,
@@ -1009,15 +947,15 @@ impl Wasp {
                 })
             }
             SegmentEnd::Exit(exit) => {
-                let (outcome, vm) = self.finish_run(live, exit);
-                RunResult::Done(outcome, vm)
+                let (outcome, used) = self.finish_run(live, exit);
+                RunResult::Done(outcome, used)
             }
         }
     }
 
     /// Epilogue shared by first-segment, resumed, and aborted runs: decides
     /// warm-parkability and assembles the [`RunOutcome`].
-    fn finish_run(&self, live: Live, exit: ExitKind) -> (RunOutcome, VmFd) {
+    fn finish_run(&self, live: Live, exit: ExitKind) -> (RunOutcome, UsedShell) {
         let Live {
             vm,
             id,
@@ -1029,16 +967,15 @@ impl Wasp {
             breakdown,
             ..
         } = live;
-        let vcpu = vm.vcpu();
-        let ret = vcpu.reg(Reg(0));
-        marks.extend(vcpu.take_marks());
+        let ret = vm.reg(Reg(0));
+        marks.extend(vm.take_marks());
 
         // The shell may park warm only when its state provably derives
         // from the spec's *current* snapshot (compared by Rc identity — a
         // concurrent invalidate/re-register voids the token) and the run
         // ended by normal means; abnormal exits (an aborted suspension
         // among them) take the wiped release out of caution and hygiene.
-        let warm_state = if snapshot_enabled && exit.is_normal() {
+        let warm = if snapshot_enabled && exit.is_normal() {
             let current = self
                 .specs
                 .borrow()
@@ -1060,9 +997,8 @@ impl Wasp {
                 marks,
                 hypercalls,
                 breakdown,
-                warm_state,
             },
-            vm,
+            UsedShell { vm, warm },
         )
     }
 
@@ -1087,6 +1023,7 @@ impl Wasp {
 mod tests {
     use super::*;
     use crate::hypercall::{nr, WaitTarget};
+    use crate::pool::CleanShell;
     use vclock::costs;
 
     fn wasp(mode: PoolMode) -> Wasp {
@@ -1103,18 +1040,21 @@ mod tests {
 
     const MEM: usize = 64 * 1024;
 
-    /// Starts `id` resumably on a freshly created shell, spec policy only.
-    fn start_resumable(w: &Wasp, id: VirtineId, invocation: Invocation) -> RunResult {
+    /// Starts `id` on a freshly created shell, spec policy only.
+    fn start(w: &Wasp, id: VirtineId, args: &[u8], inv: Invocation, resumable: bool) -> RunResult {
         let run = ShellRun {
-            vm: w.hypervisor().create_vm(MEM, LOAD_ADDR),
-            source: ShellSource::Created,
+            shell: Shell::Created(CleanShell::create(w.hypervisor(), MEM)),
             id,
-            args: &[],
-            invocation,
+            args,
+            invocation: inv,
             narrow: HypercallMask::ALLOW_ALL,
-            resumable: true,
+            resumable,
         };
         w.run_on_shell(run, &mut |_, _, _, _| None).unwrap()
+    }
+
+    fn start_resumable(w: &Wasp, id: VirtineId, invocation: Invocation) -> RunResult {
+        start(w, id, &[], invocation, true)
     }
 
     fn image(src: &str) -> Image {
@@ -1378,19 +1318,11 @@ init:
         let id = w
             .register(VirtineSpec::new("rearm", second_arg_image(), MEM))
             .unwrap();
-        let run = ShellRun {
-            vm: w.hypervisor().create_vm(MEM, LOAD_ADDR),
-            source: ShellSource::Created,
-            id,
-            args: &[0xAA; 16],
-            invocation: Invocation::default(),
-            narrow: HypercallMask::ALLOW_ALL,
-            resumable: false,
-        };
-        let RunResult::Done(out, vm) = w.run_on_shell(run, &mut |_, _, _, _| None).unwrap() else {
+        let RunResult::Done(_, used) = start(&w, id, &[0xAA; 16], Invocation::default(), false)
+        else {
             unreachable!("non-resumable runs never suspend")
         };
-        let snap = out.warm_state.expect("parkable");
+        let (vm, snap) = (used.vm, used.warm.expect("parkable"));
         assert_eq!(vm.read_guest(ARGS_ADDR, 16).unwrap(), [0xAA; 16]);
         assert!(vm.dirty_log().contains(&0));
         vm.restore_delta(&snap);
@@ -1510,9 +1442,12 @@ init:
             ".org 0x8000\n mov r0, 8\n out 0x1, r0\n mov r0, 1\n mov r1, 1\n mov r2, 0x8000\n mov r3, 4\n out 0x1, r0\n hlt\n",
         );
         let id = w.register(VirtineSpec::new("deny", img, MEM)).unwrap();
-        let out = w.run(id, &[], Invocation::default()).unwrap();
+        let RunResult::Done(out, used) = start(&w, id, &[], Invocation::default(), false) else {
+            unreachable!("non-resumable runs never suspend")
+        };
         assert!(matches!(out.exit, ExitKind::Denied { .. }));
-        assert!(out.warm_state.is_none());
+        assert!(!used.warm_parkable());
+        w.run(id, &[], Invocation::default()).unwrap();
         let out2 = w.run(id, &[], Invocation::default()).unwrap();
         assert!(
             !out2.breakdown.warm_hit,
@@ -1777,8 +1712,7 @@ init:
         let (w, id, invocation, client) = setup();
         let clock = w.clock();
         let shell = ShellRun {
-            vm: w.hypervisor().create_vm(MEM, LOAD_ADDR),
-            source: ShellSource::Created,
+            shell: Shell::Created(CleanShell::create(w.hypervisor(), MEM)),
             id,
             args: &[],
             invocation,
@@ -1793,14 +1727,14 @@ init:
             let RunResult::Blocked(s) = run else {
                 panic!("wait {park} must park");
             };
-            assert_eq!(s.breakdown().resumes as usize, park);
-            assert_eq!(s.breakdown().blocked, parked);
-            assert_eq!(s.breakdown().total, inside, "segments so far");
+            assert_eq!(s.live.breakdown.resumes as usize, park);
+            assert_eq!(s.live.breakdown.blocked, parked);
+            assert_eq!(s.live.breakdown.total, inside, "segments so far");
             // Unrelated platform work passes, then the wait is satisfied.
             clock.tick(1_000_000 * (park as u64 + 1));
             w.kernel().net_send(client, msg).unwrap();
             let before = clock.now();
-            parked += before - s.blocked_at();
+            parked += before - s.blocked_at;
             run = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap();
             inside += clock.now() - before;
         }
@@ -1859,12 +1793,12 @@ init:
         let RunResult::Blocked(s) = start_resumable(&w, id, Invocation::with_conn(server)) else {
             panic!("must block");
         };
-        let exec_before = s.breakdown().exec;
+        let exec_before = s.live.breakdown.exec;
         let RunResult::Blocked(s) = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap() else {
             panic!("still no data: must re-park");
         };
-        assert_eq!(s.breakdown().exec, exec_before);
-        assert_eq!(s.breakdown().resumes, 0);
+        assert_eq!(s.live.breakdown.exec, exec_before);
+        assert_eq!(s.live.breakdown.resumes, 0);
         assert_eq!(w.stats().resumes, 0);
         w.kernel().net_send(client, b"ok").unwrap();
         let RunResult::Done(out, _) = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap() else {
@@ -1897,22 +1831,23 @@ init:
             panic!("must block");
         };
         assert_eq!(s.wait().target, WaitTarget::Sock(server));
-        let (out, vm) = w.abort_suspended(s);
+        let (out, used) = w.abort_suspended(s);
         assert_eq!(out.exit, ExitKind::Blocked);
         assert!(!out.exit.is_normal());
-        assert!(out.warm_state.is_none(), "a killed block never parks warm");
+        assert!(!used.warm_parkable(), "a killed block never parks warm");
         // The shell still holds the parked invocation's secret; the wiped
         // release erases it before any reuse.
         assert_eq!(
-            u64::from_le_bytes(vm.read_guest(0x5000, 8).unwrap().try_into().unwrap()),
+            u64::from_le_bytes(used.read_guest(0x5000, 8).unwrap().try_into().unwrap()),
             0xDEAD
         );
-        let mut pool = Pool::new(PoolMode::CachedAsync, LOAD_ADDR);
-        pool.release(vm);
-        let (vm, reused) = pool.acquire(w.hypervisor(), MEM);
-        assert!(reused);
+        let mut pool = Pool::new(PoolMode::CachedAsync);
+        pool.release(used);
+        let Shell::Clean(c) = pool.acquire(w.hypervisor(), MEM) else {
+            panic!("the released shell is reused");
+        };
         assert!(
-            vm.read_guest(0x5000, 8).unwrap().iter().all(|&b| b == 0),
+            c.0.read_guest(0x5000, 8).unwrap().iter().all(|&b| b == 0),
             "secret survived the wipe"
         );
     }

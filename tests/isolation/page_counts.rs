@@ -11,12 +11,10 @@
 //!
 //! The other half of the bargain — a clean and a reload of the same image
 //! still build and invalidate *zero* predecoded blocks — is pinned in
-//! `predecode_retention_isolation.rs`
+//! `predecode_retention`
 //! (`rearming_or_cleaning_a_shell_for_the_same_image_rebuilds_nothing`), and
 //! here for a VM created on a destroyed one's retired shell. Block counters
-//! are process-wide, so the tests in this file take turns.
-
-use std::sync::{Mutex, MutexGuard};
+//! are process-wide, so these tests take turns with the suite's others.
 
 use virtines::hostsim::HostKernel;
 use virtines::kvmsim::{Hypervisor, VmExit, VmFd};
@@ -26,17 +24,13 @@ use virtines::visa::cpu::{CpuConfig, CpuExit, Machine};
 use virtines::visa::mem::{counters, Counters, PAGE_SIZE};
 use virtines::visa::{self, asm::Image};
 use virtines::wasp::{
-    HypercallMask, Invocation, RunResult, ShellRun, ShellSource, VirtineSpec, Wasp, WaspConfig,
+    CleanShell, HypercallMask, Invocation, Pool, PoolMode, RunResult, Shell, ShellRun, VirtineSpec,
+    Wasp, WaspConfig,
 };
 
-const MEM: usize = 1 << 20;
+use super::turn;
 
-/// `visa::pred::counters()` is process-wide: the tests take turns, so that a
-/// block count moving is this test's doing.
-fn turn() -> MutexGuard<'static, ()> {
-    static TURN: Mutex<()> = Mutex::new(());
-    TURN.lock().unwrap_or_else(|e| e.into_inner())
-}
+const MEM: usize = 1 << 20;
 
 fn hv() -> Hypervisor {
     Hypervisor::kvm(HostKernel::new(Clock::new(), None))
@@ -60,7 +54,7 @@ fn image() -> Image {
 fn at_snapshot_point(hv: &Hypervisor) -> VmFd {
     let vm = hv.create_vm(MEM, 0x8000);
     vm.load_image(&image());
-    assert!(matches!(vm.vcpu().run(100).unwrap(), VmExit::IoOut { .. }));
+    assert!(matches!(vm.run(100).unwrap(), VmExit::IoOut { .. }));
     vm
 }
 
@@ -82,7 +76,7 @@ fn counted(f: impl FnOnce()) -> Counters {
 fn a_clean_wipes_exactly_the_pages_the_run_touched() {
     let _turn = turn();
     let vm = at_snapshot_point(&hv());
-    assert_eq!(vm.vcpu().run(100).unwrap(), VmExit::Hlt);
+    assert_eq!(vm.run(100).unwrap(), VmExit::Hlt);
     // Pages 6, 7, 8 and 0x40 — while the extents the wipe is *charged* for
     // run from 0 to the end of the image and from 0x40000 to the top.
     assert_eq!(vm.dirty_log(), vec![6, 7, 8, 0x40]);
@@ -113,13 +107,13 @@ fn a_full_restore_copies_exactly_the_pages_of_its_image() {
     // Onto a dirty one: the run past the snapshot point adds page 0x40, so
     // four pages are wiped (the image's three are zeroed and copied back),
     // then the same three copied.
-    assert_eq!(shell.vcpu().run(100).unwrap(), VmExit::Hlt);
+    assert_eq!(shell.run(100).unwrap(), VmExit::Hlt);
     let onto_dirty = counted(|| shell.restore(&snap));
     assert_eq!((onto_dirty.pages_wiped, onto_dirty.pages_restored), (4, 3));
     assert_eq!(shell.read_guest(0, MEM).unwrap(), expected);
 
     // The warm path is exact too, and is its own counter.
-    assert_eq!(shell.vcpu().run(100).unwrap(), VmExit::Hlt);
+    assert_eq!(shell.run(100).unwrap(), VmExit::Hlt);
     let rearm = counted(|| assert_eq!(shell.restore_delta(&snap), 1));
     assert_eq!(
         (rearm.pages_wiped, rearm.pages_restored, rearm.pages_rearmed),
@@ -143,20 +137,20 @@ fn a_compiled_function_that_touches_the_heap_wipes_a_handful_of_pages() {
     let spec = VirtineSpec::new("touch", v.image.clone(), v.mem_size).with_snapshot(false);
     let id = wasp.register(spec).unwrap();
     let run = ShellRun {
-        vm: wasp.hypervisor().create_vm(v.mem_size, 0x8000),
-        source: ShellSource::Created,
+        shell: Shell::Created(CleanShell::create(wasp.hypervisor(), v.mem_size)),
         id,
         args: &vcc::marshal_args(&[41]),
         invocation: Invocation::default(),
         narrow: HypercallMask::ALLOW_ALL,
         resumable: false,
     };
-    let RunResult::Done(out, vm) = wasp.run_on_shell(run, &mut |_, _, _, _| None).unwrap() else {
+    let RunResult::Done(out, used) = wasp.run_on_shell(run, &mut |_, _, _, _| None).unwrap() else {
         unreachable!("non-resumable runs never suspend")
     };
     assert_eq!(out.ret, 42);
-    let touched = vm.dirty_log().len() as u64;
-    let wiped = counted(|| vm.clean(0x8000)).pages_wiped;
+    let touched = used.dirty_log().len() as u64;
+    let mut pool = Pool::new(PoolMode::Cached);
+    let wiped = counted(|| pool.release(used)).pages_wiped;
     assert_eq!(wiped, touched);
     assert!(wiped < 20, "wiped {wiped} pages");
     let image_pages = (v.image.bytes.len() as u64).div_ceil(PAGE_SIZE);
@@ -203,7 +197,7 @@ fn create_vm_after_a_drop_goes_to_the_spare_list_not_the_allocator() {
         let vm = hv.create_vm(size, 0x8000);
         assert!(vm.read_guest(0, size).unwrap().iter().all(|&b| b == 0));
         vm.load_image(&dirtier());
-        assert_eq!(vm.vcpu().run(100).unwrap(), VmExit::Hlt);
+        assert_eq!(vm.run(100).unwrap(), VmExit::Hlt);
     });
     assert_eq!((again.buffers_allocated, again.buffers_recycled), (0, 1));
     assert_eq!(visa::pred::counters().blocks_built, built, "blocks rebuilt");
@@ -224,7 +218,7 @@ fn dirtier() -> Image {
 fn at_dirty(hv: &Hypervisor, size: usize) -> VmFd {
     let vm = hv.create_vm(size, 0x8000);
     vm.load_image(&dirtier());
-    assert_eq!(vm.vcpu().run(100).unwrap(), VmExit::Hlt);
+    assert_eq!(vm.run(100).unwrap(), VmExit::Hlt);
     vm
 }
 

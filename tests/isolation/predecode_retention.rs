@@ -27,13 +27,11 @@ use virtines::vcc;
 use virtines::vclock::Clock;
 use virtines::visa::{self, Reg};
 use virtines::wasp::{
-    HypercallMask, Invocation, RunOutcome, RunResult, ShellRun, ShellSource, VirtineId, Wasp,
-    WaspConfig,
+    CleanShell, HypercallMask, Invocation, Pool, PoolMode, RunOutcome, RunResult, Shell, ShellRun,
+    UsedShell, VirtineId, Wasp, WaspConfig,
 };
 
-/// `visa::pred::counters()` is process-wide: the tests take turns so that a
-/// counter moving is this test's doing.
-static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+use super::turn;
 
 /// Two tenants' functions: same shape, same addresses, different constants
 /// and a different secret left in guest memory.
@@ -80,10 +78,9 @@ fn runtime() -> (Wasp, VirtineId, VirtineId, usize) {
     (wasp, a, b, mem_size)
 }
 
-fn run_on(wasp: &Wasp, vm: VmFd, id: VirtineId, n: i64) -> (RunOutcome, VmFd) {
+fn run_on(wasp: &Wasp, shell: Shell, id: VirtineId, n: i64) -> (RunOutcome, UsedShell) {
     let run = ShellRun {
-        vm,
-        source: ShellSource::Clean,
+        shell,
         id,
         args: &vcc::marshal_args(&[n]),
         invocation: Invocation::default(),
@@ -91,32 +88,34 @@ fn run_on(wasp: &Wasp, vm: VmFd, id: VirtineId, n: i64) -> (RunOutcome, VmFd) {
         resumable: false,
     };
     match wasp.run_on_shell(run, &mut |_, _, _, _| None).expect("run") {
-        RunResult::Done(outcome, vm) => (outcome, vm),
+        RunResult::Done(outcome, used) => (outcome, used),
         RunResult::Blocked(_) => unreachable!("non-resumable runs never suspend"),
     }
 }
 
 #[test]
 fn a_cleaned_shell_serves_the_next_tenant_exactly_like_a_never_used_one() {
-    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    let entry = 0x8000;
+    let _turn = turn();
 
     // Tenant B on a shell nobody has used.
     let (fresh, _, b, mem_size) = runtime();
-    let vm = fresh.hypervisor().create_vm(mem_size, entry);
-    let (expected, vm) = run_on(&fresh, vm, b, 9);
-    let expected_mem = vm.read_guest(0, mem_size).unwrap();
+    let vm = CleanShell::create(fresh.hypervisor(), mem_size);
+    let (expected, used) = run_on(&fresh, Shell::Clean(vm), b, 9);
+    let expected_mem = used.read_guest(0, mem_size).unwrap();
     assert_eq!(expected.ret, 9 * 2222);
 
-    // Tenant A runs on a shell; the shell is cleaned (what `Pool::release`
-    // does) and handed to tenant B.
+    // Tenant A runs on a shell; the shell is cleaned by `Pool::release`
+    // and handed to tenant B.
     let (shared, a, b, _) = runtime();
-    let vm = shared.hypervisor().create_vm(mem_size, entry);
-    let (first, vm) = run_on(&shared, vm, a, 9);
+    let vm = CleanShell::create(shared.hypervisor(), mem_size);
+    let (first, used) = run_on(&shared, Shell::Clean(vm), a, 9);
     assert_eq!(first.ret, 9 * 1111);
-    vm.clean(entry);
+    let mut pool = Pool::new(PoolMode::Cached);
+    pool.release(used);
+    let shell = pool.acquire(shared.hypervisor(), mem_size);
+    assert!(matches!(shell, Shell::Clean(_)));
     let before = visa::pred::counters();
-    let (got, vm) = run_on(&shared, vm, b, 9);
+    let (got, used) = run_on(&shared, shell, b, 9);
     let after = visa::pred::counters();
 
     assert_eq!(got.ret, expected.ret, "A's cached `+ 1111` must not run");
@@ -127,14 +126,14 @@ fn a_cleaned_shell_serves_the_next_tenant_exactly_like_a_never_used_one() {
         got.breakdown, expected.breakdown,
         "every term and the total"
     );
-    assert_eq!(vm.read_guest(0, mem_size).unwrap(), expected_mem);
+    assert_eq!(used.read_guest(0, mem_size).unwrap(), expected_mem);
     // A's blocks over the bytes that differ were found stale and dropped…
     assert!(
         after.blocks_invalidated > before.blocks_invalidated,
         "tenant A's blocks were not revalidated away"
     );
     // …and nothing of tenant A is left where B can read it.
-    let secret = vm.read_guest(0x60000, 8).unwrap();
+    let secret = used.read_guest(0x60000, 8).unwrap();
     assert_eq!(u64::from_le_bytes(secret.try_into().unwrap()), 0xB0B);
 }
 
@@ -142,7 +141,7 @@ fn a_cleaned_shell_serves_the_next_tenant_exactly_like_a_never_used_one() {
 fn run_to_halt(clock: &Clock, vm: &VmFd) -> u64 {
     let t0 = clock.now();
     loop {
-        match vm.vcpu().run(100_000).expect("guest fault") {
+        match vm.run(100_000).expect("guest fault") {
             VmExit::Hlt => return (clock.now() - t0).get(),
             VmExit::IoOut { .. } => {}
             other => panic!("unexpected exit {other:?}"),
@@ -152,7 +151,7 @@ fn run_to_halt(clock: &Clock, vm: &VmFd) -> u64 {
 
 #[test]
 fn restoring_snapshot_y_over_a_shell_armed_from_x_runs_y() {
-    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = turn();
     // Same program text, different constants: X sums 3s, Y sums 5s. Each is
     // run to its `out` (the snapshot point) on a VM of its own.
     let program = |step: u64| {
@@ -172,7 +171,7 @@ fn restoring_snapshot_y_over_a_shell_armed_from_x_runs_y() {
     let snapshot_of = |step: u64| {
         let vm = hv.create_vm(mem_size, 0x8000);
         vm.load_image(&visa::assemble(&program(step)).unwrap());
-        assert!(matches!(vm.vcpu().run(100).unwrap(), VmExit::IoOut { .. }));
+        assert!(matches!(vm.run(100).unwrap(), VmExit::IoOut { .. }));
         vm.snapshot()
     };
     let (x, y) = (snapshot_of(3), snapshot_of(5));
@@ -181,20 +180,20 @@ fn restoring_snapshot_y_over_a_shell_armed_from_x_runs_y() {
     let fresh = hv.create_vm(mem_size, 0x8000);
     fresh.restore(&y);
     let expected_cycles = run_to_halt(&clock, &fresh);
-    assert_eq!(fresh.vcpu().reg(Reg(0)), 250);
+    assert_eq!(fresh.reg(Reg(0)), 250);
 
     // X runs on a shell (its loop is cached and hot), then Y is restored
     // over it — in full, and once more by delta after Y itself has run.
     let shell = hv.create_vm(mem_size, 0x8000);
     shell.restore(&x);
     run_to_halt(&clock, &shell);
-    assert_eq!(shell.vcpu().reg(Reg(0)), 150);
+    assert_eq!(shell.reg(Reg(0)), 150);
     let before = visa::pred::counters();
     shell.restore(&y);
     let full = run_to_halt(&clock, &shell);
     let after = visa::pred::counters();
     for r in 0..4 {
-        assert_eq!(shell.vcpu().reg(Reg(r)), fresh.vcpu().reg(Reg(r)), "r{r}");
+        assert_eq!(shell.reg(Reg(r)), fresh.reg(Reg(r)), "r{r}");
     }
     assert_eq!(full, expected_cycles);
     assert_eq!(
@@ -205,14 +204,14 @@ fn restoring_snapshot_y_over_a_shell_armed_from_x_runs_y() {
 
     shell.restore_delta(&y);
     assert_eq!(run_to_halt(&clock, &shell), expected_cycles);
-    assert_eq!(shell.vcpu().reg(Reg(0)), 250);
+    assert_eq!(shell.reg(Reg(0)), 250);
 }
 
 #[test]
 fn rearming_or_cleaning_a_shell_for_the_same_image_rebuilds_nothing() {
     // The other half of the bargain: what retention is *for*. Exact counts,
     // so this is the test that fails if a flush creeps back in.
-    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = turn();
     let clock = Clock::new();
     let hv = Hypervisor::kvm(HostKernel::new(clock.clone(), None));
     // Code on page 8, data on page 6, stack on page 7 and below.
@@ -228,7 +227,7 @@ fn rearming_or_cleaning_a_shell_for_the_same_image_rebuilds_nothing() {
     .unwrap();
     let vm = hv.create_vm(1 << 20, 0x8000);
     vm.load_image(&image);
-    assert!(matches!(vm.vcpu().run(100).unwrap(), VmExit::IoOut { .. }));
+    assert!(matches!(vm.run(100).unwrap(), VmExit::IoOut { .. }));
     let snap = vm.snapshot();
     let first = run_to_halt(&clock, &vm);
 
@@ -256,7 +255,7 @@ fn rearming_or_cleaning_a_shell_for_the_same_image_rebuilds_nothing() {
         counted("clean + reload", &|| {
             clean();
             vm.load_image(&image);
-            assert!(matches!(vm.vcpu().run(100).unwrap(), VmExit::IoOut { .. }));
+            assert!(matches!(vm.run(100).unwrap(), VmExit::IoOut { .. }));
         })
     };
     assert_eq!(rerun(&|| vm.clean(0x8000)), first);

@@ -19,30 +19,22 @@
 //! A's blocks arrive with the shell, are found stale where B's bytes differ,
 //! and none of them runs.
 
-use std::rc::Rc;
-use std::sync::{Mutex, MutexGuard};
-
 use virtines::hostsim::HostKernel;
-use virtines::kvmsim::{Hypervisor, VmExit, VmFd};
+use virtines::kvmsim::{Hypervisor, VmExit};
 use virtines::vclock::Clock;
 use virtines::visa::cpu::Fault;
 use virtines::visa::mem::counters;
 use virtines::visa::{self, asm::Image, pred, Reg};
 use virtines::wasp::{
-    nr, Breakdown, ExitKind, HypercallMask, Invocation, Pool, PoolMode, RunOutcome, RunResult,
-    ShellRun, ShellSource, VirtineId, VirtineSpec, Wasp, WaspConfig,
+    nr, Breakdown, CleanShell, ExitKind, HypercallMask, Invocation, Pool, PoolMode, RunOutcome,
+    RunResult, Shell, ShellRun, UsedShell, VirtineId, VirtineSpec, Wasp, WaspConfig,
 };
+
+use super::turn;
 
 const MEM: usize = 512 * 1024;
 const ENTRY: u64 = 0x8000;
 const TENANT_A: u64 = 1;
-
-/// `visa::pred::counters()` is process-wide: the tests take turns, so that a
-/// block count moving is this test's doing.
-fn turn() -> MutexGuard<'static, ()> {
-    static TURN: Mutex<()> = Mutex::new(());
-    TURN.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Where A leaves its secret (besides the args window, which the host
 /// writes): low data, the heap base, the upper half, its stack slot.
@@ -123,14 +115,13 @@ fn node() -> Node {
 }
 
 impl Node {
-    fn create_vm(&self) -> VmFd {
-        self.wasp.hypervisor().create_vm(MEM, ENTRY)
+    fn create_vm(&self) -> CleanShell {
+        CleanShell::create(self.wasp.hypervisor(), MEM)
     }
 
-    fn run(&self, vm: VmFd, source: ShellSource, id: VirtineId, args: &[u8]) -> RunResult {
+    fn run(&self, shell: Shell, id: VirtineId, args: &[u8]) -> RunResult {
         let run = ShellRun {
-            vm,
-            source,
+            shell,
             id,
             args,
             invocation: Invocation::default(),
@@ -144,25 +135,24 @@ impl Node {
 
     /// A runs to completion on a new VM; returns its outcome and the shell,
     /// dirty, with A's secret on six pages.
-    fn a_has_run(&self) -> (RunOutcome, VmFd) {
+    fn a_has_run(&self) -> (RunOutcome, UsedShell) {
         let mut args = 7u64.to_le_bytes().to_vec();
         args.extend(0xA11CEu64.to_le_bytes());
-        let RunResult::Done(out, vm) =
-            self.run(self.create_vm(), ShellSource::Created, self.a, &args)
+        let RunResult::Done(out, used) = self.run(Shell::Created(self.create_vm()), self.a, &args)
         else {
             unreachable!("tenant A's snapshotted function never blocks")
         };
         assert_eq!(out.exit, ExitKind::Halted(7));
         for addr in [8, 0x5000, 0x28000, 0x31000, 0x60000, 0x7EFF8] {
-            let word = vm.read_guest(addr, 8).unwrap();
+            let word = used.read_guest(addr, 8).unwrap();
             assert_eq!(u64::from_le_bytes(word.try_into().unwrap()), 0xA11CE);
         }
-        (out, vm)
+        (out, used)
     }
 
-    /// B on `vm`; returns what a client, the guest and the clock can see.
-    fn b_runs_on(&self, vm: VmFd, source: ShellSource) -> Seen {
-        let RunResult::Done(out, vm) = self.run(vm, source, self.b, &[]) else {
+    /// B on `shell`; returns what a client, the guest and the clock can see.
+    fn b_runs_on(&self, shell: Shell) -> Seen {
+        let RunResult::Done(out, used) = self.run(shell, self.b, &[]) else {
             unreachable!("tenant B never blocks")
         };
         Seen {
@@ -171,7 +161,7 @@ impl Node {
             result: out.result_bytes().to_vec(),
             hypercalls: out.hypercalls,
             breakdown: out.breakdown,
-            mem: vm.read_guest(0, MEM).unwrap(),
+            mem: used.read_guest(0, MEM).unwrap(),
         }
     }
 }
@@ -192,12 +182,12 @@ struct Seen {
 fn b_on_a_never_used_vm(created: bool) -> Seen {
     let oracle = std::thread::spawn(move || {
         let fresh = node();
-        let source = if created {
-            ShellSource::Created
+        let vm = fresh.create_vm();
+        let seen = fresh.b_runs_on(if created {
+            Shell::Created(vm)
         } else {
-            ShellSource::Clean
-        };
-        let seen = fresh.b_runs_on(fresh.create_vm(), source);
+            Shell::Clean(vm)
+        });
         assert_eq!(counters().buffers_recycled, 0);
         seen
     });
@@ -226,16 +216,12 @@ fn b_on_a_cleaned_shell_of_a() {
     let expected = b_on_a_never_used_vm(false);
     for mode in [PoolMode::Cached, PoolMode::CachedAsync] {
         let n = node();
-        let mut pool = Pool::new(mode, ENTRY);
-        let (_, vm) = n.a_has_run();
-        pool.release(vm);
-        let (vm, reused) = pool.acquire(n.wasp.hypervisor(), MEM);
-        assert!(reused);
-        assert_same(
-            n.b_runs_on(vm, ShellSource::Clean),
-            &expected,
-            &format!("{mode:?}"),
-        );
+        let mut pool = Pool::new(mode);
+        let (_, used) = n.a_has_run();
+        pool.release(used);
+        let shell = pool.acquire(n.wasp.hypervisor(), MEM);
+        assert!(matches!(shell, Shell::Clean(_)));
+        assert_same(n.b_runs_on(shell), &expected, &format!("{mode:?}"));
     }
 }
 
@@ -246,23 +232,19 @@ fn b_on_a_demoted_warm_shell_of_a() {
     let _turn = turn();
     let expected = b_on_a_never_used_vm(false);
     let n = node();
-    let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY);
-    let (out, vm) = n.a_has_run();
-    let snap = out.warm_state.expect("A's run is warm-parkable");
-    pool.release_warm(vm, TENANT_A, n.a.into_raw(), snap);
-    let vm = pool.take_warm_victim_of(TENANT_A, MEM).expect("a victim");
-    assert_same(
-        n.b_runs_on(vm, ShellSource::Clean),
-        &expected,
-        "demote-steal",
-    );
+    let mut pool = Pool::new(PoolMode::CachedAsync);
+    let (_, used) = n.a_has_run();
+    assert!(used.warm_parkable(), "A's run is warm-parkable");
+    pool.release_warm(used, TENANT_A, n.a.into_raw());
+    let clean = pool.take_warm_victim_of(TENANT_A, MEM).expect("a victim");
+    assert_same(n.b_runs_on(Shell::Clean(clean)), &expected, "demote-steal");
 }
 
 /// What creating a VM and running B on it added: B's view, buffers
 /// recycled, blocks built and blocks invalidated.
 fn b_on_a_created_vm(n: &Node) -> (Seen, u64, u64, u64) {
     let (mem, blocks) = (counters(), pred::counters());
-    let seen = n.b_runs_on(n.create_vm(), ShellSource::Created);
+    let seen = n.b_runs_on(Shell::Created(n.create_vm()));
     let after = pred::counters();
     (
         seen,
@@ -279,7 +261,7 @@ fn b_on_a_vm_created_after(route: &str, destroy: impl FnOnce(&Node, &mut Pool)) 
     let _turn = turn();
     let expected = b_on_a_never_used_vm(true);
     let n = node();
-    let mut pool = Pool::new(PoolMode::CachedAsync, ENTRY);
+    let mut pool = Pool::new(PoolMode::CachedAsync);
     destroy(&n, &mut pool);
     let (seen, recycled, _, invalidated) = b_on_a_created_vm(&n);
     assert_eq!(
@@ -300,17 +282,17 @@ fn b_on_a_vm_created_after(route: &str, destroy: impl FnOnce(&Node, &mut Pool)) 
 #[test]
 fn b_on_a_vm_created_after_a_dirty_shell_was_dropped() {
     b_on_a_vm_created_after("Pool::drop_shell", |n, pool| {
-        let (_, vm) = n.a_has_run();
-        pool.drop_shell(vm);
+        let (_, used) = n.a_has_run();
+        pool.drop_shell(used);
     });
 }
 
 #[test]
 fn b_on_a_vm_created_after_a_failed_shards_teardown() {
     b_on_a_vm_created_after("Pool::drop_all_shells", |n, pool| {
-        let (out, vm) = n.a_has_run();
-        let snap: Rc<_> = out.warm_state.expect("parkable");
-        pool.release_warm(vm, TENANT_A, n.a.into_raw(), snap);
+        let (_, used) = n.a_has_run();
+        pool.release_warm(used, TENANT_A, n.a.into_raw());
+        assert_eq!(pool.warm_shells(), 1, "parked warm");
         assert_eq!(pool.drop_all_shells(), 1);
     });
 }
@@ -323,8 +305,7 @@ fn b_on_a_vm_created_after_a_suspended_run_was_abandoned() {
         let _client = k.net_connect(80).unwrap();
         let server = k.net_accept(80).unwrap().unwrap();
         let run = ShellRun {
-            vm: n.create_vm(),
-            source: ShellSource::Created,
+            shell: Shell::Created(n.create_vm()),
             id: n.a_blocking,
             args: &[0xA1; 16],
             invocation: Invocation::with_conn(server),
@@ -343,9 +324,9 @@ fn b_on_a_vm_created_after_a_suspended_run_was_abandoned() {
 #[test]
 fn b_on_a_vm_created_after_an_unpooled_release() {
     b_on_a_vm_created_after("PoolMode::Disabled", |n, _| {
-        let mut unpooled = Pool::new(PoolMode::Disabled, ENTRY);
-        let (_, vm) = n.a_has_run();
-        unpooled.release(vm);
+        let mut unpooled = Pool::new(PoolMode::Disabled);
+        let (_, used) = n.a_has_run();
+        unpooled.release(used);
         assert_eq!(unpooled.idle_shells(), 0, "dropped, not parked");
     });
 }
@@ -361,9 +342,8 @@ fn raw_run(hv: &Hypervisor, image: &Image) -> Raw {
     let t0 = clock.now();
     let vm = hv.create_vm(64 * 1024, ENTRY);
     vm.load_image(image);
-    let vcpu = vm.vcpu();
-    let exit = vcpu.run(10_000);
-    let regs = [0, 1, 2, 3].map(|r| vcpu.reg(Reg(r)));
+    let exit = vm.run(10_000);
+    let regs = [0, 1, 2, 3].map(|r| vm.reg(Reg(r)));
     let mem = vm.read_guest(0, 64 * 1024).unwrap();
     (exit, regs, (clock.now() - t0).get(), mem)
 }

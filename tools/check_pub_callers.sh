@@ -3,9 +3,12 @@
 # (`tools/check_pub_callers.sh`).
 #
 # Every `pub fn|struct|enum|trait|type|const|static|mod` item of a library
-# crate (crates/*/src, except crates/bench) needs at least one whole-word
-# reference, other than its own definition line, in non-test, non-comment
-# code under crates/*/src, crates/bench, examples/, tests/ or vperf/src.
+# crate (crates/*/src, except crates/bench) needs at least one reference,
+# other than its own definition line, in non-test, non-comment code under
+# crates/*/src, crates/bench, examples/, tests/ or vperf/src. A `pub fn`
+# counts only call-shaped references — `name(`, `name::<` or `::name`, and
+# not a `fn name(` definition — so a field, a local or a variant of the
+# same name is no caller; any other item counts whole-word references.
 # A file's code ends at its first column-0 `#[cfg(test)]` (as in
 # tools/loc.sh), crates/*/tests/ are not read, and neither are `//`
 # comments, doc comments (so doc tests), or one-line string literals. A
@@ -17,10 +20,10 @@
 # check fails on an unlisted item without callers, and on a stale
 # allow-list line: the item has a caller now, or no longer exists.
 #
-# Known blind spots: references are counted by name, not resolved, so an
-# item whose name is common (`new`, `finish`, `label`, ...) counts every
-# other item of that name as a caller; and multi-line (raw) string
-# literals — embedded guest C or assembly — are read as code.
+# Known blind spots: references are counted by name, not resolved, so a
+# function whose name is common (`new`, `finish`, `label`, ...) counts every
+# call of another function of that name as its own; and multi-line (raw)
+# string literals — embedded guest C or assembly — are read as code.
 set -u
 cd "$(dirname "$0")/.."
 export LC_ALL=C
@@ -47,7 +50,23 @@ items=$(awk -v q="'" '
         for (i = 1; i <= n; i++) if (w[i] != "") via_reexport[w[i]]++
         next
     }
-    { for (i = 1; i <= n; i++) if (w[i] != "") count[w[i]]++ }
+    {
+        for (i = 1; i <= n; i++) if (w[i] != "") count[w[i]]++
+        # Call-shaped references, for `pub fn` items.
+        rest = line
+        while (match(rest, /[A-Za-z_][A-Za-z0-9_]*[ \t]*(\(|::<)/)) {
+            tok = substr(rest, RSTART, RLENGTH)
+            sub(/[ \t]*(\(|::<)$/, "", tok)
+            if (substr(rest, 1, RSTART - 1) !~ /(^|[^A-Za-z0-9_])fn[ \t]+$/) calls[tok]++
+            rest = substr(rest, RSTART + RLENGTH)
+        }
+        rest = line
+        while (match(rest, /::[A-Za-z_][A-Za-z0-9_]*/)) {
+            tok = substr(rest, RSTART + 2, RLENGTH - 2)
+            rest = substr(rest, RSTART + RLENGTH)
+            if (rest !~ /^[ \t]*(\(|::<)/) calls[tok]++
+        }
+    }
     FILENAME ~ /^crates\// && FILENAME !~ /^crates\/bench\// &&
     line ~ /^[ \t]*pub[ \t]/ {
         k = 1
@@ -60,6 +79,7 @@ items=$(awk -v q="'" '
             def_file[ndef] = FILENAME
             def_name[ndef] = w[k + 1]
             def_mod[ndef] = (w[k] == "mod")
+            def_fn[ndef] = (w[k] == "fn")
             for (i = 1; i <= n; i++) if (w[i] == w[k + 1]) def_own[ndef]++
         }
     }
@@ -67,7 +87,10 @@ items=$(awk -v q="'" '
         for (d = 1; d <= ndef; d++) {
             name = def_name[d]
             print "def " def_file[d] " " name
-            refs = count[name] - def_own[d] + (def_mod[d] ? via_reexport[name] : 0)
+            if (def_fn[d])
+                refs = calls[name]
+            else
+                refs = count[name] - def_own[d] + (def_mod[d] ? via_reexport[name] : 0)
             if (refs < 1) print "dead " def_file[d] " " name
         }
     }' $files | sort -u)
