@@ -21,7 +21,7 @@ pub const MEM: usize = 64 * 1024;
 /// the snapshot point, one page of dirt per invocation after it, so a warm
 /// hit is a cheap delta re-arm and a cold create pays the fill loop.
 pub fn snap_image() -> visa::asm::Image {
-    visa::assemble(
+    wasp::hypercall::assemble(
         "
 .org 0x8000
   mov r1, 0xA000
@@ -32,8 +32,8 @@ fill:
   add r2, 1
   cmp r2, 512
   jl fill
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
+  mov r0, HC_SNAPSHOT
+  out HC_PORT, r0
   mov r6, 0xC000
   store.q [r6], r2
   hlt

@@ -41,14 +41,14 @@ fn dispatcher(config: DispatcherConfig) -> Dispatcher {
 /// A connection-bound spec: blocking-recvs and halts — parks forever,
 /// keeping its shell inside the suspension so every acquire must steal.
 fn blocking_recv_spec() -> VirtineSpec {
-    let img = visa::assemble(
+    let img = wasp::hypercall::assemble(
         "
 .org 0x8000
-  mov r0, 7            ; recv
+  mov r0, HC_RECV
   mov r1, 0x4000
   mov r2, 64
   mov r3, 0            ; flags: blocking
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 ",
     )

@@ -50,7 +50,7 @@ const MEM: usize = 256 * 1024;
 /// snapshot point, so the full sparse restore is tens of microseconds),
 /// then a small per-invocation footprint (the args page plus one store).
 fn snap_image() -> visa::asm::Image {
-    visa::assemble(
+    wasp::hypercall::assemble(
         "
 .org 0x8000
   mov r1, 0x10000
@@ -61,8 +61,8 @@ fill:
   add r2, 1
   cmp r2, 6144
   jl fill
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
+  mov r0, HC_SNAPSHOT
+  out HC_PORT, r0
   mov r4, 0
   load.q r5, [r4]      ; arg
   mov r6, 0x12000

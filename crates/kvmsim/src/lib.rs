@@ -251,7 +251,7 @@ impl VmFd {
         inner.cpu.pc = image.entry;
     }
 
-    /// Reads guest memory (hypercall-handler access; bounds-checked).
+    /// Reads guest memory (host-side access; bounds-checked).
     pub fn read_guest(&self, addr: u64, len: usize) -> Result<Vec<u8>, Fault> {
         let inner = self.inner.borrow();
         inner
@@ -261,13 +261,19 @@ impl VmFd {
             .map_err(|e| Fault::PhysOutOfBounds { paddr: e.paddr })
     }
 
-    /// Writes guest memory (hypercall-handler access; bounds-checked).
+    /// Writes guest memory (host-side access, such as argument marshalling;
+    /// bounds-checked).
     pub fn write_guest(&self, addr: u64, data: &[u8]) -> Result<(), Fault> {
         let mut inner = self.inner.borrow_mut();
         inner
             .mem
             .write_bytes(addr, data)
             .map_err(|e| Fault::PhysOutOfBounds { paddr: e.paddr })
+    }
+
+    /// Lends the guest memory to `f` (a hypercall handler's access).
+    pub fn with_mem<R>(&self, f: impl FnOnce(&mut Memory) -> R) -> R {
+        f(&mut self.inner.borrow_mut().mem)
     }
 
     /// Zeroes the guest memory the virtine dirtied and resets the vCPU to

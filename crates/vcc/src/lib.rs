@@ -222,7 +222,10 @@ fn link_one(
             });
         }
     }
-    let mut listing = crt0_with_heap(root, kind, opts.mem_size, opts.heap_base());
+    // The hypercall names (`HC_PORT`, `HC_SNAPSHOT`, ...) crt0 and the
+    // trampoline use, read off `wasp::hypercall::TABLE`.
+    let mut listing = wasp::hypercall::asm_prelude();
+    listing.push_str(&crt0_with_heap(root, kind, opts.mem_size, opts.heap_base()));
     listing.push_str(&gen.text);
     if gen.externs.contains("hypercall") {
         listing.push_str(HYPERCALL_ASM);
@@ -533,5 +536,86 @@ int main_entry() {
             image_budget: 128 * 1024,
         };
         assert!(compile_with(FIB_C, &opts).is_err());
+    }
+
+    /// `crt0` calling `work`, with a stub `__libc_init`, behind the
+    /// hypercall prelude every listing starts with.
+    fn crt0_listing(kind: Crt0Kind, work: &str) -> String {
+        let crt0 = crt0_with_heap("work", kind, 4 * 1024 * 1024, layout::HEAP_BASE);
+        let prelude = wasp::hypercall::asm_prelude();
+        format!("{prelude}{crt0}\nwork:\n{work}\n  ret\n__libc_init:\n  ret\n")
+    }
+
+    #[test]
+    fn crt0_full_assembles() {
+        let src = crt0_listing(Crt0Kind::Full { arity: 2 }, "  mov r0, 1");
+        let img = visa::assemble(&src).expect("crt0 must assemble");
+        assert_eq!(img.base, layout::IMAGE_BASE);
+        assert!(img.label("__start").is_some());
+        assert!(img.label("__gdt").is_some());
+    }
+
+    #[test]
+    fn hypercall_stub_assembles_with_port_equ() {
+        let src = format!(".org 0\n{HYPERCALL_ASM}");
+        wasp::hypercall::assemble(&src).expect("hypercall stub must assemble");
+    }
+
+    #[test]
+    fn boot_reaches_long_mode_and_calls_entry() {
+        use visa::{CpuConfig, Machine, Mode, Reg};
+
+        let src = crt0_listing(Crt0Kind::Full { arity: 0 }, "  mov r0, 4242");
+        let img = visa::assemble(&src).unwrap();
+        let clock = Wasp::new_kvm_default().clock();
+        let mut m = Machine::new(clock, CpuConfig::default(), 4 * 1024 * 1024, img.entry);
+        m.load_image(&img);
+        // First exit is the automatic snapshot hypercall.
+        let exit = m.run(100_000).unwrap();
+        let snapshot = wasp::nr::SNAPSHOT;
+        let port = wasp::HYPERCALL_PORT;
+        assert_eq!(
+            exit,
+            visa::CpuExit::IoOut {
+                port,
+                value: snapshot
+            },
+            "expected the automatic snapshot out"
+        );
+        assert_eq!(m.cpu.mode(), Mode::Long64);
+        // Resume through to the hlt.
+        let exit = m.run(100_000).unwrap();
+        assert_eq!(exit, visa::CpuExit::Hlt);
+        assert_eq!(m.cpu.reg(Reg(0)), 4242);
+        // All four boot milestones fired in order.
+        let ids: Vec<u8> = m.cpu.marks.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
+    }
+
+    /// `vlibc`'s C wrappers pass literal numbers (mini-C has no named
+    /// constants): each must be the number of the row its name names
+    /// (`vrecv` and `vtryrecv` → `recv`, and so on), and every row needs
+    /// a wrapper.
+    #[test]
+    fn every_libc_wrapper_passes_its_rows_number() {
+        let mut wrapped = std::collections::BTreeSet::new();
+        let mut current = "";
+        for line in LIBC_C.lines() {
+            if let Some(sig) = line.split_once('(').filter(|_| !line.starts_with(' ')) {
+                current = sig.0.rsplit([' ', '*']).next().unwrap_or("");
+            }
+            let Some((_, call)) = line.trim().split_once("hypercall(") else {
+                continue;
+            };
+            let Ok(n) = call.split(',').next().unwrap().parse::<u64>() else {
+                continue; // the trampoline's own declaration
+            };
+            let name = current.trim_start_matches('v').trim_start_matches("try");
+            assert_eq!(wasp::hypercall::name(n), name, "{current} passes {n}");
+            wrapped.insert(n);
+        }
+        let rows: std::collections::BTreeSet<u64> =
+            wasp::hypercall::TABLE.iter().map(|c| c.nr).collect();
+        assert_eq!(wrapped, rows, "a row without a wrapper, or the reverse");
     }
 }

@@ -26,7 +26,6 @@ pub const MARK_SEND: u8 = 13;
 pub fn echo_image() -> Image {
     let src = "
 .org 0x8000
-.equ HC_PORT, 0x1
 start:
   lgdt gdt
   mov r0, 1
@@ -35,29 +34,29 @@ start:
 main32:
   mark 11              ; server main entry (C code reached)
   mov sp, 0x180000
-  mov r6, 7            ; recv(buf, 2048)
+  mov r6, HC_RECV      ; recv(buf, 2048)
   mov r1, buf
   mov r2, 2048
   out HC_PORT, r6
   mark 12              ; recv() returned
   cmp r0, 0
   jle fail
-  mov r6, 6            ; send(buf, n) -- echo it straight back
+  mov r6, HC_SEND      ; send(buf, n) -- echo it straight back
   mov r1, buf
   mov r2, r0
   out HC_PORT, r6
   mark 13              ; send() complete
-  mov r6, 0            ; exit(0)
+  mov r6, HC_EXIT      ; exit(0)
   mov r1, 0
   out HC_PORT, r6
 fail:
-  mov r6, 0
+  mov r6, HC_EXIT
   mov r1, 1
   out HC_PORT, r6
 gdt: .dq 0
 buf: .space 2048
 ";
-    visa::assemble(src).expect("echo image must assemble")
+    wasp::hypercall::assemble(src).expect("echo image must assemble")
 }
 
 /// Figure 4 data for one request: cycles from virtine launch to each

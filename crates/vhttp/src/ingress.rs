@@ -289,15 +289,15 @@ impl Ingress {
                 ..DispatcherConfig::default()
             },
         );
-        let img = visa::assemble(
+        let img = wasp::hypercall::assemble(
             "
 .org 0x8000
 accept:
-  mov r0, 7            ; recv
+  mov r0, HC_RECV
   mov r1, 0x4000
   mov r2, 64
   mov r3, 0            ; flags: blocking
-  out 0x1, r0
+  out HC_PORT, r0
   mov r4, 0x4000
   load.q r5, [r4]      ; first qword of the line
   cmp r5, 0

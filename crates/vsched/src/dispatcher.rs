@@ -1021,7 +1021,7 @@ impl Dispatcher {
         };
         let run = self
             .wasp
-            .run_on_shell(run, &mut |_, _, _, _| None)
+            .run_on_shell(run)
             .expect("dispatch invariants uphold spec and shell size");
         let segment = (clock.now() - t0).get();
         let seq = ticket.seq;
@@ -1046,7 +1046,7 @@ impl Dispatcher {
         let t0 = clock.now();
         let run = self
             .wasp
-            .resume_on_shell(p.run, &mut |_, _, _, _| None)
+            .resume_on_shell(p.run)
             .expect("suspended runs carry a registered virtine");
         let segment = (clock.now() - t0).get();
         let detail = || "resumed".to_string();

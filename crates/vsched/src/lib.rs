@@ -424,8 +424,8 @@ mod tests {
     fn tenant_mask_narrows_spec_policy() {
         let mut d = dispatcher(DispatcherConfig::default());
         // Spec allows write; the tenant ceiling does not.
-        let img = visa::assemble(
-            ".org 0x8000\n mov r0, 1\n mov r1, 1\n mov r2, 0x8000\n mov r3, 4\n out 0x1, r0\n hlt\n",
+        let img = wasp::hypercall::assemble(
+            ".org 0x8000\n mov r0, HC_WRITE\n mov r1, 1\n mov r2, 0x8000\n mov r3, 4\n out HC_PORT, r0\n hlt\n",
         )
         .unwrap();
         let spec = VirtineSpec::new("w", img, MEM)
@@ -452,21 +452,21 @@ mod tests {
     fn payload_and_result_flow_through_dispatch() {
         let mut d = dispatcher(DispatcherConfig::default());
         // Echo the payload back via get_data/return_data.
-        let img = visa::assemble(
+        let img = wasp::hypercall::assemble(
             "
 .org 0x8000
-  mov r0, 9          ; get_data
+  mov r0, HC_GET_DATA
   mov r1, 0x4000
   mov r2, 64
-  out 0x1, r0
+  out HC_PORT, r0
   mov r3, r0         ; length
-  mov r0, 10         ; return_data
+  mov r0, HC_RETURN_DATA
   mov r1, 0x4000
   mov r2, r3
-  out 0x1, r0
-  mov r0, 0
+  out HC_PORT, r0
+  mov r0, HC_EXIT
   mov r1, 0
-  out 0x1, r0        ; exit(0)
+  out HC_PORT, r0 ; exit(0)
 ",
         )
         .unwrap();
@@ -525,7 +525,7 @@ mod tests {
     /// args-independent work, so repeat runs of the same (tenant, virtine)
     /// are warm-hit eligible.
     fn snap_spec(name: &str) -> VirtineSpec {
-        let img = visa::assemble(
+        let img = wasp::hypercall::assemble(
             "
 .org 0x8000
   mov r1, 0x7000
@@ -537,8 +537,8 @@ init:
   cmp r3, 200
   jl init
   store.q [r1], r2
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
+  mov r0, HC_SNAPSHOT
+  out HC_PORT, r0
   load.q r0, [r1]
   hlt
 ",
@@ -669,17 +669,17 @@ init:
     /// A connection-bound spec: stores a sentinel at 0x5000, blocking-recvs
     /// into 0x4000, and halts with the recv length in `r0`.
     fn blocking_recv_spec(name: &str) -> VirtineSpec {
-        let img = visa::assemble(
+        let img = wasp::hypercall::assemble(
             "
 .org 0x8000
   mov r4, 0x5000
   mov r5, 0xDEAD
   store.q [r4], r5
-  mov r0, 7            ; recv
+  mov r0, HC_RECV
   mov r1, 0x4000
   mov r2, 64
   mov r3, 0            ; flags: blocking
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 ",
         )
@@ -859,13 +859,13 @@ init:
         let blocked = d.register(blocking_recv_spec("b")).unwrap();
         // A reader that returns the 8 bytes at the blocked run's sentinel
         // address via return_data.
-        let reader_img = visa::assemble(
+        let reader_img = wasp::hypercall::assemble(
             "
 .org 0x8000
-  mov r0, 10
+  mov r0, HC_RETURN_DATA
   mov r1, 0x5000
   mov r2, 8
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 ",
         )
@@ -919,15 +919,15 @@ init:
             shards: 1,
             ..DispatcherConfig::default()
         });
-        let img = visa::assemble(
+        let img = wasp::hypercall::assemble(
             "
 .org 0x8000
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
-  mov r0, 10           ; return_data(args window)
+  mov r0, HC_SNAPSHOT
+  out HC_PORT, r0
+  mov r0, HC_RETURN_DATA ; return_data(args window)
   mov r1, 0
   mov r2, 16
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 ",
         )
@@ -965,15 +965,15 @@ init:
             ..DispatcherConfig::default()
         });
         let recv = d.register(blocking_recv_spec("a")).unwrap();
-        let send_img = visa::assemble(
+        let send_img = wasp::hypercall::assemble(
             "
 .org 0x8000
   mov r1, 0x100
   mov r4, 0x676e6970   ; \"ping\"
   store.q [r1], r4
-  mov r0, 6            ; send(buf, 4)
+  mov r0, HC_SEND ; send(buf, 4)
   mov r2, 4
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 ",
         )

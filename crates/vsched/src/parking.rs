@@ -278,8 +278,8 @@ mod tests {
     /// its bound connection and halts once a message arrives.
     fn parking_lot(config: DispatcherConfig) -> (Dispatcher, VirtineId) {
         let mut d = Dispatcher::new(Wasp::new_kvm_default(), config);
-        let src = ".org 0x8000\n mov r0, 7\n mov r1, 0x4000\n mov r2, 64\n mov r3, 0\n out 0x1, r0\n hlt\n";
-        let img = visa::assemble(src).unwrap();
+        let src = ".org 0x8000\n mov r0, HC_RECV\n mov r1, 0x4000\n mov r2, 64\n mov r3, 0\n out HC_PORT, r0\n hlt\n";
+        let img = wasp::hypercall::assemble(src).unwrap();
         let spec = VirtineSpec::new("recv", img, 64 * 1024)
             .with_policy(HypercallMask::allowing(&[wasp::nr::RECV]))
             .with_snapshot(false);

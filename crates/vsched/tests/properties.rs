@@ -15,14 +15,14 @@ const MEM: usize = 64 * 1024;
 /// Registers a consumer that blocking-`recv`s on its bound connection
 /// into 0x4000 and halts with the count in r0 (0 at EOF).
 fn recv_consumer(d: &mut Dispatcher) -> VirtineId {
-    let img = visa::assemble(
+    let img = wasp::hypercall::assemble(
         "
 .org 0x8000
-  mov r0, 7            ; recv
+  mov r0, HC_RECV
   mov r1, 0x4000
   mov r2, 64
   mov r3, 0            ; flags: blocking
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 ",
     )
@@ -131,13 +131,13 @@ fn stolen_shells_never_leak_across_tenants() {
             ".org 0x8000\n mov r1, {addr:#x}\n mov r2, {secret:#x}\n store.q [r1], r2\n hlt\n"
         ))
         .unwrap();
-        let reader_img = visa::assemble(&format!(
+        let reader_img = wasp::hypercall::assemble(&format!(
             "
 .org 0x8000
-  mov r0, 10         ; return_data(addr, 8)
+  mov r0, HC_RETURN_DATA ; return_data(addr, 8)
   mov r1, {addr:#x}
   mov r2, 8
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 "
         ))
@@ -207,11 +207,11 @@ fn warm_shells_never_cross_tenants_or_virtines_without_a_wipe() {
         // Writer: snapshots, then plants the secret post-snapshot. The
         // spec snapshot is enabled, so its shell parks *warm* with the
         // secret resident.
-        let writer_img = visa::assemble(&format!(
+        let writer_img = wasp::hypercall::assemble(&format!(
             "
 .org 0x8000
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
+  mov r0, HC_SNAPSHOT
+  out HC_PORT, r0
   mov r1, {addr:#x}
   mov r2, {secret:#x}
   store.q [r1], r2
@@ -219,13 +219,13 @@ fn warm_shells_never_cross_tenants_or_virtines_without_a_wipe() {
 "
         ))
         .unwrap();
-        let reader_img = visa::assemble(&format!(
+        let reader_img = wasp::hypercall::assemble(&format!(
             "
 .org 0x8000
-  mov r0, 10         ; return_data(addr, 8)
+  mov r0, HC_RETURN_DATA ; return_data(addr, 8)
   mov r1, {addr:#x}
   mov r2, 8
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 "
         ))
@@ -313,30 +313,30 @@ fn parked_blocked_shells_are_never_stolen_or_demoted_and_wipe_on_kill() {
         // The blocked writer: snapshots (so warm machinery is armed for
         // this spec), plants the secret *after* the snapshot point, then
         // parks in a blocking recv nobody ever satisfies.
-        let writer_img = visa::assemble(&format!(
+        let writer_img = wasp::hypercall::assemble(&format!(
             "
 .org 0x8000
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
+  mov r0, HC_SNAPSHOT
+  out HC_PORT, r0
   mov r1, {addr:#x}
   mov r2, {secret:#x}
   store.q [r1], r2
-  mov r0, 7            ; recv — blocks forever
+  mov r0, HC_RECV ; recv — blocks forever
   mov r1, 0x200
   mov r2, 64
   mov r3, 0
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 "
         ))
         .unwrap();
-        let reader_img = visa::assemble(&format!(
+        let reader_img = wasp::hypercall::assemble(&format!(
             "
 .org 0x8000
-  mov r0, 10         ; return_data(addr, 8)
+  mov r0, HC_RETURN_DATA ; return_data(addr, 8)
   mov r1, {addr:#x}
   mov r2, 8
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 "
         ))
@@ -570,33 +570,33 @@ fn migrated_resumes_charge_identical_cycles_and_wipe_on_kill() {
 
         // The consumer plants a secret, then blocking-recvs twice on its
         // connection (the second recv is where a killed run dies).
-        let consumer_img = visa::assemble(&format!(
+        let consumer_img = wasp::hypercall::assemble(&format!(
             "
 .org 0x8000
   mov r1, {addr:#x}
   mov r2, {secret:#x}
   store.q [r1], r2
-  mov r0, 7            ; recv #1
+  mov r0, HC_RECV ; recv #1
   mov r1, 0x200
   mov r2, 64
   mov r3, 0
-  out 0x1, r0
-  mov r0, 7            ; recv #2
+  out HC_PORT, r0
+  mov r0, HC_RECV ; recv #2
   mov r1, 0x300
   mov r2, 64
   mov r3, 0
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 "
         ))
         .unwrap();
-        let reader_img = visa::assemble(&format!(
+        let reader_img = wasp::hypercall::assemble(&format!(
             "
 .org 0x8000
-  mov r0, 10         ; return_data(addr, 8)
+  mov r0, HC_RETURN_DATA ; return_data(addr, 8)
   mov r1, {addr:#x}
   mov r2, 8
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 "
         ))
@@ -765,13 +765,13 @@ fn distance_biased_steals_pick_the_nearest_donor_and_never_leak() {
         let writer = d
             .register(VirtineSpec::new("writer", writer_img, MEM).with_snapshot(false))
             .unwrap();
-        let reader_img = visa::assemble(&format!(
+        let reader_img = wasp::hypercall::assemble(&format!(
             "
 .org 0x8000
-  mov r0, 10         ; return_data(addr, 8)
+  mov r0, HC_RETURN_DATA ; return_data(addr, 8)
   mov r1, {addr:#x}
   mov r2, 8
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 "
         ))
@@ -906,14 +906,14 @@ fn warm_quota_and_budget_hold_under_steal_demote_migrate_mix() {
             },
         );
         // Snapshotted worker: init, snapshot, a little post-snapshot work.
-        let snap_img = visa::assemble(
+        let snap_img = wasp::hypercall::assemble(
             "
 .org 0x8000
   mov r1, 0x7000
   mov r2, 41
   store.q [r1], r2
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
+  mov r0, HC_SNAPSHOT
+  out HC_PORT, r0
   load.q r0, [r1]
   hlt
 ",
@@ -1028,14 +1028,14 @@ fn lifecycle_churn_cases(seed: u64, cases: usize) {
         // A snapshotted worker (exercises warm-shell migration) and a
         // blocking connection-bound consumer (exercises park migration,
         // grace eviction, and eviction-on-failure).
-        let snap_img = visa::assemble(
+        let snap_img = wasp::hypercall::assemble(
             "
 .org 0x8000
   mov r1, 0x7000
   mov r2, 41
   store.q [r1], r2
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
+  mov r0, HC_SNAPSHOT
+  out HC_PORT, r0
   load.q r0, [r1]
   hlt
 ",

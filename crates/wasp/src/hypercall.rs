@@ -1,4 +1,5 @@
-//! The Wasp hypercall interface: numbers, policies, and canned handlers.
+//! The Wasp hypercall interface: one table of calls, their decoder, the
+//! policy mask, and the canned handlers.
 //!
 //! "Hypercalls in Wasp are not meant to emulate low-level virtual devices,
 //! but are instead designed to provide high-level hypervisor services with
@@ -7,17 +8,27 @@
 //! number, arguments travel in registers `r1`–`r5`, and the handler's return
 //! value is placed in `r0` before the guest resumes — one exit per call.
 //!
+//! [`TABLE`] is the interface: one row per call, with its number, name,
+//! argument kinds, whether it may block and whether it survives
+//! [`HypercallMask::DENY_ALL`]. The [`nr`] constants, [`name`], the
+//! deny-all mask and the guest's `.equ HC_*` names ([`asm_prelude`]) are
+//! all read off it. Every argument is checked against its row before any
+//! handler runs, so a handler sees checked bytes, a UTF-8 path, a
+//! descriptor or a bounded output buffer, never a raw guest pointer.
+//!
 //! Virtines live in a default-deny environment: "Wasp provides no externally
 //! observable behavior through hypercalls other than the ability to exit the
 //! virtual context" (§5.1). The [`HypercallMask`] is the client-specified
-//! bitmask policy of `virtine_config(cfg)` (§5.3); clients may further
-//! interpose a custom filter or full custom handlers.
+//! bitmask policy of `virtine_config(cfg)` (§5.3), and a tenant profile can
+//! narrow it further ([`HypercallMask::intersect`]).
 
 use std::collections::HashMap;
 
 pub use hostsim::WaitTarget;
 use hostsim::{Fd, HostKernel, IoClass, SockId};
+use visa::asm::{AsmError, Image};
 use visa::cpu::Fault;
+use visa::mem::{Memory, PhysAccessError};
 
 /// The I/O port virtines issue hypercalls on.
 pub const HYPERCALL_PORT: u16 = 0x1;
@@ -34,53 +45,128 @@ pub const RECV_NONBLOCK: u64 = 1;
 /// `n <= 0`.
 pub const WOULD_BLOCK: u64 = u64::MAX - 1;
 
-/// Hypercall numbers for Wasp's canned, general-purpose handlers (§5.1:
-/// clients "can also choose from a variety of general-purpose handlers that
-/// Wasp provides out-of-the-box; these canned hypercalls are used by our
-/// language extensions").
-pub mod nr {
-    /// `exit(code)` — always permitted; the only default-allowed call.
-    pub const EXIT: u64 = 0;
-    /// `write(fd, buf, len)`.
-    pub const WRITE: u64 = 1;
-    /// `read(fd, buf, max_len)`.
-    pub const READ: u64 = 2;
-    /// `open(path_ptr, path_len) -> fd`.
-    pub const OPEN: u64 = 3;
-    /// `close(fd)`.
-    pub const CLOSE: u64 = 4;
-    /// `stat(path_ptr, path_len, out_ptr)` — writes the size as a `u64`.
-    pub const STAT: u64 = 5;
-    /// `send(buf, len)` on the bound connection.
-    pub const SEND: u64 = 6;
-    /// `recv(buf, max_len) -> len` on the bound connection.
-    pub const RECV: u64 = 7;
-    /// `snapshot()` — asks the runtime to checkpoint the virtine here.
-    pub const SNAPSHOT: u64 = 8;
-    /// `get_data(buf, max_len) -> len` — copies the invocation payload in.
-    pub const GET_DATA: u64 = 9;
-    /// `return_data(buf, len)` — copies the invocation result out.
-    pub const RETURN_DATA: u64 = 10;
-    /// Number of defined hypercalls.
-    pub const COUNT: u64 = 11;
+/// Longest path `open` and `stat` accept; a longer one kills the virtine
+/// before any guest byte is copied.
+pub const PATH_MAX: u64 = 4096;
+
+/// What a hypercall argument is, and so how the decoder checks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArgKind {
+    /// One register, passed through (`exit`'s code).
+    Value,
+    /// One register naming a guest descriptor. Guests never see host
+    /// descriptors: a handler resolves it in the invocation's own table.
+    Fd,
+    /// A pointer and a length register: bytes the call reads. The decoder
+    /// copies them out; a range outside guest memory faults.
+    In,
+    /// A pointer and a length register: where the call writes at most
+    /// that many bytes. The pointer must lie in guest memory; each write
+    /// is checked at the length it actually writes.
+    Out,
+    /// A pointer register: where the call writes one little-endian `u64`.
+    OutU64,
+    /// A pointer and a length register: a path of at most [`PATH_MAX`]
+    /// bytes. Longer kills the virtine; not UTF-8 is `-1`.
+    Path,
+    /// One register of flags; a bit outside the mask is `-1`.
+    Flags(u64),
+}
+
+impl ArgKind {
+    /// Registers the argument takes.
+    fn regs(self) -> usize {
+        1 + usize::from(matches!(self, ArgKind::In | ArgKind::Out | ArgKind::Path))
+    }
+}
+
+/// One row of [`TABLE`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hypercall {
+    /// The value the guest writes to [`HYPERCALL_PORT`], and the row's
+    /// index in [`TABLE`].
+    pub nr: u64,
+    /// The call's name; guests spell it `HC_` and upper case.
+    pub name: &'static str,
+    /// Its arguments, in register order from `r1`.
+    pub args: &'static [ArgKind],
+    /// Whether it may park the virtine on a host object.
+    pub blocks: bool,
+    /// Whether [`HypercallMask::DENY_ALL`] admits it.
+    pub deny_all: bool,
+}
+
+/// Most arguments any row takes.
+const MAX_ARGS: usize = 2;
+
+macro_rules! hypercalls {
+    ($($nr:literal $konst:ident $name:literal [$($arg:expr),*] $blocks:literal $deny:literal;)*) => {
+        /// Hypercall numbers, one per [`TABLE`] row (§5.1: clients "can
+        /// also choose from a variety of general-purpose handlers that Wasp
+        /// provides out-of-the-box").
+        pub mod nr {
+            $(#[doc = concat!("`", $name, "`: see [`TABLE`](super::TABLE).")]
+            pub const $konst: u64 = $nr;)*
+            /// Number of defined hypercalls.
+            pub const COUNT: u64 = super::TABLE.len() as u64;
+        }
+
+        /// Every hypercall, row *i* numbered *i*.
+        pub const TABLE: &[Hypercall] = {
+            use ArgKind::*;
+            &[$(Hypercall {
+                nr: $nr,
+                name: $name,
+                args: &[$($arg),*],
+                blocks: $blocks,
+                deny_all: $deny,
+            }),*]
+        };
+
+        /// Each row's `nr` constant beside its name, for the test that
+        /// they spell the same call.
+        #[cfg(test)]
+        const CONSTANTS: &[(&str, &str)] = &[$((stringify!($konst), $name)),*];
+    };
+}
+
+hypercalls! {
+    // nr constant     name           arguments from r1            blocks deny-all
+    0  EXIT         "exit"         [Value]                      false  true;
+    1  WRITE        "write"        [Fd, In]                     false  false;
+    2  READ         "read"         [Fd, Out]                    true   false;
+    3  OPEN         "open"         [Path]                       false  false;
+    4  CLOSE        "close"        [Fd]                         false  false;
+    5  STAT         "stat"         [Path, OutU64]               false  false;
+    6  SEND         "send"         [In]                         false  false;
+    7  RECV         "recv"         [Out, Flags(RECV_NONBLOCK)]  true   false;
+    8  SNAPSHOT     "snapshot"     []                           false  true;
+    9  GET_DATA     "get_data"     [Out]                        false  false;
+    10 RETURN_DATA  "return_data"  [In]                         false  false;
+}
+
+/// The row numbered `n`, if any.
+fn row(n: u64) -> Option<&'static Hypercall> {
+    usize::try_from(n).ok().and_then(|i| TABLE.get(i))
 }
 
 /// Returns a human-readable name for a hypercall number.
 pub fn name(n: u64) -> &'static str {
-    match n {
-        nr::EXIT => "exit",
-        nr::WRITE => "write",
-        nr::READ => "read",
-        nr::OPEN => "open",
-        nr::CLOSE => "close",
-        nr::STAT => "stat",
-        nr::SEND => "send",
-        nr::RECV => "recv",
-        nr::SNAPSHOT => "snapshot",
-        nr::GET_DATA => "get_data",
-        nr::RETURN_DATA => "return_data",
-        _ => "unknown",
-    }
+    row(n).map_or("unknown", |call| call.name)
+}
+
+/// The guest side of [`TABLE`]: one `.equ` line for the port
+/// (`HC_PORT`) and one per call (`HC_EXIT`, `HC_WRITE`, …), for guest
+/// assembly to name each call by.
+pub fn asm_prelude() -> String {
+    let equ = |c: &Hypercall| format!(".equ HC_{}, {}\n", c.name.to_ascii_uppercase(), c.nr);
+    format!(".equ HC_PORT, {HYPERCALL_PORT:#x}\n") + &TABLE.iter().map(equ).collect::<String>()
+}
+
+/// Assembles a guest source that names its hypercalls through
+/// [`asm_prelude`].
+pub fn assemble(src: &str) -> Result<Image, AsmError> {
+    visa::assemble(&(asm_prelude() + src))
 }
 
 /// A bitmask of permitted hypercalls — the `virtine_config(cfg)` policy
@@ -90,12 +176,21 @@ pub fn name(n: u64) -> &'static str {
 pub struct HypercallMask(u64);
 
 impl HypercallMask {
-    /// The default-deny policy. §5.1: "Wasp provides no externally
-    /// observable behavior through hypercalls other than the ability to
-    /// exit the virtual context." `exit` and the runtime-internal
-    /// `snapshot` (which observes nothing outside the virtine and is
-    /// one-shot) are therefore the only calls that survive deny-all.
-    pub const DENY_ALL: HypercallMask = HypercallMask((1 << nr::EXIT) | (1 << nr::SNAPSHOT));
+    /// The default-deny policy: the rows of [`TABLE`] marked `deny_all`.
+    /// §5.1: "Wasp provides no externally observable behavior through
+    /// hypercalls other than the ability to exit the virtual context", so
+    /// those are `exit` and the runtime-internal `snapshot` (which observes
+    /// nothing outside the virtine and is one-shot).
+    pub const DENY_ALL: HypercallMask = {
+        let (mut bits, mut i) = (0, 0);
+        while i < TABLE.len() {
+            if TABLE[i].deny_all {
+                bits |= 1 << TABLE[i].nr;
+            }
+            i += 1;
+        }
+        HypercallMask(bits)
+    };
 
     /// The `virtine_permissive` policy: everything allowed (§5.3).
     pub const ALLOW_ALL: HypercallMask = HypercallMask(u64::MAX);
@@ -122,12 +217,6 @@ impl HypercallMask {
     /// both operands always carry them.
     pub fn intersect(self, other: HypercallMask) -> HypercallMask {
         HypercallMask(self.0 & other.0)
-    }
-}
-
-impl Default for HypercallMask {
-    fn default() -> HypercallMask {
-        HypercallMask::DENY_ALL
     }
 }
 
@@ -195,38 +284,49 @@ impl Invocation {
     }
 }
 
-/// Access to guest memory, abstracting over a virtualized context
-/// (`kvmsim::VmFd`) and native execution (`wasp::native`).
-pub trait GuestMem {
-    /// Reads `len` bytes at guest address `addr`.
-    fn read_guest(&self, addr: u64, len: usize) -> Result<Vec<u8>, Fault>;
-    /// Writes bytes at guest address `addr`.
-    fn write_guest(&mut self, addr: u64, data: &[u8]) -> Result<(), Fault>;
+/// The fault a guest-memory access outside memory raises.
+fn out_of_bounds(e: PhysAccessError) -> Fault {
+    Fault::PhysOutOfBounds { paddr: e.paddr }
+}
+
+/// A checked [`ArgKind::Out`] buffer: where a call may write, and at most
+/// how much.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OutBuf {
+    addr: u64,
+    cap: usize,
+}
+
+impl OutBuf {
+    /// Writes the first `cap` bytes of `data` and returns how many it
+    /// wrote. A range outside guest memory faults.
+    fn write(self, mem: &mut Memory, data: &[u8]) -> Result<u64, Fault> {
+        let data = &data[..data.len().min(self.cap)];
+        mem.write_bytes(self.addr, data).map_err(out_of_bounds)?;
+        Ok(data.len() as u64)
+    }
 }
 
 /// Why a virtine cannot make progress: the parked hypercall a blocked run
-/// completes once its wait ends, carried by [`HcOutcome::Block`] and held
+/// completes once its wait ends, carried by a blocking call's outcome and held
 /// by a suspended run until the scheduler sees the wake and resumes it.
 ///
 /// `hostsim` owns the half that names the host object and says when the
-/// wait is over ([`WaitTarget`]); this is the guest half — where the
-/// completion writes guest memory. A receive (`recv`, `read(0)`) delivers
-/// up to `len` bytes at `buf` with the count in `r0`: the one charged
-/// syscall the blocking call is, performed exactly where the hypercall
-/// faulted.
+/// wait is over ([`WaitTarget`]); this is the guest half — the checked
+/// buffer the completion writes. A receive (`recv`, `read(0)`) delivers up
+/// to the buffer's length with the count in `r0`: the one charged syscall
+/// the blocking call is, performed exactly where the hypercall faulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitReason {
     /// The host object whose readiness ends the wait.
     pub target: WaitTarget,
-    /// Guest address the completion writes to.
-    pub buf: u64,
-    /// Guest-supplied bound on the delivery.
-    pub len: usize,
+    /// Where the completion writes.
+    out: OutBuf,
 }
 
 /// What the runtime should do after a handled hypercall.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HcOutcome {
+pub(crate) enum HcOutcome {
     /// Place the value in `r0` and resume the guest.
     Resume(u64),
     /// The guest requested termination with an exit code.
@@ -238,8 +338,8 @@ pub enum HcOutcome {
     /// non-resumable runner degrades the call to its non-blocking form and
     /// hands the guest [`WOULD_BLOCK`].
     Block(WaitReason),
-    /// The handler decided the virtine must die (bad arguments, repeated
-    /// one-shot calls, ...).
+    /// The virtine must die (an unknown call, an unreasonable argument,
+    /// a repeated one-shot call, ...).
     Kill(&'static str),
 }
 
@@ -260,146 +360,156 @@ pub(crate) fn guest_ret(class: IoClass) -> u64 {
     }
 }
 
-/// Dispatches one canned hypercall.
-///
-/// Handlers follow the threat model of §3.2: they "take care to assume that
-/// inputs have not been properly sanitized" — every pointer/length pair is
-/// bounds-checked against guest memory before use, and paths must be UTF-8.
-/// A malformed request kills the virtine rather than touching host state.
-pub fn handle_canned(
+/// A decoded argument: what a handler receives for each [`ArgKind`].
+#[derive(Debug)]
+enum Arg {
+    Value(u64),
+    Fd(u64),
+    In(Vec<u8>),
+    Out(OutBuf),
+    Path(String),
+    Flags(u64),
+    /// Past the row's last argument.
+    None,
+}
+
+/// Checks the registers of call `call` against its row — §3.2's "assume
+/// inputs have not been properly sanitized", written once. A bad range
+/// faults; an unreasonable or malformed argument is the outcome the
+/// guest gets instead of the call (`Err`).
+fn decode(
+    call: &Hypercall,
+    regs: [u64; 5],
+    mem: &Memory,
+) -> Result<Result<[Arg; MAX_ARGS], HcOutcome>, Fault> {
+    let bytes = |a, len| mem.slice(a, len).map(<[u8]>::to_vec).map_err(out_of_bounds);
+    let mut args = [Arg::None, Arg::None];
+    let mut r = 0;
+    for (slot, &kind) in args.iter_mut().zip(call.args) {
+        let (a, b) = (regs[r], regs.get(r + 1).copied().unwrap_or(0));
+        r += kind.regs();
+        *slot = match kind {
+            ArgKind::Value => Arg::Value(a),
+            ArgKind::Fd => Arg::Fd(a),
+            ArgKind::In => Arg::In(bytes(a, b)?),
+            ArgKind::Out | ArgKind::OutU64 => {
+                // The pointer itself must be in memory, so a hostile buffer
+                // faults here rather than after a wait.
+                bytes(a, 0)?;
+                let cap = if kind == ArgKind::Out { b as usize } else { 8 };
+                Arg::Out(OutBuf { addr: a, cap })
+            }
+            ArgKind::Path if b > PATH_MAX => {
+                return Ok(Err(HcOutcome::Kill("unreasonable path length")))
+            }
+            ArgKind::Path => match String::from_utf8(bytes(a, b)?) {
+                Ok(path) => Arg::Path(path),
+                Err(_) => return Ok(Err(HcOutcome::Resume(GUEST_ERR))),
+            },
+            ArgKind::Flags(valid) if a & !valid != 0 => {
+                return Ok(Err(HcOutcome::Resume(GUEST_ERR)))
+            }
+            ArgKind::Flags(_) => Arg::Flags(a),
+        };
+    }
+    Ok(Ok(args))
+}
+
+/// Dispatches one canned hypercall: looks its number up in [`TABLE`],
+/// decodes its arguments, and runs its handler on checked values. An
+/// unknown number kills the virtine rather than touching host state.
+pub(crate) fn handle_canned(
     n: u64,
-    args: [u64; 5],
-    mem: &mut dyn GuestMem,
+    regs: [u64; 5],
+    mem: &mut Memory,
     kernel: &HostKernel,
     inv: &mut Invocation,
 ) -> Result<HcOutcome, Fault> {
-    match n {
-        nr::EXIT => Ok(HcOutcome::Exit(args[0])),
-        nr::WRITE => {
-            let (fd, buf, len) = (args[0], args[1], args[2] as usize);
-            let data = mem.read_guest(buf, len)?;
-            match (fd, inv.conn) {
-                (0 | 1, Some(conn)) => match kernel.net_send(conn, &data) {
-                    Ok(()) => Ok(HcOutcome::Resume(len as u64)),
-                    Err(_) => Ok(HcOutcome::Resume(GUEST_ERR)),
-                },
-                (1 | 2, None) => {
-                    inv.stdout.extend_from_slice(&data);
-                    Ok(HcOutcome::Resume(len as u64))
-                }
-                _ => Ok(HcOutcome::Resume(GUEST_ERR)),
+    use Arg::{Fd, Flags, In, Out, Path, Value};
+    use HcOutcome::Resume;
+    let Some(call) = row(n) else {
+        return Ok(HcOutcome::Kill("unknown hypercall"));
+    };
+    let args = match decode(call, regs, mem)? {
+        Ok(args) => args,
+        Err(refused) => return Ok(refused),
+    };
+    let sent = |r: Result<(), _>, len: usize| Resume(r.map_or(GUEST_ERR, |()| len as u64));
+    Ok(match (call.nr, args) {
+        (nr::EXIT, [Value(code), _]) => HcOutcome::Exit(code),
+        (nr::WRITE, [Fd(fd), In(data)]) => match (fd, inv.conn) {
+            (0 | 1, Some(conn)) => sent(kernel.net_send(conn, &data), data.len()),
+            (1 | 2, None) => {
+                inv.stdout.extend_from_slice(&data);
+                Resume(data.len() as u64)
             }
-        }
-        nr::READ => {
-            let (fd, buf, len) = (args[0], args[1], args[2] as usize);
-            if let (0, Some(conn)) = (fd, inv.conn) {
-                // Reading "fd 0" with a bound connection is a socket recv.
-                // Always blocking: `read` has no flags argument (and the
-                // register that would carry one holds caller garbage).
+            _ => Resume(GUEST_ERR),
+        },
+        (nr::READ, [Fd(fd), Out(out)]) => match (fd, inv.conn) {
+            // Reading "fd 0" with a bound connection is a socket recv.
+            // Always blocking: `read` has no flags argument (and the
+            // register that would carry one holds caller garbage).
+            (0, Some(conn)) => {
                 let target = WaitTarget::Sock(conn);
-                return complete_or_wait(mem, kernel, WaitReason { target, buf, len }, false);
+                return complete_or_wait(mem, kernel, WaitReason { target, out }, false);
             }
-            let Some(&host_fd) = inv.open_fds.get(&fd) else {
-                return Ok(HcOutcome::Resume(GUEST_ERR));
-            };
-            match kernel.sys_read(host_fd, len) {
-                Ok(data) => {
-                    mem.write_guest(buf, &data)?;
-                    Ok(HcOutcome::Resume(data.len() as u64))
-                }
+            _ => match inv.open_fds.get(&fd).map(|&h| kernel.sys_read(h, out.cap)) {
+                Some(Ok(data)) => Resume(out.write(mem, &data)?),
                 // End-of-file is the clean 0; a closed or bad descriptor
                 // is -1 — the classes never alias.
-                Err(e) => Ok(HcOutcome::Resume(guest_ret(e.class()))),
+                Some(Err(e)) => Resume(guest_ret(e.class())),
+                None => Resume(GUEST_ERR),
+            },
+        },
+        (nr::OPEN, [Path(path), _]) => Resume(
+            kernel
+                .sys_open(&path)
+                .map_or(GUEST_ERR, |h| inv.register_fd(h)),
+        ),
+        (nr::CLOSE, [Fd(fd), _]) => match inv.open_fds.remove(&fd) {
+            Some(host_fd) => {
+                let _ = kernel.sys_close(host_fd);
+                Resume(0)
             }
-        }
-        nr::OPEN => {
-            let (ptr, len) = (args[0], args[1] as usize);
-            if len > 4096 {
-                return Ok(HcOutcome::Kill("open: unreasonable path length"));
+            None => Resume(GUEST_ERR),
+        },
+        (nr::STAT, [Path(path), Out(out)]) => match kernel.sys_stat(&path) {
+            Ok(st) => Resume(out.write(mem, &st.size.to_le_bytes()).map(|_| 0)?),
+            Err(_) => Resume(GUEST_ERR),
+        },
+        (nr::SEND, [In(data), _]) => match inv.conn {
+            Some(conn) => sent(kernel.net_send(conn, &data), data.len()),
+            None => Resume(GUEST_ERR),
+        },
+        (nr::RECV, [Out(out), Flags(flags)]) => match inv.conn {
+            Some(conn) => {
+                let (target, nonblock) = (WaitTarget::Sock(conn), flags & RECV_NONBLOCK != 0);
+                return complete_or_wait(mem, kernel, WaitReason { target, out }, nonblock);
             }
-            let raw = mem.read_guest(ptr, len)?;
-            let Ok(path) = String::from_utf8(raw) else {
-                return Ok(HcOutcome::Resume(GUEST_ERR));
-            };
-            match kernel.sys_open(&path) {
-                Ok(host_fd) => Ok(HcOutcome::Resume(inv.register_fd(host_fd))),
-                Err(_) => Ok(HcOutcome::Resume(GUEST_ERR)),
-            }
-        }
-        nr::CLOSE => {
-            let fd = args[0];
-            match inv.open_fds.remove(&fd) {
-                Some(host_fd) => {
-                    let _ = kernel.sys_close(host_fd);
-                    Ok(HcOutcome::Resume(0))
-                }
-                None => Ok(HcOutcome::Resume(GUEST_ERR)),
-            }
-        }
-        nr::STAT => {
-            let (ptr, len, out) = (args[0], args[1] as usize, args[2]);
-            if len > 4096 {
-                return Ok(HcOutcome::Kill("stat: unreasonable path length"));
-            }
-            let raw = mem.read_guest(ptr, len)?;
-            let Ok(path) = String::from_utf8(raw) else {
-                return Ok(HcOutcome::Resume(GUEST_ERR));
-            };
-            match kernel.sys_stat(&path) {
-                Ok(st) => {
-                    mem.write_guest(out, &st.size.to_le_bytes())?;
-                    Ok(HcOutcome::Resume(0))
-                }
-                Err(_) => Ok(HcOutcome::Resume(GUEST_ERR)),
-            }
-        }
-        nr::SEND => {
-            let (buf, len) = (args[0], args[1] as usize);
-            let Some(conn) = inv.conn else {
-                return Ok(HcOutcome::Resume(GUEST_ERR));
-            };
-            let data = mem.read_guest(buf, len)?;
-            match kernel.net_send(conn, &data) {
-                Ok(()) => Ok(HcOutcome::Resume(len as u64)),
-                Err(_) => Ok(HcOutcome::Resume(GUEST_ERR)),
-            }
-        }
-        nr::RECV => {
-            let (buf, len) = (args[0], args[1] as usize);
-            let nonblock = args[2] & RECV_NONBLOCK != 0;
-            let Some(conn) = inv.conn else {
-                return Ok(HcOutcome::Resume(GUEST_ERR));
-            };
-            let target = WaitTarget::Sock(conn);
-            complete_or_wait(mem, kernel, WaitReason { target, buf, len }, nonblock)
-        }
-        nr::SNAPSHOT => {
+            None => Resume(GUEST_ERR),
+        },
+        (nr::SNAPSHOT, _) => {
             inv.snapshot_requests += 1;
-            if inv.snapshot_requests > 1 {
-                // One-shot by co-design (§6.5).
-                return Ok(HcOutcome::Kill("repeated snapshot hypercall"));
+            // One-shot by co-design (§6.5).
+            match inv.snapshot_requests {
+                1 => HcOutcome::TakeSnapshot,
+                _ => HcOutcome::Kill("repeated snapshot hypercall"),
             }
-            Ok(HcOutcome::TakeSnapshot)
         }
-        nr::GET_DATA => {
+        (nr::GET_DATA, [Out(out), _]) => {
             inv.get_data_requests += 1;
-            if inv.get_data_requests > 1 {
-                return Ok(HcOutcome::Kill("repeated get_data hypercall"));
+            match inv.get_data_requests {
+                1 => Resume(out.write(mem, &inv.payload)?),
+                _ => HcOutcome::Kill("repeated get_data hypercall"),
             }
-            let (buf, max_len) = (args[0], args[1] as usize);
-            let n = inv.payload.len().min(max_len);
-            let data = inv.payload[..n].to_vec();
-            mem.write_guest(buf, &data)?;
-            Ok(HcOutcome::Resume(n as u64))
         }
-        nr::RETURN_DATA => {
-            let (buf, len) = (args[0], args[1] as usize);
-            let data = mem.read_guest(buf, len)?;
+        (nr::RETURN_DATA, [In(data), _]) => {
+            let len = data.len() as u64;
             inv.result = data;
-            Ok(HcOutcome::Resume(len as u64))
+            Resume(len)
         }
-        _ => Ok(HcOutcome::Kill("unknown hypercall")),
-    }
+        (_, args) => unreachable!("{} decoded to {args:?}, not its row", call.name),
+    })
 }
 
 /// The blocking-I/O contract, written once for `recv` and `read(0)` (all
@@ -417,7 +527,7 @@ pub fn handle_canned(
 /// blocked-then-resumed run charges exactly the cycles an unblocked one
 /// does.
 fn complete_or_wait(
-    mem: &mut dyn GuestMem,
+    mem: &mut Memory,
     kernel: &HostKernel,
     wait: WaitReason,
     nonblock: bool,
@@ -437,19 +547,15 @@ fn complete_or_wait(
 /// Completes the hypercall `wait` describes now that its wait is over —
 /// the one charged syscall — and returns the guest's `r0`: the byte count
 /// (0 at end-of-stream: the other side drained and closed), or the
-/// error's guest encoding. A hostile `buf` faults here, on the blocked and
-/// the unblocked path alike.
+/// error's guest encoding.
 pub(crate) fn complete(
-    mem: &mut dyn GuestMem,
+    mem: &mut Memory,
     kernel: &HostKernel,
     wait: WaitReason,
 ) -> Result<u64, Fault> {
     let WaitTarget::Sock(sock) = wait.target;
-    match kernel.net_recv(sock, wait.len) {
-        Ok(Some(data)) => {
-            mem.write_guest(wait.buf, &data)?;
-            Ok(data.len() as u64)
-        }
+    match kernel.net_recv(sock, wait.out.cap) {
+        Ok(Some(data)) => wait.out.write(mem, &data),
         Ok(None) => Ok(0),
         Err(e) => Ok(guest_ret(e.class())),
     }
@@ -460,43 +566,123 @@ mod tests {
     use super::*;
     use vclock::Clock;
 
-    /// A plain byte buffer standing in for guest memory.
-    struct Buf(Vec<u8>);
-
-    impl GuestMem for Buf {
-        fn read_guest(&self, addr: u64, len: usize) -> Result<Vec<u8>, Fault> {
-            let a = addr as usize;
-            if a + len > self.0.len() {
-                return Err(Fault::PhysOutOfBounds { paddr: addr });
-            }
-            Ok(self.0[a..a + len].to_vec())
-        }
-        fn write_guest(&mut self, addr: u64, data: &[u8]) -> Result<(), Fault> {
-            let a = addr as usize;
-            if a + data.len() > self.0.len() {
-                return Err(Fault::PhysOutOfBounds { paddr: addr });
-            }
-            self.0[a..a + data.len()].copy_from_slice(data);
-            Ok(())
-        }
-    }
+    /// Guest memory for the handler tests.
+    type Buf = Memory;
 
     fn setup() -> (HostKernel, Buf, Invocation) {
         let kernel = HostKernel::new(Clock::new(), None);
-        (kernel, Buf(vec![0; 4096]), Invocation::default())
+        (kernel, Buf::new(4096), Invocation::default())
+    }
+
+    #[test]
+    fn row_i_is_numbered_i_and_fits_the_decoder() {
+        for (i, call) in TABLE.iter().enumerate() {
+            assert_eq!(call.nr, i as u64, "{}", call.name);
+            assert_eq!(name(call.nr), call.name);
+            assert!(call.args.len() <= MAX_ARGS, "{}", call.name);
+            let regs: usize = call.args.iter().map(|k| k.regs()).sum();
+            assert!(regs <= 5, "{} takes {regs} registers", call.name);
+        }
+        assert_eq!(nr::COUNT, TABLE.len() as u64);
+        for (i, (konst, name)) in CONSTANTS.iter().enumerate() {
+            assert_eq!(
+                konst.to_ascii_lowercase(),
+                *name,
+                "nr::{konst} names row {i}"
+            );
+        }
+        // The guest names every row: `HC_<NAME>` assembles to its number.
+        for call in TABLE {
+            let hc = format!("HC_{}", call.name.to_ascii_uppercase());
+            let img = assemble(&format!(".org 0\n mov r0, {hc}\n out HC_PORT, r0\n")).unwrap();
+            let decoded = visa::Inst::decode(&img.bytes).unwrap().0;
+            assert_eq!(decoded, visa::Inst::MovRI(visa::Reg(0), call.nr), "{hc}");
+        }
+    }
+
+    /// The `out`s of the guest assembly in `text` that write to a literal
+    /// port, or to `HC_PORT` from a register last loaded with a literal.
+    fn literal_hypercalls(text: &str) -> Vec<String> {
+        let literal =
+            |s: &str| s.parse::<u64>().is_ok() || s.starts_with("0x") || s.starts_with("0X");
+        let mut loaded = std::collections::HashSet::new();
+        let mut found = Vec::new();
+        for line in text.lines() {
+            let code = line.split(';').next().unwrap_or("");
+            let code = code
+                .trim_start_matches([' ', '\t', '"'])
+                .trim_start_matches("\\x20");
+            let Some((op, rest)) = code.trim().split_once(' ') else {
+                continue;
+            };
+            let mut operands = rest
+                .split(',')
+                .map(|o| o.trim().trim_end_matches('"').trim());
+            let (dst, src) = (operands.next().unwrap_or(""), operands.next());
+            match op {
+                ".org" => loaded.clear(),
+                "out"
+                    if literal(dst)
+                        || (dst == "HC_PORT" && src.is_some_and(|r| loaded.contains(r))) =>
+                {
+                    found.push(line.trim().to_string())
+                }
+                "mov" if src.is_some_and(literal) => drop(loaded.insert(dst.to_string())),
+                _ => drop(loaded.remove(dst)),
+            }
+        }
+        found
+    }
+
+    /// Every guest source above Wasp names its calls (`mov r0, HC_RECV`,
+    /// `out HC_PORT, r0`). `visa` and `kvmsim` sit below it: their `out`s
+    /// are the raw port exits of ISA and VM tests, with no table to name.
+    #[test]
+    fn guest_sources_name_every_call_and_the_port() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let below = [root.join("crates/visa"), root.join("crates/kvmsim")];
+        let mut dirs = vec![
+            root.join("crates"),
+            root.join("examples"),
+            root.join("tests"),
+        ];
+        let mut found = Vec::new();
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if below.iter().any(|b| path.starts_with(b)) {
+                    continue;
+                } else if path.is_dir() {
+                    dirs.push(path);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    // One-line sources spell their line breaks `\n`.
+                    let text = std::fs::read_to_string(&path).unwrap().replace("\\n", "\n");
+                    let here = literal_hypercalls(&text).into_iter();
+                    found.extend(here.map(|l| format!("{}: {l}", path.display())));
+                }
+            }
+        }
+        assert!(
+            found.is_empty(),
+            "literal hypercall sites:\n{}",
+            found.join("\n")
+        );
+        // The scanner itself: both literal forms are caught.
+        assert_eq!(
+            literal_hypercalls(" mov r0, 8\n out HC_PORT, r0\n").len(),
+            1
+        );
+        assert_eq!(literal_hypercalls("\\x20 out 1, r0").len(), 1);
+        assert!(literal_hypercalls(" mov r0, HC_EXIT\n out HC_PORT, r0\n").is_empty());
     }
 
     #[test]
     fn masks_enforce_default_deny() {
         let deny = HypercallMask::DENY_ALL;
-        assert!(deny.allows(nr::EXIT));
-        assert!(deny.allows(nr::SNAPSHOT));
-        for n in 1..nr::COUNT {
-            if n == nr::SNAPSHOT {
-                continue;
-            }
-            assert!(!deny.allows(n), "{} leaked through deny-all", name(n));
+        for call in TABLE {
+            assert_eq!(deny.allows(call.nr), call.deny_all, "{}", call.name);
         }
+        assert!(deny.allows(nr::EXIT) && deny.allows(nr::SNAPSHOT));
         let allow = HypercallMask::ALLOW_ALL;
         for n in 0..nr::COUNT {
             assert!(allow.allows(n));
@@ -504,6 +690,45 @@ mod tests {
         let some = HypercallMask::allowing(&[nr::SEND, nr::RECV]);
         assert!(some.allows(nr::EXIT) && some.allows(nr::SEND) && some.allows(nr::RECV));
         assert!(!some.allows(nr::OPEN));
+    }
+
+    /// The catalog in docs/reliability.md, one line per row of [`TABLE`].
+    #[test]
+    fn the_docs_catalog_is_the_table() {
+        let kind = |k: &ArgKind| match k {
+            ArgKind::Value => "value".to_string(),
+            ArgKind::Fd => "descriptor".to_string(),
+            ArgKind::In => "in buffer".to_string(),
+            ArgKind::Out => "out buffer".to_string(),
+            ArgKind::OutU64 => "out `u64`".to_string(),
+            ArgKind::Path => "path".to_string(),
+            ArgKind::Flags(mask) => format!("flags `{mask:#x}`"),
+        };
+        let yes = |b: bool| if b { "yes" } else { "no" };
+        let mut catalog =
+            "| nr | name | arguments, from `r1` | may block | under `DENY_ALL` |\n".to_string();
+        catalog += "|---|---|---|---|---|\n";
+        for call in TABLE {
+            let args: Vec<_> = call.args.iter().map(kind).collect();
+            catalog += &format!(
+                "| {} | `{}` | {} | {} | {} |\n",
+                call.nr,
+                call.name,
+                if args.is_empty() {
+                    "—".to_string()
+                } else {
+                    args.join(", ")
+                },
+                yes(call.blocks),
+                if call.deny_all { "runs" } else { "denied" },
+            );
+        }
+        let doc = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/reliability.md");
+        let doc = std::fs::read_to_string(doc).unwrap();
+        assert!(
+            doc.contains(&catalog),
+            "docs/reliability.md must carry the catalog of wasp::hypercall::TABLE:\n{catalog}"
+        );
     }
 
     #[test]
@@ -516,7 +741,7 @@ mod tests {
     #[test]
     fn write_to_stdout_is_captured() {
         let (k, mut m, mut inv) = setup();
-        m.write_guest(100, b"hi there").unwrap();
+        m.write_bytes(100, b"hi there").unwrap();
         let out = handle_canned(nr::WRITE, [1, 100, 8, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert_eq!(out, HcOutcome::Resume(8));
         assert_eq!(inv.stdout, b"hi there");
@@ -526,7 +751,7 @@ mod tests {
     fn file_open_read_close_through_hypercalls() {
         let (k, mut m, mut inv) = setup();
         k.fs_add_file("/data.txt", b"filedata".to_vec());
-        m.write_guest(0, b"/data.txt").unwrap();
+        m.write_bytes(0, b"/data.txt").unwrap();
 
         let fd = match handle_canned(nr::OPEN, [0, 9, 0, 0, 0], &mut m, &k, &mut inv).unwrap() {
             HcOutcome::Resume(fd) => fd,
@@ -536,7 +761,7 @@ mod tests {
 
         let out = handle_canned(nr::READ, [fd, 512, 64, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert_eq!(out, HcOutcome::Resume(8));
-        assert_eq!(m.read_guest(512, 8).unwrap(), b"filedata");
+        assert_eq!(m.slice(512, 8).unwrap(), b"filedata");
 
         let out = handle_canned(nr::CLOSE, [fd, 0, 0, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert_eq!(out, HcOutcome::Resume(0));
@@ -549,7 +774,7 @@ mod tests {
     fn a_read_of_u64_max_bytes_reads_the_rest_of_the_file() {
         let (k, mut m, mut inv) = setup();
         k.fs_add_file("/data.txt", b"filedata".to_vec());
-        m.write_guest(0, b"/data.txt").unwrap();
+        m.write_bytes(0, b"/data.txt").unwrap();
         let HcOutcome::Resume(fd) =
             handle_canned(nr::OPEN, [0, 9, 0, 0, 0], &mut m, &k, &mut inv).unwrap()
         else {
@@ -557,21 +782,21 @@ mod tests {
         };
         let out = handle_canned(nr::READ, [fd, 512, 1, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert_eq!(out, HcOutcome::Resume(1));
-        // The guest's length is taken as given, and must not overflow the
-        // cursor arithmetic underneath.
+        // The guest's length is a cap, taken as given, and must not
+        // overflow the cursor arithmetic underneath.
         let out = handle_canned(nr::READ, [fd, 600, u64::MAX, 0, 0], &mut m, &k, &mut inv);
         assert_eq!(out.unwrap(), HcOutcome::Resume(7));
-        assert_eq!(m.read_guest(600, 7).unwrap(), b"iledata");
+        assert_eq!(m.slice(600, 7).unwrap(), b"iledata");
     }
 
     #[test]
     fn stat_writes_size_into_guest_memory() {
         let (k, mut m, mut inv) = setup();
         k.fs_add_file("/f", vec![0; 777]);
-        m.write_guest(0, b"/f").unwrap();
+        m.write_bytes(0, b"/f").unwrap();
         let out = handle_canned(nr::STAT, [0, 2, 256, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert_eq!(out, HcOutcome::Resume(0));
-        let size = u64::from_le_bytes(m.read_guest(256, 8).unwrap().try_into().unwrap());
+        let size = u64::from_le_bytes(m.slice(256, 8).unwrap().try_into().unwrap());
         assert_eq!(size, 777);
     }
 
@@ -598,9 +823,9 @@ mod tests {
         k.net_send(client, b"ping").unwrap();
         let out = handle_canned(nr::RECV, [0, 64, 0, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert_eq!(out, HcOutcome::Resume(4));
-        assert_eq!(m.read_guest(0, 4).unwrap(), b"ping");
+        assert_eq!(m.slice(0, 4).unwrap(), b"ping");
 
-        m.write_guest(128, b"pong").unwrap();
+        m.write_bytes(128, b"pong").unwrap();
         let out = handle_canned(nr::SEND, [128, 4, 0, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert_eq!(out, HcOutcome::Resume(4));
         assert_eq!(k.net_recv(client, 64).unwrap().unwrap(), b"pong");
@@ -616,12 +841,13 @@ mod tests {
 
         // Open but empty, blocking (flags = 0): an exit, not a busy-wait.
         let out = handle_canned(nr::RECV, [0, 64, 0, 0, 0], &mut m, &k, &mut inv).unwrap();
+        let out_buf = OutBuf { addr: 0, cap: 64 };
+        let target = WaitTarget::Sock(server);
         assert_eq!(
             out,
             HcOutcome::Block(WaitReason {
-                target: WaitTarget::Sock(server),
-                buf: 0,
-                len: 64
+                target,
+                out: out_buf
             })
         );
 
@@ -638,7 +864,7 @@ mod tests {
         let out =
             handle_canned(nr::RECV, [0, 64, RECV_NONBLOCK, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert_eq!(out, HcOutcome::Resume(4));
-        assert_eq!(m.read_guest(0, 4).unwrap(), b"data");
+        assert_eq!(m.slice(0, 4).unwrap(), b"data");
 
         // Peer closed and drained: a clean 0 EOF on both paths.
         k.net_close(client).unwrap();
@@ -678,9 +904,9 @@ mod tests {
         let mut inv = Invocation::with_payload(b"input!".to_vec());
         let out = handle_canned(nr::GET_DATA, [0, 64, 0, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert_eq!(out, HcOutcome::Resume(6));
-        assert_eq!(m.read_guest(0, 6).unwrap(), b"input!");
+        assert_eq!(m.slice(0, 6).unwrap(), b"input!");
 
-        m.write_guest(100, b"output").unwrap();
+        m.write_bytes(100, b"output").unwrap();
         let out = handle_canned(nr::RETURN_DATA, [100, 6, 0, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert_eq!(out, HcOutcome::Resume(6));
         assert_eq!(inv.result, b"output");
@@ -744,8 +970,10 @@ mod tests {
         fn wait(&self) -> WaitReason {
             WaitReason {
                 target: WaitTarget::Sock(self.server),
-                buf: BUF,
-                len: MSG.len(),
+                out: OutBuf {
+                    addr: BUF,
+                    cap: MSG.len(),
+                },
             }
         }
 
@@ -810,7 +1038,7 @@ mod tests {
             assert_eq!(at_block, (Ok(HcOutcome::Resume(n)), moved), "{kind:?}");
             f.end_wait("ready");
             assert_eq!(f.resume(wait), Some((Ok(n), moved)), "{kind:?}");
-            assert_eq!(f.m.read_guest(BUF, MSG.len()).unwrap(), MSG, "{kind:?}");
+            assert_eq!(f.m.slice(BUF, MSG.len() as u64).unwrap(), MSG, "{kind:?}");
 
             // EOF: the clean 0 for one syscall on both paths.
             let mut closed = Fixture::blocked();
@@ -833,20 +1061,18 @@ mod tests {
             let wait = gone.wait();
             assert_eq!(gone.resume(wait), Some((Ok(GUEST_ERR), SYS)), "{kind:?}");
 
-            // A hostile buffer faults identically on both paths.
+            // A hostile buffer faults at the call, free, whether or not
+            // the wait is over: it never parks.
             const HOSTILE: u64 = 0xFFFF_0000;
-            let mut direct = Fixture::blocked();
-            direct.end_wait("ready");
-            let (fault, _) = direct.call(kind, HOSTILE, false);
-            let fault = fault.expect_err("hostile buf must fault");
-            let mut parked = Fixture::blocked();
-            let (out, _) = parked.call(kind, HOSTILE, false);
-            let Ok(HcOutcome::Block(wait)) = out else {
-                panic!("{kind:?}: parks first, faults at the completion: {out:?}");
-            };
-            parked.end_wait("ready");
-            let (resumed, _) = parked.resume(wait).expect("the wait is over");
-            assert_eq!(resumed, Err(fault), "{kind:?}");
+            for state in ["ready", "pending"] {
+                let mut f = Fixture::blocked();
+                if state == "ready" {
+                    f.end_wait("ready");
+                }
+                let (out, cycles) = f.call(kind, HOSTILE, false);
+                let fault = Fault::PhysOutOfBounds { paddr: HOSTILE };
+                assert_eq!((out, cycles), (Err(fault), 0), "{kind:?} {state}");
+            }
         }
     }
 
@@ -877,6 +1103,136 @@ mod tests {
         // Unreasonable path length is a kill, not a host allocation.
         let out = handle_canned(nr::OPEN, [0, 1 << 20, 0, 0, 0], &mut m, &k, &mut inv).unwrap();
         assert!(matches!(out, HcOutcome::Kill(_)));
+    }
+
+    /// The outcomes the decoder changed for malformed calls: it checks
+    /// every argument before the call's own logic runs.
+    #[test]
+    fn the_decoder_refuses_malformed_arguments_before_the_call_runs() {
+        const FAR: u64 = 0xFFFF_0000;
+        let far = Err(Fault::PhysOutOfBounds { paddr: FAR });
+        let (k, mut m, mut inv) = setup();
+        let mut call = |n, regs| handle_canned(n, regs, &mut m, &k, &mut inv);
+        // A bad out pointer faults even where the call would have failed
+        // (no connection, unknown descriptor, missing file) with -1.
+        assert_eq!(call(nr::RECV, [FAR, 64, 0, 0, 0]), far);
+        assert_eq!(call(nr::READ, [7, FAR, 64, 0, 0]), far);
+        k.fs_add_file("/f", vec![1; 3]);
+        assert_eq!(call(nr::STAT, [0, 0, FAR, 0, 0]), far);
+        // A bad in buffer faults even where there is no connection.
+        assert_eq!(call(nr::SEND, [FAR, 4, 0, 0, 0]), far);
+        // A flag bit outside the row's mask is -1.
+        assert_eq!(
+            call(nr::RECV, [0, 64, 2, 0, 0]),
+            Ok(HcOutcome::Resume(GUEST_ERR))
+        );
+        // `open` and `stat` refuse a long path with one reason.
+        let kill = Ok(HcOutcome::Kill("unreasonable path length"));
+        assert_eq!(call(nr::OPEN, [0, PATH_MAX + 1, 0, 0, 0]), kill);
+        assert_eq!(call(nr::STAT, [0, PATH_MAX + 1, 0, 0, 0]), kill);
+        // A repeated `get_data` with a bad pointer faults before it is
+        // counted as a repeat.
+        assert_eq!(
+            call(nr::GET_DATA, [0, 8, 0, 0, 0]),
+            Ok(HcOutcome::Resume(0))
+        );
+        assert_eq!(call(nr::GET_DATA, [FAR, 8, 0, 0, 0]), far);
+    }
+
+    /// Every row, every argument kind, hostile values: never a panic, never
+    /// a guest byte written outside the row's out buffer, and a value that
+    /// no well-formed call passes ends in `-1`, a fault or a kill.
+    #[test]
+    fn hostile_arguments_end_cleanly_and_write_only_inside_the_out_buffer() {
+        const MEM: u64 = 4096;
+        const PATH: u64 = 0x300;
+        // Benign registers for each kind: a readable buffer, a writable
+        // one, the path of a file that exists, an open descriptor.
+        let benign = |kind: ArgKind| match kind {
+            ArgKind::Value | ArgKind::Flags(_) => [0, 0],
+            ArgKind::Fd => [3, 0],
+            ArgKind::In => [0x100, 16],
+            ArgKind::Out => [0x400, 64],
+            ArgKind::OutU64 => [0x400, 0],
+            ArgKind::Path => [PATH, 2],
+        };
+        for call in TABLE {
+            let mut base = [0u64; 5];
+            let mut at = 0;
+            let mut slots = Vec::new();
+            for &kind in call.args {
+                base[at..at + kind.regs()].copy_from_slice(&benign(kind)[..kind.regs()]);
+                slots.push((at, kind));
+                at += kind.regs();
+            }
+            for &(at, kind) in &slots {
+                // (registers at `at`, whether a well-formed call could pass them)
+                let mut cases: Vec<(Vec<u64>, bool)> = Vec::new();
+                let ptr_len = matches!(kind, ArgKind::In | ArgKind::Out | ArgKind::Path);
+                if ptr_len || kind == ArgKind::OutU64 {
+                    let len = benign(kind)[1];
+                    for ptr in [0, MEM - 1, u64::MAX] {
+                        let fine = ptr == 0;
+                        cases.push((if ptr_len { vec![ptr, len] } else { vec![ptr] }, fine));
+                    }
+                }
+                if ptr_len {
+                    // Wraps past 2^64, and the largest length: only an out
+                    // buffer may take them, as a cap.
+                    let out = kind == ArgKind::Out;
+                    cases.push((vec![0x100, u64::MAX - 0x80], out));
+                    cases.push((vec![0x100, u64::MAX], out));
+                    // A cap below what the call has to give.
+                    cases.push((vec![0x400, 1], true));
+                }
+                if kind == ArgKind::Path {
+                    cases.push((vec![PATH, PATH_MAX + 1], false));
+                    cases.push((vec![0x380, 2], false)); // not UTF-8
+                }
+                if let ArgKind::Flags(valid) = kind {
+                    cases.extend((0..64).map(|b| (vec![1 << b], valid & 1 << b != 0)));
+                }
+                if matches!(kind, ArgKind::Value | ArgKind::Fd) {
+                    cases.extend([(vec![0], true), (vec![u64::MAX], true)]);
+                }
+                for (regs, fine) in cases {
+                    let mut args = base;
+                    args[at..at + regs.len()].copy_from_slice(&regs);
+                    let (k, mut m, mut inv) = setup();
+                    k.fs_add_file("/f", b"filedata".to_vec());
+                    m.write_bytes(PATH, b"/f").unwrap();
+                    m.write_bytes(0x380, &[0xFF, 0xFE]).unwrap();
+                    let fd = inv.register_fd(k.sys_open("/f").unwrap());
+                    assert_eq!(fd, 3);
+                    k.net_listen(80).unwrap();
+                    let client = k.net_connect(80).unwrap();
+                    inv.conn = Some(k.net_accept(80).unwrap().unwrap());
+                    k.net_send(client, b"queued bytes").unwrap();
+                    inv.payload = b"payload bytes".to_vec();
+
+                    let before = m.slice(0, MEM).unwrap().to_vec();
+                    let out = handle_canned(call.nr, args, &mut m, &k, &mut inv);
+                    let after = m.slice(0, MEM).unwrap();
+                    let what = format!("{} {args:x?}: {out:?}", call.name);
+                    let failed = matches!(
+                        out,
+                        Err(_) | Ok(HcOutcome::Resume(GUEST_ERR) | HcOutcome::Kill(_))
+                    );
+                    assert!(fine || failed, "{what}");
+                    // Where the row lets the call write, and how much.
+                    let window = slots.iter().find_map(|&(at, kind)| match kind {
+                        ArgKind::Out => Some((args[at], args[at + 1])),
+                        ArgKind::OutU64 => Some((args[at], 8)),
+                        _ => None,
+                    });
+                    for (i, (b, a)) in before.iter().zip(after).enumerate() {
+                        let i = i as u64;
+                        let inside = window.is_some_and(|(p, cap)| i >= p && i - p < cap);
+                        assert!(b == a || inside, "{what}: byte {i:#x} changed");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

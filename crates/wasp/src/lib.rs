@@ -7,8 +7,8 @@
 //!
 //! * **Hypercall interposition** ([`hypercall`]) — a virtine's only window
 //!   to the outside world is a single-`out` hypercall ABI, checked against
-//!   a default-deny [`HypercallMask`] and the client's custom handlers
-//!   (Figure 5).
+//!   a default-deny [`HypercallMask`], then against its row of one table
+//!   of calls ([`hypercall::TABLE`]) before Wasp's canned handler runs.
 //! * **Shell pooling** ([`pool`]) — used contexts are wiped and cached so
 //!   later requests skip `KVM_CREATE_VM`; with asynchronous cleaning the
 //!   provisioning cost lands within a few percent of a bare `vmrun` (§5.2,
@@ -39,8 +39,8 @@ pub mod pool;
 pub mod runtime;
 
 pub use hypercall::{
-    nr, GuestMem, HcOutcome, HypercallMask, Invocation, WaitReason, WaitTarget, HYPERCALL_PORT,
-    RECV_NONBLOCK, WOULD_BLOCK,
+    nr, HypercallMask, Invocation, WaitReason, WaitTarget, HYPERCALL_PORT, RECV_NONBLOCK,
+    WOULD_BLOCK,
 };
 pub use native::{NativeExit, NativeOutcome, NativeRunner};
 pub use pool::{

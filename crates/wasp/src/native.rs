@@ -20,7 +20,7 @@ use visa::asm::Image;
 use visa::cpu::{Cpu, CpuConfig, CpuState, Fault, Machine};
 use visa::{CrReg, Mode, Reg};
 
-use crate::hypercall::{self, GuestMem, HcOutcome, Invocation, HYPERCALL_PORT};
+use crate::hypercall::{self, HcOutcome, Invocation, HYPERCALL_PORT};
 use crate::runtime::ARGS_ADDR;
 
 /// How a native run ended.
@@ -59,24 +59,6 @@ pub struct NativeRunner {
     kernel: HostKernel,
     /// Instruction budget per run.
     pub step_budget: u64,
-}
-
-struct MachineMem<'a>(&'a mut Machine);
-
-impl GuestMem for MachineMem<'_> {
-    fn read_guest(&self, addr: u64, len: usize) -> Result<Vec<u8>, Fault> {
-        self.0
-            .mem
-            .slice(addr, len as u64)
-            .map(|s| s.to_vec())
-            .map_err(|e| Fault::PhysOutOfBounds { paddr: e.paddr })
-    }
-    fn write_guest(&mut self, addr: u64, data: &[u8]) -> Result<(), Fault> {
-        self.0
-            .mem
-            .write_bytes(addr, data)
-            .map_err(|e| Fault::PhysOutOfBounds { paddr: e.paddr })
-    }
 }
 
 impl NativeRunner {
@@ -138,24 +120,9 @@ impl NativeRunner {
                     // Natively this is a syscall: one kernel round trip.
                     syscalls += 1;
                     self.kernel.syscall_overhead();
-                    let hc_args = [
-                        machine.cpu.reg(Reg(1)),
-                        machine.cpu.reg(Reg(2)),
-                        machine.cpu.reg(Reg(3)),
-                        machine.cpu.reg(Reg(4)),
-                        machine.cpu.reg(Reg(5)),
-                    ];
-                    let outcome = {
-                        let mut mem = MachineMem(&mut machine);
-                        hypercall::handle_canned(
-                            value,
-                            hc_args,
-                            &mut mem,
-                            &self.kernel,
-                            &mut invocation,
-                        )
-                    };
-                    match outcome {
+                    let hc_args = [1, 2, 3, 4, 5].map(|r| machine.cpu.reg(Reg(r)));
+                    let (mem, kernel) = (&mut machine.mem, &self.kernel);
+                    match hypercall::handle_canned(value, hc_args, mem, kernel, &mut invocation) {
                         Err(fault) => break NativeExit::Crashed(fault),
                         Ok(HcOutcome::Resume(v)) => machine.cpu.set_reg(Reg(0), v),
                         Ok(HcOutcome::Exit(code)) => break NativeExit::Exited(code),
@@ -276,17 +243,17 @@ fib:
     #[test]
     fn hypercalls_become_syscalls() {
         let (_, r) = runner();
-        let img = visa::assemble(
+        let img = crate::hypercall::assemble(
             "
 .org 0x8000
-  mov r0, 1          ; write
+  mov r0, HC_WRITE
   mov r1, 1
   mov r2, msg
   mov r3, 3
-  out 0x1, r0
-  mov r0, 0
+  out HC_PORT, r0
+  mov r0, HC_EXIT
   mov r1, 0
-  out 0x1, r0        ; exit(0)
+  out HC_PORT, r0 ; exit(0)
 msg: .ascii \"abc\"
 ",
         )
@@ -308,8 +275,10 @@ msg: .ascii \"abc\"
     #[test]
     fn snapshot_hypercall_is_a_native_noop() {
         let (_, r) = runner();
-        let img =
-            visa::assemble(".org 0x8000\n mov r0, 8\n out 0x1, r0\n mov r0, 5\n hlt\n").unwrap();
+        let img = crate::hypercall::assemble(
+            ".org 0x8000\n mov r0, HC_SNAPSHOT\n out HC_PORT, r0\n mov r0, 5\n hlt\n",
+        )
+        .unwrap();
         let out = r.run(&img, img.entry, &[], Invocation::default(), 1 << 16);
         assert_eq!(out.exit, NativeExit::Returned(5));
     }

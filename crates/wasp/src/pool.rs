@@ -115,7 +115,7 @@
 //!     let shell = Shell::Clean(clean);
 //!     let narrow = HypercallMask::ALLOW_ALL;
 //!     let run = ShellRun { shell, id, args: &[], invocation: Invocation::default(), narrow, resumable: false };
-//!     let _ = wasp.run_on_shell(run, &mut |_, _, _, _| None);
+//!     let _ = wasp.run_on_shell(run);
 //! }
 //! ```
 //!

@@ -20,8 +20,9 @@
 //!    * **cold image install** — no snapshot yet;
 //! 3. writes the marshalled arguments at guest address 0x0 (§6.1);
 //! 4. runs the guest, interposing on every hypercall: the policy mask is
-//!    checked first (default-deny, §5.1), then a client-supplied custom
-//!    handler, then Wasp's canned handlers;
+//!    checked first (default-deny, §5.1), then the call's arguments are
+//!    decoded against its [`crate::hypercall::TABLE`] row and its canned
+//!    handler runs;
 //! 5. releases the shell back to the pool: *warm* (state kept resident,
 //!    keyed to this virtine) after a normal snapshotted run, wiped clean
 //!    per the pool mode otherwise.
@@ -88,9 +89,7 @@ use visa::asm::Image;
 use visa::cpu::Fault;
 use visa::Reg;
 
-use crate::hypercall::{
-    self, GuestMem, HcOutcome, HypercallMask, Invocation, WaitReason, HYPERCALL_PORT,
-};
+use crate::hypercall::{self, HcOutcome, HypercallMask, Invocation, WaitReason, HYPERCALL_PORT};
 use crate::pool::{Pool, PoolMode, PoolStats, Shell, UsedShell};
 
 /// Guest address where marshalled arguments are placed ("the argument, n,
@@ -383,10 +382,11 @@ pub struct ShellRun<'a> {
     /// only further restrict what the spec permits. Pass
     /// [`HypercallMask::ALLOW_ALL`] for spec-policy-only behavior.
     pub narrow: HypercallMask,
-    /// Whether a blocking hypercall that cannot complete (see
-    /// [`HcOutcome::Block`]) suspends the run ([`RunResult::Blocked`] — the
-    /// contract of event-driven dispatch) instead of being degraded to its
-    /// non-blocking form ([`crate::hypercall::WOULD_BLOCK`] in `r0`).
+    /// Whether a blocking hypercall that cannot complete (a `recv` or
+    /// `read(0)` on an empty connection) suspends the run
+    /// ([`RunResult::Blocked`] — the contract of event-driven dispatch)
+    /// instead of being degraded to its non-blocking form
+    /// ([`crate::hypercall::WOULD_BLOCK`] in `r0`).
     pub resumable: bool,
 }
 
@@ -476,12 +476,6 @@ struct SpecEntry {
     snapshot: Option<Rc<VmSnapshot>>,
 }
 
-/// A client-supplied hypercall handler. Returning `None` falls through to
-/// Wasp's canned handlers; returning `Some(outcome)` overrides them.
-/// This is the "client hypercall handler" box of Figure 5.
-pub type CustomHandler<'a> =
-    &'a mut dyn FnMut(u64, [u64; 5], &mut dyn GuestMem, &mut Invocation) -> Option<HcOutcome>;
-
 /// The embeddable Wasp runtime (one per virtine client).
 pub struct Wasp {
     hv: Hypervisor,
@@ -497,18 +491,6 @@ pub struct Wasp {
 enum SegmentEnd {
     Exit(ExitKind),
     Block(WaitReason),
-}
-
-/// Adapter giving hypercall handlers bounds-checked guest-memory access.
-struct VmMem<'a>(&'a VmFd);
-
-impl GuestMem for VmMem<'_> {
-    fn read_guest(&self, addr: u64, len: usize) -> Result<Vec<u8>, Fault> {
-        self.0.read_guest(addr, len)
-    }
-    fn write_guest(&mut self, addr: u64, data: &[u8]) -> Result<(), Fault> {
-        self.0.write_guest(addr, data)
-    }
 }
 
 impl Wasp {
@@ -592,28 +574,16 @@ impl Wasp {
         }
     }
 
-    /// Runs one invocation with the canned handlers only.
+    /// Tenant tag the runtime's internal pool keys warm shells under: Wasp
+    /// embeds in a single virtine client, so there is exactly one tenant.
+    const SELF_TENANT: u64 = 0;
+
+    /// Runs one invocation on a shell from the internal pool.
     pub fn run(
         &self,
         id: VirtineId,
         args: &[u8],
         invocation: Invocation,
-    ) -> Result<RunOutcome, WaspError> {
-        self.run_with_handler(id, args, invocation, &mut |_, _, _, _| None)
-    }
-
-    /// Tenant tag the runtime's internal pool keys warm shells under: Wasp
-    /// embeds in a single virtine client, so there is exactly one tenant.
-    const SELF_TENANT: u64 = 0;
-
-    /// Runs one invocation, giving `handler` first refusal on every
-    /// permitted hypercall.
-    pub fn run_with_handler(
-        &self,
-        id: VirtineId,
-        args: &[u8],
-        invocation: Invocation,
-        handler: CustomHandler<'_>,
     ) -> Result<RunOutcome, WaspError> {
         let (mem_size, warm_eligible) = {
             let specs = self.specs.borrow();
@@ -647,7 +617,7 @@ impl Wasp {
             narrow: HypercallMask::ALLOW_ALL,
             resumable: false,
         };
-        let RunResult::Done(mut outcome, used) = self.run_on_shell(run, handler)? else {
+        let RunResult::Done(mut outcome, used) = self.run_on_shell(run)? else {
             unreachable!("non-resumable runs never suspend");
         };
 
@@ -680,11 +650,7 @@ impl Wasp {
     /// worker instead of busy-waiting, until [`Wasp::resume_on_shell`]
     /// re-enters the guest at the faulting hypercall. Without it the result
     /// is always [`RunResult::Done`].
-    pub fn run_on_shell(
-        &self,
-        run: ShellRun<'_>,
-        handler: CustomHandler<'_>,
-    ) -> Result<RunResult, WaspError> {
+    pub fn run_on_shell(&self, run: ShellRun<'_>) -> Result<RunResult, WaspError> {
         let id = run.id;
         let (vm, reused, warm) = match run.shell {
             Shell::Created(c) => (c.0, false, None),
@@ -784,7 +750,7 @@ impl Wasp {
                 ..Breakdown::default()
             },
         };
-        let end = self.exec_segment(&mut live, run.resumable, handler);
+        let end = self.exec_segment(&mut live, run.resumable);
         let t_exec = clock.now();
         live.breakdown.exec = t_exec - t_image;
         live.breakdown.total = t_exec - t_acquired;
@@ -798,11 +764,7 @@ impl Wasp {
     /// guest execution at the instruction after the faulting hypercall. If
     /// the condition does not hold after all (a spurious wake-up), the run
     /// re-parks and [`RunResult::Blocked`] is returned again.
-    pub fn resume_on_shell(
-        &self,
-        mut s: SuspendedRun,
-        handler: CustomHandler<'_>,
-    ) -> Result<RunResult, WaspError> {
+    pub fn resume_on_shell(&self, mut s: SuspendedRun) -> Result<RunResult, WaspError> {
         let clock = self.kernel.clock().clone();
         let t_resume = clock.now();
 
@@ -825,12 +787,12 @@ impl Wasp {
         // Complete the parked hypercall — the one charged syscall the
         // blocking call is — exactly as the unblocked path would have.
         let vm = &live.vm;
-        let delivered = hypercall::complete(&mut VmMem(vm), &self.kernel, s.wait);
+        let delivered = vm.with_mem(|mem| hypercall::complete(mem, &self.kernel, s.wait));
 
         let end = match delivered {
             Ok(r0) => {
                 vm.set_reg(Reg(0), r0);
-                self.exec_segment(&mut live, true, handler)
+                self.exec_segment(&mut live, true)
             }
             Err(fault) => SegmentEnd::Exit(ExitKind::Faulted(fault)),
         };
@@ -855,12 +817,7 @@ impl Wasp {
     /// resumable mode, hits a blocking hypercall. Non-resumable callers
     /// see blocking calls degraded to their non-blocking form
     /// ([`crate::hypercall::WOULD_BLOCK`] in `r0`).
-    fn exec_segment(
-        &self,
-        live: &mut Live,
-        resumable: bool,
-        handler: CustomHandler<'_>,
-    ) -> SegmentEnd {
+    fn exec_segment(&self, live: &mut Live, resumable: bool) -> SegmentEnd {
         let vm = &live.vm;
         loop {
             match vm.run(self.config.step_budget) {
@@ -879,14 +836,10 @@ impl Wasp {
                         return SegmentEnd::Exit(ExitKind::Denied { nr: n });
                     }
                     let hc_args = [1, 2, 3, 4, 5].map(|r| vm.reg(Reg(r)));
-                    let mut mem = VmMem(vm);
-                    let invocation = &mut live.invocation;
-                    let outcome = match handler(n, hc_args, &mut mem, invocation) {
-                        Some(custom) => Ok(custom),
-                        None => {
-                            hypercall::handle_canned(n, hc_args, &mut mem, &self.kernel, invocation)
-                        }
-                    };
+                    let (kernel, invocation) = (&self.kernel, &mut live.invocation);
+                    let outcome = vm.with_mem(|mem| {
+                        hypercall::handle_canned(n, hc_args, mem, kernel, invocation)
+                    });
                     match outcome {
                         Err(fault) => return SegmentEnd::Exit(ExitKind::Faulted(fault)),
                         Ok(HcOutcome::Resume(v)) => vm.set_reg(Reg(0), v),
@@ -1050,7 +1003,7 @@ mod tests {
             narrow: HypercallMask::ALLOW_ALL,
             resumable,
         };
-        w.run_on_shell(run, &mut |_, _, _, _| None).unwrap()
+        w.run_on_shell(run).unwrap()
     }
 
     fn start_resumable(w: &Wasp, id: VirtineId, invocation: Invocation) -> RunResult {
@@ -1058,7 +1011,7 @@ mod tests {
     }
 
     fn image(src: &str) -> Image {
-        visa::assemble(src).expect("assemble")
+        crate::hypercall::assemble(src).expect("assemble")
     }
 
     #[test]
@@ -1076,7 +1029,7 @@ mod tests {
     #[test]
     fn exit_hypercall_is_always_allowed() {
         let w = wasp(PoolMode::CachedAsync);
-        let img = image(".org 0x8000\n mov r0, 0\n mov r1, 7\n out 0x1, r0\n");
+        let img = image(".org 0x8000\n mov r0, HC_EXIT\n mov r1, 7\n out HC_PORT, r0\n");
         let out = w
             .launch_once(img, MEM, HypercallMask::DENY_ALL, Invocation::default())
             .unwrap();
@@ -1087,7 +1040,7 @@ mod tests {
     fn default_deny_kills_other_hypercalls() {
         let w = wasp(PoolMode::CachedAsync);
         // Attempt a write under deny-all.
-        let img = image(".org 0x8000\n mov r0, 1\n mov r1, 1\n mov r2, 0x8000\n mov r3, 4\n out 0x1, r0\n hlt\n");
+        let img = image(".org 0x8000\n mov r0, HC_WRITE\n mov r1, 1\n mov r2, 0x8000\n mov r3, 4\n out HC_PORT, r0\n hlt\n");
         let out = w
             .launch_once(img, MEM, HypercallMask::DENY_ALL, Invocation::default())
             .unwrap();
@@ -1101,15 +1054,15 @@ mod tests {
         let img = image(
             "
 .org 0x8000
-  mov r0, 1          ; write
+  mov r0, HC_WRITE
   mov r1, 1          ; fd 1
   mov r2, msg
   mov r3, 5
-  out 0x1, r0
+  out HC_PORT, r0
   mov r4, r0         ; bytes written
-  mov r0, 0          ; exit(0)
+  mov r0, HC_EXIT ; exit(0)
   mov r1, 0
-  out 0x1, r0
+  out HC_PORT, r0
 msg: .ascii \"hello\"
 ",
         );
@@ -1149,8 +1102,8 @@ init:
   cmp r3, 1000
   jl init
   store.q [r1], r2
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
+  mov r0, HC_SNAPSHOT
+  out HC_PORT, r0
   mov r4, 0
   load.q r5, [r4]      ; arg
   load.q r6, [r1]
@@ -1199,8 +1152,8 @@ init:
   cmp r3, 1000
   jl init
   store.q [r1], r2
-  mov r0, 8            ; snapshot()
-  out 0x1, r0
+  mov r0, HC_SNAPSHOT
+  out HC_PORT, r0
   mov r4, 0
   load.q r5, [r4]      ; arg
   load.q r6, [r1]
@@ -1272,7 +1225,7 @@ init:
 
     /// `snapshot(); return *(u64*)8` — reads the second argument word.
     fn second_arg_image() -> Image {
-        image(".org 0x8000\n mov r0, 8\n out 0x1, r0\n mov r1, 8\n load.q r0, [r1]\n hlt\n")
+        image(".org 0x8000\n mov r0, HC_SNAPSHOT\n out HC_PORT, r0\n mov r1, 8\n load.q r0, [r1]\n hlt\n")
     }
 
     #[test]
@@ -1439,7 +1392,7 @@ init:
         // deny-all): the run ends Denied and the shell must be wiped, not
         // parked warm.
         let img = image(
-            ".org 0x8000\n mov r0, 8\n out 0x1, r0\n mov r0, 1\n mov r1, 1\n mov r2, 0x8000\n mov r3, 4\n out 0x1, r0\n hlt\n",
+            ".org 0x8000\n mov r0, HC_SNAPSHOT\n out HC_PORT, r0\n mov r0, HC_WRITE\n mov r1, 1\n mov r2, 0x8000\n mov r3, 4\n out HC_PORT, r0\n hlt\n",
         );
         let id = w.register(VirtineSpec::new("deny", img, MEM)).unwrap();
         let RunResult::Done(out, used) = start(&w, id, &[], Invocation::default(), false) else {
@@ -1466,39 +1419,12 @@ init:
                 ..WaspConfig::default()
             },
         );
-        let img = image(".org 0x8000\n mov r0, 8\n out 0x1, r0\n hlt\n");
+        let img = image(".org 0x8000\n mov r0, HC_SNAPSHOT\n out HC_PORT, r0\n hlt\n");
         let id = w.register(VirtineSpec::new("s", img, MEM)).unwrap();
         w.run(id, &[], Invocation::default()).unwrap();
         let out = w.run(id, &[], Invocation::default()).unwrap();
         assert!(!out.breakdown.restored_snapshot);
         assert_eq!(w.stats().snapshots_taken, 0);
-    }
-
-    #[test]
-    fn custom_handler_overrides_canned() {
-        let w = wasp(PoolMode::CachedAsync);
-        let img = image(".org 0x8000\n mov r0, 9\n mov r1, 5\n out 0x1, r0\n hlt\n");
-        let id = w
-            .register(
-                VirtineSpec::new("h", img, MEM)
-                    .with_policy(HypercallMask::ALLOW_ALL)
-                    .with_snapshot(false),
-            )
-            .unwrap();
-        let mut seen = Vec::new();
-        let out = w
-            .run_with_handler(
-                id,
-                &[],
-                Invocation::default(),
-                &mut |n, args, _mem, _inv| {
-                    seen.push((n, args[0]));
-                    Some(HcOutcome::Resume(777))
-                },
-            )
-            .unwrap();
-        assert_eq!(out.exit, ExitKind::Halted(777));
-        assert_eq!(seen, vec![(nr::GET_DATA, 5)]);
     }
 
     #[test]
@@ -1581,11 +1507,11 @@ init:
   mov r4, 0x5000
   mov r5, 0xDEAD
   store.q [r4], r5     ; per-invocation secret (wipe-on-kill check)
-  mov r0, 7            ; recv
+  mov r0, HC_RECV
   mov r1, 0x4000       ; buf
   mov r2, 64           ; max_len
   mov r3, 0            ; flags: blocking
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 ",
         )
@@ -1636,8 +1562,7 @@ init:
         // Unrelated platform work passes while the run is parked.
         w.clock().tick(1_000_000);
         w.kernel().net_send(client, b"ping").unwrap();
-        let RunResult::Done(out_b, _) = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap()
-        else {
+        let RunResult::Done(out_b, _) = w.resume_on_shell(s).unwrap() else {
             panic!("readable socket must resume to completion");
         };
         assert_eq!(out_b.exit, ExitKind::Halted(4));
@@ -1665,23 +1590,23 @@ init:
             "
 .org 0x8000
   mark 1
-  mov r0, 7            ; recv (blocking) into 0x4000
+  mov r0, HC_RECV ; recv (blocking) into 0x4000
   mov r1, 0x4000
   mov r2, 64
   mov r3, 0
-  out 0x1, r0
+  out HC_PORT, r0
   mark 2
-  mov r0, 2            ; read(0) (always blocking) into 0x4100
+  mov r0, HC_READ ; read(0) (always blocking) into 0x4100
   mov r1, 0
   mov r2, 0x4100
   mov r3, 64
-  out 0x1, r0
+  out HC_PORT, r0
   mark 3
-  mov r0, 7            ; recv (blocking) into 0x4200
+  mov r0, HC_RECV ; recv (blocking) into 0x4200
   mov r1, 0x4200
   mov r2, 64
   mov r3, 0
-  out 0x1, r0
+  out HC_PORT, r0
   mark 4
   hlt
 ",
@@ -1720,7 +1645,7 @@ init:
             resumable: true,
         };
         let t0 = clock.now();
-        let mut run = w.run_on_shell(shell, &mut |_, _, _, _| None).unwrap();
+        let mut run = w.run_on_shell(shell).unwrap();
         // Time inside `run_on_shell`/`resume_on_shell`, and parked outside.
         let (mut inside, mut parked) = (clock.now() - t0, Cycles::ZERO);
         for (park, msg) in [&b"ping"[..], b"go", b"pong"].into_iter().enumerate() {
@@ -1735,7 +1660,7 @@ init:
             w.kernel().net_send(client, msg).unwrap();
             let before = clock.now();
             parked += before - s.blocked_at;
-            run = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap();
+            run = w.resume_on_shell(s).unwrap();
             inside += clock.now() - before;
         }
         let RunResult::Done(out_b, _) = run else {
@@ -1763,7 +1688,7 @@ init:
             let img = image(&format!(
                 ".org 0x8000
  mov r0, {n}
- out 0x1, r0
+ out HC_PORT, r0
  hlt
 "
             ));
@@ -1794,14 +1719,14 @@ init:
             panic!("must block");
         };
         let exec_before = s.live.breakdown.exec;
-        let RunResult::Blocked(s) = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap() else {
+        let RunResult::Blocked(s) = w.resume_on_shell(s).unwrap() else {
             panic!("still no data: must re-park");
         };
         assert_eq!(s.live.breakdown.exec, exec_before);
         assert_eq!(s.live.breakdown.resumes, 0);
         assert_eq!(w.stats().resumes, 0);
         w.kernel().net_send(client, b"ok").unwrap();
-        let RunResult::Done(out, _) = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap() else {
+        let RunResult::Done(out, _) = w.resume_on_shell(s).unwrap() else {
             panic!("must complete");
         };
         assert_eq!(out.exit, ExitKind::Halted(2));
@@ -1816,7 +1741,7 @@ init:
             panic!("must block");
         };
         w.kernel().net_close(client).unwrap();
-        let RunResult::Done(out, _) = w.resume_on_shell(s, &mut |_, _, _, _| None).unwrap() else {
+        let RunResult::Done(out, _) = w.resume_on_shell(s).unwrap() else {
             panic!("EOF is readable");
         };
         assert_eq!(out.exit, ExitKind::Halted(0), "EOF is 0, not an error");

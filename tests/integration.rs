@@ -213,14 +213,14 @@ fn no_snapshot_env_disables_snapshots() {
 #[test]
 fn handlers_validate_hostile_arguments() {
     // write() with a buffer pointer way outside guest memory.
-    let img = virtines::visa::assemble(
+    let img = virtines::wasp::hypercall::assemble(
         "
 .org 0x8000
-  mov r0, 1
+  mov r0, HC_WRITE
   mov r1, 1
   mov r2, 0x7ffffff0    ; hostile pointer
   mov r3, 64
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 ",
     )

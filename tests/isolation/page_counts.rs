@@ -39,11 +39,11 @@ fn hv() -> Hypervisor {
 /// Code on page 8, a stack word on page 7, a data word on page 6: three
 /// pages by the snapshot point (`out`), and page 0x40 after it.
 fn image() -> Image {
-    visa::assemble(
+    virtines::wasp::hypercall::assemble(
         ".org 0x8000\n\
          \x20 mov sp, 0x8000\n mov r0, 7\n push r0\n\
          \x20 mov r3, 0x6000\n store.q [r3], r0\n\
-         \x20 out 1, r0\n\
+         \x20 mov r5, HC_SNAPSHOT\n out HC_PORT, r5\n\
          \x20 mov r3, 0x40000\n store.q [r3], r0\n\
          \x20 hlt\n",
     )
@@ -144,7 +144,7 @@ fn a_compiled_function_that_touches_the_heap_wipes_a_handful_of_pages() {
         narrow: HypercallMask::ALLOW_ALL,
         resumable: false,
     };
-    let RunResult::Done(out, used) = wasp.run_on_shell(run, &mut |_, _, _, _| None).unwrap() else {
+    let RunResult::Done(out, used) = wasp.run_on_shell(run).unwrap() else {
         unreachable!("non-resumable runs never suspend")
     };
     assert_eq!(out.ret, 42);

@@ -87,7 +87,7 @@ fn run_on(wasp: &Wasp, shell: Shell, id: VirtineId, n: i64) -> (RunOutcome, Used
         narrow: HypercallMask::ALLOW_ALL,
         resumable: false,
     };
-    match wasp.run_on_shell(run, &mut |_, _, _, _| None).expect("run") {
+    match wasp.run_on_shell(run).expect("run") {
         RunResult::Done(outcome, used) => (outcome, used),
         RunResult::Blocked(_) => unreachable!("non-resumable runs never suspend"),
     }
@@ -158,7 +158,7 @@ fn restoring_snapshot_y_over_a_shell_armed_from_x_runs_y() {
         format!(
             ".org 0x8000\n\
              \x20 mov sp, 0x7000\n mov r0, 0\n mov r1, 0\n\
-             \x20 out 1, r0\n\
+             \x20 mov r5, HC_SNAPSHOT\n out HC_PORT, r5\n\
              loop:\n\
              \x20 add r0, {step}\n push r0\n pop r2\n add r1, 1\n cmp r1, 50\n jl loop\n\
              \x20 mov r3, 0x6000\n store.q [r3], r0\n\
@@ -170,7 +170,7 @@ fn restoring_snapshot_y_over_a_shell_armed_from_x_runs_y() {
     let mem_size = 1 << 20;
     let snapshot_of = |step: u64| {
         let vm = hv.create_vm(mem_size, 0x8000);
-        vm.load_image(&visa::assemble(&program(step)).unwrap());
+        vm.load_image(&virtines::wasp::hypercall::assemble(&program(step)).unwrap());
         assert!(matches!(vm.run(100).unwrap(), VmExit::IoOut { .. }));
         vm.snapshot()
     };
@@ -215,10 +215,10 @@ fn rearming_or_cleaning_a_shell_for_the_same_image_rebuilds_nothing() {
     let clock = Clock::new();
     let hv = Hypervisor::kvm(HostKernel::new(clock.clone(), None));
     // Code on page 8, data on page 6, stack on page 7 and below.
-    let image = visa::assemble(
+    let image = virtines::wasp::hypercall::assemble(
         ".org 0x8000\n\
          \x20 mov sp, 0x8000\n mov r0, 0\n mov r1, 0\n\
-         \x20 out 1, r0\n\
+         \x20 mov r5, HC_SNAPSHOT\n out HC_PORT, r5\n\
          loop:\n\
          \x20 add r0, 3\n push r0\n pop r2\n add r1, 1\n cmp r1, 50\n jl loop\n\
          \x20 mov r3, 0x6000\n store.q [r3], r0\n\

@@ -54,28 +54,28 @@ const SECRET_PREAMBLE: &str = "
 /// A, snapshotted: secrets, `snapshot()`, one more secret, returns its arg.
 fn tenant_a() -> Image {
     let tail = "
-  mov r0, 8
-  out 0x1, r0
+  mov r0, HC_SNAPSHOT
+  out HC_PORT, r0
   mov r1, 0x31000
   store.q [r1], r5
   mov r1, 0
   load.q r0, [r1]
   hlt
 ";
-    visa::assemble(&format!("{SECRET_PREAMBLE}{tail}")).unwrap()
+    virtines::wasp::hypercall::assemble(&format!("{SECRET_PREAMBLE}{tail}")).unwrap()
 }
 
 /// A, parked: secrets, then a blocking `recv` nobody answers.
 fn tenant_a_blocking() -> Image {
     let tail = "
-  mov r0, 7
+  mov r0, HC_RECV
   mov r1, 0x4000
   mov r2, 64
   mov r3, 0
-  out 0x1, r0
+  out HC_PORT, r0
   hlt
 ";
-    visa::assemble(&format!("{SECRET_PREAMBLE}{tail}")).unwrap()
+    virtines::wasp::hypercall::assemble(&format!("{SECRET_PREAMBLE}{tail}")).unwrap()
 }
 
 /// B: sums the words where A's secrets were (and A's second argument word),
@@ -128,9 +128,7 @@ impl Node {
             narrow: HypercallMask::ALLOW_ALL,
             resumable: true,
         };
-        self.wasp
-            .run_on_shell(run, &mut |_, _, _, _| None)
-            .expect("run")
+        self.wasp.run_on_shell(run).expect("run")
     }
 
     /// A runs to completion on a new VM; returns its outcome and the shell,
@@ -312,7 +310,7 @@ fn b_on_a_vm_created_after_a_suspended_run_was_abandoned() {
             narrow: HypercallMask::ALLOW_ALL,
             resumable: true,
         };
-        let parked = n.wasp.run_on_shell(run, &mut |_, _, _, _| None).unwrap();
+        let parked = n.wasp.run_on_shell(run).unwrap();
         let RunResult::Blocked(suspended) = parked else {
             panic!("A must park in its recv")
         };
