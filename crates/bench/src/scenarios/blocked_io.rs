@@ -97,16 +97,14 @@ fn run(label: &str, block: BlockMode, with_slow: bool) -> Obj {
         }
         max_parked_seen = max_parked_seen.max(server.dispatcher().parked());
         if with_slow && !scraped && arrival > SLOW_SPREAD_S / 2.0 {
-            // Mid-trickle observability: the /metrics scrape exposes the
-            // blocked-I/O gauges (and never occupies a shard worker).
+            // Mid-trickle observability: the /metrics scrape (which
+            // always carries the parked and busy-wait families) answers
+            // and never occupies a shard worker.
             scraped = true;
+            let before = server.dispatcher().stats();
             let resp = server.fetch_metrics();
             assert_eq!(vhttp::response_status(&resp), Some(200));
-            let text = String::from_utf8(resp).expect("utf8 metrics");
-            assert!(
-                text.contains("vsched_parked") && text.contains("vsched_busy_wait_cycles_total"),
-                "blocked-I/O gauges missing from /metrics"
-            );
+            assert_eq!(before, server.dispatcher().stats(), "a scrape ran work");
         }
     }
     let run = server.finish();

@@ -13,14 +13,13 @@ use std::collections::{BinaryHeap, HashMap};
 
 use hostsim::HostKernel;
 use kvmsim::Hypervisor;
-use vclock::stats::Histogram;
 use vclock::Clock;
 use vsched::{
     BlockMode, Dispatcher, DispatcherConfig, Request, ShedReason, TenantId, TenantProfile, Topology,
 };
 use wasp::{Invocation, VirtineSpec, Wasp, WaspConfig};
 
-use crate::expo::{escape_label, Exposition};
+use crate::expo;
 use crate::response_status;
 use crate::server::{compile_handler, handler_policy};
 
@@ -31,456 +30,9 @@ pub fn http_tenant(name: impl Into<String>) -> TenantProfile {
 }
 
 /// Renders a dispatcher's statistics in the Prometheus text exposition
-/// format: dispatcher counters (including the warm-hit/demotion counters
-/// of the snapshot-aware fast path), aggregated pool counters, per-shard
-/// gauges, and per-tenant counters labelled by tenant name.
+/// format: every family of `vhttp::expo::NODE`, in table order.
 pub fn prometheus_text(d: &Dispatcher) -> String {
-    let mut out = Exposition::default();
-    let plain = |v: u64| vec![(String::new(), v)];
-
-    let s = d.stats();
-    let outcome = |o: &str| format!("{{outcome=\"{o}\"}}");
-    let mut requests = vec![
-        (outcome("submitted"), s.submitted),
-        (outcome("admitted"), s.admitted),
-        (outcome("served"), s.served),
-    ];
-    requests
-        .extend(ShedReason::ALL.map(|r| (outcome(&format!("shed_{}", r.label())), s.shed_by(r))));
-    out.metric(
-        "vsched_requests_total",
-        "counter",
-        "Requests by outcome: submitted (offered at the door), admitted \
-         (passed admission and enqueued), served (ran to completion), \
-         shed_rate_limit (tenant token bucket empty), shed_in_flight \
-         (tenant max_in_flight reached), shed_evicted (hard-stopped by \
-         shard lifecycle: drain grace period expired or the shard failed)",
-        &requests,
-    );
-    out.metric(
-        "vsched_retries_total",
-        "counter",
-        "Exactly-once re-submissions of work lost to a shard failure, by \
-         the copy that was lost: shard_failed_queued (a queued copy with \
-         no surviving shard to evacuate to)",
-        &[("{cause=\"shard_failed_queued\"}".into(), s.retries_queued)],
-    );
-    out.metric(
-        "vsched_retried_in_flight",
-        "gauge",
-        "Requests currently waiting out a retry backoff (admitted, not \
-         yet re-enqueued; the bridge term in the conservation identity)",
-        &plain(s.retried_in_flight),
-    );
-    out.metric(
-        "vsched_hedges_total",
-        "counter",
-        "Tail-latency hedging events: armed (a hedge delay was scheduled \
-         at admission), fired (the delay elapsed and a duplicate copy \
-         was enqueued), won (a hedge copy finished first), canceled (a \
-         loser copy was suppressed after the race was decided)",
-        &[
-            ("{outcome=\"armed\"}".into(), s.hedges_armed),
-            ("{outcome=\"fired\"}".into(), s.hedges_fired),
-            ("{outcome=\"won\"}".into(), s.hedges_won),
-            ("{outcome=\"canceled\"}".into(), s.hedges_canceled),
-        ],
-    );
-    out.metric(
-        "vsched_evictions_total",
-        "counter",
-        "Parked runs hard-stopped by shard lifecycle, by cause: \
-         grace_expired (unmigratable run outlived its tenant drain grace \
-         on a draining shard), shard_failed (the run's shard failed and \
-         its suspended context died with it)",
-        &[
-            ("{reason=\"grace_expired\"}".into(), s.evicted_grace),
-            ("{reason=\"shard_failed\"}".into(), s.evicted_failed),
-        ],
-    );
-    out.metric(
-        "vsched_warm_hits_total",
-        "counter",
-        "Requests served by a warm-shell delta re-arm",
-        &plain(s.warm_hits),
-    );
-    out.metric(
-        "vsched_warm_demotions_total",
-        "counter",
-        "Warm shells demoted (wiped) on the acquire path",
-        &plain(s.warm_demotions),
-    );
-    out.metric(
-        "vsched_steals_total",
-        "counter",
-        "Shells stolen between shards",
-        &plain(s.stolen),
-    );
-    out.metric(
-        "vsched_steal_transfers_total",
-        "counter",
-        "Shells stolen between shards, by topology distance class",
-        &[
-            ("{distance=\"same_ccx\"}".into(), s.stolen_same_ccx),
-            ("{distance=\"cross_ccx\"}".into(), s.stolen_cross_ccx),
-            ("{distance=\"cross_socket\"}".into(), s.stolen_cross_socket),
-        ],
-    );
-    let guest = visa::pred::counters();
-    out.metric(
-        "visa_insts_retired_total",
-        "counter",
-        "Guest instructions retired process-wide, by interpreter engine: \
-         fast (the predecoded basic-block engine, the default), ref (the \
-         reference single-step oracle, selected by Cpu::set_engine)",
-        &[
-            ("{engine=\"fast\"}".into(), guest.retired_fast),
-            ("{engine=\"ref\"}".into(), guest.retired_ref),
-        ],
-    );
-    out.metric(
-        "visa_predecode_blocks",
-        "counter",
-        "Predecoded basic blocks, by event: built (decoded, fused, and \
-         cached), invalidated (dropped for stale bytes found by a \
-         revalidation sweep, a self-modifying store, or the capacity \
-         bound; the cache survives snapshot restores and shell cleaning)",
-        &[
-            ("{event=\"built\"}".into(), guest.blocks_built),
-            ("{event=\"invalidated\"}".into(), guest.blocks_invalidated),
-        ],
-    );
-    out.metric(
-        "visa_predecode_dispatch_total",
-        "counter",
-        "Predecoded block entries served by the front cache, the block map \
-         or a fresh build; the map and build entries that fast-forwarded a \
-         counted loop instead of running it (loop); and instructions \
-         single-stepped on the reference path instead (uncacheable code, \
-         the tail of a step budget)",
-        &[
-            ("{path=\"front\"}".into(), guest.dispatch_front),
-            ("{path=\"map\"}".into(), guest.dispatch_map),
-            ("{path=\"built\"}".into(), guest.dispatch_built),
-            ("{path=\"loop\"}".into(), guest.dispatch_loop),
-            ("{path=\"reference\"}".into(), guest.dispatch_reference),
-        ],
-    );
-    out.metric(
-        "visa_predecode_loop_iterations_total",
-        "counter",
-        "Counted-loop iterations the predecoded engine fast-forwarded",
-        &plain(guest.loop_iterations),
-    );
-    out.metric(
-        "visa_superinsts_fused_total",
-        "counter",
-        "Superinstructions fused at predecode time (the six two-instruction \
-         patterns listed in docs/interpreter.md#superinstructions)",
-        &plain(guest.superinsts_fused),
-    );
-    let mem = visa::mem::counters();
-    out.metric(
-        "visa_mem_pages_total",
-        "counter",
-        "Guest-memory pages (4 KiB) physically rewritten on this thread: wiped \
-         (zeroed by a clean, a restore onto a dirty shell or a VM's drop), \
-         restored (copied by a full restore), rearmed (by a delta re-arm)",
-        &[
-            ("{op=\"wiped\"}".into(), mem.pages_wiped),
-            ("{op=\"restored\"}".into(), mem.pages_restored),
-            ("{op=\"rearmed\"}".into(), mem.pages_rearmed),
-        ],
-    );
-    out.metric(
-        "visa_mem_buffers_total",
-        "counter",
-        "Guest-memory buffers behind created VMs on this thread: allocated, or \
-         recycled (the wiped buffer of a destroyed VM, off the spare list)",
-        &[
-            ("{event=\"allocated\"}".into(), mem.buffers_allocated),
-            ("{event=\"recycled\"}".into(), mem.buffers_recycled),
-        ],
-    );
-    let topo = d.topology();
-    out.metric(
-        "vsched_topology",
-        "gauge",
-        "Shard topology dimensions (sockets, CCXs, shards)",
-        &[
-            ("{level=\"sockets\"}".into(), topo.sockets() as u64),
-            ("{level=\"ccxs\"}".into(), topo.ccxs() as u64),
-            ("{level=\"shards\"}".into(), topo.shards() as u64),
-        ],
-    );
-    out.metric(
-        "vsched_warm_resident",
-        "gauge",
-        "Warm shells resident across all shard pools",
-        &plain(d.warm_resident() as u64),
-    );
-    out.metric(
-        "vsched_batches_total",
-        "counter",
-        "Shard batch ticks executed",
-        &plain(s.batches),
-    );
-    out.metric(
-        "vsched_blocked_total",
-        "counter",
-        "Runs suspended at a blocking recv",
-        &plain(s.blocked),
-    );
-    out.metric(
-        "vsched_blocked_cycles_total",
-        "counter",
-        "Virtual cycles completed runs spent parked at a blocking recv \
-         (the Breakdown.blocked share of served work)",
-        &plain(s.blocked_cycles),
-    );
-    out.metric(
-        "vsched_resumed_total",
-        "counter",
-        "Parked runs re-queued by a socket wake",
-        &plain(s.resumed),
-    );
-    out.metric(
-        "vsched_blocked_timeout_total",
-        "counter",
-        "Parked runs killed at their tenant max_block bound",
-        &plain(s.blocked_timeout),
-    );
-    out.metric(
-        "vsched_migrations_total",
-        "counter",
-        "Woken parked runs re-admitted on a different shard (resume-time migration)",
-        &plain(s.migrations),
-    );
-    out.metric(
-        "vsched_busy_wait_cycles_total",
-        "counter",
-        "Worker cycles burned waiting on blocked I/O (zero when event-driven)",
-        &plain(s.busy_wait_cycles),
-    );
-    out.metric(
-        "vsched_parked",
-        "gauge",
-        "Blocked runs currently parked across all shards",
-        &plain(d.parked() as u64),
-    );
-
-    let p = d.pool_stats();
-    out.metric(
-        "wasp_pool_shells_total",
-        "counter",
-        "Shell lifecycle events across all shard pools",
-        &[
-            ("{event=\"created\"}".into(), p.created),
-            ("{event=\"reused\"}".into(), p.reused),
-            ("{event=\"released\"}".into(), p.released),
-            ("{event=\"warm_acquired\"}".into(), p.warm_acquired),
-            ("{event=\"warm_parked\"}".into(), p.warm_parked),
-            ("{event=\"warm_demoted\"}".into(), p.warm_demoted),
-            ("{event=\"dropped\"}".into(), p.dropped),
-        ],
-    );
-
-    let snaps = d.shard_snapshots();
-    let per_shard = |f: &dyn Fn(&vsched::ShardSnapshot) -> u64| -> Vec<(String, u64)> {
-        snaps
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (format!("{{shard=\"{i}\"}}"), f(s)))
-            .collect()
-    };
-    out.metric(
-        "vsched_shard_state",
-        "gauge",
-        "Lifecycle state per shard: 0 = active, 1 = draining, \
-         2 = drained, 3 = failed",
-        &per_shard(&|s| s.state.gauge()),
-    );
-    out.metric(
-        "vsched_shard_queue_depth",
-        "gauge",
-        "Requests waiting per shard",
-        &per_shard(&|s| s.queue_depth as u64),
-    );
-    out.metric(
-        "vsched_shard_idle_shells",
-        "gauge",
-        "Clean shells parked per shard",
-        &per_shard(&|s| s.idle_shells as u64),
-    );
-    out.metric(
-        "vsched_shard_warm_shells",
-        "gauge",
-        "Warm shells parked per shard",
-        &per_shard(&|s| s.warm_shells as u64),
-    );
-    out.metric(
-        "vsched_shard_served_total",
-        "counter",
-        "Requests served per shard",
-        &per_shard(&|s| s.stats.served),
-    );
-    out.metric(
-        "vsched_shard_warm_hits_total",
-        "counter",
-        "Warm hits per shard",
-        &per_shard(&|s| s.stats.warm_hits),
-    );
-    out.metric(
-        "vsched_shard_parked",
-        "gauge",
-        "Blocked runs parked per shard",
-        &per_shard(&|s| s.parked as u64),
-    );
-    out.metric(
-        "vsched_shard_migrated_in_total",
-        "counter",
-        "Woken runs this shard received via resume-time migration",
-        &per_shard(&|s| s.stats.migrated_in),
-    );
-    out.metric(
-        "vsched_shard_migrated_out_total",
-        "counter",
-        "Woken runs that left this shard via resume-time migration",
-        &per_shard(&|s| s.stats.migrated_out),
-    );
-    out.metric(
-        "vsched_shard_busy_wait_cycles_total",
-        "counter",
-        "Worker cycles burned on blocked waits per shard",
-        &per_shard(&|s| s.stats.busy_wait_cycles),
-    );
-
-    let tenants: Vec<(String, vsched::TenantStats)> = d
-        .tenant_ids()
-        .into_iter()
-        .map(|id| (escape_label(d.tenant_name(id)), d.tenant_stats(id)))
-        .collect();
-    let per_tenant = |f: &dyn Fn(&vsched::TenantStats) -> u64| -> Vec<(String, u64)> {
-        tenants
-            .iter()
-            .map(|(name, t)| (format!("{{tenant=\"{name}\"}}"), f(t)))
-            .collect()
-    };
-    out.metric(
-        "vsched_tenant_served_total",
-        "counter",
-        "Requests served per tenant",
-        &per_tenant(&|t| t.served),
-    );
-    out.metric(
-        "vsched_tenant_shed_total",
-        "counter",
-        "Requests shed per tenant",
-        &per_tenant(&|t| t.shed()),
-    );
-    out.metric(
-        "vsched_tenant_warm_serves_total",
-        "counter",
-        "Warm-hit serves per tenant",
-        &per_tenant(&|t| t.warm_serves),
-    );
-    out.metric(
-        "vsched_tenant_in_flight",
-        "gauge",
-        "Requests queued or running per tenant",
-        &per_tenant(&|t| t.in_flight),
-    );
-
-    out.histogram(
-        "vsched_queue_wait_cycles",
-        "Virtual cycles from admission to first execution, across all served requests",
-        &[(String::new(), d.queue_wait_hist())],
-    );
-    out.histogram(
-        "vsched_exec_cycles",
-        "Virtual cycles of virtine execution (guest segments, excluding parked waits)",
-        &[(String::new(), d.exec_hist())],
-    );
-    let e2e_series: Vec<(String, &Histogram)> = d
-        .tenant_ids()
-        .into_iter()
-        .map(|id| {
-            (
-                format!("tenant=\"{}\",", escape_label(d.tenant_name(id))),
-                d.tenant_e2e_hist(id),
-            )
-        })
-        .collect();
-    out.histogram(
-        "vsched_e2e_cycles",
-        "End-to-end virtual cycles from arrival to completion, per tenant",
-        &e2e_series,
-    );
-
-    if let Some(slo) = d.slo() {
-        let reports = slo.report();
-        out.metric("vslo_error_budget_remaining", "gauge",
-            "Fraction of the slow-window error budget unspent (1 - slow burn; negative when overspent)",
-            &reports
-                .iter()
-                .map(|r| {
-                    (
-                        format!("{{slo=\"{}\"}}", escape_label(&r.name)),
-                        r.budget_remaining,
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
-        out.metric(
-            "vslo_burn_rate",
-            "gauge",
-            "Error-budget burn rate (bad fraction over the window / allowed bad fraction)",
-            &reports
-                .iter()
-                .flat_map(|r| {
-                    let slo = escape_label(&r.name);
-                    [
-                        (format!("{{slo=\"{slo}\",window=\"fast\"}}"), r.burn_fast),
-                        (format!("{{slo=\"{slo}\",window=\"slow\"}}"), r.burn_slow),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        out.metric(
-            "vslo_alert",
-            "gauge",
-            "1 while the multiwindow burn-rate alert at this severity is firing, else 0",
-            &reports
-                .iter()
-                .flat_map(|r| {
-                    let slo = escape_label(&r.name);
-                    ["ticket", "page"].map(|sev| {
-                        let active = r.severity.is_some_and(|s| s.to_string() == sev);
-                        (
-                            format!("{{slo=\"{slo}\",severity=\"{sev}\"}}"),
-                            if active { 1.0 } else { 0.0 },
-                        )
-                    })
-                })
-                .collect::<Vec<_>>(),
-        );
-    }
-
-    if let Some(health) = d.shard_health() {
-        out.metric(
-            "vsched_suspicion",
-            "gauge",
-            "Failure-detector suspicion per shard (heartbeat silence over \
-             the expected interval; 0 while heartbeats arrive, declared \
-             failed at the configured threshold)",
-            &health
-                .iter()
-                .enumerate()
-                .map(|(i, h)| (format!("{{shard=\"{i}\"}}"), h.suspicion))
-                .collect::<Vec<_>>(),
-        );
-    }
-    out.finish()
+    expo::render(expo::NODE, d)
 }
 
 /// Both ends of an admitted connection whose response is still to come.
@@ -1028,6 +580,8 @@ impl DispatchedServer {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use vclock::stats;
 
@@ -1287,38 +841,15 @@ mod tests {
         assert!(run.stats.busy_wait_cycles > 0, "the wait occupies a worker");
     }
 
-    #[test]
-    fn metrics_conform_to_prometheus_text_format() {
-        use std::collections::{HashMap, HashSet};
-        use vclock::Cycles;
-        use vtrace::slo::{BurnPolicy, SloEngine, SloSpec};
-
-        let mut server = DispatchedServer::new(2, 256);
-        // A hostile tenant name: quote, backslash, and newline must all
-        // come out escaped or the scrape is unparseable.
-        let evil = server.add_tenant(http_tenant("e\\v\"i\nl"));
-        let good = server.add_tenant(http_tenant("good"));
-        let d = server.dispatcher_mut();
-        d.enable_tracing(64);
-        d.set_slo(SloEngine::new(
-            vec![
-                SloSpec::latency("e2e_p99", 0.99, Cycles::from_micros(50_000.0)),
-                SloSpec::availability("availability", 0.999),
-            ],
-            BurnPolicy::default(),
-        ));
-        for i in 0..8 {
-            let _ = server.offer(evil, i as f64 * 0.001);
-            let _ = server.offer(good, i as f64 * 0.001);
-        }
-        server.dispatcher.run_to_idle();
-        server.dispatcher.slo_tick();
-        let text = String::from_utf8(server.fetch_metrics()).unwrap();
-        let body = text.split("\r\n\r\n").nth(1).unwrap();
-
+    /// Parses an exposition body and checks it against the text format:
+    /// HELP before TYPE before samples, each announced once; every sample
+    /// of a declared family with a numeric value and no duplicate series;
+    /// histogram buckets cumulative and `+Inf`-terminated at the
+    /// `_count`. Returns each family's kind and every series.
+    fn conform(body: &str) -> (HashMap<String, String>, HashSet<String>) {
         let mut helped: HashSet<&str> = HashSet::new();
-        let mut typed: HashMap<&str, &str> = HashMap::new();
-        let mut seen_series: HashSet<&str> = HashSet::new();
+        let mut typed: HashMap<String, String> = HashMap::new();
+        let mut seen_series: HashSet<String> = HashSet::new();
         // Ordered histogram bucket values per (family, non-le labels).
         let mut buckets: HashMap<(String, String), Vec<(String, f64)>> = HashMap::new();
         let mut counts: HashMap<(String, String), f64> = HashMap::new();
@@ -1332,7 +863,7 @@ mod tests {
                 let mut it = rest.split(' ');
                 let (name, kind) = (it.next().unwrap(), it.next().unwrap());
                 assert!(
-                    typed.insert(name, kind).is_none(),
+                    typed.insert(name.into(), kind.into()).is_none(),
                     "duplicate TYPE for {name}"
                 );
                 assert!(helped.contains(name), "TYPE before HELP for {name}");
@@ -1345,8 +876,12 @@ mod tests {
             let value: f64 = value
                 .parse()
                 .unwrap_or_else(|_| panic!("sample value not a number in line `{line}`"));
-            assert!(seen_series.insert(series), "duplicate series `{series}`");
+            assert!(
+                seen_series.insert(series.into()),
+                "duplicate series `{series}`"
+            );
             let name = series.split('{').next().unwrap();
+            let kind = |f: &str| typed.get(f).map(String::as_str);
             // Resolve the family: histogram samples hang `_bucket`,
             // `_sum`, `_count` off the declared family name.
             let family = if typed.contains_key(name) {
@@ -1358,8 +893,8 @@ mod tests {
                     .or_else(|| name.strip_suffix("_count"))
                     .unwrap_or_else(|| panic!("sample `{name}` has no TYPE"));
                 assert_eq!(
-                    typed.get(base),
-                    Some(&"histogram"),
+                    kind(base),
+                    Some("histogram"),
                     "`{name}` suffix on a non-histogram family"
                 );
                 base.to_string()
@@ -1368,7 +903,7 @@ mod tests {
                 helped.contains(family.as_str()),
                 "sample `{series}` before its HELP"
             );
-            if name.ends_with("_bucket") && typed.get(family.as_str()) == Some(&"histogram") {
+            if name.ends_with("_bucket") && kind(&family) == Some("histogram") {
                 let labels = series.split_once('{').unwrap().1.trim_end_matches('}');
                 let (others, le): (Vec<&str>, Vec<&str>) = labels
                     .split("\",")
@@ -1377,37 +912,11 @@ mod tests {
                     .entry((family, others.join(",")))
                     .or_default()
                     .push((le.join("").to_string(), value));
-            } else if name.ends_with("_count") && typed.get(family.as_str()) == Some(&"histogram") {
+            } else if name.ends_with("_count") && kind(&family) == Some("histogram") {
                 let labels = series.split_once('{').map_or("", |(_, l)| l);
                 counts.insert((family, labels.trim_end_matches('}').to_string()), value);
             }
         }
-        // Escaped label values: the hostile name appears exactly in its
-        // escaped form, never raw.
-        assert!(
-            body.contains("tenant=\"e\\\\v\\\"i\\nl\""),
-            "escaped tenant label missing:\n{body}"
-        );
-        // Histograms: the three ISSUE families are present and every
-        // bucket series is cumulative and +Inf-terminated, with the +Inf
-        // count equal to the family count.
-        for fam in [
-            "vsched_queue_wait_cycles",
-            "vsched_exec_cycles",
-            "vsched_e2e_cycles",
-        ] {
-            assert_eq!(typed.get(fam), Some(&"histogram"), "{fam} missing");
-            assert!(
-                buckets.keys().any(|(f, _)| f == fam),
-                "{fam} has no bucket series"
-            );
-        }
-        assert!(
-            buckets
-                .keys()
-                .any(|(f, l)| f == "vsched_e2e_cycles" && l.contains("tenant=\"good")),
-            "e2e histogram not labelled per tenant"
-        );
         for ((family, labels), series) in &buckets {
             let mut prev = -1.0;
             for (le, v) in series {
@@ -1432,22 +941,120 @@ mod tests {
                 .unwrap_or_else(|| panic!("{family}{{{labels}}} has no _count"));
             assert_eq!(last_v, count, "{family}{{{labels}}} +Inf != _count");
         }
-        // SLO gauges are exported for every declared objective.
+        (typed, seen_series)
+    }
+
+    /// Every family of `table` is announced in `typed` with its kind, and
+    /// nothing else is.
+    fn announces_exactly<S>(typed: &HashMap<String, String>, table: &[expo::Family<S>]) {
+        let declared: HashMap<String, String> = table
+            .iter()
+            .map(|f| (f.name.to_string(), f.kind.as_str().to_string()))
+            .collect();
+        assert_eq!(typed, &declared);
+    }
+
+    #[test]
+    fn metrics_conform_to_prometheus_text_format() {
+        use crate::ingress::Ingress;
+        use vclock::Cycles;
+        use vtrace::slo::{BurnPolicy, SloEngine, SloSpec};
+
+        // The naming rule, off the tables: a counter and only a counter
+        // ends in `_total`.
+        let kinds = expo::NODE.iter().map(|f| (f.name, f.kind));
+        for (name, kind) in kinds.chain(expo::EDGE.iter().map(|f| (f.name, f.kind))) {
+            assert_eq!(
+                name.ends_with("_total"),
+                kind == expo::Kind::Counter,
+                "{name} is a {kind:?}"
+            );
+        }
+
+        let mut server = DispatchedServer::new(2, 256);
+        // A hostile tenant name: quote, backslash, and newline must all
+        // come out escaped or the scrape is unparseable.
+        let evil = server.add_tenant(http_tenant("e\\v\"i\nl"));
+        let good = server.add_tenant(http_tenant("good"));
+        let d = server.dispatcher_mut();
+        d.enable_tracing(64);
+        d.set_health(vsched::HealthConfig::new());
+        d.set_slo(SloEngine::new(
+            vec![
+                SloSpec::latency("e2e_p99", 0.99, Cycles::from_micros(50_000.0)),
+                SloSpec::availability("availability", 0.999),
+            ],
+            BurnPolicy::default(),
+        ));
+        for i in 0..8 {
+            let _ = server.offer(evil, i as f64 * 0.001);
+            let _ = server.offer(good, i as f64 * 0.001);
+        }
+        server.dispatcher.run_to_idle();
+        server.dispatcher.slo_tick();
+        let text = String::from_utf8(server.fetch_metrics()).unwrap();
+        let body = text.split("\r\n\r\n").nth(1).unwrap();
+        let (typed, seen_series) = conform(body);
+        // With an SLO engine and a detector installed, every row of the
+        // table is announced, with its declared kind.
+        announces_exactly(&typed, expo::NODE);
+        // Escaped label values: the hostile name appears exactly in its
+        // escaped form, never raw.
+        assert!(
+            body.contains("tenant=\"e\\\\v\\\"i\\nl\""),
+            "escaped tenant label missing:\n{body}"
+        );
+        assert!(
+            seen_series.contains("vsched_e2e_cycles_count{tenant=\"good\"}"),
+            "e2e histogram not labelled per tenant"
+        );
+        // SLO gauges are exported for every declared objective, and an
+        // alert gauge reads 1 exactly while its severity fires.
+        let reports = server.dispatcher().slo().unwrap().report();
+        for r in &reports {
+            for sev in ["ticket", "page"] {
+                let firing = r.severity.is_some_and(|s| s.to_string() == sev);
+                let line = format!(
+                    "vslo_alert{{slo=\"{}\",severity=\"{sev}\"}} {}",
+                    r.name,
+                    u8::from(firing)
+                );
+                assert!(body.lines().any(|l| l == line), "missing `{line}`");
+            }
+        }
         for series in [
             "vslo_error_budget_remaining{slo=\"e2e_p99\"}",
             "vslo_error_budget_remaining{slo=\"availability\"}",
             "vslo_burn_rate{slo=\"e2e_p99\",window=\"fast\"}",
             "vslo_burn_rate{slo=\"availability\",window=\"slow\"}",
-            "vslo_alert{slo=\"e2e_p99\",severity=\"page\"}",
-            "vslo_alert{slo=\"availability\",severity=\"ticket\"}",
         ] {
             assert!(
                 seen_series.contains(series),
                 "missing SLO series `{series}`:\n{body}"
             );
         }
-        // The satellite counter rides along.
-        assert!(seen_series.contains("vsched_blocked_cycles_total"));
+
+        // The edge surface, with a detector and one hung node: every
+        // family announced, suspicion a ratio like the node's.
+        let mut ing = Ingress::new(2, 2);
+        let img = visa::assemble(".org 0x8000\n mov r0, 7\n hlt\n").unwrap();
+        let v = ing.register(VirtineSpec::new("f", img, 64 * 1024).with_snapshot(false));
+        let t = ing.add_tenant(TenantProfile::new("app"), f64::INFINITY, f64::INFINITY);
+        ing.set_health(vsched::HealthConfig::new());
+        for i in 0..5 {
+            ing.offer(t, i, v, b"", 0.001 * (i + 1) as f64).unwrap();
+        }
+        ing.cluster_mut().hang_node_at(0.006, 1, 1.0);
+        ing.advance(0.00712);
+        let edge = ing.metrics();
+        let (typed, seen_series) = conform(&edge);
+        announces_exactly(&typed, expo::EDGE);
+        assert!(seen_series.contains("vsched_ingress_routed_total{node=\"1\"}"));
+        assert!(
+            edge.lines()
+                .any(|l| l == "vsched_ingress_suspicion{node=\"1\"} 2.5"),
+            "{edge}"
+        );
     }
 
     #[test]

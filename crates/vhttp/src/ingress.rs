@@ -728,119 +728,14 @@ accept:
         }
     }
 
-    /// The Prometheus text rendering of the edge tier: ingress counters
-    /// plus per-node routing, lifecycle, and suspicion gauges. Backend
-    /// node internals are each node's own
+    /// The Prometheus text rendering of the edge tier: every family of
+    /// `vhttp::expo::EDGE`, in table order — ingress counters plus
+    /// per-node routing, lifecycle, and suspicion gauges. Backend node
+    /// internals are each node's own
     /// [`prometheus_text`](crate::dispatch::prometheus_text) surface;
     /// this is the layer above it.
     pub fn metrics(&self) -> String {
-        let mut out = crate::expo::Exposition::default();
-        let s = self.stats;
-        out.metric(
-            "vsched_ingress_offered_total",
-            "counter",
-            "Connections offered to the edge",
-            &[(String::new(), s.offered)],
-        );
-        out.metric(
-            "vsched_ingress_accepted_total",
-            "counter",
-            "Connections that passed edge admission and were routed",
-            &[(String::new(), s.accepted)],
-        );
-        out.metric(
-            "vsched_ingress_edge_shed_total",
-            "counter",
-            "Connections shed at the edge, by cause",
-            &[
-                (r#"{reason="edge_rate"}"#.to_string(), s.shed_edge_rate),
-                (
-                    r#"{reason="bad_attribution"}"#.to_string(),
-                    s.shed_bad_attribution,
-                ),
-                (r#"{reason="no_healthy_node"}"#.to_string(), s.shed_no_node),
-                (r#"{reason="node"}"#.to_string(), s.shed_node),
-            ],
-        );
-        out.metric(
-            "vsched_ingress_redispatched_total",
-            "counter",
-            "Failover re-dispatches to a surviving node",
-            &[(String::new(), s.redispatched)],
-        );
-        out.metric(
-            "vsched_ingress_completed_total",
-            "counter",
-            "Terminal completions delivered to the edge",
-            &[(String::new(), s.completed)],
-        );
-        out.metric(
-            "vsched_ingress_duplicates_total",
-            "counter",
-            "Node completions no live request answers for (must be 0)",
-            &[(String::new(), s.duplicates)],
-        );
-        out.metric(
-            "vsched_ingress_live_requests",
-            "gauge",
-            "Accepted requests not yet terminal: the records the edge holds",
-            &[(String::new(), self.live_requests())],
-        );
-        out.metric(
-            "vsched_ingress_acceptor_wakes_total",
-            "counter",
-            "Doorbell rings that woke the parked acceptor virtine",
-            &[(String::new(), s.acceptor_wakes)],
-        );
-        out.metric(
-            "vsched_ingress_transfer_cycles_total",
-            "counter",
-            "Virtual cycles charged to cross-node transfers",
-            &[(String::new(), self.cluster.stats().transfer_cycles)],
-        );
-        let routed: Vec<(String, u64)> = (0..self.cluster.len())
-            .map(|i| (format!("{{node=\"{i}\"}}"), self.cluster.routed_to(i)))
-            .collect();
-        out.metric(
-            "vsched_ingress_routed_total",
-            "counter",
-            "Connections routed per backend node",
-            &routed,
-        );
-        let states: Vec<(String, u64)> = (0..self.cluster.len())
-            .map(|i| {
-                (
-                    format!("{{node=\"{i}\"}}"),
-                    self.cluster.node_state(i).gauge(),
-                )
-            })
-            .collect();
-        out.metric(
-            "vsched_ingress_node_state",
-            "gauge",
-            "Lifecycle state per node: 0 = active, 1 = draining, \
-             2 = drained, 3 = failed",
-            &states,
-        );
-        if let Some(health) = self.cluster.node_health() {
-            let suspicion: Vec<(String, u64)> = health
-                .iter()
-                .enumerate()
-                .map(|(i, h)| {
-                    (
-                        format!("{{node=\"{i}\"}}"),
-                        (h.suspicion * 1000.0).round() as u64,
-                    )
-                })
-                .collect();
-            out.metric(
-                "vsched_ingress_suspicion",
-                "gauge",
-                "Node suspicion score in millis (silence / heartbeat interval x 1000)",
-                &suspicion,
-            );
-        }
-        out.finish()
+        crate::expo::render(crate::expo::EDGE, self)
     }
 }
 

@@ -526,11 +526,13 @@ impl Dispatcher {
         match end {
             Terminal::Shed { reason, evict } => {
                 *tstats.shed_counter(reason) += 1;
-                *self.stats.shed_counter(reason) += 1;
+                // An eviction is counted by cause; `stats()` sums the
+                // causes into `shed_evicted`.
+                debug_assert_eq!(evict.is_some(), reason == ShedReason::Evicted);
                 match evict {
                     Some(FailCause::GraceExpired) => self.stats.evicted_grace += 1,
                     Some(FailCause::ShardFailed) => self.stats.evicted_failed += 1,
-                    None => {}
+                    None => *self.stats.shed_counter(reason) += 1,
                 }
                 if let Some(slo) = &mut self.slo {
                     slo.observe_shed(Cycles(at));
@@ -575,10 +577,8 @@ impl Dispatcher {
                     // wiped by the runtime and serves a full restore,
                     // which is not a hit.
                     tstats.warm_serves += 1;
-                    self.stats.warm_hits += 1;
                     self.shards[shard].stats.warm_hits += 1;
                 }
-                self.stats.served += 1;
                 self.stats.blocked_cycles += b.blocked.get();
                 self.shards[shard].stats.served += 1;
                 let e2e = at - ticket.arrival;
@@ -692,9 +692,27 @@ impl Dispatcher {
         std::mem::take(&mut self.completions)
     }
 
-    /// Aggregate statistics.
+    /// Aggregate statistics. The node-wide counters that are sums of
+    /// per-shard ones are summed here, not kept twice: `served`,
+    /// `batches`, `warm_hits`, `blocked`, `resumed`, `blocked_timeout`,
+    /// `busy_wait_cycles`, `migrations` (Σ `migrated_in`), `stolen`
+    /// (Σ `stolen_in`); `shed_evicted` is the sum of its two causes.
     pub fn stats(&self) -> DispatcherStats {
-        self.stats
+        let mut s = self.stats;
+        for shard in &self.shards {
+            let t = &shard.stats;
+            s.served += t.served;
+            s.batches += t.batches;
+            s.warm_hits += t.warm_hits;
+            s.blocked += t.blocked;
+            s.resumed += t.resumed;
+            s.blocked_timeout += t.blocked_timeout;
+            s.busy_wait_cycles += t.busy_wait_cycles;
+            s.migrations += t.migrated_in;
+            s.stolen += t.stolen_in;
+        }
+        s.shed_evicted = s.evicted_grace + s.evicted_failed;
+        s
     }
 
     /// One tenant's statistics.
@@ -807,7 +825,6 @@ impl Dispatcher {
         self.wasp.clock().tick(hop.transfer_cost());
         self.shards[thief].stats.stolen_in += 1;
         self.shards[donor].stats.stolen_out += 1;
-        self.stats.stolen += 1;
         match hop {
             Hop::Local => unreachable!("a steal always crosses shards"),
             Hop::SameCcx => self.stats.stolen_same_ccx += 1,
@@ -894,7 +911,6 @@ impl Dispatcher {
         let tick = self.config.tick.get();
         let t_batch = self.shards[idx].next_wake;
         let mut free = self.shards[idx].free_at.max(t_batch);
-        self.stats.batches += 1;
         self.shards[idx].stats.batches += 1;
         // A batch tick is the worker's proof of life: the detector's
         // suspicion for this shard resets here, and *only* here — a hung

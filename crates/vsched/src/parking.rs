@@ -29,7 +29,6 @@ impl Dispatcher {
             .tick(self.topology.transfer_cost(from, to));
         p.shard = to;
         p.progress.migrated = true;
-        self.stats.migrations += 1;
         self.shards[from].stats.migrated_out += 1;
         self.shards[to].stats.migrated_in += 1;
     }
@@ -93,7 +92,6 @@ impl Dispatcher {
             },
         };
         self.tenants[ticket.tenant.0].stats.blocked += 1;
-        self.stats.blocked += 1;
         self.shards[idx].stats.blocked += 1;
         if self.config.block == BlockMode::SpinPoll {
             self.shards[idx].spinning += 1;
@@ -132,7 +130,6 @@ impl Dispatcher {
             }
             self.settle_spin(idx, p.blocked_from, wake);
             self.shards[idx].stats.resumed += 1;
-            self.stats.resumed += 1;
             self.wasp.clock().tick(costs::VSCHED_QUEUE_OP);
             let target = p.run.wait().target;
             self.tspan(seq, "park", || format!("{target:?}"), p.blocked_from, wake);
@@ -181,7 +178,6 @@ impl Dispatcher {
             let spin = to - from;
             self.shards[idx].spinning -= 1;
             self.shards[idx].stats.busy_wait_cycles += spin;
-            self.stats.busy_wait_cycles += spin;
             self.shards[idx].free_at = self.shards[idx].free_at.max(to);
         }
     }
@@ -246,7 +242,6 @@ impl Dispatcher {
         // ordinary wiped release (§5.2) erases it before any reuse.
         self.shards[idx].pool.release(used);
         self.tenants[p.ticket.tenant.0].stats.blocked_timeout += 1;
-        self.stats.blocked_timeout += 1;
         self.shards[idx].stats.blocked_timeout += 1;
         self.tspan(seq, "park", || format!("{target:?}"), p.blocked_from, at);
         // Untracked, so the run is its own logical request.

@@ -221,6 +221,10 @@ impl Completion {
 }
 
 /// Aggregate dispatcher statistics, surfaced like `wasp::PoolStats`.
+/// `Dispatcher::stats` sums the counters that are also kept per shard
+/// (`served`, `batches`, `warm_hits`, `blocked`, `resumed`,
+/// `blocked_timeout`, `busy_wait_cycles`, `migrations`, `stolen`) from the
+/// shards' [`crate::ShardStats`], and `shed_evicted` from its two causes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatcherStats {
     /// Requests offered across all tenants.

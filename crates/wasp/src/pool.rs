@@ -64,7 +64,9 @@
 //! a shell reaches another key only through a wipe, and a warm shell only
 //! its own key, re-armed. The types above hold it; each `compile_fail`
 //! block below is a move they refuse, beside a compiling sibling that makes
-//! the legal one. A warm shell is not a clean one — it runs only as
+//! the legal one and differs from it in exactly one line (a unit test,
+//! `each_compile_fail_doctest_differs_from_its_sibling_in_one_line`, holds
+//! that, so the refused move is the only reason the block fails). A warm shell is not a clean one — it runs only as
 //! [`Shell::Warm`], where the runtime re-arms or wipes it:
 //!
 //! ```compile_fail,E0308
@@ -105,17 +107,18 @@
 //!
 //! ```compile_fail,E0616
 //! # use wasp::{CleanShell, HypercallMask, Invocation, Shell, ShellRun, VirtineId, Wasp};
-//! fn start(wasp: &Wasp, clean: CleanShell, _id: VirtineId) {
-//!     let _ = (wasp, clean.0.run(1_000));
+//! fn start(wasp: &Wasp, clean: CleanShell, id: VirtineId) {
+//!     let narrow = HypercallMask::ALLOW_ALL;
+//!     let invocation = Invocation::default();
+//!     let _ = (wasp, id, narrow, invocation, clean.0.run(1_000));
 //! }
 //! ```
 //! ```
 //! # use wasp::{CleanShell, HypercallMask, Invocation, Shell, ShellRun, VirtineId, Wasp};
 //! fn start(wasp: &Wasp, clean: CleanShell, id: VirtineId) {
-//!     let shell = Shell::Clean(clean);
 //!     let narrow = HypercallMask::ALLOW_ALL;
-//!     let run = ShellRun { shell, id, args: &[], invocation: Invocation::default(), narrow, resumable: false };
-//!     let _ = wasp.run_on_shell(run);
+//!     let invocation = Invocation::default();
+//!     let _ = wasp.run_on_shell(ShellRun { shell: Shell::Clean(clean), id, args: &[], invocation, narrow, resumable: false });
 //! }
 //! ```
 //!
@@ -661,6 +664,59 @@ mod tests {
     use super::*;
     use hostsim::HostKernel;
     use vclock::Clock;
+
+    /// The code blocks of this module's docs, in order: whether each is a
+    /// `compile_fail` block, and its lines that rustdoc does not hide.
+    fn doc_blocks() -> Vec<(bool, Vec<&'static str>)> {
+        let docs = include_str!("pool.rs")
+            .lines()
+            .map_while(|l| l.strip_prefix("//!"))
+            .map(|l| l.strip_prefix(' ').unwrap_or(l));
+        let mut blocks = Vec::new();
+        let mut open: Option<(bool, Vec<&str>)> = None;
+        for line in docs {
+            match (line.strip_prefix("```"), open.take()) {
+                (Some(info), None) => open = Some((info.starts_with("compile_fail"), Vec::new())),
+                (Some(_), Some(block)) => blocks.push(block),
+                (None, Some((fails, mut lines))) => {
+                    if line != "#" && !line.starts_with("# ") {
+                        lines.push(line);
+                    }
+                    open = Some((fails, lines));
+                }
+                (None, None) => {}
+            }
+        }
+        assert!(open.is_none(), "an unclosed code block");
+        blocks
+    }
+
+    /// Stable rustdoc does not check a `compile_fail` block's error code,
+    /// so a block could fail for a reason nobody meant. Each one is
+    /// therefore followed by a compiling sibling (a doctest that must
+    /// build) that differs from it in exactly one visible line: the
+    /// refused move is then the only thing that can make it fail.
+    #[test]
+    fn each_compile_fail_doctest_differs_from_its_sibling_in_one_line() {
+        let blocks = doc_blocks();
+        let mut pairs = 0;
+        for (i, (fails, lines)) in blocks.iter().enumerate() {
+            if !fails {
+                continue;
+            }
+            let Some((false, sibling)) = blocks.get(i + 1) else {
+                panic!("compile_fail block {i} has no compiling sibling after it");
+            };
+            assert_eq!(lines.len(), sibling.len(), "block {i}: line counts differ");
+            let differ = lines.iter().zip(sibling).filter(|(a, b)| a != b).count();
+            assert_eq!(
+                differ, 1,
+                "block {i} differs from its sibling in {differ} lines"
+            );
+            pairs += 1;
+        }
+        assert_eq!(pairs, 3, "the three isolation moves");
+    }
 
     fn hv() -> (Clock, Hypervisor) {
         let clock = Clock::new();

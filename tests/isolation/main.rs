@@ -17,6 +17,7 @@
 //! | a retained block never runs over bytes it was not built from | [`shell_memory::a_revived_block_cache_never_runs_a_block_from_a_page_the_next_image_leaves_zero`], [`predecode_retention::a_cleaned_shell_serves_the_next_tenant_exactly_like_a_never_used_one`], [`predecode_retention::restoring_snapshot_y_over_a_shell_armed_from_x_runs_y`] |
 //! | what retention is for: the same image re-armed or reloaded rebuilds nothing | [`predecode_retention::rearming_or_cleaning_a_shell_for_the_same_image_rebuilds_nothing`] |
 //! | a wipe zeroes exactly the pages the run touched, charged by extent | [`page_counts`] |
+//! | a guest fault (a `jmp r` far outside memory, a load past its end) is contained: the run ends as a `Fault` with no host panic, the shell is never parked warm (`abnormal_exits_never_park_warm`), and the next tenant on the same one-shard dispatcher sees what it sees on a never-used shell | [`fault_containment`] |
 //! | hypercalls are default-deny: under `DENY_ALL` every row of `wasp::hypercall::TABLE` but `exit` and `snapshot` is denied and counted, with no host side effect; a narrowing mask never widens a spec's; a number past the table is killed when allowed and denied when masked | [`default_deny`] |
 //!
 //! The warm re-arm's exactness and the warm token's rules are unit tests of
@@ -27,6 +28,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 mod default_deny;
+mod fault_containment;
 mod page_counts;
 mod predecode_retention;
 mod shell_memory;
